@@ -3,7 +3,8 @@
 The simply-laced families use their standard integer-coordinate simple roots
 (A_n and D_n in coordinate hyperplanes/spaces, E6/E7/E8 inside R^8).  Coxeter
 numbers are computed as the order of the product of the simple reflection
-matrices, never hard-coded; root counts come from reflection closure.
+matrices, never hard-coded; root counts come from the orbit of the simple
+roots under the simple reflections.
 
 A rank-2 source contributes a single rotation order n and maps to the path
 A_n; a triple (2,2,n) maps to D_{n+2} and (2,3,3)/(2,3,4)/(2,3,5) to E6/E7/E8.
@@ -29,7 +30,14 @@ from .mckay import (
     mckay_graph,
     spinor_character,
 )
-from .rootsys import catalog, parse_name, root_system, rotation_orders
+from .rootsys import (
+    ClosureCapError,
+    catalog,
+    orbit,
+    parse_name,
+    root_system,
+    rotation_orders,
+)
 
 RANK_CAP = 24
 ORDER_CAP = 200
@@ -117,32 +125,12 @@ def _coxeter_order(simple: np.ndarray, cap: int = ORDER_CAP) -> int:
 
 
 def _closure(simple: np.ndarray, cap: int = 2000) -> np.ndarray:
-    roots: list[np.ndarray] = []
-    index: dict = {}
-
-    def key(v):
-        return tuple(round(float(c), 6) + 0.0 for c in v)
-
-    def add(v):
-        k = key(v)
-        if k not in index:
-            index[k] = len(roots)
-            roots.append(v)
-
-    for r in simple:
-        add(r)
-    done = 0
-    while done < len(roots):
-        hi = len(roots)
-        if hi > cap:
-            raise ValueError("root closure exceeded cap")
-        for j in range(done, hi):
-            for i in range(j + 1):
-                a, x = roots[i], roots[j]
-                add(x - (2.0 * (x @ a) / (a @ a)) * a)
-                if i != j:
-                    add(a - (2.0 * (a @ x) / (x @ x)) * x)
-        done = hi
+    try:
+        roots = orbit(simple, simple,
+                      lambda x, a: x - (2.0 * (x @ a) / (a @ a)) * a,
+                      lambda v: tuple(round(c, 6) + 0.0 for c in v.tolist()), cap)
+    except ClosureCapError as exc:
+        raise ValueError("root closure exceeded cap") from exc
     return np.array(roots)
 
 

@@ -95,10 +95,14 @@ def cmd_coxplane(args) -> int:
         "exponents": list(coxplane.exponents_via_matrix(cd.matrix, cd.h)),
     }
     try:
-        plane = coxplane.coxeter_plane(simple, word=word)
-        payload["plane"] = plane.bivector.to_json()
+        # the bicoloured PF plane also detects the degenerate A1-power systems;
+        # any other word stabilizes a conjugate plane, read from its spectrum
+        B = coxplane.coxeter_plane(simple, validate=word is None).bivector
+        if word is not None:
+            B = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
+        payload["plane"] = B.to_json()
         if simple.rank in (2, 4):
-            f = coxplane.factorize(cd.versor, plane.bivector, cd.h)
+            f = coxplane.factorize(cd.versor, B, cd.h)
             payload.update({
                 "theta1": f.theta1, "theta2": f.theta2,
                 "residual": f.residual,

@@ -22,9 +22,9 @@ from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
     catalog,
+    orbit,
     parse_name,
     root_system,
-    validate_root_system,
 )
 from .scalars import QT_ONE
 
@@ -110,39 +110,24 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
     """Multiplicative closure of the simple root vectors."""
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
-    gens = list(simple.roots)
+    gens = simple.roots
     kd = KEY_DECIMALS
-    elements: list[Multivector] = []
-    index: dict = {}
-
-    def add(mv: Multivector):
-        k = mv_key(mv, kd)
-        if k not in index:
-            index[k] = len(elements)
-            elements.append(mv)
-
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
-    for g in gens:
-        add(g)
-        add(-g)
-    i = 0
-    while i < len(elements):
-        if len(elements) > cap:
-            raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}")
-        e = elements[i]
-        for g in gens:
-            add(e * g)
-        i += 1
+    seeds = [s for g in gens for s in (g, -g)]
+    try:
+        elements = orbit(seeds, gens, lambda e, g: e * g,
+                         lambda mv: mv_key(mv, kd), cap)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
     elements.sort(key=mv_sort_key)
     parities = tuple(_parity_of(e) for e in elements)
     # unit-versor sanity: V reverse(V) = 1
     for e in elements:
         ns = e.norm_sq()
-        if e.backend == "exact":
-            assert ns == QT_ONE
-        else:
-            assert abs(float(ns) - 1.0) < 1e-9
+        unit = ns == QT_ONE if e.backend == "exact" else abs(float(ns) - 1.0) < 1e-9
+        if not unit:
+            raise ValueError(f"pin closure of {simple.name} has a non-unit element")
     return VersorGroup(
         name=f"Pin({simple.name})", dim=simple.rank, elements=tuple(elements),
         parities=parities, parity="pin", key_decimals=kd,
@@ -292,7 +277,3 @@ def binary_group_name(name: str, n: Optional[int] = None) -> str:
     if key == "A1xI2":
         return f"Dic{n}" if n != 2 else "Dic2 (= Q8)"
     raise ValueError(f"{key} is not a 2D/3D catalog system")
-
-
-def validate_induced(S: Induced4DSet):
-    return validate_root_system(S.as_root_vectors())

@@ -83,7 +83,7 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
     out.mkdir(parents=True, exist_ok=True)
     meta = metadata(seed=seed, tol_eq=tol_eq)
     simple = catalog(name, n)
-    stem = simple.name.replace("(", "").replace(")", "").replace("x", "x")
+    stem = simple.name.replace("(", "").replace(")", "")
     written: list[Path] = []
 
     def emit(suffix: str, text: str) -> None:

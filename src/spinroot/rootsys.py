@@ -9,9 +9,12 @@ Catalog keys and backends:
     A1xI2(n)                  rank 3, float
     I2(n)xI2(n)               rank 4, float
 
-Simple roots are stored unit-normalized.  Reflection closure deduplicates by
-exact coefficients on the exact backend and by coordinates rounded to
-``KEY_DECIMALS`` decimals on the float backend.
+Simple roots are stored unit-normalized.  A root system is the orbit of its
+simple roots under the simple reflections (Humphreys, *Reflection Groups and
+Coxeter Groups*, 1.5), so the closure applies rank * |roots| reflections.  It
+deduplicates by exact coefficients on the exact backend and by coordinates
+rounded to ``KEY_DECIMALS`` decimals on the float backend, and returns the
+roots sorted by ``mv_sort_key``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .clifford import Multivector, mv_key, reflect
+from .clifford import Multivector, mv_key, mv_sort_key
 from .scalars import (
     INV_SQRT2,
     QT_HALF,
@@ -44,6 +47,35 @@ class UnknownSystemError(ValueError):
 
 class ClosureCapError(RuntimeError):
     pass
+
+
+def orbit(seeds: Iterable, generators: Sequence, act: Callable, key: Callable,
+          cap: int) -> list:
+    """Breadth-first closure of ``seeds`` under ``act(x, g)`` for every generator.
+
+    Elements are deduplicated by ``key`` and returned in discovery order;
+    ``ClosureCapError`` is raised as soon as more than ``cap`` are found.
+    """
+    out: list = []
+    seen: set = set()
+
+    def add(x) -> None:
+        k = key(x)
+        if k not in seen:
+            seen.add(k)
+            out.append(x)
+            if len(out) > cap:
+                raise ClosureCapError(f"orbit exceeded {cap} elements")
+
+    for s in seeds:
+        add(s)
+    i = 0
+    while i < len(out):
+        x = out[i]
+        for g in generators:
+            add(act(x, g))
+        i += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,10 +303,9 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
             raise UnknownSystemError(f"unknown backend {backend!r}")
     for r in roots:
         ns = r.norm_sq()
-        if use_backend == "exact":
-            assert ns == QT_ONE, f"catalog root of {key} not unit"
-        else:
-            assert abs(float(ns) - 1.0) < 1e-12, f"catalog root of {key} not unit"
+        unit = ns == QT_ONE if use_backend == "exact" else abs(float(ns) - 1.0) < 1e-12
+        if not unit:
+            raise ValueError(f"catalog root of {key} not unit")
     return SimpleRootSet(
         name=display_name(key, n), key=key, rank=rank,
         roots=tuple(roots), backend=use_backend, n=n, default_word=word,
@@ -303,35 +334,15 @@ def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
 
 def generate_roots(simple: SimpleRootSet, cap: int = CLOSURE_CAP,
                    key_decimals: int = KEY_DECIMALS) -> RootSystem:
-    """Reflection closure of the simple roots (fixed point of all s_a)."""
-    roots: list[Multivector] = []
-    index: dict = {}
-
-    def add(mv: Multivector):
-        k = mv_key(mv, key_decimals)
-        if k not in index:
-            index[k] = len(roots)
-            roots.append(mv)
-
-    for r in simple.roots:
-        add(r)
-    done = 0
-    while done < len(roots):
-        hi = len(roots)
-        if hi > cap:
-            raise ClosureCapError(
-                f"closure of {simple.name} exceeded {cap} roots"
-            )
-        for j in range(done, hi):
-            for i in range(j + 1):
-                add(reflect(roots[i], roots[j]))
-                if i != j:
-                    add(reflect(roots[j], roots[i]))
-        done = hi
-    if len(roots) > cap:
-        raise ClosureCapError(f"closure of {simple.name} exceeded {cap} roots")
+    """Orbit of the simple roots under the simple reflections, sorted canonically."""
+    try:
+        roots = orbit(simple.roots, simple.roots,
+                      lambda x, a: _reflect_general(a, x),
+                      lambda mv: mv_key(mv, key_decimals), cap)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"closure of {simple.name} exceeded {cap} roots") from exc
     return RootSystem(
-        name=simple.name, simple=simple, roots=tuple(roots),
+        name=simple.name, simple=simple, roots=tuple(sorted(roots, key=mv_sort_key)),
         cartan=cartan_matrix(simple),
     )
 

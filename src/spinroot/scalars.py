@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-Rational = Fraction
-
 #: Default absolute tolerance for float-backend equality on unit-scale values.
 DEFAULT_EQ_TOL = 1e-9
 
@@ -293,10 +291,6 @@ Scalar = Union[QuadTower, float]
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, QuadTower)
-
-
-def backend_of(x: Scalar) -> str:
-    return "exact" if isinstance(x, QuadTower) else "float"
 
 
 def galois_conjugate(x: QuadTower) -> QuadTower:

@@ -532,31 +532,34 @@ def check_projection_and_exports(seed: int = mckay.DEFAULT_SEED) -> list[CheckRe
 # -- runner ----------------------------------------------------------------------------------
 
 
+# every entry is called as fn(n_max=..., seed=...) and passes on what it uses
 CRITERIA = {
-    1: ("group orders and root counts", check_group_orders),
-    2: ("explicit coordinate fixtures", check_coordinate_fixtures),
-    3: ("factorization table reproduction", check_factorizations),
-    4: ("exponent oracle equivalence", check_exponent_oracles),
-    5: ("Coxeter-plane fixtures and invariance", check_planes),
-    6: ("Perron-Frobenius fixtures", check_pf),
-    7: ("H4 exact appendix fixtures", check_h4_appendix),
-    8: ("order-decomposition identities", check_springer),
-    9: ("McKay suite", check_mckay),
-    10: ("direct diagram map and ADE Coxeter numbers", check_direct_map),
-    11: ("projection property and export determinism", check_projection_and_exports),
+    1: ("group orders and root counts",
+        lambda n_max, seed: check_group_orders(n_max)),
+    2: ("explicit coordinate fixtures",
+        lambda n_max, seed: check_coordinate_fixtures()),
+    3: ("factorization table reproduction",
+        lambda n_max, seed: check_factorizations()),
+    4: ("exponent oracle equivalence",
+        lambda n_max, seed: check_exponent_oracles(n_max, seed)),
+    5: ("Coxeter-plane fixtures and invariance",
+        lambda n_max, seed: check_planes(n_max)),
+    6: ("Perron-Frobenius fixtures", lambda n_max, seed: check_pf()),
+    7: ("H4 exact appendix fixtures", lambda n_max, seed: check_h4_appendix()),
+    8: ("order-decomposition identities", lambda n_max, seed: check_springer(n_max)),
+    9: ("McKay suite", lambda n_max, seed: check_mckay(n_max)),
+    10: ("direct diagram map and ADE Coxeter numbers",
+         lambda n_max, seed: check_direct_map(n_max)),
+    11: ("projection property and export determinism",
+         lambda n_max, seed: check_projection_and_exports(seed)),
 }
 
 
 def run_all(n_max: int = 12, seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
     for num, (title, fn) in CRITERIA.items():
-        kwargs = {}
-        if "n_max" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            kwargs["n_max"] = n_max
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            kwargs["seed"] = seed
         try:
-            results.extend(fn(**kwargs))
+            results.extend(fn(n_max=n_max, seed=seed))
         except Exception as exc:  # a crashed check is a failed check
             results.append(_res(num, f"{title} (crashed)", False, repr(exc), "no exception"))
     return results

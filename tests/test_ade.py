@@ -1,6 +1,7 @@
 import pytest
 
 from spinroot.ade import (
+    _closure,
     ade_root_data,
     correspondence_report,
     correspondence_row,
@@ -30,6 +31,11 @@ def test_root_counts_are_rank_times_h():
 
 def test_e8_has_240_roots():
     assert ade_root_data("E8").root_count == 240
+
+
+def test_closure_cap_raises_value_error():
+    with pytest.raises(ValueError, match="exceeded cap"):
+        _closure(ade_root_data("E8").simple, cap=100)
 
 
 def test_rank_caps():

@@ -66,6 +66,15 @@ def test_coxplane_word_override(capsys):
     assert payload["exponents"] == [1, 3, 3, 5]
 
 
+@pytest.mark.parametrize("word", ["1,2,3,4", "4,3,2,1"])
+def test_coxplane_word_not_bicoloured(capsys, word):
+    code, out = run(capsys, "coxplane", "A4", "--word", word)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["exponents"] == [1, 2, 3, 4]
+    assert payload["factorization_exponents"] == [1, 2, 3, 4]
+
+
 def test_coxplane_degenerate_plane_reported(capsys):
     code, out = run(capsys, "coxplane", "A1^4")
     payload = json.loads(out)

@@ -17,7 +17,7 @@ from spinroot.induction import (
     spin_group,
     spinors_to_4d,
 )
-from spinroot.rootsys import catalog, validate_root_system
+from spinroot.rootsys import ClosureCapError, SimpleRootSet, catalog, validate_root_system
 from spinroot.scalars import QT_ONE
 
 ORDERS = {
@@ -48,6 +48,21 @@ def test_spin_group_orders_match_3d_coxeter_groups():
 def test_pin_rejects_rank_4():
     with pytest.raises(ValueError):
         generate_pin_group(catalog("D4"))
+
+
+def test_pin_rejects_non_unit_generators():
+    base = catalog("I2", 3)
+
+    def scaled(s):
+        return SimpleRootSet(name=f"{s}*I2(3)", key="I2", rank=2,
+                             roots=tuple(s * r for r in base.roots), backend="float")
+
+    # slightly off: the closure stays finite, the unit check rejects it
+    with pytest.raises(ValueError, match="non-unit"):
+        generate_pin_group(scaled(1 + 1e-8))
+    # clearly off: powers of a generator never repeat
+    with pytest.raises(ClosureCapError):
+        generate_pin_group(scaled(2.0), cap=200)
 
 
 def test_group_elements_are_unit_versors_with_parity():

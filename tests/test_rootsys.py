@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from spinroot.clifford import Multivector
+from spinroot import rootsys
+from spinroot.clifford import Multivector, mv_sort_key
 from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -12,6 +13,7 @@ from spinroot.rootsys import (
     display_name,
     dot,
     generate_roots,
+    orbit,
     parse_name,
     root_system,
     rotation_orders,
@@ -77,11 +79,48 @@ def test_root_counts():
 
 def test_float_key_stability():
     # closure counts must not depend on the dedup rounding (6 vs 7 decimals)
-    for key, n in [("I2", 7), ("I2", 12), ("A1xI2", 9), ("I2xI2", 11), ("B4", None)]:
+    for key, n in [("I2", 7), ("I2", 12), ("A1xI2", 9), ("I2xI2", 11), ("B4", None),
+                   ("I2", 16), ("A1xI2", 16), ("I2xI2", 16)]:
         simple = catalog(key, n)
         c6 = generate_roots(simple, key_decimals=6).count
         c7 = generate_roots(simple, key_decimals=7).count
         assert c6 == c7
+
+
+def test_roots_in_canonical_order():
+    for key, n in list(EXPECTED_COUNTS) + [("I2", 9), ("A1xI2", 5), ("I2xI2", 6)]:
+        roots = root_system(key, n).roots
+        assert list(roots) == sorted(roots, key=mv_sort_key), (key, n)
+
+
+def test_simple_root_order_does_not_change_roots():
+    for key in ("B3", "F4", "H4"):
+        base = catalog(key)
+        want = generate_roots(base).roots
+        rank = base.rank
+        for perm in (tuple(reversed(range(rank))), (1, 0) + tuple(range(2, rank))):
+            shuffled = SimpleRootSet(
+                name=f"{key}*", key=key, rank=rank,
+                roots=tuple(base.roots[i] for i in perm), backend=base.backend,
+            )
+            assert generate_roots(shuffled).roots == want, (key, perm)
+
+
+def test_orbit_kernel():
+    assert orbit([0], [3], lambda x, g: (x + g) % 7, lambda x: x, cap=7) == [
+        0, 3, 6, 2, 5, 1, 4]
+    with pytest.raises(ClosureCapError):
+        orbit([0], [3], lambda x, g: (x + g) % 7, lambda x: x, cap=6)
+
+
+def test_catalog_rejects_non_unit_root(monkeypatch):
+    build = rootsys._build_roots
+    monkeypatch.setattr(rootsys, "_build_roots",
+                        lambda key, n: [2 * r for r in build(key, n)])
+    with pytest.raises(ValueError, match="not unit"):
+        catalog("H3")
+    with pytest.raises(ValueError, match="not unit"):
+        catalog("I2", 5)
 
 
 def test_cartan_fixtures():

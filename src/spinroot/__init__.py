@@ -14,7 +14,7 @@ tolerance-governed float backend for the spectral parts.
 __version__ = "0.1.0"
 
 from .scalars import QuadTower, SIGMA, TAU  # noqa: F401
-from .clifford import Multivector, Versor  # noqa: F401
+from .clifford import Multivector  # noqa: F401
 from .rootsys import RootSystem, SimpleRootSet, catalog, root_system  # noqa: F401
 from .induction import (  # noqa: F401
     Induced4DSet,

@@ -19,10 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .coxplane import springer_identities
+from .coxplane import matrix_order, springer_identities
 from .induction import binary_group_name, induced_name, spin_group
 from .mckay import (
     DEFAULT_SEED,
+    _leg_edges,
     affine_core,
     character_table,
     conjugacy_classes,
@@ -40,7 +41,8 @@ from .rootsys import (
 )
 
 RANK_CAP = 24
-ORDER_CAP = 200
+# I2(n)'s McKay route lands on A_{2n-1}, so n may not exceed this
+N_MAX = (RANK_CAP + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -108,22 +110,6 @@ def _simple_roots(kind: str, n: Optional[int]) -> np.ndarray:
     raise ValueError(f"unknown ADE kind {kind!r}")
 
 
-def _coxeter_order(simple: np.ndarray, cap: int = ORDER_CAP) -> int:
-    # every reflection fixes the orthocomplement of the root span pointwise,
-    # so the product has finite order as a matrix on the whole ambient space
-    dim = simple.shape[1]
-    M = np.eye(dim)
-    for a in simple:
-        refl = np.eye(dim) - 2.0 * np.outer(a, a) / (a @ a)
-        M = refl @ M
-    P = M.copy()
-    for k in range(1, cap + 1):
-        if np.allclose(P, np.eye(dim), atol=1e-9):
-            return k
-        P = P @ M
-    raise ValueError(f"Coxeter element order exceeds {cap}")
-
-
 def _closure(simple: np.ndarray, cap: int = 2000) -> np.ndarray:
     try:
         roots = orbit(simple, simple,
@@ -144,8 +130,14 @@ def ade_root_data(kind: str, n: Optional[int] = None) -> ADERootData:
         raise ValueError("family rank n required")
     simple = _simple_roots(kind, n)
     name = f"{kind}{n}" if kind != "E" else f"E{n}"
+    # every reflection fixes the orthocomplement of the root span pointwise,
+    # so the product has finite order as a matrix on the whole ambient space
+    dim = simple.shape[1]
+    M = np.eye(dim)
+    for a in simple:
+        M = (np.eye(dim) - 2.0 * np.outer(a, a) / (a @ a)) @ M
     return ADERootData(name=name, rank=simple.shape[0], simple=simple,
-                       h=_coxeter_order(simple))
+                       h=matrix_order(M))
 
 
 def _path_diagram(n: int) -> DynkinDiagram:
@@ -157,16 +149,8 @@ def _path_diagram(n: int) -> DynkinDiagram:
 
 def _leg_diagram(name: str, legs: Sequence[int]) -> DynkinDiagram:
     legs = tuple(sorted(legs))
-    nodes = sum(legs) - (len(legs) - 1)
-    edges = []
-    node = 1
-    for leg in legs:
-        prev = 0
-        for _ in range(leg - 1):
-            edges.append((prev, node))
-            prev = node
-            node += 1
-    return DynkinDiagram(name=name, nodes=nodes, edges=tuple(edges),
+    edges = tuple(_leg_edges(legs))
+    return DynkinDiagram(name=name, nodes=len(edges) + 1, edges=edges,
                          kind="legs", legs=legs)
 
 
@@ -252,11 +236,11 @@ def correspondence_row(name: str, n: Optional[int] = None,
     )
 
 
-def correspondence_report(n_max: int = 12, seed: int = DEFAULT_SEED
+def correspondence_report(n_max: int = N_MAX, seed: int = DEFAULT_SEED
                           ) -> list[CorrespondenceRow]:
     """Full three-way table: 2D/3D sources, induced systems, groups, ADE data."""
-    if n_max > 12:
-        raise ValueError("n_max capped at 12")
+    if n_max > N_MAX:
+        raise ValueError(f"n_max capped at {N_MAX}")
     rows = []
     for n in range(2, n_max + 1):
         rows.append(correspondence_row("I2", n, seed=seed))

@@ -155,8 +155,8 @@ def cmd_mckay(args) -> int:
 
 
 def cmd_ade_map(args) -> int:
-    if not 2 <= args.n_max <= 12:
-        print("error: --n-max must be in 2..12", file=sys.stderr)
+    if not 2 <= args.n_max <= ade.N_MAX:
+        print(f"error: --n-max must be in 2..{ade.N_MAX}", file=sys.stderr)
         return 2
     rows = ade.correspondence_report(n_max=args.n_max, seed=args.seed)
     if args.format == "json":
@@ -182,8 +182,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    if not 2 <= args.n_max <= 12:
-        print("error: --n-max must be in 2..12", file=sys.stderr)
+    if not 2 <= args.n_max <= ade.N_MAX:
+        print(f"error: --n-max must be in 2..{ade.N_MAX}", file=sys.stderr)
         return 2
     results = verify.run_all(n_max=args.n_max, seed=args.seed)
     failed = [r for r in results if not r.passed]
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_mckay)
 
     sp = sub.add_parser("ade-map", help="full three-way correspondence table")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=12)
+    sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
     sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
     sp.add_argument("--format", default="text")
     sp.set_defaults(fn=cmd_ade_map)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_export)
 
     sp = sub.add_parser("verify-all", help="run the full acceptance suite")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=12)
+    sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
     sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
     sp.add_argument("--format", default="text")
     sp.set_defaults(fn=cmd_verify_all)

@@ -14,10 +14,7 @@ sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .scalars import (
     BackendMismatchError,
@@ -310,10 +307,6 @@ def mv_sort_key(mv: Multivector):
 # -- operations ---------------------------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def reverse(a: Multivector) -> Multivector:
     return a.reverse()
 
@@ -417,24 +410,3 @@ def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:
     return Multivector.blade(
         dim, (1 << dim) - 1, QT_ONE if backend == "exact" else 1.0
     )
-
-
-@dataclass(frozen=True)
-class Versor:
-    """A validated product of unit vectors with definite parity."""
-
-    mv: Multivector
-    parity: str  # "even" | "odd"
-
-
-def make_versor(mv: Multivector, tol: Optional[float] = None) -> Versor:
-    if not _is_unit(mv, tol):
-        raise ValueError("versor must satisfy V reverse(V) = 1")
-    grades = mv.grades()
-    if all(g % 2 == 0 for g in grades):
-        parity = "even"
-    elif all(g % 2 == 1 for g in grades):
-        parity = "odd"
-    else:
-        raise ValueError("versor must have homogeneous parity")
-    return Versor(mv, parity)

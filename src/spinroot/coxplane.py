@@ -147,16 +147,19 @@ def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
         M[:, j] = [float(c) for c in versor_action(Wf, ej).vector_coords()]
     if not np.allclose(M.T @ M, np.eye(k), atol=1e-9):
         raise ValueError("Coxeter matrix is not orthogonal")
+    return CoxeterData(simple=simple, word=word, versor=W, matrix=M,
+                       h=matrix_order(M, order_cap))
+
+
+def matrix_order(M: np.ndarray, cap: int = ORDER_CAP) -> int:
+    """Least k >= 1 with M^k = 1 (within 1e-9), or ValueError past `cap`."""
+    one = np.eye(M.shape[0])
     P = M.copy()
-    h = None
-    for step in range(1, order_cap + 1):
-        if np.allclose(P, np.eye(k), atol=1e-9):
-            h = step
-            break
+    for step in range(1, cap + 1):
+        if np.allclose(P, one, atol=1e-9):
+            return step
         P = P @ M
-    if h is None:
-        raise ValueError(f"matrix order exceeds {order_cap}")
-    return CoxeterData(simple=simple, word=word, versor=W, matrix=M, h=h)
+    raise ValueError(f"matrix order exceeds {cap}")
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
     catalog,
+    expected_root_count,
     orbit,
     parse_name,
     root_system,
@@ -199,38 +200,32 @@ def fingerprint(vectors: Sequence[Multivector], decimals: int = KEY_DECIMALS):
 
 
 @lru_cache(maxsize=None)
-def _reference_fingerprints(dim: int, n_max: int):
-    refs = {}
+def _reference_fingerprints(dim: int, count: int):
+    """Fingerprints of the catalog systems in `dim` dimensions with `count` roots.
+
+    A fingerprint starts with its root count, so systems of another size can
+    never match; the I2 families therefore need no upper bound on n.
+    """
     if dim == 4:
-        names = [("A1^4", None), ("A4", None), ("B4", None), ("D4", None),
-                 ("F4", None), ("H4", None)]
+        names = [(key, None) for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")
+                 if expected_root_count(key) == count]
         # I2(2)xI2(2) IS the A1^4 root system; skip the alias
-        names += [("I2xI2", m) for m in range(3, n_max + 1)]
+        if count % 4 == 0 and count // 4 >= 3:
+            names.append(("I2xI2", count // 4))
     elif dim == 2:
-        names = [("I2", m) for m in range(2, n_max + 1)]
+        names = [("I2", count // 2)] if count % 2 == 0 and count >= 4 else []
     else:
         raise ValueError("identification supports dim 2 and 4")
+    refs = {}
     for key, m in names:
         system = root_system(key, m)
         refs[system.name] = fingerprint(system.roots)
     return refs
 
 
-def assert_fingerprints_distinct(n_max: int = 12):
-    for dim in (2, 4):
-        refs = _reference_fingerprints(dim, n_max)
-        seen = {}
-        for name, fp in refs.items():
-            if fp in seen:
-                raise AssertionError(
-                    f"fingerprint collision: {name} vs {seen[fp]}"
-                )
-            seen[fp] = name
-
-
-def identify_root_system(S: Induced4DSet, n_max: int = 12) -> str:
-    refs = _reference_fingerprints(S.dim, n_max)
+def identify_root_system(S: Induced4DSet) -> str:
     fp = fingerprint(S.as_root_vectors())
+    refs = _reference_fingerprints(S.dim, fp[0])
     matches = [name for name, ref in refs.items() if ref == fp]
     if not matches:
         raise ValueError(f"no catalog root system matches {S.source_name}")

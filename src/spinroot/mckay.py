@@ -217,17 +217,29 @@ def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
 # -- affine templates and matching ------------------------------------------------
 
 
-def _leg_adjacency(legs: Sequence[int]) -> np.ndarray:
-    """Star of paths sharing one central node; leg length counts the center."""
-    total = sum(legs) - (len(legs) - 1)
-    adj = np.zeros((total, total), dtype=int)
+def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
+    """Star of paths sharing the central node 0; leg length counts the center.
+
+    Legs are laid out in the given order, each walked outward from the center;
+    DOT exports list the edges in this order.  The star is a tree, so it has
+    one node more than it has edges.
+    """
+    edges = []
     node = 1
     for leg in legs:
         prev = 0
         for _ in range(leg - 1):
-            adj[prev, node] = adj[node, prev] = 1
+            edges.append((prev, node))
             prev = node
             node += 1
+    return edges
+
+
+def _leg_adjacency(legs: Sequence[int]) -> np.ndarray:
+    edges = _leg_edges(legs)
+    adj = np.zeros((len(edges) + 1, len(edges) + 1), dtype=int)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1
     return adj
 
 

@@ -166,7 +166,7 @@ def _build_roots(key: str, n: Optional[int]):
         return [
             _exact_vec(0, 1, 0),
             _exact_vec(-_TAU_H, -QT_HALF, -_TM1_H),
-            _exact_vec(0, 0, 1),
+            _exact_vec(1, 0, 0),
         ]
     if key == "A4":
         s = _RH * QT_HALF  # 1/(2*sqrt2): unit-normalizes the tau-leg root

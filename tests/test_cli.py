@@ -43,10 +43,12 @@ def test_induce_json(capsys):
 
 
 def test_induce_family(capsys):
-    code, out = run(capsys, "induce", "A1xI2(6)")
-    payload = json.loads(out)
-    assert payload["induced"] == "I2(6)xI2(6)"
-    assert payload["spin_order"] == 24
+    for n in (6, 13):
+        code, out = run(capsys, "induce", f"A1xI2({n})")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["induced"] == f"I2({n})xI2({n})"
+        assert payload["spin_order"] == 4 * n
 
 
 def test_coxplane_json(capsys):
@@ -60,10 +62,13 @@ def test_coxplane_json(capsys):
 
 
 def test_coxplane_word_override(capsys):
-    code, out = run(capsys, "coxplane", "D4", "--word", "4,2,1,3")
-    payload = json.loads(out)
-    assert payload["h"] == 6
-    assert payload["exponents"] == [1, 3, 3, 5]
+    for name, word, h, exponents in [("D4", "4,2,1,3", 6, [1, 3, 3, 5]),
+                                     ("H3", "3,2,1", 10, [1, 5, 9])]:
+        code, out = run(capsys, "coxplane", name, "--word", word)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["h"] == h
+        assert payload["exponents"] == exponents
 
 
 @pytest.mark.parametrize("word", ["1,2,3,4", "4,3,2,1"])

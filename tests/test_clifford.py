@@ -7,9 +7,7 @@ from spinroot.clifford import (
     Multivector,
     blade_name,
     exp_bivector,
-    geometric_product,
     grade_project,
-    make_versor,
     pseudoscalar,
     reflect,
     reverse,
@@ -54,7 +52,7 @@ def test_cl3_multiplication_table():
 
 def test_unit_metric_and_anticommutation():
     e1, e2 = blade(3, 1), blade(3, 2)
-    assert geometric_product(e1, e1) == Multivector.scalar(3, QT_ONE)
+    assert e1 * e1 == Multivector.scalar(3, QT_ONE)
     assert e1 * e2 == -(e2 * e1)
     e12 = e1 * e2
     assert e12 * e12 == Multivector.scalar(3, QuadTower(-1))
@@ -258,15 +256,6 @@ def test_spinor_inner_is_coefficient_dot(a, b):
     got = spinor_inner(ea, eb)
     want = sum(float(x) * float(y) for x, y in zip(ea.coeffs, eb.coeffs))
     assert abs(got - want) < 1e-10
-
-
-def test_make_versor():
-    v = make_versor(blade(3, 1))
-    assert v.parity == "odd"
-    r = make_versor(rotor(3, 3, 0.4))
-    assert r.parity == "even"
-    with pytest.raises(ValueError):
-        make_versor(2 * blade(3, 1))
 
 
 def test_blade_dict_serialization():

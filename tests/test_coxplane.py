@@ -129,11 +129,7 @@ MATRIX_EXPONENTS = {
     ("A4", None): (1, 2, 3, 4), ("B4", None): (1, 3, 5, 7),
     ("D4", None): (1, 3, 3, 5), ("F4", None): (1, 5, 7, 11),
     ("H4", None): (1, 11, 19, 29), ("A1^4", None): (1, 1, 1, 1),
-    ("A3", None): (1, 2, 3), ("B3", None): (1, 3, 5),
-    # the catalog H3 triple is not a canonical simple system (its 5-fold pair
-    # sits at 3pi/5), so the product of its three reflections is conjugate to
-    # the cube of a Coxeter element: spectrum (3,5,7), not (1,5,9)
-    ("H3", None): (3, 5, 7),
+    ("A3", None): (1, 2, 3), ("B3", None): (1, 3, 5), ("H3", None): (1, 5, 9),
     ("I2", 12): (1, 11), ("I2xI2", 6): (1, 1, 5, 5),
 }
 
@@ -443,7 +439,7 @@ def test_springer_degrees():
 
 
 def test_springer_families():
-    for n in range(2, 13):
+    for n in range(2, 17):
         assert springer_identities("I2", n).ok
         assert springer_identities("A1xI2", n).ok
     assert springer_identities("A1^3").ok

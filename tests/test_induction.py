@@ -5,8 +5,8 @@ import pytest
 
 from spinroot.clifford import Multivector, mv_key, reverse, spinor_inner
 from spinroot.induction import (
+    Induced4DSet,
     binary_group_name,
-    assert_fingerprints_distinct,
     even_subgroup,
     fingerprint,
     generate_pin_group,
@@ -17,7 +17,13 @@ from spinroot.induction import (
     spin_group,
     spinors_to_4d,
 )
-from spinroot.rootsys import ClosureCapError, SimpleRootSet, catalog, validate_root_system
+from spinroot.rootsys import (
+    ClosureCapError,
+    SimpleRootSet,
+    catalog,
+    root_system,
+    validate_root_system,
+)
 from spinroot.scalars import QT_ONE
 
 ORDERS = {
@@ -139,13 +145,23 @@ def test_identification():
     assert induced_name("H3") == "H4"
     assert induced_name("A1^3") == "A1^4"
     assert induced_name("A1xI2", 2) == "A1^4"
-    for n in (3, 7, 12):
+    # identification has no upper bound on n
+    for n in (3, 7, 12, 13, 14, 15, 16):
         assert induced_name("A1xI2", n) == f"I2({n})xI2({n})"
         assert induced_name("I2", n) == f"I2({n})"
 
 
-def test_fingerprints_distinct_within_catalog():
-    assert_fingerprints_distinct(12)
+def test_catalog_systems_identify_as_themselves():
+    # covers the same-size pairs A4/I2(5)^2, D4/I2(6)^2, B4/I2(8)^2,
+    # F4/I2(12)^2 and H4/I2(30)^2
+    systems = [(key, None) for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
+    systems += [("I2xI2", m) for m in range(3, 31)]
+    systems += [("I2", m) for m in range(2, 31)]
+    for name, n in systems:
+        system = root_system(name, n)
+        S = Induced4DSet(vectors=tuple(r.vector_coords() for r in system.roots),
+                         dim=system.simple.rank, source_name=system.name)
+        assert identify_root_system(S) == system.name
 
 
 def test_identification_rotation_invariant():

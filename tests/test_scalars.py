@@ -166,15 +166,16 @@ def test_eq_scalar_backends():
 
 def test_eq_tol_is_run_configurable():
     from spinroot.scalars import eq_tol, set_eq_tol
-    from spinroot.clifford import Multivector, make_versor
+    from spinroot.clifford import Multivector, reflect
 
     assert eq_tol() == DEFAULT_EQ_TOL
     slightly_off = Multivector.from_vector([1.0 + 5e-7, 0.0, 0.0])
+    x = Multivector.from_vector([0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
-        make_versor(slightly_off)
+        reflect(slightly_off, x)
     set_eq_tol(1e-5)
     try:
-        assert make_versor(slightly_off).parity == "odd"
+        assert reflect(slightly_off, x).approx_eq(x)
     finally:
         set_eq_tol(DEFAULT_EQ_TOL)
     with pytest.raises(ValueError):

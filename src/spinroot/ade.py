@@ -254,7 +254,7 @@ def correspondence_report(n_max: int = N_MAX, seed: int = DEFAULT_SEED
     return rows
 
 
-def springer_suite(n_max: int = 12):
+def springer_suite(n_max: int = N_MAX):
     """Order-decomposition identities for every 2D/3D catalog system."""
     reports = [springer_identities(name) for name in ("A3", "B3", "H3", "A1^3")]
     for n in range(2, n_max + 1):

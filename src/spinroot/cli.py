@@ -25,7 +25,7 @@ from .rootsys import (
     parse_name,
     root_system,
 )
-from .scalars import DEFAULT_EQ_TOL, set_eq_tol
+from .scalars import DEFAULT_EQ_TOL, eq_tol, set_eq_tol
 
 
 def _meta(args) -> dict:
@@ -269,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     np.set_printoptions(legacy=False)
+    previous_tol = eq_tol()
     if getattr(args, "tol_eq", None):
         set_eq_tol(args.tol_eq)
     try:
@@ -279,6 +280,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # a run's --tol-eq must not outlive it in this process
+        set_eq_tol(previous_tol)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,13 @@ sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .scalars import (
+    FIELD_TENSOR,
     BackendMismatchError,
     QT_HALF,
     QT_ONE,
@@ -57,6 +61,26 @@ _REV = {
     )
     for d in (1, 2, 3, 4)
 }
+
+
+@lru_cache(maxsize=None)
+def product_tensor(dim: int) -> np.ndarray:
+    """Integer structure tensor of Cl(dim) over Q(sqrt2, sqrt5), built on first use.
+
+    K[(a, p), (b, q), (a ^ b, r)] = sign(a, b) * FIELD_TENSOR[p, q, r], with
+    (blade, field basis) pairs flattened to 4 * blade + basis.  Exact
+    multivectors with numerator rows x, y over a common denominator D have the
+    product ``einsum("i,j,ijk->k", x, y, K)`` over D**2.
+    """
+    size = 1 << dim
+    sign = _SIGN[dim]
+    K = np.zeros((size, 4, size, 4, size, 4), dtype=np.int64)
+    for a in range(size):
+        for b in range(size):
+            K[a, :, b, :, a ^ b, :] = sign[a][b] * FIELD_TENSOR
+    K = K.reshape(4 * size, 4 * size, 4 * size)
+    K.flags.writeable = False
+    return K
 
 
 def blade_name(mask: int) -> str:

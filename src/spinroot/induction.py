@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .clifford import Multivector, mv_key, mv_sort_key
+import numpy as np
+
+from .clifford import Multivector, mv_key, mv_sort_key, product_tensor
 from .rootsys import (
     KEY_DECIMALS,
     ClosureCapError,
@@ -27,7 +29,7 @@ from .rootsys import (
     parse_name,
     root_system,
 )
-from .scalars import QT_ONE
+from .scalars import FIELD_TENSOR_MAX, QT_ONE, kernel_dtype, quad_numerators, row_keys
 
 GROUP_CAP = 10_000
 
@@ -73,21 +75,51 @@ class VersorGroup:
     def cayley(self) -> list:
         """cayley[i][j] = index of elements[i] * elements[j] (built lazily)."""
         if self._cayley is None:
-            idx = self._index
-            kd = self.key_decimals
-            table = []
-            for a in self.elements:
-                row = []
-                for b in self.elements:
-                    try:
-                        row.append(idx[mv_key(a * b, kd)])
-                    except KeyError as exc:
-                        raise ClosureCapError(
-                            f"{self.name}: product escapes the group"
-                        ) from exc
-                table.append(row)
-            self._cayley = table
+            if self.elements[0].backend == "exact":
+                self._cayley = self._exact_cayley()
+            else:
+                self._cayley = self._float_cayley()
         return self._cayley
+
+    def _float_cayley(self) -> list:
+        idx = self._index
+        kd = self.key_decimals
+        table = []
+        for a in self.elements:
+            row = []
+            for b in self.elements:
+                try:
+                    row.append(idx[mv_key(a * b, kd)])
+                except KeyError as exc:
+                    raise ClosureCapError(
+                        f"{self.name}: product escapes the group"
+                    ) from exc
+            table.append(row)
+        return table
+
+    def _exact_cayley(self) -> list:
+        """The Cayley table on integer numerators, one row of products at a time.
+
+        With elements E over D, the products E_i E_j are the rows of
+        E @ (E_i . K) over D**2, looked up among the rows of D * E.
+        """
+        num, den = quad_numerators([e.coeffs for e in self.elements])
+        num = num.reshape(self.order, -1)
+        K = product_tensor(self.dim)
+        m = int(np.abs(num).max())
+        # a product numerator sums one term of size <= T_max m^2 per row of K;
+        # the index holds D * E
+        num = num.astype(kernel_dtype(max(K.shape[0] * FIELD_TENSOR_MAX * m * m, den * m)))
+        index = {key: i for i, key in enumerate(row_keys(den * num))}
+        K = K.reshape(K.shape[0], -1)
+        table = []
+        for row in num:
+            left = (row @ K).reshape(num.shape[1], num.shape[1])
+            try:
+                table.append([index[key] for key in row_keys(num @ left)])
+            except KeyError as exc:
+                raise ClosureCapError(f"{self.name}: product escapes the group") from exc
+        return table
 
     @property
     def inverse_indices(self) -> tuple:

@@ -128,9 +128,8 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
         t = rng.standard_normal(k)
         A = np.tensordot(t, mats, axes=1)
         vals, V = np.linalg.eig(A)
-        sep = min(
-            abs(vals[i] - vals[j]) for i in range(k) for j in range(i + 1, k)
-        ) if k > 1 else 1.0
+        i, j = np.triu_indices(k, 1)
+        sep = np.abs(vals[i] - vals[j]).min() if k > 1 else 1.0
         if sep > 1e-8:
             vecs = V
             break
@@ -154,13 +153,10 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
         rows.append(chi)
         dims.append(int(rd))
     chars = np.array(rows)
-    key = sorted(
-        range(k),
-        key=lambda i: (
-            dims[i],
-            tuple((round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in chars[i]),
-        ),
-    )
+    # canonical row order; + 0.0 turns -0.0 into 0.0
+    real = (np.round(chars.real, 6) + 0.0).tolist()
+    imag = (np.round(chars.imag, 6) + 0.0).tolist()
+    key = sorted(range(k), key=lambda i: (dims[i], tuple(zip(real[i], imag[i]))))
     chars = chars[key]
     dims = tuple(dims[i] for i in key)
     table = CharacterTable(chars=chars, dims=dims, sizes=classes.sizes, order=order)

@@ -26,8 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .clifford import Multivector, mv_key, mv_sort_key
 from .scalars import (
+    FIELD_TENSOR_MAX,
     INV_SQRT2,
     QT_HALF,
     QT_ONE,
@@ -35,6 +38,10 @@ from .scalars import (
     QuadTower,
     Scalar,
     TAU,
+    field_matrix,
+    kernel_dtype,
+    quad_numerators,
+    row_keys,
 )
 
 KEY_DECIMALS = 6
@@ -446,6 +453,9 @@ def validate_root_system(roots: Sequence[Multivector],
             a, b = roots[ids[0]], roots[ids[1]]
             if mv_key(-a, key_decimals) != mv_key(b, key_decimals):
                 parallel.append(tuple(ids))
+    if roots and all(r.backend == "exact" for r in roots):
+        refl = _exact_reflection_violations(roots, max_samples)
+        return ValidationReport(tuple(missing), tuple(parallel), tuple(refl), len(roots))
     refl = []
     for i, alpha in enumerate(roots):
         for j, x in enumerate(roots):
@@ -456,6 +466,44 @@ def validate_root_system(roots: Sequence[Multivector],
                         tuple(missing), tuple(parallel), tuple(refl), len(roots)
                     )
     return ValidationReport(tuple(missing), tuple(parallel), tuple(refl), len(roots))
+
+
+def _exact_reflection_violations(roots: Sequence[Multivector],
+                                 max_samples: int) -> list:
+    """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
+
+    On integer numerators N over D with Gram numerators G = (N|N) over D**2,
+    (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators G_aa N_x - 2 G_xa N_a
+    over D**3, the denominator of (a|a) y as G_aa N_y, so membership in
+    (a|a) Phi compares integer rows, with no division.
+    """
+    num, _ = quad_numerators([r.vector_coords() for r in roots])   # (n, dim, 4)
+    n, dim = num.shape[:2]
+    m = int(np.abs(num).max())
+    # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4 terms
+    # of size T_max |G| m
+    num = num.astype(kernel_dtype(12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3))
+    flat = num.reshape(n, dim * 4)
+    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d])
+    mult = field_matrix(num)                                # (n, dim, 4, 4)
+    gram = (flat @ mult.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)).reshape(n, n, 4)
+    scaled_roots: dict = {}   # (a|a) Phi per squared length
+    out = []
+    for i in range(n):
+        g_aa = gram[i, i]
+        scaled = (num @ field_matrix(g_aa)).reshape(n, dim * 4)
+        length = tuple(g_aa.tolist())
+        if length not in scaled_roots:
+            scaled_roots[length] = set(row_keys(scaled))
+        targets = scaled_roots[length]
+        # G_xa N_a for every x: field multiplication commutes
+        images = scaled - 2 * (gram[:, i] @ mult[i].transpose(1, 0, 2).reshape(4, dim * 4))
+        for j, key in enumerate(row_keys(images)):
+            if key not in targets:
+                out.append((i, j))
+                if len(out) >= max_samples:
+                    return out
+    return out
 
 
 def roots_to_json(system: RootSystem) -> dict:

@@ -11,14 +11,23 @@ The float backend is plain Python ``float``; mixing the two backends in
 arithmetic is an error, never a silent coercion (QuadTower returns
 NotImplemented for float operands).  The only exact-to-float bridge is the
 explicit ``to_float`` / ``float()`` embedding.
+
+Pairwise work over whole exact sets runs on integer arrays instead: a set
+becomes numerators over the same basis with one common denominator
+(``quad_numerators``), and products are integer matrix products through the
+structure tensor ``FIELD_TENSOR`` (``field_matrix``).  ``kernel_dtype`` picks
+int64 when a bound on every intermediate fits, and Python ints otherwise, so
+the result is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
+
+import numpy as np
 
 #: Default absolute tolerance for float-backend equality on unit-scale values.
 DEFAULT_EQ_TOL = 1e-9
@@ -325,3 +334,67 @@ def scalar_to_json(x: Scalar):
     if is_exact(x):
         return str(x)
     return float(x)
+
+
+# -- integer kernel for pairwise work over exact sets ---------------------------
+
+
+def _field_tensor() -> np.ndarray:
+    # bit 0 of a basis index marks sqrt2 and bit 1 marks sqrt5, so basis p times
+    # basis q is basis p^q times the squares they share (sqrt2*sqrt10 = 2 sqrt5)
+    t = np.zeros((4, 4, 4), dtype=np.int64)
+    for p in range(4):
+        for q in range(4):
+            shared = p & q
+            t[p, q, p ^ q] = (2 if shared & 1 else 1) * (5 if shared & 2 else 1)
+    t.flags.writeable = False
+    return t
+
+
+#: T[p, q, r]: coefficient of basis r in (basis p)(basis q), basis {1, sqrt2, sqrt5, sqrt10}
+FIELD_TENSOR = _field_tensor()
+#: the largest entry of FIELD_TENSOR (sqrt10 * sqrt10 = 10)
+FIELD_TENSOR_MAX = int(FIELD_TENSOR.max())
+
+
+def quad_numerators(values) -> tuple[np.ndarray, int]:
+    """Integer numerators (..., 4) of an array of QuadTower, and their common denominator.
+
+    ``values`` is a (nested) sequence of QuadTower; element x equals
+    ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.  The numerators are Python
+    ints in an object array: ``kernel_dtype`` says whether they may be narrowed.
+    """
+    arr = np.asarray(values, dtype=object)
+    flat = arr.ravel()
+    if not all(isinstance(x, QuadTower) for x in flat):
+        raise BackendMismatchError("integer numerators need exact scalars")
+    den = lcm(*(x._q for x in flat))
+    rows = [(x._na * (s := den // x._q), x._nb * s, x._nc * s, x._nd * s) for x in flat]
+    return np.array(rows, dtype=object).reshape(arr.shape + (4,)), den
+
+
+def kernel_dtype(bound: int):
+    """int64 when ``bound`` caps every intermediate below 2**62, else Python ints.
+
+    The caller derives ``bound`` from the largest numerator, as the sum of the
+    absolute values of all terms, which caps every partial sum in any order;
+    either way the arithmetic is exact, never floating point.
+    """
+    return np.int64 if bound < 1 << 62 else object
+
+
+def field_matrix(x: np.ndarray) -> np.ndarray:
+    """Matrices (..., 4, 4) of multiplication by numerator rows x (..., 4).
+
+    ``y @ field_matrix(x)`` holds the numerators of x*y, over the product of
+    the two denominators.
+    """
+    return np.einsum("...p,pqr->...qr", x, FIELD_TENSOR)
+
+
+def row_keys(rows: np.ndarray) -> list:
+    """Hashable keys of the rows of a 2D integer array, equal exactly when the rows are."""
+    if rows.dtype == object:
+        return [tuple(r) for r in rows.tolist()]
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()

@@ -45,7 +45,7 @@ def _res(criterion: int, name: str, passed, measured, expected) -> CheckResult:
 # -- 1: group orders, induced counts, axiom validation -----------------------------
 
 
-def check_group_orders(n_max: int = 12) -> list[CheckResult]:
+def check_group_orders(n_max: int = ade.N_MAX) -> list[CheckResult]:
     out = []
     fixtures = [("A1^3", None, 16, 8, 8), ("A3", None, 48, 24, 24),
                 ("B3", None, 96, 48, 48), ("H3", None, 240, 120, 120)]
@@ -157,7 +157,7 @@ def check_factorizations() -> list[CheckResult]:
 # -- 4: matrix spectrum vs factorization on random words -----------------------------
 
 
-def check_exponent_oracles(n_max: int = 12, seed: int = mckay.DEFAULT_SEED,
+def check_exponent_oracles(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEED,
                            words_per_system: int = 20) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(seed)
@@ -189,7 +189,7 @@ def check_exponent_oracles(n_max: int = 12, seed: int = mckay.DEFAULT_SEED,
 # -- 5: plane fixtures and invariance -------------------------------------------------
 
 
-def check_planes(n_max: int = 12) -> list[CheckResult]:
+def check_planes(n_max: int = ade.N_MAX) -> list[CheckResult]:
     out = []
     # D4 plane is (e14+e24+e34)/sqrt(3) up to sign
     B = coxplane.coxeter_plane_for("D4").bivector
@@ -403,7 +403,7 @@ def check_h4_appendix() -> list[CheckResult]:
 # -- 8: order decompositions ------------------------------------------------------------
 
 
-def check_springer(n_max: int = 12) -> list[CheckResult]:
+def check_springer(n_max: int = ade.N_MAX) -> list[CheckResult]:
     out = []
     for rep in ade.springer_suite(n_max):
         out.append(_res(8, f"{rep.name} order decomposition", rep.ok,
@@ -430,7 +430,7 @@ def _mckay_verdict(name: str, n: Optional[int], classes, mats, seed: int):
     )
 
 
-def check_mckay(n_max: int = 12, seeds: int = 32) -> list[CheckResult]:
+def check_mckay(n_max: int = ade.N_MAX, seeds: int = 32) -> list[CheckResult]:
     out = []
     systems = [("A3", None, 7, "E~6"), ("B3", None, 8, "E~7"), ("H3", None, 9, "E~8")]
     systems += [("I2", n, 2 * n, f"A~{2 * n - 1}") for n in range(2, n_max + 1)]
@@ -458,7 +458,7 @@ def check_mckay(n_max: int = 12, seeds: int = 32) -> list[CheckResult]:
 # -- 10: direct diagram map and ADE Coxeter numbers ---------------------------------------
 
 
-def check_direct_map(n_max: int = 12) -> list[CheckResult]:
+def check_direct_map(n_max: int = ade.N_MAX) -> list[CheckResult]:
     out = []
     failures = []
     for n in range(2, n_max + 1):
@@ -555,7 +555,7 @@ CRITERIA = {
 }
 
 
-def run_all(n_max: int = 12, seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
+def run_all(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
     for num, (title, fn) in CRITERIA.items():
         try:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spinroot.cli import main
+from spinroot.scalars import DEFAULT_EQ_TOL, eq_tol
 
 
 def run(capsys, *argv):
@@ -109,6 +110,12 @@ def test_mckay_dot(capsys):
     code, out = run(capsys, "mckay", "A3", "--format", "dot")
     assert out.startswith("graph")
     assert out.count("--") == 6  # affine E6 tree on 7 nodes
+
+
+def test_tol_eq_does_not_outlive_the_run(capsys):
+    code, _ = run(capsys, "mckay", "H3", "--tol-eq", "1e-3")
+    assert code == 0
+    assert eq_tol() == DEFAULT_EQ_TOL
 
 
 def test_ade_map_text(capsys):

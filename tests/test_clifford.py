@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from spinroot.clifford import (
     blade_name,
     exp_bivector,
     grade_project,
+    product_tensor,
     pseudoscalar,
     reflect,
     reverse,
@@ -15,7 +18,13 @@ from spinroot.clifford import (
     spinor_inner,
     versor_action,
 )
-from spinroot.scalars import BackendMismatchError, QT_HALF, QT_ONE, QuadTower
+from spinroot.scalars import (
+    BackendMismatchError,
+    QT_HALF,
+    QT_ONE,
+    QuadTower,
+    quad_numerators,
+)
 
 # Hand-computed Cl(3) multiplication table.  Blades by mask:
 # 0:1  1:e1  2:e2  3:e12  4:e3  5:e13  6:e23  7:e123
@@ -82,6 +91,27 @@ def mv_float(dim):
     return st.lists(coords, min_size=1 << dim, max_size=1 << dim).map(
         lambda cs: Multivector(dim, cs)
     )
+
+
+def mv_quad(dim):
+    field = st.builds(QuadTower, small_fractions, small_fractions,
+                      small_fractions, small_fractions)
+    return st.lists(field, min_size=1 << dim, max_size=1 << dim).map(
+        lambda cs: Multivector(dim, cs)
+    )
+
+
+@given(st.sampled_from((2, 3)).flatmap(lambda d: st.tuples(mv_quad(d), mv_quad(d))))
+@settings(max_examples=30)
+def test_product_tensor_matches_geometric_product(pair):
+    a, b = pair
+    num, den = quad_numerators([a.coeffs, b.coeffs])
+    x, y = num.reshape(2, -1).astype(np.int64)
+    out = np.einsum("i,j,ijk->k", x, y, product_tensor(a.dim)).reshape(-1, 4)
+    got = Multivector(a.dim, [
+        QuadTower(*(Fraction(int(c), den * den) for c in row)) for row in out
+    ])
+    assert got == a * b
 
 
 @given(mv_exact(3), mv_exact(3), mv_exact(3))

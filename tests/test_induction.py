@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from spinroot import induction
 from spinroot.clifford import Multivector, mv_key, reverse, spinor_inner
 from spinroot.induction import (
     Induced4DSet,
+    VersorGroup,
     binary_group_name,
     even_subgroup,
     fingerprint,
@@ -93,13 +95,37 @@ def test_cayley_table_correct():
 
 
 def test_full_cayley_closure_2T():
+    # a Latin square: every row and every column is a permutation (2T and 2I)
+    for name in ("A3", "H3"):
+        G = spin_group(name)
+        n = G.order
+        cay = G.cayley
+        assert sorted(set(cay[0])) == list(range(n))
+        for i in range(n):
+            assert sorted(cay[i]) == list(range(n))
+            assert sorted(row[i] for row in cay) == list(range(n))
+
+
+def test_exact_cayley_tables_match_products():
+    for name in ("A1^3", "A3", "B3", "H3"):
+        for G in (pin_group(name), spin_group(name)):
+            expected = [[G.index_of(a * b) for b in G.elements] for a in G.elements]
+            assert G.cayley == expected, G.name
+
+
+def test_exact_cayley_with_python_ints(monkeypatch):
+    # the same kernel on unbounded ints, as taken when int64 could overflow
+    expected = pin_group("A3").cayley
+    monkeypatch.setattr(induction, "kernel_dtype", lambda bound: object)
+    assert generate_pin_group(catalog("A3")).cayley == expected
+
+
+def test_cayley_product_escaping_the_group():
     G = spin_group("A3")
-    n = G.order
-    cay = G.cayley
-    assert sorted(set(cay[0])) == list(range(n)) or True  # rows are permutations
-    for i in range(n):
-        assert sorted(cay[i]) == list(range(n))
-        assert sorted(row[i] for row in cay) == list(range(n))
+    part = VersorGroup(name="part", dim=3, elements=G.elements[1:],
+                       parities=G.parities[1:], parity="spin")
+    with pytest.raises(ClosureCapError, match="escapes the group"):
+        part.cayley
 
 
 def test_identity_and_inverses():

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from spinroot import rootsys
-from spinroot.clifford import Multivector, mv_sort_key
+from spinroot.clifford import Multivector, mv_key, mv_sort_key
+from spinroot.induction import induced_set
 from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -19,7 +21,7 @@ from spinroot.rootsys import (
     rotation_orders,
     validate_root_system,
 )
-from spinroot.scalars import INV_SQRT2, QT_HALF, QT_ZERO, QuadTower, TAU
+from spinroot.scalars import INV_SQRT2, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype
 
 EXPECTED_COUNTS = {
     ("A1^3", None): 6, ("A3", None): 12, ("B3", None): 18, ("H3", None): 30,
@@ -194,6 +196,69 @@ def test_validate_catalog_systems():
     for key, n in names:
         rep = validate_root_system(root_system(key, n).roots)
         assert rep.ok, (key, n)
+
+
+def reference_reflection_violations(roots, max_samples=16):
+    """All-pairs s_i(x_j) in row-major order, one exact reflection at a time."""
+    keys = {mv_key(r) for r in roots}
+    out = []
+    for i, alpha in enumerate(roots):
+        for j, x in enumerate(roots):
+            if mv_key(rootsys._reflect_general(alpha, x)) not in keys:
+                out.append((i, j))
+                if len(out) >= max_samples:
+                    return tuple(out)
+    return tuple(out)
+
+
+def exact_test_sets():
+    """Valid exact root sets, and broken ones (a root dropped, a non-root added)."""
+    valid = {key: root_system(key).roots for key, _ in EXPECTED_COUNTS
+             if catalog(key).backend == "exact"}
+    for name in ("A1^3", "A3", "B3", "H3"):
+        valid[f"induced {name}"] = induced_set(name).as_root_vectors()
+    h3, d4, f4, h4 = (valid[k] for k in ("H3", "D4", "F4", "H4"))
+    broken = {
+        "H3 minus a root": h3[1:],
+        "D4 plus a non-root": d4 + (Multivector.from_vector([QT_HALF, QT_ZERO, TAU, QT_ZERO]),),
+        "F4 minus a root": f4[:20] + f4[21:],
+        "H4 minus a root": h4[:-1],
+    }
+    return valid, broken
+
+
+def test_validate_exact_matches_reference():
+    valid, broken = exact_test_sets()
+    for label, roots in {**valid, **broken}.items():
+        rep = validate_root_system(roots)
+        assert rep.checked == len(roots)
+        assert rep.reflection_violations == reference_reflection_violations(roots), label
+        assert rep.ok == (label in valid), label
+    # every violation in row-major order, and truncation at max_samples
+    f4 = broken["F4 minus a root"]
+    full = validate_root_system(f4, max_samples=10_000).reflection_violations
+    assert len(full) > 16
+    assert full == reference_reflection_violations(f4, 10_000)
+    assert validate_root_system(f4, max_samples=5).reflection_violations == full[:5]
+
+
+def test_validate_large_denominators_stay_exact(monkeypatch):
+    chosen = []
+
+    def recording(bound):
+        chosen.append(kernel_dtype(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(rootsys, "kernel_dtype", recording)
+    # numerators and the common denominator near 4e7: int64 could overflow
+    scale = QuadTower(Fraction(10 ** 7 + 19, 10 ** 7 + 20))
+    roots = tuple(scale * r for r in root_system("H3").roots)
+    broken = roots[1:] + (scale * Multivector.from_vector([QT_HALF, TAU, QT_ZERO]),)
+    for s in (roots, broken):
+        rep = validate_root_system(s, max_samples=10_000)
+        assert rep.reflection_violations == reference_reflection_violations(s, 10_000)
+    assert chosen == [object, object]
+    assert rep.reflection_violations
 
 
 def test_validate_missing_negative():

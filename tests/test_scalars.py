@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +17,10 @@ from spinroot.scalars import (
     SQRT10,
     TAU,
     eq_scalar,
+    field_matrix,
     galois_conjugate,
+    kernel_dtype,
+    quad_numerators,
     scalar_str,
     to_float,
 )
@@ -127,6 +131,29 @@ def test_multiplicative_inverse(x):
 def test_commutativity(x, y):
     assert x * y == y * x
     assert x + y == y + x
+
+
+# -- integer kernel ----------------------------------------------------------------
+
+
+def from_numerators(row, den) -> QuadTower:
+    return QuadTower(*(Fraction(int(c), den) for c in row))
+
+
+@given(qt_elements(), qt_elements())
+def test_field_tensor_product_matches_quadtower(x, y):
+    num, den = quad_numerators([x, y])
+    assert from_numerators(num[0], den) == x and from_numerators(num[1], den) == y
+    for dtype in (object, np.int64):
+        nx, ny = num.astype(dtype)
+        assert from_numerators(ny @ field_matrix(nx), den * den) == x * y
+
+
+def test_kernel_dtype_bound():
+    assert kernel_dtype(2 ** 62 - 1) is np.int64
+    assert kernel_dtype(2 ** 62) is object
+    with pytest.raises(TypeError):
+        quad_numerators([QT_ONE, 1.0])
 
 
 def test_representation_is_canonical():

@@ -220,15 +220,11 @@ def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
 
 def fingerprint(vectors: Sequence[Multivector], decimals: int = KEY_DECIMALS):
     """Rotation-invariant signature: root count + multiset of pairwise cosines."""
-    from .rootsys import dot
-
-    n = len(vectors)
-    dots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dots.append(round(float(dot(vectors[i], vectors[j])), decimals) + 0.0)
-    dots.sort()
-    return (n, tuple(dots))
+    X = np.array([[float(c) for c in v.vector_coords()] for v in vectors])
+    n = len(X)
+    gram = X @ X.T
+    dots = np.sort(np.round(gram[np.triu_indices(n, 1)], decimals) + 0.0)
+    return (n, tuple(dots.tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -9,16 +9,16 @@ multiplicities, affine marks) is validated by its rounding residual.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
-graph, matched against the affine A/D/E diagram templates by brute-force
-isomorphism with degree and label pruning.
+graph.  A connected graph whose labels are a positive null vector of 2I - A
+with smallest entry 1 is affine A/D/E with those labels as its marks, so the
+diagram is named by its node count and largest mark, without a search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,14 @@ DEFAULT_SEED = 1729
 
 INT_TOL = 1e-6
 ORTHO_TOL = 1e-6
+#: smallest gap between the eigenvalues of a draw that separates the eigenspaces
+EIG_SEP_TOL = 1e-8
+#: an eigenvector smaller than this at the identity class cannot be normalized
+PIVOT_TOL = 1e-12
+#: largest |eigenvalue| of 2I - A that counts as the null vector of the marks
+KERNEL_TOL = 1e-9
+#: seeds whose eigenproblems are solved in one stacked call
+EIG_BATCH = 4
 
 
 class CharacterError(RuntimeError):
@@ -113,55 +121,87 @@ def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
     return mats
 
 
-def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
-                    seed: int = DEFAULT_SEED, max_redraws: int = 16,
-                    mats: Optional[np.ndarray] = None) -> CharacterTable:
+def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
+                     seeds: Sequence[int] = (DEFAULT_SEED,), max_redraws: int = 16,
+                     mats: Optional[np.ndarray] = None) -> Iterator[CharacterTable]:
+    """One character table per seed, the eigenproblems solved in stacked batches.
+
+    Each seed draws its combination from its own `default_rng(seed)` and only
+    a seed whose eigenvalues collide draws again, so every table equals the one
+    that seed gives alone.  Tables are yielded batch by batch, so a caller that
+    consumes them as they come holds one batch at a time.
+    """
     if classes is None:
         classes = conjugacy_classes(G)
     if mats is None:
         mats = class_matrices(G, classes)
-    k = classes.count
-    sizes = np.array(classes.sizes, dtype=float)
-    rng = np.random.default_rng(seed)
-    vecs = None
+    for lo in range(0, len(seeds), EIG_BATCH):
+        vecs = _eigenvectors(mats, seeds[lo:lo + EIG_BATCH], max_redraws)
+        yield from _tables_from_eigenvectors(vecs, classes, G.order)
+
+
+def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
+                    seed: int = DEFAULT_SEED, max_redraws: int = 16,
+                    mats: Optional[np.ndarray] = None) -> CharacterTable:
+    return next(character_tables(G, classes, (seed,), max_redraws, mats))
+
+
+def _eigenvectors(mats: np.ndarray, seeds: Sequence[int], max_redraws: int) -> list:
+    """Eigenvectors (as columns) of sum_r t_r mats[r] for each seed's draw t.
+
+    As in a single `np.linalg.eig` call, a seed whose eigenvalues are all real
+    gets real eigenvectors.
+    """
+    k = mats.shape[0]
+    i, j = np.triu_indices(k, 1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    vecs = [None] * len(seeds)
+    pending = list(range(len(seeds)))
     for _ in range(max_redraws):
-        t = rng.standard_normal(k)
-        A = np.tensordot(t, mats, axes=1)
+        A = np.stack([np.tensordot(rngs[s].standard_normal(k), mats, axes=1)
+                      for s in pending])
         vals, V = np.linalg.eig(A)
-        i, j = np.triu_indices(k, 1)
-        sep = np.abs(vals[i] - vals[j]).min() if k > 1 else 1.0
-        if sep > 1e-8:
-            vecs = V
-            break
-    if vecs is None:
-        raise CharacterError("eigenvalues kept colliding; group data suspect")
-    order = G.order
-    rows = []
-    dims = []
-    for i in range(k):
-        w = vecs[:, i]
-        if abs(w[0]) < 1e-12:
-            raise CharacterError("eigenvector vanishes at the identity class")
-        w = w / w[0]
-        # w[t] = |C_t| chi(t) / d; orthogonality fixes the dimension d
-        denom = float(np.sum(np.abs(w) ** 2 / sizes))
-        d = math.sqrt(order / denom)
-        rd = round(d)
-        if abs(d - rd) > INT_TOL or rd < 1:
-            raise CharacterError(f"non-integer irreducible dimension {d}")
-        chi = rd * w / sizes
-        rows.append(chi)
-        dims.append(int(rd))
-    chars = np.array(rows)
-    # canonical row order; + 0.0 turns -0.0 into 0.0
-    real = (np.round(chars.real, 6) + 0.0).tolist()
-    imag = (np.round(chars.imag, 6) + 0.0).tolist()
-    key = sorted(range(k), key=lambda i: (dims[i], tuple(zip(real[i], imag[i]))))
-    chars = chars[key]
-    dims = tuple(dims[i] for i in key)
-    table = CharacterTable(chars=chars, dims=dims, sizes=classes.sizes, order=order)
-    _validate_table(table)
-    return table
+        sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
+        for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
+            if ok:
+                vecs[s] = v if w.imag.any() else v.real
+        pending = [s for s in pending if vecs[s] is None]
+        if not pending:
+            return vecs
+    raise CharacterError("eigenvalues kept colliding; group data suspect")
+
+
+def _tables_from_eigenvectors(vecs: list, classes: ClassData,
+                              order: int) -> list[CharacterTable]:
+    if len({v.dtype for v in vecs}) > 1:
+        # real and complex spectra in one batch: keep each seed's own dtype
+        return [t for v in vecs for t in _tables_from_eigenvectors([v], classes, order)]
+    sizes = np.array(classes.sizes, dtype=float)
+    # W[b, i, t] = |C_t| chi_i(t) / d_i, eigenvector i of seed b
+    W = np.stack(vecs).transpose(0, 2, 1)
+    pivot = W[:, :, :1]
+    if (np.abs(pivot) < PIVOT_TOL).any():
+        raise CharacterError("eigenvector vanishes at the identity class")
+    W = W / pivot
+    # orthogonality fixes the dimension d
+    d = np.sqrt(order / np.sum(np.abs(W) ** 2 / sizes, axis=-1))
+    rd = np.rint(d)
+    bad = (np.abs(d - rd) > INT_TOL) | (rd < 1)
+    if bad.any():
+        raise CharacterError(f"non-integer irreducible dimension {d[bad][0]}")
+    chars = rd[:, :, None] * W / sizes
+    # canonical row order: dimension, then the rounded row; + 0.0 turns -0.0 into 0.0
+    real = np.round(chars.real, 6) + 0.0
+    imag = np.round(chars.imag, 6) + 0.0
+    keys = np.stack([real, imag], axis=-1).reshape(chars.shape[0], chars.shape[1], -1)
+    tables = []
+    for c, dims, key in zip(chars, rd.astype(int), keys):
+        rows = np.lexsort(np.column_stack([dims, key]).T[::-1])
+        table = CharacterTable(chars=c[rows], dims=tuple(dims[rows].tolist()),
+                               sizes=classes.sizes, order=order)
+        _validate_table(table)
+        tables.append(table)
+    return tables
 
 
 def _validate_table(table: CharacterTable):
@@ -264,14 +304,14 @@ def affine_marks(adj: np.ndarray) -> tuple[int, ...]:
     """Positive integer null vector of 2I - A, normalized to minimum 1."""
     n = adj.shape[0]
     w, v = np.linalg.eigh(2.0 * np.eye(n) - adj)
-    if abs(w[0]) > 1e-9:
+    if abs(w[0]) > KERNEL_TOL:
         raise MatchError("not an affine diagram: 2I - A is nonsingular")
     x = v[:, 0]
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
     x = x / x.min()
     marks = np.rint(x)
-    if np.abs(x - marks).max() > 1e-6:
+    if np.abs(x - marks).max() > INT_TOL:
         raise MatchError("marks are not integral")
     return tuple(int(m) for m in marks)
 
@@ -301,91 +341,34 @@ def affine_template(name: str) -> tuple[np.ndarray, tuple[int, ...]]:
     return adj, affine_marks(adj)
 
 
-def _find_labeled_isomorphism(adjA: np.ndarray, labA: Sequence[int],
-                              adjB: np.ndarray, labB: Sequence[int]):
-    """Backtracking graph isomorphism that must also match node labels.
-
-    Nodes are mapped in connected (BFS) order so every placement after the
-    first is pinned down by an already-mapped neighbour; without this, cycles
-    with uniform labels backtrack factorially.
-    """
-    n = adjA.shape[0]
-    if adjB.shape[0] != n:
-        return None
-    degA = adjA.sum(axis=1)
-    degB = adjB.sum(axis=1)
-    if sorted(degA) != sorted(degB) or sorted(labA) != sorted(labB):
-        return None
-    profA = sorted(zip(degA, labA))
-    profB = sorted(zip(degB, labB))
-    if profA != profB:
-        return None
-    order = []
-    seen = set()
-    for seed in sorted(range(n), key=lambda i: (-degA[i], labA[i])):
-        if seed in seen:
-            continue
-        seen.add(seed)
-        queue = [seed]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in range(n):
-                if adjA[u, v] and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        a = order[pos]
-        for b in range(n):
-            if used[b] or degA[a] != degB[b] or labA[a] != labB[b]:
-                continue
-            ok = True
-            for a2 in range(n):
-                m = mapping[a2]
-                if m >= 0 and adjA[a, a2] != adjB[b, m]:
-                    ok = False
-                    break
-            if ok:
-                mapping[a] = b
-                used[b] = True
-                if extend(pos + 1):
-                    return True
-                mapping[a] = -1
-                used[b] = False
-        return False
-
-    return list(mapping) if extend(0) else None
+#: largest mark -> affine type; A~ and D~ take their rank from the node count
+_TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
 
 def match_affine_ade(graph: McKayGraph) -> str:
-    """Name of the affine ADE diagram isomorphic to the McKay graph.
+    """Name of the affine ADE diagram of the McKay graph, with its labels as marks.
 
-    Labels (irreducible dimensions) must land on the affine marks.
+    A connected simple graph whose labels d satisfy A d = 2d with min d = 1 is
+    affine ADE and d is its vector of marks (McKay 1980; Kac, Infinite-
+    dimensional Lie algebras, Thm 4.3); the node count and the largest mark
+    then fix the type.
     """
-    n = graph.adjacency.shape[0]
-    if n > 32:
-        raise MatchError("graph too large for the template catalog")
-    if graph.adjacency.max() > 1:
+    adj = graph.adjacency
+    n = adj.shape[0]
+    if adj.max() > 1:
         raise MatchError("multi-edges not covered by the template catalog")
-    candidates = [f"A~{n - 1}"] if n >= 3 else []
-    if n >= 5:
-        candidates.append(f"D~{n - 1}")
-    if n == 7:
-        candidates.append("E~6")
-    if n == 8:
-        candidates.append("E~7")
-    if n == 9:
-        candidates.append("E~8")
-    for name in candidates:
-        adj, marks = affine_template(name)
-        if _find_labeled_isomorphism(graph.adjacency, graph.labels, adj, marks):
-            return name
-    raise MatchError("no affine ADE template matches")
+    if np.diag(adj).any():
+        raise MatchError("self-loops not covered by the template catalog")
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    labels = np.array(graph.labels)
+    if not seen.all() or labels.min() != 1 or (adj @ labels != 2 * labels).any():
+        raise MatchError("no affine ADE template matches")
+    return _TYPE_BY_MAX_MARK[int(labels.max())].format(n - 1)
 
 
 def affine_core(name: str) -> str:

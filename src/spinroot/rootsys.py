@@ -415,15 +415,18 @@ class ValidationReport:
         )
 
 
-def _direction_key(mv: Multivector, decimals: int):
+def _direction_key(mv: Multivector, decimals: int, index: int):
     coords = mv.vector_coords()
     if mv.backend == "exact":
-        pivot = next(c for c in coords if not c.is_zero())
-        canon = tuple(c / pivot for c in coords)
-        return canon
-    fc = [float(c) for c in coords]
-    pivot = next(c for c in fc if abs(c) > 10.0 ** -decimals)
-    return tuple(round(c / pivot, decimals) + 0.0 for c in fc)
+        pivot = next((c for c in coords if not c.is_zero()), None)
+    else:
+        coords = [float(c) for c in coords]
+        pivot = next((c for c in coords if abs(c) > 10.0 ** -decimals), None)
+    if pivot is None:
+        raise ValueError(f"vector {index} is zero; a root system has no zero vector")
+    if mv.backend == "exact":
+        return tuple(c / pivot for c in coords)
+    return tuple(round(c / pivot, decimals) + 0.0 for c in coords)
 
 
 def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
@@ -443,7 +446,7 @@ def validate_root_system(roots: Sequence[Multivector],
     parallel = []
     by_direction: dict = {}
     for i, r in enumerate(roots):
-        by_direction.setdefault(_direction_key(r, key_decimals), []).append(i)
+        by_direction.setdefault(_direction_key(r, key_decimals, i), []).append(i)
         if mv_key(-r, key_decimals) not in keys:
             missing.append(i)
     for ids in by_direction.values():

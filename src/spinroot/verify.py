@@ -16,7 +16,6 @@ import tempfile
 from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -415,18 +414,14 @@ def check_springer(n_max: int = ade.N_MAX) -> list[CheckResult]:
 # -- 9: McKay suite over seeds -----------------------------------------------------------
 
 
-def _mckay_verdict(name: str, n: Optional[int], classes, mats, seed: int):
-    G = spin_group(name, n)
-    table = mckay.character_table(G, classes, seed=seed, mats=mats)
-    chi = mckay.spinor_character(G, classes)
+def _mckay_verdict(G, table, chi):
     graph = mckay.mckay_graph(table, chi)
-    affine = mckay.match_affine_ade(graph)
     return (
-        classes.count,
+        len(table.dims),
         table.dims,
         sum(d * d for d in table.dims) == G.order,
         sum(table.dims),
-        affine,
+        mckay.match_affine_ade(graph),
     )
 
 
@@ -438,10 +433,11 @@ def check_mckay(n_max: int = ade.N_MAX, seeds: int = 32) -> list[CheckResult]:
     for name, n, k_want, affine_want in systems:
         G = spin_group(name, n)
         classes = mckay.conjugacy_classes(G)
-        mats = mckay.class_matrices(G, classes)
-        verdicts = {
-            _mckay_verdict(name, n, classes, mats, seed) for seed in range(seeds)
-        }
+        # the spinor character is seed-independent; every seed's table is built
+        # (in stacked eigen-batches) and its verdict compared
+        chi = mckay.spinor_character(G, classes)
+        verdicts = {_mckay_verdict(G, table, chi)
+                    for table in mckay.character_tables(G, classes, range(seeds))}
         stable = len(verdicts) == 1
         k, dims, sq_ok, sum_d, affine = next(iter(verdicts))
         src_count = root_system(name, n).count

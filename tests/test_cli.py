@@ -106,6 +106,13 @@ def test_mckay_json(capsys):
     assert payload["affine"] == "E~8"
 
 
+@pytest.mark.parametrize("name, affine", [("I2(17)", "A~33"), ("A1xI2(30)", "D~32")])
+def test_mckay_beyond_32_nodes(capsys, name, affine):
+    code, out = run(capsys, "mckay", name)
+    assert code == 0
+    assert json.loads(out)["affine"] == affine
+
+
 def test_mckay_dot(capsys):
     code, out = run(capsys, "mckay", "A3", "--format", "dot")
     assert out.startswith("graph")

@@ -23,6 +23,7 @@ from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
     catalog,
+    dot,
     root_system,
     validate_root_system,
 )
@@ -188,6 +189,21 @@ def test_catalog_systems_identify_as_themselves():
         S = Induced4DSet(vectors=tuple(r.vector_coords() for r in system.roots),
                          dim=system.simple.rank, source_name=system.name)
         assert identify_root_system(S) == system.name
+
+
+def test_fingerprint_matches_exact_pairwise_dots():
+    def reference(vectors):
+        n = len(vectors)
+        dots = sorted(round(float(dot(vectors[i], vectors[j])), 6) + 0.0
+                      for i in range(n) for j in range(i + 1, n))
+        return (n, tuple(dots))
+
+    sets = [root_system(key).roots for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
+    sets += [root_system("I2xI2", m).roots for m in range(3, 31)]
+    sets += [induced_set(name, n).as_root_vectors()
+             for name in ("I2", "A1xI2") for n in range(2, 17)]
+    for vectors in sets:
+        assert fingerprint(vectors) == reference(vectors)
 
 
 def test_identification_rotation_invariant():

@@ -10,6 +10,7 @@ from spinroot.mckay import (
     affine_template,
     character_table,
     character_table_csv,
+    character_tables,
     class_matrices,
     conjugacy_classes,
     match_affine_ade,
@@ -126,7 +127,8 @@ def test_spinor_character_is_an_irreducible_row():
 
 def test_mckay_graphs_match_affine_templates():
     fixtures = [("A3", None, "E~6"), ("B3", None, "E~7"), ("H3", None, "E~8"),
-                ("I2", 4, "A~7"), ("A1xI2", 3, "D~5"), ("A1xI2", 2, "D~4")]
+                ("I2", 4, "A~7"), ("A1xI2", 3, "D~5"), ("A1xI2", 2, "D~4"),
+                ("I2", 17, "A~33"), ("A1xI2", 30, "D~32")]
     for name, n, want in fixtures:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
@@ -174,6 +176,22 @@ def test_seed_independence():
         assert np.allclose(t.chars, tables[0].chars, atol=1e-8)
 
 
+def test_character_tables_equal_single_seed_tables():
+    # the stacked eigen-batches give every seed the table it gives alone, bit for bit
+    for name, n in [("A3", None), ("B3", None), ("H3", None), ("I2", 12), ("A1xI2", 12)]:
+        G = spin_group(name, n)
+        classes = conjugacy_classes(G)
+        mats = class_matrices(G, classes)
+        tables = list(character_tables(G, classes, range(32), mats=mats))
+        assert len(tables) == 32
+        for seed, table in enumerate(tables):
+            single = character_table(G, classes, seed=seed, mats=mats)
+            assert table.chars.dtype == single.chars.dtype
+            assert table.chars.tobytes() == single.chars.tobytes()
+            assert (table.dims, table.sizes, table.order) == \
+                (single.dims, single.sizes, single.order)
+
+
 def test_affine_templates_and_marks():
     adj, marks = affine_template("E~8")
     assert adj.shape == (9, 9)
@@ -202,6 +220,36 @@ def test_match_rejects_unknown_graph():
         adj[i, i + 1] = adj[i + 1, i] = 1  # a plain path is not affine
     with pytest.raises(MatchError):
         match_affine_ade(McKayGraph(labels=(1,) * 6, adjacency=adj))
+
+
+def _graph(n, edges, labels):
+    adj = np.zeros((n, n), dtype=int)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1
+    return McKayGraph(labels=tuple(labels), adjacency=adj)
+
+
+@pytest.mark.parametrize("graph", [
+    # each satisfies A d = 2d, but is disconnected, has min label 2, or has loops
+    _graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], [1] * 6),
+    _graph(6, [(i, (i + 1) % 6) for i in range(6)], [2] * 6),
+    _graph(2, [(0, 0), (1, 1), (0, 1)], [1, 1]),
+], ids=["two-triangles", "cycle-labels-2", "self-loops"])
+def test_match_rejects_non_affine_graphs(graph):
+    with pytest.raises(MatchError):
+        match_affine_ade(graph)
+
+
+def test_templates_classify_as_themselves():
+    rng = np.random.default_rng(0)
+    names = [f"A~{k}" for k in range(2, 41)] + [f"D~{k}" for k in range(4, 41)]
+    for name in names + ["E~6", "E~7", "E~8"]:
+        adj, marks = affine_template(name)
+        assert match_affine_ade(McKayGraph(labels=marks, adjacency=adj.copy())) == name
+        perm = rng.permutation(len(marks))
+        shuffled = McKayGraph(labels=tuple(np.array(marks)[perm].tolist()),
+                              adjacency=adj[np.ix_(perm, perm)])
+        assert match_affine_ade(shuffled) == name
 
 
 def test_serialization():

@@ -276,6 +276,17 @@ def test_validate_reflection_violation():
     assert rep.reflection_violations  # reflecting the diagonal in e1 escapes
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_validate_rejects_zero_vector(backend):
+    e1 = Multivector.from_vector([QuadTower(1), QT_ZERO])
+    zero = Multivector.from_vector([QT_ZERO, QT_ZERO])
+    vectors = [e1, -e1, zero]
+    if backend == "float":
+        vectors = [v.to_float() for v in vectors]
+    with pytest.raises(ValueError, match="vector 2 is zero"):
+        validate_root_system(vectors)
+
+
 def test_validate_parallel_duplicate():
     e1 = Multivector.basis_vector(3, 0)
     two_e1 = 2 * e1

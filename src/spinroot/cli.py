@@ -213,24 +213,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"spinroot {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, name=True):
-        if name:
-            sp.add_argument("name", help="system name, e.g. H3, I2(7), A1xI2(4)")
-            sp.add_argument("--n", type=int, default=None, help="family parameter")
+    def formats(sp, *choices):
+        # only the formats the subcommand prints; the first is the default
+        sp.add_argument("--format", choices=choices, default=choices[0])
+
+    def common(sp, *choices):
+        sp.add_argument("name", help="system name, e.g. H3, I2(7), A1xI2(4)")
+        sp.add_argument("--n", type=int, default=None, help="family parameter")
         sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
         sp.add_argument("--tol-eq", dest="tol_eq", type=float, default=DEFAULT_EQ_TOL)
-        sp.add_argument("--format", default="json")
+        if choices:
+            formats(sp, *choices)
         return sp
 
     sp = sub.add_parser("catalog", help="list the 2D/3D/4D catalog")
     sp.add_argument("--family-n", type=int, default=None)
-    sp.add_argument("--format", default="text")
+    formats(sp, "text", "json")
     sp.set_defaults(fn=cmd_catalog)
 
-    sp = common(sub.add_parser("induce", help="pin/spin groups and induced system"))
+    sp = common(sub.add_parser("induce", help="pin/spin groups and induced system"),
+                "json", "text")
     sp.set_defaults(fn=cmd_induce)
 
-    sp = common(sub.add_parser("coxplane", help="Coxeter element, plane, factorization"))
+    sp = common(sub.add_parser("coxplane", help="Coxeter element, plane, factorization"),
+                "json")
     sp.add_argument("--word", default=None, help="comma-separated permutation, e.g. 3,1,2,4")
     sp.add_argument("--backend", choices=("exact", "float"), default=None)
     sp.set_defaults(fn=cmd_coxplane)
@@ -239,13 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="directory for CSV/SVG files")
     sp.set_defaults(fn=cmd_project)
 
-    sp = common(sub.add_parser("mckay", help="character table and McKay graph"))
+    sp = common(sub.add_parser("mckay", help="character table and McKay graph"),
+                "json", "csv", "dot")
     sp.set_defaults(fn=cmd_mckay)
 
     sp = sub.add_parser("ade-map", help="full three-way correspondence table")
     sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
     sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
-    sp.add_argument("--format", default="text")
+    formats(sp, "text", "json")
     sp.set_defaults(fn=cmd_ade_map)
 
     sp = sub.add_parser("export", help="write roots/projection/mckay-graph/diagram files")
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all", help="run the full acceptance suite")
     sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
     sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
-    sp.add_argument("--format", default="text")
+    formats(sp, "text", "json")
     sp.set_defaults(fn=cmd_verify_all)
 
     return p

@@ -21,6 +21,7 @@ import numpy as np
 
 from .scalars import (
     FIELD_TENSOR,
+    KEY_DECIMALS,
     BackendMismatchError,
     QT_HALF,
     QT_ONE,
@@ -317,7 +318,7 @@ class Multivector:
         return f"<Cl({self.dim}) {terms or '0'}>"
 
 
-def mv_key(mv: Multivector, decimals: int = 6):
+def mv_key(mv: Multivector, decimals: int = KEY_DECIMALS):
     """Canonical hashable key: exact coefficients, or rounded floats."""
     if mv.backend == "exact":
         return mv.coeffs

@@ -20,7 +20,6 @@ import numpy as np
 
 from .clifford import Multivector, mv_key, mv_sort_key, product_tensor
 from .rootsys import (
-    KEY_DECIMALS,
     ClosureCapError,
     SimpleRootSet,
     catalog,
@@ -29,7 +28,14 @@ from .rootsys import (
     parse_name,
     root_system,
 )
-from .scalars import FIELD_TENSOR_MAX, QT_ONE, kernel_dtype, quad_numerators, row_keys
+from .scalars import (
+    FIELD_TENSOR_MAX,
+    KEY_DECIMALS,
+    QT_ONE,
+    kernel_dtype,
+    quad_numerators,
+    row_keys,
+)
 
 GROUP_CAP = 10_000
 
@@ -43,16 +49,13 @@ class VersorGroup:
     elements: tuple[Multivector, ...]
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
-    key_decimals: int = KEY_DECIMALS
     _index: dict = field(default_factory=dict, repr=False)
     _cayley: Optional[list] = field(default=None, repr=False)
     _inverses: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self._index:
-            self._index = {
-                mv_key(e, self.key_decimals): i for i, e in enumerate(self.elements)
-            }
+            self._index = {mv_key(e): i for i, e in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -62,7 +65,7 @@ class VersorGroup:
         return self.order
 
     def index_of(self, mv: Multivector) -> int:
-        return self._index[mv_key(mv, self.key_decimals)]
+        return self._index[mv_key(mv)]
 
     @property
     def identity_index(self) -> int:
@@ -73,53 +76,34 @@ class VersorGroup:
 
     @property
     def cayley(self) -> list:
-        """cayley[i][j] = index of elements[i] * elements[j] (built lazily)."""
-        if self._cayley is None:
-            if self.elements[0].backend == "exact":
-                self._cayley = self._exact_cayley()
-            else:
-                self._cayley = self._float_cayley()
-        return self._cayley
+        """cayley[i][j] = index of elements[i] * elements[j] (built lazily).
 
-    def _float_cayley(self) -> list:
-        idx = self._index
-        kd = self.key_decimals
-        table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                try:
-                    row.append(idx[mv_key(a * b, kd)])
-                except KeyError as exc:
-                    raise ClosureCapError(
-                        f"{self.name}: product escapes the group"
-                    ) from exc
-            table.append(row)
-        return table
-
-    def _exact_cayley(self) -> list:
-        """The Cayley table on integer numerators, one row of products at a time.
-
-        With elements E over D, the products E_i E_j are the rows of
-        E @ (E_i . K) over D**2, looked up among the rows of D * E.
+        One row of products at a time, on either backend: with elements E as
+        numerator rows over D, the products E_i E_j are the rows of
+        E @ (E_i . K) over D**2, looked up by ``row_keys`` among the rows of
+        D * E (exactly, or rounded on the float backend).
         """
-        num, den = quad_numerators([e.coeffs for e in self.elements])
-        num = num.reshape(self.order, -1)
-        K = product_tensor(self.dim)
-        m = int(np.abs(num).max())
-        # a product numerator sums one term of size <= T_max m^2 per row of K;
-        # the index holds D * E
-        num = num.astype(kernel_dtype(max(K.shape[0] * FIELD_TENSOR_MAX * m * m, den * m)))
-        index = {key: i for i, key in enumerate(row_keys(den * num))}
-        K = K.reshape(K.shape[0], -1)
-        table = []
-        for row in num:
-            left = (row @ K).reshape(num.shape[1], num.shape[1])
-            try:
-                table.append([index[key] for key in row_keys(num @ left)])
-            except KeyError as exc:
-                raise ClosureCapError(f"{self.name}: product escapes the group") from exc
-        return table
+        if self._cayley is None:
+            num, den = quad_numerators([e.coeffs for e in self.elements])
+            num = num.reshape(self.order, -1)
+            K = product_tensor(self.dim)
+            if num.dtype == object:
+                m = int(np.abs(num).max())
+                # a product numerator sums one term of size <= T_max m^2 per
+                # row of K; the index holds D * E
+                num = num.astype(kernel_dtype(max(K.shape[0] * FIELD_TENSOR_MAX * m * m,
+                                                  den * m)))
+            index = {key: i for i, key in enumerate(row_keys(den * num))}
+            K = K.reshape(K.shape[0], -1)
+            table = []
+            for row in num:
+                left = (row @ K).reshape(num.shape[1], num.shape[1])
+                try:
+                    table.append([index[key] for key in row_keys(num @ left)])
+                except KeyError as exc:
+                    raise ClosureCapError(f"{self.name}: product escapes the group") from exc
+            self._cayley = table
+        return self._cayley
 
     @property
     def inverse_indices(self) -> tuple:
@@ -144,13 +128,11 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
     gens = simple.roots
-    kd = KEY_DECIMALS
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = [s for g in gens for s in (g, -g)]
     try:
-        elements = orbit(seeds, gens, lambda e, g: e * g,
-                         lambda mv: mv_key(mv, kd), cap)
+        elements = orbit(seeds, gens, lambda e, g: e * g, mv_key, cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
     elements.sort(key=mv_sort_key)
@@ -163,7 +145,7 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
             raise ValueError(f"pin closure of {simple.name} has a non-unit element")
     return VersorGroup(
         name=f"Pin({simple.name})", dim=simple.rank, elements=tuple(elements),
-        parities=parities, parity="pin", key_decimals=kd,
+        parities=parities, parity="pin",
     )
 
 
@@ -173,7 +155,7 @@ def even_subgroup(G: VersorGroup) -> VersorGroup:
     return VersorGroup(
         name=G.name.replace("Pin", "Spin", 1), dim=G.dim,
         elements=tuple(picked), parities=("even",) * len(picked),
-        parity="spin", key_decimals=G.key_decimals,
+        parity="spin",
     )
 
 

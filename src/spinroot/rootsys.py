@@ -32,6 +32,7 @@ from .clifford import Multivector, mv_key, mv_sort_key
 from .scalars import (
     FIELD_TENSOR_MAX,
     INV_SQRT2,
+    KEY_DECIMALS,
     QT_HALF,
     QT_ONE,
     QT_ZERO,
@@ -44,7 +45,6 @@ from .scalars import (
     row_keys,
 )
 
-KEY_DECIMALS = 6
 CLOSURE_CAP = 10_000
 
 
@@ -227,8 +227,6 @@ _CATALOG = {
     "F4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 48),
     "H4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 120),
 }
-
-CATALOG_KEYS = tuple(_CATALOG)
 
 _ALIASES = {
     "A13": "A1^3", "A1^3": "A1^3", "A14": "A1^4", "A1^4": "A1^4",
@@ -415,18 +413,18 @@ class ValidationReport:
         )
 
 
-def _direction_key(mv: Multivector, decimals: int, index: int):
+def _direction_key(mv: Multivector, index: int):
     coords = mv.vector_coords()
     if mv.backend == "exact":
         pivot = next((c for c in coords if not c.is_zero()), None)
     else:
         coords = [float(c) for c in coords]
-        pivot = next((c for c in coords if abs(c) > 10.0 ** -decimals), None)
+        pivot = next((c for c in coords if abs(c) > 10.0 ** -KEY_DECIMALS), None)
     if pivot is None:
         raise ValueError(f"vector {index} is zero; a root system has no zero vector")
     if mv.backend == "exact":
         return tuple(c / pivot for c in coords)
-    return tuple(round(c / pivot, decimals) + 0.0 for c in coords)
+    return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
 
 
 def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
@@ -437,68 +435,56 @@ def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
 
 
 def validate_root_system(roots: Sequence[Multivector],
-                         key_decimals: int = KEY_DECIMALS,
                          max_samples: int = 16) -> ValidationReport:
     """Check the two root-system axioms; violations are data, not errors."""
     roots = list(roots)
-    keys = {mv_key(r, key_decimals) for r in roots}
+    keys = {mv_key(r) for r in roots}
     missing = []
     parallel = []
     by_direction: dict = {}
     for i, r in enumerate(roots):
-        by_direction.setdefault(_direction_key(r, key_decimals, i), []).append(i)
-        if mv_key(-r, key_decimals) not in keys:
+        by_direction.setdefault(_direction_key(r, i), []).append(i)
+        if mv_key(-r) not in keys:
             missing.append(i)
     for ids in by_direction.values():
         if len(ids) > 2:
             parallel.append(tuple(ids))
         elif len(ids) == 2:
             a, b = roots[ids[0]], roots[ids[1]]
-            if mv_key(-a, key_decimals) != mv_key(b, key_decimals):
+            if mv_key(-a) != mv_key(b):
                 parallel.append(tuple(ids))
-    if roots and all(r.backend == "exact" for r in roots):
-        refl = _exact_reflection_violations(roots, max_samples)
-        return ValidationReport(tuple(missing), tuple(parallel), tuple(refl), len(roots))
-    refl = []
-    for i, alpha in enumerate(roots):
-        for j, x in enumerate(roots):
-            if mv_key(_reflect_general(alpha, x), key_decimals) not in keys:
-                refl.append((i, j))
-                if len(refl) >= max_samples:
-                    return ValidationReport(
-                        tuple(missing), tuple(parallel), tuple(refl), len(roots)
-                    )
+    refl = _reflection_violations(roots, max_samples) if roots else []
     return ValidationReport(tuple(missing), tuple(parallel), tuple(refl), len(roots))
 
 
-def _exact_reflection_violations(roots: Sequence[Multivector],
-                                 max_samples: int) -> list:
+def _reflection_violations(roots: Sequence[Multivector], max_samples: int) -> list:
     """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
 
-    On integer numerators N over D with Gram numerators G = (N|N) over D**2,
+    On numerator rows N over D with Gram numerators G = (N|N) over D**2,
     (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators G_aa N_x - 2 G_xa N_a
     over D**3, the denominator of (a|a) y as G_aa N_y, so membership in
-    (a|a) Phi compares integer rows, with no division.
+    (a|a) Phi compares rows, with no division: integer rows exactly, float
+    rows by ``row_keys`` rounding.
     """
     num, _ = quad_numerators([r.vector_coords() for r in roots])   # (n, dim, 4)
     n, dim = num.shape[:2]
-    m = int(np.abs(num).max())
-    # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4 terms
-    # of size T_max |G| m
-    num = num.astype(kernel_dtype(12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3))
+    if num.dtype == object:
+        m = int(np.abs(num).max())
+        # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4
+        # terms of size T_max |G| m
+        num = num.astype(kernel_dtype(12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3))
     flat = num.reshape(n, dim * 4)
     # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d])
     mult = field_matrix(num)                                # (n, dim, 4, 4)
     gram = (flat @ mult.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)).reshape(n, n, 4)
+    length_keys = row_keys(gram[np.arange(n), np.arange(n)])
     scaled_roots: dict = {}   # (a|a) Phi per squared length
     out = []
     for i in range(n):
-        g_aa = gram[i, i]
-        scaled = (num @ field_matrix(g_aa)).reshape(n, dim * 4)
-        length = tuple(g_aa.tolist())
-        if length not in scaled_roots:
-            scaled_roots[length] = set(row_keys(scaled))
-        targets = scaled_roots[length]
+        scaled = (num @ field_matrix(gram[i, i])).reshape(n, dim * 4)
+        if length_keys[i] not in scaled_roots:
+            scaled_roots[length_keys[i]] = set(row_keys(scaled))
+        targets = scaled_roots[length_keys[i]]
         # G_xa N_a for every x: field multiplication commutes
         images = scaled - 2 * (gram[:, i] @ mult[i].transpose(1, 0, 2).reshape(4, dim * 4))
         for j, key in enumerate(row_keys(images)):

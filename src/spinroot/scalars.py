@@ -12,12 +12,14 @@ arithmetic is an error, never a silent coercion (QuadTower returns
 NotImplemented for float operands).  The only exact-to-float bridge is the
 explicit ``to_float`` / ``float()`` embedding.
 
-Pairwise work over whole exact sets runs on integer arrays instead: a set
-becomes numerators over the same basis with one common denominator
-(``quad_numerators``), and products are integer matrix products through the
-structure tensor ``FIELD_TENSOR`` (``field_matrix``).  ``kernel_dtype`` picks
-int64 when a bound on every intermediate fits, and Python ints otherwise, so
-the result is exact.
+Pairwise work over whole sets runs on arrays instead, on both backends: a set
+becomes numerator rows over the same basis with one common denominator
+(``quad_numerators``), and products are matrix products through the
+structure tensor ``FIELD_TENSOR`` (``field_matrix``).  Exact rows are
+integers: ``kernel_dtype`` picks int64 when a bound on every intermediate
+fits, and Python ints otherwise, so the result is exact.  Float rows use
+only the basis-1 column over the denominator 1.  ``row_keys`` hashes both,
+exactly or rounded to ``KEY_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import numpy as np
 
 #: Default absolute tolerance for float-backend equality on unit-scale values.
 DEFAULT_EQ_TOL = 1e-9
+
+#: Decimals kept by the float-backend hash keys (``row_keys``, ``clifford.mv_key``).
+KEY_DECIMALS = 6
 
 _EQ_TOL = DEFAULT_EQ_TOL
 
@@ -128,11 +133,6 @@ class QuadTower:
 
     def is_rational(self) -> bool:
         return self._nb == 0 and self._nc == 0 and self._nd == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self._na, self._q)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -336,7 +336,7 @@ def scalar_to_json(x: Scalar):
     return float(x)
 
 
-# -- integer kernel for pairwise work over exact sets ---------------------------
+# -- array kernel for pairwise work over whole sets ------------------------------
 
 
 def _field_tensor() -> np.ndarray:
@@ -358,16 +358,22 @@ FIELD_TENSOR_MAX = int(FIELD_TENSOR.max())
 
 
 def quad_numerators(values) -> tuple[np.ndarray, int]:
-    """Integer numerators (..., 4) of an array of QuadTower, and their common denominator.
+    """Numerator rows (..., 4) of an array of scalars, and their common denominator.
 
-    ``values`` is a (nested) sequence of QuadTower; element x equals
-    ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.  The numerators are Python
-    ints in an object array: ``kernel_dtype`` says whether they may be narrowed.
+    ``values`` is a (nested) sequence of QuadTower or of floats, not a mix;
+    element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.  Exact
+    numerators are Python ints in an object array: ``kernel_dtype`` says
+    whether they may be narrowed.  Floats fill the basis-1 column of a float
+    array over ``den = 1``, so the same products apply to both backends.
     """
     arr = np.asarray(values, dtype=object)
     flat = arr.ravel()
+    if all(isinstance(x, float) for x in flat):
+        rows = np.zeros((len(flat), 4))
+        rows[:, 0] = flat
+        return rows.reshape(arr.shape + (4,)), 1
     if not all(isinstance(x, QuadTower) for x in flat):
-        raise BackendMismatchError("integer numerators need exact scalars")
+        raise BackendMismatchError("numerator rows need all-exact or all-float scalars")
     den = lcm(*(x._q for x in flat))
     rows = [(x._na * (s := den // x._q), x._nb * s, x._nc * s, x._nd * s) for x in flat]
     return np.array(rows, dtype=object).reshape(arr.shape + (4,)), den
@@ -393,8 +399,15 @@ def field_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def row_keys(rows: np.ndarray) -> list:
-    """Hashable keys of the rows of a 2D integer array, equal exactly when the rows are."""
+    """Hashable keys of the rows of a 2D array.
+
+    Integer rows are equal exactly when their keys are; float rows are keyed
+    by their values rounded to ``KEY_DECIMALS`` decimals (``+ 0.0`` folds
+    -0.0 into 0.0).
+    """
     if rows.dtype == object:
         return [tuple(r) for r in rows.tolist()]
+    if rows.dtype.kind == "f":
+        rows = np.round(rows, KEY_DECIMALS) + 0.0
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()

@@ -194,6 +194,24 @@ def test_unknown_subcommand_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mckay", "H3", "--format", "xml"],
+    ["mckay", "H3", "--format", "text"],
+    ["induce", "A3", "--format", "csv"],
+    ["coxplane", "H3", "--format", "text"],
+    ["project", "A4", "--format", "csv"],
+    ["catalog", "--format", "dot"],
+    ["ade-map", "--format", "csv"],
+    ["verify-all", "--format", "yaml"],
+])
+def test_format_outside_the_printed_ones_exits_2(argv, capsys):
+    # each subcommand accepts only the formats it prints
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_verify_all_small(capsys):
     code, out = run(capsys, "verify-all", "--n-max", "2")
     assert code == 0

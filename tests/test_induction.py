@@ -27,7 +27,7 @@ from spinroot.rootsys import (
     root_system,
     validate_root_system,
 )
-from spinroot.scalars import QT_ONE
+from spinroot.scalars import QT_ONE, quad_numerators, row_keys
 
 ORDERS = {
     ("A1^3", None): (16, 8),
@@ -108,10 +108,21 @@ def test_full_cayley_closure_2T():
 
 
 def test_exact_cayley_tables_match_products():
-    for name in ("A1^3", "A3", "B3", "H3"):
-        for G in (pin_group(name), spin_group(name)):
-            expected = [[G.index_of(a * b) for b in G.elements] for a in G.elements]
-            assert G.cayley == expected, G.name
+    # one kernel for both backends: the exact groups, the float families and
+    # the groups of float copies of the exact generators
+    groups = [G for name in ("A1^3", "A3", "B3", "H3")
+              for G in (pin_group(name), spin_group(name))]
+    groups += [G for family in ("I2", "A1xI2") for n in range(2, 17)
+               for G in (pin_group(family, n), spin_group(family, n))]
+    for name in ("A3", "B3", "H3"):
+        P = generate_pin_group(catalog(name, backend="float"))
+        groups += [P, even_subgroup(P)]
+    for G in groups:
+        # the lookup index of the table holds one key per element
+        num, den = quad_numerators([e.coeffs for e in G.elements])
+        assert len(set(row_keys(den * num.reshape(G.order, -1)))) == G.order, G.name
+        expected = [[G.index_of(a * b) for b in G.elements] for a in G.elements]
+        assert G.cayley == expected, G.name
 
 
 def test_exact_cayley_with_python_ints(monkeypatch):
@@ -125,6 +136,11 @@ def test_cayley_product_escaping_the_group():
     G = spin_group("A3")
     part = VersorGroup(name="part", dim=3, elements=G.elements[1:],
                        parities=G.parities[1:], parity="spin")
+    with pytest.raises(ClosureCapError, match="escapes the group"):
+        part.cayley
+    G = spin_group("A1xI2", 5)
+    part = VersorGroup(name="part", dim=3, elements=G.elements[:-1],
+                       parities=G.parities[:-1], parity="spin")
     with pytest.raises(ClosureCapError, match="escapes the group"):
         part.cayley
 

@@ -199,7 +199,10 @@ def test_validate_catalog_systems():
 
 
 def reference_reflection_violations(roots, max_samples=16):
-    """All-pairs s_i(x_j) in row-major order, one exact reflection at a time."""
+    """All-pairs s_i(x_j) in row-major order, one reflection at a time.
+
+    Exact images are looked up exactly, float ones by ``mv_key`` rounding.
+    """
     keys = {mv_key(r) for r in roots}
     out = []
     for i, alpha in enumerate(roots):
@@ -211,8 +214,8 @@ def reference_reflection_violations(roots, max_samples=16):
     return tuple(out)
 
 
-def exact_test_sets():
-    """Valid exact root sets, and broken ones (a root dropped, a non-root added)."""
+def validation_test_sets():
+    """Valid root sets of both backends, and broken ones (a root dropped, a non-root added)."""
     valid = {key: root_system(key).roots for key, _ in EXPECTED_COUNTS
              if catalog(key).backend == "exact"}
     for name in ("A1^3", "A3", "B3", "H3"):
@@ -224,22 +227,34 @@ def exact_test_sets():
         "F4 minus a root": f4[:20] + f4[21:],
         "H4 minus a root": h4[:-1],
     }
+    # the float backend: the families, B4 and float copies of the exact sets
+    floats = {f"float {label}": tuple(r.to_float() for r in roots)
+              for label, roots in valid.items()}
+    floats["B4"] = root_system("B4").roots
+    for key in ("I2", "A1xI2", "I2xI2"):
+        for n in range(2, 17):
+            floats[display_name(key, n)] = root_system(key, n).roots
+    for label, roots in floats.items():
+        valid[label] = roots
+        k = len(roots) // 2
+        broken[f"{label} minus a root"] = roots[:k] + roots[k + 1:]
     return valid, broken
 
 
 def test_validate_exact_matches_reference():
-    valid, broken = exact_test_sets()
+    valid, broken = validation_test_sets()
     for label, roots in {**valid, **broken}.items():
         rep = validate_root_system(roots)
         assert rep.checked == len(roots)
         assert rep.reflection_violations == reference_reflection_violations(roots), label
         assert rep.ok == (label in valid), label
     # every violation in row-major order, and truncation at max_samples
-    f4 = broken["F4 minus a root"]
-    full = validate_root_system(f4, max_samples=10_000).reflection_violations
-    assert len(full) > 16
-    assert full == reference_reflection_violations(f4, 10_000)
-    assert validate_root_system(f4, max_samples=5).reflection_violations == full[:5]
+    for label in ("F4 minus a root", "float F4 minus a root", "I2(9)xI2(9) minus a root"):
+        roots = broken[label]
+        full = validate_root_system(roots, max_samples=10_000).reflection_violations
+        assert len(full) > 16, label
+        assert full == reference_reflection_violations(roots, 10_000), label
+        assert validate_root_system(roots, max_samples=5).reflection_violations == full[:5]
 
 
 def test_validate_large_denominators_stay_exact(monkeypatch):

@@ -4,7 +4,8 @@ The simply-laced families use their standard integer-coordinate simple roots
 (A_n and D_n in coordinate hyperplanes/spaces, E6/E7/E8 inside R^8).  Coxeter
 numbers are computed as the order of the product of the simple reflection
 matrices, never hard-coded; root counts come from the orbit of the simple
-roots under the simple reflections.
+roots under the simple reflections, closed exactly on int64 rows of
+simple-root coordinates through the integer Cartan matrix.
 
 A rank-2 source contributes a single rotation order n and maps to the path
 A_n; a triple (2,2,n) maps to D_{n+2} and (2,3,3)/(2,3,4)/(2,3,5) to E6/E7/E8.
@@ -39,6 +40,7 @@ from .rootsys import (
     root_system,
     rotation_orders,
 )
+from .scalars import row_keys
 
 RANK_CAP = 24
 # I2(n)'s McKay route lands on A_{2n-1}, so n may not exceed this
@@ -111,13 +113,27 @@ def _simple_roots(kind: str, n: Optional[int]) -> np.ndarray:
 
 
 def _closure(simple: np.ndarray, cap: int = 2000) -> np.ndarray:
+    """Roots of a simply-laced system, closed in simple-root coordinates.
+
+    Its Cartan matrix A is integral, so the coefficient rows close exactly on
+    int64 under s_i(c) = c - (c @ A)_i e_i; the roots are their product with
+    the simple rows.
+    """
+    rank = len(simple)
+    gram = simple @ simple.T
+    cartan = (2 * gram / np.diag(gram)).astype(np.int64)   # A[j, i] = 2 (a_j|a_i) / (a_i|a_i)
+    diag = np.arange(rank)
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        images = np.repeat(rows, rank, axis=0).reshape(len(rows), rank, rank)
+        images[:, diag, diag] -= rows @ cartan
+        return images.reshape(-1, rank)
+
     try:
-        roots = orbit(simple, simple,
-                      lambda x, a: x - (2.0 * (x @ a) / (a @ a)) * a,
-                      lambda v: tuple(round(c, 6) + 0.0 for c in v.tolist()), cap)
+        coeffs = orbit(np.eye(rank, dtype=np.int64), step, row_keys, cap)
     except ClosureCapError as exc:
         raise ValueError("root closure exceeded cap") from exc
-    return np.array(roots)
+    return coeffs @ simple
 
 
 @lru_cache(maxsize=None)

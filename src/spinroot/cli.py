@@ -86,7 +86,16 @@ def cmd_induce(args) -> int:
 def cmd_coxplane(args) -> int:
     key, n = parse_name(args.name, args.n)
     simple = catalog(key, n, backend=args.backend)
-    word = tuple(int(w) for w in args.word.split(",")) if args.word else None
+    word = None
+    if args.word:
+        try:
+            word = tuple(int(w) for w in args.word.split(","))
+        except ValueError:
+            word = ()
+        if sorted(word) != list(range(1, simple.rank + 1)):
+            print(f"error: --word {args.word} is not a permutation of 1..{simple.rank}",
+                  file=sys.stderr)
+            return 2
     cd = coxplane.coxeter_versor(simple, word)
     payload = {
         "system": simple.name,

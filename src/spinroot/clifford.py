@@ -139,9 +139,8 @@ class Multivector:
     @classmethod
     def from_vector(cls, coords: Sequence[Scalar]) -> "Multivector":
         dim = len(coords)
-        backend = "exact" if any(isinstance(c, QuadTower) for c in coords) else "float"
-        mv = cls.zero(dim, backend)
-        coeffs = list(mv.coeffs)
+        exact = any(isinstance(c, QuadTower) for c in coords)
+        coeffs = [QT_ZERO if exact else 0.0] * (1 << dim)
         for i, c in enumerate(coords):
             coeffs[1 << i] = c
         return cls(dim, coeffs)

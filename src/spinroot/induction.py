@@ -94,7 +94,7 @@ class VersorGroup:
                 num = num.astype(kernel_dtype(max(K.shape[0] * FIELD_TENSOR_MAX * m * m,
                                                   den * m)))
             index = {key: i for i, key in enumerate(row_keys(den * num))}
-            K = K.reshape(K.shape[0], -1)
+            K = K.reshape(K.shape[0], -1).astype(np.result_type(num.dtype, K.dtype), copy=False)
             table = []
             for row in num:
                 left = (row @ K).reshape(num.shape[1], num.shape[1])
@@ -130,12 +130,15 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
     gens = simple.roots
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
-    seeds = [s for g in gens for s in (g, -g)]
+    seeds = np.array([s for g in gens for s in (g, -g)], dtype=object)
     try:
-        elements = orbit(seeds, gens, lambda e, g: e * g, mv_key, cap)
+        elements = orbit(seeds,
+                         lambda frontier: np.array([e * g for e in frontier for g in gens],
+                                                   dtype=object),
+                         lambda batch: [mv_key(e) for e in batch], cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
-    elements.sort(key=mv_sort_key)
+    elements = sorted(elements, key=mv_sort_key)
     parities = tuple(_parity_of(e) for e in elements)
     # unit-versor sanity: V reverse(V) = 1
     for e in elements:

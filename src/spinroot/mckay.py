@@ -197,25 +197,32 @@ def _tables_from_eigenvectors(vecs: list, classes: ClassData,
     tables = []
     for c, dims, key in zip(chars, rd.astype(int), keys):
         rows = np.lexsort(np.column_stack([dims, key]).T[::-1])
-        table = CharacterTable(chars=c[rows], dims=tuple(dims[rows].tolist()),
-                               sizes=classes.sizes, order=order)
-        _validate_table(table)
-        tables.append(table)
+        tables.append(CharacterTable(chars=c[rows], dims=tuple(dims[rows].tolist()),
+                                     sizes=classes.sizes, order=order))
+    _validate_tables(tables)
     return tables
 
 
-def _validate_table(table: CharacterTable):
-    k = len(table.dims)
-    sizes = np.array(table.sizes, dtype=float)
-    gram = (table.chars * sizes) @ table.chars.conj().T / table.order
-    if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
-        raise CharacterError("row orthogonality fails")
-    col = table.chars.conj().T @ table.chars  # |G|/|C_s| on the diagonal
-    want = np.diag(table.order / sizes)
-    if not np.allclose(col, want, atol=ORTHO_TOL * table.order):
-        raise CharacterError("column orthogonality fails")
-    if sum(d * d for d in table.dims) != table.order:
-        raise CharacterError("sum of squared dimensions != group order")
+def _validate_tables(tables: list[CharacterTable]):
+    """Orthogonality of the tables of one group in one stacked pass.
+
+    The first bad table in the list raises, its row check before its column check.
+    """
+    chars = np.stack([t.chars for t in tables])
+    order, k = tables[0].order, chars.shape[1]
+    sizes = np.array(tables[0].sizes, dtype=float)
+    adjoint = chars.conj().transpose(0, 2, 1)
+    gram = (chars * sizes) @ adjoint / order
+    rows_ok = np.isclose(gram, np.eye(k), atol=ORTHO_TOL).all(axis=(1, 2))
+    col = adjoint @ chars  # |G|/|C_s| on the diagonal
+    cols_ok = np.isclose(col, np.diag(order / sizes), atol=ORTHO_TOL * order).all(axis=(1, 2))
+    for table, row_ok, col_ok in zip(tables, rows_ok, cols_ok):
+        if not row_ok:
+            raise CharacterError("row orthogonality fails")
+        if not col_ok:
+            raise CharacterError("column orthogonality fails")
+        if sum(d * d for d in table.dims) != order:
+            raise CharacterError("sum of squared dimensions != group order")
 
 
 def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None,

@@ -11,10 +11,13 @@ Catalog keys and backends:
 
 Simple roots are stored unit-normalized.  A root system is the orbit of its
 simple roots under the simple reflections (Humphreys, *Reflection Groups and
-Coxeter Groups*, 1.5), so the closure applies rank * |roots| reflections.  It
-deduplicates by exact coefficients on the exact backend and by coordinates
-rounded to ``KEY_DECIMALS`` decimals on the float backend, and returns the
-roots sorted by ``mv_sort_key``.
+Coxeter Groups*, 1.5), closed by ``orbit`` one breadth-first level at a time,
+so the closure applies rank * |roots| reflections in whole-array steps.  Exact
+systems close in simple-root coordinates, s_i(c) = c - (sum_j c_j A_ji) e_i
+with A the Cartan matrix (5.4), on integer field numerators, and become
+Cartesian by one product with the simple roots; float systems close on
+Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
+decimals.  Roots are returned sorted by ``mv_sort_key``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .scalars import (
     field_matrix,
     kernel_dtype,
     quad_numerators,
+    quad_values,
     row_keys,
 )
 
@@ -56,33 +60,32 @@ class ClosureCapError(RuntimeError):
     pass
 
 
-def orbit(seeds: Iterable, generators: Sequence, act: Callable, key: Callable,
-          cap: int) -> list:
-    """Breadth-first closure of ``seeds`` under ``act(x, g)`` for every generator.
+def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.ndarray:
+    """Breadth-first closure of ``seeds``, one whole frontier at a time.
 
-    Elements are deduplicated by ``key`` and returned in discovery order;
-    ``ClosureCapError`` is raised as soon as more than ``cap`` are found.
+    ``step(frontier)`` returns the images of every frontier element under
+    every generator, element-major and generator-minor, stacked along axis 0;
+    ``keys(batch)`` returns one hashable key per element.  Elements are
+    deduplicated by key and returned in discovery order, the order of a
+    one-at-a-time breadth-first search; ``ClosureCapError`` is raised as soon
+    as a level takes the count past ``cap``.
     """
-    out: list = []
     seen: set = set()
 
-    def add(x) -> None:
-        k = key(x)
-        if k not in seen:
-            seen.add(k)
-            out.append(x)
-            if len(out) > cap:
-                raise ClosureCapError(f"orbit exceeded {cap} elements")
+    def fresh(batch: np.ndarray) -> np.ndarray:
+        new = []
+        for i, k in enumerate(keys(batch)):
+            if k not in seen:
+                seen.add(k)
+                new.append(i)
+        if len(seen) > cap:
+            raise ClosureCapError(f"orbit exceeded {cap} elements")
+        return batch[new]
 
-    for s in seeds:
-        add(s)
-    i = 0
-    while i < len(out):
-        x = out[i]
-        for g in generators:
-            add(act(x, g))
-        i += 1
-    return out
+    levels = [fresh(seeds)]
+    while len(levels[-1]):
+        levels.append(fresh(step(levels[-1])))
+    return np.concatenate(levels)
 
 
 @dataclass(frozen=True)
@@ -340,16 +343,86 @@ def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
 def generate_roots(simple: SimpleRootSet, cap: int = CLOSURE_CAP,
                    key_decimals: int = KEY_DECIMALS) -> RootSystem:
     """Orbit of the simple roots under the simple reflections, sorted canonically."""
+    cartan = cartan_matrix(simple)
     try:
-        roots = orbit(simple.roots, simple.roots,
-                      lambda x, a: _reflect_general(a, x),
-                      lambda mv: mv_key(mv, key_decimals), cap)
+        if simple.backend == "exact":
+            roots = _exact_closure(simple, cartan, cap)
+        else:
+            roots = _float_closure(simple, cap, key_decimals)
     except ClosureCapError as exc:
         raise ClosureCapError(f"closure of {simple.name} exceeded {cap} roots") from exc
     return RootSystem(
         name=simple.name, simple=simple, roots=tuple(sorted(roots, key=mv_sort_key)),
-        cartan=cartan_matrix(simple),
+        cartan=cartan,
     )
+
+
+def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[Multivector]:
+    """Exact roots, closed in simple-root coordinates.
+
+    A root sum_j c_j a_j is the row of its coefficients c as field numerators,
+    followed by their positive denominator, divided through by the gcd of the
+    row: one row per root, whatever denominators other roots need.  The
+    reflection s_i(c) = c - (sum_j c_j A_ji) e_i maps numerators N over q to
+    N A_den - (N . A)_i e_i over q A_den, exactly, on ``kernel_dtype`` integers.
+    """
+    rank = simple.rank
+    a_num, a_den = quad_numerators(cartan)                       # (rank, rank, 4)
+    # (N . A)[i] = sum over j of N[j] @ field_matrix(A[j, i])
+    mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(rank * 4, rank * 4)
+    # every image numerator sums a_den |N| and 4 rank terms of size T_max |A| |N|
+    growth = a_den + 4 * rank * FIELD_TENSOR_MAX * int(np.abs(a_num).max())
+    diag = np.arange(rank)
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
+        rows = rows.astype(dtype)
+        num, den = rows[:, :-1], rows[:, -1:]
+        images = np.repeat(num * a_den, rank, axis=0).reshape(len(rows), rank, rank, 4)
+        images[:, diag, diag] -= (num @ mult.astype(dtype)).reshape(len(rows), rank, 4)
+        images = np.hstack([images.reshape(len(rows) * rank, rank * 4),
+                            np.repeat(den * a_den, rank, axis=0)])
+        return images // np.gcd.reduce(images, axis=1, keepdims=True)
+
+    seeds = np.zeros((rank, rank * 4 + 1), dtype=np.int64)
+    seeds[diag, diag * 4] = seeds[:, -1] = 1
+    # keyed as Python ints, so a level that outgrows int64 still meets the others
+    rows = orbit(seeds, step, lambda rows: row_keys(rows.astype(object)), cap)
+    num, den = rows[:, :-1], rows[:, -1]
+    s_num, s_den = quad_numerators([a.vector_coords() for a in simple.roots])  # (rank, dim, 4)
+    dim = s_num.shape[1]
+    # root = sum_j c_j a_j: numerators over den * s_den
+    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(rank * 4, dim * 4)
+    dtype = kernel_dtype(4 * rank * FIELD_TENSOR_MAX * int(np.abs(s_num).max())
+                         * int(np.abs(num).max()))
+    cart = num.astype(dtype) @ to_cartesian.astype(dtype)
+    coords = quad_values(cart.reshape(len(rows), dim, 4), den.astype(object)[:, None] * s_den)
+    return [Multivector.from_vector(c) for c in coords.tolist()]
+
+
+def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[Multivector]:
+    """Float roots, closed on Cartesian rows keyed at ``key_decimals`` decimals.
+
+    s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed one column at a
+    time in coordinate order, as ``dot`` sums them.
+    """
+    gens = np.array([a.vector_coords() for a in simple.roots])   # (rank, dim)
+
+    def sum_columns(rows: np.ndarray, a: np.ndarray):
+        total = rows[..., 0] * a[0]
+        for c in range(1, len(a)):
+            total = total + rows[..., c] * a[c]
+        return total
+
+    norms = [sum_columns(a, a) for a in gens]
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        images = [rows - ((sum_columns(rows, a) * 2) / aa)[:, None] * a
+                  for a, aa in zip(gens, norms)]
+        return np.stack(images, axis=1).reshape(-1, gens.shape[1])
+
+    rows = orbit(gens, step, lambda rows: row_keys(rows, key_decimals), cap)
+    return [Multivector.from_vector(r) for r in rows.tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -425,13 +498,6 @@ def _direction_key(mv: Multivector, index: int):
     if mv.backend == "exact":
         return tuple(c / pivot for c in coords)
     return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
-
-
-def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
-    # s_a(x) = x - 2 (x|a)/(a|a) a: exact-friendly (no square roots) and valid
-    # for mirrors of any length, unlike the unit-normal Clifford form
-    coef = (dot(x, alpha) * 2) / dot(alpha, alpha)
-    return x - coef * alpha
 
 
 def validate_root_system(roots: Sequence[Multivector],

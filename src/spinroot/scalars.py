@@ -379,6 +379,18 @@ def quad_numerators(values) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=object).reshape(arr.shape + (4,)), den
 
 
+def quad_values(num: np.ndarray, den) -> np.ndarray:
+    """QuadTower array of the numerator rows (..., 4) over ``den``.
+
+    The inverse of ``quad_numerators``; ``den`` is one positive denominator or
+    one per row.
+    """
+    den = np.broadcast_to(np.asarray(den, dtype=object), num.shape[:-1])
+    flat = [QuadTower._raw(*row, q)
+            for row, q in zip(num.reshape(-1, 4).tolist(), den.ravel().tolist())]
+    return np.array(flat, dtype=object).reshape(num.shape[:-1])
+
+
 def kernel_dtype(bound: int):
     """int64 when ``bound`` caps every intermediate below 2**62, else Python ints.
 
@@ -398,16 +410,16 @@ def field_matrix(x: np.ndarray) -> np.ndarray:
     return np.einsum("...p,pqr->...qr", x, FIELD_TENSOR)
 
 
-def row_keys(rows: np.ndarray) -> list:
+def row_keys(rows: np.ndarray, decimals: int = KEY_DECIMALS) -> list:
     """Hashable keys of the rows of a 2D array.
 
     Integer rows are equal exactly when their keys are; float rows are keyed
-    by their values rounded to ``KEY_DECIMALS`` decimals (``+ 0.0`` folds
-    -0.0 into 0.0).
+    by their values rounded to ``decimals`` decimals (``+ 0.0`` folds -0.0
+    into 0.0).
     """
     if rows.dtype == object:
         return [tuple(r) for r in rows.tolist()]
     if rows.dtype.kind == "f":
-        rows = np.round(rows, KEY_DECIMALS) + 0.0
+        rows = np.round(rows, decimals) + 0.0
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()

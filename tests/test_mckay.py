@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spinroot.induction import spin_group
 from spinroot.mckay import (
+    CharacterError,
     MatchError,
     McKayGraph,
     affine_core,
@@ -11,6 +14,7 @@ from spinroot.mckay import (
     character_table,
     character_table_csv,
     character_tables,
+    _validate_tables,
     class_matrices,
     conjugacy_classes,
     match_affine_ade,
@@ -190,6 +194,20 @@ def test_character_tables_equal_single_seed_tables():
             assert table.chars.tobytes() == single.chars.tobytes()
             assert (table.dims, table.sizes, table.order) == \
                 (single.dims, single.sizes, single.order)
+
+
+def test_batch_validation_raises_for_the_first_bad_table():
+    G = spin_group("A3")
+    good = list(character_tables(G, seeds=range(3)))
+    scaled = good[1].chars.copy()
+    scaled[-1] *= 2          # breaks both orthogonality relations
+    bad_rows = replace(good[1], chars=scaled)
+    bad_dims = replace(good[2], dims=(1,) + good[2].dims[1:-1] + (2,))
+    _validate_tables(good)
+    with pytest.raises(CharacterError, match="row orthogonality"):
+        _validate_tables([good[0], bad_rows, bad_dims])
+    with pytest.raises(CharacterError, match="sum of squared dimensions"):
+        _validate_tables([good[0], bad_dims, bad_rows])
 
 
 def test_affine_templates_and_marks():

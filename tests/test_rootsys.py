@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from spinroot import rootsys
+from spinroot import ade, rootsys
 from spinroot.clifford import Multivector, mv_key, mv_sort_key
 from spinroot.induction import induced_set
 from spinroot.rootsys import (
@@ -109,10 +110,87 @@ def test_simple_root_order_does_not_change_roots():
 
 
 def test_orbit_kernel():
-    assert orbit([0], [3], lambda x, g: (x + g) % 7, lambda x: x, cap=7) == [
-        0, 3, 6, 2, 5, 1, 4]
+    def step(frontier):
+        return (frontier + 3) % 7
+
+    def keys(batch):
+        return batch.tolist()
+
+    assert orbit(np.array([0]), step, keys, cap=7).tolist() == [0, 3, 6, 2, 5, 1, 4]
     with pytest.raises(ClosureCapError):
-        orbit([0], [3], lambda x, g: (x + g) % 7, lambda x: x, cap=6)
+        orbit(np.array([0]), step, keys, cap=6)
+
+
+def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
+    # s_a(x) = x - 2 (x|a)/(a|a) a: exact-friendly (no square roots) and valid
+    # for mirrors of any length, unlike the unit-normal Clifford form
+    coef = (dot(x, alpha) * 2) / dot(alpha, alpha)
+    return x - coef * alpha
+
+
+def reference_orbit(seeds, generators, act, key):
+    """Breadth-first closure, one element and one generator at a time."""
+    out, seen = [], set()
+
+    def add(x):
+        k = key(x)
+        if k not in seen:
+            seen.add(k)
+            out.append(x)
+
+    for s in seeds:
+        add(s)
+    i = 0
+    while i < len(out):
+        for g in generators:
+            add(act(out[i], g))
+        i += 1
+    return out
+
+
+def reference_roots(simple):
+    """Per-element closure of a simple set by Cartesian reflections, sorted."""
+    roots = reference_orbit(simple.roots, simple.roots, lambda x, a: _reflect_general(a, x),
+                            mv_key)
+    return tuple(sorted(roots, key=mv_sort_key))
+
+
+def reference_ade_roots(simple):
+    """Per-element float closure of ADE simple rows, keyed at 6 decimals."""
+    return np.array(reference_orbit(
+        simple, simple, lambda x, a: x - (2.0 * (x @ a) / (a @ a)) * a,
+        lambda v: tuple(round(c, 6) + 0.0 for c in v.tolist())))
+
+
+def _permuted(simple, perm):
+    return SimpleRootSet(name=f"{simple.name}*", key=simple.key, rank=simple.rank,
+                         roots=tuple(simple.roots[i] for i in perm), backend=simple.backend)
+
+
+def test_closure_matches_per_element_reference():
+    # ADE: integer coefficient rows give bitwise the float closure, in its order
+    for kind, ranks in (("A", range(1, 25)), ("D", range(2, 25)), ("E", (6, 7, 8))):
+        for n in ranks:
+            simple = ade._simple_roots(kind, n)
+            got, want = ade._closure(simple), reference_ade_roots(simple)
+            assert got.tobytes() == want.tobytes(), (kind, n)
+    # exact: the catalog systems, their permutations and a non-unit B2
+    exact = [catalog(key) for key, _ in EXPECTED_COUNTS if catalog(key).backend == "exact"]
+    exact += [_permuted(s, tuple(reversed(range(s.rank)))) for s in exact]
+    exact.append(SimpleRootSet(
+        name="B2 non-unit", key="B2", rank=2, backend="exact",
+        roots=(Multivector.from_vector([QuadTower(1), QT_ZERO]),
+               Multivector.from_vector([QuadTower(-3), QuadTower(3)]))))
+    for simple in exact:
+        assert generate_roots(simple).roots == reference_roots(simple), simple.name
+    assert generate_roots(exact[-1]).count == 8
+    # float: the families, B4 and float copies of exact systems, bitwise
+    floats = [catalog(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 31)]
+    floats += [catalog("B4")] + [catalog(k, backend="float") for k in ("A3", "B3", "H3", "H4")]
+    for simple in floats:
+        got = np.array([r.coeffs for r in generate_roots(simple).roots])
+        want = np.array([r.coeffs for r in reference_roots(simple)])
+        assert got.tobytes() == want.tobytes(), simple.name
 
 
 def test_catalog_rejects_non_unit_root(monkeypatch):
@@ -207,7 +285,7 @@ def reference_reflection_violations(roots, max_samples=16):
     out = []
     for i, alpha in enumerate(roots):
         for j, x in enumerate(roots):
-            if mv_key(rootsys._reflect_general(alpha, x)) not in keys:
+            if mv_key(_reflect_general(alpha, x)) not in keys:
                 out.append((i, j))
                 if len(out) >= max_samples:
                     return tuple(out)

@@ -2,10 +2,10 @@
 
 The simply-laced families use their standard integer-coordinate simple roots
 (A_n and D_n in coordinate hyperplanes/spaces, E6/E7/E8 inside R^8).  Coxeter
-numbers are computed as the order of the product of the simple reflection
-matrices, never hard-coded; root counts come from the orbit of the simple
-roots under the simple reflections, closed exactly on int64 rows of
-simple-root coordinates through the integer Cartan matrix.
+numbers are the order of `coxplane.coxeter_matrix` of the simple roots, never
+hard-coded; root counts come from the orbit of the simple roots under the
+simple reflections, closed exactly on int64 rows of simple-root coordinates
+through the integer Cartan matrix.
 
 A rank-2 source contributes a single rotation order n and maps to the path
 A_n; a triple (2,2,n) maps to D_{n+2} and (2,3,3)/(2,3,4)/(2,3,5) to E6/E7/E8.
@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .coxplane import matrix_order, springer_identities
+from .coxplane import coxeter_matrix, matrix_order, springer_identities
 from .induction import binary_group_name, induced_name, spin_group
 from .mckay import (
     DEFAULT_SEED,
@@ -148,12 +148,8 @@ def ade_root_data(kind: str, n: Optional[int] = None) -> ADERootData:
     name = f"{kind}{n}" if kind != "E" else f"E{n}"
     # every reflection fixes the orthocomplement of the root span pointwise,
     # so the product has finite order as a matrix on the whole ambient space
-    dim = simple.shape[1]
-    M = np.eye(dim)
-    for a in simple:
-        M = (np.eye(dim) - 2.0 * np.outer(a, a) / (a @ a)) @ M
     return ADERootData(name=name, rank=simple.shape[0], simple=simple,
-                       h=matrix_order(M))
+                       h=matrix_order(coxeter_matrix(simple)))
 
 
 def _path_diagram(n: int) -> DynkinDiagram:

@@ -87,7 +87,7 @@ def cmd_coxplane(args) -> int:
     key, n = parse_name(args.name, args.n)
     simple = catalog(key, n, backend=args.backend)
     word = None
-    if args.word:
+    if args.word is not None:
         try:
             word = tuple(int(w) for w in args.word.split(","))
         except ValueError:

@@ -32,6 +32,8 @@ from .scalars import (
     scalar_to_json,
 )
 
+GRADE_TOL = 1e-9    # largest coefficient a reflection or sandwich may project away
+
 
 class DimensionMismatchError(ValueError):
     """Raised when multivectors of different algebras meet in one operation."""
@@ -367,7 +369,7 @@ def reflect(alpha: Multivector, x: Multivector, tol: Optional[float] = None) -> 
         raise ValueError("reflect expects grade-1 arguments")
     if not _is_unit(alpha, tol):
         raise ValueError("mirror vector must have unit norm")
-    return _project_grades(-(alpha * x * alpha), {1}, 1e-9)
+    return _project_grades(-(alpha * x * alpha), {1}, GRADE_TOL)
 
 
 def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -380,7 +382,7 @@ def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Mul
     if not _is_unit(R, tol):
         raise ValueError("versor must have unit norm")
     grades = set(x.grades()) or {0}
-    return _project_grades(R.reverse() * x * R, grades, 1e-9)
+    return _project_grades(R.reverse() * x * R, grades, GRADE_TOL)
 
 
 def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -399,7 +401,7 @@ def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -
     gx = x.grades()
     if len(gx) != 1:
         raise ValueError("versor_action expects a homogeneous-grade argument")
-    out = _project_grades(W.reverse() * x * W, set(gx), 1e-9)
+    out = _project_grades(W.reverse() * x * W, set(gx), GRADE_TOL)
     if odd_versor and gx[0] % 2 == 1:
         return -out
     return out

@@ -22,9 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import (Multivector, exp_bivector, grade_project, pseudoscalar,
-                       versor_action)
+from .clifford import (Multivector, _is_unit, exp_bivector, grade_project,
+                       pseudoscalar, versor_action)
 from .induction import induced_name, spin_group
+from .mckay import is_connected
 from .rootsys import SimpleRootSet, cartan_matrix, catalog, dot, parse_name
 from .scalars import QuadTower
 
@@ -32,6 +33,13 @@ PLANE_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
 INT_TOL = 1e-6
 ORDER_CAP = 1000
+MATRIX_TOL = 1e-9          # entrywise, for M^T M = 1 and M^k = 1
+UNIMODULAR_TOL = 1e-8      # | |lambda| - 1 | for a Coxeter-matrix eigenvalue
+EDGE_TOL = 1e-9            # |(a_i|a_j)| above which float roots share an edge
+PF_RESIDUAL = 1e-12        # |M x - lambda x| that stops the inverse iteration
+PF_MAX_STEPS = 100_000
+PF_LEAD_TOL = 1e-9         # smallest PF leading entry that may be divided by
+DEGENERATE_TOL = 1e-9      # vanishing coloured vectors, non-simple plane bivectors
 
 
 class DegeneratePlaneError(ValueError):
@@ -47,7 +55,7 @@ class CoxeterData:
     simple: SimpleRootSet
     word: tuple[int, ...]          # 1-based order of simple reflections
     versor: Multivector            # product of the simple roots, native backend
-    matrix: np.ndarray             # action x -> reverse(W) x W on the basis
+    matrix: np.ndarray             # coxeter_matrix of the word's roots
     h: int                         # order of the matrix (the Coxeter number)
 
 
@@ -57,7 +65,6 @@ class CoxeterPlane:
     white: tuple[int, ...]
     black: tuple[int, ...]
     pf: tuple[float, ...]
-    weights: tuple[Multivector, ...]
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for i in range(k):
         for j in range(i + 1, k):
             d = dot(simple.roots[i], simple.roots[j])
-            nonzero = (not d.is_zero()) if isinstance(d, QuadTower) else abs(d) > 1e-9
+            nonzero = (not d.is_zero()) if isinstance(d, QuadTower) else abs(d) > EDGE_TOL
             if nonzero:
                 adj[i].append(j)
                 adj[j].append(i)
@@ -130,8 +137,17 @@ def default_word(simple: SimpleRootSet) -> tuple[int, ...]:
     return tuple(i + 1 for i in white) + tuple(i + 1 for i in black)
 
 
-def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
-                   order_cap: int = ORDER_CAP) -> CoxeterData:
+def coxeter_matrix(rows: np.ndarray) -> np.ndarray:
+    """Product of I - 2aa^T/(a|a) over the float roots `rows`, the first applied
+    first, as in sandwich(R1*R2, x) = sandwich(R2, sandwich(R1, x))."""
+    M = np.eye(rows.shape[1])
+    for a in rows:
+        M = (np.eye(len(M)) - 2.0 * np.outer(a, a) / (a @ a)) @ M
+    return M
+
+
+def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
+                   ) -> CoxeterData:
     """Product of all simple roots in the given order, with matrix and order."""
     word = tuple(word) if word is not None else default_word(simple)
     if sorted(word) != list(range(1, simple.rank + 1)):
@@ -139,27 +155,25 @@ def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     W = simple.roots[word[0] - 1]
     for idx in word[1:]:
         W = W * simple.roots[idx - 1]
-    Wf = W.to_float()
-    k = simple.rank
-    M = np.empty((k, k))
-    for j in range(k):
-        ej = Multivector.basis_vector(k, j, "float")
-        M[:, j] = [float(c) for c in versor_action(Wf, ej).vector_coords()]
-    if not np.allclose(M.T @ M, np.eye(k), atol=1e-9):
+    if not _is_unit(W.to_float(), None):
+        raise ValueError("versor must have unit norm")
+    M = coxeter_matrix(np.array([simple.roots[i - 1].to_float().vector_coords()
+                                 for i in word]))
+    if not np.allclose(M.T @ M, np.eye(len(M)), atol=MATRIX_TOL):
         raise ValueError("Coxeter matrix is not orthogonal")
     return CoxeterData(simple=simple, word=word, versor=W, matrix=M,
-                       h=matrix_order(M, order_cap))
+                       h=matrix_order(M))
 
 
-def matrix_order(M: np.ndarray, cap: int = ORDER_CAP) -> int:
-    """Least k >= 1 with M^k = 1 (within 1e-9), or ValueError past `cap`."""
+def matrix_order(M: np.ndarray) -> int:
+    """Least k >= 1 with M^k = 1 (within MATRIX_TOL), or ValueError past ORDER_CAP."""
     one = np.eye(M.shape[0])
     P = M.copy()
-    for step in range(1, cap + 1):
-        if np.allclose(P, one, atol=1e-9):
+    for step in range(1, ORDER_CAP + 1):
+        if np.allclose(P, one, atol=MATRIX_TOL):
             return step
         P = P @ M
-    raise ValueError(f"matrix order exceeds {cap}")
+    raise ValueError(f"matrix order exceeds {ORDER_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -168,18 +182,18 @@ def coxeter_data(name: str, n: Optional[int] = None,
     return coxeter_versor(catalog(name, n), word)
 
 
-def exponents_via_matrix(M: np.ndarray, h: int, tol: float = INT_TOL) -> tuple[int, ...]:
+def exponents_via_matrix(M: np.ndarray, h: int) -> tuple[int, ...]:
     """Exponents m with eigenvalues exp(2*pi*i*m/h), multiplicity included."""
     vals = np.linalg.eigvals(np.asarray(M, dtype=float))
     out = []
     for lam in vals:
-        if abs(abs(lam) - 1.0) > 1e-8:
+        if abs(abs(lam) - 1.0) > UNIMODULAR_TOL:
             raise FactorizationError(f"non-unimodular eigenvalue {lam}")
         m = math.atan2(lam.imag, lam.real) * h / (2.0 * math.pi)
-        if m < -tol:
+        if m < -INT_TOL:
             m += h
         r = round(m)
-        if abs(m - r) > tol:
+        if abs(m - r) > INT_TOL:
             raise FactorizationError(f"non-integer exponent {m}")
         if r == 0 or r == h:
             raise FactorizationError("unit eigenvalue: not an essential Coxeter element")
@@ -190,7 +204,7 @@ def exponents_via_matrix(M: np.ndarray, h: int, tol: float = INT_TOL) -> tuple[i
 # -- Perron-Frobenius / weights / plane ------------------------------------------
 
 
-def pf_eigenvector(cartan, residual: float = 1e-12, max_steps: int = 100_000) -> np.ndarray:
+def pf_eigenvector(cartan) -> np.ndarray:
     """Smallest-eigenvalue eigenvector by inverse power iteration, first entry 1.
 
     All entries are positive for connected Coxeter graphs; for reducible ones
@@ -200,36 +214,21 @@ def pf_eigenvector(cartan, residual: float = 1e-12, max_steps: int = 100_000) ->
     M = np.array([[float(v) for v in row] for row in cartan], dtype=float)
     k = M.shape[0]
     x = np.ones(k) / math.sqrt(k)
-    lam = None
-    for _ in range(max_steps):
+    for _ in range(PF_MAX_STEPS):
         y = np.linalg.solve(M, x)
         x = y / np.linalg.norm(y)
         lam = float(x @ M @ x)
-        if np.linalg.norm(M @ x - lam * x) <= residual:
+        if np.linalg.norm(M @ x - lam * x) <= PF_RESIDUAL:
             break
     else:
         raise RuntimeError("inverse power iteration did not converge")
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    connected = _is_connected(M)
-    if connected and not np.all(x > 0):
+    if is_connected(np.abs(M) > EDGE_TOL) and not np.all(x > 0):
         raise RuntimeError("Perron-Frobenius eigenvector not positive")
-    if abs(x[0]) < 1e-9:
+    if abs(x[0]) < PF_LEAD_TOL:
         raise RuntimeError("cannot normalize: leading entry vanishes")
     return x / x[0]
-
-
-def _is_connected(M: np.ndarray) -> bool:
-    k = M.shape[0]
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in range(k):
-            if v != u and abs(M[u, v]) > 1e-9 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == k
 
 
 def weight_basis(simple: SimpleRootSet) -> tuple[Multivector, ...]:
@@ -269,15 +268,12 @@ def _invert_exact(rows):
     return [[aug[i][k + j] for i in range(k)] for j in range(k)]
 
 
-def coxeter_plane(simple: SimpleRootSet, pf=None, coloring=None, weights=None,
-                  word: Optional[Sequence[int]] = None,
+def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
                   validate: bool = True) -> CoxeterPlane:
     """Unit bivector of the plane spanned by the two PF-weighted coloured vectors."""
-    coloring = coloring if coloring is not None else bicolor(simple)
-    white, black = coloring
-    pf = pf if pf is not None else pf_eigenvector(cartan_matrix(simple))
-    weights = weights if weights is not None else weight_basis(simple)
-    wf = [w.to_float() for w in weights]
+    white, black = bicolor(simple)
+    pf = pf_eigenvector(cartan_matrix(simple))
+    wf = [w.to_float() for w in weight_basis(simple)]
     k = simple.rank
 
     def combo(idxs):
@@ -287,16 +283,16 @@ def coxeter_plane(simple: SimpleRootSet, pf=None, coloring=None, weights=None,
         return v
 
     v_white, v_black = combo(white), combo(black)
-    if v_white.norm() < 1e-9 or v_black.norm() < 1e-9:
+    if v_white.norm() < DEGENERATE_TOL or v_black.norm() < DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: a coloured vector vanishes")
     B = grade_project(v_white * v_black, 2)
     nb = B.norm()
-    if nb < 1e-9:
+    if nb < DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: coloured vectors are colinear")
     B = B / nb
     sq = B * B
-    if abs(float(sq.scalar_part()) + 1.0) > 1e-9 or any(
-        abs(float(c)) > 1e-9 for m, c in sq.nz if m != 0
+    if abs(float(sq.scalar_part()) + 1.0) > DEGENERATE_TOL or any(
+        abs(float(c)) > DEGENERATE_TOL for m, c in sq.nz if m != 0
     ):
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
     if validate:
@@ -307,7 +303,7 @@ def coxeter_plane(simple: SimpleRootSet, pf=None, coloring=None, weights=None,
             )
     return CoxeterPlane(
         bivector=B, white=white, black=black,
-        pf=tuple(float(v) for v in pf), weights=tuple(weights),
+        pf=tuple(float(v) for v in pf),
     )
 
 
@@ -411,9 +407,7 @@ def _component(W: Multivector, U: Multivector) -> float:
     return sum(float(a) * float(b) for a, b in zip(W.coeffs, U.coeffs))
 
 
-def factorize(W: Multivector, B_C: Multivector, h: int,
-              residual_tol: float = RESIDUAL_TOL,
-              int_tol: float = INT_TOL) -> Factorization:
+def factorize(W: Multivector, B_C: Multivector, h: int) -> Factorization:
     """Decompose a Coxeter versor into bivector exponentials on B_C and I*B_C."""
     Wf = W.to_float()
     B = B_C.to_float()
@@ -423,10 +417,10 @@ def factorize(W: Multivector, B_C: Multivector, h: int,
         t1 = math.atan2(b1, s)
         rec = exp_bivector(B, t1)
         residual = (Wf - rec).norm()
-        if residual > residual_tol:
+        if residual > RESIDUAL_TOL:
             raise FactorizationError(f"residual {residual} (not a plane rotation)")
         t1c, b_sign, w_sign = canonical_angle(t1)
-        m1 = _as_exponent(t1c * h / math.pi, h, int_tol)
+        m1 = _as_exponent(t1c * h / math.pi, h)
         return Factorization(
             h=h, theta1=t1c, theta2=None, w_sign=w_sign, b_sign=b_sign,
             i_sign=1, exponents=tuple(sorted((m1, h - m1))), residual=residual,
@@ -445,13 +439,13 @@ def factorize(W: Multivector, B_C: Multivector, h: int,
     t2 = 0.5 * (sum_a - diff_a)
     rec = exp_bivector(B, t1) * exp_bivector(IB, t2)
     residual = (Wf - rec).norm()
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise FactorizationError(
             f"residual {residual}: versor is not of two-plane form on this bivector"
         )
     t1c, t2c, b_sign, i_sign, w_sign = canonical_angle_pair(t1, t2)
-    m1 = _as_exponent(t1c * h / math.pi, h, int_tol)
-    m2 = _as_exponent(t2c * h / math.pi, h, int_tol)
+    m1 = _as_exponent(t1c * h / math.pi, h)
+    m2 = _as_exponent(t2c * h / math.pi, h)
     return Factorization(
         h=h, theta1=t1c, theta2=t2c, w_sign=w_sign, b_sign=b_sign,
         i_sign=i_sign, exponents=tuple(sorted((m1, h - m1, m2, h - m2))),
@@ -459,9 +453,9 @@ def factorize(W: Multivector, B_C: Multivector, h: int,
     )
 
 
-def _as_exponent(t: float, h: int, tol: float) -> int:
+def _as_exponent(t: float, h: int) -> int:
     r = round(t)
-    if abs(t - r) > tol:
+    if abs(t - r) > INT_TOL:
         raise FactorizationError(f"angle*h/pi = {t} is not an integer")
     if not 1 <= r <= h - 1:
         raise FactorizationError(f"exponent {r} outside (0, {h})")

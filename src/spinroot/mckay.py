@@ -352,6 +352,17 @@ def affine_template(name: str) -> tuple[np.ndarray, tuple[int, ...]]:
 _TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
 
+def is_connected(adj: np.ndarray) -> bool:
+    """Whether the graph with an edge wherever adj != 0 is connected (frontier walk)."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def match_affine_ade(graph: McKayGraph) -> str:
     """Name of the affine ADE diagram of the McKay graph, with its labels as marks.
 
@@ -366,14 +377,8 @@ def match_affine_ade(graph: McKayGraph) -> str:
         raise MatchError("multi-edges not covered by the template catalog")
     if np.diag(adj).any():
         raise MatchError("self-loops not covered by the template catalog")
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
     labels = np.array(graph.labels)
-    if not seen.all() or labels.min() != 1 or (adj @ labels != 2 * labels).any():
+    if not is_connected(adj) or labels.min() != 1 or (adj @ labels != 2 * labels).any():
         raise MatchError("no affine ADE template matches")
     return _TYPE_BY_MAX_MARK[int(labels.max())].format(n - 1)
 

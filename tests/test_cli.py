@@ -81,7 +81,7 @@ def test_coxplane_word_not_bicoloured(capsys, word):
     assert payload["factorization_exponents"] == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("word", ["a,b", "1,1,2", "1,2", "1,2,4"])
+@pytest.mark.parametrize("word", ["a,b", "1,1,2", "1,2", "1,2,4", ""])
 def test_coxplane_malformed_word_is_usage_error(capsys, word):
     code = main(["coxplane", "H3", "--word", word])
     assert code == 2

@@ -1,9 +1,11 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spinroot.clifford import Multivector, exp_bivector, pseudoscalar
+from spinroot.clifford import Multivector, exp_bivector, pseudoscalar, versor_action
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
@@ -16,6 +18,7 @@ from spinroot.coxplane import (
     default_word,
     exponents_via_matrix,
     factorize,
+    matrix_order,
     pf_eigenvector,
     plane_basis,
     plane_from_matrix,
@@ -108,6 +111,43 @@ def test_matrix_is_orthogonal_and_word_validated():
     assert np.allclose(M.T @ M, np.eye(4), atol=1e-9)
     with pytest.raises(ValueError):
         coxeter_versor(catalog("F4"), word=(1, 1, 2, 3))
+
+
+def test_non_unit_root_set_is_rejected():
+    for name, n in [("A4", None), ("I2", 5)]:
+        simple = catalog(name, n)
+        scaled = dataclasses.replace(simple, roots=(simple.roots[0] * 2,) + simple.roots[1:])
+        with pytest.raises(ValueError, match="versor must have unit norm"):
+            coxeter_versor(scaled)
+
+
+def versor_action_matrix(W):
+    """Reference Coxeter matrix: the versor's action on each basis vector."""
+    Wf = W.to_float()
+    k = Wf.dim
+    M = np.empty((k, k))
+    for j in range(k):
+        ej = Multivector.basis_vector(k, j, "float")
+        M[:, j] = [float(c) for c in versor_action(Wf, ej).vector_coords()]
+    return M
+
+
+def test_reflection_product_matches_versor_action():
+    systems = [(name, None) for name in ("A1^3", "A3", "B3", "H3", "A1^4", "A4",
+                                         "B4", "D4", "F4", "H4")]
+    systems += [(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 17)]
+    words = 0
+    for name, n in systems:
+        simple = catalog(name, n)
+        for word in itertools.permutations(range(1, simple.rank + 1)):
+            cd = coxeter_versor(simple, word)
+            ref = versor_action_matrix(cd.versor)
+            assert np.abs(cd.matrix - ref).max() <= 1e-14, (name, n, word)
+            h = matrix_order(ref)
+            assert cd.h == h
+            assert exponents_via_matrix(cd.matrix, h) == exponents_via_matrix(ref, h)
+            words += 1
+    assert words == 648
 
 
 def test_versor_power_h_is_plus_minus_one():
@@ -233,8 +273,6 @@ def test_a4_plane_pattern():
 
 
 def test_plane_invariance_and_square():
-    from spinroot.clifford import versor_action
-
     for name, n in [("A4", None), ("H4", None), ("H3", None), ("A1xI2", 6),
                     ("I2xI2", 9), ("B3", None)]:
         simple = catalog(name, n)
@@ -412,8 +450,6 @@ def test_projection_radii_basis_invariant():
     B = coxeter_plane_for("A4").bivector
     pts1 = project_to_plane(root_system("A4").roots, B)
     W = exp_bivector(B, 0.3)
-    from spinroot.clifford import versor_action
-
     B2 = versor_action(W, B)  # same plane
     pts2 = project_to_plane(root_system("A4").roots, B2)
     assert projection_radii(pts1) == projection_radii(pts2)

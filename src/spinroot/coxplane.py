@@ -22,14 +22,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import (Multivector, _is_unit, exp_bivector, grade_project,
-                       pseudoscalar, versor_action)
+from .clifford import GRADE_TOL, Multivector, exp_bivector, grade_project, pseudoscalar
 from .induction import induced_name, spin_group
 from .mckay import is_connected
-from .rootsys import SimpleRootSet, cartan_matrix, catalog, dot, parse_name
-from .scalars import QuadTower
+from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, dot, parse_name
+from .scalars import QuadTower, eq_tol
 
-PLANE_TOL = 1e-6
+PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
 INT_TOL = 1e-6
 ORDER_CAP = 1000
@@ -40,6 +39,9 @@ PF_RESIDUAL = 1e-12        # |M x - lambda x| that stops the inverse iteration
 PF_MAX_STEPS = 100_000
 PF_LEAD_TOL = 1e-9         # smallest PF leading entry that may be divided by
 DEGENERATE_TOL = 1e-9      # vanishing coloured vectors, non-simple plane bivectors
+EIGEN_MATCH_TOL = 1e-6     # |lambda - exp(2 pi i/h)| for the exponent-1 eigenvalue
+WEDGE_FLOOR = 1e-8         # smallest norm of an eigenvector wedge taken for a plane
+BASIS_FLOOR = 1e-6         # smallest projection of a basis vector kept by plane_basis
 
 
 class DegeneratePlaneError(ValueError):
@@ -102,10 +104,11 @@ class SpringerReport:
 def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal)."""
     k = simple.rank
+    coords = [r.vector_coords() for r in simple.roots]
     adj = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = dot(simple.roots[i], simple.roots[j])
+            d = coords_dot(coords[i], coords[j])
             nonzero = (not d.is_zero()) if isinstance(d, QuadTower) else abs(d) > EDGE_TOL
             if nonzero:
                 adj[i].append(j)
@@ -140,37 +143,52 @@ def default_word(simple: SimpleRootSet) -> tuple[int, ...]:
 def coxeter_matrix(rows: np.ndarray) -> np.ndarray:
     """Product of I - 2aa^T/(a|a) over the float roots `rows`, the first applied
     first, as in sandwich(R1*R2, x) = sandwich(R2, sandwich(R1, x))."""
-    M = np.eye(rows.shape[1])
+    M = one = np.eye(rows.shape[1])
     for a in rows:
-        M = (np.eye(len(M)) - 2.0 * np.outer(a, a) / (a @ a)) @ M
+        M = (one - 2.0 * np.outer(a, a) / (a @ a)) @ M
     return M
+
+
+def _word_matrix(simple: SimpleRootSet, word: Optional[Sequence[int]]
+                 ) -> tuple[tuple[int, ...], np.ndarray]:
+    """The validated word (default if None) and its ``coxeter_matrix``.
+
+    The roots must be unit (within ``eq_tol``), as the versor of the word is
+    then: the matrix alone would not notice a rescaled root.
+    """
+    word = tuple(word) if word is not None else default_word(simple)
+    if sorted(word) != list(range(1, simple.rank + 1)):
+        raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
+    rows = np.array([[float(c) for c in simple.roots[i - 1].vector_coords()] for i in word])
+    if np.abs((rows * rows).sum(axis=1) - 1.0).max() > eq_tol():
+        raise ValueError("versor must have unit norm")
+    return word, coxeter_matrix(rows)
 
 
 def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
                    ) -> CoxeterData:
     """Product of all simple roots in the given order, with matrix and order."""
-    word = tuple(word) if word is not None else default_word(simple)
-    if sorted(word) != list(range(1, simple.rank + 1)):
-        raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
+    word, M = _word_matrix(simple, word)
     W = simple.roots[word[0] - 1]
     for idx in word[1:]:
         W = W * simple.roots[idx - 1]
-    if not _is_unit(W.to_float(), None):
-        raise ValueError("versor must have unit norm")
-    M = coxeter_matrix(np.array([simple.roots[i - 1].to_float().vector_coords()
-                                 for i in word]))
-    if not np.allclose(M.T @ M, np.eye(len(M)), atol=MATRIX_TOL):
+    if not _is_identity(M.T @ M, np.eye(len(M))):
         raise ValueError("Coxeter matrix is not orthogonal")
     return CoxeterData(simple=simple, word=word, versor=W, matrix=M,
                        h=matrix_order(M))
 
 
+def _is_identity(P: np.ndarray, one: np.ndarray) -> bool:
+    """Is every entry of P within MATRIX_TOL of the identity matrix `one`'s?"""
+    return np.abs(P - one).max() <= MATRIX_TOL
+
+
 def matrix_order(M: np.ndarray) -> int:
     """Least k >= 1 with M^k = 1 (within MATRIX_TOL), or ValueError past ORDER_CAP."""
-    one = np.eye(M.shape[0])
-    P = M.copy()
+    one = np.eye(len(M))
+    P = M
     for step in range(1, ORDER_CAP + 1):
-        if np.allclose(P, one, atol=MATRIX_TOL):
+        if _is_identity(P, one):
             return step
         P = P @ M
     raise ValueError(f"matrix order exceeds {ORDER_CAP}")
@@ -295,12 +313,8 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
         abs(float(c)) > DEGENERATE_TOL for m, c in sq.nz if m != 0
     ):
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
-    if validate:
-        W = coxeter_versor(simple, word).versor.to_float()
-        if not versor_action(W, B).approx_eq(B, PLANE_TOL):
-            raise FactorizationError(
-                f"{simple.name}: Coxeter element does not stabilize the plane"
-            )
+    if validate and not _stabilizes(_word_matrix(simple, word)[1], B):
+        raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return CoxeterPlane(
         bivector=B, white=white, black=black,
         pf=tuple(float(v) for v in pf),
@@ -312,17 +326,38 @@ def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:
     return coxeter_plane(catalog(name, n))
 
 
+def bivector_matrix(B: Multivector) -> np.ndarray:
+    """Antisymmetric matrix A of a bivector, A[i, j] = its e_(i+1) e_(j+1) coefficient.
+
+    u ^ v has the matrix u v^T - v u^T, so an orthogonal M, acting on vectors
+    as a versor does, acts on the bivector as A -> M A M^T.
+    """
+    k = B.dim
+    A = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            A[i, j] = float(B.coeffs[(1 << i) | (1 << j)])
+    return A - A.T
+
+
+def _stabilizes(M: np.ndarray, B: Multivector) -> bool:
+    A = bivector_matrix(B)
+    return np.abs(M @ A @ M.T - A).max() <= PLANE_TOL
+
+
 def plane_from_matrix(W: Multivector, M: np.ndarray, h: int) -> Multivector:
     """Invariant-plane bivector for the exponent-1 eigenvalue of an arbitrary word.
 
     Needed for factorizing Coxeter versors whose word is not bicoloured: their
-    invariant plane is a conjugate of the PF-built one.
+    invariant plane is a conjugate of the PF-built one.  Invariance is tested on
+    M, the matrix of the versor W, so W itself is not read.  Coefficients within
+    GRADE_TOL of zero are eigenvector noise and are zeroed before the bivector
+    is normalized.
     """
-    Wf = W.to_float()
     k = M.shape[0]
     vals, vecs = np.linalg.eig(M)
     target = complex(math.cos(2 * math.pi / h), math.sin(2 * math.pi / h))
-    cands = [i for i in range(k) if abs(vals[i] - target) < 1e-6]
+    cands = [i for i in range(k) if abs(vals[i] - target) < EIGEN_MATCH_TOL]
     if not cands:
         raise FactorizationError("no eigenvalue exp(2*pi*i/h) found")
 
@@ -330,13 +365,12 @@ def plane_from_matrix(W: Multivector, M: np.ndarray, h: int) -> Multivector:
         vu = Multivector.from_vector([float(t) for t in u])
         vw = Multivector.from_vector([float(t) for t in w])
         B = grade_project(vu * vw, 2)
+        B = Multivector(k, [0.0 if abs(c) <= GRADE_TOL else c for c in B.coeffs])
         nb = B.norm()
-        if nb < 1e-8:
+        if nb < WEDGE_FLOOR:
             return None
         B = B / nb
-        if not versor_action(Wf, B).approx_eq(B, PLANE_TOL):
-            return None
-        return B
+        return B if _stabilizes(M, B) else None
 
     for i in cands:
         v = vecs[:, i]
@@ -474,7 +508,7 @@ def plane_basis(B_C: Multivector) -> tuple[Multivector, Multivector]:
         e = Multivector.basis_vector(dim, i, "float")
         t = grade_project(e * B, 1)
         proj = -grade_project(t * B, 1)
-        if proj.norm() > 1e-6:
+        if proj.norm() > BASIS_FLOOR:
             u1 = proj / proj.norm()
             break
     if u1 is None:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, mv_key, mv_sort_key, product_tensor
+from .clifford import Multivector, mv_sort_key, product_tensor
 from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -32,12 +32,41 @@ from .scalars import (
     FIELD_TENSOR_MAX,
     KEY_DECIMALS,
     QT_ONE,
+    closure_row_keys,
+    field_matrix,
     kernel_dtype,
     quad_numerators,
+    quad_values,
+    reduce_rows,
     row_keys,
 )
 
 GROUP_CAP = 10_000
+UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
+
+
+def _element_rows(elements: Sequence[Multivector]) -> np.ndarray:
+    """Canonical coefficient rows of multivectors, the pin closure's representation.
+
+    Float multivectors are their coefficient rows.  Exact ones are their field
+    numerators, blade-major, followed by one positive denominator, the whole
+    row divided by its gcd, so equal multivectors have equal rows.
+    """
+    num, den = quad_numerators([e.coeffs for e in elements])
+    if num.dtype != object:
+        return num[..., 0]
+    rows = np.hstack([num.reshape(len(elements), -1),
+                      np.full((len(elements), 1), den, dtype=object)])
+    return reduce_rows(rows)
+
+
+def _row_elements(rows: np.ndarray, dim: int) -> list[Multivector]:
+    """Multivectors of rows in the layout of ``_element_rows``."""
+    if rows.dtype.kind == "f":
+        return [Multivector(dim, r) for r in rows.tolist()]
+    num = rows[:, :-1].reshape(len(rows), 1 << dim, 4)
+    coeffs = quad_values(num, rows[:, -1].astype(object)[:, None])
+    return [Multivector(dim, c) for c in coeffs.tolist()]
 
 
 @dataclass
@@ -49,13 +78,13 @@ class VersorGroup:
     elements: tuple[Multivector, ...]
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False)
     _cayley: Optional[list] = field(default=None, repr=False)
     _inverses: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {mv_key(e): i for i, e in enumerate(self.elements)}
+        keys = closure_row_keys(_element_rows(self.elements))
+        self._index = {key: i for i, key in enumerate(keys)}
 
     @property
     def order(self) -> int:
@@ -65,7 +94,8 @@ class VersorGroup:
         return self.order
 
     def index_of(self, mv: Multivector) -> int:
-        return self._index[mv_key(mv)]
+        """Index of an element, keyed by ``row_keys`` as the Cayley table keys products."""
+        return self._index[closure_row_keys(_element_rows([mv]))[0]]
 
     @property
     def identity_index(self) -> int:
@@ -108,46 +138,105 @@ class VersorGroup:
     @property
     def inverse_indices(self) -> tuple:
         if self._inverses is None:
-            self._inverses = tuple(
-                self.index_of(e.reverse()) for e in self.elements
-            )
+            reversed_rows = _element_rows([e.reverse() for e in self.elements])
+            self._inverses = tuple(self._index[key] for key in closure_row_keys(reversed_rows))
         return self._inverses
 
 
-def _parity_of(mv: Multivector) -> str:
-    gs = mv.grades()
-    if all(g % 2 == 0 for g in gs):
-        return "even"
-    if all(g % 2 == 1 for g in gs):
-        return "odd"
-    raise ValueError("group element without homogeneous parity")
+def _blade_support(rows: np.ndarray, dim: int) -> np.ndarray:
+    """(n, 2**dim) mask of the blades with a nonzero coefficient in each row."""
+    if rows.dtype.kind == "f":
+        return rows != 0.0
+    return (rows[:, :-1].reshape(len(rows), 1 << dim, 4) != 0).any(axis=2)
+
+
+def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Per row: is <V reverse(V)>_0, the sum of the squared coefficients, one?"""
+    if rows.dtype.kind == "f":
+        return np.abs((rows * rows).sum(axis=1) - 1.0) < UNIT_TOL
+    m = int(np.abs(rows).max())
+    rows = rows.astype(kernel_dtype(4 * (1 << dim) * FIELD_TENSOR_MAX * m * m))
+    num, den = rows[:, :-1].reshape(len(rows), 1 << dim, 4), rows[:, -1]
+    # sum over blades of num_b * num_b in the field, over den**2
+    sq = (num[:, :, None, :] @ field_matrix(num))[:, :, 0, :].sum(axis=1)
+    return (sq[:, 0] == den * den) & (sq[:, 1:] == 0).all(axis=1)
+
+
+def _closure_step(gens: np.ndarray, dim: int) -> Callable:
+    """``orbit`` step: the images of frontier rows under right multiplication
+    by each generator row, element-major and generator-minor.
+
+    Right multiplication by g is the matrix R_g[a, c] = sum_b g_b K[a, b, c] of
+    the structure tensor K = ``product_tensor`` (for float rows its basis-1
+    slice, a sign tensor), so the images of a frontier are one product with
+    [R_g1 | R_g2 | ...].  Exact images carry the product of the two
+    denominators and are divided through by their gcd.
+    """
+    K = product_tensor(dim)
+    if gens.dtype.kind == "f":
+        K = K[0::4, 0::4, 0::4]
+        right = np.einsum("gb,abc->agc", gens, K).reshape(len(K), -1)
+
+        def float_step(rows: np.ndarray) -> np.ndarray:
+            # rows @ right, summed from +0.0 one frontier blade at a time in
+            # blade order, as Multivector.__mul__ sums: BLAS may fuse
+            # multiply-adds, which would move float elements by an ulp
+            images = np.zeros((len(rows), right.shape[1]))
+            for a, r in enumerate(right):
+                images += rows[:, a:a + 1] * r
+            return images.reshape(-1, len(K))
+
+        return float_step
+
+    g_num, g_den = gens[:, :-1], gens[:, -1]
+    g_num = g_num.astype(kernel_dtype(len(K) * FIELD_TENSOR_MAX * int(np.abs(g_num).max())))
+    right = np.einsum("gb,abc->agc", g_num, K).reshape(len(K), -1)
+    # an image numerator sums len(K) terms of size <= max|R| |row|
+    growth = max(len(K) * int(np.abs(right).max()), int(g_den.max()))
+
+    def exact_step(rows: np.ndarray) -> np.ndarray:
+        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
+        rows = rows.astype(dtype)
+        num = (rows[:, :-1] @ right.astype(dtype)).reshape(len(rows), len(gens), len(K))
+        den = rows[:, -1:, None] * g_den.astype(dtype)[:, None]
+        images = np.concatenate([num, den], axis=2).reshape(-1, len(K) + 1)
+        return reduce_rows(images)
+
+    return exact_step
 
 
 def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGroup:
-    """Multiplicative closure of the simple root vectors."""
+    """Multiplicative closure of the simple root vectors.
+
+    Closed on ``_element_rows`` by ``_closure_step``; Multivectors are built
+    once, for the sorted elements.
+    """
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
-    gens = simple.roots
+    dim = simple.rank
+    gens = _element_rows(simple.roots)
+    negated = -gens if gens.dtype.kind == "f" else np.hstack([-gens[:, :-1], gens[:, -1:]])
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
-    seeds = np.array([s for g in gens for s in (g, -g)], dtype=object)
+    seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
     try:
-        elements = orbit(seeds,
-                         lambda frontier: np.array([e * g for e in frontier for g in gens],
-                                                   dtype=object),
-                         lambda batch: [mv_key(e) for e in batch], cap)
+        rows = orbit(seeds, _closure_step(gens, dim), closure_row_keys, cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
-    elements = sorted(elements, key=mv_sort_key)
-    parities = tuple(_parity_of(e) for e in elements)
+    elements = _row_elements(rows, dim)
+    order = sorted(range(len(rows)), key=lambda i: mv_sort_key(elements[i]))
+    rows = rows[order]
+    support = _blade_support(rows, dim)
+    odd_blade = np.array([m.bit_count() % 2 == 1 for m in range(1 << dim)])
+    odd, even = (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
+    if (odd & even).any():
+        raise ValueError("group element without homogeneous parity")
+    parities = tuple("odd" if o else "even" for o in odd)
     # unit-versor sanity: V reverse(V) = 1
-    for e in elements:
-        ns = e.norm_sq()
-        unit = ns == QT_ONE if e.backend == "exact" else abs(float(ns) - 1.0) < 1e-9
-        if not unit:
-            raise ValueError(f"pin closure of {simple.name} has a non-unit element")
+    if not _unit_rows(rows, dim).all():
+        raise ValueError(f"pin closure of {simple.name} has a non-unit element")
     return VersorGroup(
-        name=f"Pin({simple.name})", dim=simple.rank, elements=tuple(elements),
+        name=f"Pin({simple.name})", dim=dim, elements=tuple(elements[i] for i in order),
         parities=parities, parity="pin",
     )
 

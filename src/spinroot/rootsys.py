@@ -42,10 +42,12 @@ from .scalars import (
     QuadTower,
     Scalar,
     TAU,
+    closure_row_keys,
     field_matrix,
     kernel_dtype,
     quad_numerators,
     quad_values,
+    reduce_rows,
     row_keys,
 )
 
@@ -321,7 +323,11 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
 
 
 def dot(u: Multivector, v: Multivector) -> Scalar:
-    uc, vc = u.vector_coords(), v.vector_coords()
+    return coords_dot(u.vector_coords(), v.vector_coords())
+
+
+def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
+    """(u|v) of two coordinate tuples, summed in coordinate order."""
     total = uc[0] * vc[0]
     for a, b in zip(uc[1:], vc[1:]):
         total = total + a * b
@@ -330,14 +336,10 @@ def dot(u: Multivector, v: Multivector) -> Scalar:
 
 def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
     """Entries 2(a_i|a_j)/(a_j|a_j)."""
-    rows = []
-    for ai in simple.roots:
-        row = []
-        for aj in simple.roots:
-            val = (dot(ai, aj) * 2) / dot(aj, aj)
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    coords = [a.vector_coords() for a in simple.roots]
+    norms = [coords_dot(c, c) for c in coords]
+    return tuple(tuple((coords_dot(ci, cj) * 2) / nj for cj, nj in zip(coords, norms))
+                 for ci in coords)
 
 
 def generate_roots(simple: SimpleRootSet, cap: int = CLOSURE_CAP,
@@ -382,12 +384,11 @@ def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[Multivector]
         images[:, diag, diag] -= (num @ mult.astype(dtype)).reshape(len(rows), rank, 4)
         images = np.hstack([images.reshape(len(rows) * rank, rank * 4),
                             np.repeat(den * a_den, rank, axis=0)])
-        return images // np.gcd.reduce(images, axis=1, keepdims=True)
+        return reduce_rows(images)
 
     seeds = np.zeros((rank, rank * 4 + 1), dtype=np.int64)
     seeds[diag, diag * 4] = seeds[:, -1] = 1
-    # keyed as Python ints, so a level that outgrows int64 still meets the others
-    rows = orbit(seeds, step, lambda rows: row_keys(rows.astype(object)), cap)
+    rows = orbit(seeds, step, closure_row_keys, cap)
     num, den = rows[:, :-1], rows[:, -1]
     s_num, s_den = quad_numerators([a.vector_coords() for a in simple.roots])  # (rank, dim, 4)
     dim = s_num.shape[1]

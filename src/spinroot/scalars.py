@@ -423,3 +423,18 @@ def row_keys(rows: np.ndarray, decimals: int = KEY_DECIMALS) -> list:
         rows = np.round(rows, decimals) + 0.0
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def reduce_rows(rows: np.ndarray) -> np.ndarray:
+    """Exact rows, field numerators followed by one positive denominator,
+    divided through by their gcd, so rows of equal values are equal."""
+    return rows // np.gcd.reduce(rows, axis=1, keepdims=True)
+
+
+def closure_row_keys(rows: np.ndarray) -> list:
+    """``row_keys`` of closure rows whose integer dtype may change between levels.
+
+    Integer rows are keyed as Python ints, so a row held as int64 and the same
+    row held as Python ints (past ``kernel_dtype``'s bound) have equal keys.
+    """
+    return row_keys(rows.astype(object) if rows.dtype.kind == "i" else rows)

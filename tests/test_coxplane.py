@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from spinroot.clifford import Multivector, exp_bivector, pseudoscalar, versor_action
+from spinroot import coxplane
+from spinroot.ade import ade_root_data
+from spinroot.clifford import (GRADE_TOL, Multivector, exp_bivector, pseudoscalar,
+                               versor_action)
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
     bicolor,
+    bivector_matrix,
     canonical_angle_pair,
     coxeter_data,
+    coxeter_matrix,
     coxeter_plane,
     coxeter_plane_for,
     coxeter_versor,
@@ -119,6 +124,8 @@ def test_non_unit_root_set_is_rejected():
         scaled = dataclasses.replace(simple, roots=(simple.roots[0] * 2,) + simple.roots[1:])
         with pytest.raises(ValueError, match="versor must have unit norm"):
             coxeter_versor(scaled)
+        with pytest.raises(ValueError, match="versor must have unit norm"):
+            coxeter_plane(scaled)
 
 
 def versor_action_matrix(W):
@@ -132,22 +139,93 @@ def versor_action_matrix(W):
     return M
 
 
-def test_reflection_product_matches_versor_action():
-    systems = [(name, None) for name in ("A1^3", "A3", "B3", "H3", "A1^4", "A4",
-                                         "B4", "D4", "F4", "H4")]
-    systems += [(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 17)]
-    words = 0
-    for name, n in systems:
+CATALOG_SYSTEMS = [(name, None) for name in ("A1^3", "A3", "B3", "H3", "A1^4", "A4",
+                                              "B4", "D4", "F4", "H4")]
+CATALOG_SYSTEMS += [(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 17)]
+
+
+def permutation_words():
+    """(name, n, simple roots, word) for every word of every catalog system: 648."""
+    for name, n in CATALOG_SYSTEMS:
         simple = catalog(name, n)
         for word in itertools.permutations(range(1, simple.rank + 1)):
-            cd = coxeter_versor(simple, word)
-            ref = versor_action_matrix(cd.versor)
-            assert np.abs(cd.matrix - ref).max() <= 1e-14, (name, n, word)
-            h = matrix_order(ref)
-            assert cd.h == h
-            assert exponents_via_matrix(cd.matrix, h) == exponents_via_matrix(ref, h)
-            words += 1
+            yield name, n, simple, word
+
+
+def test_reflection_product_matches_versor_action():
+    words = 0
+    for name, n, simple, word in permutation_words():
+        cd = coxeter_versor(simple, word)
+        ref = versor_action_matrix(cd.versor)
+        assert np.abs(cd.matrix - ref).max() <= 1e-14, (name, n, word)
+        h = matrix_order(ref)
+        assert cd.h == h
+        assert exponents_via_matrix(cd.matrix, h) == exponents_via_matrix(ref, h)
+        words += 1
     assert words == 648
+
+
+def allclose_order(M):
+    """Reference order: the np.allclose loop matrix_order replaced, with its
+    default rtol = 1e-5 on the diagonal."""
+    one = np.eye(M.shape[0])
+    P = M.copy()
+    for step in range(1, 1001):
+        if np.allclose(P, one, atol=1e-9):
+            return step
+        P = P @ M
+    raise ValueError("order exceeds 1000")
+
+
+def test_matrix_order_matches_allclose_loop():
+    matrices = [coxeter_versor(simple, word).matrix for _, _, simple, word in permutation_words()]
+    matrices += [coxeter_data(key, n).matrix for key in ("I2", "I2xI2") for n in range(2, 31)]
+    ade_systems = [("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
+    ade_systems += [("E", n) for n in (6, 7, 8)]
+    matrices += [coxeter_matrix(ade_root_data(kind, n).simple) for kind, n in ade_systems]
+    assert len(matrices) == 648 + 58 + 48
+    for M in matrices:
+        assert matrix_order(M) == allclose_order(M)
+
+
+def test_plane_action_is_m_a_mt():
+    # M A M^T is the versor's action on a bivector, A its antisymmetric matrix:
+    # on the six (or one, or three) basis bivectors and on one dense bivector
+    rng = np.random.default_rng(11)
+    for name, n, simple, word in permutation_words():
+        cd = coxeter_versor(simple, word)
+        W, M, k = cd.versor.to_float(), cd.matrix, simple.rank
+        masks = [m for m in range(1 << k) if m.bit_count() == 2]
+        dense = Multivector(k, [rng.normal() if m in masks else 0.0 for m in range(1 << k)])
+        for B in [Multivector.blade(k, m, 1.0) for m in masks] + [dense]:
+            want = bivector_matrix(versor_action(W, B))
+            A = bivector_matrix(B)
+            assert np.abs(M @ A @ M.T - want).max() <= 1e-12, (name, n, word)
+
+
+def test_coxeter_plane_does_not_build_the_versor(monkeypatch):
+    def no_versor(*args, **kwargs):
+        raise AssertionError("coxeter_versor called")
+
+    monkeypatch.setattr(coxplane, "coxeter_versor", no_versor)
+    for name in ("A3", "B3", "H3", "A4", "D4", "F4", "H4"):
+        coxeter_plane(catalog(name))
+    with pytest.raises(ValueError, match="not a permutation"):
+        coxeter_plane(catalog("F4"), word=(1, 1, 2, 3))
+
+
+def test_word_planes_carry_no_noise_blades():
+    # rank-4 catalog words: eigenvector noise is zeroed, not printed as blades,
+    # and the factorization on the plane still gives the word's exponents
+    for name in ("A1^4", "A4", "B4", "D4", "F4", "H4"):
+        simple = catalog(name)
+        for word in itertools.permutations(range(1, 5)):
+            cd = coxeter_versor(simple, word)
+            B = plane_from_matrix(cd.versor, cd.matrix, cd.h)
+            assert not [c for c in B.coeffs if 0 < abs(c) <= GRADE_TOL], (name, word)
+            assert abs(B.norm() - 1.0) < 1e-12
+            assert (factorize(cd.versor, B, cd.h).exponents
+                    == exponents_via_matrix(cd.matrix, cd.h)), (name, word)
 
 
 def test_versor_power_h_is_plus_minus_one():

@@ -1,10 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from spinroot import induction
-from spinroot.clifford import Multivector, mv_key, reverse, spinor_inner
+from spinroot.clifford import Multivector, mv_key, mv_sort_key, reverse, spinor_inner
 from spinroot.induction import (
     Induced4DSet,
     VersorGroup,
@@ -52,6 +53,54 @@ def test_spin_group_orders_match_3d_coxeter_groups():
     # |W| for the three polyhedral groups: 24, 48, 120
     for name, w_order in [("A3", 24), ("B3", 48), ("H3", 120)]:
         assert spin_group(name).order == w_order
+
+
+def product_closure(simple):
+    """Reference pin closure: one Multivector product per element and generator,
+    breadth first, deduplicated by mv_key and sorted by mv_sort_key."""
+    seen, elements = set(), []
+    frontier = [s for g in simple.roots for s in (g, -g)]
+    while frontier:
+        fresh = []
+        for e in frontier:
+            if mv_key(e) not in seen:
+                seen.add(mv_key(e))
+                fresh.append(e)
+        elements += fresh
+        frontier = [e * g for e in fresh for g in simple.roots]
+    return sorted(elements, key=mv_sort_key)
+
+
+def bits(mv):
+    # float.hex tells -0.0 from 0.0
+    return tuple(c.hex() if isinstance(c, float) else c for c in mv.coeffs)
+
+
+def test_pin_closure_matches_product_closure_bitwise():
+    simples = [catalog(name) for name in ("A1^3", "A3", "B3", "H3")]
+    simples += [catalog(key, n) for key in ("I2", "A1xI2") for n in range(2, 31)]
+    for simple in simples:
+        G = generate_pin_group(simple)
+        ref = product_closure(simple)
+        assert [bits(e) for e in G.elements] == [bits(e) for e in ref], simple.name
+        assert G.parities == tuple("odd" if e.grades()[0] % 2 else "even" for e in ref)
+
+
+def test_index_of_keys_like_the_cayley_table():
+    # x lies one ulp below the decimal tie 0.1000015: Python's round() sends it
+    # down and the ulp above it up, np.round (the key of ``row_keys``) sends
+    # both up.  A product landing on either side is the same element.
+    x = 0.1000015
+    above = float(np.nextafter(x, 1.0))
+    assert round(x, 6) != round(above, 6)
+    assert row_keys(np.array([[x]])) == row_keys(np.array([[above]]))
+    y = math.sqrt(1.0 - x * x)
+    one, v = Multivector.scalar(2, 1.0), Multivector.from_vector([x, y])
+    G = VersorGroup(name="tilted A1", dim=2, elements=(one, -one, v, -v),
+                    parities=("even", "even", "odd", "odd"), parity="pin")
+    assert G.cayley == [[G.index_of(a * b) for b in G.elements] for a in G.elements]
+    assert G.index_of(Multivector.from_vector([above, y])) == G.index_of(v) == 2
+    assert G.inverse_indices == (0, 1, 2, 3)
 
 
 def test_pin_rejects_rank_4():
@@ -121,8 +170,11 @@ def test_exact_cayley_tables_match_products():
         # the lookup index of the table holds one key per element
         num, den = quad_numerators([e.coeffs for e in G.elements])
         assert len(set(row_keys(den * num.reshape(G.order, -1)))) == G.order, G.name
-        expected = [[G.index_of(a * b) for b in G.elements] for a in G.elements]
+        # reference: Multivector products looked up by mv_key
+        index = {mv_key(e): i for i, e in enumerate(G.elements)}
+        expected = [[index[mv_key(a * b)] for b in G.elements] for a in G.elements]
         assert G.cayley == expected, G.name
+        assert G.inverse_indices == tuple(index[mv_key(e.reverse())] for e in G.elements)
 
 
 def test_exact_cayley_with_python_ints(monkeypatch):

@@ -14,3 +14,18 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_small_float_literals_are_named_constants():
+    # a tolerance below 1e-3 in the Coxeter and pin layers is a named
+    # module-level UPPER_CASE constant, never a literal inside a function
+    found = []
+    for name in ("coxplane.py", "induction.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        named = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 and all(isinstance(t, ast.Name) and t.id == t.id.upper() for t in stmt.targets)
+                 for node in ast.walk(stmt.value)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < abs(node.value) < 1e-3 and id(node) not in named]
+    assert found == []

@@ -5,10 +5,9 @@ mask marks basis vector e_{i+1}, and the blade is the ascending product of its
 constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients are
 either all QuadTower (exact backend) or all float; the two never mix.
 
-Vectors are grade-1 multivectors throughout.  Reflections use the unit-normal
-form s(x) = -a x a; even unit versors R act on vectors by the sandwich
-reverse(R) x R, so composition reads left to right:
-sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
+Vectors are grade-1 multivectors throughout.  An even unit versor R acts on
+vectors by the sandwich x -> reverse(R) x R, so products act left to right:
+R1*R2 acts as R1 first, then R2.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .scalars import (
     FIELD_TENSOR,
     KEY_DECIMALS,
     BackendMismatchError,
-    QT_HALF,
     QT_ONE,
     QT_ZERO,
     QuadTower,
@@ -32,7 +30,7 @@ from .scalars import (
     scalar_to_json,
 )
 
-GRADE_TOL = 1e-9    # largest coefficient a reflection or sandwich may project away
+GRADE_TOL = 1e-9    # largest coefficient a grade projection may treat as noise
 
 
 class DimensionMismatchError(ValueError):
@@ -326,10 +324,6 @@ def mv_key(mv: Multivector, decimals: int = KEY_DECIMALS):
     return tuple(round(c, decimals) + 0.0 for c in mv.coeffs)
 
 
-def mv_sort_key(mv: Multivector):
-    return tuple(round(float(c), 12) for c in mv.coeffs)
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -339,72 +333,6 @@ def reverse(a: Multivector) -> Multivector:
 
 def grade_project(a: Multivector, k: int) -> Multivector:
     return a.grade(k)
-
-
-def _is_unit(mv: Multivector, tol: Optional[float]) -> bool:
-    tol = eq_tol() if tol is None else tol
-    n = mv.norm_sq()
-    if mv.backend == "exact":
-        return n == QT_ONE
-    return abs(n - 1.0) <= tol
-
-
-def _project_grades(mv: Multivector, grades: set[int], tol: float) -> Multivector:
-    """Keep the listed grades; anything else must be (numerical) noise."""
-    z = mv._zero_coeff()
-    out = list(mv.coeffs)
-    for m, c in enumerate(mv.coeffs):
-        if m.bit_count() not in grades:
-            if abs(float(c)) > tol:
-                raise ValueError(
-                    f"unexpected grade-{m.bit_count()} component of size {float(c)}"
-                )
-            out[m] = z
-    return Multivector(mv.dim, out)
-
-
-def reflect(alpha: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
-    """Reflection of vector x in the hyperplane normal to the unit vector alpha."""
-    if alpha.grades() not in ((), (1,)) or x.grades() not in ((), (1,)):
-        raise ValueError("reflect expects grade-1 arguments")
-    if not _is_unit(alpha, tol):
-        raise ValueError("mirror vector must have unit norm")
-    return _project_grades(-(alpha * x * alpha), {1}, GRADE_TOL)
-
-
-def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
-    """Rotation action reverse(R) x R of an even unit versor on x.
-
-    The grades present in x are preserved; R and -R act identically.
-    """
-    if any(g % 2 for g in R.grades()):
-        raise ValueError("sandwich expects an even versor")
-    if not _is_unit(R, tol):
-        raise ValueError("versor must have unit norm")
-    grades = set(x.grades()) or {0}
-    return _project_grades(R.reverse() * x * R, grades, GRADE_TOL)
-
-
-def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
-    """Orthogonal action of the reflection word encoded by a unit versor W.
-
-    On a homogeneous grade-g element this is (-1)^(g*k) reverse(W) x W for a
-    product of k vectors: even versors act by the plain sandwich, odd versors
-    pick up a sign on odd grades (a single reflection sends x to -a x a).
-    """
-    if not _is_unit(W, tol):
-        raise ValueError("versor must have unit norm")
-    gw = {g % 2 for g in W.grades()}
-    if len(gw) != 1:
-        raise ValueError("versor must have homogeneous parity")
-    odd_versor = gw == {1}
-    gx = x.grades()
-    if len(gx) != 1:
-        raise ValueError("versor_action expects a homogeneous-grade argument")
-    out = _project_grades(W.reverse() * x * W, set(gx), GRADE_TOL)
-    if odd_versor and gx[0] % 2 == 1:
-        return -out
-    return out
 
 
 def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> Multivector:
@@ -420,16 +348,6 @@ def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> M
     ):
         raise ValueError("bivector must square to -1")
     return Multivector.scalar(B.dim, math.cos(theta)) + math.sin(theta) * B
-
-
-def spinor_inner(R1: Multivector, R2: Multivector) -> Scalar:
-    """Euclidean pairing (R1, R2) = <R1 reverse(R2) + R2 reverse(R1)>_0 / 2."""
-    if any(g % 2 for g in R1.grades()) or any(g % 2 for g in R2.grades()):
-        raise ValueError("spinor_inner expects even-grade multivectors")
-    s = (R1 * R2.reverse() + R2 * R1.reverse()).scalar_part()
-    if isinstance(s, QuadTower):
-        return s * QT_HALF
-    return 0.5 * s
 
 
 def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:

@@ -39,7 +39,7 @@ PF_RESIDUAL = 1e-12        # |M x - lambda x| that stops the inverse iteration
 PF_MAX_STEPS = 100_000
 PF_LEAD_TOL = 1e-9         # smallest PF leading entry that may be divided by
 DEGENERATE_TOL = 1e-9      # vanishing coloured vectors, non-simple plane bivectors
-EIGEN_MATCH_TOL = 1e-6     # |lambda - exp(2 pi i/h)| for the exponent-1 eigenvalue
+EIGEN_MATCH_TOL = 1e-6     # |lambda - target| of the plane's eigenvalue; Im above it: non-real
 WEDGE_FLOOR = 1e-8         # smallest norm of an eigenvector wedge taken for a plane
 BASIS_FLOOR = 1e-6         # smallest projection of a basis vector kept by plane_basis
 
@@ -346,20 +346,25 @@ def _stabilizes(M: np.ndarray, B: Multivector) -> bool:
 
 
 def plane_from_matrix(W: Multivector, M: np.ndarray, h: int) -> Multivector:
-    """Invariant-plane bivector for the exponent-1 eigenvalue of an arbitrary word.
+    """Invariant-plane bivector of an arbitrary word's Coxeter matrix M.
 
-    Needed for factorizing Coxeter versors whose word is not bicoloured: their
-    invariant plane is a conjugate of the PF-built one.  Invariance is tested on
-    M, the matrix of the versor W, so W itself is not read.  Coefficients within
-    GRADE_TOL of zero are eigenvector noise and are zeroed before the bivector
-    is normalized.
+    The plane belongs to exp(2*pi*i*m/h), the non-real eigenvalue of least
+    exponent m (1 if irreducible; 2 for A1xI2(n) with odd n, where h = 2n), or
+    to -1 when every eigenvalue is real (h = 2).  Needed for factorizing
+    Coxeter versors whose word is not bicoloured: their invariant plane is a
+    conjugate of the PF-built one.  Invariance is tested on M, the matrix of
+    the versor W, so W itself is not read.  Coefficients within GRADE_TOL of
+    zero are eigenvector noise and are zeroed before the bivector is
+    normalized.
     """
     k = M.shape[0]
     vals, vecs = np.linalg.eig(M)
-    target = complex(math.cos(2 * math.pi / h), math.sin(2 * math.pi / h))
+    m = min((round(math.atan2(lam.imag, lam.real) * h / (2 * math.pi))
+             for lam in vals if lam.imag > EIGEN_MATCH_TOL), default=h // 2)
+    target = complex(math.cos(2 * math.pi * m / h), math.sin(2 * math.pi * m / h))
     cands = [i for i in range(k) if abs(vals[i] - target) < EIGEN_MATCH_TOL]
     if not cands:
-        raise FactorizationError("no eigenvalue exp(2*pi*i/h) found")
+        raise FactorizationError(f"no eigenvalue exp(2*pi*i*{m}/h) found")
 
     def try_plane(u, w):
         vu = Multivector.from_vector([float(t) for t in u])
@@ -527,15 +532,6 @@ def project_to_plane(roots: Sequence[Multivector], B_C: Multivector
         rf = r.to_float()
         pts.append((float(dot(rf, u1)), float(dot(rf, u2))))
     return pts
-
-
-def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -> dict:
-    """Multiset of projected radii, rounded for class counting."""
-    radii: dict = {}
-    for x, y in points:
-        r = round(math.hypot(x, y), decimals)
-        radii[r] = radii.get(r, 0) + 1
-    return dict(sorted(radii.items()))
 
 
 # -- arithmetic identities ---------------------------------------------------------

@@ -6,22 +6,25 @@ polyhedral group).  Reading each spinor a0 + a1 e2e3 + a2 e3e1 + a3 e1e2 as
 the point (a0, a1, a2, a3) turns the spin group into a root system one
 dimension up (rank 2 maps to rank 2 via a + b e1e2 -> (a, b)).
 
-Element order is canonicalized by sorting coefficient keys, so indices, Cayley
-tables and everything downstream are deterministic.
+A group is its closure rows, sorted once by ``rootsys.canonical_order`` on
+their coefficient values, so indices, Cayley tables and everything downstream
+are deterministic; Multivectors are built only when ``elements`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, mv_sort_key, product_tensor
+from .clifford import Multivector, product_tensor
 from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
+    canonical_order,
     catalog,
     expected_root_count,
     orbit,
@@ -32,6 +35,7 @@ from .scalars import (
     FIELD_TENSOR_MAX,
     KEY_DECIMALS,
     QT_ONE,
+    Scalar,
     closure_row_keys,
     field_matrix,
     kernel_dtype,
@@ -60,38 +64,57 @@ def _element_rows(elements: Sequence[Multivector]) -> np.ndarray:
     return reduce_rows(rows)
 
 
-def _row_elements(rows: np.ndarray, dim: int) -> list[Multivector]:
-    """Multivectors of rows in the layout of ``_element_rows``."""
+def _row_values(rows: np.ndarray, dim: int) -> list:
+    """Coefficient lists, floats or QuadTowers, of rows in the layout of ``_element_rows``."""
     if rows.dtype.kind == "f":
-        return [Multivector(dim, r) for r in rows.tolist()]
+        return rows.tolist()
     num = rows[:, :-1].reshape(len(rows), 1 << dim, 4)
-    coeffs = quad_values(num, rows[:, -1].astype(object)[:, None])
-    return [Multivector(dim, c) for c in coeffs.tolist()]
+    return quad_values(num, rows[:, -1].astype(object)[:, None]).tolist()
 
 
-@dataclass
+def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+    """Rows as numerators (n, 4 * 2**dim) over one denominator, laid out as by
+    ``quad_numerators``; exact rows are scaled as Python ints, never int64."""
+    if rows.dtype.kind == "f":
+        num = np.zeros((len(rows), 1 << dim, 4))
+        num[:, :, 0] = rows
+        return num.reshape(len(rows), -1), 1
+    rows = rows.astype(object)
+    den = lcm(*rows[:, -1].tolist())
+    return rows[:, :-1] * (den // rows[:, -1:]), den
+
+
+@dataclass(eq=False)
 class VersorGroup:
-    """Finite set of unit versors closed under the geometric product."""
+    """Finite set of unit versors closed under the geometric product, held as
+    its ``rows`` in the layout of ``_element_rows``."""
 
     name: str
     dim: int
-    elements: tuple[Multivector, ...]
+    rows: np.ndarray
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
     _index: dict = field(init=False, repr=False)
+    _elements: Optional[tuple] = field(default=None, repr=False)
     _cayley: Optional[list] = field(default=None, repr=False)
-    _inverses: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
-        keys = closure_row_keys(_element_rows(self.elements))
-        self._index = {key: i for i, key in enumerate(keys)}
+        self._index = {key: i for i, key in enumerate(closure_row_keys(self.rows))}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __len__(self) -> int:
         return self.order
+
+    @property
+    def elements(self) -> tuple[Multivector, ...]:
+        """The elements as Multivectors, built from the rows on first use."""
+        if self._elements is None:
+            self._elements = tuple(Multivector(self.dim, c)
+                                   for c in _row_values(self.rows, self.dim))
+        return self._elements
 
     def index_of(self, mv: Multivector) -> int:
         """Index of an element, keyed by ``row_keys`` as the Cayley table keys products."""
@@ -99,10 +122,8 @@ class VersorGroup:
 
     @property
     def identity_index(self) -> int:
-        one = Multivector.scalar(
-            self.dim, QT_ONE if self.elements[0].backend == "exact" else 1.0
-        )
-        return self.index_of(one)
+        one = 1.0 if self.rows.dtype.kind == "f" else QT_ONE
+        return self.index_of(Multivector.scalar(self.dim, one))
 
     @property
     def cayley(self) -> list:
@@ -114,8 +135,7 @@ class VersorGroup:
         D * E (exactly, or rounded on the float backend).
         """
         if self._cayley is None:
-            num, den = quad_numerators([e.coeffs for e in self.elements])
-            num = num.reshape(self.order, -1)
+            num, den = _common_numerators(self.rows, self.dim)
             K = product_tensor(self.dim)
             if num.dtype == object:
                 m = int(np.abs(num).max())
@@ -137,17 +157,19 @@ class VersorGroup:
 
     @property
     def inverse_indices(self) -> tuple:
-        if self._inverses is None:
-            reversed_rows = _element_rows([e.reverse() for e in self.elements])
-            self._inverses = tuple(self._index[key] for key in closure_row_keys(reversed_rows))
-        return self._inverses
+        """Per element, the column of its Cayley row that holds the identity."""
+        e = self.identity_index
+        return tuple(row.index(e) for row in self.cayley)
 
 
-def _blade_support(rows: np.ndarray, dim: int) -> np.ndarray:
-    """(n, 2**dim) mask of the blades with a nonzero coefficient in each row."""
+def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: has it a nonzero odd-grade coefficient, has it an even-grade one?"""
     if rows.dtype.kind == "f":
-        return rows != 0.0
-    return (rows[:, :-1].reshape(len(rows), 1 << dim, 4) != 0).any(axis=2)
+        support = rows != 0.0
+    else:
+        support = (rows[:, :-1].reshape(len(rows), 1 << dim, 4) != 0).any(axis=2)
+    odd_blade = np.array([m.bit_count() % 2 == 1 for m in range(1 << dim)])
+    return (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
 
 
 def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -208,8 +230,8 @@ def _closure_step(gens: np.ndarray, dim: int) -> Callable:
 def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGroup:
     """Multiplicative closure of the simple root vectors.
 
-    Closed on ``_element_rows`` by ``_closure_step``; Multivectors are built
-    once, for the sorted elements.
+    Closed on ``_element_rows`` by ``_closure_step`` and sorted once by
+    ``canonical_order`` on the rows' coefficient values.
     """
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
@@ -223,32 +245,23 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
         rows = orbit(seeds, _closure_step(gens, dim), closure_row_keys, cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
-    elements = _row_elements(rows, dim)
-    order = sorted(range(len(rows)), key=lambda i: mv_sort_key(elements[i]))
-    rows = rows[order]
-    support = _blade_support(rows, dim)
-    odd_blade = np.array([m.bit_count() % 2 == 1 for m in range(1 << dim)])
-    odd, even = (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
+    rows = rows[canonical_order(_row_values(rows, dim))]
+    odd, even = _grade_parities(rows, dim)
     if (odd & even).any():
         raise ValueError("group element without homogeneous parity")
     parities = tuple("odd" if o else "even" for o in odd)
     # unit-versor sanity: V reverse(V) = 1
     if not _unit_rows(rows, dim).all():
         raise ValueError(f"pin closure of {simple.name} has a non-unit element")
-    return VersorGroup(
-        name=f"Pin({simple.name})", dim=dim, elements=tuple(elements[i] for i in order),
-        parities=parities, parity="pin",
-    )
+    return VersorGroup(name=f"Pin({simple.name})", dim=dim, rows=rows,
+                       parities=parities, parity="pin")
 
 
 def even_subgroup(G: VersorGroup) -> VersorGroup:
     """Even-parity elements: the spin (binary polyhedral/cyclic/dicyclic) group."""
-    picked = [e for e, p in zip(G.elements, G.parities) if p == "even"]
-    return VersorGroup(
-        name=G.name.replace("Pin", "Spin", 1), dim=G.dim,
-        elements=tuple(picked), parities=("even",) * len(picked),
-        parity="spin",
-    )
+    picked = [i for i, p in enumerate(G.parities) if p == "even"]
+    return VersorGroup(name=G.name.replace("Pin", "Spin", 1), dim=G.dim, rows=G.rows[picked],
+                       parities=("even",) * len(picked), parity="spin")
 
 
 @dataclass(frozen=True)
@@ -270,34 +283,28 @@ class Induced4DSet:
 def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
     if G.parity != "spin":
         raise ValueError("induced sets come from spin groups")
-    vectors = []
-    if G.dim == 3:
-        for e in G.elements:
-            if any(m.bit_count() % 2 for m, _ in e.nz):
-                raise ValueError("odd-grade contamination in spin group")
-            c = e.coeffs
-            # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign
-            vectors.append((c[0b000], c[0b110], -c[0b101], c[0b011]))
-        dim = 4
-    elif G.dim == 2:
-        for e in G.elements:
-            c = e.coeffs
-            vectors.append((c[0b00], c[0b11]))
-        dim = 2
-    else:
+    if G.dim not in (2, 3):
         raise ValueError("spinor reinterpretation needs Cl(2) or Cl(3)")
-    return Induced4DSet(vectors=tuple(vectors), dim=dim, source_name=G.name)
+    if _grade_parities(G.rows, G.dim)[0].any():
+        raise ValueError("odd-grade contamination in spin group")
+    values = _row_values(G.rows, G.dim)
+    if G.dim == 3:
+        # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign
+        vectors = tuple((c[0b000], c[0b110], -c[0b101], c[0b011]) for c in values)
+    else:
+        vectors = tuple((c[0b00], c[0b11]) for c in values)
+    return Induced4DSet(vectors=vectors, dim=4 if G.dim == 3 else 2, source_name=G.name)
 
 
 # -- identification ------------------------------------------------------------
 
 
-def fingerprint(vectors: Sequence[Multivector], decimals: int = KEY_DECIMALS):
-    """Rotation-invariant signature: root count + multiset of pairwise cosines."""
-    X = np.array([[float(c) for c in v.vector_coords()] for v in vectors])
+def fingerprint(vectors: Sequence[Sequence[Scalar]]):
+    """Rotation-invariant signature of coordinate rows: count + multiset of pairwise dots."""
+    X = np.array(vectors, dtype=float)
     n = len(X)
     gram = X @ X.T
-    dots = np.sort(np.round(gram[np.triu_indices(n, 1)], decimals) + 0.0)
+    dots = np.sort(np.round(gram[np.triu_indices(n, 1)], KEY_DECIMALS) + 0.0)
     return (n, tuple(dots.tolist()))
 
 
@@ -321,12 +328,12 @@ def _reference_fingerprints(dim: int, count: int):
     refs = {}
     for key, m in names:
         system = root_system(key, m)
-        refs[system.name] = fingerprint(system.roots)
+        refs[system.name] = fingerprint([r.vector_coords() for r in system.roots])
     return refs
 
 
 def identify_root_system(S: Induced4DSet) -> str:
-    fp = fingerprint(S.as_root_vectors())
+    fp = fingerprint(S.vectors)
     refs = _reference_fingerprints(S.dim, fp[0])
     matches = [name for name, ref in refs.items() if ref == fp]
     if not matches:

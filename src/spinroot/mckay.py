@@ -17,7 +17,6 @@ diagram is named by its node count and largest mark, without a search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,10 +32,14 @@ ORTHO_TOL = 1e-6
 EIG_SEP_TOL = 1e-8
 #: an eigenvector smaller than this at the identity class cannot be normalized
 PIVOT_TOL = 1e-12
-#: largest |eigenvalue| of 2I - A that counts as the null vector of the marks
-KERNEL_TOL = 1e-9
 #: seeds whose eigenproblems are solved in one stacked call
 EIG_BATCH = 4
+#: draws per seed before colliding eigenvalues count as bad group data
+MAX_REDRAWS = 16
+#: spread of twice the scalar part allowed within one conjugacy class
+CLASS_SCALAR_TOL = 1e-9
+#: imaginary parts below this print as real in the character-table CSV
+CSV_IMAG_TOL = 1e-10
 
 
 class CharacterError(RuntimeError):
@@ -122,7 +125,7 @@ def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
 
 
 def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
-                     seeds: Sequence[int] = (DEFAULT_SEED,), max_redraws: int = 16,
+                     seeds: Sequence[int] = (DEFAULT_SEED,),
                      mats: Optional[np.ndarray] = None) -> Iterator[CharacterTable]:
     """One character table per seed, the eigenproblems solved in stacked batches.
 
@@ -136,17 +139,17 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
     if mats is None:
         mats = class_matrices(G, classes)
     for lo in range(0, len(seeds), EIG_BATCH):
-        vecs = _eigenvectors(mats, seeds[lo:lo + EIG_BATCH], max_redraws)
+        vecs = _eigenvectors(mats, seeds[lo:lo + EIG_BATCH])
         yield from _tables_from_eigenvectors(vecs, classes, G.order)
 
 
 def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
-                    seed: int = DEFAULT_SEED, max_redraws: int = 16,
+                    seed: int = DEFAULT_SEED,
                     mats: Optional[np.ndarray] = None) -> CharacterTable:
-    return next(character_tables(G, classes, (seed,), max_redraws, mats))
+    return next(character_tables(G, classes, (seed,), mats))
 
 
-def _eigenvectors(mats: np.ndarray, seeds: Sequence[int], max_redraws: int) -> list:
+def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     """Eigenvectors (as columns) of sum_r t_r mats[r] for each seed's draw t.
 
     As in a single `np.linalg.eig` call, a seed whose eigenvalues are all real
@@ -157,7 +160,7 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int], max_redraws: int) -> l
     rngs = [np.random.default_rng(seed) for seed in seeds]
     vecs = [None] * len(seeds)
     pending = list(range(len(seeds)))
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         A = np.stack([np.tensordot(rngs[s].standard_normal(k), mats, axes=1)
                       for s in pending])
         vals, V = np.linalg.eig(A)
@@ -225,8 +228,7 @@ def _validate_tables(tables: list[CharacterTable]):
             raise CharacterError("sum of squared dimensions != group order")
 
 
-def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None,
-                     tol: float = 1e-9) -> np.ndarray:
+def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.ndarray:
     """Trace of the 2D spinor representation: twice the scalar part, per class."""
     if G.parity != "spin":
         raise ValueError("spinor character needs a spin group")
@@ -235,7 +237,7 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None,
     out = []
     for members in classes.classes:
         vals = [2.0 * float(G.elements[m].scalar_part()) for m in members]
-        if max(vals) - min(vals) > tol:
+        if max(vals) - min(vals) > CLASS_SCALAR_TOL:
             raise CharacterError("scalar part is not constant on a class")
         out.append(vals[0])
     return np.array(out)
@@ -257,7 +259,7 @@ def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
     return McKayGraph(labels=table.dims, adjacency=R)
 
 
-# -- affine templates and matching ------------------------------------------------
+# -- affine matching -------------------------------------------------------------
 
 
 def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
@@ -276,76 +278,6 @@ def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
             prev = node
             node += 1
     return edges
-
-
-def _leg_adjacency(legs: Sequence[int]) -> np.ndarray:
-    edges = _leg_edges(legs)
-    adj = np.zeros((len(edges) + 1, len(edges) + 1), dtype=int)
-    for i, j in edges:
-        adj[i, j] = adj[j, i] = 1
-    return adj
-
-
-def _cycle_adjacency(n: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
-    return adj
-
-
-def _affine_d_adjacency(k: int) -> np.ndarray:
-    # k+1 nodes: a path of k-3 middle nodes with a fork of two tips at each end
-    mid = k - 3
-    adj = np.zeros((k + 1, k + 1), dtype=int)
-    path = list(range(mid))
-    for a, b in zip(path, path[1:]):
-        adj[a, b] = adj[b, a] = 1
-    for tip in (mid, mid + 1):
-        adj[tip, 0] = adj[0, tip] = 1
-    for tip in (mid + 2, mid + 3):
-        adj[tip, mid - 1] = adj[mid - 1, tip] = 1
-    return adj
-
-
-def affine_marks(adj: np.ndarray) -> tuple[int, ...]:
-    """Positive integer null vector of 2I - A, normalized to minimum 1."""
-    n = adj.shape[0]
-    w, v = np.linalg.eigh(2.0 * np.eye(n) - adj)
-    if abs(w[0]) > KERNEL_TOL:
-        raise MatchError("not an affine diagram: 2I - A is nonsingular")
-    x = v[:, 0]
-    if x[int(np.argmax(np.abs(x)))] < 0:
-        x = -x
-    x = x / x.min()
-    marks = np.rint(x)
-    if np.abs(x - marks).max() > INT_TOL:
-        raise MatchError("marks are not integral")
-    return tuple(int(m) for m in marks)
-
-
-@lru_cache(maxsize=None)
-def affine_template(name: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    kind = name[0]
-    if kind == "A":
-        k = int(name[2:])
-        if k < 2:
-            raise MatchError("affine A~k needs k >= 2 (no multi-edges here)")
-        adj = _cycle_adjacency(k + 1)
-    elif kind == "D":
-        k = int(name[2:])
-        if k < 4:
-            raise MatchError("affine D~k needs k >= 4")
-        adj = _affine_d_adjacency(k)
-    elif name == "E~6":
-        adj = _leg_adjacency((3, 3, 3))
-    elif name == "E~7":
-        adj = _leg_adjacency((2, 4, 4))
-    elif name == "E~8":
-        adj = _leg_adjacency((2, 3, 6))
-    else:
-        raise MatchError(f"unknown affine template {name!r}")
-    adj.setflags(write=False)
-    return adj, affine_marks(adj)
 
 
 #: largest mark -> affine type; A~ and D~ take their rank from the node count
@@ -395,7 +327,7 @@ def character_table_csv(table: CharacterTable) -> str:
     def fmt(z: complex) -> str:
         re = f"{z.real:.10g}"
         im = z.imag
-        if abs(im) < 1e-10:
+        if abs(im) < CSV_IMAG_TOL:
             return re
         return f"{re}{im:+.10g}i"
 

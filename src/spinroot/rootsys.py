@@ -4,7 +4,7 @@ Catalog keys and backends:
 
     A1^3, A3, B3, H3          rank 3, exact
     A1^4, A4, D4, F4, H4      rank 4, exact
-    B4                        rank 4, float (its Coxeter plane needs cos pi/8)
+    B4                        rank 4, float (its roots lie in Q(sqrt2) too)
     I2(n)                     rank 2, float
     A1xI2(n)                  rank 3, float
     I2(n)xI2(n)               rank 4, float
@@ -17,7 +17,8 @@ systems close in simple-root coordinates, s_i(c) = c - (sum_j c_j A_ji) e_i
 with A the Cartan matrix (5.4), on integer field numerators, and become
 Cartesian by one product with the simple roots; float systems close on
 Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
-decimals.  Roots are returned sorted by ``mv_sort_key``.
+decimals.  Both closures, and the pin closure of ``induction``, are sorted
+once by ``canonical_order`` on their coefficient values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, mv_key, mv_sort_key
+from .clifford import Multivector, mv_key
 from .scalars import (
     FIELD_TENSOR_MAX,
     INV_SQRT2,
@@ -52,6 +53,9 @@ from .scalars import (
 )
 
 CLOSURE_CAP = 10_000
+SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
+UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float catalog simple root
+ROTATION_TOL = 1e-6        # |k phi / pi - round(k phi / pi)| of a rotation order k
 
 
 class UnknownSystemError(ValueError):
@@ -88,6 +92,13 @@ def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.nda
     while len(levels[-1]):
         levels.append(fresh(step(levels[-1])))
     return np.concatenate(levels)
+
+
+def canonical_order(values: Sequence[Sequence[Scalar]]) -> list[int]:
+    """Indices that sort rows of coefficient values, floats or QuadTowers, by the
+    values rounded with Python ``round`` (``np.round`` differs at ties)."""
+    keys = [tuple(round(float(c), SORT_DECIMALS) for c in row) for row in values]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -313,7 +324,7 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
             raise UnknownSystemError(f"unknown backend {backend!r}")
     for r in roots:
         ns = r.norm_sq()
-        unit = ns == QT_ONE if use_backend == "exact" else abs(float(ns) - 1.0) < 1e-12
+        unit = ns == QT_ONE if use_backend == "exact" else abs(float(ns) - 1.0) < UNIT_ROOT_TOL
         if not unit:
             raise ValueError(f"catalog root of {key} not unit")
     return SimpleRootSet(
@@ -348,19 +359,17 @@ def generate_roots(simple: SimpleRootSet, cap: int = CLOSURE_CAP,
     cartan = cartan_matrix(simple)
     try:
         if simple.backend == "exact":
-            roots = _exact_closure(simple, cartan, cap)
+            coords = _exact_closure(simple, cartan, cap)
         else:
-            roots = _float_closure(simple, cap, key_decimals)
+            coords = _float_closure(simple, cap, key_decimals)
     except ClosureCapError as exc:
         raise ClosureCapError(f"closure of {simple.name} exceeded {cap} roots") from exc
-    return RootSystem(
-        name=simple.name, simple=simple, roots=tuple(sorted(roots, key=mv_sort_key)),
-        cartan=cartan,
-    )
+    roots = tuple(Multivector.from_vector(coords[i]) for i in canonical_order(coords))
+    return RootSystem(name=simple.name, simple=simple, roots=roots, cartan=cartan)
 
 
-def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[Multivector]:
-    """Exact roots, closed in simple-root coordinates.
+def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[list[QuadTower]]:
+    """Coordinates of the exact roots, closed in simple-root coordinates.
 
     A root sum_j c_j a_j is the row of its coefficients c as field numerators,
     followed by their positive denominator, divided through by the gcd of the
@@ -397,12 +406,13 @@ def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[Multivector]
     dtype = kernel_dtype(4 * rank * FIELD_TENSOR_MAX * int(np.abs(s_num).max())
                          * int(np.abs(num).max()))
     cart = num.astype(dtype) @ to_cartesian.astype(dtype)
-    coords = quad_values(cart.reshape(len(rows), dim, 4), den.astype(object)[:, None] * s_den)
-    return [Multivector.from_vector(c) for c in coords.tolist()]
+    return quad_values(cart.reshape(len(rows), dim, 4),
+                       den.astype(object)[:, None] * s_den).tolist()
 
 
-def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[Multivector]:
-    """Float roots, closed on Cartesian rows keyed at ``key_decimals`` decimals.
+def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[list[float]]:
+    """Coordinates of the float roots, closed on Cartesian rows keyed at
+    ``key_decimals`` decimals.
 
     s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed one column at a
     time in coordinate order, as ``dot`` sums them.
@@ -422,8 +432,7 @@ def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[M
                   for a, aa in zip(gens, norms)]
         return np.stack(images, axis=1).reshape(-1, gens.shape[1])
 
-    rows = orbit(gens, step, lambda rows: row_keys(rows, key_decimals), cap)
-    return [Multivector.from_vector(r) for r in rows.tolist()]
+    return orbit(gens, step, lambda rows: row_keys(rows, key_decimals), cap).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -431,7 +440,7 @@ def root_system(name: str, n: Optional[int] = None) -> RootSystem:
     return generate_roots(catalog(name, n))
 
 
-def rotation_orders(simple: SimpleRootSet, tol: float = 1e-6, cap: int = 1000):
+def rotation_orders(simple: SimpleRootSet, cap: int = 1000):
     """Orders of the pairwise rotations s_i s_j.
 
     The rotation angle is twice the angle phi between the two roots; its order
@@ -449,7 +458,7 @@ def rotation_orders(simple: SimpleRootSet, tol: float = 1e-6, cap: int = 1000):
             m = None
             for k in range(1, cap + 1):
                 t = k * phi / math.pi
-                if abs(t - round(t)) < tol and round(t) >= 1:
+                if abs(t - round(t)) < ROTATION_TOL and round(t) >= 1:
                     m = k
                     break
             if m is None:

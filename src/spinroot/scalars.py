@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -310,16 +310,6 @@ def galois_conjugate(x: QuadTower) -> QuadTower:
 
 def to_float(x: Scalar) -> float:
     return float(x)
-
-
-def eq_scalar(x: Scalar, y: Scalar, tol: Optional[float] = None) -> bool:
-    """Backend-aware equality: exact values compare exactly, floats within tol."""
-    ex, ey = is_exact(x), is_exact(y)
-    if ex != ey:
-        raise BackendMismatchError("cannot compare exact and float scalars")
-    if ex:
-        return x == y
-    return abs(x - y) <= (eq_tol() if tol is None else tol)
 
 
 def scalar_str(x: Scalar) -> str:

@@ -23,7 +23,7 @@ from . import ade, coxplane, mckay, output
 from .clifford import Multivector
 from .induction import induced_set, pin_group, spin_group
 from .rootsys import catalog, root_system, rotation_orders, validate_root_system
-from .scalars import INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, TAU
+from .scalars import INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, TAU, QuadTower
 
 PI = math.pi
 
@@ -156,8 +156,11 @@ def check_factorizations() -> list[CheckResult]:
 # -- 4: matrix spectrum vs factorization on random words -----------------------------
 
 
-def check_exponent_oracles(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEED,
-                           words_per_system: int = 20) -> list[CheckResult]:
+ORACLE_WORDS = 20   # random words per system beside the default word
+
+
+def check_exponent_oracles(n_max: int = ade.N_MAX,
+                           seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(seed)
     systems = [("A1^4", None), ("A4", None), ("B4", None), ("D4", None),
@@ -170,7 +173,7 @@ def check_exponent_oracles(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEE
         bad = []
         words = [None] + [
             tuple(int(x) + 1 for x in rng.permutation(simple.rank))
-            for _ in range(words_per_system)
+            for _ in range(ORACLE_WORDS)
         ]
         for word in words:
             cd = coxplane.coxeter_versor(simple, word)
@@ -263,48 +266,18 @@ def check_pf() -> list[CheckResult]:
 # -- 7: H4 appendix fixtures -----------------------------------------------------------
 
 
-class _Z5:
-    """p + q*sqrt5 with integer p, q."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int = 0):
-        self.p, self.q = p, q
-
-    def __add__(self, o):
-        return _Z5(self.p + o.p, self.q + o.q)
-
-    def __sub__(self, o):
-        return _Z5(self.p - o.p, self.q - o.q)
-
-    def __neg__(self):
-        return _Z5(-self.p, -self.q)
-
-    def __mul__(self, o):
-        return _Z5(self.p * o.p + 5 * self.q * o.q, self.p * o.q + self.q * o.p)
-
-    def __eq__(self, o):
-        return self.p == o.p and self.q == o.q
-
-    def divide_int(self, k: int):
-        if self.p % k or self.q % k:
-            return None
-        return _Z5(self.p // k, self.q // k)
-
-    def __float__(self):
-        return self.p + self.q * math.sqrt(5.0)
-
-    def __repr__(self):
-        return f"({self.p}{self.q:+d}*r5)"
+def _z5_str(x: QuadTower) -> str:
+    """An element p + q*sqrt5 of Q(sqrt5), printed as (p+q*r5)."""
+    return f"({x.a}{'+' if x.c >= 0 else ''}{x.c}*r5)"
 
 
 class _Z5R:
-    """a + b*R with a, b in Z[sqrt5] and R^2 = 30 + 6*sqrt5."""
+    """a + b*R with a, b in Q(sqrt5) and R^2 = 30 + 6*sqrt5."""
 
     __slots__ = ("a", "b")
-    R_SQ = _Z5(30, 6)
+    R_SQ = QuadTower(30, 0, 6)
 
-    def __init__(self, a: _Z5, b: _Z5):
+    def __init__(self, a: QuadTower, b: QuadTower):
         self.a, self.b = a, b
 
     def __add__(self, o):
@@ -313,9 +286,6 @@ class _Z5R:
     def __sub__(self, o):
         return _Z5R(self.a - o.a, self.b - o.b)
 
-    def __neg__(self):
-        return _Z5R(-self.a, -self.b)
-
     def __mul__(self, o):
         return _Z5R(self.a * o.a + self.b * o.b * self.R_SQ,
                     self.a * o.b + self.b * o.a)
@@ -323,23 +293,16 @@ class _Z5R:
     def __eq__(self, o):
         return self.a == o.a and self.b == o.b
 
-    def is_zero(self):
-        return self == _Z5R(_Z5(0), _Z5(0))
-
-    def divide_int(self, k: int):
-        a, b = self.a.divide_int(k), self.b.divide_int(k)
-        return None if a is None or b is None else _Z5R(a, b)
-
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(30.0 + 6.0 * math.sqrt(5.0))
 
     def __repr__(self):
-        return f"{self.b!r}*R + {self.a!r}"
+        return f"{_z5_str(self.b)}*R + {_z5_str(self.a)}"
 
 
 def _z5r(p: int, q: int, r: int, s: int) -> _Z5R:
     """(p + q*sqrt5) + (r + s*sqrt5)*R"""
-    return _Z5R(_Z5(p, q), _Z5(r, s))
+    return _Z5R(QuadTower(p, 0, q), QuadTower(r, 0, s))
 
 
 def check_h4_appendix() -> list[CheckResult]:
@@ -370,9 +333,9 @@ def check_h4_appendix() -> list[CheckResult]:
     b4 = _z5r(-48, -20, -7, -3)
     c14 = a1 * b4 - a4 * b1
     rel = abs(float(c14)) / abs(float(a1 * b4))
-    out.append(_res(7, "wedge e1e4 component cancels",
-                    c14.is_zero() and rel < 1e-6,
-                    f"exact zero: {c14.is_zero()}, relative {rel:.1e}", "0 (|coef| < 1e-6 rel)"))
+    zero = c14 == _z5r(0, 0, 0, 0)
+    out.append(_res(7, "wedge e1e4 component cancels", zero and rel < 1e-6,
+                    f"exact zero: {zero}, relative {rel:.1e}", "0 (|coef| < 1e-6 rel)"))
 
     # B^2 = (a.b)^2 - a^2 b^2 for the wedge of those two vectors
     adotb = a1 * b1 + a4 * b4
@@ -385,10 +348,9 @@ def check_h4_appendix() -> list[CheckResult]:
                     bsq_bivector == want and float_rel < 1e-9,
                     f"exact equal: {bsq_bivector == want}, rel err {float_rel:.1e}",
                     "(-1044480*r5-2334720)*R - 6893568*r5 - 15421440"))
-    reduced = bsq_bivector.divide_int(12288)
-    want_reduced = _z5r(-1255, -561, -190, -85)
+    reduced = _Z5R(bsq_bivector.a / 12288, bsq_bivector.b / 12288)
     out.append(_res(7, "coefficients divide by 12288",
-                    reduced is not None and reduced == want_reduced,
+                    reduced == _z5r(-1255, -561, -190, -85),
                     repr(reduced), "(-85*r5-190)*R - 561*r5 - 1255"))
     # the appendix also simplifies two of the products
     out.append(_res(7, "a1*b3 and a4*b3 products",
@@ -425,7 +387,10 @@ def _mckay_verdict(G, table, chi):
     )
 
 
-def check_mckay(n_max: int = ade.N_MAX, seeds: int = 32) -> list[CheckResult]:
+MCKAY_SEEDS = 32    # seeds 0..MCKAY_SEEDS-1 whose character tables must agree
+
+
+def check_mckay(n_max: int = ade.N_MAX) -> list[CheckResult]:
     out = []
     systems = [("A3", None, 7, "E~6"), ("B3", None, 8, "E~7"), ("H3", None, 9, "E~8")]
     systems += [("I2", n, 2 * n, f"A~{2 * n - 1}") for n in range(2, n_max + 1)]
@@ -437,14 +402,14 @@ def check_mckay(n_max: int = ade.N_MAX, seeds: int = 32) -> list[CheckResult]:
         # (in stacked eigen-batches) and its verdict compared
         chi = mckay.spinor_character(G, classes)
         verdicts = {_mckay_verdict(G, table, chi)
-                    for table in mckay.character_tables(G, classes, range(seeds))}
+                    for table in mckay.character_tables(G, classes, range(MCKAY_SEEDS))}
         stable = len(verdicts) == 1
         k, dims, sq_ok, sum_d, affine = next(iter(verdicts))
         src_count = root_system(name, n).count
         ok = (stable and k == k_want and sq_ok and affine == affine_want
               and sum_d == src_count)
         out.append(_res(
-            9, f"{catalog(name, n).name} McKay ({seeds} seeds)", ok,
+            9, f"{catalog(name, n).name} McKay ({MCKAY_SEEDS} seeds)", ok,
             f"classes={k} sum_d={sum_d} affine={affine} stable={stable}",
             f"classes={k_want} sum_d={src_count} affine={affine_want} stable=True",
         ))

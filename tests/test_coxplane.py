@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from clifford_reference import versor_action
 from spinroot import coxplane
 from spinroot.ade import ade_root_data
-from spinroot.clifford import (GRADE_TOL, Multivector, exp_bivector, pseudoscalar,
-                               versor_action)
+from spinroot.cli import main
+from spinroot.clifford import GRADE_TOL, Multivector, exp_bivector, pseudoscalar
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
@@ -28,7 +33,6 @@ from spinroot.coxplane import (
     plane_basis,
     plane_from_matrix,
     project_to_plane,
-    projection_radii,
     springer_identities,
     weight_basis,
 )
@@ -150,6 +154,20 @@ def permutation_words():
         simple = catalog(name, n)
         for word in itertools.permutations(range(1, simple.rank + 1)):
             yield name, n, simple, word
+
+
+def test_every_permutation_word_exits_0():
+    # A1xI2(n) with odd n is reducible with h = 2n and exponents 2, n, 2n - 2:
+    # exp(2 pi i/h) is no eigenvalue, and the plane is the I2 plane of exponent 2
+    for name, n, simple, word in permutation_words():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["coxplane", simple.name, "--word", ",".join(map(str, word))])
+        assert code == 0, (simple.name, word)
+        if name == "A1xI2" and n % 2:
+            payload = json.loads(out.getvalue())
+            assert payload["exponents"] == [2, n, 2 * n - 2]
+            assert payload["plane"]["coeffs"] in ({"e12": 1.0}, {"e12": -1.0})
 
 
 def test_reflection_product_matches_versor_action():
@@ -495,6 +513,15 @@ def test_plane_basis_orthonormal():
         assert abs(u1.norm() - 1) < 1e-12
         assert abs(u2.norm() - 1) < 1e-12
         assert abs(float(dot(u1, u2))) < 1e-12
+
+
+def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -> dict:
+    """Multiset of projected radii, rounded for class counting."""
+    radii: dict = {}
+    for x, y in points:
+        r = round(math.hypot(x, y), decimals)
+        radii[r] = radii.get(r, 0) + 1
+    return dict(sorted(radii.items()))
 
 
 def test_a4_projection_two_decagons():

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ import pytest
 from spinroot.induction import spin_group
 from spinroot.mckay import (
     CharacterError,
+    INT_TOL,
     MatchError,
     McKayGraph,
+    _leg_edges,
     affine_core,
-    affine_marks,
-    affine_template,
     character_table,
     character_table_csv,
     character_tables,
@@ -22,6 +24,83 @@ from spinroot.mckay import (
     mckay_graph_dot,
     spinor_character,
 )
+
+# -- affine templates: the reference diagrams the matcher must name --------------
+
+
+def _leg_adjacency(legs: Sequence[int]) -> np.ndarray:
+    edges = _leg_edges(legs)
+    adj = np.zeros((len(edges) + 1, len(edges) + 1), dtype=int)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1
+    return adj
+
+
+def _cycle_adjacency(n: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
+    return adj
+
+
+def _affine_d_adjacency(k: int) -> np.ndarray:
+    # k+1 nodes: a path of k-3 middle nodes with a fork of two tips at each end
+    mid = k - 3
+    adj = np.zeros((k + 1, k + 1), dtype=int)
+    path = list(range(mid))
+    for a, b in zip(path, path[1:]):
+        adj[a, b] = adj[b, a] = 1
+    for tip in (mid, mid + 1):
+        adj[tip, 0] = adj[0, tip] = 1
+    for tip in (mid + 2, mid + 3):
+        adj[tip, mid - 1] = adj[mid - 1, tip] = 1
+    return adj
+
+
+#: largest |eigenvalue| of 2I - A that counts as the null vector of the marks
+KERNEL_TOL = 1e-9
+
+
+def affine_marks(adj: np.ndarray) -> tuple[int, ...]:
+    """Positive integer null vector of 2I - A, normalized to minimum 1."""
+    n = adj.shape[0]
+    w, v = np.linalg.eigh(2.0 * np.eye(n) - adj)
+    if abs(w[0]) > KERNEL_TOL:
+        raise MatchError("not an affine diagram: 2I - A is nonsingular")
+    x = v[:, 0]
+    if x[int(np.argmax(np.abs(x)))] < 0:
+        x = -x
+    x = x / x.min()
+    marks = np.rint(x)
+    if np.abs(x - marks).max() > INT_TOL:
+        raise MatchError("marks are not integral")
+    return tuple(int(m) for m in marks)
+
+
+@lru_cache(maxsize=None)
+def affine_template(name: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    kind = name[0]
+    if kind == "A":
+        k = int(name[2:])
+        if k < 2:
+            raise MatchError("affine A~k needs k >= 2 (no multi-edges here)")
+        adj = _cycle_adjacency(k + 1)
+    elif kind == "D":
+        k = int(name[2:])
+        if k < 4:
+            raise MatchError("affine D~k needs k >= 4")
+        adj = _affine_d_adjacency(k)
+    elif name == "E~6":
+        adj = _leg_adjacency((3, 3, 3))
+    elif name == "E~7":
+        adj = _leg_adjacency((2, 4, 4))
+    elif name == "E~8":
+        adj = _leg_adjacency((2, 3, 6))
+    else:
+        raise MatchError(f"unknown affine template {name!r}")
+    adj.setflags(write=False)
+    return adj, affine_marks(adj)
+
 
 CLASS_COUNTS = {
     ("A3", None): 7,   # 2T

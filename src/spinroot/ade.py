@@ -43,6 +43,7 @@ from .rootsys import (
 from .scalars import row_keys
 
 RANK_CAP = 24
+ROOT_CAP = 2000             # most roots _closure closes before giving up
 # I2(n)'s McKay route lands on A_{2n-1}, so n may not exceed this
 N_MAX = (RANK_CAP + 1) // 2
 
@@ -112,7 +113,7 @@ def _simple_roots(kind: str, n: Optional[int]) -> np.ndarray:
     raise ValueError(f"unknown ADE kind {kind!r}")
 
 
-def _closure(simple: np.ndarray, cap: int = 2000) -> np.ndarray:
+def _closure(simple: np.ndarray) -> np.ndarray:
     """Roots of a simply-laced system, closed in simple-root coordinates.
 
     Its Cartan matrix A is integral, so the coefficient rows close exactly on
@@ -130,7 +131,7 @@ def _closure(simple: np.ndarray, cap: int = 2000) -> np.ndarray:
         return images.reshape(-1, rank)
 
     try:
-        coeffs = orbit(np.eye(rank, dtype=np.int64), step, row_keys, cap)
+        coeffs = orbit(np.eye(rank, dtype=np.int64), step, row_keys, ROOT_CAP)
     except ClosureCapError as exc:
         raise ValueError("root closure exceeded cap") from exc
     return coeffs @ simple

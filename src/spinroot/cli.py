@@ -127,7 +127,7 @@ def cmd_coxplane(args) -> int:
 def cmd_project(args) -> int:
     key, n = parse_name(args.name, args.n)
     plane = coxplane.coxeter_plane_for(key, n)
-    points = coxplane.project_to_plane(root_system(key, n).roots, plane.bivector)
+    points = coxplane.project_to_plane(root_system(key, n).vectors, plane.bivector)
     if args.out:
         paths = output.export_files("projection", key, n, args.out,
                                     seed=args.seed, tol_eq=args.tol_eq)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .scalars import (
     FIELD_TENSOR,
-    KEY_DECIMALS,
     BackendMismatchError,
     QT_ONE,
     QT_ZERO,
@@ -55,13 +54,6 @@ def _sign_table(dim: int):
 
 
 _SIGN = {d: _sign_table(d) for d in (1, 2, 3, 4)}
-_REV = {
-    d: tuple(
-        -1 if (m.bit_count() * (m.bit_count() - 1) // 2) & 1 else 1
-        for m in range(1 << d)
-    )
-    for d in (1, 2, 3, 4)
-}
 
 
 @lru_cache(maxsize=None)
@@ -264,12 +256,6 @@ class Multivector:
 
     # -- structure -----------------------------------------------------------
 
-    def reverse(self) -> "Multivector":
-        rev = _REV[self.dim]
-        return Multivector(
-            self.dim, [(-c if rev[m] < 0 else c) for m, c in enumerate(self.coeffs)]
-        )
-
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.dim:
             raise ValueError(f"grade {k} out of range for Cl({self.dim})")
@@ -317,18 +303,7 @@ class Multivector:
         return f"<Cl({self.dim}) {terms or '0'}>"
 
 
-def mv_key(mv: Multivector, decimals: int = KEY_DECIMALS):
-    """Canonical hashable key: exact coefficients, or rounded floats."""
-    if mv.backend == "exact":
-        return mv.coeffs
-    return tuple(round(c, decimals) + 0.0 for c in mv.coeffs)
-
-
 # -- operations ---------------------------------------------------------------
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

@@ -25,8 +25,8 @@ import numpy as np
 from .clifford import GRADE_TOL, Multivector, exp_bivector, grade_project, pseudoscalar
 from .induction import induced_name, spin_group
 from .mckay import is_connected
-from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, dot, parse_name
-from .scalars import QuadTower, eq_tol
+from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, parse_name
+from .scalars import QuadTower, Scalar, eq_tol
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -523,14 +523,15 @@ def plane_basis(B_C: Multivector) -> tuple[Multivector, Multivector]:
     return u1, u2
 
 
-def project_to_plane(roots: Sequence[Multivector], B_C: Multivector
+def project_to_plane(vectors: Sequence[Sequence[Scalar]], B_C: Multivector
                      ) -> list[tuple[float, float]]:
-    """Orthogonal projection of each root onto the plane of B_C, as (x, y) pairs."""
-    u1, u2 = plane_basis(B_C)
+    """Orthogonal projection of each coordinate row onto the plane of B_C, as
+    (x, y) pairs."""
+    u1, u2 = (u.vector_coords() for u in plane_basis(B_C))
     pts = []
-    for r in roots:
-        rf = r.to_float()
-        pts.append((float(dot(rf, u1)), float(dot(rf, u2))))
+    for v in vectors:
+        f = [float(c) for c in v]
+        pts.append((coords_dot(f, u1), coords_dot(f, u2)))
     return pts
 
 

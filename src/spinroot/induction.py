@@ -45,7 +45,7 @@ from .scalars import (
     row_keys,
 )
 
-GROUP_CAP = 10_000
+GROUP_CAP = 10_000  # most elements generate_pin_group closes before giving up
 UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
@@ -227,7 +227,7 @@ def _closure_step(gens: np.ndarray, dim: int) -> Callable:
     return exact_step
 
 
-def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGroup:
+def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     """Multiplicative closure of the simple root vectors.
 
     Closed on ``_element_rows`` by ``_closure_step`` and sorted once by
@@ -242,9 +242,9 @@ def generate_pin_group(simple: SimpleRootSet, cap: int = GROUP_CAP) -> VersorGro
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
     try:
-        rows = orbit(seeds, _closure_step(gens, dim), closure_row_keys, cap)
+        rows = orbit(seeds, _closure_step(gens, dim), closure_row_keys, GROUP_CAP)
     except ClosureCapError as exc:
-        raise ClosureCapError(f"pin closure of {simple.name} exceeded {cap}") from exc
+        raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
     rows = rows[canonical_order(_row_values(rows, dim))]
     odd, even = _grade_parities(rows, dim)
     if (odd & even).any():
@@ -275,9 +275,6 @@ class Induced4DSet:
     @property
     def count(self) -> int:
         return len(self.vectors)
-
-    def as_root_vectors(self) -> tuple[Multivector, ...]:
-        return tuple(Multivector.from_vector(v) for v in self.vectors)
 
 
 def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
@@ -328,7 +325,7 @@ def _reference_fingerprints(dim: int, count: int):
     refs = {}
     for key, m in names:
         system = root_system(key, m)
-        refs[system.name] = fingerprint([r.vector_coords() for r in system.roots])
+        refs[system.name] = fingerprint(system.vectors)
     return refs
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .induction import VersorGroup
+from .induction import VersorGroup, _row_values
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
@@ -234,9 +234,10 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
         raise ValueError("spinor character needs a spin group")
     if classes is None:
         classes = conjugacy_classes(G)
+    scalars = [float(c[0]) for c in _row_values(G.rows, G.dim)]
     out = []
     for members in classes.classes:
-        vals = [2.0 * float(G.elements[m].scalar_part()) for m in members]
+        vals = [2.0 * scalars[m] for m in members]
         if max(vals) - min(vals) > CLASS_SCALAR_TOL:
             raise CharacterError("scalar part is not constant on a class")
         out.append(vals[0])

@@ -3,8 +3,7 @@
 Catalog keys and backends:
 
     A1^3, A3, B3, H3          rank 3, exact
-    A1^4, A4, D4, F4, H4      rank 4, exact
-    B4                        rank 4, float (its roots lie in Q(sqrt2) too)
+    A1^4, A4, B4, D4, F4, H4  rank 4, exact
     I2(n)                     rank 2, float
     A1xI2(n)                  rank 3, float
     I2(n)xI2(n)               rank 4, float
@@ -18,7 +17,8 @@ with A the Cartan matrix (5.4), on integer field numerators, and become
 Cartesian by one product with the simple roots; float systems close on
 Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
 decimals.  Both closures, and the pin closure of ``induction``, are sorted
-once by ``canonical_order`` on their coefficient values.
+once by ``canonical_order`` on their coefficient values; a ``RootSystem`` holds
+its sorted coordinate rows and builds Multivectors only when ``roots`` is read.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, mv_key
+from .clifford import Multivector
 from .scalars import (
     FIELD_TENSOR_MAX,
     INV_SQRT2,
@@ -52,7 +52,8 @@ from .scalars import (
     row_keys,
 )
 
-CLOSURE_CAP = 10_000
+CLOSURE_CAP = 10_000       # most roots generate_roots closes before giving up
+ROTATION_CAP = 1000        # largest rotation order rotation_orders looks for
 SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
 UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float catalog simple root
 ROTATION_TOL = 1e-6        # |k phi / pi - round(k phi / pi)| of a rotation order k
@@ -116,12 +117,17 @@ class SimpleRootSet:
 class RootSystem:
     name: str
     simple: SimpleRootSet
-    roots: tuple[Multivector, ...]
+    vectors: tuple[tuple[Scalar, ...], ...]    # root coordinates, canonically sorted
     cartan: tuple[tuple[Scalar, ...], ...]
 
     @property
     def count(self) -> int:
-        return len(self.roots)
+        return len(self.vectors)
+
+    @cached_property
+    def roots(self) -> tuple[Multivector, ...]:
+        """The roots as Multivectors, built from ``vectors`` on first use."""
+        return tuple(Multivector.from_vector(v) for v in self.vectors)
 
 
 def _exact_vec(*coords) -> Multivector:
@@ -200,10 +206,9 @@ def _build_roots(key: str, n: Optional[int]):
             _exact_vec(TAU * s, TAU * s, TAU * s, (TAU - 2) * s),
         ]
     if key == "B4":
-        r = 1.0 / math.sqrt(2.0)
         return [
-            _float_vec(0, 0, 0, 1), _float_vec(0, 0, r, -r),
-            _float_vec(0, r, -r, 0), _float_vec(r, -r, 0, 0),
+            _exact_vec(0, 0, 0, 1), _exact_vec(z, z, _RH, -_RH),
+            _exact_vec(z, _RH, -_RH, z), _exact_vec(_RH, -_RH, z, z),
         ]
     if key == "D4":
         return [
@@ -238,7 +243,7 @@ _CATALOG = {
     "A1^4":  (4, "exact", False, (1, 2, 3, 4), lambda n: 8),
     "I2xI2": (4, "float", True,  (),        lambda n: 4 * n),
     "A4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 20),
-    "B4":    (4, "float", False, (3, 1, 2, 4), lambda n: 32),
+    "B4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 32),
     "D4":    (4, "exact", False, (1, 2, 3, 4), lambda n: 24),
     "F4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 48),
     "H4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 120),
@@ -333,10 +338,6 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
     )
 
 
-def dot(u: Multivector, v: Multivector) -> Scalar:
-    return coords_dot(u.vector_coords(), v.vector_coords())
-
-
 def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
     """(u|v) of two coordinate tuples, summed in coordinate order."""
     total = uc[0] * vc[0]
@@ -353,22 +354,21 @@ def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
                  for ci in coords)
 
 
-def generate_roots(simple: SimpleRootSet, cap: int = CLOSURE_CAP,
-                   key_decimals: int = KEY_DECIMALS) -> RootSystem:
+def generate_roots(simple: SimpleRootSet, key_decimals: int = KEY_DECIMALS) -> RootSystem:
     """Orbit of the simple roots under the simple reflections, sorted canonically."""
     cartan = cartan_matrix(simple)
     try:
         if simple.backend == "exact":
-            coords = _exact_closure(simple, cartan, cap)
+            coords = _exact_closure(simple, cartan)
         else:
-            coords = _float_closure(simple, cap, key_decimals)
+            coords = _float_closure(simple, key_decimals)
     except ClosureCapError as exc:
-        raise ClosureCapError(f"closure of {simple.name} exceeded {cap} roots") from exc
-    roots = tuple(Multivector.from_vector(coords[i]) for i in canonical_order(coords))
-    return RootSystem(name=simple.name, simple=simple, roots=roots, cartan=cartan)
+        raise ClosureCapError(f"closure of {simple.name} exceeded {CLOSURE_CAP} roots") from exc
+    vectors = tuple(tuple(coords[i]) for i in canonical_order(coords))
+    return RootSystem(name=simple.name, simple=simple, vectors=vectors, cartan=cartan)
 
 
-def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[list[QuadTower]]:
+def _exact_closure(simple: SimpleRootSet, cartan) -> list[list[QuadTower]]:
     """Coordinates of the exact roots, closed in simple-root coordinates.
 
     A root sum_j c_j a_j is the row of its coefficients c as field numerators,
@@ -397,7 +397,7 @@ def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[list[QuadTow
 
     seeds = np.zeros((rank, rank * 4 + 1), dtype=np.int64)
     seeds[diag, diag * 4] = seeds[:, -1] = 1
-    rows = orbit(seeds, step, closure_row_keys, cap)
+    rows = orbit(seeds, step, closure_row_keys, CLOSURE_CAP)
     num, den = rows[:, :-1], rows[:, -1]
     s_num, s_den = quad_numerators([a.vector_coords() for a in simple.roots])  # (rank, dim, 4)
     dim = s_num.shape[1]
@@ -410,12 +410,12 @@ def _exact_closure(simple: SimpleRootSet, cartan, cap: int) -> list[list[QuadTow
                        den.astype(object)[:, None] * s_den).tolist()
 
 
-def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[list[float]]:
+def _float_closure(simple: SimpleRootSet, key_decimals: int) -> list[list[float]]:
     """Coordinates of the float roots, closed on Cartesian rows keyed at
     ``key_decimals`` decimals.
 
     s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed one column at a
-    time in coordinate order, as ``dot`` sums them.
+    time in coordinate order, as ``coords_dot`` sums them.
     """
     gens = np.array([a.vector_coords() for a in simple.roots])   # (rank, dim)
 
@@ -432,7 +432,7 @@ def _float_closure(simple: SimpleRootSet, cap: int, key_decimals: int) -> list[l
                   for a, aa in zip(gens, norms)]
         return np.stack(images, axis=1).reshape(-1, gens.shape[1])
 
-    return orbit(gens, step, lambda rows: row_keys(rows, key_decimals), cap).tolist()
+    return orbit(gens, step, lambda rows: row_keys(rows, key_decimals), CLOSURE_CAP).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +440,7 @@ def root_system(name: str, n: Optional[int] = None) -> RootSystem:
     return generate_roots(catalog(name, n))
 
 
-def rotation_orders(simple: SimpleRootSet, cap: int = 1000):
+def rotation_orders(simple: SimpleRootSet):
     """Orders of the pairwise rotations s_i s_j.
 
     The rotation angle is twice the angle phi between the two roots; its order
@@ -450,13 +450,13 @@ def rotation_orders(simple: SimpleRootSet, cap: int = 1000):
     if simple.rank not in (2, 3):
         raise ValueError("rotation orders are defined for rank 2 and 3")
     orders = []
-    r = simple.roots
+    r = [a.vector_coords() for a in simple.roots]
     for i in range(simple.rank):
         for j in range(i + 1, simple.rank):
-            c = max(-1.0, min(1.0, float(dot(r[i], r[j]))))
+            c = max(-1.0, min(1.0, float(coords_dot(r[i], r[j]))))
             phi = math.acos(c)
             m = None
-            for k in range(1, cap + 1):
+            for k in range(1, ROTATION_CAP + 1):
                 t = k * phi / math.pi
                 if abs(t - round(t)) < ROTATION_TOL and round(t) >= 1:
                     m = k
@@ -464,7 +464,7 @@ def rotation_orders(simple: SimpleRootSet, cap: int = 1000):
             if m is None:
                 raise ValueError(
                     f"pair ({i + 1},{j + 1}) of {simple.name} generates no finite "
-                    f"rotation order <= {cap}"
+                    f"rotation order <= {ROTATION_CAP}"
                 )
             orders.append(m)
     if simple.rank == 2:
@@ -496,53 +496,49 @@ class ValidationReport:
         )
 
 
-def _direction_key(mv: Multivector, index: int):
-    coords = mv.vector_coords()
-    if mv.backend == "exact":
+def _direction_key(coords: Sequence[Scalar], exact: bool, index: int):
+    if exact:
         pivot = next((c for c in coords if not c.is_zero()), None)
     else:
         coords = [float(c) for c in coords]
         pivot = next((c for c in coords if abs(c) > 10.0 ** -KEY_DECIMALS), None)
     if pivot is None:
         raise ValueError(f"vector {index} is zero; a root system has no zero vector")
-    if mv.backend == "exact":
+    if exact:
         return tuple(c / pivot for c in coords)
     return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
 
 
-def validate_root_system(roots: Sequence[Multivector],
+def validate_root_system(vectors: Sequence[Sequence[Scalar]],
                          max_samples: int = 16) -> ValidationReport:
-    """Check the two root-system axioms; violations are data, not errors."""
-    roots = list(roots)
-    keys = {mv_key(r) for r in roots}
-    missing = []
-    parallel = []
+    """Check the two root-system axioms on coordinate rows, comparing numerator
+    rows by ``row_keys``; violations are data, not errors."""
+    if not len(vectors):
+        return ValidationReport((), (), (), 0)
+    num, _ = quad_numerators(vectors)                  # (n, dim, 4)
+    exact = num.dtype == object
+    flat = num.reshape(len(num), -1)
+    keys, neg_keys = row_keys(flat), row_keys(-flat)
+    present = set(keys)
+    missing = tuple(i for i, k in enumerate(neg_keys) if k not in present)
     by_direction: dict = {}
-    for i, r in enumerate(roots):
-        by_direction.setdefault(_direction_key(r, i), []).append(i)
-        if mv_key(-r) not in keys:
-            missing.append(i)
-    for ids in by_direction.values():
-        if len(ids) > 2:
-            parallel.append(tuple(ids))
-        elif len(ids) == 2:
-            a, b = roots[ids[0]], roots[ids[1]]
-            if mv_key(-a) != mv_key(b):
-                parallel.append(tuple(ids))
-    refl = _reflection_violations(roots, max_samples) if roots else []
-    return ValidationReport(tuple(missing), tuple(parallel), tuple(refl), len(roots))
+    for i, v in enumerate(vectors):
+        by_direction.setdefault(_direction_key(v, exact, i), []).append(i)
+    parallel = tuple(tuple(ids) for ids in by_direction.values()
+                     if len(ids) > 2 or (len(ids) == 2 and neg_keys[ids[0]] != keys[ids[1]]))
+    refl = _reflection_violations(num, max_samples)
+    return ValidationReport(missing, parallel, tuple(refl), len(num))
 
 
-def _reflection_violations(roots: Sequence[Multivector], max_samples: int) -> list:
+def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
 
-    On numerator rows N over D with Gram numerators G = (N|N) over D**2,
-    (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators G_aa N_x - 2 G_xa N_a
+    On numerator rows N (n, dim, 4) over D with Gram numerators G = (N|N) over
+    D**2, (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators G_aa N_x - 2 G_xa N_a
     over D**3, the denominator of (a|a) y as G_aa N_y, so membership in
     (a|a) Phi compares rows, with no division: integer rows exactly, float
     rows by ``row_keys`` rounding.
     """
-    num, _ = quad_numerators([r.vector_coords() for r in roots])   # (n, dim, 4)
     n, dim = num.shape[:2]
     if num.dtype == object:
         m = int(np.abs(num).max())
@@ -577,9 +573,7 @@ def roots_to_json(system: RootSystem) -> dict:
     return {
         "name": system.name,
         "count": system.count,
-        "roots": [
-            [scalar_to_json(c) for c in r.vector_coords()] for r in system.roots
-        ],
+        "roots": [[scalar_to_json(c) for c in v] for v in system.vectors],
     }
 
 

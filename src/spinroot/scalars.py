@@ -34,7 +34,7 @@ import numpy as np
 #: Default absolute tolerance for float-backend equality on unit-scale values.
 DEFAULT_EQ_TOL = 1e-9
 
-#: Decimals kept by the float-backend hash keys (``row_keys``, ``clifford.mv_key``).
+#: Decimals kept by the float-backend hash keys (``row_keys``).
 KEY_DECIMALS = 6
 
 _EQ_TOL = DEFAULT_EQ_TOL

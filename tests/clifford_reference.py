@@ -1,16 +1,45 @@
 """Reference versor operations for the tests, on Multivector products.
 
-The library computes reflections, rotations and the pin order on coefficient
-rows and matrices; these per-element forms are what the tests compare them
-with.  Reflections use the unit-normal form s(x) = -a x a; even unit versors R
-act on vectors by the sandwich reverse(R) x R, so composition reads left to
-right: sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
+The library computes reflections, rotations, the pin order, root keys and
+dot products on coefficient rows and matrices; these per-element forms are
+what the tests compare them with.  Reflections use the unit-normal form
+s(x) = -a x a; even unit versors R act on vectors by the sandwich
+reverse(R) x R, so composition reads left to right:
+sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
 """
 
 from typing import Optional
 
 from spinroot.clifford import GRADE_TOL, Multivector
-from spinroot.scalars import QT_HALF, QT_ONE, QuadTower, Scalar, eq_tol
+from spinroot.rootsys import coords_dot
+from spinroot.scalars import KEY_DECIMALS, QT_HALF, QT_ONE, QuadTower, Scalar, eq_tol
+
+# sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k
+_REV = {
+    d: tuple(
+        -1 if (m.bit_count() * (m.bit_count() - 1) // 2) & 1 else 1
+        for m in range(1 << d)
+    )
+    for d in (1, 2, 3, 4)
+}
+
+
+def reverse(a: Multivector) -> Multivector:
+    """Reversion: the order of the vectors in every blade reversed."""
+    rev = _REV[a.dim]
+    return Multivector(a.dim, [(-c if rev[m] < 0 else c) for m, c in enumerate(a.coeffs)])
+
+
+def mv_key(mv: Multivector, decimals: int = KEY_DECIMALS):
+    """Canonical hashable key: exact coefficients, or rounded floats."""
+    if mv.backend == "exact":
+        return mv.coeffs
+    return tuple(round(c, decimals) + 0.0 for c in mv.coeffs)
+
+
+def dot(u: Multivector, v: Multivector) -> Scalar:
+    """(u|v) of two vectors, summed in coordinate order."""
+    return coords_dot(u.vector_coords(), v.vector_coords())
 
 
 def mv_sort_key(mv: Multivector):
@@ -59,7 +88,7 @@ def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Mul
     if not _is_unit(R, tol):
         raise ValueError("versor must have unit norm")
     grades = set(x.grades()) or {0}
-    return _project_grades(R.reverse() * x * R, grades, GRADE_TOL)
+    return _project_grades(reverse(R) * x * R, grades, GRADE_TOL)
 
 
 def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -78,7 +107,7 @@ def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -
     gx = x.grades()
     if len(gx) != 1:
         raise ValueError("versor_action expects a homogeneous-grade argument")
-    out = _project_grades(W.reverse() * x * W, set(gx), GRADE_TOL)
+    out = _project_grades(reverse(W) * x * W, set(gx), GRADE_TOL)
     if odd_versor and gx[0] % 2 == 1:
         return -out
     return out
@@ -88,7 +117,7 @@ def spinor_inner(R1: Multivector, R2: Multivector) -> Scalar:
     """Euclidean pairing (R1, R2) = <R1 reverse(R2) + R2 reverse(R1)>_0 / 2."""
     if any(g % 2 for g in R1.grades()) or any(g % 2 for g in R2.grades()):
         raise ValueError("spinor_inner expects even-grade multivectors")
-    s = (R1 * R2.reverse() + R2 * R1.reverse()).scalar_part()
+    s = (R1 * reverse(R2) + R2 * reverse(R1)).scalar_part()
     if isinstance(s, QuadTower):
         return s * QT_HALF
     return 0.5 * s

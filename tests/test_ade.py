@@ -1,5 +1,6 @@
 import pytest
 
+from spinroot import ade
 from spinroot.ade import (
     _closure,
     ade_root_data,
@@ -33,9 +34,10 @@ def test_e8_has_240_roots():
     assert ade_root_data("E8").root_count == 240
 
 
-def test_closure_cap_raises_value_error():
+def test_closure_cap_raises_value_error(monkeypatch):
+    monkeypatch.setattr(ade, "ROOT_CAP", 100)
     with pytest.raises(ValueError, match="exceeded cap"):
-        _closure(ade_root_data("E8").simple, cap=100)
+        _closure(ade_root_data("E8").simple)
 
 
 def test_rank_caps():

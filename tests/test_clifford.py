@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clifford_reference import reflect, sandwich, spinor_inner, versor_action
+from clifford_reference import reflect, reverse, sandwich, spinor_inner, versor_action
 from spinroot.clifford import (
     Multivector,
     blade_name,
@@ -13,7 +13,6 @@ from spinroot.clifford import (
     grade_project,
     product_tensor,
     pseudoscalar,
-    reverse,
 )
 from spinroot.scalars import (
     BackendMismatchError,

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from clifford_reference import versor_action
+from clifford_reference import dot, versor_action
 from spinroot import coxplane
 from spinroot.ade import ade_root_data
 from spinroot.cli import main
@@ -36,7 +36,7 @@ from spinroot.coxplane import (
     springer_identities,
     weight_basis,
 )
-from spinroot.rootsys import cartan_matrix, catalog, dot, root_system
+from spinroot.rootsys import cartan_matrix, catalog, root_system
 from spinroot.scalars import QT_ONE, QT_ZERO, SIGMA, TAU, QuadTower
 
 PI = math.pi
@@ -525,7 +525,7 @@ def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -
 
 
 def test_a4_projection_two_decagons():
-    pts = project_to_plane(root_system("A4").roots, coxeter_plane_for("A4").bivector)
+    pts = project_to_plane(root_system("A4").vectors, coxeter_plane_for("A4").bivector)
     assert len(pts) == 20
     radii = projection_radii(pts)
     assert len(radii) == 2
@@ -536,14 +536,14 @@ def test_a4_projection_two_decagons():
 
 def test_i2_projection_single_circle():
     pts = project_to_plane(
-        root_system("I2", 9).roots, coxeter_plane_for("I2", 9).bivector
+        root_system("I2", 9).vectors, coxeter_plane_for("I2", 9).bivector
     )
     radii = projection_radii(pts, decimals=6)
     assert radii == {1.0: 18}
 
 
 def test_h4_projection_four_rings():
-    pts = project_to_plane(root_system("H4").roots, coxeter_plane_for("H4").bivector)
+    pts = project_to_plane(root_system("H4").vectors, coxeter_plane_for("H4").bivector)
     radii = projection_radii(pts, decimals=6)
     assert len(radii) == 4
     assert all(count == 30 for count in radii.values())
@@ -553,10 +553,10 @@ def test_projection_radii_basis_invariant():
     # radii do not depend on the in-plane basis: rotate the bivector's basis
     # by projecting after multiplying the plane by a rotor within it
     B = coxeter_plane_for("A4").bivector
-    pts1 = project_to_plane(root_system("A4").roots, B)
+    pts1 = project_to_plane(root_system("A4").vectors, B)
     W = exp_bivector(B, 0.3)
     B2 = versor_action(W, B)  # same plane
-    pts2 = project_to_plane(root_system("A4").roots, B2)
+    pts2 = project_to_plane(root_system("A4").vectors, B2)
     assert projection_radii(pts1) == projection_radii(pts2)
 
 

@@ -184,6 +184,18 @@ def test_spinor_character_values():
         assert v in vals
 
 
+def test_spinor_character_is_the_scalar_part_bitwise():
+    # read off the rows, float or exact, it is twice the Multivector scalar
+    # part of each class's first element, bit for bit
+    groups = [spin_group(name) for name in ("A1^3", "A3", "B3", "H3")]
+    groups += [spin_group(family, n) for family in ("I2", "A1xI2") for n in range(2, 17)]
+    for G in groups:
+        classes = conjugacy_classes(G)
+        want = [2 * float(G.elements[members[0]].scalar_part()) for members in classes.classes]
+        got = spinor_character(G, classes).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want], G.name
+
+
 def test_spinor_character_needs_spin():
     from spinroot.induction import pin_group
 

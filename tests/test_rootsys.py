@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clifford_reference import mv_sort_key
+from clifford_reference import dot, mv_key, mv_sort_key
 from spinroot import ade, rootsys
-from spinroot.clifford import Multivector, mv_key
+from spinroot.clifford import Multivector
 from spinroot.induction import induced_set
 from spinroot.rootsys import (
     ClosureCapError,
@@ -16,7 +16,6 @@ from spinroot.rootsys import (
     cartan_matrix,
     catalog,
     display_name,
-    dot,
     generate_roots,
     orbit,
     parse_name,
@@ -24,7 +23,9 @@ from spinroot.rootsys import (
     rotation_orders,
     validate_root_system,
 )
-from spinroot.scalars import INV_SQRT2, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype
+from spinroot.scalars import (
+    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype,
+)
 
 EXPECTED_COUNTS = {
     ("A1^3", None): 6, ("A3", None): 12, ("B3", None): 18, ("H3", None): 30,
@@ -84,9 +85,9 @@ def test_root_counts():
 
 def test_float_key_stability():
     # closure counts must not depend on the dedup rounding (6 vs 7 decimals)
-    for key, n in [("I2", 7), ("I2", 12), ("A1xI2", 9), ("I2xI2", 11), ("B4", None),
-                   ("I2", 16), ("A1xI2", 16), ("I2xI2", 16)]:
-        simple = catalog(key, n)
+    simples = [catalog(key, n) for key, n in [("I2", 7), ("I2", 12), ("A1xI2", 9), ("I2xI2", 11),
+                                              ("I2", 16), ("A1xI2", 16), ("I2xI2", 16)]]
+    for simple in simples + [catalog("B4", backend="float")]:
         c6 = generate_roots(simple, key_decimals=6).count
         c7 = generate_roots(simple, key_decimals=7).count
         assert c6 == c7
@@ -203,9 +204,9 @@ def test_closure_matches_per_element_reference():
     for simple in exact:
         assert generate_roots(simple).roots == reference_roots(simple), simple.name
     assert generate_roots(exact[-1]).count == 8
-    # float: the families, B4 and float copies of exact systems, bitwise
+    # float: the families and float copies of exact systems, bitwise
     floats = [catalog(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 31)]
-    floats += [catalog("B4")] + [catalog(k, backend="float") for k in ("A3", "B3", "H3", "H4")]
+    floats += [catalog(k, backend="float") for k in ("A3", "B3", "H3", "B4", "H4")]
     for simple in floats:
         got = np.array([r.coeffs for r in generate_roots(simple).roots])
         want = np.array([r.coeffs for r in reference_roots(simple)])
@@ -274,7 +275,7 @@ def test_rotation_orders_permutation_invariant():
         assert rotation_orders(shuffled) == rotation_orders(base)
 
 
-def test_rotation_orders_rejects_non_coxeter_pair():
+def test_rotation_orders_rejects_non_coxeter_pair(monkeypatch):
     bad = SimpleRootSet(
         name="bad", key="bad", rank=2,
         roots=(
@@ -283,16 +284,50 @@ def test_rotation_orders_rejects_non_coxeter_pair():
         ),
         backend="float",
     )
+    monkeypatch.setattr(rootsys, "ROTATION_CAP", 100)
     with pytest.raises(ValueError):
-        rotation_orders(bad, cap=100)
+        rotation_orders(bad)
 
 
 def test_validate_catalog_systems():
     # every catalog entry closes to a valid root system
     names = list(EXPECTED_COUNTS) + [("I2", 6), ("A1xI2", 4), ("I2xI2", 7)]
     for key, n in names:
-        rep = validate_root_system(root_system(key, n).roots)
+        rep = validate_root_system(root_system(key, n).vectors)
         assert rep.ok, (key, n)
+
+
+def reference_direction_key(mv: Multivector, index: int):
+    """A vector's direction: its coordinates over the first nonzero one."""
+    coords = mv.vector_coords()
+    if mv.backend == "exact":
+        pivot = next((c for c in coords if not c.is_zero()), None)
+    else:
+        coords = [float(c) for c in coords]
+        pivot = next((c for c in coords if abs(c) > 10.0 ** -KEY_DECIMALS), None)
+    if pivot is None:
+        raise ValueError(f"vector {index} is zero; a root system has no zero vector")
+    if mv.backend == "exact":
+        return tuple(c / pivot for c in coords)
+    return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
+
+
+def reference_pair_violations(roots):
+    """Missing negatives and parallel violations, one Multivector at a time,
+    with negatives looked up by ``mv_key``."""
+    keys = {mv_key(r) for r in roots}
+    missing = tuple(i for i, r in enumerate(roots) if mv_key(-r) not in keys)
+    by_direction: dict = {}
+    for i, r in enumerate(roots):
+        by_direction.setdefault(reference_direction_key(r, i), []).append(i)
+    parallel = tuple(tuple(ids) for ids in by_direction.values()
+                     if len(ids) > 2 or (len(ids) == 2
+                                         and mv_key(-roots[ids[0]]) != mv_key(roots[ids[1]])))
+    return missing, parallel
+
+
+def coords(roots):
+    return [r.vector_coords() for r in roots]
 
 
 def reference_reflection_violations(roots, max_samples=16):
@@ -312,22 +347,26 @@ def reference_reflection_violations(roots, max_samples=16):
 
 
 def validation_test_sets():
-    """Valid root sets of both backends, and broken ones (a root dropped, a non-root added)."""
+    """Valid root sets of both backends, and broken ones (a root dropped, a
+    non-root added, a negative missing, a parallel pair)."""
     valid = {key: root_system(key).roots for key, _ in EXPECTED_COUNTS
              if catalog(key).backend == "exact"}
     for name in ("A1^3", "A3", "B3", "H3"):
-        valid[f"induced {name}"] = induced_set(name).as_root_vectors()
+        valid[f"induced {name}"] = tuple(Multivector.from_vector(v)
+                                         for v in induced_set(name).vectors)
     h3, d4, f4, h4 = (valid[k] for k in ("H3", "D4", "F4", "H4"))
+    e1 = Multivector.basis_vector(3, 0)
     broken = {
         "H3 minus a root": h3[1:],
         "D4 plus a non-root": d4 + (Multivector.from_vector([QT_HALF, QT_ZERO, TAU, QT_ZERO]),),
         "F4 minus a root": f4[:20] + f4[21:],
         "H4 minus a root": h4[:-1],
+        "e1 without its negative": (e1,),
+        "e1 and 2 e1": (e1, -e1, 2 * e1, -2 * e1),
     }
-    # the float backend: the families, B4 and float copies of the exact sets
+    # the float backend: the families and float copies of the exact sets
     floats = {f"float {label}": tuple(r.to_float() for r in roots)
               for label, roots in valid.items()}
-    floats["B4"] = root_system("B4").roots
     for key in ("I2", "A1xI2", "I2xI2"):
         for n in range(2, 17):
             floats[display_name(key, n)] = root_system(key, n).roots
@@ -335,23 +374,28 @@ def validation_test_sets():
         valid[label] = roots
         k = len(roots) // 2
         broken[f"{label} minus a root"] = roots[:k] + roots[k + 1:]
+    for label in ("e1 without its negative", "e1 and 2 e1"):
+        broken[f"float {label}"] = tuple(r.to_float() for r in broken[label])
     return valid, broken
 
 
 def test_validate_exact_matches_reference():
     valid, broken = validation_test_sets()
     for label, roots in {**valid, **broken}.items():
-        rep = validate_root_system(roots)
+        rep = validate_root_system(coords(roots))
         assert rep.checked == len(roots)
         assert rep.reflection_violations == reference_reflection_violations(roots), label
+        missing, parallel = reference_pair_violations(roots)
+        assert rep.missing_negatives == missing, label
+        assert rep.parallel_violations == parallel, label
         assert rep.ok == (label in valid), label
     # every violation in row-major order, and truncation at max_samples
     for label in ("F4 minus a root", "float F4 minus a root", "I2(9)xI2(9) minus a root"):
         roots = broken[label]
-        full = validate_root_system(roots, max_samples=10_000).reflection_violations
+        full = validate_root_system(coords(roots), max_samples=10_000).reflection_violations
         assert len(full) > 16, label
         assert full == reference_reflection_violations(roots, 10_000), label
-        assert validate_root_system(roots, max_samples=5).reflection_violations == full[:5]
+        assert validate_root_system(coords(roots), max_samples=5).reflection_violations == full[:5]
 
 
 def test_validate_large_denominators_stay_exact(monkeypatch):
@@ -367,7 +411,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
     roots = tuple(scale * r for r in root_system("H3").roots)
     broken = roots[1:] + (scale * Multivector.from_vector([QT_HALF, TAU, QT_ZERO]),)
     for s in (roots, broken):
-        rep = validate_root_system(s, max_samples=10_000)
+        rep = validate_root_system(coords(s), max_samples=10_000)
         assert rep.reflection_violations == reference_reflection_violations(s, 10_000)
     assert chosen == [object, object]
     assert rep.reflection_violations
@@ -375,7 +419,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
 
 def test_validate_missing_negative():
     e1 = Multivector.basis_vector(3, 0)
-    rep = validate_root_system([e1])
+    rep = validate_root_system(coords([e1]))
     assert not rep.ok
     assert rep.missing_negatives
 
@@ -383,7 +427,7 @@ def test_validate_missing_negative():
 def test_validate_reflection_violation():
     e1 = Multivector.basis_vector(2, 0)
     diag = Multivector.from_vector([INV_SQRT2, INV_SQRT2])
-    rep = validate_root_system([e1, -e1, diag, -diag])
+    rep = validate_root_system(coords([e1, -e1, diag, -diag]))
     assert not rep.ok
     assert rep.reflection_violations  # reflecting the diagonal in e1 escapes
 
@@ -396,17 +440,17 @@ def test_validate_rejects_zero_vector(backend):
     if backend == "float":
         vectors = [v.to_float() for v in vectors]
     with pytest.raises(ValueError, match="vector 2 is zero"):
-        validate_root_system(vectors)
+        validate_root_system(coords(vectors))
 
 
 def test_validate_parallel_duplicate():
     e1 = Multivector.basis_vector(3, 0)
     two_e1 = 2 * e1
-    rep = validate_root_system([e1, -e1, two_e1, -two_e1])
+    rep = validate_root_system(coords([e1, -e1, two_e1, -two_e1]))
     assert rep.parallel_violations
 
 
-def test_generation_cap():
+def test_generation_cap(monkeypatch):
     bad = SimpleRootSet(
         name="bad", key="bad", rank=2,
         roots=(
@@ -415,8 +459,9 @@ def test_generation_cap():
         ),
         backend="float",
     )
+    monkeypatch.setattr(rootsys, "CLOSURE_CAP", 50)
     with pytest.raises(ClosureCapError):
-        generate_roots(bad, cap=50)
+        generate_roots(bad)
 
 
 def test_float_backend_override():

@@ -17,11 +17,14 @@ def test_no_assert_statements():
 
 
 def test_small_float_literals_are_named_constants():
-    # a tolerance below 1e-3 in the root, pin, McKay and Coxeter layers is a
-    # named module-level UPPER_CASE constant, never a literal inside a function
+    # a tolerance below 1e-3 is a named module-level UPPER_CASE constant, never
+    # a literal inside a function; verify.py pins its fixtures where it checks them
     found = []
-    for name in ("coxplane.py", "induction.py", "mckay.py", "rootsys.py"):
-        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "verify.py":
+            continue
+        name = path.name
+        tree = ast.parse(path.read_text(), filename=name)
         named = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
                  and all(isinstance(t, ast.Name) and t.id == t.id.upper() for t in stmt.targets)
                  for node in ast.walk(stmt.value)}
@@ -29,3 +32,23 @@ def test_small_float_literals_are_named_constants():
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)
                   and 0 < abs(node.value) < 1e-3 and id(node) not in named]
     assert found == []
+
+
+def test_every_definition_is_used_in_src():
+    # a function, method or class that no code in the package names outside its
+    # own body has no caller: move it into the tests that use it, or delete it
+    defs, refs = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs.append((path, node))
+            elif isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    unused = [f"{path.name}:{node.lineno} {node.name}" for path, node in defs
+              if not any(name == node.name
+                         and (where != path or not node.lineno <= line <= node.end_lineno)
+                         for where, line, name in refs)]
+    assert unused == []

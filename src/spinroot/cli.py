@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, ade, coxplane, mckay, output, verify
+from .clifford import blade_name
 from .induction import binary_group_name, induced_name, pin_group, spin_group
 from .rootsys import (
     UnknownSystemError,
@@ -25,7 +26,7 @@ from .rootsys import (
     parse_name,
     root_system,
 )
-from .scalars import DEFAULT_EQ_TOL, eq_tol, set_eq_tol
+from .scalars import DEFAULT_EQ_TOL, eq_tol, scalar_to_json, set_eq_tol
 
 
 def _meta(args) -> dict:
@@ -83,6 +84,13 @@ def cmd_induce(args) -> int:
     return 0
 
 
+def _bivector_json(B: np.ndarray) -> dict:
+    """A bivector row as printed: its nonzero coefficients by blade name, in blade-mask order."""
+    return {"dim": len(B).bit_length() - 1,
+            "coeffs": {blade_name(m): scalar_to_json(c) for m, c in enumerate(B.tolist())
+                       if c != 0.0}}
+
+
 def cmd_coxplane(args) -> int:
     key, n = parse_name(args.name, args.n)
     simple = catalog(key, n, backend=args.backend)
@@ -109,7 +117,7 @@ def cmd_coxplane(args) -> int:
         B = coxplane.coxeter_plane(simple, validate=word is None).bivector
         if word is not None:
             B = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
-        payload["plane"] = B.to_json()
+        payload["plane"] = _bivector_json(B)
         if simple.rank in (2, 4):
             f = coxplane.factorize(cd.versor, B, cd.h)
             payload.update({

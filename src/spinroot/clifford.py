@@ -1,32 +1,37 @@
-"""Dense multivectors for the Euclidean Clifford algebras Cl(2), Cl(3), Cl(4).
+"""The Euclidean Clifford algebras Cl(2), Cl(3), Cl(4) on coefficient rows.
 
-A multivector holds 2^dim coefficients indexed by blade bitmask: bit i of the
-mask marks basis vector e_{i+1}, and the blade is the ascending product of its
-constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients are
-either all QuadTower (exact backend) or all float; the two never mix.
+A multivector is a row of 2^dim coefficients indexed by blade bitmask: bit i
+of the mask marks basis vector e_{i+1}, and the blade is the ascending product
+of its constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients
+are either all exact (QuadTower, held in rows as field numerators over one
+denominator) or all float; the two never mix.
 
-Vectors are grade-1 multivectors throughout.  An even unit versor R acts on
-vectors by the sandwich x -> reverse(R) x R, so products act left to right:
-R1*R2 acts as R1 first, then R2.
+``right_products`` is the library's one geometric product: the pin closure,
+the Coxeter versor, its factorization and the Coxeter plane all multiply rows
+through it.  ``Multivector`` is the same algebra one element at a time, for
+the public API and the tests; ``SimpleRootSet.roots``, ``RootSystem.roots``
+and ``VersorGroup.elements`` build it from rows.
+
+An even unit versor R acts on vectors by the sandwich x -> reverse(R) x R, so
+products act left to right: R1*R2 acts as R1 first, then R2.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .scalars import (
     FIELD_TENSOR,
+    FIELD_TENSOR_MAX,
     BackendMismatchError,
-    QT_ONE,
     QT_ZERO,
     QuadTower,
     Scalar,
-    eq_tol,
-    scalar_to_json,
+    kernel_dtype,
+    reduce_rows,
 )
 
 GRADE_TOL = 1e-9    # largest coefficient a grade projection may treat as noise
@@ -54,6 +59,10 @@ def _sign_table(dim: int):
 
 
 _SIGN = {d: _sign_table(d) for d in (1, 2, 3, 4)}
+# e_a e_b = sign(a, b) e_(a ^ b), so blade a becomes blade c under right
+# multiplication by blade a ^ c only, with the sign _RIGHT_SIGN[dim][a, c]
+_XOR = {d: np.bitwise_xor.outer(np.arange(1 << d), np.arange(1 << d)) for d in _SIGN}
+_RIGHT_SIGN = {d: np.take_along_axis(np.array(_SIGN[d]), _XOR[d], axis=1) for d in _SIGN}
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +83,57 @@ def product_tensor(dim: int) -> np.ndarray:
     K = K.reshape(4 * size, 4 * size, 4 * size)
     K.flags.writeable = False
     return K
+
+
+def right_products(gens: np.ndarray, dim: int) -> Callable:
+    """The geometric product on coefficient rows: a function taking rows to
+    their products with each generator row on the right, element-major and
+    generator-minor.
+
+    Rows are float coefficient rows, or exact field numerators, blade-major,
+    followed by one positive denominator.  Right multiplication by g is the
+    matrix R_g[a, c] = sum_b g_b K[a, b, c] of K = ``product_tensor``, whose
+    only nonzero b is a ^ c: R_g[a, c] = sign(a, a ^ c) g_(a ^ c) on float
+    rows, times the field's multiplication matrix of g_(a ^ c) on exact ones.
+    The products of a batch are one product with [R_g1 | R_g2 | ...].  Exact
+    products carry the product of the two denominators and are divided
+    through by their gcd.
+    """
+    xor, sign = _XOR[dim], _RIGHT_SIGN[dim]
+    size = len(xor)
+    if gens.dtype.kind == "f":
+        right = (gens[:, xor] * sign).transpose(1, 0, 2).reshape(size, -1)
+
+        def float_products(rows: np.ndarray) -> np.ndarray:
+            # rows @ right, summed from +0.0 one left blade at a time in
+            # blade order, as Multivector.__mul__ sums: BLAS may fuse
+            # multiply-adds, which would move float products by an ulp.
+            # A blade that is zero in every row adds only zeros to sums that
+            # are never -0.0, so it is skipped, as Multivector skips it
+            images = np.zeros((len(rows), right.shape[1]))
+            for a in np.flatnonzero(rows.any(axis=0)):
+                images += rows[:, a:a + 1] * right[a]
+            return images.reshape(-1, size)
+
+        return float_products
+
+    n = 4 * size
+    g_num, g_den = gens[:, :-1], gens[:, -1]
+    g_num = g_num.astype(kernel_dtype(n * FIELD_TENSOR_MAX * int(np.abs(g_num).max())))
+    field = np.einsum("gbq,pqr->gbpr", g_num.reshape(len(gens), size, 4), FIELD_TENSOR)
+    right = (field[:, xor] * sign[:, :, None, None]).transpose(1, 3, 0, 2, 4).reshape(n, -1)
+    # a product numerator sums n terms of size <= max|R| |row|
+    growth = max(n * int(np.abs(right).max()), int(g_den.max()))
+
+    def exact_products(rows: np.ndarray) -> np.ndarray:
+        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
+        rows = rows.astype(dtype)
+        num = (rows[:, :-1] @ right.astype(dtype)).reshape(len(rows), len(gens), n)
+        den = rows[:, -1:, None] * g_den.astype(dtype)[:, None]
+        images = np.concatenate([num, den], axis=2).reshape(-1, n + 1)
+        return reduce_rows(images)
+
+    return exact_products
 
 
 def blade_name(mask: int) -> str:
@@ -120,28 +180,12 @@ class Multivector:
         return cls(dim, coeffs)
 
     @classmethod
-    def basis_vector(cls, dim: int, i: int, backend: str = "exact") -> "Multivector":
-        if not 0 <= i < dim:
-            raise ValueError(f"basis index {i} out of range for dim {dim}")
-        mv = cls.zero(dim, backend)
-        coeffs = list(mv.coeffs)
-        coeffs[1 << i] = QT_ONE if backend == "exact" else 1.0
-        return cls(dim, coeffs)
-
-    @classmethod
     def from_vector(cls, coords: Sequence[Scalar]) -> "Multivector":
         dim = len(coords)
         exact = any(isinstance(c, QuadTower) for c in coords)
         coeffs = [QT_ZERO if exact else 0.0] * (1 << dim)
         for i, c in enumerate(coords):
             coeffs[1 << i] = c
-        return cls(dim, coeffs)
-
-    @classmethod
-    def blade(cls, dim: int, mask: int, value: Scalar) -> "Multivector":
-        mv = cls.zero(dim, "exact" if isinstance(value, QuadTower) else "float")
-        coeffs = list(mv.coeffs)
-        coeffs[mask] = value
         return cls(dim, coeffs)
 
     # -- basics --------------------------------------------------------------
@@ -245,87 +289,6 @@ class Multivector:
     def __hash__(self):
         return hash((self.dim, self.coeffs))
 
-    def approx_eq(self, other: "Multivector", tol: Optional[float] = None) -> bool:
-        if self.dim != other.dim:
-            return False
-        tol = eq_tol() if tol is None else tol
-        return all(
-            abs(float(x) - float(y)) <= tol
-            for x, y in zip(self.coeffs, other.coeffs)
-        )
-
-    # -- structure -----------------------------------------------------------
-
-    def grade(self, k: int) -> "Multivector":
-        if not 0 <= k <= self.dim:
-            raise ValueError(f"grade {k} out of range for Cl({self.dim})")
-        z = self._zero_coeff()
-        return Multivector(
-            self.dim,
-            [c if m.bit_count() == k else z for m, c in enumerate(self.coeffs)],
-        )
-
-    def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({m.bit_count() for m, _ in self.nz}))
-
-    def scalar_part(self) -> Scalar:
-        return self.coeffs[0]
-
-    def norm_sq(self) -> Scalar:
-        # <A reverse(A)>_0 = sum of squared coefficients in the Euclidean metric
-        total = self._zero_coeff()
-        for _, c in self.nz:
-            total = total + c * c
-        return total
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
-
-    def vector_coords(self) -> tuple[Scalar, ...]:
-        if any(m.bit_count() != 1 for m, _ in self.nz):
-            raise ValueError("not a grade-1 multivector")
-        return tuple(self.coeffs[1 << i] for i in range(self.dim))
-
-    def to_float(self) -> "Multivector":
-        if self.backend == "float":
-            return self
-        return Multivector(self.dim, [float(c) for c in self.coeffs])
-
-    def to_blade_dict(self) -> dict:
-        """Nonzero blade coefficients keyed by blade name ('' for the scalar)."""
-        return {blade_name(m): scalar_to_json(c) for m, c in self.nz}
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "coeffs": self.to_blade_dict()}
-
     def __repr__(self):
         terms = " ".join(f"{c}:{blade_name(m) or '1'}" for m, c in self.nz)
         return f"<Cl({self.dim}) {terms or '0'}>"
-
-
-# -- operations ---------------------------------------------------------------
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
-
-
-def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> Multivector:
-    """cos(theta) + sin(theta) B for a unit bivector B (float backend)."""
-    if B.backend != "float":
-        raise BackendMismatchError("exp_bivector works on the float backend")
-    if B.grades() != (2,):
-        raise ValueError("exponent must be a pure bivector")
-    tol = eq_tol() if tol is None else tol
-    sq = B * B
-    if abs(sq.scalar_part() + 1.0) > tol or any(
-        abs(c) > tol for m, c in sq.nz if m != 0
-    ):
-        raise ValueError("bivector must square to -1")
-    return Multivector.scalar(B.dim, math.cos(theta)) + math.sin(theta) * B
-
-
-def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:
-    return Multivector.blade(
-        dim, (1 << dim) - 1, QT_ONE if backend == "exact" else 1.0
-    )

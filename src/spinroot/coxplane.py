@@ -6,6 +6,12 @@ the Clifford factorization of the Coxeter versor into commuting bivector
 exponentials exp(t1*B) exp(t2*I*B) built on the Perron-Frobenius / bicoloured
 plane bivector B.
 
+Multivectors here are rows: the Coxeter versor W is a row in the layout of
+``induction._element_rows`` (exact where the roots are), the plane bivector B
+a float coefficient row.  Products, wedges and exponentials go through
+``clifford.right_products``, and every float sum runs from 0.0 in blade order,
+so each printed float is the one the per-element Multivector computation gives.
+
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
 [0, pi/2], quotienting the three orientations the construction leaves free
 (versor sign, plane orientation, pseudoscalar orientation).  The signs are
@@ -22,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import GRADE_TOL, Multivector, exp_bivector, grade_project, pseudoscalar
-from .induction import induced_name, spin_group
+from .clifford import GRADE_TOL, right_products
+from .induction import _row_values, _vector_rows, induced_name, spin_group
 from .mckay import is_connected
 from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, parse_name
 from .scalars import QuadTower, Scalar, eq_tol
@@ -56,14 +62,14 @@ class FactorizationError(ValueError):
 class CoxeterData:
     simple: SimpleRootSet
     word: tuple[int, ...]          # 1-based order of simple reflections
-    versor: Multivector            # product of the simple roots, native backend
+    versor: np.ndarray             # product of the simple roots, an ``_element_rows`` row
     matrix: np.ndarray             # coxeter_matrix of the word's roots
     h: int                         # order of the matrix (the Coxeter number)
 
 
 @dataclass(frozen=True)
 class CoxeterPlane:
-    bivector: Multivector          # unit bivector, float backend
+    bivector: np.ndarray           # unit bivector, a float coefficient row
     white: tuple[int, ...]
     black: tuple[int, ...]
     pf: tuple[float, ...]
@@ -104,7 +110,7 @@ class SpringerReport:
 def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal)."""
     k = simple.rank
-    coords = [r.vector_coords() for r in simple.roots]
+    coords = simple.vectors
     adj = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -159,7 +165,7 @@ def _word_matrix(simple: SimpleRootSet, word: Optional[Sequence[int]]
     word = tuple(word) if word is not None else default_word(simple)
     if sorted(word) != list(range(1, simple.rank + 1)):
         raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
-    rows = np.array([[float(c) for c in simple.roots[i - 1].vector_coords()] for i in word])
+    rows = np.array([[float(c) for c in simple.vectors[i - 1]] for i in word])
     if np.abs((rows * rows).sum(axis=1) - 1.0).max() > eq_tol():
         raise ValueError("versor must have unit norm")
     return word, coxeter_matrix(rows)
@@ -169,9 +175,11 @@ def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
                    ) -> CoxeterData:
     """Product of all simple roots in the given order, with matrix and order."""
     word, M = _word_matrix(simple, word)
-    W = simple.roots[word[0] - 1]
+    gens = _vector_rows(simple.vectors)
+    times = right_products(gens, simple.rank)
+    W = gens[word[0] - 1]
     for idx in word[1:]:
-        W = W * simple.roots[idx - 1]
+        W = times(W[None])[idx - 1]
     if not _is_identity(M.T @ M, np.eye(len(M))):
         raise ValueError("Coxeter matrix is not orthogonal")
     return CoxeterData(simple=simple, word=word, versor=W, matrix=M,
@@ -219,6 +227,40 @@ def exponents_via_matrix(M: np.ndarray, h: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+# -- float coefficient rows -----------------------------------------------------
+# Sums run from 0.0 in blade order, as Multivector sums, so each float equals
+# the one a chain of Multivector operations gives.
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Geometric product x y of two float coefficient rows."""
+    return right_products(y[None], len(x).bit_length() - 1)(x[None])[0]
+
+
+def _grade(x: np.ndarray, k: int) -> np.ndarray:
+    """The grade-k part of a float coefficient row."""
+    return np.where([m.bit_count() == k for m in range(len(x))], x, 0.0)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Coefficient dot of two rows, <x reverse(y)>_0, summed one blade at a time."""
+    total = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        total += a * b
+    return total
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
+
+
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bivector row u ^ v of two float coordinate vectors: the grade-2 part of
+    their geometric product."""
+    rows = _vector_rows(np.array([u, v], dtype=float).tolist())
+    return _grade(_mul(rows[0], rows[1]), 2)
+
+
 # -- Perron-Frobenius / weights / plane ------------------------------------------
 
 
@@ -249,16 +291,14 @@ def pf_eigenvector(cartan) -> np.ndarray:
     return x / x[0]
 
 
-def weight_basis(simple: SimpleRootSet) -> tuple[Multivector, ...]:
-    """Vectors w_i with (w_i | a_j) = delta_ij, exact where the roots are exact."""
-    k = simple.rank
-    rows = [list(r.vector_coords()) for r in simple.roots]
+def weight_basis(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
+    """Coordinate rows w_i with (w_i | a_j) = delta_ij, exact where the roots are exact."""
+    rows = [list(v) for v in simple.vectors]
     if simple.backend == "exact":
         cols = _invert_exact(rows)
     else:
-        inv = np.linalg.inv(np.array(rows, dtype=float))
-        cols = [list(inv[:, i]) for i in range(k)]
-    return tuple(Multivector.from_vector(c) for c in cols)
+        cols = np.linalg.inv(np.array(rows, dtype=float)).T.tolist()
+    return tuple(tuple(c) for c in cols)
 
 
 def _invert_exact(rows):
@@ -291,27 +331,24 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     """Unit bivector of the plane spanned by the two PF-weighted coloured vectors."""
     white, black = bicolor(simple)
     pf = pf_eigenvector(cartan_matrix(simple))
-    wf = [w.to_float() for w in weight_basis(simple)]
-    k = simple.rank
+    weights = np.array([[float(c) for c in w] for w in weight_basis(simple)])
 
     def combo(idxs):
-        v = Multivector.zero(k, "float")
+        v = np.zeros(simple.rank)
         for i in idxs:
-            v = v + float(pf[i]) * wf[i]
+            v = v + pf[i] * weights[i]
         return v
 
     v_white, v_black = combo(white), combo(black)
-    if v_white.norm() < DEGENERATE_TOL or v_black.norm() < DEGENERATE_TOL:
+    if _norm(v_white) < DEGENERATE_TOL or _norm(v_black) < DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: a coloured vector vanishes")
-    B = grade_project(v_white * v_black, 2)
-    nb = B.norm()
+    B = _wedge(v_white, v_black)
+    nb = _norm(B)
     if nb < DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: coloured vectors are colinear")
-    B = B / nb
-    sq = B * B
-    if abs(float(sq.scalar_part()) + 1.0) > DEGENERATE_TOL or any(
-        abs(float(c)) > DEGENERATE_TOL for m, c in sq.nz if m != 0
-    ):
+    B = B * (1.0 / nb)
+    sq = _mul(B, B)
+    if abs(sq[0] + 1.0) > DEGENERATE_TOL or np.abs(sq[1:]).max() > DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
     if validate and not _stabilizes(_word_matrix(simple, word)[1], B):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
@@ -326,27 +363,27 @@ def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:
     return coxeter_plane(catalog(name, n))
 
 
-def bivector_matrix(B: Multivector) -> np.ndarray:
-    """Antisymmetric matrix A of a bivector, A[i, j] = its e_(i+1) e_(j+1) coefficient.
+def bivector_matrix(B: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrix A of a bivector row, A[i, j] = its e_(i+1) e_(j+1) coefficient.
 
     u ^ v has the matrix u v^T - v u^T, so an orthogonal M, acting on vectors
     as a versor does, acts on the bivector as A -> M A M^T.
     """
-    k = B.dim
+    k = len(B).bit_length() - 1
     A = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            A[i, j] = float(B.coeffs[(1 << i) | (1 << j)])
+            A[i, j] = B[(1 << i) | (1 << j)]
     return A - A.T
 
 
-def _stabilizes(M: np.ndarray, B: Multivector) -> bool:
+def _stabilizes(M: np.ndarray, B: np.ndarray) -> bool:
     A = bivector_matrix(B)
     return np.abs(M @ A @ M.T - A).max() <= PLANE_TOL
 
 
-def plane_from_matrix(W: Multivector, M: np.ndarray, h: int) -> Multivector:
-    """Invariant-plane bivector of an arbitrary word's Coxeter matrix M.
+def plane_from_matrix(W: np.ndarray, M: np.ndarray, h: int) -> np.ndarray:
+    """Invariant-plane bivector row of an arbitrary word's Coxeter matrix M.
 
     The plane belongs to exp(2*pi*i*m/h), the non-real eigenvalue of least
     exponent m (1 if irreducible; 2 for A1xI2(n) with odd n, where h = 2n), or
@@ -367,14 +404,12 @@ def plane_from_matrix(W: Multivector, M: np.ndarray, h: int) -> Multivector:
         raise FactorizationError(f"no eigenvalue exp(2*pi*i*{m}/h) found")
 
     def try_plane(u, w):
-        vu = Multivector.from_vector([float(t) for t in u])
-        vw = Multivector.from_vector([float(t) for t in w])
-        B = grade_project(vu * vw, 2)
-        B = Multivector(k, [0.0 if abs(c) <= GRADE_TOL else c for c in B.coeffs])
-        nb = B.norm()
+        B = _wedge(u, w)
+        B = np.where(np.abs(B) <= GRADE_TOL, 0.0, B)
+        nb = _norm(B)
         if nb < WEDGE_FLOOR:
             return None
-        B = B / nb
+        B = B * (1.0 / nb)
         return B if _stabilizes(M, B) else None
 
     for i in cands:
@@ -441,21 +476,30 @@ def canonical_angle(t: float) -> tuple[float, int, int]:
     raise FactorizationError(f"cannot canonicalize angle {t}")
 
 
-def _component(W: Multivector, U: Multivector) -> float:
-    # <W reverse(U)>_0 for unit blade-combinations: plain coefficient dot
-    return sum(float(a) * float(b) for a, b in zip(W.coeffs, U.coeffs))
+def _exp(B: np.ndarray, theta: float) -> np.ndarray:
+    """cos(theta) + sin(theta) B for a unit bivector row B."""
+    if not B.any() or (B != _grade(B, 2)).any():
+        raise ValueError("exponent must be a pure bivector")
+    tol = eq_tol()
+    sq = _mul(B, B)
+    if abs(sq[0] + 1.0) > tol or np.abs(sq[1:]).max() > tol:
+        raise ValueError("bivector must square to -1")
+    E = np.zeros(len(B))
+    E[0] = math.cos(theta)
+    return E + math.sin(theta) * B
 
 
-def factorize(W: Multivector, B_C: Multivector, h: int) -> Factorization:
-    """Decompose a Coxeter versor into bivector exponentials on B_C and I*B_C."""
-    Wf = W.to_float()
-    B = B_C.to_float()
-    if Wf.dim == 2:
-        s = float(Wf.coeffs[0])
-        b1 = _component(Wf, B)
+def factorize(W: np.ndarray, B: np.ndarray, h: int) -> Factorization:
+    """Decompose a Coxeter versor row W (as ``CoxeterData.versor``) into bivector
+    exponentials on the plane bivector row B and on I*B."""
+    dim = len(B).bit_length() - 1
+    if W.dtype.kind != "f":
+        W = np.array([float(c) for c in _row_values(W[None], dim)[0]])
+    if dim == 2:
+        s = float(W[0])
+        b1 = _dot(W, B)
         t1 = math.atan2(b1, s)
-        rec = exp_bivector(B, t1)
-        residual = (Wf - rec).norm()
+        residual = _norm(W - _exp(B, t1))
         if residual > RESIDUAL_TOL:
             raise FactorizationError(f"residual {residual} (not a plane rotation)")
         t1c, b_sign, w_sign = canonical_angle(t1)
@@ -464,20 +508,20 @@ def factorize(W: Multivector, B_C: Multivector, h: int) -> Factorization:
             h=h, theta1=t1c, theta2=None, w_sign=w_sign, b_sign=b_sign,
             i_sign=1, exponents=tuple(sorted((m1, h - m1))), residual=residual,
         )
-    if Wf.dim != 4:
+    if dim != 4:
         raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
-    I = pseudoscalar(4, "float")
-    IB = I * B
-    s = float(Wf.coeffs[0])
-    p = _component(Wf, I)
-    b1 = _component(Wf, B)
-    b2 = _component(Wf, IB)
+    I = np.zeros(16)
+    I[15] = 1.0
+    IB = _mul(I, B)
+    s = float(W[0])
+    p = _dot(W, I)
+    b1 = _dot(W, B)
+    b2 = _dot(W, IB)
     sum_a = math.atan2(b1 + b2, s + p)
     diff_a = math.atan2(b1 - b2, s - p)
     t1 = 0.5 * (sum_a + diff_a)
     t2 = 0.5 * (sum_a - diff_a)
-    rec = exp_bivector(B, t1) * exp_bivector(IB, t2)
-    residual = (Wf - rec).norm()
+    residual = _norm(W - _mul(_exp(B, t1), _exp(IB, t2)))
     if residual > RESIDUAL_TOL:
         raise FactorizationError(
             f"residual {residual}: versor is not of two-plane form on this bivector"
@@ -504,30 +548,31 @@ def _as_exponent(t: float, h: int) -> int:
 # -- projection -------------------------------------------------------------------
 
 
-def plane_basis(B_C: Multivector) -> tuple[Multivector, Multivector]:
-    """Orthonormal vector pair spanning the plane of a unit simple bivector."""
-    B = B_C.to_float()
-    dim = B.dim
+def plane_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal coordinate vectors spanning the plane of a unit simple bivector row."""
+    dim = len(B).bit_length() - 1
     u1 = None
     for i in range(dim):
-        e = Multivector.basis_vector(dim, i, "float")
-        t = grade_project(e * B, 1)
-        proj = -grade_project(t * B, 1)
-        if proj.norm() > BASIS_FLOOR:
-            u1 = proj / proj.norm()
+        e = np.zeros(len(B))
+        e[1 << i] = 1.0
+        proj = -_grade(_mul(_grade(_mul(e, B), 1), B), 1)
+        n = _norm(proj)
+        if n > BASIS_FLOOR:
+            u1 = proj * (1.0 / n)
             break
     if u1 is None:
         raise ValueError("degenerate plane bivector")
-    u2 = grade_project(u1 * B, 1)
-    u2 = u2 / u2.norm()
-    return u1, u2
+    u2 = _grade(_mul(u1, B), 1)
+    u2 = u2 * (1.0 / _norm(u2))
+    coords = [1 << i for i in range(dim)]
+    return u1[coords], u2[coords]
 
 
-def project_to_plane(vectors: Sequence[Sequence[Scalar]], B_C: Multivector
+def project_to_plane(vectors: Sequence[Sequence[Scalar]], B: np.ndarray
                      ) -> list[tuple[float, float]]:
-    """Orthogonal projection of each coordinate row onto the plane of B_C, as
-    (x, y) pairs."""
-    u1, u2 = (u.vector_coords() for u in plane_basis(B_C))
+    """Orthogonal projection of each coordinate row onto the plane of the
+    bivector row B, as (x, y) pairs."""
+    u1, u2 = (u.tolist() for u in plane_basis(B))
     pts = []
     for v in vectors:
         f = [float(c) for c in v]

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, product_tensor
+from .clifford import Multivector, product_tensor, right_products
 from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -50,17 +50,30 @@ UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
 def _element_rows(elements: Sequence[Multivector]) -> np.ndarray:
-    """Canonical coefficient rows of multivectors, the pin closure's representation.
+    """Canonical coefficient rows of multivectors, the representation of the
+    pin closure and of the Coxeter versor.
 
     Float multivectors are their coefficient rows.  Exact ones are their field
     numerators, blade-major, followed by one positive denominator, the whole
     row divided by its gcd, so equal multivectors have equal rows.
     """
-    num, den = quad_numerators([e.coeffs for e in elements])
+    return _numerator_rows(*quad_numerators([e.coeffs for e in elements]))
+
+
+def _vector_rows(vectors: Sequence[Sequence[Scalar]]) -> np.ndarray:
+    """Rows, in the layout of ``_element_rows``, of the vectors with these coordinates."""
+    num, den = quad_numerators(vectors)                  # (n, dim, 4)
+    n, dim = num.shape[:2]
+    blades = np.zeros((n, 1 << dim, 4), dtype=num.dtype)
+    blades[:, [1 << i for i in range(dim)]] = num
+    return _numerator_rows(blades, den)
+
+
+def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
+    """Rows of numerators (n, 2**dim, 4) over ``den`` in the layout of ``_element_rows``."""
     if num.dtype != object:
         return num[..., 0]
-    rows = np.hstack([num.reshape(len(elements), -1),
-                      np.full((len(elements), 1), den, dtype=object)])
+    rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=object)])
     return reduce_rows(rows)
 
 
@@ -184,65 +197,22 @@ def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     return (sq[:, 0] == den * den) & (sq[:, 1:] == 0).all(axis=1)
 
 
-def _closure_step(gens: np.ndarray, dim: int) -> Callable:
-    """``orbit`` step: the images of frontier rows under right multiplication
-    by each generator row, element-major and generator-minor.
-
-    Right multiplication by g is the matrix R_g[a, c] = sum_b g_b K[a, b, c] of
-    the structure tensor K = ``product_tensor`` (for float rows its basis-1
-    slice, a sign tensor), so the images of a frontier are one product with
-    [R_g1 | R_g2 | ...].  Exact images carry the product of the two
-    denominators and are divided through by their gcd.
-    """
-    K = product_tensor(dim)
-    if gens.dtype.kind == "f":
-        K = K[0::4, 0::4, 0::4]
-        right = np.einsum("gb,abc->agc", gens, K).reshape(len(K), -1)
-
-        def float_step(rows: np.ndarray) -> np.ndarray:
-            # rows @ right, summed from +0.0 one frontier blade at a time in
-            # blade order, as Multivector.__mul__ sums: BLAS may fuse
-            # multiply-adds, which would move float elements by an ulp
-            images = np.zeros((len(rows), right.shape[1]))
-            for a, r in enumerate(right):
-                images += rows[:, a:a + 1] * r
-            return images.reshape(-1, len(K))
-
-        return float_step
-
-    g_num, g_den = gens[:, :-1], gens[:, -1]
-    g_num = g_num.astype(kernel_dtype(len(K) * FIELD_TENSOR_MAX * int(np.abs(g_num).max())))
-    right = np.einsum("gb,abc->agc", g_num, K).reshape(len(K), -1)
-    # an image numerator sums len(K) terms of size <= max|R| |row|
-    growth = max(len(K) * int(np.abs(right).max()), int(g_den.max()))
-
-    def exact_step(rows: np.ndarray) -> np.ndarray:
-        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
-        rows = rows.astype(dtype)
-        num = (rows[:, :-1] @ right.astype(dtype)).reshape(len(rows), len(gens), len(K))
-        den = rows[:, -1:, None] * g_den.astype(dtype)[:, None]
-        images = np.concatenate([num, den], axis=2).reshape(-1, len(K) + 1)
-        return reduce_rows(images)
-
-    return exact_step
-
-
 def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     """Multiplicative closure of the simple root vectors.
 
-    Closed on ``_element_rows`` by ``_closure_step`` and sorted once by
+    Closed on ``_element_rows`` by ``right_products`` and sorted once by
     ``canonical_order`` on the rows' coefficient values.
     """
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
     dim = simple.rank
-    gens = _element_rows(simple.roots)
+    gens = _vector_rows(simple.vectors)
     negated = -gens if gens.dtype.kind == "f" else np.hstack([-gens[:, :-1], gens[:, -1:]])
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
     try:
-        rows = orbit(seeds, _closure_step(gens, dim), closure_row_keys, GROUP_CAP)
+        rows = orbit(seeds, right_products(gens, dim), closure_row_keys, GROUP_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
     rows = rows[canonical_order(_row_values(rows, dim))]

@@ -17,8 +17,9 @@ with A the Cartan matrix (5.4), on integer field numerators, and become
 Cartesian by one product with the simple roots; float systems close on
 Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
 decimals.  Both closures, and the pin closure of ``induction``, are sorted
-once by ``canonical_order`` on their coefficient values; a ``RootSystem`` holds
-its sorted coordinate rows and builds Multivectors only when ``roots`` is read.
+once by ``canonical_order`` on their coefficient values.  A ``SimpleRootSet``
+holds the coordinate rows of its simple roots and a ``RootSystem`` its sorted
+coordinate rows; both build Multivectors only when ``roots`` is read.
 """
 
 from __future__ import annotations
@@ -107,10 +108,15 @@ class SimpleRootSet:
     name: str                      # display name, e.g. "I2(5)"
     key: str                       # catalog key, e.g. "I2"
     rank: int
-    roots: tuple[Multivector, ...]
+    vectors: tuple[tuple[Scalar, ...], ...]   # unit simple-root coordinates
     backend: str
     n: Optional[int] = None
     default_word: tuple[int, ...] = ()   # 1-based; empty means bicoloured order
+
+    @cached_property
+    def roots(self) -> tuple[Multivector, ...]:
+        """The simple roots as Multivectors, built from ``vectors`` on first use."""
+        return tuple(Multivector.from_vector(v) for v in self.vectors)
 
 
 @dataclass(frozen=True)
@@ -130,18 +136,12 @@ class RootSystem:
         return tuple(Multivector.from_vector(v) for v in self.vectors)
 
 
-def _exact_vec(*coords) -> Multivector:
-    out = []
-    for c in coords:
-        if isinstance(c, QuadTower):
-            out.append(c)
-        else:
-            out.append(QuadTower.from_rational(c))
-    return Multivector.from_vector(out)
+def _exact_vec(*coords) -> tuple[QuadTower, ...]:
+    return tuple(c if isinstance(c, QuadTower) else QuadTower.from_rational(c) for c in coords)
 
 
-def _float_vec(*coords) -> Multivector:
-    return Multivector.from_vector([float(c) for c in coords])
+def _float_vec(*coords) -> tuple[float, ...]:
+    return tuple(float(c) for c in coords)
 
 
 _H = Fraction(1, 2)
@@ -169,8 +169,8 @@ def _build_roots(key: str, n: Optional[int]):
     if key == "A1xI2":
         p = _i2_pair(n)
         return [
-            _float_vec(*p[0].vector_coords(), 0.0),
-            _float_vec(*p[1].vector_coords(), 0.0),
+            _float_vec(*p[0], 0.0),
+            _float_vec(*p[1], 0.0),
             _float_vec(0.0, 0.0, 1.0),
         ]
     if key == "I2xI2":
@@ -314,11 +314,11 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
             raise UnknownSystemError(f"family parameter n={n} must be >= 2")
     else:
         n = None
-    roots = _build_roots(key, n)
+    vectors = _build_roots(key, n)
     use_backend = native_backend
     if backend is not None:
         if backend == "float":
-            roots = [r.to_float() for r in roots]
+            vectors = [_float_vec(*v) for v in vectors]
             use_backend = "float"
         elif backend == "exact":
             if native_backend != "exact":
@@ -327,14 +327,14 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
                 )
         else:
             raise UnknownSystemError(f"unknown backend {backend!r}")
-    for r in roots:
-        ns = r.norm_sq()
-        unit = ns == QT_ONE if use_backend == "exact" else abs(float(ns) - 1.0) < UNIT_ROOT_TOL
+    for v in vectors:
+        ns = coords_dot(v, v)
+        unit = ns == QT_ONE if use_backend == "exact" else abs(ns - 1.0) < UNIT_ROOT_TOL
         if not unit:
             raise ValueError(f"catalog root of {key} not unit")
     return SimpleRootSet(
         name=display_name(key, n), key=key, rank=rank,
-        roots=tuple(roots), backend=use_backend, n=n, default_word=word,
+        vectors=tuple(vectors), backend=use_backend, n=n, default_word=word,
     )
 
 
@@ -348,7 +348,7 @@ def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
 
 def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
     """Entries 2(a_i|a_j)/(a_j|a_j)."""
-    coords = [a.vector_coords() for a in simple.roots]
+    coords = simple.vectors
     norms = [coords_dot(c, c) for c in coords]
     return tuple(tuple((coords_dot(ci, cj) * 2) / nj for cj, nj in zip(coords, norms))
                  for ci in coords)
@@ -399,7 +399,7 @@ def _exact_closure(simple: SimpleRootSet, cartan) -> list[list[QuadTower]]:
     seeds[diag, diag * 4] = seeds[:, -1] = 1
     rows = orbit(seeds, step, closure_row_keys, CLOSURE_CAP)
     num, den = rows[:, :-1], rows[:, -1]
-    s_num, s_den = quad_numerators([a.vector_coords() for a in simple.roots])  # (rank, dim, 4)
+    s_num, s_den = quad_numerators(simple.vectors)  # (rank, dim, 4)
     dim = s_num.shape[1]
     # root = sum_j c_j a_j: numerators over den * s_den
     to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(rank * 4, dim * 4)
@@ -417,7 +417,7 @@ def _float_closure(simple: SimpleRootSet, key_decimals: int) -> list[list[float]
     s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed one column at a
     time in coordinate order, as ``coords_dot`` sums them.
     """
-    gens = np.array([a.vector_coords() for a in simple.roots])   # (rank, dim)
+    gens = np.array(simple.vectors)   # (rank, dim)
 
     def sum_columns(rows: np.ndarray, a: np.ndarray):
         total = rows[..., 0] * a[0]
@@ -450,7 +450,7 @@ def rotation_orders(simple: SimpleRootSet):
     if simple.rank not in (2, 3):
         raise ValueError("rotation orders are defined for rank 2 and 3")
     orders = []
-    r = [a.vector_coords() for a in simple.roots]
+    r = simple.vectors
     for i in range(simple.rank):
         for j in range(i + 1, simple.rank):
             c = max(-1.0, min(1.0, float(coords_dot(r[i], r[j]))))
@@ -505,7 +505,8 @@ def _direction_key(coords: Sequence[Scalar], exact: bool, index: int):
     if pivot is None:
         raise ValueError(f"vector {index} is zero; a root system has no zero vector")
     if exact:
-        return tuple(c / pivot for c in coords)
+        inv = pivot.inverse()
+        return tuple(c * inv for c in coords)
     return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
 
 

@@ -308,10 +308,6 @@ def galois_conjugate(x: QuadTower) -> QuadTower:
     return x.galois_conjugate()
 
 
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_str(x: Scalar) -> str:
     """Serialization form: exact as 'p/q+p/q*r2+...', float as 17-digit decimal."""
     if is_exact(x):

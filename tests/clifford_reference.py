@@ -1,18 +1,118 @@
 """Reference versor operations for the tests, on Multivector products.
 
-The library computes reflections, rotations, the pin order, root keys and
-dot products on coefficient rows and matrices; these per-element forms are
-what the tests compare them with.  Reflections use the unit-normal form
-s(x) = -a x a; even unit versors R act on vectors by the sandwich
-reverse(R) x R, so composition reads left to right:
-sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
+The library computes reflections, rotations, the pin order, root keys, dot
+products, the Coxeter versor, its factorization and the Coxeter plane on
+coefficient rows and matrices; these per-element forms are what the tests
+compare them with.  Reflections use the unit-normal form s(x) = -a x a; even
+unit versors R act on vectors by the sandwich reverse(R) x R, so composition
+reads left to right: sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
+
+The Multivector accessors the library itself no longer calls (``norm``,
+``vector_coords``, ``grade_project`` and the like) live here as functions.
 """
 
-from typing import Optional
+import math
+from typing import Optional, Sequence
 
-from spinroot.clifford import GRADE_TOL, Multivector
-from spinroot.rootsys import coords_dot
-from spinroot.scalars import KEY_DECIMALS, QT_HALF, QT_ONE, QuadTower, Scalar, eq_tol
+import numpy as np
+
+from spinroot import coxplane
+from spinroot.clifford import GRADE_TOL, Multivector, blade_name
+from spinroot.induction import _row_values
+from spinroot.rootsys import SimpleRootSet, coords_dot
+from spinroot.scalars import (
+    KEY_DECIMALS,
+    QT_HALF,
+    QT_ONE,
+    BackendMismatchError,
+    QuadTower,
+    Scalar,
+    eq_tol,
+    scalar_to_json,
+)
+
+# -- Multivector accessors ------------------------------------------------------
+
+
+def basis_vector(dim: int, i: int, backend: str = "exact") -> Multivector:
+    if not 0 <= i < dim:
+        raise ValueError(f"basis index {i} out of range for dim {dim}")
+    return mv_blade(dim, 1 << i, QT_ONE if backend == "exact" else 1.0)
+
+
+def mv_blade(dim: int, mask: int, value: Scalar) -> Multivector:
+    """value times the blade of ``mask``."""
+    mv = Multivector.zero(dim, "exact" if isinstance(value, QuadTower) else "float")
+    coeffs = list(mv.coeffs)
+    coeffs[mask] = value
+    return Multivector(dim, coeffs)
+
+
+def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:
+    return mv_blade(dim, (1 << dim) - 1, QT_ONE if backend == "exact" else 1.0)
+
+
+def approx_eq(a: Multivector, b: Multivector, tol: Optional[float] = None) -> bool:
+    if a.dim != b.dim:
+        return False
+    tol = eq_tol() if tol is None else tol
+    return all(abs(float(x) - float(y)) <= tol for x, y in zip(a.coeffs, b.coeffs))
+
+
+def grade_project(a: Multivector, k: int) -> Multivector:
+    if not 0 <= k <= a.dim:
+        raise ValueError(f"grade {k} out of range for Cl({a.dim})")
+    z = a._zero_coeff()
+    return Multivector(a.dim, [c if m.bit_count() == k else z for m, c in enumerate(a.coeffs)])
+
+
+def grades(a: Multivector) -> tuple[int, ...]:
+    return tuple(sorted({m.bit_count() for m, _ in a.nz}))
+
+
+def scalar_part(a: Multivector) -> Scalar:
+    return a.coeffs[0]
+
+
+def norm_sq(a: Multivector) -> Scalar:
+    # <A reverse(A)>_0 = sum of squared coefficients in the Euclidean metric
+    total = a._zero_coeff()
+    for _, c in a.nz:
+        total = total + c * c
+    return total
+
+
+def norm(a: Multivector) -> float:
+    return math.sqrt(float(norm_sq(a)))
+
+
+def vector_coords(a: Multivector) -> tuple[Scalar, ...]:
+    if any(m.bit_count() != 1 for m, _ in a.nz):
+        raise ValueError("not a grade-1 multivector")
+    return tuple(a.coeffs[1 << i] for i in range(a.dim))
+
+
+def to_float(a: Multivector) -> Multivector:
+    if a.backend == "float":
+        return a
+    return Multivector(a.dim, [float(c) for c in a.coeffs])
+
+
+def to_blade_dict(a: Multivector) -> dict:
+    """Nonzero blade coefficients keyed by blade name ('' for the scalar)."""
+    return {blade_name(m): scalar_to_json(c) for m, c in a.nz}
+
+
+def row_multivector(row: np.ndarray, dim: int) -> Multivector:
+    """The Multivector of a row: a float coefficient row (a plane bivector) or
+    a row in the layout of ``induction._element_rows`` (a Coxeter versor)."""
+    return Multivector(dim, _row_values(np.asarray(row)[None], dim)[0])
+
+
+def multivector_row(mv: Multivector) -> np.ndarray:
+    """The float coefficient row of a float Multivector."""
+    return np.array(mv.coeffs, dtype=float)
+
 
 # sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k
 _REV = {
@@ -39,7 +139,7 @@ def mv_key(mv: Multivector, decimals: int = KEY_DECIMALS):
 
 def dot(u: Multivector, v: Multivector) -> Scalar:
     """(u|v) of two vectors, summed in coordinate order."""
-    return coords_dot(u.vector_coords(), v.vector_coords())
+    return coords_dot(vector_coords(u), vector_coords(v))
 
 
 def mv_sort_key(mv: Multivector):
@@ -49,7 +149,7 @@ def mv_sort_key(mv: Multivector):
 
 def _is_unit(mv: Multivector, tol: Optional[float]) -> bool:
     tol = eq_tol() if tol is None else tol
-    n = mv.norm_sq()
+    n = norm_sq(mv)
     if mv.backend == "exact":
         return n == QT_ONE
     return abs(n - 1.0) <= tol
@@ -71,7 +171,7 @@ def _project_grades(mv: Multivector, grades: set[int], tol: float) -> Multivecto
 
 def reflect(alpha: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
     """Reflection of vector x in the hyperplane normal to the unit vector alpha."""
-    if alpha.grades() not in ((), (1,)) or x.grades() not in ((), (1,)):
+    if grades(alpha) not in ((), (1,)) or grades(x) not in ((), (1,)):
         raise ValueError("reflect expects grade-1 arguments")
     if not _is_unit(alpha, tol):
         raise ValueError("mirror vector must have unit norm")
@@ -83,12 +183,12 @@ def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Mul
 
     The grades present in x are preserved; R and -R act identically.
     """
-    if any(g % 2 for g in R.grades()):
+    if any(g % 2 for g in grades(R)):
         raise ValueError("sandwich expects an even versor")
     if not _is_unit(R, tol):
         raise ValueError("versor must have unit norm")
-    grades = set(x.grades()) or {0}
-    return _project_grades(reverse(R) * x * R, grades, GRADE_TOL)
+    kept = set(grades(x)) or {0}
+    return _project_grades(reverse(R) * x * R, kept, GRADE_TOL)
 
 
 def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -100,11 +200,11 @@ def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -
     """
     if not _is_unit(W, tol):
         raise ValueError("versor must have unit norm")
-    gw = {g % 2 for g in W.grades()}
+    gw = {g % 2 for g in grades(W)}
     if len(gw) != 1:
         raise ValueError("versor must have homogeneous parity")
     odd_versor = gw == {1}
-    gx = x.grades()
+    gx = grades(x)
     if len(gx) != 1:
         raise ValueError("versor_action expects a homogeneous-grade argument")
     out = _project_grades(reverse(W) * x * W, set(gx), GRADE_TOL)
@@ -115,9 +215,135 @@ def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -
 
 def spinor_inner(R1: Multivector, R2: Multivector) -> Scalar:
     """Euclidean pairing (R1, R2) = <R1 reverse(R2) + R2 reverse(R1)>_0 / 2."""
-    if any(g % 2 for g in R1.grades()) or any(g % 2 for g in R2.grades()):
+    if any(g % 2 for g in grades(R1)) or any(g % 2 for g in grades(R2)):
         raise ValueError("spinor_inner expects even-grade multivectors")
-    s = (R1 * reverse(R2) + R2 * reverse(R1)).scalar_part()
+    s = scalar_part(R1 * reverse(R2) + R2 * reverse(R1))
     if isinstance(s, QuadTower):
         return s * QT_HALF
     return 0.5 * s
+
+
+# -- the Coxeter layer on Multivectors ----------------------------------------------
+
+
+def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> Multivector:
+    """cos(theta) + sin(theta) B for a unit bivector B (float backend)."""
+    if B.backend != "float":
+        raise BackendMismatchError("exp_bivector works on the float backend")
+    if grades(B) != (2,):
+        raise ValueError("exponent must be a pure bivector")
+    tol = eq_tol() if tol is None else tol
+    sq = B * B
+    if abs(scalar_part(sq) + 1.0) > tol or any(abs(c) > tol for m, c in sq.nz if m != 0):
+        raise ValueError("bivector must square to -1")
+    return Multivector.scalar(B.dim, math.cos(theta)) + math.sin(theta) * B
+
+
+def chain_versor(simple: SimpleRootSet, word: Sequence[int]) -> Multivector:
+    """The Coxeter versor as the chain of Multivector products of the word's roots."""
+    W = simple.roots[word[0] - 1]
+    for idx in word[1:]:
+        W = W * simple.roots[idx - 1]
+    return W
+
+
+def reference_plane(simple: SimpleRootSet) -> Multivector:
+    """The PF plane bivector of ``coxplane.coxeter_plane``, built from
+    Multivector sums and products (not validated)."""
+    white, black = coxplane.bicolor(simple)
+    pf = coxplane.pf_eigenvector(coxplane.cartan_matrix(simple))
+    wf = [to_float(Multivector.from_vector(w)) for w in coxplane.weight_basis(simple)]
+
+    def combo(idxs):
+        v = Multivector.zero(simple.rank, "float")
+        for i in idxs:
+            v = v + float(pf[i]) * wf[i]
+        return v
+
+    B = grade_project(combo(white) * combo(black), 2)
+    return B / norm(B)
+
+
+def reference_plane_from_matrix(M: np.ndarray, h: int) -> Multivector:
+    """``coxplane.plane_from_matrix`` with the eigenvector wedge taken as a
+    Multivector product."""
+    k = M.shape[0]
+    vals, vecs = np.linalg.eig(M)
+    m = min((round(math.atan2(lam.imag, lam.real) * h / (2 * math.pi))
+             for lam in vals if lam.imag > coxplane.EIGEN_MATCH_TOL), default=h // 2)
+    target = complex(math.cos(2 * math.pi * m / h), math.sin(2 * math.pi * m / h))
+    cands = [i for i in range(k) if abs(vals[i] - target) < coxplane.EIGEN_MATCH_TOL]
+
+    def try_plane(u, w):
+        vu = Multivector.from_vector([float(t) for t in u])
+        vw = Multivector.from_vector([float(t) for t in w])
+        B = grade_project(vu * vw, 2)
+        B = Multivector(k, [0.0 if abs(c) <= GRADE_TOL else c for c in B.coeffs])
+        nb = norm(B)
+        if nb < coxplane.WEDGE_FLOOR:
+            return None
+        B = B / nb
+        return B if coxplane._stabilizes(M, multivector_row(B)) else None
+
+    pairs = [(vecs[:, i].real, vecs[:, i].imag) for i in cands]
+    pairs += [(vecs[:, i].real, vecs[:, j].real) for i in cands for j in cands if j > i]
+    for u, w in pairs:
+        B = try_plane(u, w)
+        if B is not None:
+            return B
+    raise coxplane.FactorizationError("could not build an invariant plane from the spectrum")
+
+
+def _component(W: Multivector, U: Multivector) -> float:
+    # <W reverse(U)>_0 for unit blade-combinations: plain coefficient dot
+    return sum(float(a) * float(b) for a, b in zip(W.coeffs, U.coeffs))
+
+
+def reference_factorize(W: Multivector, B: Multivector, h: int) -> coxplane.Factorization:
+    """``coxplane.factorize`` on Multivectors: components, exponentials and the
+    reconstruction as Multivector products."""
+    Wf, B = to_float(W), to_float(B)
+    s = float(Wf.coeffs[0])
+    b1 = _component(Wf, B)
+    if Wf.dim == 2:
+        t1 = math.atan2(b1, s)
+        residual = norm(Wf - exp_bivector(B, t1))
+        t1c, b_sign, w_sign = coxplane.canonical_angle(t1)
+        m1 = coxplane._as_exponent(t1c * h / math.pi, h)
+        return coxplane.Factorization(
+            h=h, theta1=t1c, theta2=None, w_sign=w_sign, b_sign=b_sign,
+            i_sign=1, exponents=tuple(sorted((m1, h - m1))), residual=residual,
+        )
+    I = pseudoscalar(4, "float")
+    IB = I * B
+    p = _component(Wf, I)
+    b2 = _component(Wf, IB)
+    sum_a = math.atan2(b1 + b2, s + p)
+    diff_a = math.atan2(b1 - b2, s - p)
+    t1 = 0.5 * (sum_a + diff_a)
+    t2 = 0.5 * (sum_a - diff_a)
+    residual = norm(Wf - exp_bivector(B, t1) * exp_bivector(IB, t2))
+    t1c, t2c, b_sign, i_sign, w_sign = coxplane.canonical_angle_pair(t1, t2)
+    m1 = coxplane._as_exponent(t1c * h / math.pi, h)
+    m2 = coxplane._as_exponent(t2c * h / math.pi, h)
+    return coxplane.Factorization(
+        h=h, theta1=t1c, theta2=t2c, w_sign=w_sign, b_sign=b_sign,
+        i_sign=i_sign, exponents=tuple(sorted((m1, h - m1, m2, h - m2))),
+        residual=residual,
+    )
+
+
+def reference_plane_basis(B: Multivector) -> tuple[Multivector, Multivector]:
+    """Orthonormal vector pair spanning the plane of a unit simple bivector,
+    by Multivector products."""
+    dim = B.dim
+    for i in range(dim):
+        t = grade_project(basis_vector(dim, i, "float") * B, 1)
+        proj = -grade_project(t * B, 1)
+        if norm(proj) > coxplane.BASIS_FLOOR:
+            u1 = proj / norm(proj)
+            break
+    else:
+        raise ValueError("degenerate plane bivector")
+    u2 = grade_project(u1 * B, 1)
+    return u1, u2 / norm(u2)

@@ -9,11 +9,30 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from clifford_reference import dot, versor_action
+from clifford_reference import (
+    approx_eq,
+    basis_vector,
+    chain_versor,
+    dot,
+    exp_bivector,
+    multivector_row,
+    mv_blade,
+    norm,
+    pseudoscalar,
+    reference_factorize,
+    reference_plane,
+    reference_plane_basis,
+    reference_plane_from_matrix,
+    row_multivector,
+    scalar_part,
+    to_float,
+    vector_coords,
+    versor_action,
+)
 from spinroot import coxplane
 from spinroot.ade import ade_root_data
 from spinroot.cli import main
-from spinroot.clifford import GRADE_TOL, Multivector, exp_bivector, pseudoscalar
+from spinroot.clifford import GRADE_TOL, Multivector
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
@@ -49,15 +68,20 @@ def blades(mv):
     return {m: c for m, c in mv.nz}
 
 
+def versor_mv(cd):
+    """The Coxeter versor row of ``cd`` as a Multivector."""
+    return row_multivector(cd.versor, cd.simple.rank)
+
+
 def test_d4_versor_fixture():
-    W2 = coxeter_data("D4").versor * 2
+    W2 = versor_mv(coxeter_data("D4")) * 2
     assert blades(W2) == {
         0b1111: QT_ONE, 0b0110: -QT_ONE, 0b0011: -QT_ONE, 0b0101: QT_ONE,
     }
 
 
 def test_f4_versor_fixture():
-    W4 = coxeter_data("F4").versor * 4
+    W4 = versor_mv(coxeter_data("F4")) * 4
     one = QT_ONE
     assert blades(W4) == {
         0: one, 0b0110: one, 0b0101: one, 0b1010: one, 0b1001: -one,
@@ -66,7 +90,7 @@ def test_f4_versor_fixture():
 
 
 def test_h4_versor_fixture():
-    W4 = coxeter_data("H4").versor * 4
+    W4 = versor_mv(coxeter_data("H4")) * 4
     assert blades(W4) == {
         0: TAU, 0b0101: 2 * TAU - 1, 0b1100: SIGMA, 0b0011: -(TAU * TAU),
         0b1010: QT_ONE, 0b1111: -(SIGMA * SIGMA),
@@ -74,7 +98,7 @@ def test_h4_versor_fixture():
 
 
 def test_a4_versor_fixture():
-    W4 = coxeter_data("A4").versor * 4
+    W4 = versor_mv(coxeter_data("A4")) * 4
     t1 = TAU - 1
     assert blades(W4) == {
         0: QT_ONE, 0b0110: -QT_ONE, 0b1001: QT_ONE, 0b1100: t1, 0b1010: t1,
@@ -83,7 +107,7 @@ def test_a4_versor_fixture():
 
 
 def test_b4_versor_fixture():
-    W = coxeter_data("B4").versor
+    W = versor_mv(coxeter_data("B4"))
     scale = 4.0 / math.sqrt(2.0)
     got = {m: round(float(c) * scale, 12) for m, c in W.nz}
     assert got == {
@@ -96,9 +120,9 @@ def test_i2_versor_is_rotation_exponential():
     n = 9
     cd = coxeter_data("I2", n)
     # W = -exp(-(pi/n) e1e2), h = n
-    B = Multivector.blade(2, 0b11, 1.0)
+    B = mv_blade(2, 0b11, 1.0)
     want = -(exp_bivector(B, -PI / n))
-    assert cd.versor.approx_eq(want, 1e-12)
+    assert approx_eq(versor_mv(cd), want, 1e-12)
     assert cd.h == n
 
 
@@ -125,7 +149,8 @@ def test_matrix_is_orthogonal_and_word_validated():
 def test_non_unit_root_set_is_rejected():
     for name, n in [("A4", None), ("I2", 5)]:
         simple = catalog(name, n)
-        scaled = dataclasses.replace(simple, roots=(simple.roots[0] * 2,) + simple.roots[1:])
+        scaled = dataclasses.replace(
+            simple, vectors=(tuple(c * 2 for c in simple.vectors[0]),) + simple.vectors[1:])
         with pytest.raises(ValueError, match="versor must have unit norm"):
             coxeter_versor(scaled)
         with pytest.raises(ValueError, match="versor must have unit norm"):
@@ -134,12 +159,12 @@ def test_non_unit_root_set_is_rejected():
 
 def versor_action_matrix(W):
     """Reference Coxeter matrix: the versor's action on each basis vector."""
-    Wf = W.to_float()
+    Wf = to_float(W)
     k = Wf.dim
     M = np.empty((k, k))
     for j in range(k):
-        ej = Multivector.basis_vector(k, j, "float")
-        M[:, j] = [float(c) for c in versor_action(Wf, ej).vector_coords()]
+        ej = basis_vector(k, j, "float")
+        M[:, j] = [float(c) for c in vector_coords(versor_action(Wf, ej))]
     return M
 
 
@@ -170,11 +195,40 @@ def test_every_permutation_word_exits_0():
             assert payload["plane"]["coeffs"] in ({"e12": 1.0}, {"e12": -1.0})
 
 
+def test_row_coxeter_layer_matches_multivector_reference():
+    # bit for bit, on every permutation word and every default word: the versor
+    # row is the Multivector chain, and the planes, factorizations and plane
+    # bases are what Multivector sums and products give
+    cases = [(simple, word) for _, _, simple, word in permutation_words()]
+    cases += [(catalog(name, n), None) for name, n in CATALOG_SYSTEMS]
+    factorized = 0
+    for simple, word in cases:
+        k = simple.rank
+        cd = coxeter_versor(simple, word)
+        W = chain_versor(simple, cd.word)
+        assert repr(versor_mv(cd).coeffs) == repr(W.coeffs), (simple.name, word)
+        planes = [(plane_from_matrix(cd.versor, cd.matrix, cd.h),
+                   reference_plane_from_matrix(cd.matrix, cd.h))]
+        if word is None and coxplane.bicolor(simple)[1]:
+            planes.append((coxeter_plane(simple).bivector, reference_plane(simple)))
+        for B, ref in planes:
+            assert repr(B.tolist()) == repr(list(ref.coeffs)), (simple.name, word)
+            got = [u.tolist() for u in plane_basis(B)]
+            want = [list(vector_coords(u)) for u in reference_plane_basis(ref)]
+            assert repr(got) == repr(want), (simple.name, word)
+            if k in (2, 4):
+                f = factorize(cd.versor, B, cd.h)
+                assert repr(f) == repr(reference_factorize(W, ref, cd.h)), (simple.name, word)
+                factorized += 1
+    assert len(cases) == 648 + len(CATALOG_SYSTEMS)
+    assert factorized == 570 + 33   # spectrum planes, then the default PF planes
+
+
 def test_reflection_product_matches_versor_action():
     words = 0
     for name, n, simple, word in permutation_words():
         cd = coxeter_versor(simple, word)
-        ref = versor_action_matrix(cd.versor)
+        ref = versor_action_matrix(versor_mv(cd))
         assert np.abs(cd.matrix - ref).max() <= 1e-14, (name, n, word)
         h = matrix_order(ref)
         assert cd.h == h
@@ -212,12 +266,12 @@ def test_plane_action_is_m_a_mt():
     rng = np.random.default_rng(11)
     for name, n, simple, word in permutation_words():
         cd = coxeter_versor(simple, word)
-        W, M, k = cd.versor.to_float(), cd.matrix, simple.rank
+        W, M, k = to_float(versor_mv(cd)), cd.matrix, simple.rank
         masks = [m for m in range(1 << k) if m.bit_count() == 2]
         dense = Multivector(k, [rng.normal() if m in masks else 0.0 for m in range(1 << k)])
-        for B in [Multivector.blade(k, m, 1.0) for m in masks] + [dense]:
-            want = bivector_matrix(versor_action(W, B))
-            A = bivector_matrix(B)
+        for B in [mv_blade(k, m, 1.0) for m in masks] + [dense]:
+            want = bivector_matrix(multivector_row(versor_action(W, B)))
+            A = bivector_matrix(multivector_row(B))
             assert np.abs(M @ A @ M.T - want).max() <= 1e-12, (name, n, word)
 
 
@@ -240,8 +294,8 @@ def test_word_planes_carry_no_noise_blades():
         for word in itertools.permutations(range(1, 5)):
             cd = coxeter_versor(simple, word)
             B = plane_from_matrix(cd.versor, cd.matrix, cd.h)
-            assert not [c for c in B.coeffs if 0 < abs(c) <= GRADE_TOL], (name, word)
-            assert abs(B.norm() - 1.0) < 1e-12
+            assert not [c for c in B.tolist() if 0 < abs(c) <= GRADE_TOL], (name, word)
+            assert abs(norm(row_multivector(B, 4)) - 1.0) < 1e-12
             assert (factorize(cd.versor, B, cd.h).exponents
                     == exponents_via_matrix(cd.matrix, cd.h)), (name, word)
 
@@ -250,12 +304,12 @@ def test_versor_power_h_is_plus_minus_one():
     for name, n in [("A4", None), ("D4", None), ("H4", None), ("I2", 7),
                     ("H3", None)]:
         cd = coxeter_data(name, n)
-        W = cd.versor.to_float()
+        W = to_float(versor_mv(cd))
         P = W
         for _ in range(cd.h - 1):
             P = P * W
         one = Multivector.scalar(W.dim, 1.0)
-        assert P.approx_eq(one, 1e-9) or P.approx_eq(-one, 1e-9)
+        assert approx_eq(P, one, 1e-9) or approx_eq(P, -one, 1e-9)
 
 
 # -- exponents -------------------------------------------------------------------
@@ -319,37 +373,37 @@ def test_weight_basis_duality():
         weights = weight_basis(simple)
         for i, w in enumerate(weights):
             for j, a in enumerate(simple.roots):
-                val = float(dot(w.to_float(), a.to_float()))
+                val = float(dot(to_float(Multivector.from_vector(w)), to_float(a)))
                 assert abs(val - (1.0 if i == j else 0.0)) < 1e-9
 
 
 def test_weight_basis_fixtures():
     # orthonormal simple roots are their own weights
     for w, i in zip(weight_basis(catalog("A1^4")), range(4)):
-        assert w == Multivector.basis_vector(4, i)
+        assert Multivector.from_vector(w) == basis_vector(4, i)
     # the H4 inverse basis, exactly
     w = weight_basis(catalog("H4"))
     t = TAU
-    assert w[0].vector_coords() == (QT_ZERO, QT_ZERO, QT_ZERO, 2 * t)
-    assert w[1].vector_coords() == (-t, QT_ONE, QT_ZERO, 3 * t + 1)
-    assert w[2].vector_coords() == (-2 * t, QT_ZERO, QT_ZERO, 4 * t + 2)
-    assert w[3].vector_coords() == (-(1 + t), QT_ZERO, QT_ONE, 3 * t + 2)
+    assert w[0] == (QT_ZERO, QT_ZERO, QT_ZERO, 2 * t)
+    assert w[1] == (-t, QT_ONE, QT_ZERO, 3 * t + 1)
+    assert w[2] == (-2 * t, QT_ZERO, QT_ZERO, 4 * t + 2)
+    assert w[3] == (-(1 + t), QT_ZERO, QT_ONE, 3 * t + 2)
 
 
 # -- the plane ------------------------------------------------------------------------
 
 
 def test_d4_plane_fixture():
-    B = coxeter_plane_for("D4").bivector
+    B = row_multivector(coxeter_plane_for("D4").bivector, 4)
     s = 1.0 / math.sqrt(3.0)
     want = Multivector.zero(4, "float")
     for mask in (0b1001, 0b1010, 0b1100):
-        want = want + Multivector.blade(4, mask, s)
-    assert B.approx_eq(want, 1e-9) or B.approx_eq(-want, 1e-9)
+        want = want + mv_blade(4, mask, s)
+    assert approx_eq(B, want, 1e-9) or approx_eq(B, -want, 1e-9)
 
 
 def test_h4_plane_fixture():
-    B = coxeter_plane_for("H4").bivector
+    B = row_multivector(coxeter_plane_for("H4").bivector, 4)
     got = [float(B.coeffs[m]) for m in (0b0011, 0b0101, 0b1010, 0b1100)]
     want = [-0.204, -0.247, -0.604, -0.73]
     assert (all(abs(g - w) < 1e-3 for g, w in zip(got, want))
@@ -359,7 +413,7 @@ def test_h4_plane_fixture():
 def test_a4_plane_pattern():
     # proportional to -e1e3 - e1e4 + e2e3 + e2e4 - 2*tau*e3e4 (wedge of the
     # coloured vectors; the e3e4 weight is 2*tau, not (tau-1)/2)
-    B = coxeter_plane_for("A4").bivector
+    B = row_multivector(coxeter_plane_for("A4").bivector, 4)
     c13 = float(B.coeffs[0b0101])
     ratios = {
         0b1001: 1.0, 0b0110: -1.0, 0b1010: -1.0, 0b1100: 2 * float(TAU),
@@ -373,11 +427,11 @@ def test_plane_invariance_and_square():
                     ("I2xI2", 9), ("B3", None)]:
         simple = catalog(name, n)
         plane = coxeter_plane(simple)
-        B = plane.bivector
+        B = row_multivector(plane.bivector, simple.rank)
         sq = B * B
-        assert abs(float(sq.scalar_part()) + 1.0) < 1e-9
-        W = coxeter_data(name, n).versor.to_float()
-        assert versor_action(W, B).approx_eq(B, 1e-6)
+        assert abs(float(scalar_part(sq)) + 1.0) < 1e-9
+        W = to_float(versor_mv(coxeter_data(name, n)))
+        assert approx_eq(versor_action(W, B), B, 1e-6)
 
 
 def test_degenerate_planes_error():
@@ -414,13 +468,13 @@ def test_factorization_table():
 def test_frame_commutes_and_is_orthonormal():
     # {1, B, I*B, I} pairwise commute and are orthonormal under <X rev(Y)>_0
     for name in TABLE:
-        B = coxeter_plane_for(name).bivector
+        B = row_multivector(coxeter_plane_for(name).bivector, 4)
         I = pseudoscalar(4, "float")
         one = Multivector.scalar(4, 1.0)
         frame = [one, B, I * B, I]
         for i, X in enumerate(frame):
             for j, Y in enumerate(frame):
-                assert (X * Y).approx_eq(Y * X, 1e-12)
+                assert approx_eq(X * Y, Y * X, 1e-12)
                 pairing = sum(
                     float(a) * float(b) for a, b in zip(X.coeffs, Y.coeffs)
                 )
@@ -430,22 +484,22 @@ def test_frame_commutes_and_is_orthonormal():
 def test_factorization_sign_bookkeeping():
     for name in TABLE:
         cd = coxeter_data(name)
-        B = coxeter_plane_for(name).bivector
-        f = factorize(cd.versor, B, cd.h)
+        f = factorize(cd.versor, coxeter_plane_for(name).bivector, cd.h)
+        B = row_multivector(coxeter_plane_for(name).bivector, 4)
         I = pseudoscalar(4, "float")
         Bp = float(f.b_sign) * B
         lhs = exp_bivector(Bp, f.theta1) * exp_bivector(
             (float(f.i_sign) * I) * Bp, f.theta2
         )
-        rhs = float(f.w_sign) * cd.versor.to_float()
-        assert lhs.approx_eq(rhs, 1e-9)
+        rhs = float(f.w_sign) * to_float(versor_mv(cd))
+        assert approx_eq(lhs, rhs, 1e-9)
 
 
 def test_factorize_2d():
     for n in (2, 5, 8):
         cd = coxeter_data("I2", n)
         plane = coxeter_plane_for("I2", n) if n != 2 else None
-        B = plane.bivector if plane else Multivector.blade(2, 0b11, 1.0)
+        B = plane.bivector if plane else multivector_row(mv_blade(2, 0b11, 1.0))
         f = factorize(cd.versor, B, cd.h)
         assert f.theta2 is None
         assert f.exponents == tuple(sorted((1, n - 1)))
@@ -454,7 +508,7 @@ def test_factorize_2d():
 
 def test_factorize_rejects_wrong_plane():
     cd = coxeter_data("H4")
-    wrong = Multivector.blade(4, 0b0011, 1.0)  # e1e2 is not invariant
+    wrong = multivector_row(mv_blade(4, 0b0011, 1.0))  # e1e2 is not invariant
     with pytest.raises(FactorizationError):
         factorize(cd.versor, wrong, cd.h)
 
@@ -509,9 +563,9 @@ def test_conjugate_words_share_h():
 def test_plane_basis_orthonormal():
     for name, n in [("A4", None), ("H4", None), ("H3", None)]:
         B = coxeter_plane_for(name, n).bivector
-        u1, u2 = plane_basis(B)
-        assert abs(u1.norm() - 1) < 1e-12
-        assert abs(u2.norm() - 1) < 1e-12
+        u1, u2 = (Multivector.from_vector(u.tolist()) for u in plane_basis(B))
+        assert abs(norm(u1) - 1) < 1e-12
+        assert abs(norm(u2) - 1) < 1e-12
         assert abs(float(dot(u1, u2))) < 1e-12
 
 
@@ -554,9 +608,9 @@ def test_projection_radii_basis_invariant():
     # by projecting after multiplying the plane by a rotor within it
     B = coxeter_plane_for("A4").bivector
     pts1 = project_to_plane(root_system("A4").vectors, B)
-    W = exp_bivector(B, 0.3)
-    B2 = versor_action(W, B)  # same plane
-    pts2 = project_to_plane(root_system("A4").vectors, B2)
+    W = exp_bivector(row_multivector(B, 4), 0.3)
+    B2 = versor_action(W, row_multivector(B, 4))  # same plane
+    pts2 = project_to_plane(root_system("A4").vectors, multivector_row(B2))
     assert projection_radii(pts1) == projection_radii(pts2)
 
 

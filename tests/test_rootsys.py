@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clifford_reference import dot, mv_key, mv_sort_key
+from clifford_reference import (
+    basis_vector,
+    dot,
+    mv_key,
+    mv_sort_key,
+    norm_sq,
+    to_float,
+    vector_coords,
+)
 from spinroot import ade, rootsys
 from spinroot.clifford import Multivector
 from spinroot.induction import induced_set
@@ -58,7 +66,7 @@ def test_catalog_fixtures():
     assert h3.roots[1] == want
 
     i2 = catalog("I2", 5)
-    got = i2.roots[1].vector_coords()
+    got = vector_coords(i2.roots[1])
     assert abs(got[0] + math.cos(math.pi / 5)) < 1e-15
     assert abs(got[1] - math.sin(math.pi / 5)) < 1e-15
 
@@ -71,7 +79,7 @@ def test_all_catalog_roots_unit():
     names = list(EXPECTED_COUNTS) + [("I2", 7), ("A1xI2", 3), ("I2xI2", 4)]
     for key, n in names:
         for r in catalog(key, n).roots:
-            assert abs(float(r.norm_sq()) - 1.0) < 1e-12
+            assert abs(float(norm_sq(r)) - 1.0) < 1e-12
 
 
 def test_root_counts():
@@ -124,7 +132,7 @@ def test_simple_root_order_does_not_change_roots():
         for perm in (tuple(reversed(range(rank))), (1, 0) + tuple(range(2, rank))):
             shuffled = SimpleRootSet(
                 name=f"{key}*", key=key, rank=rank,
-                roots=tuple(base.roots[i] for i in perm), backend=base.backend,
+                vectors=tuple(base.vectors[i] for i in perm), backend=base.backend,
             )
             assert generate_roots(shuffled).roots == want, (key, perm)
 
@@ -184,7 +192,7 @@ def reference_ade_roots(simple):
 
 def _permuted(simple, perm):
     return SimpleRootSet(name=f"{simple.name}*", key=simple.key, rank=simple.rank,
-                         roots=tuple(simple.roots[i] for i in perm), backend=simple.backend)
+                         vectors=tuple(simple.vectors[i] for i in perm), backend=simple.backend)
 
 
 def test_closure_matches_per_element_reference():
@@ -199,8 +207,7 @@ def test_closure_matches_per_element_reference():
     exact += [_permuted(s, tuple(reversed(range(s.rank)))) for s in exact]
     exact.append(SimpleRootSet(
         name="B2 non-unit", key="B2", rank=2, backend="exact",
-        roots=(Multivector.from_vector([QuadTower(1), QT_ZERO]),
-               Multivector.from_vector([QuadTower(-3), QuadTower(3)]))))
+        vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3)))))
     for simple in exact:
         assert generate_roots(simple).roots == reference_roots(simple), simple.name
     assert generate_roots(exact[-1]).count == 8
@@ -269,7 +276,7 @@ def test_rotation_orders_permutation_invariant():
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         shuffled = SimpleRootSet(
             name="B3*", key="B3", rank=3,
-            roots=tuple(base.roots[i] for i in perm),
+            vectors=tuple(base.vectors[i] for i in perm),
             backend=base.backend,
         )
         assert rotation_orders(shuffled) == rotation_orders(base)
@@ -278,10 +285,7 @@ def test_rotation_orders_permutation_invariant():
 def test_rotation_orders_rejects_non_coxeter_pair(monkeypatch):
     bad = SimpleRootSet(
         name="bad", key="bad", rank=2,
-        roots=(
-            Multivector.from_vector([1.0, 0.0]),
-            Multivector.from_vector([-math.cos(1.0), math.sin(1.0)]),
-        ),
+        vectors=((1.0, 0.0), (-math.cos(1.0), math.sin(1.0))),
         backend="float",
     )
     monkeypatch.setattr(rootsys, "ROTATION_CAP", 100)
@@ -299,7 +303,7 @@ def test_validate_catalog_systems():
 
 def reference_direction_key(mv: Multivector, index: int):
     """A vector's direction: its coordinates over the first nonzero one."""
-    coords = mv.vector_coords()
+    coords = vector_coords(mv)
     if mv.backend == "exact":
         pivot = next((c for c in coords if not c.is_zero()), None)
     else:
@@ -327,7 +331,7 @@ def reference_pair_violations(roots):
 
 
 def coords(roots):
-    return [r.vector_coords() for r in roots]
+    return [vector_coords(r) for r in roots]
 
 
 def reference_reflection_violations(roots, max_samples=16):
@@ -355,7 +359,7 @@ def validation_test_sets():
         valid[f"induced {name}"] = tuple(Multivector.from_vector(v)
                                          for v in induced_set(name).vectors)
     h3, d4, f4, h4 = (valid[k] for k in ("H3", "D4", "F4", "H4"))
-    e1 = Multivector.basis_vector(3, 0)
+    e1 = basis_vector(3, 0)
     broken = {
         "H3 minus a root": h3[1:],
         "D4 plus a non-root": d4 + (Multivector.from_vector([QT_HALF, QT_ZERO, TAU, QT_ZERO]),),
@@ -365,7 +369,7 @@ def validation_test_sets():
         "e1 and 2 e1": (e1, -e1, 2 * e1, -2 * e1),
     }
     # the float backend: the families and float copies of the exact sets
-    floats = {f"float {label}": tuple(r.to_float() for r in roots)
+    floats = {f"float {label}": tuple(to_float(r) for r in roots)
               for label, roots in valid.items()}
     for key in ("I2", "A1xI2", "I2xI2"):
         for n in range(2, 17):
@@ -375,7 +379,7 @@ def validation_test_sets():
         k = len(roots) // 2
         broken[f"{label} minus a root"] = roots[:k] + roots[k + 1:]
     for label in ("e1 without its negative", "e1 and 2 e1"):
-        broken[f"float {label}"] = tuple(r.to_float() for r in broken[label])
+        broken[f"float {label}"] = tuple(to_float(r) for r in broken[label])
     return valid, broken
 
 
@@ -418,14 +422,14 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
 
 
 def test_validate_missing_negative():
-    e1 = Multivector.basis_vector(3, 0)
+    e1 = basis_vector(3, 0)
     rep = validate_root_system(coords([e1]))
     assert not rep.ok
     assert rep.missing_negatives
 
 
 def test_validate_reflection_violation():
-    e1 = Multivector.basis_vector(2, 0)
+    e1 = basis_vector(2, 0)
     diag = Multivector.from_vector([INV_SQRT2, INV_SQRT2])
     rep = validate_root_system(coords([e1, -e1, diag, -diag]))
     assert not rep.ok
@@ -438,13 +442,13 @@ def test_validate_rejects_zero_vector(backend):
     zero = Multivector.from_vector([QT_ZERO, QT_ZERO])
     vectors = [e1, -e1, zero]
     if backend == "float":
-        vectors = [v.to_float() for v in vectors]
+        vectors = [to_float(v) for v in vectors]
     with pytest.raises(ValueError, match="vector 2 is zero"):
         validate_root_system(coords(vectors))
 
 
 def test_validate_parallel_duplicate():
-    e1 = Multivector.basis_vector(3, 0)
+    e1 = basis_vector(3, 0)
     two_e1 = 2 * e1
     rep = validate_root_system(coords([e1, -e1, two_e1, -two_e1]))
     assert rep.parallel_violations
@@ -453,10 +457,7 @@ def test_validate_parallel_duplicate():
 def test_generation_cap(monkeypatch):
     bad = SimpleRootSet(
         name="bad", key="bad", rank=2,
-        roots=(
-            Multivector.from_vector([1.0, 0.0]),
-            Multivector.from_vector([-math.cos(1.0), math.sin(1.0)]),
-        ),
+        vectors=((1.0, 0.0), (-math.cos(1.0), math.sin(1.0))),
         backend="float",
     )
     monkeypatch.setattr(rootsys, "CLOSURE_CAP", 50)

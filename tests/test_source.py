@@ -52,3 +52,20 @@ def test_every_definition_is_used_in_src():
                          and (where != path or not node.lineno <= line <= node.end_lineno)
                          for where, line, name in refs)]
     assert unused == []
+
+
+def test_multivector_stays_at_the_boundary():
+    # rows are the data: Multivector is named only where it is defined and
+    # exported, by the roots views of rootsys and by VersorGroup.elements and
+    # index_of in induction
+    allowed = {"clifford.py", "__init__.py", "rootsys.py", "induction.py"}
+    named = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "Multivector":
+                named.add(path.name)
+    assert "clifford.py" in named
+    assert named <= allowed, sorted(named - allowed)

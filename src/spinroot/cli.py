@@ -10,6 +10,7 @@ deterministic at fixed flags.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -292,11 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tol = getattr(args, "tol_eq", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        print("error: --tol-eq must be a positive finite number", file=sys.stderr)
+        return 2
     np.set_printoptions(legacy=False)
     previous_tol = eq_tol()
-    if getattr(args, "tol_eq", None):
-        set_eq_tol(args.tol_eq)
     try:
+        if tol is not None:
+            set_eq_tol(tol)
         return args.fn(args)
     except UnknownSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)

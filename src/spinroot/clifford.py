@@ -6,11 +6,12 @@ of its constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients
 are either all exact (QuadTower, held in rows as field numerators over one
 denominator) or all float; the two never mix.
 
-``right_products`` is the library's one geometric product: the pin closure,
-the Coxeter versor, its factorization and the Coxeter plane all multiply rows
-through it.  ``Multivector`` is the same algebra one element at a time, for
-the public API and the tests; ``SimpleRootSet.roots``, ``RootSystem.roots``
-and ``VersorGroup.elements`` build it from rows.
+``right_products`` is the library's one geometric product: the pin closure
+and the Coxeter versor multiply rows through it.  Its float sums are those of
+``float_products``, which multiplies stacks of float rows pairwise for the
+factorization and the Coxeter plane.  ``Multivector`` is the same algebra one
+element at a time, for the public API and the tests; ``SimpleRootSet.roots``,
+``RootSystem.roots`` and ``VersorGroup.elements`` build it from rows.
 
 An even unit versor R acts on vectors by the sandwich x -> reverse(R) x R, so
 products act left to right: R1*R2 acts as R1 first, then R2.
@@ -85,6 +86,32 @@ def product_tensor(dim: int) -> np.ndarray:
     return K
 
 
+def _blade_sums(x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_a x[..., a] right[..., a, :] over the blades a, for one row x or a
+    stack of rows, broadcast against right.
+
+    Sums run from +0.0 one blade at a time in blade order, as
+    Multivector.__mul__ sums: BLAS may fuse multiply-adds, which would move
+    float products by an ulp.  A blade that is zero in every row of x adds
+    only zeros to sums that are never -0.0, so it is skipped, as Multivector
+    skips it.
+    """
+    xs = x.T[..., None]                 # xs[a] = x[..., a, None]
+    rs = right.swapaxes(0, -2)          # rs[a] = right[..., a, :]
+    out = np.zeros(np.broadcast(xs[0], rs[0]).shape)
+    for a in np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)):
+        out += xs[a] * rs[a]
+    return out
+
+
+def float_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Geometric products x y of float coefficient rows, broadcast along the
+    leading axes (so pairwise for two stacks of rows), summed as
+    ``right_products`` sums them."""
+    dim = x.shape[-1].bit_length() - 1
+    return _blade_sums(x, y[..., _XOR[dim]] * _RIGHT_SIGN[dim])
+
+
 def right_products(gens: np.ndarray, dim: int) -> Callable:
     """The geometric product on coefficient rows: a function taking rows to
     their products with each generator row on the right, element-major and
@@ -103,19 +130,7 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
     size = len(xor)
     if gens.dtype.kind == "f":
         right = (gens[:, xor] * sign).transpose(1, 0, 2).reshape(size, -1)
-
-        def float_products(rows: np.ndarray) -> np.ndarray:
-            # rows @ right, summed from +0.0 one left blade at a time in
-            # blade order, as Multivector.__mul__ sums: BLAS may fuse
-            # multiply-adds, which would move float products by an ulp.
-            # A blade that is zero in every row adds only zeros to sums that
-            # are never -0.0, so it is skipped, as Multivector skips it
-            images = np.zeros((len(rows), right.shape[1]))
-            for a in np.flatnonzero(rows.any(axis=0)):
-                images += rows[:, a:a + 1] * right[a]
-            return images.reshape(-1, size)
-
-        return float_products
+        return lambda rows: _blade_sums(rows, right).reshape(-1, size)
 
     n = 4 * size
     g_num, g_den = gens[:, :-1], gens[:, -1]

@@ -9,8 +9,15 @@ plane bivector B.
 Multivectors here are rows: the Coxeter versor W is a row in the layout of
 ``induction._element_rows`` (exact where the roots are), the plane bivector B
 a float coefficient row.  Products, wedges and exponentials go through
-``clifford.right_products``, and every float sum runs from 0.0 in blade order,
-so each printed float is the one the per-element Multivector computation gives.
+``clifford.right_products`` and ``clifford.float_products``, and every float
+sum runs from 0.0 in blade order, so each printed float is the one the
+per-element Multivector computation gives.
+
+Many words of one system go through each stage at once:
+``coxeter_versors``, ``exponents_via_matrices``, ``planes_from_matrices`` and
+``factorizations`` work on stacks of rows and matrices, with one eig or
+eigvals call per stack.  ``coxeter_versor``, ``exponents_via_matrix``,
+``plane_from_matrix`` and ``factorize`` are each the stack of one.
 
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
 [0, pi/2], quotienting the three orientations the construction leaves free
@@ -28,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import GRADE_TOL, right_products
+from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _row_values, _vector_rows, induced_name, spin_group
 from .mckay import is_connected
 from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, parse_name
@@ -149,57 +156,87 @@ def default_word(simple: SimpleRootSet) -> tuple[int, ...]:
 def coxeter_matrix(rows: np.ndarray) -> np.ndarray:
     """Product of I - 2aa^T/(a|a) over the float roots `rows`, the first applied
     first, as in sandwich(R1*R2, x) = sandwich(R2, sandwich(R1, x))."""
-    M = one = np.eye(rows.shape[1])
-    for a in rows:
-        M = (one - 2.0 * np.outer(a, a) / (a @ a)) @ M
+    return _coxeter_matrices(rows, np.arange(len(rows))[None])[0]
+
+
+def _coxeter_matrices(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``coxeter_matrix`` of rows[w] for each row w of the index array idx,
+    stacked: each reflection is built once, and each step applies the next
+    reflection of every sequence in one product."""
+    norms = np.array([a @ a for a in rows])[:, None, None]
+    refl = np.eye(rows.shape[1]) - 2.0 * (rows[:, :, None] * rows[:, None]) / norms
+    M = np.eye(rows.shape[1])
+    for step in idx.T:
+        M = refl[step] @ M
     return M
 
 
-def _word_matrix(simple: SimpleRootSet, word: Optional[Sequence[int]]
-                 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """The validated word (default if None) and its ``coxeter_matrix``.
+def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
+                   ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The validated words (default for None) and their ``coxeter_matrix``, stacked.
 
-    The roots must be unit (within ``eq_tol``), as the versor of the word is
+    The roots must be unit (within ``eq_tol``), as the versor of a word is
     then: the matrix alone would not notice a rescaled root.
     """
-    word = tuple(word) if word is not None else default_word(simple)
-    if sorted(word) != list(range(1, simple.rank + 1)):
-        raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
-    rows = np.array([[float(c) for c in simple.vectors[i - 1]] for i in word])
+    words = [tuple(w) if w is not None else default_word(simple) for w in words]
+    for word in words:
+        if sorted(word) != list(range(1, simple.rank + 1)):
+            raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
+    rows = np.array([[float(c) for c in v] for v in simple.vectors])
     if np.abs((rows * rows).sum(axis=1) - 1.0).max() > eq_tol():
         raise ValueError("versor must have unit norm")
-    return word, coxeter_matrix(rows)
+    return words, _coxeter_matrices(rows, np.array(words) - 1)
+
+
+def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
+                    ) -> list[CoxeterData]:
+    """``coxeter_versor`` of each word (None: the default word) in one stacked pass.
+
+    The generator rows and their right products are built once; each step
+    multiplies every word's versor row by its next root in one product, and
+    the orders of all the matrices come from one power loop.
+    """
+    words, Ms = _word_matrices(simple, words)
+    idx = np.array(words) - 1
+    gens = _vector_rows(simple.vectors)
+    times = right_products(gens, simple.rank)
+    W, each = gens[idx[:, 0]], np.arange(len(idx))
+    for step in idx.T[1:]:
+        W = times(W).reshape(len(idx), simple.rank, -1)[each, step]
+    if np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(simple.rank)).max() > MATRIX_TOL:
+        raise ValueError("Coxeter matrix is not orthogonal")
+    return [CoxeterData(simple=simple, word=word, versor=v, matrix=M, h=h)
+            for word, v, M, h in zip(words, W, Ms, _matrix_orders(Ms))]
 
 
 def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
                    ) -> CoxeterData:
     """Product of all simple roots in the given order, with matrix and order."""
-    word, M = _word_matrix(simple, word)
-    gens = _vector_rows(simple.vectors)
-    times = right_products(gens, simple.rank)
-    W = gens[word[0] - 1]
-    for idx in word[1:]:
-        W = times(W[None])[idx - 1]
-    if not _is_identity(M.T @ M, np.eye(len(M))):
-        raise ValueError("Coxeter matrix is not orthogonal")
-    return CoxeterData(simple=simple, word=word, versor=W, matrix=M,
-                       h=matrix_order(M))
+    return coxeter_versors(simple, [word])[0]
 
 
-def _is_identity(P: np.ndarray, one: np.ndarray) -> bool:
-    """Is every entry of P within MATRIX_TOL of the identity matrix `one`'s?"""
-    return np.abs(P - one).max() <= MATRIX_TOL
+def _matrix_orders(Ms: np.ndarray) -> list[int]:
+    """``matrix_order`` of each matrix of the stack Ms, in one power loop.
+
+    The loop runs until every matrix has met the identity; a matrix that met
+    it keeps being multiplied, which is cheaper than taking it out.
+    """
+    one = np.eye(Ms.shape[-1])
+    orders = [0] * len(Ms)
+    P = Ms
+    for step in range(1, ORDER_CAP + 1):
+        for i, gap in enumerate(np.abs(P - one).max(axis=(1, 2)).tolist()):
+            if gap <= MATRIX_TOL and not orders[i]:
+                orders[i] = step
+        if all(orders):
+            return orders
+        P = P @ Ms
+    raise ValueError(f"matrix order exceeds {ORDER_CAP}")
 
 
 def matrix_order(M: np.ndarray) -> int:
     """Least k >= 1 with M^k = 1 (within MATRIX_TOL), or ValueError past ORDER_CAP."""
-    one = np.eye(len(M))
-    P = M
-    for step in range(1, ORDER_CAP + 1):
-        if _is_identity(P, one):
-            return step
-        P = P @ M
-    raise ValueError(f"matrix order exceeds {ORDER_CAP}")
+    return _matrix_orders(M[None])[0]
 
 
 @lru_cache(maxsize=None)
@@ -208,57 +245,64 @@ def coxeter_data(name: str, n: Optional[int] = None,
     return coxeter_versor(catalog(name, n), word)
 
 
+def exponents_via_matrices(Ms: np.ndarray, hs: Sequence[int]) -> list[tuple[int, ...]]:
+    """``exponents_via_matrix`` of each matrix of the stack Ms with its order,
+    from one eigvals call."""
+    out = []
+    for vals, h in zip(np.linalg.eigvals(Ms), hs):
+        exps = []
+        for lam in vals:
+            if abs(abs(lam) - 1.0) > UNIMODULAR_TOL:
+                raise FactorizationError(f"non-unimodular eigenvalue {lam}")
+            m = math.atan2(lam.imag, lam.real) * h / (2.0 * math.pi)
+            if m < -INT_TOL:
+                m += h
+            r = round(m)
+            if abs(m - r) > INT_TOL:
+                raise FactorizationError(f"non-integer exponent {m}")
+            if r == 0 or r == h:
+                raise FactorizationError("unit eigenvalue: not an essential Coxeter element")
+            exps.append(int(r))
+        out.append(tuple(sorted(exps)))
+    return out
+
+
 def exponents_via_matrix(M: np.ndarray, h: int) -> tuple[int, ...]:
     """Exponents m with eigenvalues exp(2*pi*i*m/h), multiplicity included."""
-    vals = np.linalg.eigvals(np.asarray(M, dtype=float))
-    out = []
-    for lam in vals:
-        if abs(abs(lam) - 1.0) > UNIMODULAR_TOL:
-            raise FactorizationError(f"non-unimodular eigenvalue {lam}")
-        m = math.atan2(lam.imag, lam.real) * h / (2.0 * math.pi)
-        if m < -INT_TOL:
-            m += h
-        r = round(m)
-        if abs(m - r) > INT_TOL:
-            raise FactorizationError(f"non-integer exponent {m}")
-        if r == 0 or r == h:
-            raise FactorizationError("unit eigenvalue: not an essential Coxeter element")
-        out.append(int(r))
-    return tuple(sorted(out))
+    return exponents_via_matrices(np.asarray(M, dtype=float)[None], [h])[0]
 
 
 # -- float coefficient rows -----------------------------------------------------
 # Sums run from 0.0 in blade order, as Multivector sums, so each float equals
-# the one a chain of Multivector operations gives.
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Geometric product x y of two float coefficient rows."""
-    return right_products(y[None], len(x).bit_length() - 1)(x[None])[0]
+# the one a chain of Multivector operations gives.  Every helper works on one
+# row or, pairwise, on stacks of rows.
 
 
 def _grade(x: np.ndarray, k: int) -> np.ndarray:
-    """The grade-k part of a float coefficient row."""
-    return np.where([m.bit_count() == k for m in range(len(x))], x, 0.0)
+    """The grade-k part of float coefficient rows."""
+    return np.where([m.bit_count() == k for m in range(x.shape[-1])], x, 0.0)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Coefficient dot of two rows, <x reverse(y)>_0, summed one blade at a time."""
-    total = 0.0
-    for a, b in zip(x.tolist(), y.tolist()):
-        total += a * b
-    return total
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficient dots of rows, <x reverse(y)>_0, summed one blade at a time.
+
+    ``accumulate`` adds left to right, as a Python loop from 0.0 does; adding
+    0.0 at the end turns the -0.0 of an all -0.0 sum into that loop's 0.0.
+    """
+    return np.add.accumulate(x * y, axis=-1)[..., -1] + 0.0
 
 
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(_dot(x, x))
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(x, x))
 
 
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bivector row u ^ v of two float coordinate vectors: the grade-2 part of
+    """Bivector rows u ^ v of float coordinate vectors: the grade-2 part of
     their geometric product."""
-    rows = _vector_rows(np.array([u, v], dtype=float).tolist())
-    return _grade(_mul(rows[0], rows[1]), 2)
+    uv = np.stack([u, v]).astype(float)
+    rows = _vector_rows(uv.reshape(-1, uv.shape[-1]).tolist())
+    rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
+    return _grade(float_products(rows[0], rows[1]), 2)
 
 
 # -- Perron-Frobenius / weights / plane ------------------------------------------
@@ -347,10 +391,10 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     if nb < DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: coloured vectors are colinear")
     B = B * (1.0 / nb)
-    sq = _mul(B, B)
+    sq = float_products(B, B)
     if abs(sq[0] + 1.0) > DEGENERATE_TOL or np.abs(sq[1:]).max() > DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
-    if validate and not _stabilizes(_word_matrix(simple, word)[1], B):
+    if validate and not _stabilizes(_word_matrices(simple, [word])[1][0], B):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return CoxeterPlane(
         bivector=B, white=white, black=black,
@@ -364,22 +408,63 @@ def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:
 
 
 def bivector_matrix(B: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix A of a bivector row, A[i, j] = its e_(i+1) e_(j+1) coefficient.
+    """Antisymmetric matrices A of bivector rows, A[i, j] = the e_(i+1) e_(j+1) coefficient.
 
     u ^ v has the matrix u v^T - v u^T, so an orthogonal M, acting on vectors
     as a versor does, acts on the bivector as A -> M A M^T.
     """
-    k = len(B).bit_length() - 1
-    A = np.zeros((k, k))
+    k = B.shape[-1].bit_length() - 1
+    A = np.zeros(B.shape[:-1] + (k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            A[i, j] = B[(1 << i) | (1 << j)]
-    return A - A.T
+            A[..., i, j] = B[..., (1 << i) | (1 << j)]
+    return A - np.swapaxes(A, -1, -2)
 
 
-def _stabilizes(M: np.ndarray, B: np.ndarray) -> bool:
+def _stabilizes(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Does each matrix M fix its bivector row B, within PLANE_TOL?"""
     A = bivector_matrix(B)
-    return np.abs(M @ A @ M.T - A).max() <= PLANE_TOL
+    return np.abs(M @ A @ np.swapaxes(M, -1, -2) - A).max(axis=(-2, -1)) <= PLANE_TOL
+
+
+def planes_from_matrices(Ms: np.ndarray, hs: Sequence[int]) -> np.ndarray:
+    """``plane_from_matrix`` of each matrix of the stack Ms with its order.
+
+    The eigenproblems are one eig call.  Each matrix's candidate eigenvector
+    pairs are tried in ``plane_from_matrix``'s order, the t-th candidate of
+    every matrix still without a plane in one stacked pass.
+    """
+    k = Ms.shape[-1]
+    vals, vecs = np.linalg.eig(Ms)
+    pairs = []
+    for lams, V, h in zip(vals, vecs, hs):
+        m = min((round(math.atan2(lam.imag, lam.real) * h / (2 * math.pi))
+                 for lam in lams if lam.imag > EIGEN_MATCH_TOL), default=h // 2)
+        target = complex(math.cos(2 * math.pi * m / h), math.sin(2 * math.pi * m / h))
+        cands = [i for i in range(k) if abs(lams[i] - target) < EIGEN_MATCH_TOL]
+        if not cands:
+            raise FactorizationError(f"no eigenvalue exp(2*pi*i*{m}/h) found")
+        # complex eigenvectors span their plane; real ones (eigenvalue -1,
+        # h = 2) are paired
+        pairs.append([(V[:, i].real, V[:, i].imag) for i in cands]
+                     + [(V[:, i].real, V[:, j].real) for i in cands for j in cands if j > i])
+    planes = np.zeros((len(Ms), 1 << k))
+    pending = list(range(len(Ms)))
+    for t in range(max(map(len, pairs))):
+        if any(t == len(pairs[i]) for i in pending):
+            break
+        B = _wedge(np.array([pairs[i][t][0] for i in pending]),
+                   np.array([pairs[i][t][1] for i in pending]))
+        B = np.where(np.abs(B) <= GRADE_TOL, 0.0, B)
+        nb = _norm(B)
+        ok = nb >= WEDGE_FLOOR
+        B = B * (1.0 / np.where(ok, nb, 1.0))[:, None]
+        ok &= _stabilizes(Ms[pending], B)
+        planes[np.array(pending)[ok]] = B[ok]
+        pending = [i for i, found in zip(pending, ok) if not found]
+        if not pending:
+            return planes
+    raise FactorizationError("could not build an invariant plane from the spectrum")
 
 
 def plane_from_matrix(W: np.ndarray, M: np.ndarray, h: int) -> np.ndarray:
@@ -394,38 +479,7 @@ def plane_from_matrix(W: np.ndarray, M: np.ndarray, h: int) -> np.ndarray:
     zero are eigenvector noise and are zeroed before the bivector is
     normalized.
     """
-    k = M.shape[0]
-    vals, vecs = np.linalg.eig(M)
-    m = min((round(math.atan2(lam.imag, lam.real) * h / (2 * math.pi))
-             for lam in vals if lam.imag > EIGEN_MATCH_TOL), default=h // 2)
-    target = complex(math.cos(2 * math.pi * m / h), math.sin(2 * math.pi * m / h))
-    cands = [i for i in range(k) if abs(vals[i] - target) < EIGEN_MATCH_TOL]
-    if not cands:
-        raise FactorizationError(f"no eigenvalue exp(2*pi*i*{m}/h) found")
-
-    def try_plane(u, w):
-        B = _wedge(u, w)
-        B = np.where(np.abs(B) <= GRADE_TOL, 0.0, B)
-        nb = _norm(B)
-        if nb < WEDGE_FLOOR:
-            return None
-        B = B * (1.0 / nb)
-        return B if _stabilizes(M, B) else None
-
-    for i in cands:
-        v = vecs[:, i]
-        B = try_plane(v.real, v.imag)
-        if B is not None:
-            return B
-    # real eigenvectors (eigenvalue -1, h = 2): pair two of them
-    for i in cands:
-        for j in cands:
-            if j <= i:
-                continue
-            B = try_plane(vecs[:, i].real, vecs[:, j].real)
-            if B is not None:
-                return B
-    raise FactorizationError("could not build an invariant plane from the spectrum")
+    return planes_from_matrices(M[None], [h])[0]
 
 
 # -- factorization ---------------------------------------------------------------
@@ -476,64 +530,75 @@ def canonical_angle(t: float) -> tuple[float, int, int]:
     raise FactorizationError(f"cannot canonicalize angle {t}")
 
 
-def _exp(B: np.ndarray, theta: float) -> np.ndarray:
-    """cos(theta) + sin(theta) B for a unit bivector row B."""
-    if not B.any() or (B != _grade(B, 2)).any():
+def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
+    """cos(theta) + sin(theta) B for unit bivector rows B (S, 2**dim) and their angles.
+
+    B must square to -1 within DEGENERATE_TOL, the tolerance the Coxeter
+    plane is built to.
+    """
+    if (~B.any(axis=1) | (B != _grade(B, 2)).any(axis=1)).any():
         raise ValueError("exponent must be a pure bivector")
-    tol = eq_tol()
-    sq = _mul(B, B)
-    if abs(sq[0] + 1.0) > tol or np.abs(sq[1:]).max() > tol:
+    sq = float_products(B, B)
+    sq[:, 0] += 1.0
+    if np.abs(sq).max() > DEGENERATE_TOL:
         raise ValueError("bivector must square to -1")
-    E = np.zeros(len(B))
-    E[0] = math.cos(theta)
-    return E + math.sin(theta) * B
+    E = np.zeros(B.shape)
+    E[:, 0] = [math.cos(t) for t in theta]
+    return E + np.array([math.sin(t) for t in theta])[:, None] * B
+
+
+def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Factorization]:
+    """``factorize`` of each versor row of Ws on its plane row of Bs with its
+    order: the components, exponentials and reconstructions of all rows in
+    stacked passes, the angles one row at a time."""
+    dim = Bs.shape[1].bit_length() - 1
+    if Ws.dtype.kind != "f":
+        Ws = np.array([[float(c) for c in row] for row in _row_values(Ws, dim)])
+    if dim not in (2, 4):
+        raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
+    s = Ws[:, 0].tolist()
+    b1 = _dot(Ws, Bs).tolist()
+    if dim == 2:
+        t1 = [math.atan2(b, c) for b, c in zip(b1, s)]
+        t2 = [None] * len(t1)
+        residuals = _norm(Ws - _exp(Bs, t1)).tolist()
+    else:
+        I = np.zeros(16)
+        I[15] = 1.0
+        IB = float_products(I, Bs)
+        p = _dot(Ws, I).tolist()
+        b2 = _dot(Ws, IB).tolist()
+        t1, t2 = [], []
+        for si, pi, bi, bj in zip(s, p, b1, b2):
+            sum_a = math.atan2(bi + bj, si + pi)
+            diff_a = math.atan2(bi - bj, si - pi)
+            t1.append(0.5 * (sum_a + diff_a))
+            t2.append(0.5 * (sum_a - diff_a))
+        residuals = _norm(Ws - float_products(_exp(Bs, t1), _exp(IB, t2))).tolist()
+    out = []
+    for h, a1, a2, residual in zip(hs, t1, t2, residuals):
+        if residual > RESIDUAL_TOL:
+            raise FactorizationError(f"residual {residual}" + (
+                " (not a plane rotation)" if dim == 2
+                else ": versor is not of two-plane form on this bivector"))
+        if dim == 2:
+            t1c, b_sign, w_sign = canonical_angle(a1)
+            t2c, i_sign, angles = None, 1, (t1c,)
+        else:
+            t1c, t2c, b_sign, i_sign, w_sign = canonical_angle_pair(a1, a2)
+            angles = (t1c, t2c)
+        ms = [_as_exponent(t * h / math.pi, h) for t in angles]
+        out.append(Factorization(
+            h=h, theta1=t1c, theta2=t2c, w_sign=w_sign, b_sign=b_sign, i_sign=i_sign,
+            exponents=tuple(sorted(ms + [h - m for m in ms])), residual=residual,
+        ))
+    return out
 
 
 def factorize(W: np.ndarray, B: np.ndarray, h: int) -> Factorization:
     """Decompose a Coxeter versor row W (as ``CoxeterData.versor``) into bivector
     exponentials on the plane bivector row B and on I*B."""
-    dim = len(B).bit_length() - 1
-    if W.dtype.kind != "f":
-        W = np.array([float(c) for c in _row_values(W[None], dim)[0]])
-    if dim == 2:
-        s = float(W[0])
-        b1 = _dot(W, B)
-        t1 = math.atan2(b1, s)
-        residual = _norm(W - _exp(B, t1))
-        if residual > RESIDUAL_TOL:
-            raise FactorizationError(f"residual {residual} (not a plane rotation)")
-        t1c, b_sign, w_sign = canonical_angle(t1)
-        m1 = _as_exponent(t1c * h / math.pi, h)
-        return Factorization(
-            h=h, theta1=t1c, theta2=None, w_sign=w_sign, b_sign=b_sign,
-            i_sign=1, exponents=tuple(sorted((m1, h - m1))), residual=residual,
-        )
-    if dim != 4:
-        raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
-    I = np.zeros(16)
-    I[15] = 1.0
-    IB = _mul(I, B)
-    s = float(W[0])
-    p = _dot(W, I)
-    b1 = _dot(W, B)
-    b2 = _dot(W, IB)
-    sum_a = math.atan2(b1 + b2, s + p)
-    diff_a = math.atan2(b1 - b2, s - p)
-    t1 = 0.5 * (sum_a + diff_a)
-    t2 = 0.5 * (sum_a - diff_a)
-    residual = _norm(W - _mul(_exp(B, t1), _exp(IB, t2)))
-    if residual > RESIDUAL_TOL:
-        raise FactorizationError(
-            f"residual {residual}: versor is not of two-plane form on this bivector"
-        )
-    t1c, t2c, b_sign, i_sign, w_sign = canonical_angle_pair(t1, t2)
-    m1 = _as_exponent(t1c * h / math.pi, h)
-    m2 = _as_exponent(t2c * h / math.pi, h)
-    return Factorization(
-        h=h, theta1=t1c, theta2=t2c, w_sign=w_sign, b_sign=b_sign,
-        i_sign=i_sign, exponents=tuple(sorted((m1, h - m1, m2, h - m2))),
-        residual=residual,
-    )
+    return factorizations(W[None], B[None], [h])[0]
 
 
 def _as_exponent(t: float, h: int) -> int:
@@ -555,14 +620,14 @@ def plane_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(dim):
         e = np.zeros(len(B))
         e[1 << i] = 1.0
-        proj = -_grade(_mul(_grade(_mul(e, B), 1), B), 1)
+        proj = -_grade(float_products(_grade(float_products(e, B), 1), B), 1)
         n = _norm(proj)
         if n > BASIS_FLOOR:
             u1 = proj * (1.0 / n)
             break
     if u1 is None:
         raise ValueError("degenerate plane bivector")
-    u2 = _grade(_mul(u1, B), 1)
+    u2 = _grade(float_products(u1, B), 1)
     u2 = u2 * (1.0 / _norm(u2))
     coords = [1 << i for i in range(dim)]
     return u1[coords], u2[coords]

@@ -5,7 +5,10 @@ constants of class sums give k commuting integer matrices whose simultaneous
 eigenvectors, normalized at the identity class, are the rows of the character
 table.  A random real combination with the documented default seed separates
 the eigenspaces; every integer quantity downstream (dimensions, tensor
-multiplicities, affine marks) is validated by its rounding residual.
+multiplicities, affine marks) is validated by its rounding residual.  The
+tables of many seeds come from one stacked eigenproblem, and their McKay
+graphs from one stacked product; each table equals the one its seed gives
+alone.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -17,7 +20,7 @@ diagram is named by its node count and largest mark, without a search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +35,6 @@ ORTHO_TOL = 1e-6
 EIG_SEP_TOL = 1e-8
 #: an eigenvector smaller than this at the identity class cannot be normalized
 PIVOT_TOL = 1e-12
-#: seeds whose eigenproblems are solved in one stacked call
-EIG_BATCH = 4
 #: draws per seed before colliding eigenvalues count as bad group data
 MAX_REDRAWS = 16
 #: spread of twice the scalar part allowed within one conjugacy class
@@ -126,27 +127,27 @@ def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
 
 def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
                      seeds: Sequence[int] = (DEFAULT_SEED,),
-                     mats: Optional[np.ndarray] = None) -> Iterator[CharacterTable]:
-    """One character table per seed, the eigenproblems solved in stacked batches.
+                     mats: Optional[np.ndarray] = None) -> list[CharacterTable]:
+    """One character table per seed, all the seeds' eigenproblems solved in one
+    stacked `np.linalg.eig`.
 
     Each seed draws its combination from its own `default_rng(seed)` and only
     a seed whose eigenvalues collide draws again, so every table equals the one
-    that seed gives alone.  Tables are yielded batch by batch, so a caller that
-    consumes them as they come holds one batch at a time.
+    that seed gives alone.
     """
     if classes is None:
         classes = conjugacy_classes(G)
     if mats is None:
         mats = class_matrices(G, classes)
-    for lo in range(0, len(seeds), EIG_BATCH):
-        vecs = _eigenvectors(mats, seeds[lo:lo + EIG_BATCH])
-        yield from _tables_from_eigenvectors(vecs, classes, G.order)
+    tables = _tables_from_eigenvectors(_eigenvectors(mats, seeds), classes, G.order)
+    _validate_tables(tables)
+    return tables
 
 
 def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
                     seed: int = DEFAULT_SEED,
                     mats: Optional[np.ndarray] = None) -> CharacterTable:
-    return next(character_tables(G, classes, (seed,), mats))
+    return character_tables(G, classes, (seed,), mats)[0]
 
 
 def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
@@ -157,12 +158,14 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     """
     k = mats.shape[0]
     i, j = np.triu_indices(k, 1)
+    flat = mats.reshape(k, -1).astype(float)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     vecs = [None] * len(seeds)
     pending = list(range(len(seeds)))
     for _ in range(MAX_REDRAWS):
-        A = np.stack([np.tensordot(rngs[s].standard_normal(k), mats, axes=1)
-                      for s in pending])
+        # one vector-matrix product per draw: a stacked product would sum in
+        # another order and move the eigenvectors by an ulp
+        A = np.stack([rngs[s].standard_normal(k) @ flat for s in pending]).reshape(-1, k, k)
         vals, V = np.linalg.eig(A)
         sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
         for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
@@ -177,22 +180,24 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
 def _tables_from_eigenvectors(vecs: list, classes: ClassData,
                               order: int) -> list[CharacterTable]:
     if len({v.dtype for v in vecs}) > 1:
-        # real and complex spectra in one batch: keep each seed's own dtype
+        # real and complex spectra in one stack: keep each seed's own dtype
         return [t for v in vecs for t in _tables_from_eigenvectors([v], classes, order)]
     sizes = np.array(classes.sizes, dtype=float)
     # W[b, i, t] = |C_t| chi_i(t) / d_i, eigenvector i of seed b
     W = np.stack(vecs).transpose(0, 2, 1)
-    pivot = W[:, :, :1]
+    pivot = W[:, :, :1].copy()
     if (np.abs(pivot) < PIVOT_TOL).any():
         raise CharacterError("eigenvector vanishes at the identity class")
-    W = W / pivot
+    W /= pivot          # in place, as are the steps to chars: a stack of many seeds is large
     # orthogonality fixes the dimension d
     d = np.sqrt(order / np.sum(np.abs(W) ** 2 / sizes, axis=-1))
     rd = np.rint(d)
     bad = (np.abs(d - rd) > INT_TOL) | (rd < 1)
     if bad.any():
         raise CharacterError(f"non-integer irreducible dimension {d[bad][0]}")
-    chars = rd[:, :, None] * W / sizes
+    W *= rd[:, :, None]
+    W /= sizes
+    chars = W
     # canonical row order: dimension, then the rounded row; + 0.0 turns -0.0 into 0.0
     real = np.round(chars.real, 6) + 0.0
     imag = np.round(chars.imag, 6) + 0.0
@@ -202,7 +207,6 @@ def _tables_from_eigenvectors(vecs: list, classes: ClassData,
         rows = np.lexsort(np.column_stack([dims, key]).T[::-1])
         tables.append(CharacterTable(chars=c[rows], dims=tuple(dims[rows].tolist()),
                                      sizes=classes.sizes, order=order))
-    _validate_tables(tables)
     return tables
 
 
@@ -215,8 +219,10 @@ def _validate_tables(tables: list[CharacterTable]):
     order, k = tables[0].order, chars.shape[1]
     sizes = np.array(tables[0].sizes, dtype=float)
     adjoint = chars.conj().transpose(0, 2, 1)
-    gram = (chars * sizes) @ adjoint / order
+    gram = (chars * sizes) @ adjoint
+    gram /= order
     rows_ok = np.isclose(gram, np.eye(k), atol=ORTHO_TOL).all(axis=(1, 2))
+    del gram
     col = adjoint @ chars  # |G|/|C_s| on the diagonal
     cols_ok = np.isclose(col, np.diag(order / sizes), atol=ORTHO_TOL * order).all(axis=(1, 2))
     for table, row_ok, col_ok in zip(tables, rows_ok, cols_ok):
@@ -244,20 +250,35 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
     return np.array(out)
 
 
-def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
-    """Multiplicities of irreducibles in (2D spinor) x (irreducible)."""
-    sizes = np.array(table.sizes, dtype=float)
-    A = (table.chars * (sizes * chi_R)) @ table.chars.conj().T / table.order
-    if np.abs(A.imag).max() > INT_TOL:
-        raise CharacterError("complex tensor multiplicity")
+def mckay_graphs(tables: Sequence[CharacterTable], chi_R: np.ndarray) -> list[McKayGraph]:
+    """Multiplicities of irreducibles in (2D spinor) x (irreducible), for the
+    tables of one group in one stacked product.
+
+    Every multiplicity matrix must be integral, symmetric and nonnegative; the
+    first bad table in the list raises, its checks in that order.
+    """
+    chars = np.stack([t.chars for t in tables])
+    sizes = np.array(tables[0].sizes, dtype=float)
+    A = (chars * (sizes * chi_R)) @ chars.conj().transpose(0, 2, 1) / tables[0].order
+    complex_ = np.abs(A.imag).max(axis=(1, 2)) > INT_TOL
     A = A.real
     R = np.rint(A)
-    if np.abs(A - R).max() > INT_TOL:
-        raise CharacterError("non-integer tensor multiplicity")
+    fractional = np.abs(A - R).max(axis=(1, 2)) > INT_TOL
     R = R.astype(int)
-    if (R < 0).any() or (R != R.T).any():
-        raise CharacterError("multiplicity matrix not symmetric nonnegative")
-    return McKayGraph(labels=table.dims, adjacency=R)
+    asymmetric = (R < 0).any(axis=(1, 2)) | (R != R.transpose(0, 2, 1)).any(axis=(1, 2))
+    for bad_complex, bad_int, bad_sym in zip(complex_, fractional, asymmetric):
+        if bad_complex:
+            raise CharacterError("complex tensor multiplicity")
+        if bad_int:
+            raise CharacterError("non-integer tensor multiplicity")
+        if bad_sym:
+            raise CharacterError("multiplicity matrix not symmetric nonnegative")
+    return [McKayGraph(labels=t.dims, adjacency=adj) for t, adj in zip(tables, R)]
+
+
+def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
+    """Multiplicities of irreducibles in (2D spinor) x (irreducible)."""
+    return mckay_graphs([table], chi_R)[0]
 
 
 # -- affine matching -------------------------------------------------------------

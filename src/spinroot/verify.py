@@ -174,13 +174,14 @@ def check_exponent_oracles(n_max: int = ade.N_MAX,
             tuple(int(x) + 1 for x in rng.permutation(simple.rank))
             for _ in range(ORACLE_WORDS)
         ]
-        for word in words:
-            cd = coxplane.coxeter_versor(simple, word)
-            m_exps = coxplane.exponents_via_matrix(cd.matrix, cd.h)
-            B = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
-            f_exps = coxplane.factorize(cd.versor, B, cd.h).exponents
-            if not (m_exps == f_exps == expected):
-                bad.append((word, m_exps, f_exps))
+        # every stage runs once for all the words of the system
+        cds = coxplane.coxeter_versors(simple, words)
+        Ms, hs = np.stack([cd.matrix for cd in cds]), [cd.h for cd in cds]
+        planes = coxplane.planes_from_matrices(Ms, hs)
+        factors = coxplane.factorizations(np.stack([cd.versor for cd in cds]), planes, hs)
+        for word, m_exps, f in zip(words, coxplane.exponents_via_matrices(Ms, hs), factors):
+            if not (m_exps == f.exponents == expected):
+                bad.append((word, m_exps, f.exponents))
         out.append(_res(4, f"{simple.name} exponent oracles ({len(words)} words)",
                         not bad, bad[:2] or f"all agree: {expected}",
                         f"matrix == factorization == {expected}"))
@@ -373,18 +374,28 @@ def check_springer(n_max: int = ade.N_MAX) -> list[CheckResult]:
 # -- 9: McKay suite over seeds -----------------------------------------------------------
 
 
-def _mckay_verdict(G, table, chi):
-    graph = mckay.mckay_graph(table, chi)
-    return (
-        len(table.dims),
-        table.dims,
-        sum(d * d for d in table.dims) == G.order,
-        sum(table.dims),
-        mckay.match_affine_ade(graph),
-    )
-
-
 MCKAY_SEEDS = 32    # seeds 0..MCKAY_SEEDS-1 whose character tables must agree
+
+
+def mckay_verdicts(G, classes: mckay.ClassData) -> set:
+    """The verdict (classes, dims, sum d^2 == |G|, sum d, affine type) of the
+    character table of each seed 0..MCKAY_SEEDS-1.
+
+    The tables come from one stacked eigenproblem and their McKay graphs from
+    one stacked product.  Equal graphs have equal affine types, so each
+    distinct graph is matched once.
+    """
+    tables = mckay.character_tables(G, classes, range(MCKAY_SEEDS))
+    graphs = mckay.mckay_graphs(tables, mckay.spinor_character(G, classes))
+    affine_of = {}
+    verdicts = set()
+    for table, graph in zip(tables, graphs):
+        key = (table.dims, graph.adjacency.tobytes())
+        if key not in affine_of:
+            affine_of[key] = mckay.match_affine_ade(graph)
+        verdicts.add((len(table.dims), table.dims, sum(d * d for d in table.dims) == G.order,
+                      sum(table.dims), affine_of[key]))
+    return verdicts
 
 
 def check_mckay(n_max: int = ade.N_MAX) -> list[CheckResult]:
@@ -394,12 +405,7 @@ def check_mckay(n_max: int = ade.N_MAX) -> list[CheckResult]:
     systems += [("A1xI2", n, n + 3, f"D~{n + 2}") for n in range(2, n_max + 1)]
     for name, n, k_want, affine_want in systems:
         G = spin_group(name, n)
-        classes = mckay.conjugacy_classes(G)
-        # the spinor character is seed-independent; every seed's table is built
-        # (in stacked eigen-batches) and its verdict compared
-        chi = mckay.spinor_character(G, classes)
-        verdicts = {_mckay_verdict(G, table, chi)
-                    for table in mckay.character_tables(G, classes, range(MCKAY_SEEDS))}
+        verdicts = mckay_verdicts(G, mckay.conjugacy_classes(G))
         stable = len(verdicts) == 1
         k, dims, sq_ok, sum_d, affine = next(iter(verdicts))
         src_count = root_system(name, n).count

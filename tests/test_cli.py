@@ -133,6 +133,26 @@ def test_tol_eq_does_not_outlive_the_run(capsys):
     assert eq_tol() == DEFAULT_EQ_TOL
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tol_eq_must_be_positive_and_finite(value, capsys):
+    # 0 was ignored, -1 and nan raised a traceback, inf disabled the unit-norm check
+    assert main(["coxplane", "H4", f"--tol-eq={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol-eq must be a positive finite number\n"
+    assert eq_tol() == DEFAULT_EQ_TOL
+
+
+def test_tight_tol_eq_keeps_the_plane_tolerance(capsys):
+    # exp(t B) holds B^2 = -1 to the tolerance the Coxeter plane is built to,
+    # not to --tol-eq; at 1e-16 the H4 factorization used to exit 1
+    code, out = run(capsys, "coxplane", "H4", "--tol-eq", "1e-16")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["factorization_exponents"] == [1, 11, 19, 29]
+    assert payload["meta"]["tol_eq"] == 1e-16
+
+
 def test_ade_map_text(capsys):
     code, out = run(capsys, "ade-map", "--n-max", "3")
     assert code == 0

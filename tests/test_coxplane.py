@@ -45,12 +45,16 @@ from spinroot.coxplane import (
     coxeter_plane_for,
     coxeter_versor,
     default_word,
+    coxeter_versors,
+    exponents_via_matrices,
     exponents_via_matrix,
+    factorizations,
     factorize,
     matrix_order,
     pf_eigenvector,
     plane_basis,
     plane_from_matrix,
+    planes_from_matrices,
     project_to_plane,
     springer_identities,
     weight_basis,
@@ -144,6 +148,8 @@ def test_matrix_is_orthogonal_and_word_validated():
     assert np.allclose(M.T @ M, np.eye(4), atol=1e-9)
     with pytest.raises(ValueError):
         coxeter_versor(catalog("F4"), word=(1, 1, 2, 3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        coxeter_versors(catalog("F4"), [None, (1, 2, 3, 4), (1, 1, 2, 3)])
 
 
 def test_non_unit_root_set_is_rejected():
@@ -153,6 +159,8 @@ def test_non_unit_root_set_is_rejected():
             simple, vectors=(tuple(c * 2 for c in simple.vectors[0]),) + simple.vectors[1:])
         with pytest.raises(ValueError, match="versor must have unit norm"):
             coxeter_versor(scaled)
+        with pytest.raises(ValueError, match="versor must have unit norm"):
+            coxeter_versors(scaled, [None, tuple(range(simple.rank, 0, -1))])
         with pytest.raises(ValueError, match="versor must have unit norm"):
             coxeter_plane(scaled)
 
@@ -222,6 +230,36 @@ def test_row_coxeter_layer_matches_multivector_reference():
                 factorized += 1
     assert len(cases) == 648 + len(CATALOG_SYSTEMS)
     assert factorized == 570 + 33   # spectrum planes, then the default PF planes
+
+
+def test_batches_equal_one_word_results():
+    # one coxeter_versors call per system, with the stages after it stacked,
+    # gives every word bit for bit what the one-word functions give it
+    batches = {}
+    for name, n, simple, word in permutation_words():
+        batches.setdefault(simple.name, (simple, [None]))[1].append(word)
+    words_seen = 0
+    for simple, words in batches.values():
+        cds = coxeter_versors(simple, words)
+        Ms, hs = np.stack([cd.matrix for cd in cds]), [cd.h for cd in cds]
+        planes = planes_from_matrices(Ms, hs)
+        exps = exponents_via_matrices(Ms, hs)
+        factors = [None] * len(cds)
+        if simple.rank in (2, 4):
+            Ws = np.stack([cd.versor for cd in cds])
+            factors = [repr(f) for f in factorizations(Ws, planes, hs)]
+        for word, cd, B, e, f in zip(words, cds, planes, exps, factors):
+            one = coxeter_versor(simple, word)
+            assert (cd.word, cd.h) == (one.word, one.h), (simple.name, word)
+            assert repr(cd.versor.tolist()) == repr(one.versor.tolist()), (simple.name, word)
+            assert cd.matrix.tobytes() == one.matrix.tobytes(), (simple.name, word)
+            assert e == exponents_via_matrix(one.matrix, one.h)
+            B1 = plane_from_matrix(one.versor, one.matrix, one.h)
+            assert B.tobytes() == B1.tobytes(), (simple.name, word)
+            if f is not None:
+                assert f == repr(factorize(one.versor, B1, one.h)), (simple.name, word)
+            words_seen += 1
+    assert words_seen == 648 + len(CATALOG_SYSTEMS)
 
 
 def test_reflection_product_matches_versor_action():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clifford_reference import scalar_part
+from spinroot import verify
 from spinroot.induction import spin_group
 from spinroot.mckay import (
     CharacterError,
@@ -23,6 +24,7 @@ from spinroot.mckay import (
     match_affine_ade,
     mckay_graph,
     mckay_graph_dot,
+    mckay_graphs,
     spinor_character,
 )
 
@@ -273,7 +275,8 @@ def test_seed_independence():
 
 
 def test_character_tables_equal_single_seed_tables():
-    # the stacked eigen-batches give every seed the table it gives alone, bit for bit
+    # one stacked eigenproblem of 32 seeds gives every seed the table it gives
+    # alone, bit for bit
     for name, n in [("A3", None), ("B3", None), ("H3", None), ("I2", 12), ("A1xI2", 12)]:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
@@ -300,6 +303,48 @@ def test_batch_validation_raises_for_the_first_bad_table():
         _validate_tables([good[0], bad_rows, bad_dims])
     with pytest.raises(CharacterError, match="sum of squared dimensions"):
         _validate_tables([good[0], bad_dims, bad_rows])
+
+
+def _mckay_verdict(G, table, chi):
+    """Reference verdict of one table: its own McKay graph and affine match."""
+    graph = mckay_graph(table, chi)
+    return (
+        len(table.dims),
+        table.dims,
+        sum(d * d for d in table.dims) == G.order,
+        sum(table.dims),
+        match_affine_ade(graph),
+    )
+
+
+def test_mckay_verdicts_equal_per_table_reference():
+    # criterion 9's stacked graphs and once-per-graph matching give the verdict
+    # set that building and matching each seed's table on its own gives
+    systems = [("A3", None), ("B3", None), ("H3", None)]
+    systems += [(key, n) for key in ("I2", "A1xI2") for n in range(2, 13)]
+    for name, n in systems:
+        G = spin_group(name, n)
+        classes = conjugacy_classes(G)
+        chi = spinor_character(G, classes)
+        want = {_mckay_verdict(G, character_table(G, classes, seed=seed), chi)
+                for seed in range(verify.MCKAY_SEEDS)}
+        assert verify.mckay_verdicts(G, classes) == want, (name, n)
+    assert len(systems) == 25
+
+
+def test_stacked_mckay_graphs_check_every_table():
+    G = spin_group("A3")
+    tables = character_tables(G, seeds=range(3))
+    chi = spinor_character(G, conjugacy_classes(G))
+    graphs = mckay_graphs(tables, chi)
+    for table, graph in zip(tables, graphs):
+        single = mckay_graph(table, chi)
+        assert graph.labels == single.labels
+        assert (graph.adjacency == single.adjacency).all()
+    scaled = tables[1].chars.copy()
+    scaled[-1] *= 1.5        # multiplicities stop being integers
+    with pytest.raises(CharacterError, match="non-integer tensor multiplicity"):
+        mckay_graphs([tables[0], replace(tables[1], chars=scaled), tables[2]], chi)
 
 
 def test_affine_templates_and_marks():

@@ -2,15 +2,14 @@
 
 Subcommands: catalog, induce, coxplane, project, mckay, ade-map, export,
 verify-all.  All configuration is flag-based; every JSON payload carries a
-metadata block echoing version, seed and tolerance overrides, and outputs are
-deterministic at fixed flags.  Exit codes: 0 success, 1 verification failure,
+metadata block echoing the version and, where the command takes them, the seed
+and backend, and outputs are deterministic at fixed flags.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -27,13 +26,12 @@ from .rootsys import (
     parse_name,
     root_system,
 )
-from .scalars import DEFAULT_EQ_TOL, eq_tol, scalar_to_json, set_eq_tol
+from .scalars import scalar_to_json
 
 
 def _meta(args) -> dict:
     return output.metadata(
         seed=getattr(args, "seed", None),
-        tol_eq=getattr(args, "tol_eq", None),
         backend=getattr(args, "backend", None),
     )
 
@@ -138,8 +136,7 @@ def cmd_project(args) -> int:
     plane = coxplane.coxeter_plane_for(key, n)
     points = coxplane.project_to_plane(root_system(key, n).vectors, plane.bivector)
     if args.out:
-        paths = output.export_files("projection", key, n, args.out,
-                                    seed=args.seed, tol_eq=args.tol_eq)
+        paths = output.export_files("projection", key, n, args.out, seed=args.seed)
         for p in paths:
             print(p)
     else:
@@ -192,8 +189,7 @@ def cmd_ade_map(args) -> int:
 
 def cmd_export(args) -> int:
     key, n = parse_name(args.name, args.n)
-    paths = output.export_files(args.kind, key, n, args.out,
-                                seed=args.seed, tol_eq=args.tol_eq)
+    paths = output.export_files(args.kind, key, n, args.out, seed=args.seed)
     for p in paths:
         print(p)
     return 0
@@ -239,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("name", help="system name, e.g. H3, I2(7), A1xI2(4)")
         sp.add_argument("--n", type=int, default=None, help="family parameter")
         sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
-        sp.add_argument("--tol-eq", dest="tol_eq", type=float, default=DEFAULT_EQ_TOL)
         if choices:
             formats(sp, *choices)
         return sp
@@ -279,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--out", default=".")
     sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
-    sp.add_argument("--tol-eq", dest="tol_eq", type=float, default=None)
     sp.set_defaults(fn=cmd_export)
 
     sp = sub.add_parser("verify-all", help="run the full acceptance suite")
@@ -293,15 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = getattr(args, "tol_eq", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        print("error: --tol-eq must be a positive finite number", file=sys.stderr)
-        return 2
-    np.set_printoptions(legacy=False)
-    previous_tol = eq_tol()
     try:
-        if tol is not None:
-            set_eq_tol(tol)
         return args.fn(args)
     except UnknownSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -309,9 +295,6 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # a run's --tol-eq must not outlive it in this process
-        set_eq_tol(previous_tol)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ denominator) or all float; the two never mix.
 and the Coxeter versor multiply rows through it.  Its float sums are those of
 ``float_products``, which multiplies stacks of float rows pairwise for the
 factorization and the Coxeter plane.  ``Multivector`` is the same algebra one
-element at a time, for the public API and the tests; ``SimpleRootSet.roots``,
-``RootSystem.roots`` and ``VersorGroup.elements`` build it from rows.
+element at a time, for the public API and the tests; ``SimpleRootSet.roots``
+and ``RootSystem.roots`` build it from rows.
 
 An even unit versor R acts on vectors by the sandwich x -> reverse(R) x R, so
 products act left to right: R1*R2 acts as R1 first, then R2.
@@ -181,18 +181,6 @@ class Multivector:
         self._nz = None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, backend: str = "exact") -> "Multivector":
-        z = QT_ZERO if backend == "exact" else 0.0
-        return cls(dim, [z] * (1 << dim))
-
-    @classmethod
-    def scalar(cls, dim: int, value: Scalar) -> "Multivector":
-        mv = cls.zero(dim, "exact" if isinstance(value, QuadTower) else "float")
-        coeffs = list(mv.coeffs)
-        coeffs[0] = value
-        return cls(dim, coeffs)
 
     @classmethod
     def from_vector(cls, coords: Sequence[Scalar]) -> "Multivector":

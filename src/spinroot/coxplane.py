@@ -7,7 +7,7 @@ exponentials exp(t1*B) exp(t2*I*B) built on the Perron-Frobenius / bicoloured
 plane bivector B.
 
 Multivectors here are rows: the Coxeter versor W is a row in the layout of
-``induction._element_rows`` (exact where the roots are), the plane bivector B
+``induction._numerator_rows`` (exact where the roots are), the plane bivector B
 a float coefficient row.  Products, wedges and exponentials go through
 ``clifford.right_products`` and ``clifford.float_products``, and every float
 sum runs from 0.0 in blade order, so each printed float is the one the
@@ -38,8 +38,8 @@ import numpy as np
 from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _row_values, _vector_rows, induced_name, spin_group
 from .mckay import is_connected
-from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, parse_name
-from .scalars import QuadTower, Scalar, eq_tol
+from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, is_unit, parse_name
+from .scalars import QuadTower, Scalar
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -69,7 +69,7 @@ class FactorizationError(ValueError):
 class CoxeterData:
     simple: SimpleRootSet
     word: tuple[int, ...]          # 1-based order of simple reflections
-    versor: np.ndarray             # product of the simple roots, an ``_element_rows`` row
+    versor: np.ndarray             # product of the simple roots, a ``_numerator_rows`` row
     matrix: np.ndarray             # coxeter_matrix of the word's roots
     h: int                         # order of the matrix (the Coxeter number)
 
@@ -175,16 +175,16 @@ def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]
                    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The validated words (default for None) and their ``coxeter_matrix``, stacked.
 
-    The roots must be unit (within ``eq_tol``), as the versor of a word is
+    The roots must be unit (``rootsys.is_unit``), as the versor of a word is
     then: the matrix alone would not notice a rescaled root.
     """
     words = [tuple(w) if w is not None else default_word(simple) for w in words]
     for word in words:
         if sorted(word) != list(range(1, simple.rank + 1)):
             raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
-    rows = np.array([[float(c) for c in v] for v in simple.vectors])
-    if np.abs((rows * rows).sum(axis=1) - 1.0).max() > eq_tol():
+    if not all(is_unit(v) for v in simple.vectors):
         raise ValueError("versor must have unit norm")
+    rows = np.array([[float(c) for c in v] for v in simple.vectors])
     return words, _coxeter_matrices(rows, np.array(words) - 1)
 
 

@@ -8,7 +8,7 @@ dimension up (rank 2 maps to rank 2 via a + b e1e2 -> (a, b)).
 
 A group is its closure rows, sorted once by ``rootsys.canonical_order`` on
 their coefficient values, so indices, Cayley tables and everything downstream
-are deterministic; Multivectors are built only when ``elements`` is read.
+are deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, product_tensor, right_products
+from .clifford import product_tensor, right_products
 from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -34,7 +34,6 @@ from .rootsys import (
 from .scalars import (
     FIELD_TENSOR_MAX,
     KEY_DECIMALS,
-    QT_ONE,
     Scalar,
     closure_row_keys,
     field_matrix,
@@ -49,19 +48,8 @@ GROUP_CAP = 10_000  # most elements generate_pin_group closes before giving up
 UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
-def _element_rows(elements: Sequence[Multivector]) -> np.ndarray:
-    """Canonical coefficient rows of multivectors, the representation of the
-    pin closure and of the Coxeter versor.
-
-    Float multivectors are their coefficient rows.  Exact ones are their field
-    numerators, blade-major, followed by one positive denominator, the whole
-    row divided by its gcd, so equal multivectors have equal rows.
-    """
-    return _numerator_rows(*quad_numerators([e.coeffs for e in elements]))
-
-
 def _vector_rows(vectors: Sequence[Sequence[Scalar]]) -> np.ndarray:
-    """Rows, in the layout of ``_element_rows``, of the vectors with these coordinates."""
+    """Rows, in the layout of ``_numerator_rows``, of the vectors with these coordinates."""
     num, den = quad_numerators(vectors)                  # (n, dim, 4)
     n, dim = num.shape[:2]
     blades = np.zeros((n, 1 << dim, 4), dtype=num.dtype)
@@ -70,7 +58,14 @@ def _vector_rows(vectors: Sequence[Sequence[Scalar]]) -> np.ndarray:
 
 
 def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
-    """Rows of numerators (n, 2**dim, 4) over ``den`` in the layout of ``_element_rows``."""
+    """Canonical coefficient rows of multivectors given as numerators
+    (n, 2**dim, 4) over ``den``: the representation of the pin closure and of
+    the Coxeter versor.
+
+    Float multivectors are their coefficient rows.  Exact ones are their field
+    numerators, blade-major, followed by one positive denominator, the whole
+    row divided by its gcd, so equal multivectors have equal rows.
+    """
     if num.dtype != object:
         return num[..., 0]
     rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=object)])
@@ -78,7 +73,7 @@ def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
 
 
 def _row_values(rows: np.ndarray, dim: int) -> list:
-    """Coefficient lists, floats or QuadTowers, of rows in the layout of ``_element_rows``."""
+    """Coefficient lists, floats or QuadTowers, of rows in the layout of ``_numerator_rows``."""
     if rows.dtype.kind == "f":
         return rows.tolist()
     num = rows[:, :-1].reshape(len(rows), 1 << dim, 4)
@@ -100,7 +95,7 @@ def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 @dataclass(eq=False)
 class VersorGroup:
     """Finite set of unit versors closed under the geometric product, held as
-    its ``rows`` in the layout of ``_element_rows``."""
+    its ``rows`` in the layout of ``_numerator_rows``."""
 
     name: str
     dim: int
@@ -108,7 +103,6 @@ class VersorGroup:
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
     _index: dict = field(init=False, repr=False)
-    _elements: Optional[tuple] = field(default=None, repr=False)
     _cayley: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -122,21 +116,14 @@ class VersorGroup:
         return self.order
 
     @property
-    def elements(self) -> tuple[Multivector, ...]:
-        """The elements as Multivectors, built from the rows on first use."""
-        if self._elements is None:
-            self._elements = tuple(Multivector(self.dim, c)
-                                   for c in _row_values(self.rows, self.dim))
-        return self._elements
-
-    def index_of(self, mv: Multivector) -> int:
-        """Index of an element, keyed by ``row_keys`` as the Cayley table keys products."""
-        return self._index[closure_row_keys(_element_rows([mv]))[0]]
-
-    @property
     def identity_index(self) -> int:
-        one = 1.0 if self.rows.dtype.kind == "f" else QT_ONE
-        return self.index_of(Multivector.scalar(self.dim, one))
+        """Index of the identity row: [1, 0, ...] on floats; on exact rows,
+        numerator 1 on blade 0 over the denominator 1."""
+        one = np.zeros((1, self.rows.shape[1]), dtype=self.rows.dtype)
+        one[0, 0] = 1
+        if one.dtype.kind != "f":
+            one[0, -1] = 1
+        return self._index[closure_row_keys(one)[0]]
 
     @property
     def cayley(self) -> list:
@@ -200,7 +187,7 @@ def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
 def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     """Multiplicative closure of the simple root vectors.
 
-    Closed on ``_element_rows`` by ``right_products`` and sorted once by
+    Closed on ``_numerator_rows`` by ``right_products`` and sorted once by
     ``canonical_order`` on the rows' coefficient values.
     """
     if simple.rank not in (2, 3):

@@ -31,13 +31,10 @@ SVG_SIZE = 600
 SVG_SCALE = 0.45  # max radius as a fraction of the viewport
 
 
-def metadata(seed: Optional[int] = None, tol_eq: Optional[float] = None,
-             backend: Optional[str] = None) -> dict:
+def metadata(seed: Optional[int] = None, backend: Optional[str] = None) -> dict:
     meta = {"tool": "spinroot", "version": __version__}
     if seed is not None:
         meta["seed"] = seed
-    if tol_eq is not None:
-        meta["tol_eq"] = tol_eq
     if backend is not None:
         meta["backend"] = backend
     return meta
@@ -52,7 +49,7 @@ def meta_comment(meta: dict) -> str:
 
 
 def projection_csv(points: Sequence[tuple[float, float]], meta: dict) -> str:
-    lines = [f"# {json.dumps(meta, sort_keys=True)}", "x,y"]
+    lines = [f"# {meta_comment(meta)}", "x,y"]
     for x, y in points:
         lines.append(f"{x:.17g},{y:.17g}")
     return "\n".join(lines) + "\n"
@@ -65,7 +62,7 @@ def projection_svg(points: Sequence[tuple[float, float]], meta: dict) -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f"<!-- {json.dumps(meta, sort_keys=True)} -->",
+        f"<!-- {meta_comment(meta)} -->",
     ]
     for x, y in points:
         cx = half + scale * x
@@ -76,12 +73,11 @@ def projection_svg(points: Sequence[tuple[float, float]], meta: dict) -> str:
 
 
 def export_files(kind: str, name: str, n: Optional[int] = None,
-                 out_dir: str | Path = ".", seed: int = DEFAULT_SEED,
-                 tol_eq: Optional[float] = None) -> list[Path]:
+                 out_dir: str | Path = ".", seed: int = DEFAULT_SEED) -> list[Path]:
     """Write the artifacts for one export kind; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = metadata(seed=seed, tol_eq=tol_eq)
+    meta = metadata(seed=seed)
     simple = catalog(name, n)
     stem = simple.name.replace("(", "").replace(")", "")
     written: list[Path] = []
@@ -95,7 +91,7 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
         payload = roots_to_json(root_system(name, n))
         payload["meta"] = meta
         emit("roots.json", json_dumps(payload))
-        emit("cartan.csv", f"# {json.dumps(meta, sort_keys=True)}\n" + cartan_to_csv(simple))
+        emit("cartan.csv", f"# {meta_comment(meta)}\n" + cartan_to_csv(simple))
     elif kind == "projection":
         plane = coxeter_plane_for(name, n)
         points = project_to_plane(root_system(name, n).vectors, plane.bivector)
@@ -106,9 +102,9 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
         classes = conjugacy_classes(G)
         table = character_table(G, classes, seed=seed)
         graph = mckay_graph(table, spinor_character(G, classes))
-        emit("mckay.dot", f"// {json.dumps(meta, sort_keys=True)}\n"
+        emit("mckay.dot", f"// {meta_comment(meta)}\n"
              + mckay_graph_dot(graph, name=f"mckay_{stem}"))
-        emit("mckay_chars.csv", f"# {json.dumps(meta, sort_keys=True)}\n"
+        emit("mckay_chars.csv", f"# {meta_comment(meta)}\n"
              + character_table_csv(table))
         summary = {
             "group_order": G.order, "classes": classes.count,
@@ -118,7 +114,7 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
         emit("mckay.json", json_dumps(summary))
     elif kind == "diagram":
         diagram = triple_to_diagram(rotation_orders(simple))
-        emit("diagram.dot", f"// {json.dumps(meta, sort_keys=True)}\n"
+        emit("diagram.dot", f"// {meta_comment(meta)}\n"
              + diagram_dot(diagram))
     else:
         raise ValueError(f"unknown export kind {kind!r}")

@@ -56,7 +56,7 @@ from .scalars import (
 CLOSURE_CAP = 10_000       # most roots generate_roots closes before giving up
 ROTATION_CAP = 1000        # largest rotation order rotation_orders looks for
 SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
-UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float catalog simple root
+UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float simple root
 ROTATION_TOL = 1e-6        # |k phi / pi - round(k phi / pi)| of a rotation order k
 
 
@@ -327,11 +327,8 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
                 )
         else:
             raise UnknownSystemError(f"unknown backend {backend!r}")
-    for v in vectors:
-        ns = coords_dot(v, v)
-        unit = ns == QT_ONE if use_backend == "exact" else abs(ns - 1.0) < UNIT_ROOT_TOL
-        if not unit:
-            raise ValueError(f"catalog root of {key} not unit")
+    if not all(is_unit(v) for v in vectors):
+        raise ValueError(f"catalog root of {key} not unit")
     return SimpleRootSet(
         name=display_name(key, n), key=key, rank=rank,
         vectors=tuple(vectors), backend=use_backend, n=n, default_word=word,
@@ -344,6 +341,12 @@ def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
     for a, b in zip(uc[1:], vc[1:]):
         total = total + a * b
     return total
+
+
+def is_unit(v: Sequence[Scalar]) -> bool:
+    """(v|v) = 1: exactly on exact coordinates, within ``UNIT_ROOT_TOL`` on floats."""
+    ns = coords_dot(v, v)
+    return ns == QT_ONE if isinstance(ns, QuadTower) else abs(ns - 1.0) < UNIT_ROOT_TOL
 
 
 def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:

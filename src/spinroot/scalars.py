@@ -31,26 +31,8 @@ from typing import Union
 
 import numpy as np
 
-#: Default absolute tolerance for float-backend equality on unit-scale values.
-DEFAULT_EQ_TOL = 1e-9
-
 #: Decimals kept by the float-backend hash keys (``row_keys``).
 KEY_DECIMALS = 6
-
-_EQ_TOL = DEFAULT_EQ_TOL
-
-
-def eq_tol() -> float:
-    """The float-equality tolerance currently in force."""
-    return _EQ_TOL
-
-
-def set_eq_tol(value: float) -> None:
-    """Override the float-equality tolerance for this run."""
-    global _EQ_TOL
-    if not value > 0:
-        raise ValueError("tolerance must be positive")
-    _EQ_TOL = float(value)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)

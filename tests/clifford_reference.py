@@ -8,28 +8,36 @@ unit versors R act on vectors by the sandwich reverse(R) x R, so composition
 reads left to right: sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
 
 The Multivector accessors the library itself no longer calls (``norm``,
-``vector_coords``, ``grade_project`` and the like) live here as functions.
+``vector_coords``, ``grade_project`` and the like) live here as functions,
+as do the Multivector forms of the group rows (``group_elements``,
+``element_rows``, ``index_of``).
+Float comparisons default to ``EQ_TOL``.
 """
 
 import math
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from spinroot import coxplane
 from spinroot.clifford import GRADE_TOL, Multivector, blade_name
-from spinroot.induction import _row_values
+from spinroot.induction import VersorGroup, _numerator_rows, _row_values
 from spinroot.rootsys import SimpleRootSet, coords_dot
 from spinroot.scalars import (
     KEY_DECIMALS,
     QT_HALF,
     QT_ONE,
+    QT_ZERO,
     BackendMismatchError,
     QuadTower,
     Scalar,
-    eq_tol,
+    closure_row_keys,
+    quad_numerators,
     scalar_to_json,
 )
+
+EQ_TOL = 1e-9      # absolute float tolerance of the reference checks
 
 # -- Multivector accessors ------------------------------------------------------
 
@@ -40,12 +48,21 @@ def basis_vector(dim: int, i: int, backend: str = "exact") -> Multivector:
     return mv_blade(dim, 1 << i, QT_ONE if backend == "exact" else 1.0)
 
 
+def mv_zero(dim: int, backend: str = "exact") -> Multivector:
+    z = QT_ZERO if backend == "exact" else 0.0
+    return Multivector(dim, [z] * (1 << dim))
+
+
 def mv_blade(dim: int, mask: int, value: Scalar) -> Multivector:
     """value times the blade of ``mask``."""
-    mv = Multivector.zero(dim, "exact" if isinstance(value, QuadTower) else "float")
+    mv = mv_zero(dim, "exact" if isinstance(value, QuadTower) else "float")
     coeffs = list(mv.coeffs)
     coeffs[mask] = value
     return Multivector(dim, coeffs)
+
+
+def mv_scalar(dim: int, value: Scalar) -> Multivector:
+    return mv_blade(dim, 0, value)
 
 
 def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:
@@ -55,7 +72,7 @@ def pseudoscalar(dim: int, backend: str = "exact") -> Multivector:
 def approx_eq(a: Multivector, b: Multivector, tol: Optional[float] = None) -> bool:
     if a.dim != b.dim:
         return False
-    tol = eq_tol() if tol is None else tol
+    tol = EQ_TOL if tol is None else tol
     return all(abs(float(x) - float(y)) <= tol for x, y in zip(a.coeffs, b.coeffs))
 
 
@@ -105,13 +122,29 @@ def to_blade_dict(a: Multivector) -> dict:
 
 def row_multivector(row: np.ndarray, dim: int) -> Multivector:
     """The Multivector of a row: a float coefficient row (a plane bivector) or
-    a row in the layout of ``induction._element_rows`` (a Coxeter versor)."""
+    a row in the layout of ``induction._numerator_rows`` (a Coxeter versor)."""
     return Multivector(dim, _row_values(np.asarray(row)[None], dim)[0])
 
 
 def multivector_row(mv: Multivector) -> np.ndarray:
     """The float coefficient row of a float Multivector."""
     return np.array(mv.coeffs, dtype=float)
+
+
+def element_rows(elements: Sequence[Multivector]) -> np.ndarray:
+    """The group rows of multivectors, in the layout of ``induction._numerator_rows``."""
+    return _numerator_rows(*quad_numerators([e.coeffs for e in elements]))
+
+
+@lru_cache(maxsize=None)
+def group_elements(G: VersorGroup) -> tuple[Multivector, ...]:
+    """The elements of G as Multivectors, in the order of its rows."""
+    return tuple(Multivector(G.dim, c) for c in _row_values(G.rows, G.dim))
+
+
+def index_of(G: VersorGroup, mv: Multivector) -> int:
+    """Index of an element of G, keyed by ``row_keys`` as the Cayley table keys products."""
+    return G._index[closure_row_keys(element_rows([mv]))[0]]
 
 
 # sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k
@@ -148,7 +181,7 @@ def mv_sort_key(mv: Multivector):
 
 
 def _is_unit(mv: Multivector, tol: Optional[float]) -> bool:
-    tol = eq_tol() if tol is None else tol
+    tol = EQ_TOL if tol is None else tol
     n = norm_sq(mv)
     if mv.backend == "exact":
         return n == QT_ONE
@@ -232,11 +265,11 @@ def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> M
         raise BackendMismatchError("exp_bivector works on the float backend")
     if grades(B) != (2,):
         raise ValueError("exponent must be a pure bivector")
-    tol = eq_tol() if tol is None else tol
+    tol = EQ_TOL if tol is None else tol
     sq = B * B
     if abs(scalar_part(sq) + 1.0) > tol or any(abs(c) > tol for m, c in sq.nz if m != 0):
         raise ValueError("bivector must square to -1")
-    return Multivector.scalar(B.dim, math.cos(theta)) + math.sin(theta) * B
+    return mv_scalar(B.dim, math.cos(theta)) + math.sin(theta) * B
 
 
 def chain_versor(simple: SimpleRootSet, word: Sequence[int]) -> Multivector:
@@ -255,7 +288,7 @@ def reference_plane(simple: SimpleRootSet) -> Multivector:
     wf = [to_float(Multivector.from_vector(w)) for w in coxplane.weight_basis(simple)]
 
     def combo(idxs):
-        v = Multivector.zero(simple.rank, "float")
+        v = mv_zero(simple.rank, "float")
         for i in idxs:
             v = v + float(pf[i]) * wf[i]
         return v

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from spinroot import mckay, output
 from spinroot.cli import main
-from spinroot.scalars import DEFAULT_EQ_TOL, eq_tol
 
 
 def run(capsys, *argv):
@@ -127,30 +128,34 @@ def test_mckay_dot(capsys):
     assert out.count("--") == 6  # affine E6 tree on 7 nodes
 
 
-def test_tol_eq_does_not_outlive_the_run(capsys):
-    code, _ = run(capsys, "mckay", "H3", "--tol-eq", "1e-3")
-    assert code == 0
-    assert eq_tol() == DEFAULT_EQ_TOL
+def test_main_leaves_numpy_print_options_alone(capsys):
+    # numpy's print options are the caller's, process-wide
+    before = np.get_printoptions()
+    np.set_printoptions(legacy="1.25")
+    try:
+        assert main(["verify-all", "--n-max", "2"]) == 0
+        assert np.get_printoptions()["legacy"] == "1.25"
+    finally:
+        np.set_printoptions(**before)
+    capsys.readouterr()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_tol_eq_must_be_positive_and_finite(value, capsys):
-    # 0 was ignored, -1 and nan raised a traceback, inf disabled the unit-norm check
-    assert main(["coxplane", "H4", f"--tol-eq={value}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --tol-eq must be a positive finite number\n"
-    assert eq_tol() == DEFAULT_EQ_TOL
+def test_export_comments_echo_the_metadata(tmp_path):
+    comment = output.meta_comment(output.metadata(seed=mckay.DEFAULT_SEED))
+    assert "tol" not in comment
+    for kind in ("roots", "projection", "mckay-graph", "diagram"):
+        for path in output.export_files(kind, "H3", out_dir=tmp_path):
+            if path.suffix != ".json":
+                head = path.read_text().splitlines()[:2]
+                assert {f"# {comment}", f"// {comment}", f"<!-- {comment} -->"} & set(head), path
 
 
-def test_tight_tol_eq_keeps_the_plane_tolerance(capsys):
-    # exp(t B) holds B^2 = -1 to the tolerance the Coxeter plane is built to,
-    # not to --tol-eq; at 1e-16 the H4 factorization used to exit 1
-    code, out = run(capsys, "coxplane", "H4", "--tol-eq", "1e-16")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["factorization_exponents"] == [1, 11, 19, 29]
-    assert payload["meta"]["tol_eq"] == 1e-16
+def test_no_tolerance_option(capsys):
+    # no tolerance is run state: --tol-eq is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["coxplane", "H4", "--tol-eq", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-eq" in capsys.readouterr().err
 
 
 def test_ade_map_text(capsys):

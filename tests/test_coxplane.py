@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,8 @@ from clifford_reference import (
     exp_bivector,
     multivector_row,
     mv_blade,
+    mv_scalar,
+    mv_zero,
     norm,
     pseudoscalar,
     reference_factorize,
@@ -153,10 +156,12 @@ def test_matrix_is_orthogonal_and_word_validated():
 
 
 def test_non_unit_root_set_is_rejected():
-    for name, n in [("A4", None), ("I2", 5)]:
+    # (1 + 1e-20) is unit in floats: an exact root set is checked exactly
+    for name, n, scale in [("A4", None, 2), ("I2", 5, 2),
+                           ("A4", None, QuadTower(Fraction(10**20 + 1, 10**20)))]:
         simple = catalog(name, n)
         scaled = dataclasses.replace(
-            simple, vectors=(tuple(c * 2 for c in simple.vectors[0]),) + simple.vectors[1:])
+            simple, vectors=(tuple(c * scale for c in simple.vectors[0]),) + simple.vectors[1:])
         with pytest.raises(ValueError, match="versor must have unit norm"):
             coxeter_versor(scaled)
         with pytest.raises(ValueError, match="versor must have unit norm"):
@@ -346,7 +351,7 @@ def test_versor_power_h_is_plus_minus_one():
         P = W
         for _ in range(cd.h - 1):
             P = P * W
-        one = Multivector.scalar(W.dim, 1.0)
+        one = mv_scalar(W.dim, 1.0)
         assert approx_eq(P, one, 1e-9) or approx_eq(P, -one, 1e-9)
 
 
@@ -434,7 +439,7 @@ def test_weight_basis_fixtures():
 def test_d4_plane_fixture():
     B = row_multivector(coxeter_plane_for("D4").bivector, 4)
     s = 1.0 / math.sqrt(3.0)
-    want = Multivector.zero(4, "float")
+    want = mv_zero(4, "float")
     for mask in (0b1001, 0b1010, 0b1100):
         want = want + mv_blade(4, mask, s)
     assert approx_eq(B, want, 1e-9) or approx_eq(B, -want, 1e-9)
@@ -508,7 +513,7 @@ def test_frame_commutes_and_is_orthonormal():
     for name in TABLE:
         B = row_multivector(coxeter_plane_for(name).bivector, 4)
         I = pseudoscalar(4, "float")
-        one = Multivector.scalar(4, 1.0)
+        one = mv_scalar(4, 1.0)
         frame = [one, B, I * B, I]
         for i, X in enumerate(frame):
             for j, Y in enumerate(frame):

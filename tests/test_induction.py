@@ -7,10 +7,15 @@ import pytest
 from clifford_reference import (
     approx_eq,
     dot,
+    element_rows,
     grades,
+    group_elements,
+    index_of,
     mv_blade,
     mv_key,
+    mv_scalar,
     mv_sort_key,
+    mv_zero,
     reverse,
     spinor_inner,
     vector_coords,
@@ -20,7 +25,6 @@ from spinroot.clifford import Multivector
 from spinroot.induction import (
     Induced4DSet,
     VersorGroup,
-    _element_rows,
     binary_group_name,
     even_subgroup,
     fingerprint,
@@ -93,7 +97,7 @@ def test_pin_closure_matches_product_closure_bitwise():
     for simple in simples:
         G = generate_pin_group(simple)
         ref = product_closure(simple)
-        assert [bits(e) for e in G.elements] == [bits(e) for e in ref], simple.name
+        assert [bits(e) for e in group_elements(G)] == [bits(e) for e in ref], simple.name
         assert G.parities == tuple("odd" if grades(e)[0] % 2 else "even" for e in ref)
 
 
@@ -106,11 +110,11 @@ def test_index_of_keys_like_the_cayley_table():
     assert round(x, 6) != round(above, 6)
     assert row_keys(np.array([[x]])) == row_keys(np.array([[above]]))
     y = math.sqrt(1.0 - x * x)
-    one, v = Multivector.scalar(2, 1.0), Multivector.from_vector([x, y])
-    G = VersorGroup(name="tilted A1", dim=2, rows=_element_rows((one, -one, v, -v)),
+    one, v = mv_scalar(2, 1.0), Multivector.from_vector([x, y])
+    G = VersorGroup(name="tilted A1", dim=2, rows=element_rows((one, -one, v, -v)),
                     parities=("even", "even", "odd", "odd"), parity="pin")
-    assert G.cayley == [[G.index_of(a * b) for b in G.elements] for a in G.elements]
-    assert G.index_of(Multivector.from_vector([above, y])) == G.index_of(v) == 2
+    assert G.cayley == [[index_of(G, a * b) for b in group_elements(G)] for a in group_elements(G)]
+    assert index_of(G, Multivector.from_vector([above, y])) == index_of(G, v) == 2
     assert G.inverse_indices == (0, 1, 2, 3)
 
 
@@ -153,8 +157,8 @@ def test_cayley_table_correct():
         rng = random.Random(7)
         idxs = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(40)]
         for i, j in idxs:
-            prod = G.elements[i] * G.elements[j]
-            assert G.index_of(prod) == cay[i][j]
+            prod = group_elements(G)[i] * group_elements(G)[j]
+            assert index_of(G, prod) == cay[i][j]
 
 
 def test_full_cayley_closure_2T():
@@ -181,13 +185,13 @@ def test_exact_cayley_tables_match_products():
         groups += [P, even_subgroup(P)]
     for G in groups:
         # the lookup index of the table holds one key per element
-        num, den = quad_numerators([e.coeffs for e in G.elements])
+        num, den = quad_numerators([e.coeffs for e in group_elements(G)])
         assert len(set(row_keys(den * num.reshape(G.order, -1)))) == G.order, G.name
         # reference: Multivector products looked up by mv_key
-        index = {mv_key(e): i for i, e in enumerate(G.elements)}
-        expected = [[index[mv_key(a * b)] for b in G.elements] for a in G.elements]
+        index = {mv_key(e): i for i, e in enumerate(group_elements(G))}
+        expected = [[index[mv_key(a * b)] for b in group_elements(G)] for a in group_elements(G)]
         assert G.cayley == expected, G.name
-        assert G.inverse_indices == tuple(index[mv_key(reverse(e))] for e in G.elements)
+        assert G.inverse_indices == tuple(index[mv_key(reverse(e))] for e in group_elements(G))
 
 
 def test_exact_cayley_with_python_ints(monkeypatch):
@@ -199,15 +203,27 @@ def test_exact_cayley_with_python_ints(monkeypatch):
 
 def test_cayley_product_escaping_the_group():
     G = spin_group("A3")
-    part = VersorGroup(name="part", dim=3, rows=_element_rows(G.elements[1:]),
+    part = VersorGroup(name="part", dim=3, rows=element_rows(group_elements(G)[1:]),
                        parities=G.parities[1:], parity="spin")
     with pytest.raises(ClosureCapError, match="escapes the group"):
         part.cayley
     G = spin_group("A1xI2", 5)
-    part = VersorGroup(name="part", dim=3, rows=_element_rows(G.elements[:-1]),
+    part = VersorGroup(name="part", dim=3, rows=element_rows(group_elements(G)[:-1]),
                        parities=G.parities[:-1], parity="spin")
     with pytest.raises(ClosureCapError, match="escapes the group"):
         part.cayley
+
+
+def test_identity_index_is_the_identity_row():
+    # exact rows as int64 and as Python ints, and float rows
+    groups = [pin_group("A3"), spin_group("H3"), pin_group("I2", 5), spin_group("A1xI2", 7)]
+    B3 = pin_group("B3")
+    groups.append(VersorGroup(name="B3 on Python ints", dim=3, rows=B3.rows.astype(object),
+                              parities=B3.parities, parity="pin"))
+    for G in groups:
+        one = QT_ONE if G.rows.dtype.kind != "f" else 1.0
+        assert G.identity_index == index_of(G, mv_scalar(G.dim, one)), G.name
+        assert group_elements(G)[G.identity_index] == mv_scalar(G.dim, one), G.name
 
 
 def test_identity_and_inverses():
@@ -235,7 +251,7 @@ def test_spinor_coordinate_map():
     # R = a0 + a1 e2e3 + a2 e3e1 + a3 e1e2  ->  (a0, a1, a2, a3)
     G = spin_group("A3")
     S = spinors_to_4d(G)
-    for mv, vec in zip(G.elements, S.vectors):
+    for mv, vec in zip(group_elements(G), S.vectors):
         assert mv.coeffs[0] == vec[0]
         assert mv.coeffs[0b110] == vec[1]
         assert -mv.coeffs[0b101] == vec[2]
@@ -311,12 +327,12 @@ def test_theorem_closure_properties():
     # R2 -> -R1 reverse(R2) R1, checked exhaustively for |G| <= 120
     for name in ("A1^3", "A3", "B3", "H3"):
         G = spin_group(name)
-        keys = {mv_key(e) for e in G.elements}
-        for R in G.elements:
+        keys = {mv_key(e) for e in group_elements(G)}
+        for R in group_elements(G):
             assert mv_key(-R) in keys
-        for R1 in G.elements:
+        for R1 in group_elements(G):
             r1r = reverse(R1)
-            for R2 in G.elements:
+            for R2 in group_elements(G):
                 image = -(R1 * reverse(R2) * R1)
                 assert mv_key(image) in keys
 
@@ -332,7 +348,7 @@ def test_reflection_formula_matches_clifford_form():
         signs = (1.0, 1.0, -1.0, 1.0)  # e3e1 stored as -e1e3
 
         def spinor(v):
-            mv = Multivector.zero(3, "float")
+            mv = mv_zero(3, "float")
             for coef, m, s in zip(v, masks, signs):
                 mv = mv + mv_blade(3, m, s * float(coef))
             return mv
@@ -343,7 +359,7 @@ def test_reflection_formula_matches_clifford_form():
         assert approx_eq(lhs, rhs, 1e-10)
     # and exactly, on a sample of exact spinor pairs from 2O
     G = spin_group("B3")
-    sample = G.elements[::7]
+    sample = group_elements(G)[::7]
     for R1 in sample:
         for R2 in sample:
             lhs = R2 - (spinor_inner(R1, R2) * 2) * R1

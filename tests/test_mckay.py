@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from clifford_reference import scalar_part
+from clifford_reference import group_elements, scalar_part
 from spinroot import verify
 from spinroot.induction import spin_group
 from spinroot.mckay import (
@@ -194,7 +194,7 @@ def test_spinor_character_is_the_scalar_part_bitwise():
     groups += [spin_group(family, n) for family in ("I2", "A1xI2") for n in range(2, 17)]
     for G in groups:
         classes = conjugacy_classes(G)
-        want = [2 * float(scalar_part(G.elements[members[0]])) for members in classes.classes]
+        want = [2 * float(scalar_part(group_elements(G)[members[0]])) for members in classes.classes]
         got = spinor_character(G, classes).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in want], G.name
 

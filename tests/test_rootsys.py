@@ -25,6 +25,7 @@ from spinroot.rootsys import (
     catalog,
     display_name,
     generate_roots,
+    is_unit,
     orbit,
     parse_name,
     root_system,
@@ -223,11 +224,22 @@ def test_closure_matches_per_element_reference():
 def test_catalog_rejects_non_unit_root(monkeypatch):
     build = rootsys._build_roots
     monkeypatch.setattr(rootsys, "_build_roots",
-                        lambda key, n: [2 * r for r in build(key, n)])
+                        lambda key, n: [tuple(2 * c for c in r) for r in build(key, n)])
     with pytest.raises(ValueError, match="not unit"):
         catalog("H3")
     with pytest.raises(ValueError, match="not unit"):
         catalog("I2", 5)
+
+
+def test_is_unit_is_exact_on_exact_coordinates():
+    # (1 + 1e-20) a is unit in floats but not in the field; floats get UNIT_ROOT_TOL
+    a = catalog("A4").vectors[0]
+    off = tuple(c * QuadTower(Fraction(10**20 + 1, 10**20)) for c in a)
+    assert is_unit(a) and not is_unit(off)
+    assert is_unit(tuple(float(c) for c in off))
+    f = catalog("I2", 5).vectors[1]
+    assert is_unit(f)
+    assert not is_unit(tuple(c * (1 + 1e-10) for c in f))
 
 
 def test_cartan_fixtures():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from clifford_reference import EQ_TOL, approx_eq, reflect
+from spinroot.clifford import Multivector
 from spinroot.scalars import (
-    DEFAULT_EQ_TOL,
     BackendMismatchError,
     INV_SQRT2,
     QT_ONE,
@@ -19,7 +20,6 @@ from spinroot.scalars import (
     SQRT10,
     TAU,
     Scalar,
-    eq_tol,
     field_matrix,
     galois_conjugate,
     is_exact,
@@ -36,7 +36,7 @@ def eq_scalar(x: Scalar, y: Scalar, tol: Optional[float] = None) -> bool:
         raise BackendMismatchError("cannot compare exact and float scalars")
     if ex:
         return x == y
-    return abs(x - y) <= (eq_tol() if tol is None else tol)
+    return abs(x - y) <= (EQ_TOL if tol is None else tol)
 
 
 small_fractions = st.fractions(
@@ -202,26 +202,15 @@ def test_eq_scalar_backends():
     assert not eq_scalar(0.5, 0.5 + 1e-6)
     with pytest.raises(TypeError):
         eq_scalar(TAU, 1.618)
-    assert DEFAULT_EQ_TOL == 1e-9
 
 
-def test_eq_tol_is_run_configurable():
-    from spinroot.scalars import eq_tol, set_eq_tol
-    from clifford_reference import approx_eq, reflect
-    from spinroot.clifford import Multivector
-
-    assert eq_tol() == DEFAULT_EQ_TOL
+def test_reference_reflect_rejects_a_mirror_off_unit():
+    # 5e-7 off unit is outside EQ_TOL, and inside an explicit 1e-5
     slightly_off = Multivector.from_vector([1.0 + 5e-7, 0.0, 0.0])
     x = Multivector.from_vector([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit norm"):
         reflect(slightly_off, x)
-    set_eq_tol(1e-5)
-    try:
-        assert approx_eq(reflect(slightly_off, x), x)
-    finally:
-        set_eq_tol(DEFAULT_EQ_TOL)
-    with pytest.raises(ValueError):
-        set_eq_tol(0.0)
+    assert approx_eq(reflect(slightly_off, x, tol=1e-5), x, tol=1e-5)
 
 
 def test_serialization_strings():

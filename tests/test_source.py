@@ -16,6 +16,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_process_global_state():
+    # a result never depends on which call ran before it: no module global is
+    # rebound, and no process-wide numpy setting is changed
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Global) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "set_printoptions"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_small_float_literals_are_named_constants():
     # a tolerance below 1e-3 is a named module-level UPPER_CASE constant, never
     # a literal inside a function; verify.py pins its fixtures where it checks them
@@ -56,9 +71,8 @@ def test_every_definition_is_used_in_src():
 
 def test_multivector_stays_at_the_boundary():
     # rows are the data: Multivector is named only where it is defined and
-    # exported, by the roots views of rootsys and by VersorGroup.elements and
-    # index_of in induction
-    allowed = {"clifford.py", "__init__.py", "rootsys.py", "induction.py"}
+    # exported, and by the roots views of rootsys
+    allowed = {"clifford.py", "__init__.py", "rootsys.py"}
     named = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

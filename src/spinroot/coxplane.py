@@ -37,7 +37,7 @@ import numpy as np
 
 from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _row_values, _vector_rows, induced_name, spin_group
-from .mckay import is_connected
+from .mckay import components
 from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, is_unit, parse_name
 from .scalars import QuadTower, Scalar
 
@@ -311,9 +311,10 @@ def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def pf_eigenvector(cartan) -> np.ndarray:
     """Smallest-eigenvalue eigenvector by inverse power iteration, first entry 1.
 
-    All entries are positive for connected Coxeter graphs; for reducible ones
-    the iteration converges onto the block with the smallest eigenvalue and the
-    remaining entries tend to zero.
+    All entries are positive for connected Coxeter graphs.  For reducible ones
+    the iteration converges onto the blocks with the smallest eigenvalue; the
+    entries of every other block are set to exactly zero, not left at the
+    rounding noise where the iteration stopped.
     """
     M = np.array([[float(v) for v in row] for row in cartan], dtype=float)
     k = M.shape[0]
@@ -328,8 +329,13 @@ def pf_eigenvector(cartan) -> np.ndarray:
         raise RuntimeError("inverse power iteration did not converge")
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    if is_connected(np.abs(M) > EDGE_TOL) and not np.all(x > 0):
+    blocks = components(np.abs(M) > EDGE_TOL)
+    if len(blocks) == 1 and not np.all(x > 0):
         raise RuntimeError("Perron-Frobenius eigenvector not positive")
+    lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
+    for b, low in zip(blocks, lows):
+        if low > min(lows) + EIGEN_MATCH_TOL:
+            x[b] = 0.0
     if abs(x[0]) < PF_LEAD_TOL:
         raise RuntimeError("cannot normalize: leading entry vanishes")
     return x / x[0]

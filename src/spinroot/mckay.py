@@ -306,15 +306,21 @@ def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
 _TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
 
-def is_connected(adj: np.ndarray) -> bool:
-    """Whether the graph with an edge wherever adj != 0 is connected (frontier walk)."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+def components(adj: np.ndarray) -> list[np.ndarray]:
+    """Node masks of the connected components of the graph with an edge wherever
+    adj != 0, each found by a frontier walk from its first node."""
+    left = np.ones(len(adj), dtype=bool)
+    out = []
+    while left.any():
+        seen = np.zeros(len(adj), dtype=bool)
+        seen[np.argmax(left)] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        out.append(seen)
+        left &= ~seen
+    return out
 
 
 def match_affine_ade(graph: McKayGraph) -> str:
@@ -332,7 +338,7 @@ def match_affine_ade(graph: McKayGraph) -> str:
     if np.diag(adj).any():
         raise MatchError("self-loops not covered by the template catalog")
     labels = np.array(graph.labels)
-    if not is_connected(adj) or labels.min() != 1 or (adj @ labels != 2 * labels).any():
+    if len(components(adj)) != 1 or labels.min() != 1 or (adj @ labels != 2 * labels).any():
         raise MatchError("no affine ADE template matches")
     return _TYPE_BY_MAX_MARK[int(labels.max())].format(n - 1)
 

@@ -2,7 +2,9 @@
 
 Each criterion is a function returning CheckResult records with the measured
 and expected values side by side; `run_all` executes every criterion (a
-failure never short-circuits the rest).  Tolerances are pinned here, not
+failure never short-circuits the rest).  When two CPUs are usable it runs the
+CHILD_CRITERIA in one forked child process beside the others, with the
+same output and no flag to set.  Tolerances are pinned here, not
 configurable per check: exact fixtures compare exactly, angle/plane fixtures
 at 1e-9, the numerically printed plane at 1e-3, residuals at 1e-8, spectral
 integrality at 1e-6.
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import filecmp
 import math
+import os
+import pickle
 import tempfile
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -519,11 +523,77 @@ CRITERIA = {
 }
 
 
-def run_all(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for num, (title, fn) in CRITERIA.items():
+#: criteria that a forked child runs while this process runs the others; 9 is
+#: the largest, and 8 shares its spin groups
+CHILD_CRITERIA = (8, 9)
+
+
+def _crashed(num: int, why: str) -> CheckResult:
+    return _res(num, f"{CRITERIA[num][0]} (crashed)", False, why, "no exception")
+
+
+def _run(nums, n_max: int, seed: int) -> dict[int, list[CheckResult]]:
+    """The checks of each criterion in nums; a crashed criterion is one failed check."""
+    out = {}
+    for num in nums:
         try:
-            results.extend(fn(n_max=n_max, seed=seed))
+            out[num] = CRITERIA[num][1](n_max=n_max, seed=seed)
         except Exception as exc:  # a crashed check is a failed check
-            results.append(_res(num, f"{title} (crashed)", False, repr(exc), "no exception"))
-    return results
+            out[num] = [_crashed(num, repr(exc))]
+    return out
+
+
+def _fork(nums, n_max: int, seed: int):
+    """(pid, read end of a pipe) of a child that runs the criteria nums and
+    pickles their checks into the pipe; (0, None) when no child can start."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return 0, None
+    if pid == 0:
+        # the child leaves by os._exit: no atexit hook, test teardown or stdio
+        # flush of the parent's state runs twice
+        status = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pickle.dump(_run(nums, n_max, seed), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def run_all(n_max: int = ade.N_MAX, seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
+    """Every criterion's checks in criterion order; a failure never stops the rest.
+
+    With two usable CPUs a forked child runs CHILD_CRITERIA while this process
+    runs the others; the list is the same either way.
+    """
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    pid, pipe = _fork(CHILD_CRITERIA, n_max, seed) if two_cpus else (0, None)
+    forked = CHILD_CRITERIA if pid else ()
+    data = None
+    try:
+        by_num = _run([num for num in CRITERIA if num not in forked], n_max, seed)
+        if pid:
+            data = pipe.read()
+    finally:
+        if pid:
+            pipe.close()
+            if data is None:  # interrupted: end the child before leaving
+                import signal  # only here, to keep it off every start-up
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if pid:
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:  # the child exits 0 only after sending all its checks
+            by_num.update(pickle.loads(data))
+        else:
+            why = f"child process ended with status {code}"
+            by_num.update({num: [_crashed(num, why)] for num in forked})
+    return [r for num in CRITERIA for r in by_num[num]]

@@ -410,6 +410,20 @@ def test_pf_fixtures():
     assert np.allclose(pf, [1, c, c, 1], atol=1e-9)
 
 
+
+def test_pf_zeroes_the_blocks_off_the_smallest_eigenvalue():
+    # A1xI2(n): the A1 block's eigenvalue 2 is above the I2 block's
+    # 2 - 2cos(pi/n), so its entry is exactly zero and the plane is e12 alone
+    for n in range(3, 17):
+        simple = catalog("A1xI2", n)
+        pf = pf_eigenvector(cartan_matrix(simple))
+        assert pf[2] == 0.0 and (pf[:2] > 0).all(), n
+        B = coxeter_plane(simple).bivector
+        assert np.flatnonzero(B).tolist() == [0b011], n
+    # I2(n)xI2(n): the two blocks tie, so neither is zeroed
+    for n in range(3, 17):
+        assert (pf_eigenvector(cartan_matrix(catalog("I2xI2", n))) > 0).all(), n
+
 def test_weight_basis_duality():
     for name, n in [("D4", None), ("H4", None), ("A4", None), ("I2xI2", 5)]:
         simple = catalog(name, n)

@@ -184,14 +184,15 @@ def test_exact_cayley_tables_match_products():
         P = generate_pin_group(catalog(name, backend="float"))
         groups += [P, even_subgroup(P)]
     for G in groups:
+        elements = group_elements(G)
         # the lookup index of the table holds one key per element
-        num, den = quad_numerators([e.coeffs for e in group_elements(G)])
+        num, den = quad_numerators([e.coeffs for e in elements])
         assert len(set(row_keys(den * num.reshape(G.order, -1)))) == G.order, G.name
         # reference: Multivector products looked up by mv_key
-        index = {mv_key(e): i for i, e in enumerate(group_elements(G))}
-        expected = [[index[mv_key(a * b)] for b in group_elements(G)] for a in group_elements(G)]
+        index = {mv_key(e): i for i, e in enumerate(elements)}
+        expected = [[index[mv_key(a * b)] for b in elements] for a in elements]
         assert G.cayley == expected, G.name
-        assert G.inverse_indices == tuple(index[mv_key(reverse(e))] for e in group_elements(G))
+        assert G.inverse_indices == tuple(index[mv_key(reverse(e))] for e in elements)
 
 
 def test_exact_cayley_with_python_ints(monkeypatch):

@@ -31,6 +31,7 @@ from .scalars import (
     QT_ZERO,
     QuadTower,
     Scalar,
+    exact_matmul,
     kernel_dtype,
     reduce_rows,
 )
@@ -141,9 +142,10 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
     growth = max(n * int(np.abs(right).max()), int(g_den.max()))
 
     def exact_products(rows: np.ndarray) -> np.ndarray:
-        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
+        bound = growth * int(np.abs(rows).max())   # caps the sum of |terms| of every numerator
+        dtype = kernel_dtype(bound)
         rows = rows.astype(dtype)
-        num = (rows[:, :-1] @ right.astype(dtype)).reshape(len(rows), len(gens), n)
+        num = exact_matmul(rows[:, :-1], right, bound).reshape(len(rows), len(gens), n)
         den = rows[:, -1:, None] * g_den.astype(dtype)[:, None]
         images = np.concatenate([num, den], axis=2).reshape(-1, n + 1)
         return reduce_rows(images)

@@ -36,6 +36,7 @@ from .scalars import (
     KEY_DECIMALS,
     Scalar,
     closure_row_keys,
+    exact_matmul,
     field_matrix,
     kernel_dtype,
     quad_numerators,
@@ -132,24 +133,30 @@ class VersorGroup:
         One row of products at a time, on either backend: with elements E as
         numerator rows over D, the products E_i E_j are the rows of
         E @ (E_i . K) over D**2, looked up by ``row_keys`` among the rows of
-        D * E (exactly, or rounded on the float backend).
+        D * E (exactly, or rounded on the float backend).  Each entry of
+        E_i . K is one term, E_i[s] K[s, jk] with s = src[jk], so it is a
+        gather, not a product.
         """
         if self._cayley is None:
             num, den = _common_numerators(self.rows, self.dim)
-            K = product_tensor(self.dim)
+            size = num.shape[1]
+            K = product_tensor(self.dim).reshape(size, size * size)
+            src = np.argmax(K != 0, axis=0)
+            coef = K[src, np.arange(size * size)]
+            bound = 0
             if num.dtype == object:
                 m = int(np.abs(num).max())
                 # a product numerator sums one term of size <= T_max m^2 per
-                # row of K; the index holds D * E
-                num = num.astype(kernel_dtype(max(K.shape[0] * FIELD_TENSOR_MAX * m * m,
-                                                  den * m)))
+                # row of K: the sum of |terms| of E @ (E_i . K); the index
+                # holds D * E
+                bound = max(size * FIELD_TENSOR_MAX * m * m, den * m)
+                num = num.astype(kernel_dtype(bound))
             index = {key: i for i, key in enumerate(row_keys(den * num))}
-            K = K.reshape(K.shape[0], -1).astype(np.result_type(num.dtype, K.dtype), copy=False)
             table = []
             for row in num:
-                left = (row @ K).reshape(num.shape[1], num.shape[1])
+                left = (row[src] * coef).reshape(size, size)
                 try:
-                    table.append([index[key] for key in row_keys(num @ left)])
+                    table.append([index[key] for key in row_keys(exact_matmul(num, left, bound))])
                 except KeyError as exc:
                     raise ClosureCapError(f"{self.name}: product escapes the group") from exc
             self._cayley = table

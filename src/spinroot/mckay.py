@@ -6,9 +6,10 @@ eigenvectors, normalized at the identity class, are the rows of the character
 table.  A random real combination with the documented default seed separates
 the eigenspaces; every integer quantity downstream (dimensions, tensor
 multiplicities, affine marks) is validated by its rounding residual.  The
-tables of many seeds come from one stacked eigenproblem, and their McKay
-graphs from one stacked product; each table equals the one its seed gives
-alone.
+tables of many seeds come from one stacked eigenproblem, their rows ordered by
+one sort, and their McKay graphs from one stacked product; each table equals
+the one its seed gives alone.  Each seed's draws are consecutive slices of one
+stream of normals, drawn once per seed and kept for the groups that follow.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -20,6 +21,7 @@ diagram is named by its node count and largest mark, without a search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +39,8 @@ EIG_SEP_TOL = 1e-8
 PIVOT_TOL = 1e-12
 #: draws per seed before colliding eigenvalues count as bad group data
 MAX_REDRAWS = 16
+#: seeds whose normal streams stay cached (seeds come from users and sweeps)
+NORMAL_STREAMS = 64
 #: spread of twice the scalar part allowed within one conjugacy class
 CLASS_SCALAR_TOL = 1e-9
 #: imaginary parts below this print as real in the character-table CSV
@@ -153,19 +157,22 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
 def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     """Eigenvectors (as columns) of sum_r t_r mats[r] for each seed's draw t.
 
+    Draw d of a seed is the slice [d k, (d + 1) k) of its normal stream, what
+    the (d + 1)-th ``standard_normal(k)`` call of ``default_rng(seed)`` gives.
     As in a single `np.linalg.eig` call, a seed whose eigenvalues are all real
     gets real eigenvectors.
     """
     k = mats.shape[0]
     i, j = np.triu_indices(k, 1)
     flat = mats.reshape(k, -1).astype(float)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = [_normal_stream(seed) for seed in seeds]
     vecs = [None] * len(seeds)
     pending = list(range(len(seeds)))
-    for _ in range(MAX_REDRAWS):
+    for draw in range(MAX_REDRAWS):
         # one vector-matrix product per draw: a stacked product would sum in
         # another order and move the eigenvectors by an ulp
-        A = np.stack([rngs[s].standard_normal(k) @ flat for s in pending]).reshape(-1, k, k)
+        A = np.stack([streams[s].take(draw * k, (draw + 1) * k) @ flat
+                      for s in pending]).reshape(-1, k, k)
         vals, V = np.linalg.eig(A)
         sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
         for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
@@ -175,6 +182,31 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
         if not pending:
             return vecs
     raise CharacterError("eigenvalues kept colliding; group data suspect")
+
+
+class _NormalStream:
+    """The standard normals of ``default_rng(seed)`` in draw order, drawn on
+    first need and kept.
+
+    Consecutive ``standard_normal`` calls of one generator continue one stream,
+    so the d-th draw of k values for a seed is the slice [d k, (d + 1) k).
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._values = np.empty(0)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        if stop > len(self._values):
+            more = self._rng.standard_normal(stop - len(self._values))
+            self._values = np.concatenate([self._values, more])
+            self._values.flags.writeable = False
+        return self._values[start:stop]
+
+
+@lru_cache(maxsize=NORMAL_STREAMS)
+def _normal_stream(seed: int) -> _NormalStream:
+    return _NormalStream(seed)
 
 
 def _tables_from_eigenvectors(vecs: list, classes: ClassData,
@@ -201,13 +233,16 @@ def _tables_from_eigenvectors(vecs: list, classes: ClassData,
     # canonical row order: dimension, then the rounded row; + 0.0 turns -0.0 into 0.0
     real = np.round(chars.real, 6) + 0.0
     imag = np.round(chars.imag, 6) + 0.0
-    keys = np.stack([real, imag], axis=-1).reshape(chars.shape[0], chars.shape[1], -1)
-    tables = []
-    for c, dims, key in zip(chars, rd.astype(int), keys):
-        rows = np.lexsort(np.column_stack([dims, key]).T[::-1])
-        tables.append(CharacterTable(chars=c[rows], dims=tuple(dims[rows].tolist()),
-                                     sizes=classes.sizes, order=order))
-    return tables
+    keys = np.stack([real, imag], axis=-1).reshape(-1, 2 * chars.shape[2])
+    dims = rd.astype(int)
+    # one stable sort of every table's rows, the table first: ties keep the
+    # order each table's own sort gives them
+    tables_of = np.repeat(np.arange(len(chars)), chars.shape[1])
+    rows = np.lexsort([*keys.T[::-1], dims.ravel(), tables_of]).reshape(dims.shape)
+    rows -= chars.shape[1] * np.arange(len(chars))[:, None]
+    return [CharacterTable(chars=c[r], dims=tuple(ds[r].tolist()), sizes=classes.sizes,
+                           order=order)
+            for c, ds, r in zip(chars, dims, rows)]
 
 
 def _validate_tables(tables: list[CharacterTable]):

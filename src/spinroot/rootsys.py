@@ -45,6 +45,7 @@ from .scalars import (
     Scalar,
     TAU,
     closure_row_keys,
+    exact_matmul,
     field_matrix,
     kernel_dtype,
     quad_numerators,
@@ -544,15 +545,19 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     rows by ``row_keys`` rounding.
     """
     n, dim = num.shape[:2]
+    bound = 0
     if num.dtype == object:
         m = int(np.abs(num).max())
         # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4
         # terms of size T_max |G| m
-        num = num.astype(kernel_dtype(12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3))
+        bound = 12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3
+        num = num.astype(kernel_dtype(bound))
     flat = num.reshape(n, dim * 4)
-    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d])
+    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d]): 4 dim terms of
+    # size <= T_max m^2 each, below the bound
     mult = field_matrix(num)                                # (n, dim, 4, 4)
-    gram = (flat @ mult.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)).reshape(n, n, 4)
+    gram = exact_matmul(flat, mult.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4), bound)
+    gram = gram.reshape(n, n, 4)
     length_keys = row_keys(gram[np.arange(n), np.arange(n)])
     scaled_roots: dict = {}   # (a|a) Phi per squared length
     out = []
@@ -561,8 +566,10 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
         if length_keys[i] not in scaled_roots:
             scaled_roots[length_keys[i]] = set(row_keys(scaled))
         targets = scaled_roots[length_keys[i]]
-        # G_xa N_a for every x: field multiplication commutes
-        images = scaled - 2 * (gram[:, i] @ mult[i].transpose(1, 0, 2).reshape(4, dim * 4))
+        # G_xa N_a for every x (field multiplication commutes): 4 terms of
+        # size <= T_max |G| m each, below the bound
+        images = scaled - 2 * exact_matmul(
+            gram[:, i], mult[i].transpose(1, 0, 2).reshape(4, dim * 4), bound)
         for j, key in enumerate(row_keys(images)):
             if key not in targets:
                 out.append((i, j))

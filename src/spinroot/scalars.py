@@ -364,9 +364,26 @@ def kernel_dtype(bound: int):
 
     The caller derives ``bound`` from the largest numerator, as the sum of the
     absolute values of all terms, which caps every partial sum in any order;
-    either way the arithmetic is exact, never floating point.
+    either way the arithmetic is exact.  Below 2**53 ``exact_matmul`` runs the
+    large matrix products of such integers on float64 BLAS, exactly too.
     """
     return np.int64 if bound < 1 << 62 else object
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """``a @ b`` of integer arrays, exactly, in their dtype (int64 or Python ints).
+
+    ``bound`` caps the sum of the absolute values of the terms of every entry,
+    as for ``kernel_dtype``.  Below 2**53 every product and every partial sum,
+    in any order and fused or not, is an integer that float64 holds exactly, so
+    the product runs on float64 BLAS and converts back; at or above, it is the
+    integer product.  Float operands, the float backend's, multiply as they are.
+    """
+    dtype = np.result_type(a, b)
+    if dtype.kind == "f" or bound >= 1 << 53:
+        return a @ b
+    out = a.astype(np.float64) @ b.astype(np.float64)
+    return out.astype(np.int64).astype(dtype, copy=False)
 
 
 def field_matrix(x: np.ndarray) -> np.ndarray:

@@ -147,6 +147,13 @@ def index_of(G: VersorGroup, mv: Multivector) -> int:
     return G._index[closure_row_keys(element_rows([mv]))[0]]
 
 
+def blade_sign(a: int, b: int) -> int:
+    """Sign of the blade product e_a e_b = +-e_(a ^ b): each vector of b moves
+    left past every vector of a with a larger index."""
+    swaps = sum(1 for i in range(4) if b >> i & 1 for j in range(i + 1, 4) if a >> j & 1)
+    return -1 if swaps & 1 else 1
+
+
 # sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k
 _REV = {
     d: tuple(

@@ -1,11 +1,13 @@
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clifford_reference import (
     approx_eq,
+    blade_sign,
     dot,
     element_rows,
     grades,
@@ -20,7 +22,7 @@ from clifford_reference import (
     spinor_inner,
     vector_coords,
 )
-from spinroot import induction
+from spinroot import clifford, induction, scalars
 from spinroot.clifford import Multivector
 from spinroot.induction import (
     Induced4DSet,
@@ -43,7 +45,7 @@ from spinroot.rootsys import (
     root_system,
     validate_root_system,
 )
-from spinroot.scalars import QT_ONE, quad_numerators, row_keys
+from spinroot.scalars import KEY_DECIMALS, QT_ONE, QuadTower, quad_numerators, row_keys
 
 ORDERS = {
     ("A1^3", None): (16, 8),
@@ -173,6 +175,46 @@ def test_full_cayley_closure_2T():
             assert sorted(row[i] for row in cay) == list(range(n))
 
 
+@lru_cache(maxsize=None)
+def _structure_tensor(dim: int) -> np.ndarray:
+    """T[(a, p), (b, q), (a ^ b, r)]: the coefficient of blade a ^ b and field
+    basis r in (basis p e_a)(basis q e_b), by ``blade_sign`` and QuadTower
+    products of the basis {1, sqrt2, sqrt5, sqrt10}, as Python ints."""
+    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)]
+    size = 1 << dim
+    T = np.zeros((size, 4, size, 4, size, 4), dtype=object)
+    for p, x in enumerate(basis):
+        for q, y in enumerate(basis):
+            z = x * y
+            for r, c in enumerate((z.a, z.b, z.c, z.d)):
+                for a in range(size):
+                    for b in range(size):
+                        T[a, p, b, q, a ^ b, r] = blade_sign(a, b) * int(c)
+    return T.reshape(4 * size, 4 * size, 4 * size)
+
+
+def _reference_products(num: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """P[x, y] = sum over i, j of num[x, i] num[y, j] T[i, j], in num's dtype.
+
+    Each T[i, j] has one nonzero entry at most, so each column pair (i, j)
+    adds the outer product of its nonzero column entries to one output column.
+    """
+    out = np.zeros((len(num), len(num), num.shape[1]), dtype=num.dtype)
+    rows = [np.flatnonzero(col != 0) for col in num.T]
+    for i, j, k in zip(*np.nonzero(T)):
+        if len(rows[i]) and len(rows[j]):
+            terms = np.multiply.outer(num[rows[i], i], num[rows[j], j])
+            out[rows[i][:, None], rows[j], k] += T[i, j, k] * terms
+    return out
+
+
+def _reference_keys(rows: np.ndarray) -> list:
+    """Row tuples: exact numerators as they are, floats rounded to ``KEY_DECIMALS``."""
+    if rows.dtype.kind == "f":
+        rows = np.round(rows, KEY_DECIMALS) + 0.0
+    return [tuple(row) for row in rows.tolist()]
+
+
 def test_exact_cayley_tables_match_products():
     # one kernel for both backends: the exact groups, the float families and
     # the groups of float copies of the exact generators
@@ -187,12 +229,16 @@ def test_exact_cayley_tables_match_products():
         elements = group_elements(G)
         # the lookup index of the table holds one key per element
         num, den = quad_numerators([e.coeffs for e in elements])
-        assert len(set(row_keys(den * num.reshape(G.order, -1)))) == G.order, G.name
-        # reference: Multivector products looked up by mv_key
-        index = {mv_key(e): i for i, e in enumerate(elements)}
-        expected = [[index[mv_key(a * b)] for b in elements] for a in elements]
+        num = num.reshape(G.order, -1)
+        assert len(set(row_keys(den * num))) == G.order, G.name
+        # reference: products of the element rows over den**2 (Python ints on
+        # the exact groups), looked up among the rows of den * E
+        index = {key: i for i, key in enumerate(_reference_keys(den * num))}
+        products = _reference_products(num, _structure_tensor(G.dim))
+        expected = [[index[key] for key in _reference_keys(row)] for row in products]
         assert G.cayley == expected, G.name
-        assert G.inverse_indices == tuple(index[mv_key(reverse(e))] for e in elements)
+        by_mv = {mv_key(e): i for i, e in enumerate(elements)}
+        assert G.inverse_indices == tuple(by_mv[mv_key(reverse(e))] for e in elements)
 
 
 def test_exact_cayley_with_python_ints(monkeypatch):
@@ -200,6 +246,23 @@ def test_exact_cayley_with_python_ints(monkeypatch):
     expected = pin_group("A3").cayley
     monkeypatch.setattr(induction, "kernel_dtype", lambda bound: object)
     assert generate_pin_group(catalog("A3")).cayley == expected
+
+
+@pytest.mark.parametrize("lift", [2 ** 53, 2 ** 62])
+def test_pin_rows_and_cayley_tables_on_every_integer_tier(monkeypatch, lift):
+    # the bounds lifted past 2**53 (int64 products) and past 2**62 (Python
+    # ints) give the rows and tables of the float64 products
+    names = ("A3", "B3", "H3")
+    expected = [(pin_group(name).rows, pin_group(name).cayley) for name in names]
+    exact_matmul, kernel_dtype = scalars.exact_matmul, scalars.kernel_dtype
+    for module in (clifford, induction):
+        monkeypatch.setattr(module, "exact_matmul",
+                            lambda a, b, bound: exact_matmul(a, b, bound + lift))
+        monkeypatch.setattr(module, "kernel_dtype", lambda bound: kernel_dtype(bound + lift))
+    for name, (rows, table) in zip(names, expected):
+        G = generate_pin_group(catalog(name))
+        assert G.rows.dtype == rows.dtype and np.array_equal(G.rows, rows), name
+        assert G.cayley == table, name
 
 
 def test_cayley_product_escaping_the_group():

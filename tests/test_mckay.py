@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from clifford_reference import group_elements, scalar_part
-from spinroot import verify
+from spinroot import mckay, verify
 from spinroot.induction import spin_group
 from spinroot.mckay import (
     CharacterError,
     INT_TOL,
+    MAX_REDRAWS,
+    NORMAL_STREAMS,
     MatchError,
     McKayGraph,
     _leg_edges,
@@ -289,6 +291,62 @@ def test_character_tables_equal_single_seed_tables():
             assert table.chars.tobytes() == single.chars.tobytes()
             assert (table.dims, table.sizes, table.order) == \
                 (single.dims, single.sizes, single.order)
+
+
+def test_draw_d_of_size_k_is_the_next_standard_normal_call():
+    # draw d of k values from a seed's stream is its generator's (d + 1)-th
+    # standard_normal(k) call, whatever sizes other groups drew before
+    for seed in (0, 7, 1729, 2 ** 31 - 1):
+        for k in range(1, 31):
+            rng = np.random.default_rng(seed)
+            for d in range(MAX_REDRAWS):
+                draw = mckay._normal_stream(seed).take(d * k, (d + 1) * k)
+                assert draw.tobytes() == rng.standard_normal(k).tobytes()
+
+
+def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
+    """``_eigenvectors`` with one generator per seed drawing each combination
+    anew, and the number of redraws it made."""
+    k = mats.shape[0]
+    i, j = np.triu_indices(k, 1)
+    flat = mats.reshape(k, -1).astype(float)
+    out, redraws = [], 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(MAX_REDRAWS):
+            vals, V = np.linalg.eig((rng.standard_normal(k) @ flat).reshape(1, k, k))
+            if np.abs(vals[0, i] - vals[0, j]).min(initial=np.inf) > mckay.EIG_SEP_TOL:
+                out.append(V[0] if vals.imag.any() else V[0].real)
+                break
+            redraws += 1
+        else:
+            raise CharacterError("reference draws kept colliding")
+    return out, redraws
+
+
+def test_redraws_continue_each_seeds_generator(monkeypatch):
+    # a separation demand near the median gap makes seeds draw again, some
+    # several times
+    G = spin_group("A3")
+    mats = class_matrices(G, conjugacy_classes(G))
+    monkeypatch.setattr(mckay, "EIG_SEP_TOL", 1.2)
+    want, redraws = _reference_eigenvectors(mats, range(32))
+    assert redraws > 32
+    got = mckay._eigenvectors(mats, range(32))
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_colliding_draws_raise_after_max_redraws():
+    with pytest.raises(CharacterError, match="kept colliding"):
+        mckay._eigenvectors(np.zeros((5, 5, 5), dtype=np.int64), range(3))
+
+
+def test_normal_streams_are_bounded():
+    # seeds come from --seed and from random 31-bit sweep seeds
+    assert mckay._normal_stream.cache_info().maxsize == NORMAL_STREAMS
+    for seed in range(2 ** 31 - 2 * NORMAL_STREAMS, 2 ** 31):
+        mckay._normal_stream(seed).take(0, 3)
+    assert mckay._normal_stream.cache_info().currsize == NORMAL_STREAMS
 
 
 def test_batch_validation_raises_for_the_first_bad_table():

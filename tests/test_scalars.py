@@ -20,6 +20,7 @@ from spinroot.scalars import (
     SQRT10,
     TAU,
     Scalar,
+    exact_matmul,
     field_matrix,
     galois_conjugate,
     is_exact,
@@ -168,6 +169,48 @@ def test_kernel_dtype_bound():
     assert kernel_dtype(2 ** 62) is object
     with pytest.raises(TypeError):
         quad_numerators([QT_ONE, 1.0])
+
+
+def _term_bound(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest sum of |terms| of an entry of a @ b, on Python ints."""
+    return int((np.abs(a.astype(object)) @ np.abs(b.astype(object))).max())
+
+
+def test_exact_matmul_on_float64_just_below_2_53():
+    rng = np.random.default_rng(5)
+    for m, k, n in [(1, 16, 1024), (120, 32, 32), (120, 16, 480), (7, 3, 5)]:
+        # entries as large as the bound allows: every sum of |terms| < 2**53
+        top = math.isqrt((2 ** 53 - 1) // k)
+        a = rng.integers(-top, top, (m, k), endpoint=True)
+        b = rng.integers(-top, top, (k, n), endpoint=True)
+        a[0], b[:, 0] = top, top            # one entry sums k terms of top**2
+        bound = _term_bound(a, b)
+        assert 2 ** 52 < bound < 2 ** 53
+        want = a.astype(object) @ b.astype(object)
+        got = exact_matmul(a, b, bound)
+        assert got.dtype == np.int64 and (got.astype(object) == want).all()
+        got = exact_matmul(a.astype(object), b.astype(object), bound)
+        assert got.dtype == object and (got == want).all()
+        assert {type(x) for x in got.ravel()} == {int}
+
+
+def test_exact_matmul_is_integer_from_2_53():
+    # (2**27 + 1)(2**26 + 1) + 1 is even but needs 54 bits: float64 rounds it
+    a = np.array([[2 ** 27 + 1, 1]])
+    b = np.array([[2 ** 26 + 1], [1]])
+    want = (2 ** 27 + 1) * (2 ** 26 + 1) + 1
+    assert int((a.astype(float) @ b.astype(float))[0, 0]) != want
+    bound = _term_bound(a, b)
+    assert bound >= 2 ** 53
+    for dtype in (np.int64, object):
+        got = exact_matmul(a.astype(dtype), b.astype(dtype), bound)
+        assert got.dtype == dtype and got[0, 0] == want
+
+
+def test_exact_matmul_leaves_floats_alone():
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 3))
+    assert np.array_equal(exact_matmul(a, b, 0), a @ b)
 
 
 def test_representation_is_canonical():

@@ -7,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinroot import mckay, verify
+from spinroot import coxplane, mckay, verify
+from spinroot.rootsys import catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,3 +144,52 @@ def test_cli_output_is_the_same_on_one_cpu():
                             preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert unpinned.returncode == pinned.returncode == 0
     assert unpinned.stdout == pinned.stdout
+
+
+def _oracle_reference(n_max: int, seed: int) -> list:
+    """Criterion 4 word by word through the one-word coxplane functions, every
+    word in word order: the reference for its stacks of the distinct words."""
+    rng = np.random.default_rng(seed)
+    systems = [(name, None) for name in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
+    systems += [("I2xI2", n) for n in range(2, n_max + 1)]
+    out = []
+    for name, n in systems:
+        simple = catalog(name, n)
+        base = coxplane.coxeter_data(name, n)
+        expected = coxplane.exponents_via_matrix(base.matrix, base.h)
+        words = [None] + [tuple(int(x) + 1 for x in rng.permutation(simple.rank))
+                          for _ in range(verify.ORACLE_WORDS)]
+        bad = []
+        for word in words:
+            cd = coxplane.coxeter_versor(simple, word)
+            plane = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
+            m_exps = coxplane.exponents_via_matrix(cd.matrix, cd.h)
+            f_exps = coxplane.factorize(cd.versor, plane, cd.h).exponents
+            if not (m_exps == f_exps == expected):
+                bad.append((word, m_exps, f_exps))
+        out.append(verify._res(4, f"{simple.name} exponent oracles ({len(words)} words)",
+                               not bad, bad[:2] or f"all agree: {expected}",
+                               f"matrix == factorization == {expected}"))
+    return out
+
+
+@pytest.mark.parametrize("n_max", [5, 12])
+def test_exponent_oracles_equal_the_per_word_reference(n_max):
+    for seed in range(4):
+        assert verify.check_exponent_oracles(n_max, seed) == _oracle_reference(n_max, seed)
+
+
+def test_exponent_oracles_report_bad_words_in_word_order(monkeypatch):
+    # the matrix exponents of a word whose Coxeter matrix has a positive corner
+    # come out rotated, so some words of a system fail and others pass
+    stacked = coxplane.exponents_via_matrices
+
+    def skewed(Ms, hs):
+        return [e[1:] + e[:1] if round(float(M[0, 0]), 6) > 0 else e
+                for M, e in zip(Ms, stacked(Ms, hs))]
+
+    monkeypatch.setattr(coxplane, "exponents_via_matrices", skewed)
+    for seed in range(4):
+        got = verify.check_exponent_oracles(5, seed)
+        assert got == _oracle_reference(5, seed)
+        assert not all(r.passed for r in got)

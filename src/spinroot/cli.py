@@ -219,6 +219,17 @@ def cmd_verify_all(args) -> int:
     return 1 if failed else 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, since ``random.Random(-s)`` draws as s."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spinroot",
@@ -231,10 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
         # only the formats the subcommand prints; the first is the default
         sp.add_argument("--format", choices=choices, default=choices[0])
 
+    def seed(sp):
+        sp.add_argument("--seed", type=_seed, default=mckay.DEFAULT_SEED)
+
     def common(sp, *choices):
         sp.add_argument("name", help="system name, e.g. H3, I2(7), A1xI2(4)")
         sp.add_argument("--n", type=int, default=None, help="family parameter")
-        sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
+        seed(sp)
         if choices:
             formats(sp, *choices)
         return sp
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ade-map", help="full three-way correspondence table")
     sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
-    sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
+    seed(sp)
     formats(sp, "text", "json")
     sp.set_defaults(fn=cmd_ade_map)
 
@@ -273,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--out", default=".")
-    sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
+    seed(sp)
     sp.set_defaults(fn=cmd_export)
 
     sp = sub.add_parser("verify-all", help="run the full acceptance suite")
     sp.add_argument("--n-max", dest="n_max", type=int, default=ade.N_MAX)
-    sp.add_argument("--seed", type=int, default=mckay.DEFAULT_SEED)
+    seed(sp)
     formats(sp, "text", "json")
     sp.set_defaults(fn=cmd_verify_all)
 

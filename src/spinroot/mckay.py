@@ -4,12 +4,15 @@ Characters come from the class-matrix (Burnside) method: the structure
 constants of class sums give k commuting integer matrices whose simultaneous
 eigenvectors, normalized at the identity class, are the rows of the character
 table.  A random real combination with the documented default seed separates
-the eigenspaces; every integer quantity downstream (dimensions, tensor
-multiplicities, affine marks) is validated by its rounding residual.  The
-tables of many seeds come from one stacked eigenproblem, their rows ordered by
-one sort, and their McKay graphs from one stacked product; each table equals
-the one its seed gives alone.  Each seed's draws are consecutive slices of one
-stream of normals, drawn once per seed and kept for the groups that follow.
+the eigenspaces (Dixon 1967); every integer quantity downstream (dimensions,
+tensor multiplicities, affine marks) is validated by its rounding residual.
+The combination's coefficients are dyadic draws of the stdlib ``random.Random``
+of the seed, so every combination is an exact float64 sum and the combinations
+of all the seeds come from one stacked product.  The tables of many seeds come
+from one stacked eigenproblem, their rows ordered by one sort, and their McKay
+graphs from one stacked product; each table equals the one its seed gives
+alone.  Each seed's draws are consecutive slices of one stream, drawn once per
+seed and kept for the groups that follow.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -20,6 +23,7 @@ diagram is named by its node count and largest mark, without a search.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -30,6 +34,10 @@ from .induction import VersorGroup, _row_values
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
+#: a draw is (getrandbits(DRAW_BITS + 1) - 2**DRAW_BITS) / 2**DRAW_BITS, dyadic in
+#: [-1, 1): k of them times class matrices with entries at most |G| sum exactly
+#: in float64 while k * 2**DRAW_BITS * |G| < 2**53
+DRAW_BITS = 20
 
 INT_TOL = 1e-6
 ORTHO_TOL = 1e-6
@@ -39,12 +47,13 @@ EIG_SEP_TOL = 1e-8
 PIVOT_TOL = 1e-12
 #: draws per seed before colliding eigenvalues count as bad group data
 MAX_REDRAWS = 16
-#: seeds whose normal streams stay cached (seeds come from users and sweeps)
-NORMAL_STREAMS = 64
+#: seeds whose draw streams stay cached (seeds come from users and sweeps)
+DRAW_STREAMS = 64
 #: spread of twice the scalar part allowed within one conjugacy class
 CLASS_SCALAR_TOL = 1e-9
-#: imaginary parts below this print as real in the character-table CSV
-CSV_IMAG_TOL = 1e-10
+#: in the character-table CSV a real part below this prints as 0 and an
+#: imaginary part below it not at all, so no draw's last bits show
+CSV_ZERO_TOL = 1e-10
 
 
 class CharacterError(RuntimeError):
@@ -135,10 +144,13 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
     """One character table per seed, all the seeds' eigenproblems solved in one
     stacked `np.linalg.eig`.
 
-    Each seed draws its combination from its own `default_rng(seed)` and only
-    a seed whose eigenvalues collide draws again, so every table equals the one
-    that seed gives alone.
+    Each seed draws its combination from its own ``random.Random(seed)`` and
+    only a seed whose eigenvalues collide draws again, so every table equals
+    the one that seed gives alone.  Seeds are nonnegative: ``random.Random``
+    would take -s for s.
     """
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seed must be nonnegative, got {min(seeds)}")
     if classes is None:
         classes = conjugacy_classes(G)
     if mats is None:
@@ -157,23 +169,22 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
 def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     """Eigenvectors (as columns) of sum_r t_r mats[r] for each seed's draw t.
 
-    Draw d of a seed is the slice [d k, (d + 1) k) of its normal stream, what
-    the (d + 1)-th ``standard_normal(k)`` call of ``default_rng(seed)`` gives.
-    As in a single `np.linalg.eig` call, a seed whose eigenvalues are all real
-    gets real eigenvectors.
+    Draw d of a seed is the slice [d k, (d + 1) k) of its stream of dyadic
+    draws.  Each combination is an exact sum of integers times 2**-DRAW_BITS,
+    so the one stacked product of all pending seeds gives each seed's
+    combination bit for bit, in any summation order.  As in a single
+    `np.linalg.eig` call, a seed whose eigenvalues are all real gets real
+    eigenvectors.
     """
     k = mats.shape[0]
     i, j = np.triu_indices(k, 1)
     flat = mats.reshape(k, -1).astype(float)
-    streams = [_normal_stream(seed) for seed in seeds]
+    streams = [_draw_stream(seed) for seed in seeds]
     vecs = [None] * len(seeds)
     pending = list(range(len(seeds)))
     for draw in range(MAX_REDRAWS):
-        # one vector-matrix product per draw: a stacked product would sum in
-        # another order and move the eigenvectors by an ulp
-        A = np.stack([streams[s].take(draw * k, (draw + 1) * k) @ flat
-                      for s in pending]).reshape(-1, k, k)
-        vals, V = np.linalg.eig(A)
+        t = np.stack([streams[s].take(draw * k, (draw + 1) * k) for s in pending])
+        vals, V = np.linalg.eig((t @ flat).reshape(-1, k, k))
         sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
         for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
             if ok:
@@ -184,29 +195,32 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     raise CharacterError("eigenvalues kept colliding; group data suspect")
 
 
-class _NormalStream:
-    """The standard normals of ``default_rng(seed)`` in draw order, drawn on
+class _DrawStream:
+    """The dyadic draws of ``random.Random(seed)`` in draw order, drawn on
     first need and kept.
 
-    Consecutive ``standard_normal`` calls of one generator continue one stream,
-    so the d-th draw of k values for a seed is the slice [d k, (d + 1) k).
+    Value m is (n_m - 2**DRAW_BITS) / 2**DRAW_BITS for the m-th
+    ``getrandbits(DRAW_BITS + 1)`` call n_m of the generator, so the d-th draw
+    of k values for a seed is the slice [d k, (d + 1) k).
     """
 
     def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
         self._values = np.empty(0)
 
     def take(self, start: int, stop: int) -> np.ndarray:
         if stop > len(self._values):
-            more = self._rng.standard_normal(stop - len(self._values))
+            bits = [self._rng.getrandbits(DRAW_BITS + 1)
+                    for _ in range(stop - len(self._values))]
+            more = (np.array(bits, dtype=float) - 2.0 ** DRAW_BITS) / 2.0 ** DRAW_BITS
             self._values = np.concatenate([self._values, more])
             self._values.flags.writeable = False
         return self._values[start:stop]
 
 
-@lru_cache(maxsize=NORMAL_STREAMS)
-def _normal_stream(seed: int) -> _NormalStream:
-    return _NormalStream(seed)
+@lru_cache(maxsize=DRAW_STREAMS)
+def _draw_stream(seed: int) -> _DrawStream:
+    return _DrawStream(seed)
 
 
 def _tables_from_eigenvectors(vecs: list, classes: ClassData,
@@ -388,9 +402,9 @@ def affine_core(name: str) -> str:
 
 def character_table_csv(table: CharacterTable) -> str:
     def fmt(z: complex) -> str:
-        re = f"{z.real:.10g}"
+        re = f"{z.real:.10g}" if abs(z.real) >= CSV_ZERO_TOL else "0"
         im = z.imag
-        if abs(im) < CSV_IMAG_TOL:
+        if abs(im) < CSV_ZERO_TOL:
             return re
         return f"{re}{im:+.10g}i"
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinroot import mckay, output
 from spinroot.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -258,3 +264,41 @@ def test_verify_all_seed_independent_verdicts(capsys):
     code0, out0 = run(capsys, "verify-all", "--n-max", "2")
     marks0 = [l.split()[1] for l in out0.splitlines() if l.startswith("[")]
     assert marks7 == marks0
+
+
+@pytest.mark.parametrize("argv", [
+    ["induce", "A3"],
+    ["coxplane", "H3"],
+    ["project", "A4"],
+    ["mckay", "H3"],
+    ["ade-map"],
+    ["export", "mckay-graph", "H3"],
+    ["verify-all"],
+])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_must_be_a_nonnegative_integer(argv, seed, capsys):
+    # random.Random(-s) would draw as s, so a negative seed is a usage error
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", seed])
+    assert err.value.code == 2
+    assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # the draws are the stdlib's: numpy.random, its 6 MB and its import time
+    # stay out of every process, forked verify-all and verify-all on one CPU
+    code = f"""
+import contextlib, io, os, sys
+from spinroot.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["mckay", "H3"]), main(["export", "mckay-graph", "H3", "--out", {str(tmp_path)!r}]),
+             main(["ade-map", "--n-max", "3"]), main(["verify-all", "--n-max", "3"])]
+    os.sched_getaffinity = lambda pid: {{0}}
+    codes.append(main(["verify-all", "--n-max", "3"]))
+print(codes, "numpy.random" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "[0, 0, 0, 0, 0] False"

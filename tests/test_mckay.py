@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
@@ -10,9 +11,10 @@ from spinroot import mckay, verify
 from spinroot.induction import spin_group
 from spinroot.mckay import (
     CharacterError,
+    CharacterTable,
     INT_TOL,
+    DRAW_STREAMS,
     MAX_REDRAWS,
-    NORMAL_STREAMS,
     MatchError,
     McKayGraph,
     _leg_edges,
@@ -293,15 +295,48 @@ def test_character_tables_equal_single_seed_tables():
                 (single.dims, single.sizes, single.order)
 
 
-def test_draw_d_of_size_k_is_the_next_standard_normal_call():
-    # draw d of k values from a seed's stream is its generator's (d + 1)-th
-    # standard_normal(k) call, whatever sizes other groups drew before
+def _reference_draws(rng: random.Random, k: int) -> np.ndarray:
+    """The next k combination coefficients of a generator: 21 random bits
+    centred on 2**20, over 2**20."""
+    return np.array([(rng.getrandbits(21) - 2 ** 20) / 2 ** 20 for _ in range(k)])
+
+
+def test_draw_d_of_size_k_is_the_next_k_dyadic_draws():
+    # draw d of k values from a seed's stream is its generator's next k draws,
+    # whatever sizes other groups drew before
     for seed in (0, 7, 1729, 2 ** 31 - 1):
         for k in range(1, 31):
-            rng = np.random.default_rng(seed)
+            rng = random.Random(seed)
             for d in range(MAX_REDRAWS):
-                draw = mckay._normal_stream(seed).take(d * k, (d + 1) * k)
-                assert draw.tobytes() == rng.standard_normal(k).tobytes()
+                draw = mckay._draw_stream(seed).take(d * k, (d + 1) * k)
+                assert draw.tobytes() == _reference_draws(rng, k).tobytes()
+
+
+#: the groups of criterion 9
+MCKAY_GROUPS = [("A3", None), ("B3", None), ("H3", None)] + [
+    (key, n) for key in ("I2", "A1xI2") for n in range(2, 13)]
+
+
+def test_stacked_combinations_are_each_seeds_own_product(monkeypatch):
+    # every coefficient is a multiple of 2**-DRAW_BITS of size at most 1, and
+    # the class matrices are integers at most |G|: every partial sum of a
+    # combination is exact, so the one stacked product of all the seeds gives
+    # each seed's own draw @ flat bit for bit
+    stacks = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda A: stacks.append(A.copy()) or eig(A))
+    for name, n in MCKAY_GROUPS:
+        G = spin_group(name, n)
+        mats = class_matrices(G, conjugacy_classes(G))
+        k = len(mats)
+        assert k * 2 ** mckay.DRAW_BITS * int(mats.max()) < 2 ** 53, (name, n)
+        flat = mats.reshape(k, -1).astype(float)
+        want = [_reference_draws(random.Random(seed), k) @ flat
+                for seed in range(verify.MCKAY_SEEDS)]
+        stacks.clear()
+        mckay._eigenvectors(mats, range(verify.MCKAY_SEEDS))
+        assert stacks[0].shape == (verify.MCKAY_SEEDS, k, k)
+        assert [A.tobytes() for A in stacks[0]] == [w.tobytes() for w in want], (name, n)
 
 
 def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
@@ -312,9 +347,9 @@ def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
     flat = mats.reshape(k, -1).astype(float)
     out, redraws = [], 0
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         for _ in range(MAX_REDRAWS):
-            vals, V = np.linalg.eig((rng.standard_normal(k) @ flat).reshape(1, k, k))
+            vals, V = np.linalg.eig((_reference_draws(rng, k) @ flat).reshape(1, k, k))
             if np.abs(vals[0, i] - vals[0, j]).min(initial=np.inf) > mckay.EIG_SEP_TOL:
                 out.append(V[0] if vals.imag.any() else V[0].real)
                 break
@@ -325,11 +360,11 @@ def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
 
 
 def test_redraws_continue_each_seeds_generator(monkeypatch):
-    # a separation demand near the median gap makes seeds draw again, some
+    # a separation demand above the median gap makes seeds draw again, some
     # several times
     G = spin_group("A3")
     mats = class_matrices(G, conjugacy_classes(G))
-    monkeypatch.setattr(mckay, "EIG_SEP_TOL", 1.2)
+    monkeypatch.setattr(mckay, "EIG_SEP_TOL", 0.7)
     want, redraws = _reference_eigenvectors(mats, range(32))
     assert redraws > 32
     got = mckay._eigenvectors(mats, range(32))
@@ -341,12 +376,21 @@ def test_colliding_draws_raise_after_max_redraws():
         mckay._eigenvectors(np.zeros((5, 5, 5), dtype=np.int64), range(3))
 
 
-def test_normal_streams_are_bounded():
+def test_draw_streams_are_bounded():
     # seeds come from --seed and from random 31-bit sweep seeds
-    assert mckay._normal_stream.cache_info().maxsize == NORMAL_STREAMS
-    for seed in range(2 ** 31 - 2 * NORMAL_STREAMS, 2 ** 31):
-        mckay._normal_stream(seed).take(0, 3)
-    assert mckay._normal_stream.cache_info().currsize == NORMAL_STREAMS
+    assert mckay._draw_stream.cache_info().maxsize == DRAW_STREAMS
+    for seed in range(2 ** 31 - 2 * DRAW_STREAMS, 2 ** 31):
+        mckay._draw_stream(seed).take(0, 3)
+    assert mckay._draw_stream.cache_info().currsize == DRAW_STREAMS
+
+
+def test_negative_seeds_are_rejected():
+    # random.Random(-s) would draw as s
+    G = spin_group("A3")
+    with pytest.raises(ValueError, match="nonnegative"):
+        character_tables(G, seeds=[3, -1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        character_table(G, seed=-1729)
 
 
 def test_batch_validation_raises_for_the_first_bad_table():
@@ -378,16 +422,14 @@ def _mckay_verdict(G, table, chi):
 def test_mckay_verdicts_equal_per_table_reference():
     # criterion 9's stacked graphs and once-per-graph matching give the verdict
     # set that building and matching each seed's table on its own gives
-    systems = [("A3", None), ("B3", None), ("H3", None)]
-    systems += [(key, n) for key in ("I2", "A1xI2") for n in range(2, 13)]
-    for name, n in systems:
+    for name, n in MCKAY_GROUPS:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
         chi = spinor_character(G, classes)
         want = {_mckay_verdict(G, character_table(G, classes, seed=seed), chi)
                 for seed in range(verify.MCKAY_SEEDS)}
         assert verify.mckay_verdicts(G, classes) == want, (name, n)
-    assert len(systems) == 25
+    assert len(MCKAY_GROUPS) == 25
 
 
 def test_stacked_mckay_graphs_check_every_table():
@@ -475,3 +517,20 @@ def test_serialization():
     graph = mckay_graph(table, spinor_character(G, classes))
     dot = mckay_graph_dot(graph)
     assert dot.count("--") == graph.adjacency.sum() // 2
+
+
+def test_csv_prints_noise_as_zero():
+    # real and imaginary parts below CSV_ZERO_TOL do not show, so the CSV does
+    # not depend on the last bits of a draw
+    table = CharacterTable(chars=np.array([[1.0, -3.3e-15 + 2e-16j, 0.5 - 0.25j],
+                                           [-0.0, 2e-11 - 1e-11j, -9e-11 + 2.0j],
+                                           [1 - 1e-15, -1e-10, 1e-10j]]),
+                           dims=(1, 1, 1), sizes=(1, 1, 1), order=3)
+    assert character_table_csv(table).splitlines()[1:] == [
+        "dim_1,1,0,0.5-0.25i",
+        "dim_1,0,0,0+2i",
+        "dim_1,1,-1e-10,0+1e-10i",
+    ]
+    G = spin_group("A3")
+    for seed in range(8):
+        assert "e-" not in character_table_csv(character_table(G, seed=seed))

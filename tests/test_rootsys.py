@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -346,20 +347,81 @@ def coords(roots):
     return [vector_coords(r) for r in roots]
 
 
-def reference_reflection_violations(roots, max_samples=16):
-    """All-pairs s_i(x_j) in row-major order, one reflection at a time.
+@lru_cache(maxsize=None)
+def _basis_products() -> np.ndarray:
+    """F[p, q, r]: the coefficient of basis r in the product of bases p and q of
+    {1, sqrt2, sqrt5, sqrt10}, by QuadTower products, as Python ints."""
+    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)]
+    F = np.zeros((4, 4, 4), dtype=object)
+    for p, x in enumerate(basis):
+        for q, y in enumerate(basis):
+            z = x * y
+            F[p, q] = [int(z.a), int(z.b), int(z.c), int(z.d)]
+    return F
 
-    Exact images are looked up exactly, float ones by ``mv_key`` rounding.
+
+def _times(g: np.ndarray) -> np.ndarray:
+    """The (4, 4) matrix of multiplication by the field numerators g: u @ it = g u."""
+    return np.tensordot(g, _basis_products(), axes=(0, 0))
+
+
+def _float_hits(roots) -> list:
+    """Whether s_a(x) = x - ((x|a) * 2 / (a|a)) a is a root, for every pair (a, x)
+    in row-major order: each image formed by the IEEE operations of the
+    one-vector formula in its order, looked up by ``mv_key`` rounding."""
+    X = np.array([vector_coords(r) for r in roots], dtype=float)
+    # dots[a, x] = (x|a), summed in coordinate order
+    dots = X[None, :, 0] * X[:, None, 0]
+    for c in range(1, X.shape[1]):
+        dots = dots + X[None, :, c] * X[:, None, c]
+    coef = (dots * 2) / np.diag(dots)[:, None]
+    images = X[None] - coef[:, :, None] * X[:, None]
+
+    def keys(rows):
+        return [tuple(round(c, KEY_DECIMALS) + 0.0 for c in row) for row in rows.tolist()]
+
+    targets = set(keys(X))
+    return [key in targets for key in keys(images.reshape(-1, X.shape[1]))]
+
+
+def _exact_hits(roots) -> list:
+    """Whether s_a(x) is a root, for every pair (a, x) in row-major order.
+
+    On the numerator rows N of the roots over their common denominator D, as
+    Python ints: (a|a) s_a(x) = (a|a) x - 2 (x|a) a has field numerators over
+    D**3, as do the multiples (a|a) y of the roots y.  (a|a) is nonzero, so
+    s_a(x) is a root exactly when its multiple is one of them.
     """
-    keys = {mv_key(r) for r in roots}
-    out = []
-    for i, alpha in enumerate(roots):
-        for j, x in enumerate(roots):
-            if mv_key(_reflect_general(alpha, x)) not in keys:
-                out.append((i, j))
-                if len(out) >= max_samples:
-                    return tuple(out)
-    return tuple(out)
+    parts = [[f for c in vector_coords(r) for f in (c.a, c.b, c.c, c.d)] for r in roots]
+    den = math.lcm(*(f.denominator for row in parts for f in row))
+    n, dim = len(roots), len(parts[0]) // 4
+    N = np.array([[int(f * den) for f in row] for row in parts], dtype=object).reshape(n, dim, 4)
+    # by_field[x, d, p] = N[x, d] times basis p
+    by_field = np.tensordot(N, _basis_products(), axes=(2, 1))
+    # gram[a, x] = numerators of (a|x) over D**2
+    gram = N.reshape(n, dim * 4) @ by_field.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)
+    gram = gram.reshape(n, n, 4)
+    hits = []
+    scaled: dict = {}   # (a|a) -> the multiples (a|a) y and their keys
+    for a in range(n):
+        aa = tuple(gram[a, a])
+        if aa not in scaled:
+            rows = (N @ _times(gram[a, a])).reshape(n, dim * 4)
+            scaled[aa] = rows, {tuple(row) for row in rows.tolist()}
+        rows, targets = scaled[aa]
+        # (x|a) a for every x
+        along = gram[:, a] @ by_field[a].transpose(1, 0, 2).reshape(4, dim * 4)
+        hits += [tuple(row) in targets for row in (rows - 2 * along).tolist()]
+    return hits
+
+
+def reference_reflection_violations(roots, max_samples=16):
+    """All-pairs s_i(x_j) in row-major order, as contractions on coordinate rows.
+
+    Float images are looked up by ``mv_key`` rounding, exact ones exactly.
+    """
+    hits = _float_hits(roots) if roots[0].backend == "float" else _exact_hits(roots)
+    return tuple(divmod(pair, len(roots)) for pair, hit in enumerate(hits) if not hit)[:max_samples]
 
 
 def validation_test_sets():

@@ -16,19 +16,50 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _shared_generator_use(node) -> bool:
+    """numpy.random in any form, or the process-wide generator of the random
+    module: a call random.f(...) or an import of f from random, for any f but
+    the Random class."""
+    if isinstance(node, ast.Attribute) and node.attr == "random":
+        return isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return (module.startswith("numpy.random")
+                or module == "numpy" and any(a.name == "random" for a in node.names)
+                or module == "random" and any(a.name != "Random" for a in node.names))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "random"
+            and node.func.attr != "Random")
+
+
 def test_no_process_global_state():
     # a result never depends on which call ran before it: no module global is
-    # rebound, and no process-wide numpy setting is changed
+    # rebound, no process-wide numpy setting is changed, and every random draw
+    # comes from a local random.Random(seed)
     files = sorted(PACKAGE.rglob("*.py"))
     assert files
     found = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Global) or (
+            if isinstance(node, ast.Global) or _shared_generator_use(node) or (
                     isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "set_printoptions"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_shared_generator_uses_are_found():
+    bad = ["np.random.default_rng(0)", "numpy.random.seed(1)", "import numpy.random",
+           "from numpy import random", "from numpy.random import default_rng",
+           "random.random()", "random.seed(3)", "random.shuffle(x)", "from random import choice"]
+    good = ["random.Random(3).random()", "rng.random()", "from random import Random",
+            "import random", "x.random"]
+    def flagged(src):
+        return any(_shared_generator_use(node) for node in ast.walk(ast.parse(src)))
+    assert [src for src in bad if not flagged(src)] == []
+    assert [src for src in good if flagged(src)] == []
 
 
 def test_small_float_literals_are_named_constants():

@@ -2,12 +2,12 @@
 some criteria, and no child outlives `run_all`."""
 
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spinroot import coxplane, mckay, verify
@@ -149,7 +149,7 @@ def test_cli_output_is_the_same_on_one_cpu():
 def _oracle_reference(n_max: int, seed: int) -> list:
     """Criterion 4 word by word through the one-word coxplane functions, every
     word in word order: the reference for its stacks of the distinct words."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     systems = [(name, None) for name in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
     systems += [("I2xI2", n) for n in range(2, n_max + 1)]
     out = []
@@ -157,7 +157,7 @@ def _oracle_reference(n_max: int, seed: int) -> list:
         simple = catalog(name, n)
         base = coxplane.coxeter_data(name, n)
         expected = coxplane.exponents_via_matrix(base.matrix, base.h)
-        words = [None] + [tuple(int(x) + 1 for x in rng.permutation(simple.rank))
+        words = [None] + [tuple(x + 1 for x in rng.sample(range(simple.rank), simple.rank))
                           for _ in range(verify.ORACLE_WORDS)]
         bad = []
         for word in words:
@@ -193,3 +193,9 @@ def test_exponent_oracles_report_bad_words_in_word_order(monkeypatch):
         got = verify.check_exponent_oracles(5, seed)
         assert got == _oracle_reference(5, seed)
         assert not all(r.passed for r in got)
+
+
+def test_exponent_oracles_reject_negative_seeds():
+    # random.Random(-s) would draw as s
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.check_exponent_oracles(5, -1)

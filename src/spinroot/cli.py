@@ -42,10 +42,12 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_catalog(args) -> int:
+    if args.family_n is not None:
+        catalog("I2", args.family_n)  # rejects n < 2 as every family does
     rows = []
     for entry in catalog_entries():
         key = entry["key"]
-        if entry["family"] and args.family_n:
+        if entry["family"] and args.family_n is not None:
             name = display_name(key, args.family_n)
             count = str(expected_root_count(key, args.family_n))
         else:
@@ -134,7 +136,8 @@ def cmd_coxplane(args) -> int:
 def cmd_project(args) -> int:
     key, n = parse_name(args.name, args.n)
     plane = coxplane.coxeter_plane_for(key, n)
-    points = coxplane.project_to_plane(root_system(key, n).vectors, plane.bivector)
+    system = root_system(key, n)
+    points = coxplane.project_to_plane(system.num, system.den, plane.bivector)
     if args.out:
         paths = output.export_files("projection", key, n, args.out, seed=args.seed)
         for p in paths:
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UnknownSystemError as exc:
+    except (UnknownSystemError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -36,10 +36,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clifford import GRADE_TOL, float_products, right_products
-from .induction import _row_values, _vector_rows, induced_name, spin_group
+from .induction import _coefficient_floats, _vector_rows, induced_name, spin_group
 from .mckay import components
-from .rootsys import SimpleRootSet, cartan_matrix, catalog, coords_dot, is_unit, parse_name
-from .scalars import QuadTower, Scalar
+from .rootsys import SimpleRootSet, catalog, ordered_dot, parse_name
+from .scalars import QuadTower, Scalar, quad_numerators, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -115,15 +115,15 @@ class SpringerReport:
 
 
 def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal)."""
+    """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal,
+    read from the Gram: exactly on exact roots, beyond EDGE_TOL on float roots)."""
     k = simple.rank
-    coords = simple.vectors
+    gram = simple.gram[0]
+    edges = np.abs(gram[..., 0]) > EDGE_TOL if gram.dtype.kind == "f" else (gram != 0).any(axis=2)
     adj = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = coords_dot(coords[i], coords[j])
-            nonzero = (not d.is_zero()) if isinstance(d, QuadTower) else abs(d) > EDGE_TOL
-            if nonzero:
+            if edges[i, j]:
                 adj[i].append(j)
                 adj[j].append(i)
     color = [None] * k
@@ -175,17 +175,16 @@ def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]
                    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The validated words (default for None) and their ``coxeter_matrix``, stacked.
 
-    The roots must be unit (``rootsys.is_unit``), as the versor of a word is
-    then: the matrix alone would not notice a rescaled root.
+    The roots must be unit (``SimpleRootSet.unit``), as the versor of a word
+    is then: the matrix alone would not notice a rescaled root.
     """
     words = [tuple(w) if w is not None else default_word(simple) for w in words]
     for word in words:
         if sorted(word) != list(range(1, simple.rank + 1)):
             raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
-    if not all(is_unit(v) for v in simple.vectors):
+    if not simple.unit:
         raise ValueError("versor must have unit norm")
-    rows = np.array([[float(c) for c in v] for v in simple.vectors])
-    return words, _coxeter_matrices(rows, np.array(words) - 1)
+    return words, _coxeter_matrices(row_floats(*simple.rows), np.array(words) - 1)
 
 
 def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
@@ -198,7 +197,7 @@ def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int
     """
     words, Ms = _word_matrices(simple, words)
     idx = np.array(words) - 1
-    gens = _vector_rows(simple.vectors)
+    gens = _vector_rows(*simple.rows)
     times = right_products(gens, simple.rank)
     W, each = gens[idx[:, 0]], np.arange(len(idx))
     for step in idx.T[1:]:
@@ -284,12 +283,10 @@ def _grade(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient dots of rows, <x reverse(y)>_0, summed one blade at a time.
-
-    ``accumulate`` adds left to right, as a Python loop from 0.0 does; adding
-    0.0 at the end turns the -0.0 of an all -0.0 sum into that loop's 0.0.
-    """
-    return np.add.accumulate(x * y, axis=-1)[..., -1] + 0.0
+    """Coefficient dots of rows, <x reverse(y)>_0, summed one blade at a time
+    as a Python loop from 0.0 sums: ``ordered_dot``, with the -0.0 of an all
+    -0.0 sum turned into that loop's 0.0."""
+    return ordered_dot(x, y) + 0.0
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -300,7 +297,7 @@ def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bivector rows u ^ v of float coordinate vectors: the grade-2 part of
     their geometric product."""
     uv = np.stack([u, v]).astype(float)
-    rows = _vector_rows(uv.reshape(-1, uv.shape[-1]).tolist())
+    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))
     rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
     return _grade(float_products(rows[0], rows[1]), 2)
 
@@ -380,7 +377,7 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
                   validate: bool = True) -> CoxeterPlane:
     """Unit bivector of the plane spanned by the two PF-weighted coloured vectors."""
     white, black = bicolor(simple)
-    pf = pf_eigenvector(cartan_matrix(simple))
+    pf = pf_eigenvector(row_floats(*simple.cartan))
     weights = np.array([[float(c) for c in w] for w in weight_basis(simple)])
 
     def combo(idxs):
@@ -558,8 +555,7 @@ def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Fa
     order: the components, exponentials and reconstructions of all rows in
     stacked passes, the angles one row at a time."""
     dim = Bs.shape[1].bit_length() - 1
-    if Ws.dtype.kind != "f":
-        Ws = np.array([[float(c) for c in row] for row in _row_values(Ws, dim)])
+    Ws = _coefficient_floats(Ws, dim)
     if dim not in (2, 4):
         raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
     s = Ws[:, 0].tolist()
@@ -639,16 +635,13 @@ def plane_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u1[coords], u2[coords]
 
 
-def project_to_plane(vectors: Sequence[Sequence[Scalar]], B: np.ndarray
+def project_to_plane(num: np.ndarray, den: int, B: np.ndarray
                      ) -> list[tuple[float, float]]:
-    """Orthogonal projection of each coordinate row onto the plane of the
-    bivector row B, as (x, y) pairs."""
-    u1, u2 = (u.tolist() for u in plane_basis(B))
-    pts = []
-    for v in vectors:
-        f = [float(c) for c in v]
-        pts.append((coords_dot(f, u1), coords_dot(f, u2)))
-    return pts
+    """Orthogonal projection of each numerator row (n, dim, 4) over ``den``
+    onto the plane of the bivector row B, as (x, y) pairs."""
+    X = row_floats(num, den)
+    u1, u2 = plane_basis(B)
+    return list(zip(ordered_dot(X, u1).tolist(), ordered_dot(X, u2).tolist()))
 
 
 # -- arithmetic identities ---------------------------------------------------------

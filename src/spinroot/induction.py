@@ -7,16 +7,18 @@ the point (a0, a1, a2, a3) turns the spin group into a root system one
 dimension up (rank 2 maps to rank 2 via a + b e1e2 -> (a, b)).
 
 A group is its closure rows, sorted once by ``rootsys.canonical_order`` on
-their coefficient values, so indices, Cayley tables and everything downstream
-are deterministic.
+their floats (``scalars.row_floats``), so indices, Cayley tables and
+everything downstream are deterministic.  An induced set is numerator rows
+over one denominator, as a ``RootSystem`` is: validation, identification and
+the spinor character read them, and ``vectors`` is a view built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,24 +36,24 @@ from .rootsys import (
 from .scalars import (
     FIELD_TENSOR_MAX,
     KEY_DECIMALS,
-    Scalar,
     closure_row_keys,
     exact_matmul,
     field_matrix,
     kernel_dtype,
-    quad_numerators,
-    quad_values,
+    read_only,
     reduce_rows,
+    row_floats,
     row_keys,
+    scalar_values,
 )
 
 GROUP_CAP = 10_000  # most elements generate_pin_group closes before giving up
 UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
-def _vector_rows(vectors: Sequence[Sequence[Scalar]]) -> np.ndarray:
-    """Rows, in the layout of ``_numerator_rows``, of the vectors with these coordinates."""
-    num, den = quad_numerators(vectors)                  # (n, dim, 4)
+def _vector_rows(num: np.ndarray, den: int) -> np.ndarray:
+    """Rows, in the layout of ``_numerator_rows``, of the vectors with the
+    coordinate numerators (n, dim, 4) over ``den``."""
     n, dim = num.shape[:2]
     blades = np.zeros((n, 1 << dim, 4), dtype=num.dtype)
     blades[:, [1 << i for i in range(dim)]] = num
@@ -73,12 +75,12 @@ def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
     return reduce_rows(rows)
 
 
-def _row_values(rows: np.ndarray, dim: int) -> list:
-    """Coefficient lists, floats or QuadTowers, of rows in the layout of ``_numerator_rows``."""
+def _coefficient_floats(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Float coefficient rows (n, 2**dim) of rows in the layout of
+    ``_numerator_rows``, exact ones through ``row_floats``."""
     if rows.dtype.kind == "f":
-        return rows.tolist()
-    num = rows[:, :-1].reshape(len(rows), 1 << dim, 4)
-    return quad_values(num, rows[:, -1].astype(object)[:, None]).tolist()
+        return rows
+    return row_floats(rows[:, :-1].reshape(len(rows), 1 << dim, 4), rows[:, -1:])
 
 
 def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
@@ -107,6 +109,7 @@ class VersorGroup:
     _cayley: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
+        read_only(self.rows)
         self._index = {key: i for i, key in enumerate(closure_row_keys(self.rows))}
 
     @property
@@ -200,7 +203,7 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     if simple.rank not in (2, 3):
         raise ValueError("pin groups are generated from rank-2/3 root systems")
     dim = simple.rank
-    gens = _vector_rows(simple.vectors)
+    gens = _vector_rows(*simple.rows)
     negated = -gens if gens.dtype.kind == "f" else np.hstack([-gens[:, :-1], gens[:, -1:]])
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
@@ -209,7 +212,7 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
         rows = orbit(seeds, right_products(gens, dim), closure_row_keys, GROUP_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
-    rows = rows[canonical_order(_row_values(rows, dim))]
+    rows = rows[canonical_order(_coefficient_floats(rows, dim))]
     odd, even = _grade_parities(rows, dim)
     if (odd & even).any():
         raise ValueError("group element without homogeneous parity")
@@ -228,17 +231,25 @@ def even_subgroup(G: VersorGroup) -> VersorGroup:
                        parities=("even",) * len(picked), parity="spin")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Induced4DSet:
-    """Spinor coordinates of a spin group, read as points one dimension up."""
+    """Spinor coordinates of a spin group, read as points one dimension up:
+    numerator rows (count, dim, 4) over ``den``, float rows over 1 on the
+    float backend."""
 
-    vectors: tuple
+    num: np.ndarray
+    den: int
     dim: int
     source_name: str
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.num)
+
+    @cached_property
+    def vectors(self) -> tuple:
+        """The coordinates, QuadTowers or floats, built from the rows on first read."""
+        return scalar_values(self.num, self.den)
 
 
 def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
@@ -248,21 +259,24 @@ def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
         raise ValueError("spinor reinterpretation needs Cl(2) or Cl(3)")
     if _grade_parities(G.rows, G.dim)[0].any():
         raise ValueError("odd-grade contamination in spin group")
-    values = _row_values(G.rows, G.dim)
+    num, den = _common_numerators(G.rows, G.dim)
+    num = num.reshape(G.order, 1 << G.dim, 4)
     if G.dim == 3:
         # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign
-        vectors = tuple((c[0b000], c[0b110], -c[0b101], c[0b011]) for c in values)
+        num = num[:, [0b000, 0b110, 0b101, 0b011]] * np.array([1, 1, -1, 1])[:, None]
     else:
-        vectors = tuple((c[0b00], c[0b11]) for c in values)
-    return Induced4DSet(vectors=vectors, dim=4 if G.dim == 3 else 2, source_name=G.name)
+        num = num[:, [0b00, 0b11]]
+    return Induced4DSet(num=read_only(num), den=den, dim=4 if G.dim == 3 else 2,
+                        source_name=G.name)
 
 
 # -- identification ------------------------------------------------------------
 
 
-def fingerprint(vectors: Sequence[Sequence[Scalar]]):
-    """Rotation-invariant signature of coordinate rows: count + multiset of pairwise dots."""
-    X = np.array(vectors, dtype=float)
+def fingerprint(num: np.ndarray, den: int):
+    """Rotation-invariant signature of numerator rows (n, dim, 4) over ``den``:
+    count + multiset of pairwise dots."""
+    X = row_floats(num, den)
     n = len(X)
     gram = X @ X.T
     dots = np.sort(np.round(gram[np.triu_indices(n, 1)], KEY_DECIMALS) + 0.0)
@@ -289,12 +303,12 @@ def _reference_fingerprints(dim: int, count: int):
     refs = {}
     for key, m in names:
         system = root_system(key, m)
-        refs[system.name] = fingerprint(system.vectors)
+        refs[system.name] = fingerprint(system.num, system.den)
     return refs
 
 
 def identify_root_system(S: Induced4DSet) -> str:
-    fp = fingerprint(S.vectors)
+    fp = fingerprint(S.num, S.den)
     refs = _reference_fingerprints(S.dim, fp[0])
     matches = [name for name, ref in refs.items() if ref == fp]
     if not matches:

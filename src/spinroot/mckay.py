@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .induction import VersorGroup, _row_values
+from .induction import VersorGroup, _coefficient_floats
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
@@ -289,7 +289,7 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
         raise ValueError("spinor character needs a spin group")
     if classes is None:
         classes = conjugacy_classes(G)
-    scalars = [float(c[0]) for c in _row_values(G.rows, G.dim)]
+    scalars = _coefficient_floats(G.rows, G.dim)[:, 0].tolist()
     out = []
     for members in classes.classes:
         vals = [2.0 * scalars[m] for m in members]

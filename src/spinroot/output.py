@@ -94,7 +94,8 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
         emit("cartan.csv", f"# {meta_comment(meta)}\n" + cartan_to_csv(simple))
     elif kind == "projection":
         plane = coxeter_plane_for(name, n)
-        points = project_to_plane(root_system(name, n).vectors, plane.bivector)
+        system = root_system(name, n)
+        points = project_to_plane(system.num, system.den, plane.bivector)
         emit("projection.csv", projection_csv(points, meta))
         emit("projection.svg", projection_svg(points, meta))
     elif kind == "mckay-graph":

@@ -17,9 +17,15 @@ with A the Cartan matrix (5.4), on integer field numerators, and become
 Cartesian by one product with the simple roots; float systems close on
 Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
 decimals.  Both closures, and the pin closure of ``induction``, are sorted
-once by ``canonical_order`` on their coefficient values.  A ``SimpleRootSet``
-holds the coordinate rows of its simple roots and a ``RootSystem`` its sorted
-coordinate rows; both build Multivectors only when ``roots`` is read.
+once by ``canonical_order`` on the floats of their rows.
+
+The data is numerator rows (``scalars.quad_numerators``): a ``RootSystem``
+holds its roots as numerators (count, dim, 4) over one denominator (float
+rows over 1 on the float backend); its ``vectors`` and ``roots`` are views
+built on first read.  A ``SimpleRootSet`` is given by its ``vectors``, the
+catalog literals, and forms one Gram matrix on its rows, the only source of
+the Cartan matrix, the unit check, the Coxeter graph and the rotation orders.
+Every float of an exact row comes from ``scalars.row_floats``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,12 +53,15 @@ from .scalars import (
     TAU,
     closure_row_keys,
     exact_matmul,
+    field_inverse,
     field_matrix,
     kernel_dtype,
     quad_numerators,
-    quad_values,
+    read_only,
     reduce_rows,
+    row_floats,
     row_keys,
+    scalar_values,
 )
 
 CLOSURE_CAP = 10_000       # most roots generate_roots closes before giving up
@@ -97,15 +107,41 @@ def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.nda
     return np.concatenate(levels)
 
 
-def canonical_order(values: Sequence[Sequence[Scalar]]) -> list[int]:
-    """Indices that sort rows of coefficient values, floats or QuadTowers, by the
+def canonical_order(floats) -> list[int]:
+    """Indices that sort float rows, as ``row_floats`` gives them, by their
     values rounded with Python ``round`` (``np.round`` differs at ties)."""
-    keys = [tuple(round(float(c), SORT_DECIMALS) for c in row) for row in values]
+    keys = [tuple(round(c, SORT_DECIMALS) for c in row) for row in np.asarray(floats).tolist()]
     return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float dots over the last axis, broadcast, summed left to right in
+    coordinate order: BLAS may reorder or fuse, which would move the float
+    Cartan matrix, the PF vectors and the printed planes by an ulp."""
+    return np.add.accumulate(x * y, axis=-1)[..., -1]
+
+
+def _gram(num: np.ndarray) -> np.ndarray:
+    """Numerators (n, n, 4) of the Gram matrix (x_i|x_j) of numerator rows
+    (n, dim, 4), over their denominator squared: exact rows in their dtype,
+    float rows by ``ordered_dot``."""
+    n, dim = num.shape[:2]
+    if num.dtype.kind == "f":
+        gram = np.zeros((n, n, 4))
+        gram[..., 0] = ordered_dot(num[:, None, :, 0], num[None, :, :, 0])
+        return gram
+    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d]): 4 dim terms of
+    # size at most T_max m^2
+    bound = 4 * dim * FIELD_TENSOR_MAX * int(np.abs(num).max()) ** 2
+    mult = field_matrix(num).transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)
+    return exact_matmul(num.reshape(n, dim * 4), mult, bound).reshape(n, n, 4)
 
 
 @dataclass(frozen=True)
 class SimpleRootSet:
+    """Simple roots given by their coordinates, the catalog literals; their
+    numerator rows, Gram and Cartan matrix are formed once, on first read."""
+
     name: str                      # display name, e.g. "I2(5)"
     key: str                       # catalog key, e.g. "I2"
     rank: int
@@ -119,17 +155,62 @@ class SimpleRootSet:
         """The simple roots as Multivectors, built from ``vectors`` on first use."""
         return tuple(Multivector.from_vector(v) for v in self.vectors)
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, int]:
+        """``quad_numerators`` of ``vectors``: (rank, dim, 4) over one denominator."""
+        num, den = quad_numerators(self.vectors)
+        return read_only(num), den
 
-@dataclass(frozen=True)
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, int]:
+        """Gram numerators (rank, rank, 4) and their denominator: the one source
+        of the Cartan matrix, the unit check, the Coxeter graph and the rotation orders."""
+        num, den = self.rows
+        return read_only(_gram(num)), den * den
+
+    @cached_property
+    def cartan(self) -> tuple[np.ndarray, int]:
+        """Numerators (rank, rank, 4) of 2 (a_i|a_j) / (a_j|a_j) over their least denominator."""
+        g, diag = self.gram[0], np.arange(self.rank)
+        if g.dtype.kind == "f":
+            return read_only(g * 2 / g[diag, diag, 0][:, None]), 1
+        # 2 G_ij / G_jj = 2 G_ij inv_j / norm_j, over the lcm of the norms
+        g = g.astype(object)
+        inv, norm = field_inverse(g[diag, diag])
+        den = lcm(*norm.tolist())
+        num = (g[:, :, None] @ field_matrix(inv))[:, :, 0]
+        num *= (2 * den // norm)[:, None]
+        common = gcd(*num.ravel().tolist(), den)
+        return read_only(num // common), den // common
+
+    @property
+    def unit(self) -> bool:
+        """(a|a) = 1 for every simple root: exactly, or within UNIT_ROOT_TOL on floats."""
+        g, den = self.gram
+        diag = g[np.arange(self.rank), np.arange(self.rank)]
+        if g.dtype.kind == "f":
+            return bool((np.abs(diag[:, 0] - 1.0) < UNIT_ROOT_TOL).all())
+        return bool((diag == [den, 0, 0, 0]).all())
+
+
+@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """Roots as numerator rows (count, dim, 4) over ``den`` (float rows over 1),
+    sorted by ``canonical_order``."""
+
     name: str
     simple: SimpleRootSet
-    vectors: tuple[tuple[Scalar, ...], ...]    # root coordinates, canonically sorted
-    cartan: tuple[tuple[Scalar, ...], ...]
+    num: np.ndarray
+    den: int
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.num)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The coordinates, QuadTowers or floats, built from the rows on first read."""
+        return scalar_values(self.num, self.den)
 
     @cached_property
     def roots(self) -> tuple[Multivector, ...]:
@@ -305,16 +386,24 @@ def expected_root_count(key: str, n: Optional[int] = None) -> int:
 
 
 def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -> SimpleRootSet:
-    """Return the catalog simple-root set, optionally forced to the float backend."""
+    """Return the catalog simple-root set, optionally forced to the float backend.
+
+    One object per system and backend, so each Gram is formed once.
+    """
     key, n = parse_name(name, n)
-    rank, native_backend, family, word, _ = _CATALOG[key]
-    if family:
+    if _CATALOG[key][2]:
         if n is None:
             raise UnknownSystemError(f"{key} needs a family parameter n >= 2")
         if n < 2:
             raise UnknownSystemError(f"family parameter n={n} must be >= 2")
     else:
         n = None
+    return _catalog_set(key, n, backend)
+
+
+@lru_cache(maxsize=None)
+def _catalog_set(key: str, n: Optional[int], backend: Optional[str]) -> SimpleRootSet:
+    rank, native_backend, _, word, _ = _CATALOG[key]
     vectors = _build_roots(key, n)
     use_backend = native_backend
     if backend is not None:
@@ -328,52 +417,33 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
                 )
         else:
             raise UnknownSystemError(f"unknown backend {backend!r}")
-    if not all(is_unit(v) for v in vectors):
-        raise ValueError(f"catalog root of {key} not unit")
-    return SimpleRootSet(
+    simple = SimpleRootSet(
         name=display_name(key, n), key=key, rank=rank,
         vectors=tuple(vectors), backend=use_backend, n=n, default_word=word,
     )
-
-
-def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
-    """(u|v) of two coordinate tuples, summed in coordinate order."""
-    total = uc[0] * vc[0]
-    for a, b in zip(uc[1:], vc[1:]):
-        total = total + a * b
-    return total
-
-
-def is_unit(v: Sequence[Scalar]) -> bool:
-    """(v|v) = 1: exactly on exact coordinates, within ``UNIT_ROOT_TOL`` on floats."""
-    ns = coords_dot(v, v)
-    return ns == QT_ONE if isinstance(ns, QuadTower) else abs(ns - 1.0) < UNIT_ROOT_TOL
+    if not simple.unit:
+        raise ValueError(f"catalog root of {key} not unit")
+    return simple
 
 
 def cartan_matrix(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
-    """Entries 2(a_i|a_j)/(a_j|a_j)."""
-    coords = simple.vectors
-    norms = [coords_dot(c, c) for c in coords]
-    return tuple(tuple((coords_dot(ci, cj) * 2) / nj for cj, nj in zip(coords, norms))
-                 for ci in coords)
+    """Entries 2(a_i|a_j)/(a_j|a_j), QuadTowers or floats: ``SimpleRootSet.cartan`` printed."""
+    return scalar_values(*simple.cartan)
 
 
-def generate_roots(simple: SimpleRootSet, key_decimals: int = KEY_DECIMALS) -> RootSystem:
+def generate_roots(simple: SimpleRootSet) -> RootSystem:
     """Orbit of the simple roots under the simple reflections, sorted canonically."""
-    cartan = cartan_matrix(simple)
     try:
-        if simple.backend == "exact":
-            coords = _exact_closure(simple, cartan)
-        else:
-            coords = _float_closure(simple, key_decimals)
+        num, den = (_exact_closure if simple.backend == "exact" else _float_closure)(simple)
     except ClosureCapError as exc:
         raise ClosureCapError(f"closure of {simple.name} exceeded {CLOSURE_CAP} roots") from exc
-    vectors = tuple(tuple(coords[i]) for i in canonical_order(coords))
-    return RootSystem(name=simple.name, simple=simple, vectors=vectors, cartan=cartan)
+    order = canonical_order(row_floats(num, den))
+    return RootSystem(name=simple.name, simple=simple, num=read_only(num[order]), den=den)
 
 
-def _exact_closure(simple: SimpleRootSet, cartan) -> list[list[QuadTower]]:
-    """Coordinates of the exact roots, closed in simple-root coordinates.
+def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
+    """Numerator rows (count, dim, 4) of the exact roots over one denominator,
+    closed in simple-root coordinates.
 
     A root sum_j c_j a_j is the row of its coefficients c as field numerators,
     followed by their positive denominator, divided through by the gcd of the
@@ -382,7 +452,7 @@ def _exact_closure(simple: SimpleRootSet, cartan) -> list[list[QuadTower]]:
     N A_den - (N . A)_i e_i over q A_den, exactly, on ``kernel_dtype`` integers.
     """
     rank = simple.rank
-    a_num, a_den = quad_numerators(cartan)                       # (rank, rank, 4)
+    a_num, a_den = simple.cartan                                 # (rank, rank, 4)
     # (N . A)[i] = sum over j of N[j] @ field_matrix(A[j, i])
     mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(rank * 4, rank * 4)
     # every image numerator sums a_den |N| and 4 rank terms of size T_max |A| |N|
@@ -402,41 +472,33 @@ def _exact_closure(simple: SimpleRootSet, cartan) -> list[list[QuadTower]]:
     seeds = np.zeros((rank, rank * 4 + 1), dtype=np.int64)
     seeds[diag, diag * 4] = seeds[:, -1] = 1
     rows = orbit(seeds, step, closure_row_keys, CLOSURE_CAP)
-    num, den = rows[:, :-1], rows[:, -1]
-    s_num, s_den = quad_numerators(simple.vectors)  # (rank, dim, 4)
+    num, den = rows[:, :-1], rows[:, -1].tolist()
+    s_num, s_den = simple.rows                    # (rank, dim, 4)
     dim = s_num.shape[1]
     # root = sum_j c_j a_j: numerators over den * s_den
     to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(rank * 4, dim * 4)
     dtype = kernel_dtype(4 * rank * FIELD_TENSOR_MAX * int(np.abs(s_num).max())
                          * int(np.abs(num).max()))
-    cart = num.astype(dtype) @ to_cartesian.astype(dtype)
-    return quad_values(cart.reshape(len(rows), dim, 4),
-                       den.astype(object)[:, None] * s_den).tolist()
+    cart = (num.astype(dtype) @ to_cartesian.astype(dtype)).astype(object)
+    common = lcm(*den)
+    cart *= np.array([common // q for q in den], dtype=object)[:, None]
+    return cart.reshape(len(rows), dim, 4), common * s_den
 
 
-def _float_closure(simple: SimpleRootSet, key_decimals: int) -> list[list[float]]:
-    """Coordinates of the float roots, closed on Cartesian rows keyed at
-    ``key_decimals`` decimals.
+def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
+    """Float rows of the roots, closed on Cartesian rows keyed by ``row_keys``.
 
-    s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed one column at a
-    time in coordinate order, as ``coords_dot`` sums them.
+    s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed by
+    ``ordered_dot`` and (a|a) read from the Gram.
     """
-    gens = np.array(simple.vectors)   # (rank, dim)
-
-    def sum_columns(rows: np.ndarray, a: np.ndarray):
-        total = rows[..., 0] * a[0]
-        for c in range(1, len(a)):
-            total = total + rows[..., c] * a[c]
-        return total
-
-    norms = [sum_columns(a, a) for a in gens]
+    gens, norms = row_floats(*simple.rows), np.diagonal(simple.gram[0][..., 0])
 
     def step(rows: np.ndarray) -> np.ndarray:
-        images = [rows - ((sum_columns(rows, a) * 2) / aa)[:, None] * a
+        images = [rows - ((ordered_dot(rows, a) * 2) / aa)[:, None] * a
                   for a, aa in zip(gens, norms)]
         return np.stack(images, axis=1).reshape(-1, gens.shape[1])
 
-    return orbit(gens, step, lambda rows: row_keys(rows, key_decimals), CLOSURE_CAP).tolist()
+    return quad_numerators(orbit(gens, step, row_keys, CLOSURE_CAP))
 
 
 @lru_cache(maxsize=None)
@@ -454,10 +516,10 @@ def rotation_orders(simple: SimpleRootSet):
     if simple.rank not in (2, 3):
         raise ValueError("rotation orders are defined for rank 2 and 3")
     orders = []
-    r = simple.vectors
+    dots = row_floats(*simple.gram).tolist()
     for i in range(simple.rank):
         for j in range(i + 1, simple.rank):
-            c = max(-1.0, min(1.0, float(coords_dot(r[i], r[j]))))
+            c = max(-1.0, min(1.0, dots[i][j]))
             phi = math.acos(c)
             m = None
             for k in range(1, ROTATION_CAP + 1):
@@ -485,11 +547,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.missing_negatives
-            or self.parallel_violations
-            or self.reflection_violations
-        )
+        return not self.violation_count
 
     @property
     def violation_count(self) -> int:
@@ -500,35 +558,40 @@ class ValidationReport:
         )
 
 
-def _direction_key(coords: Sequence[Scalar], exact: bool, index: int):
-    if exact:
-        pivot = next((c for c in coords if not c.is_zero()), None)
-    else:
-        coords = [float(c) for c in coords]
-        pivot = next((c for c in coords if abs(c) > 10.0 ** -KEY_DECIMALS), None)
-    if pivot is None:
-        raise ValueError(f"vector {index} is zero; a root system has no zero vector")
-    if exact:
-        inv = pivot.inverse()
-        return tuple(c * inv for c in coords)
-    return tuple(round(c / pivot, KEY_DECIMALS) + 0.0 for c in coords)
+def _direction_keys(num: np.ndarray) -> list:
+    """Per row, a key that parallel rows share: the row divided by its first
+    nonzero coordinate, exactly on exact rows, rounded to ``KEY_DECIMALS``
+    decimals on float rows."""
+    floats = num.dtype.kind == "f"
+    nonzero = (np.abs(num[..., 0]) > 10.0 ** -KEY_DECIMALS if floats
+               else (num != 0).any(axis=2))
+    zero = np.flatnonzero(~nonzero.any(axis=1))
+    if len(zero):
+        raise ValueError(f"vector {zero[0]} is zero; a root system has no zero vector")
+    pivots = num[np.arange(len(num)), nonzero.argmax(axis=1)]     # (n, 4)
+    if floats:
+        return [tuple(round(c / p, KEY_DECIMALS) + 0.0 for c in row)
+                for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
+    # x / p = x inv / norm = (x inv norm) / norm**2, over a positive denominator
+    inv, norm = field_inverse(pivots.astype(object))
+    scaled = (num.astype(object) @ field_matrix(inv)).reshape(len(num), -1) * norm[:, None]
+    return row_keys(reduce_rows(np.hstack([scaled, (norm * norm)[:, None]])))
 
 
-def validate_root_system(vectors: Sequence[Sequence[Scalar]],
-                         max_samples: int = 16) -> ValidationReport:
-    """Check the two root-system axioms on coordinate rows, comparing numerator
-    rows by ``row_keys``; violations are data, not errors."""
-    if not len(vectors):
+def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationReport:
+    """Check the two root-system axioms on numerator rows (n, dim, 4), a root
+    set's ``num`` or ``quad_numerators`` of coordinates, comparing rows by
+    ``row_keys``; violations are data, not errors.  The axioms do not see the
+    rows' common denominator."""
+    if not len(num):
         return ValidationReport((), (), (), 0)
-    num, _ = quad_numerators(vectors)                  # (n, dim, 4)
-    exact = num.dtype == object
     flat = num.reshape(len(num), -1)
     keys, neg_keys = row_keys(flat), row_keys(-flat)
     present = set(keys)
     missing = tuple(i for i, k in enumerate(neg_keys) if k not in present)
     by_direction: dict = {}
-    for i, v in enumerate(vectors):
-        by_direction.setdefault(_direction_key(v, exact, i), []).append(i)
+    for i, key in enumerate(_direction_keys(num)):
+        by_direction.setdefault(key, []).append(i)
     parallel = tuple(tuple(ids) for ids in by_direction.values()
                      if len(ids) > 2 or (len(ids) == 2 and neg_keys[ids[0]] != keys[ids[1]]))
     refl = _reflection_violations(num, max_samples)
@@ -539,25 +602,21 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
 
     On numerator rows N (n, dim, 4) over D with Gram numerators G = (N|N) over
-    D**2, (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators G_aa N_x - 2 G_xa N_a
-    over D**3, the denominator of (a|a) y as G_aa N_y, so membership in
-    (a|a) Phi compares rows, with no division: integer rows exactly, float
-    rows by ``row_keys`` rounding.
+    D**2 (``_gram``), (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators
+    G_aa N_x - 2 G_xa N_a over D**3, the denominator of (a|a) y as G_aa N_y, so
+    membership in (a|a) Phi compares rows, with no division: integer rows
+    exactly, float rows by ``row_keys`` rounding.
     """
     n, dim = num.shape[:2]
     bound = 0
-    if num.dtype == object:
+    if num.dtype.kind != "f":
         m = int(np.abs(num).max())
         # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4
         # terms of size T_max |G| m
         bound = 12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3
         num = num.astype(kernel_dtype(bound))
-    flat = num.reshape(n, dim * 4)
-    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d]): 4 dim terms of
-    # size <= T_max m^2 each, below the bound
     mult = field_matrix(num)                                # (n, dim, 4, 4)
-    gram = exact_matmul(flat, mult.transpose(1, 2, 0, 3).reshape(dim * 4, n * 4), bound)
-    gram = gram.reshape(n, n, 4)
+    gram = _gram(num)
     length_keys = row_keys(gram[np.arange(n), np.arange(n)])
     scaled_roots: dict = {}   # (a|a) Phi per squared length
     out = []

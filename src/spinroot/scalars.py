@@ -9,17 +9,19 @@ are structural.
 
 The float backend is plain Python ``float``; mixing the two backends in
 arithmetic is an error, never a silent coercion (QuadTower returns
-NotImplemented for float operands).  The only exact-to-float bridge is the
-explicit ``to_float`` / ``float()`` embedding.
+NotImplemented for float operands).  QuadTower itself serves the catalog
+literals, exact printing and JSON.
 
-Pairwise work over whole sets runs on arrays instead, on both backends: a set
-becomes numerator rows over the same basis with one common denominator
-(``quad_numerators``), and products are matrix products through the
-structure tensor ``FIELD_TENSOR`` (``field_matrix``).  Exact rows are
-integers: ``kernel_dtype`` picks int64 when a bound on every intermediate
-fits, and Python ints otherwise, so the result is exact.  Float rows use
-only the basis-1 column over the denominator 1.  ``row_keys`` hashes both,
-exactly or rounded to ``KEY_DECIMALS`` decimals.
+The data of every set is numerator rows instead, on both backends: a set is
+its numerators over the same basis with one common denominator
+(``quad_numerators``; ``scalar_values`` is the inverse, for printing), and
+products are matrix products through the structure tensor ``FIELD_TENSOR``
+(``field_matrix``; ``field_inverse`` divides).  Exact rows are integers:
+``kernel_dtype`` picks int64 when a bound on every intermediate fits, and
+Python ints otherwise, so the result is exact.  Float rows use only the
+basis-1 column over the denominator 1.  ``row_floats`` is the one bridge from
+rows to floats, bit for bit ``float()`` of each QuadTower.  ``row_keys``
+hashes rows, exactly or rounded to ``KEY_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
@@ -175,55 +177,17 @@ class QuadTower:
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "QuadTower":
-        """Field automorphism sqrt2 -> -sqrt2 (sqrt5 fixed)."""
-        return QuadTower._raw(self._na, -self._nb, self._nc, -self._nd, self._q)
-
-    def galois_conjugate(self) -> "QuadTower":
-        """Field automorphism sqrt5 -> -sqrt5 (sqrt2 fixed); sends tau to sigma."""
-        return QuadTower._raw(self._na, self._nb, -self._nc, -self._nd, self._q)
-
     def inverse(self) -> "QuadTower":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(sqrt2, sqrt5)")
-        c2 = self.conj_sqrt2()
-        c5 = self.galois_conjugate()
-        c25 = c2.galois_conjugate()
-        num = c2 * c5 * c25
-        nrm = self * num
-        # the full Galois norm is rational by construction
-        if nrm._nb or nrm._nc or nrm._nd:
-            raise ArithmeticError("norm not rational (internal error)")
-        return QuadTower._raw(
-            num._na * nrm._q, num._nb * nrm._q, num._nc * nrm._q, num._nd * nrm._q,
-            num._q * nrm._na,
-        )
+        num, norm = field_inverse(np.array([self._na, self._nb, self._nc, self._nd], dtype=object))
+        return QuadTower._raw(*(num * self._q).tolist(), int(norm))
 
     def __truediv__(self, other):
         o = QuadTower._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = QuadTower._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QT_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         o = QuadTower._coerce(other)
@@ -284,12 +248,6 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, QuadTower)
 
 
-def galois_conjugate(x: QuadTower) -> QuadTower:
-    if not isinstance(x, QuadTower):
-        raise BackendMismatchError("galois_conjugate is defined on the exact backend only")
-    return x.galois_conjugate()
-
-
 def scalar_str(x: Scalar) -> str:
     """Serialization form: exact as 'p/q+p/q*r2+...', float as 17-digit decimal."""
     if is_exact(x):
@@ -347,16 +305,38 @@ def quad_numerators(values) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=object).reshape(arr.shape + (4,)), den
 
 
-def quad_values(num: np.ndarray, den) -> np.ndarray:
-    """QuadTower array of the numerator rows (..., 4) over ``den``.
+def read_only(rows: np.ndarray) -> np.ndarray:
+    """``rows``, no longer writable: rows that the caches share are never
+    changed in place, so no result depends on an earlier caller."""
+    rows.setflags(write=False)
+    return rows
 
-    The inverse of ``quad_numerators``; ``den`` is one positive denominator or
-    one per row.
+
+def scalar_values(num: np.ndarray, den: int) -> tuple:
+    """Rows of scalars, QuadTowers or floats, of numerator rows (n, k, 4) over
+    ``den``: the inverse of ``quad_numerators``, for printing and JSON."""
+    if num.dtype.kind == "f":
+        return tuple(map(tuple, num[..., 0].tolist()))
+    return tuple(tuple(QuadTower._raw(*x, den) for x in row) for row in num.tolist())
+
+
+def row_floats(num: np.ndarray, den) -> np.ndarray:
+    """Floats (...) of numerator rows (..., 4) over ``den`` (one denominator, or
+    one per row): the one bridge from exact rows to floats.
+
+    Bit for bit ``float(QuadTower)``: each scalar is divided by the gcd of its
+    numerators and denominator, then evaluated as
+    (((a + b sqrt2) + c sqrt5) + d sqrt10) / q, on float64 when every integer
+    is below 2**53 (so converts exactly), else on the Python ints.
     """
-    den = np.broadcast_to(np.asarray(den, dtype=object), num.shape[:-1])
-    flat = [QuadTower._raw(*row, q)
-            for row, q in zip(num.reshape(-1, 4).tolist(), den.ravel().tolist())]
-    return np.array(flat, dtype=object).reshape(num.shape[:-1])
+    if num.dtype.kind == "f":
+        return num[..., 0]
+    q = np.broadcast_to(np.asarray(den, dtype=object), num.shape[:-1])[..., None]
+    parts = np.concatenate([num.astype(object), q], axis=-1)
+    if int(np.abs(parts).max()) < 1 << 53:
+        parts = parts.astype(np.int64)
+    a, b, c, d, q = np.moveaxis(parts // np.gcd.reduce(parts, axis=-1, keepdims=True), -1, 0)
+    return ((a + b * _SQRT2 + c * _SQRT5 + d * _SQRT10) / q).astype(np.float64)
 
 
 def kernel_dtype(bound: int):
@@ -395,17 +375,30 @@ def field_matrix(x: np.ndarray) -> np.ndarray:
     return np.einsum("...p,pqr->...qr", x, FIELD_TENSOR)
 
 
-def row_keys(rows: np.ndarray, decimals: int = KEY_DECIMALS) -> list:
+#: numerator signs of the other Galois conjugates: sqrt2, sqrt5, both negated
+_CONJUGATES = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def field_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators (..., 4) and norms (...) with 1/x = num / norm, for nonzero
+    numerator rows x (..., 4): num is the product of the other three Galois
+    conjugates of x, so the norm x num is rational.  Exact in the dtype of x."""
+    c2, c5, c10 = (x * signs for signs in _CONJUGATES)
+    num = (c2[..., None, :] @ field_matrix(c5) @ field_matrix(c10))[..., 0, :]
+    return num, (x[..., None, :] @ field_matrix(num))[..., 0, 0]
+
+
+def row_keys(rows: np.ndarray) -> list:
     """Hashable keys of the rows of a 2D array.
 
     Integer rows are equal exactly when their keys are; float rows are keyed
-    by their values rounded to ``decimals`` decimals (``+ 0.0`` folds -0.0
-    into 0.0).
+    by their values rounded to ``KEY_DECIMALS`` decimals, read at each call
+    (``+ 0.0`` folds -0.0 into 0.0).
     """
     if rows.dtype == object:
         return [tuple(r) for r in rows.tolist()]
     if rows.dtype.kind == "f":
-        rows = np.round(rows, decimals) + 0.0
+        rows = np.round(rows, KEY_DECIMALS) + 0.0
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 

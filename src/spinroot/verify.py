@@ -57,12 +57,12 @@ def check_group_orders(n_max: int = ade.N_MAX) -> list[CheckResult]:
         out.append(_res(1, f"{name} pin/spin/induced",
                         (P.order, S.order, I.count) == (pin_n, spin_n, count),
                         (P.order, S.order, I.count), (pin_n, spin_n, count)))
-        rep = validate_root_system(I.vectors)
+        rep = validate_root_system(I.num)
         out.append(_res(1, f"{name} induced set axioms", rep.ok,
                         f"{rep.violation_count} violations", "0 violations"))
     for n in range(2, n_max + 1):
         I = induced_set("A1xI2", n)
-        rep = validate_root_system(I.vectors)
+        rep = validate_root_system(I.num)
         out.append(_res(1, f"A1xI2({n}) induced count+axioms",
                         I.count == 4 * n and rep.ok,
                         (I.count, rep.violation_count), (4 * n, 0)))
@@ -470,7 +470,8 @@ def check_direct_map(n_max: int = ade.N_MAX) -> list[CheckResult]:
 def check_projection_and_exports(seed: int = mckay.DEFAULT_SEED) -> list[CheckResult]:
     out = []
     plane = coxplane.coxeter_plane_for("A4")
-    points = coxplane.project_to_plane(root_system("A4").vectors, plane.bivector)
+    a4 = root_system("A4")
+    points = coxplane.project_to_plane(a4.num, a4.den, plane.bivector)
     radii = sorted(math.hypot(x, y) for x, y in points)
     classes: list[list[float]] = []
     for r in radii:

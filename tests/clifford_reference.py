@@ -22,8 +22,8 @@ import numpy as np
 
 from spinroot import coxplane
 from spinroot.clifford import GRADE_TOL, Multivector, blade_name
-from spinroot.induction import VersorGroup, _numerator_rows, _row_values
-from spinroot.rootsys import SimpleRootSet, coords_dot
+from spinroot.induction import VersorGroup, _numerator_rows
+from spinroot.rootsys import SimpleRootSet, cartan_matrix
 from spinroot.scalars import (
     KEY_DECIMALS,
     QT_HALF,
@@ -118,6 +118,24 @@ def to_float(a: Multivector) -> Multivector:
 def to_blade_dict(a: Multivector) -> dict:
     """Nonzero blade coefficients keyed by blade name ('' for the scalar)."""
     return {blade_name(m): scalar_to_json(c) for m, c in a.nz}
+
+
+def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
+    """(u|v) of two coordinate tuples, summed in coordinate order."""
+    total = uc[0] * vc[0]
+    for a, b in zip(uc[1:], vc[1:]):
+        total = total + a * b
+    return total
+
+
+def _row_values(rows: np.ndarray, dim: int) -> list:
+    """Coefficient lists, floats or QuadTowers, of rows in the layout of
+    ``induction._numerator_rows``: blade-major field numerators and one
+    denominator per row."""
+    if rows.dtype.kind == "f":
+        return rows.tolist()
+    return [[QuadTower._raw(*row[4 * b:4 * b + 4], row[-1]) for b in range(1 << dim)]
+            for row in rows.tolist()]
 
 
 def row_multivector(row: np.ndarray, dim: int) -> Multivector:
@@ -291,7 +309,7 @@ def reference_plane(simple: SimpleRootSet) -> Multivector:
     """The PF plane bivector of ``coxplane.coxeter_plane``, built from
     Multivector sums and products (not validated)."""
     white, black = coxplane.bicolor(simple)
-    pf = coxplane.pf_eigenvector(coxplane.cartan_matrix(simple))
+    pf = coxplane.pf_eigenvector(cartan_matrix(simple))
     wf = [to_float(Multivector.from_vector(w)) for w in coxplane.weight_basis(simple)]
 
     def combo(idxs):

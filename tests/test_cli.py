@@ -32,6 +32,26 @@ def test_catalog_family_n(capsys):
     assert "I2(8)" in out and "roots 16" in out
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_catalog_family_n_below_2_is_usage_error(n, capsys):
+    assert main(["catalog", f"--family-n={n}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: family parameter n={int(n)} must be >= 2\n"
+
+
+@pytest.mark.parametrize("argv", [["export", "roots", "A3"], ["project", "A4"]])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_path_that_is_a_file_is_usage_error(argv, under, tmp_path, capsys):
+    # --out naming a regular file, or a path under one, cannot be a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_catalog_json(capsys):
     code, out = run(capsys, "catalog", "--format", "json")
     payload = json.loads(out)

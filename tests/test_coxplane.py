@@ -626,6 +626,11 @@ def test_plane_basis_orthonormal():
         assert abs(float(dot(u1, u2))) < 1e-12
 
 
+def _rows(system):
+    """A root system's numerator rows and their denominator, as projected."""
+    return system.num, system.den
+
+
 def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -> dict:
     """Multiset of projected radii, rounded for class counting."""
     radii: dict = {}
@@ -636,7 +641,7 @@ def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -
 
 
 def test_a4_projection_two_decagons():
-    pts = project_to_plane(root_system("A4").vectors, coxeter_plane_for("A4").bivector)
+    pts = project_to_plane(*_rows(root_system("A4")), coxeter_plane_for("A4").bivector)
     assert len(pts) == 20
     radii = projection_radii(pts)
     assert len(radii) == 2
@@ -646,15 +651,13 @@ def test_a4_projection_two_decagons():
 
 
 def test_i2_projection_single_circle():
-    pts = project_to_plane(
-        root_system("I2", 9).vectors, coxeter_plane_for("I2", 9).bivector
-    )
+    pts = project_to_plane(*_rows(root_system("I2", 9)), coxeter_plane_for("I2", 9).bivector)
     radii = projection_radii(pts, decimals=6)
     assert radii == {1.0: 18}
 
 
 def test_h4_projection_four_rings():
-    pts = project_to_plane(root_system("H4").vectors, coxeter_plane_for("H4").bivector)
+    pts = project_to_plane(*_rows(root_system("H4")), coxeter_plane_for("H4").bivector)
     radii = projection_radii(pts, decimals=6)
     assert len(radii) == 4
     assert all(count == 30 for count in radii.values())
@@ -664,10 +667,10 @@ def test_projection_radii_basis_invariant():
     # radii do not depend on the in-plane basis: rotate the bivector's basis
     # by projecting after multiplying the plane by a rotor within it
     B = coxeter_plane_for("A4").bivector
-    pts1 = project_to_plane(root_system("A4").vectors, B)
+    pts1 = project_to_plane(*_rows(root_system("A4")), B)
     W = exp_bivector(row_multivector(B, 4), 0.3)
     B2 = versor_action(W, row_multivector(B, 4))  # same plane
-    pts2 = project_to_plane(root_system("A4").vectors, multivector_row(B2))
+    pts2 = project_to_plane(*_rows(root_system("A4")), multivector_row(B2))
     assert projection_radii(pts1) == projection_radii(pts2)
 
 

@@ -45,7 +45,9 @@ from spinroot.rootsys import (
     root_system,
     validate_root_system,
 )
-from spinroot.scalars import KEY_DECIMALS, QT_ONE, QuadTower, quad_numerators, row_keys
+from spinroot.scalars import (
+    KEY_DECIMALS, QT_ONE, QuadTower, quad_numerators, row_floats, row_keys,
+)
 
 ORDERS = {
     ("A1^3", None): (16, 8),
@@ -304,11 +306,11 @@ def test_induced_counts_and_validity():
     for (name, n), (_, spin_n) in ORDERS.items():
         S = induced_set(name, n)
         assert S.count == spin_n
-        assert validate_root_system(S.vectors).ok
+        assert validate_root_system(S.num).ok
     for n in (2, 5, 12):
         S = induced_set("I2", n)
         assert S.count == 2 * n and S.dim == 2
-        assert validate_root_system(S.vectors).ok
+        assert validate_root_system(S.num).ok
 
 
 def test_spinor_coordinate_map():
@@ -347,8 +349,8 @@ def test_catalog_systems_identify_as_themselves():
     systems += [("I2", m) for m in range(2, 31)]
     for name, n in systems:
         system = root_system(name, n)
-        S = Induced4DSet(vectors=tuple(vector_coords(r) for r in system.roots),
-                         dim=system.simple.rank, source_name=system.name)
+        num, den = quad_numerators([vector_coords(r) for r in system.roots])
+        S = Induced4DSet(num=num, den=den, dim=system.simple.rank, source_name=system.name)
         assert identify_root_system(S) == system.name
 
 
@@ -364,23 +366,24 @@ def test_fingerprint_matches_exact_pairwise_dots():
     sets += [tuple(Multivector.from_vector(v) for v in induced_set(name, n).vectors)
              for name in ("I2", "A1xI2") for n in range(2, 17)]
     for vectors in sets:
-        assert fingerprint([vector_coords(v) for v in vectors]) == reference(vectors)
+        num, den = quad_numerators([vector_coords(v) for v in vectors])
+        assert fingerprint(num, den) == reference(vectors)
 
 
 def test_identification_rotation_invariant():
     rng = np.random.default_rng(3)
     S = induced_set("A3")
-    coords = np.array([[float(c) for c in v] for v in S.vectors])
+    coords = row_floats(S.num, S.den)
     for _ in range(3):
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = coords @ Q.T
-        fp = fingerprint(rotated)
-        assert fp == fingerprint(S.vectors)
+        fp = fingerprint(*quad_numerators(rotated))
+        assert fp == fingerprint(S.num, S.den)
 
     class Fake:
         dim = 4
         source_name = "fake"
-        vectors = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0))
+        num, den = quad_numerators(((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)))
 
     with pytest.raises(ValueError):
         identify_root_system(Fake())
@@ -459,3 +462,40 @@ def test_quaternion_units_from_a1_cubed():
             v[i] = QT_ONE if s > 0 else -QT_ONE
             want.add(tuple(v))
     assert vectors == want
+
+
+def test_rows_create_no_quadtower(monkeypatch):
+    # exact work runs on numerator rows from closure to verdict: once the
+    # catalog literals exist, no step below builds a QuadTower
+    from spinroot import mckay, rootsys
+
+    exact = [catalog(key) for key in ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4", "D4",
+                                      "F4", "H4")]
+    made = []
+    raw = QuadTower._raw.__func__
+    monkeypatch.setattr(QuadTower, "_raw",
+                        classmethod(lambda cls, *args: made.append(args) or raw(cls, *args)))
+    induction._reference_fingerprints.cache_clear()
+    rootsys.root_system.cache_clear()
+    for simple in exact:
+        rootsys.generate_roots(simple)
+    for name in ("A3", "B3", "H3"):
+        G = even_subgroup(generate_pin_group(catalog(name)))
+        S = spinors_to_4d(G)
+        identify_root_system(S)
+        validate_root_system(S.num)
+        mckay.spinor_character(G)
+    assert made == []
+    assert QuadTower(1, 2) and len(made) == 1   # the patch counts
+
+
+def test_rows_the_caches_share_are_read_only():
+    # one object per system is handed to every caller: writing into its rows
+    # would change the verdicts of every later call
+    simple = catalog("H3")
+    shared = [simple.rows[0], simple.gram[0], simple.cartan[0], root_system("A3").num,
+              induced_set("A3").num, pin_group("A3").rows, spin_group("I2", 5).rows,
+              root_system("I2", 5).num, catalog("I2", 5).gram[0]]
+    for rows in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            rows[(0,) * rows.ndim] = 0

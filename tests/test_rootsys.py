@@ -14,7 +14,7 @@ from clifford_reference import (
     to_float,
     vector_coords,
 )
-from spinroot import ade, rootsys
+from spinroot import ade, rootsys, scalars
 from spinroot.clifford import Multivector
 from spinroot.induction import induced_set
 from spinroot.rootsys import (
@@ -26,7 +26,6 @@ from spinroot.rootsys import (
     catalog,
     display_name,
     generate_roots,
-    is_unit,
     orbit,
     parse_name,
     root_system,
@@ -34,7 +33,8 @@ from spinroot.rootsys import (
     validate_root_system,
 )
 from spinroot.scalars import (
-    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype,
+    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype, quad_numerators,
+    row_floats,
 )
 
 EXPECTED_COUNTS = {
@@ -93,14 +93,16 @@ def test_root_counts():
         assert root_system("I2xI2", n).count == 4 * n
 
 
-def test_float_key_stability():
+def test_float_key_stability(monkeypatch):
     # closure counts must not depend on the dedup rounding (6 vs 7 decimals)
     simples = [catalog(key, n) for key, n in [("I2", 7), ("I2", 12), ("A1xI2", 9), ("I2xI2", 11),
                                               ("I2", 16), ("A1xI2", 16), ("I2xI2", 16)]]
-    for simple in simples + [catalog("B4", backend="float")]:
-        c6 = generate_roots(simple, key_decimals=6).count
-        c7 = generate_roots(simple, key_decimals=7).count
-        assert c6 == c7
+    simples.append(catalog("B4", backend="float"))
+    assert scalars.KEY_DECIMALS == 6
+    c6 = [generate_roots(simple).count for simple in simples]
+    monkeypatch.setattr(scalars, "KEY_DECIMALS", 7)
+    c7 = [generate_roots(simple).count for simple in simples]
+    assert c6 == c7
 
 
 def test_roots_in_canonical_order():
@@ -123,7 +125,8 @@ def test_canonical_order_sorts_like_mv_sort_key_at_a_tie():
     # exact values sort by the same rounded floats
     exact = [[QuadTower(Fraction(1, 3)), QT_ZERO], [QuadTower(0, Fraction(1, 4)), QT_ZERO]]
     mvs = [Multivector.from_vector(r) for r in exact]
-    assert canonical_order(exact) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
+    floats = row_floats(*quad_numerators(exact))
+    assert canonical_order(floats) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
 
 
 def test_simple_root_order_does_not_change_roots():
@@ -186,10 +189,16 @@ def reference_roots(simple):
 
 
 def reference_ade_roots(simple):
-    """Per-element float closure of ADE simple rows, keyed at 6 decimals."""
+    """Per-element float closure of ADE simple rows, keyed by their exact bytes.
+
+    The coordinates lie in (1/2)Z and every reflection has (a|a) = 2, so each
+    product, sum and the halving in (2 (x|a) / (a|a)) a is exact in float64:
+    equal roots are equal bit for bit, and a 6-decimal key would find the same
+    roots.  ``+ 0.0`` folds -0.0 into 0.0.
+    """
     return np.array(reference_orbit(
         simple, simple, lambda x, a: x - (2.0 * (x @ a) / (a @ a)) * a,
-        lambda v: tuple(round(c, 6) + 0.0 for c in v.tolist())))
+        lambda v: (v + 0.0).tobytes()))
 
 
 def _permuted(simple, perm):
@@ -223,24 +232,35 @@ def test_closure_matches_per_element_reference():
 
 
 def test_catalog_rejects_non_unit_root(monkeypatch):
+    # catalog keeps one set per system: the cache is cleared around the patch
     build = rootsys._build_roots
+    rootsys._catalog_set.cache_clear()
     monkeypatch.setattr(rootsys, "_build_roots",
                         lambda key, n: [tuple(2 * c for c in r) for r in build(key, n)])
-    with pytest.raises(ValueError, match="not unit"):
-        catalog("H3")
-    with pytest.raises(ValueError, match="not unit"):
-        catalog("I2", 5)
+    try:
+        with pytest.raises(ValueError, match="not unit"):
+            catalog("H3")
+        with pytest.raises(ValueError, match="not unit"):
+            catalog("I2", 5)
+    finally:
+        rootsys._catalog_set.cache_clear()
+
+
+def _one_root(vector) -> SimpleRootSet:
+    exact = isinstance(vector[0], QuadTower)
+    return SimpleRootSet(name="one", key="one", rank=1, vectors=(tuple(vector),),
+                         backend="exact" if exact else "float")
 
 
 def test_is_unit_is_exact_on_exact_coordinates():
     # (1 + 1e-20) a is unit in floats but not in the field; floats get UNIT_ROOT_TOL
     a = catalog("A4").vectors[0]
     off = tuple(c * QuadTower(Fraction(10**20 + 1, 10**20)) for c in a)
-    assert is_unit(a) and not is_unit(off)
-    assert is_unit(tuple(float(c) for c in off))
+    assert _one_root(a).unit and not _one_root(off).unit
+    assert _one_root(tuple(float(c) for c in off)).unit
     f = catalog("I2", 5).vectors[1]
-    assert is_unit(f)
-    assert not is_unit(tuple(c * (1 + 1e-10) for c in f))
+    assert _one_root(f).unit
+    assert not _one_root(tuple(c * (1 + 1e-10) for c in f)).unit
 
 
 def test_cartan_fixtures():
@@ -310,7 +330,7 @@ def test_validate_catalog_systems():
     # every catalog entry closes to a valid root system
     names = list(EXPECTED_COUNTS) + [("I2", 6), ("A1xI2", 4), ("I2xI2", 7)]
     for key, n in names:
-        rep = validate_root_system(root_system(key, n).vectors)
+        rep = validate_root_system(root_system(key, n).num)
         assert rep.ok, (key, n)
 
 
@@ -343,8 +363,8 @@ def reference_pair_violations(roots):
     return missing, parallel
 
 
-def coords(roots):
-    return [vector_coords(r) for r in roots]
+def numerators(roots):
+    return quad_numerators([vector_coords(r) for r in roots])[0]
 
 
 @lru_cache(maxsize=None)
@@ -460,7 +480,7 @@ def validation_test_sets():
 def test_validate_exact_matches_reference():
     valid, broken = validation_test_sets()
     for label, roots in {**valid, **broken}.items():
-        rep = validate_root_system(coords(roots))
+        rep = validate_root_system(numerators(roots))
         assert rep.checked == len(roots)
         assert rep.reflection_violations == reference_reflection_violations(roots), label
         missing, parallel = reference_pair_violations(roots)
@@ -470,10 +490,10 @@ def test_validate_exact_matches_reference():
     # every violation in row-major order, and truncation at max_samples
     for label in ("F4 minus a root", "float F4 minus a root", "I2(9)xI2(9) minus a root"):
         roots = broken[label]
-        full = validate_root_system(coords(roots), max_samples=10_000).reflection_violations
+        full = validate_root_system(numerators(roots), max_samples=10_000).reflection_violations
         assert len(full) > 16, label
         assert full == reference_reflection_violations(roots, 10_000), label
-        assert validate_root_system(coords(roots), max_samples=5).reflection_violations == full[:5]
+        assert validate_root_system(numerators(roots), max_samples=5).reflection_violations == full[:5]
 
 
 def test_validate_large_denominators_stay_exact(monkeypatch):
@@ -489,7 +509,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
     roots = tuple(scale * r for r in root_system("H3").roots)
     broken = roots[1:] + (scale * Multivector.from_vector([QT_HALF, TAU, QT_ZERO]),)
     for s in (roots, broken):
-        rep = validate_root_system(coords(s), max_samples=10_000)
+        rep = validate_root_system(numerators(s), max_samples=10_000)
         assert rep.reflection_violations == reference_reflection_violations(s, 10_000)
     assert chosen == [object, object]
     assert rep.reflection_violations
@@ -497,7 +517,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
 
 def test_validate_missing_negative():
     e1 = basis_vector(3, 0)
-    rep = validate_root_system(coords([e1]))
+    rep = validate_root_system(numerators([e1]))
     assert not rep.ok
     assert rep.missing_negatives
 
@@ -505,7 +525,7 @@ def test_validate_missing_negative():
 def test_validate_reflection_violation():
     e1 = basis_vector(2, 0)
     diag = Multivector.from_vector([INV_SQRT2, INV_SQRT2])
-    rep = validate_root_system(coords([e1, -e1, diag, -diag]))
+    rep = validate_root_system(numerators([e1, -e1, diag, -diag]))
     assert not rep.ok
     assert rep.reflection_violations  # reflecting the diagonal in e1 escapes
 
@@ -518,13 +538,13 @@ def test_validate_rejects_zero_vector(backend):
     if backend == "float":
         vectors = [to_float(v) for v in vectors]
     with pytest.raises(ValueError, match="vector 2 is zero"):
-        validate_root_system(coords(vectors))
+        validate_root_system(numerators(vectors))
 
 
 def test_validate_parallel_duplicate():
     e1 = basis_vector(3, 0)
     two_e1 = 2 * e1
-    rep = validate_root_system(coords([e1, -e1, two_e1, -two_e1]))
+    rep = validate_root_system(numerators([e1, -e1, two_e1, -two_e1]))
     assert rep.parallel_violations
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -22,12 +23,17 @@ from spinroot.scalars import (
     Scalar,
     exact_matmul,
     field_matrix,
-    galois_conjugate,
     is_exact,
     kernel_dtype,
     quad_numerators,
+    row_floats,
     scalar_str,
 )
+
+
+def galois_conjugate(x: QuadTower) -> QuadTower:
+    """The field automorphism sqrt5 -> -sqrt5 (sqrt2 fixed): sends tau to sigma."""
+    return QuadTower(x.a, x.b, -x.c, -x.d)
 
 
 def eq_scalar(x: Scalar, y: Scalar, tol: Optional[float] = None) -> bool:
@@ -262,3 +268,43 @@ def test_serialization_strings():
     assert scalar_str(QuadTower(0, Fraction(-1, 2))) == "-1/2*r2"
     assert scalar_str(0.5) == "0.5"
     assert len(scalar_str(math.pi)) <= 22
+
+
+def test_row_floats_are_quadtower_floats_bit_for_bit():
+    # random scalars with denominators 3, 5 and 6, brought to the common 30
+    rng = random.Random(11)
+    values = [QuadTower(*(Fraction(rng.randint(-99, 99), rng.choice((3, 5, 6)))
+                          for _ in range(4))) for _ in range(2000)]
+    num, den = quad_numerators(values)
+    assert den == 30
+    want = np.array([float(x) for x in values])
+    assert row_floats(num, den).tobytes() == want.tobytes()
+    # over a denominator 7 times as large the bridge reduces first; the
+    # unreduced evaluation differs, so the reduction is what the test pins
+    assert row_floats(7 * num, 7 * den).tobytes() == want.tobytes()
+    a, b, c, d = (7 * num).astype(float).T
+    unreduced = (a + b * math.sqrt(2) + c * math.sqrt(5) + d * math.sqrt(10)) / (7 * den)
+    assert (unreduced != want).any()
+    # the non-unit B2 set: roots and Cartan matrix over a denominator scaled by 3
+    from spinroot.rootsys import SimpleRootSet, cartan_matrix, generate_roots
+
+    b2 = SimpleRootSet(name="B2 non-unit", key="B2", rank=2, backend="exact",
+                       vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3))))
+    roots = generate_roots(b2)
+    want = np.array([[float(c) for c in v] for v in roots.vectors])
+    assert row_floats(3 * roots.num, 3 * roots.den).tobytes() == want.tobytes()
+    cartan = np.array([[float(c) for c in row] for row in cartan_matrix(b2)])
+    assert row_floats(*b2.cartan).tobytes() == cartan.tobytes()
+
+
+def test_row_floats_at_the_2_53_numerator_bound():
+    # below 2**53 every numerator converts to float64 exactly; from 2**53 on
+    # the bridge evaluates on the Python ints, as QuadTower.__float__ does
+    rng = random.Random(12)
+    for top in (2 ** 53 - 1, 2 ** 53, 2 ** 60):
+        values = [QuadTower(*(Fraction(rng.randint(top // 2, top), 7) for _ in range(4)))
+                  for _ in range(200)] + [QuadTower(Fraction(top, 7))]
+        num, den = quad_numerators(values)
+        assert int(np.abs(num).max()) == top
+        want = np.array([float(x) for x in values])
+        assert row_floats(num, den).tobytes() == want.tobytes(), top

@@ -19,20 +19,17 @@ products act left to right: R1*R2 acts as R1 first, then R2.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .scalars import (
-    FIELD_TENSOR,
-    FIELD_TENSOR_MAX,
     BackendMismatchError,
     QT_ZERO,
     QuadTower,
     Scalar,
     exact_matmul,
-    kernel_dtype,
+    field_matrix,
     reduce_rows,
 )
 
@@ -65,26 +62,9 @@ _SIGN = {d: _sign_table(d) for d in (1, 2, 3, 4)}
 # multiplication by blade a ^ c only, with the sign _RIGHT_SIGN[dim][a, c]
 _XOR = {d: np.bitwise_xor.outer(np.arange(1 << d), np.arange(1 << d)) for d in _SIGN}
 _RIGHT_SIGN = {d: np.take_along_axis(np.array(_SIGN[d]), _XOR[d], axis=1) for d in _SIGN}
-
-
-@lru_cache(maxsize=None)
-def product_tensor(dim: int) -> np.ndarray:
-    """Integer structure tensor of Cl(dim) over Q(sqrt2, sqrt5), built on first use.
-
-    K[(a, p), (b, q), (a ^ b, r)] = sign(a, b) * FIELD_TENSOR[p, q, r], with
-    (blade, field basis) pairs flattened to 4 * blade + basis.  Exact
-    multivectors with numerator rows x, y over a common denominator D have the
-    product ``einsum("i,j,ijk->k", x, y, K)`` over D**2.
-    """
-    size = 1 << dim
-    sign = _SIGN[dim]
-    K = np.zeros((size, 4, size, 4, size, 4), dtype=np.int64)
-    for a in range(size):
-        for b in range(size):
-            K[a, :, b, :, a ^ b, :] = sign[a][b] * FIELD_TENSOR
-    K = K.reshape(4 * size, 4 * size, 4 * size)
-    K.flags.writeable = False
-    return K
+# and blade b becomes blade c under left multiplication by blade b ^ c only,
+# with the sign _LEFT_SIGN[dim][b, c] = sign(b ^ c, b)
+_LEFT_SIGN = {d: np.take_along_axis(np.array(_SIGN[d]).T, _XOR[d], axis=1) for d in _SIGN}
 
 
 def _blade_sums(x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -119,13 +99,14 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
     generator-minor.
 
     Rows are float coefficient rows, or exact field numerators, blade-major,
-    followed by one positive denominator.  Right multiplication by g is the
-    matrix R_g[a, c] = sum_b g_b K[a, b, c] of K = ``product_tensor``, whose
-    only nonzero b is a ^ c: R_g[a, c] = sign(a, a ^ c) g_(a ^ c) on float
-    rows, times the field's multiplication matrix of g_(a ^ c) on exact ones.
-    The products of a batch are one product with [R_g1 | R_g2 | ...].  Exact
-    products carry the product of the two denominators and are divided
-    through by their gcd.
+    followed by one positive denominator.  Right multiplication by g sends
+    blade a to blade c through g's blade a ^ c only: its matrix is
+    R_g[a, c] = sign(a, a ^ c) g_(a ^ c) on float rows, times the field's
+    multiplication matrix of g_(a ^ c) on exact ones.
+    The products of a batch are one product with [R_g1 | R_g2 | ...]; on exact
+    rows [num | den] it is one ``exact_matmul`` with the blocks
+    [[R_g, 0], [0, den_g]], built once, so the products carry the product of
+    the two denominators, and ``reduce_rows`` divides them through by their gcd.
     """
     xor, sign = _XOR[dim], _RIGHT_SIGN[dim]
     size = len(xor)
@@ -134,23 +115,31 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
         return lambda rows: _blade_sums(rows, right).reshape(-1, size)
 
     n = 4 * size
-    g_num, g_den = gens[:, :-1], gens[:, -1]
-    g_num = g_num.astype(kernel_dtype(n * FIELD_TENSOR_MAX * int(np.abs(g_num).max())))
-    field = np.einsum("gbq,pqr->gbpr", g_num.reshape(len(gens), size, 4), FIELD_TENSOR)
-    right = (field[:, xor] * sign[:, :, None, None]).transpose(1, 3, 0, 2, 4).reshape(n, -1)
-    # a product numerator sums n terms of size <= max|R| |row|
-    growth = max(n * int(np.abs(right).max()), int(g_den.max()))
+    right = _product_matrices(gens[:, :-1], dim, sign)
+    step = np.zeros((n + 1, len(gens), n + 1), dtype=np.result_type(right, gens))
+    step[:n, :, :n] = right.transpose(1, 0, 2)
+    step[n, :, n] = gens[:, -1]
+    step = step.reshape(n + 1, -1)
+    return lambda rows: reduce_rows(exact_matmul(rows, step).reshape(-1, n + 1))
 
-    def exact_products(rows: np.ndarray) -> np.ndarray:
-        bound = growth * int(np.abs(rows).max())   # caps the sum of |terms| of every numerator
-        dtype = kernel_dtype(bound)
-        rows = rows.astype(dtype)
-        num = exact_matmul(rows[:, :-1], right, bound).reshape(len(rows), len(gens), n)
-        den = rows[:, -1:, None] * g_den.astype(dtype)[:, None]
-        images = np.concatenate([num, den], axis=2).reshape(-1, n + 1)
-        return reduce_rows(images)
 
-    return exact_products
+def _product_matrices(num: np.ndarray, dim: int, sign: np.ndarray) -> np.ndarray:
+    """Matrices (n, 4 * 2**dim, 4 * 2**dim) of multiplication by the
+    multivectors with field numerators num (n, 4 * 2**dim), blade-major, on
+    either backend: blade a goes to blade c through the multivector's blade
+    a ^ c only, so the block (a, c) is sign[a, c] times that blade's field
+    matrix."""
+    n, size = len(num), 1 << dim
+    field = field_matrix(num.reshape(n, size, 4))                # (i, blade, q, r)
+    blocks = field[:, _XOR[dim]] * sign[:, :, None, None]         # (i, a, c, q, r)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(n, 4 * size, 4 * size)
+
+
+def left_matrices(num: np.ndarray, dim: int) -> np.ndarray:
+    """Matrices of left multiplication by the multivectors with field
+    numerators num (n, 4 * 2**dim): ``y @ left_matrices(x, dim)[i]`` holds
+    x_i y, over the product of the two denominators."""
+    return _product_matrices(num, dim, _LEFT_SIGN[dim])
 
 
 def blade_name(mask: int) -> str:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import product_tensor, right_products
+from .clifford import left_matrices, right_products
 from .rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -34,12 +34,10 @@ from .rootsys import (
     root_system,
 )
 from .scalars import (
-    FIELD_TENSOR_MAX,
     KEY_DECIMALS,
-    closure_row_keys,
     exact_matmul,
     field_matrix,
-    kernel_dtype,
+    int_rows,
     read_only,
     reduce_rows,
     row_floats,
@@ -47,8 +45,9 @@ from .scalars import (
     scalar_values,
 )
 
-GROUP_CAP = 10_000  # most elements generate_pin_group closes before giving up
-UNIT_TOL = 1e-9     # | <V reverse(V)>_0 - 1 | allowed for a float pin element
+GROUP_CAP = 10_000     # most elements generate_pin_group closes before giving up
+CAYLEY_BLOCK = 512     # most products held at once while a Cayley table is built
+UNIT_TOL = 1e-9        # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
 def _vector_rows(num: np.ndarray, den: int) -> np.ndarray:
@@ -110,7 +109,7 @@ class VersorGroup:
 
     def __post_init__(self):
         read_only(self.rows)
-        self._index = {key: i for i, key in enumerate(closure_row_keys(self.rows))}
+        self._index = {key: i for i, key in enumerate(row_keys(self.rows))}
 
     @property
     def order(self) -> int:
@@ -127,41 +126,32 @@ class VersorGroup:
         one[0, 0] = 1
         if one.dtype.kind != "f":
             one[0, -1] = 1
-        return self._index[closure_row_keys(one)[0]]
+        return self._index[row_keys(one)[0]]
 
     @property
     def cayley(self) -> list:
         """cayley[i][j] = index of elements[i] * elements[j] (built lazily).
 
-        One row of products at a time, on either backend: with elements E as
-        numerator rows over D, the products E_i E_j are the rows of
-        E @ (E_i . K) over D**2, looked up by ``row_keys`` among the rows of
-        D * E (exactly, or rounded on the float backend).  Each entry of
-        E_i . K is one term, E_i[s] K[s, jk] with s = src[jk], so it is a
-        gather, not a product.
+        A block of rows at a time, on either backend: with elements E as
+        numerator rows over D, the products E_i E_j are the rows of E @ L_i
+        over D**2, L_i the matrix of left multiplication by E_i
+        (``left_matrices``), looked up by ``row_keys`` among the rows of D * E
+        (exactly, or rounded on the float backend).  A block holds at most
+        CAYLEY_BLOCK products.
         """
         if self._cayley is None:
             num, den = _common_numerators(self.rows, self.dim)
-            size = num.shape[1]
-            K = product_tensor(self.dim).reshape(size, size * size)
-            src = np.argmax(K != 0, axis=0)
-            coef = K[src, np.arange(size * size)]
-            bound = 0
-            if num.dtype == object:
-                m = int(np.abs(num).max())
-                # a product numerator sums one term of size <= T_max m^2 per
-                # row of K: the sum of |terms| of E @ (E_i . K); the index
-                # holds D * E
-                bound = max(size * FIELD_TENSOR_MAX * m * m, den * m)
-                num = num.astype(kernel_dtype(bound))
             index = {key: i for i, key in enumerate(row_keys(den * num))}
+            num = int_rows(num)
+            step = max(1, CAYLEY_BLOCK // self.order)
             table = []
-            for row in num:
-                left = (row[src] * coef).reshape(size, size)
+            for start in range(0, self.order, step):
+                products = exact_matmul(num, left_matrices(num[start:start + step], self.dim))
                 try:
-                    table.append([index[key] for key in row_keys(exact_matmul(num, left, bound))])
+                    found = [index[key] for key in row_keys(products.reshape(-1, num.shape[1]))]
                 except KeyError as exc:
                     raise ClosureCapError(f"{self.name}: product escapes the group") from exc
+                table += [found[j:j + self.order] for j in range(0, len(found), self.order)]
             self._cayley = table
         return self._cayley
 
@@ -186,12 +176,14 @@ def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     """Per row: is <V reverse(V)>_0, the sum of the squared coefficients, one?"""
     if rows.dtype.kind == "f":
         return np.abs((rows * rows).sum(axis=1) - 1.0) < UNIT_TOL
-    m = int(np.abs(rows).max())
-    rows = rows.astype(kernel_dtype(4 * (1 << dim) * FIELD_TENSOR_MAX * m * m))
-    num, den = rows[:, :-1].reshape(len(rows), 1 << dim, 4), rows[:, -1]
-    # sum over blades of num_b * num_b in the field, over den**2
-    sq = (num[:, :, None, :] @ field_matrix(num))[:, :, 0, :].sum(axis=1)
-    return (sq[:, 0] == den * den) & (sq[:, 1:] == 0).all(axis=1)
+    n, size = len(rows), 1 << dim
+    # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
+    # blades of num_b * num_b in the field less den**2, zero on a unit row
+    last = np.zeros((n, 1, 4), dtype=rows.dtype)
+    last[:, 0, 0] = -rows[:, -1]
+    mult = field_matrix(rows[:, :-1].reshape(n, size, 4)).reshape(n, 4 * size, 4)
+    excess = exact_matmul(rows[:, None, :], np.concatenate([mult, last], axis=1))
+    return (excess == 0).all(axis=(1, 2))
 
 
 def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
@@ -209,7 +201,7 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
     try:
-        rows = orbit(seeds, right_products(gens, dim), closure_row_keys, GROUP_CAP)
+        rows = orbit(seeds, right_products(gens, dim), row_keys, GROUP_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
     rows = rows[canonical_order(_coefficient_floats(rows, dim))]

@@ -139,8 +139,7 @@ def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
 
 
 def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
-                     seeds: Sequence[int] = (DEFAULT_SEED,),
-                     mats: Optional[np.ndarray] = None) -> list[CharacterTable]:
+                     seeds: Sequence[int] = (DEFAULT_SEED,)) -> list[CharacterTable]:
     """One character table per seed, all the seeds' eigenproblems solved in one
     stacked `np.linalg.eig`.
 
@@ -153,17 +152,15 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
         raise ValueError(f"seed must be nonnegative, got {min(seeds)}")
     if classes is None:
         classes = conjugacy_classes(G)
-    if mats is None:
-        mats = class_matrices(G, classes)
-    tables = _tables_from_eigenvectors(_eigenvectors(mats, seeds), classes, G.order)
+    tables = _tables_from_eigenvectors(
+        _eigenvectors(class_matrices(G, classes), seeds), classes, G.order)
     _validate_tables(tables)
     return tables
 
 
 def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
-                    seed: int = DEFAULT_SEED,
-                    mats: Optional[np.ndarray] = None) -> CharacterTable:
-    return character_tables(G, classes, (seed,), mats)[0]
+                    seed: int = DEFAULT_SEED) -> CharacterTable:
+    return character_tables(G, classes, (seed,))[0]
 
 
 def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:

@@ -14,7 +14,10 @@ Coxeter Groups*, 1.5), closed by ``orbit`` one breadth-first level at a time,
 so the closure applies rank * |roots| reflections in whole-array steps.  Exact
 systems close in simple-root coordinates, s_i(c) = c - (sum_j c_j A_ji) e_i
 with A the Cartan matrix (5.4), on integer field numerators, and become
-Cartesian by one product with the simple roots; float systems close on
+Cartesian by one product with the simple roots.  Every exact product here (the
+closure step, the Gram, the reflections of validation) is one
+``scalars.exact_matmul``, which bounds itself and picks its integer tier; no
+bound is derived in this module.  Float systems close on
 Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
 decimals.  Both closures, and the pin closure of ``induction``, are sorted
 once by ``canonical_order`` on the floats of their rows.
@@ -42,7 +45,6 @@ import numpy as np
 
 from .clifford import Multivector
 from .scalars import (
-    FIELD_TENSOR_MAX,
     INV_SQRT2,
     KEY_DECIMALS,
     QT_HALF,
@@ -51,11 +53,9 @@ from .scalars import (
     QuadTower,
     Scalar,
     TAU,
-    closure_row_keys,
     exact_matmul,
     field_inverse,
     field_matrix,
-    kernel_dtype,
     quad_numerators,
     read_only,
     reduce_rows,
@@ -123,18 +123,16 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _gram(num: np.ndarray) -> np.ndarray:
     """Numerators (n, n, 4) of the Gram matrix (x_i|x_j) of numerator rows
-    (n, dim, 4), over their denominator squared: exact rows in their dtype,
-    float rows by ``ordered_dot``."""
+    (n, dim, 4), over their denominator squared: exact rows by one
+    ``exact_matmul``, float rows by ``ordered_dot``."""
     n, dim = num.shape[:2]
     if num.dtype.kind == "f":
         gram = np.zeros((n, n, 4))
         gram[..., 0] = ordered_dot(num[:, None, :, 0], num[None, :, :, 0])
         return gram
-    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d]): 4 dim terms of
-    # size at most T_max m^2
-    bound = 4 * dim * FIELD_TENSOR_MAX * int(np.abs(num).max()) ** 2
+    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d])
     mult = field_matrix(num).transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)
-    return exact_matmul(num.reshape(n, dim * 4), mult, bound).reshape(n, n, 4)
+    return exact_matmul(num.reshape(n, dim * 4), mult).reshape(n, n, 4)
 
 
 @dataclass(frozen=True)
@@ -334,15 +332,22 @@ _CATALOG = {
 _ALIASES = {
     "A13": "A1^3", "A1^3": "A1^3", "A14": "A1^4", "A1^4": "A1^4",
 }
+#: the keys other than the aliased ones and the families, matched in any case
+_NAMED_KEYS = ("A3", "B3", "H3", "A4", "B4", "D4", "F4", "H4")
 
 
 def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
-    """Normalize user-facing names like 'I2(7)', 'A1xI2(3)', 'I2(3)xI2(3)'."""
+    """Normalize user-facing names like 'I2(7)', 'A1xI2(3)', 'I2(3)xI2(3)'.
+
+    Only the families take a parameter: an n given for any other system is
+    an error, not ignored.
+    """
     s = name.strip()
-    if s in _ALIASES:
-        return _ALIASES[s], None
-    if s.upper() in ("A3", "B3", "H3", "A4", "B4", "D4", "F4", "H4"):
-        return s.upper(), None
+    key = _ALIASES.get(s) or (s.upper() if s.upper() in _NAMED_KEYS else None)
+    if key is not None:
+        if n is not None:
+            raise UnknownSystemError(f"{key} takes no family parameter, got n={n}")
+        return key, None
     m = re.match(r"^I2\((\d+)\)xI2\((\d+)\)$", s, re.I)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
@@ -396,8 +401,6 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
             raise UnknownSystemError(f"{key} needs a family parameter n >= 2")
         if n < 2:
             raise UnknownSystemError(f"family parameter n={n} must be >= 2")
-    else:
-        n = None
     return _catalog_set(key, n, backend)
 
 
@@ -449,37 +452,34 @@ def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     followed by their positive denominator, divided through by the gcd of the
     row: one row per root, whatever denominators other roots need.  The
     reflection s_i(c) = c - (sum_j c_j A_ji) e_i maps numerators N over q to
-    N A_den - (N . A)_i e_i over q A_den, exactly, on ``kernel_dtype`` integers.
+    N A_den - (N . A)_i e_i over q A_den: each closure step is one
+    ``exact_matmul`` of the rows [N | q] with the matrix of every s_i, built
+    once, then ``reduce_rows``.
     """
     rank = simple.rank
     a_num, a_den = simple.cartan                                 # (rank, rank, 4)
+    k = rank * 4
     # (N . A)[i] = sum over j of N[j] @ field_matrix(A[j, i])
-    mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(rank * 4, rank * 4)
-    # every image numerator sums a_den |N| and 4 rank terms of size T_max |A| |N|
-    growth = a_den + 4 * rank * FIELD_TENSOR_MAX * int(np.abs(a_num).max())
-    diag = np.arange(rank)
+    mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(k, k)
+    # block i: A_den on [N | q], less (N . A)_i in the columns of e_i
+    reflect = np.repeat(a_den * np.eye(k + 1, dtype=mult.dtype)[:, None], rank, axis=1)
+    for i in range(rank):
+        reflect[:k, i, 4 * i:4 * i + 4] -= mult[:, 4 * i:4 * i + 4]
+    reflect = reflect.reshape(k + 1, rank * (k + 1))
 
     def step(rows: np.ndarray) -> np.ndarray:
-        dtype = kernel_dtype(growth * int(np.abs(rows).max()))
-        rows = rows.astype(dtype)
-        num, den = rows[:, :-1], rows[:, -1:]
-        images = np.repeat(num * a_den, rank, axis=0).reshape(len(rows), rank, rank, 4)
-        images[:, diag, diag] -= (num @ mult.astype(dtype)).reshape(len(rows), rank, 4)
-        images = np.hstack([images.reshape(len(rows) * rank, rank * 4),
-                            np.repeat(den * a_den, rank, axis=0)])
-        return reduce_rows(images)
+        return reduce_rows(exact_matmul(rows, reflect).reshape(-1, k + 1))
 
-    seeds = np.zeros((rank, rank * 4 + 1), dtype=np.int64)
+    diag = np.arange(rank)
+    seeds = np.zeros((rank, k + 1), dtype=np.int64)
     seeds[diag, diag * 4] = seeds[:, -1] = 1
-    rows = orbit(seeds, step, closure_row_keys, CLOSURE_CAP)
+    rows = orbit(seeds, step, row_keys, CLOSURE_CAP)
     num, den = rows[:, :-1], rows[:, -1].tolist()
     s_num, s_den = simple.rows                    # (rank, dim, 4)
     dim = s_num.shape[1]
     # root = sum_j c_j a_j: numerators over den * s_den
-    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(rank * 4, dim * 4)
-    dtype = kernel_dtype(4 * rank * FIELD_TENSOR_MAX * int(np.abs(s_num).max())
-                         * int(np.abs(num).max()))
-    cart = (num.astype(dtype) @ to_cartesian.astype(dtype)).astype(object)
+    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(k, dim * 4)
+    cart = exact_matmul(num, to_cartesian).astype(object)
     common = lcm(*den)
     cart *= np.array([common // q for q in den], dtype=object)[:, None]
     return cart.reshape(len(rows), dim, 4), common * s_den
@@ -574,7 +574,7 @@ def _direction_keys(num: np.ndarray) -> list:
                 for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
     # x / p = x inv / norm = (x inv norm) / norm**2, over a positive denominator
     inv, norm = field_inverse(pivots.astype(object))
-    scaled = (num.astype(object) @ field_matrix(inv)).reshape(len(num), -1) * norm[:, None]
+    scaled = exact_matmul(num, field_matrix(inv)).reshape(len(num), -1) * norm[:, None]
     return row_keys(reduce_rows(np.hstack([scaled, (norm * norm)[:, None]])))
 
 
@@ -605,30 +605,25 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     D**2 (``_gram``), (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators
     G_aa N_x - 2 G_xa N_a over D**3, the denominator of (a|a) y as G_aa N_y, so
     membership in (a|a) Phi compares rows, with no division: integer rows
-    exactly, float rows by ``row_keys`` rounding.
+    exactly, float rows by ``row_keys`` rounding.  For each a the images of
+    every x are one ``exact_matmul`` of the rows [G_aa N_x | G_xa] with the
+    identity stacked on -2 N_a as field multiplication (which commutes).
     """
     n, dim = num.shape[:2]
-    bound = 0
-    if num.dtype.kind != "f":
-        m = int(np.abs(num).max())
-        # |G| <= 4 dim T_max m^2; each numerator of the difference sums 3 * 4
-        # terms of size T_max |G| m
-        bound = 12 * FIELD_TENSOR_MAX * 4 * dim * FIELD_TENSOR_MAX * m ** 3
-        num = num.astype(kernel_dtype(bound))
-    mult = field_matrix(num)                                # (n, dim, 4, 4)
+    k = dim * 4
     gram = _gram(num)
     length_keys = row_keys(gram[np.arange(n), np.arange(n)])
-    scaled_roots: dict = {}   # (a|a) Phi per squared length
+    mult = field_matrix(num).transpose(0, 2, 1, 3).reshape(n, 4, k)
+    reflect = np.concatenate([np.broadcast_to(np.eye(k, dtype=mult.dtype), (n, k, k)),
+                              -2 * mult], axis=1)                       # (n, k + 4, k)
+    scaled_roots: dict = {}   # (a|a) Phi per squared length: its rows and their keys
     out = []
     for i in range(n):
-        scaled = (num @ field_matrix(gram[i, i])).reshape(n, dim * 4)
         if length_keys[i] not in scaled_roots:
-            scaled_roots[length_keys[i]] = set(row_keys(scaled))
-        targets = scaled_roots[length_keys[i]]
-        # G_xa N_a for every x (field multiplication commutes): 4 terms of
-        # size <= T_max |G| m each, below the bound
-        images = scaled - 2 * exact_matmul(
-            gram[:, i], mult[i].transpose(1, 0, 2).reshape(4, dim * 4), bound)
+            scaled = exact_matmul(num, field_matrix(gram[i, i])).reshape(n, k)
+            scaled_roots[length_keys[i]] = scaled, set(row_keys(scaled))
+        scaled, targets = scaled_roots[length_keys[i]]
+        images = exact_matmul(np.hstack([scaled, gram[:, i]]), reflect[i])
         for j, key in enumerate(row_keys(images)):
             if key not in targets:
                 out.append((i, j))

@@ -16,12 +16,17 @@ The data of every set is numerator rows instead, on both backends: a set is
 its numerators over the same basis with one common denominator
 (``quad_numerators``; ``scalar_values`` is the inverse, for printing), and
 products are matrix products through the structure tensor ``FIELD_TENSOR``
-(``field_matrix``; ``field_inverse`` divides).  Exact rows are integers:
-``kernel_dtype`` picks int64 when a bound on every intermediate fits, and
-Python ints otherwise, so the result is exact.  Float rows use only the
-basis-1 column over the denominator 1.  ``row_floats`` is the one bridge from
-rows to floats, bit for bit ``float()`` of each QuadTower.  ``row_keys``
-hashes rows, exactly or rounded to ``KEY_DECIMALS`` decimals.
+(``field_matrix``; ``field_inverse`` divides).  Exact rows are integers, and
+this module alone picks how they are held and multiplied: ``exact_matmul``
+bounds each product by its own operands and runs it on float64 BLAS below
+``FLOAT64_LIMIT``, on int64 below ``INT64_LIMIT`` and on Python ints above, so
+the result is exact.  The integer rows that ``exact_matmul``, ``field_matrix``,
+``int_rows`` and ``reduce_rows`` return are int64 below ``INT64_LIMIT``, so
+they may be negated or doubled in their dtype, and Python ints otherwise.
+Float rows use only the basis-1 column over the denominator 1.
+``row_floats`` is the one bridge from rows to floats, bit for bit ``float()``
+of each QuadTower.  ``row_keys`` hashes rows, integer rows by value whatever
+their dtype, float rows rounded to ``KEY_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ import numpy as np
 
 #: Decimals kept by the float-backend hash keys (``row_keys``).
 KEY_DECIMALS = 6
+#: The tiers of ``exact_matmul``: float64 holds every integer below
+#: FLOAT64_LIMIT exactly, and int64 every sum below INT64_LIMIT with room to
+#: negate or double it; at or above INT64_LIMIT the products run on Python ints.
+FLOAT64_LIMIT = 1 << 53
+INT64_LIMIT = 1 << 62
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)
@@ -279,8 +289,6 @@ def _field_tensor() -> np.ndarray:
 
 #: T[p, q, r]: coefficient of basis r in (basis p)(basis q), basis {1, sqrt2, sqrt5, sqrt10}
 FIELD_TENSOR = _field_tensor()
-#: the largest entry of FIELD_TENSOR (sqrt10 * sqrt10 = 10)
-FIELD_TENSOR_MAX = int(FIELD_TENSOR.max())
 
 
 def quad_numerators(values) -> tuple[np.ndarray, int]:
@@ -288,9 +296,9 @@ def quad_numerators(values) -> tuple[np.ndarray, int]:
 
     ``values`` is a (nested) sequence of QuadTower or of floats, not a mix;
     element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.  Exact
-    numerators are Python ints in an object array: ``kernel_dtype`` says
-    whether they may be narrowed.  Floats fill the basis-1 column of a float
-    array over ``den = 1``, so the same products apply to both backends.
+    numerators are Python ints in an object array.  Floats fill the basis-1
+    column of a float array over ``den = 1``, so the same products apply to
+    both backends.
     """
     arr = np.asarray(values, dtype=object)
     flat = arr.ravel()
@@ -327,52 +335,57 @@ def row_floats(num: np.ndarray, den) -> np.ndarray:
     Bit for bit ``float(QuadTower)``: each scalar is divided by the gcd of its
     numerators and denominator, then evaluated as
     (((a + b sqrt2) + c sqrt5) + d sqrt10) / q, on float64 when every integer
-    is below 2**53 (so converts exactly), else on the Python ints.
+    is below FLOAT64_LIMIT (so converts exactly), else on the Python ints.
     """
     if num.dtype.kind == "f":
         return num[..., 0]
     q = np.broadcast_to(np.asarray(den, dtype=object), num.shape[:-1])[..., None]
     parts = np.concatenate([num.astype(object), q], axis=-1)
-    if int(np.abs(parts).max()) < 1 << 53:
+    if _abs_max(parts) < FLOAT64_LIMIT:
         parts = parts.astype(np.int64)
     a, b, c, d, q = np.moveaxis(parts // np.gcd.reduce(parts, axis=-1, keepdims=True), -1, 0)
     return ((a + b * _SQRT2 + c * _SQRT5 + d * _SQRT10) / q).astype(np.float64)
 
 
-def kernel_dtype(bound: int):
-    """int64 when ``bound`` caps every intermediate below 2**62, else Python ints.
+def _abs_max(x: np.ndarray) -> int:
+    """The largest absolute value of an integer array, as a Python int (0 if empty)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
-    The caller derives ``bound`` from the largest numerator, as the sum of the
-    absolute values of all terms, which caps every partial sum in any order;
-    either way the arithmetic is exact.  Below 2**53 ``exact_matmul`` runs the
-    large matrix products of such integers on float64 BLAS, exactly too.
+
+def _kernel_dtype(bound: int):
+    """int64 for integers whose every partial sum stays below ``bound``, if it
+    is below INT64_LIMIT, else Python ints."""
+    return np.int64 if bound < INT64_LIMIT else object
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of integer arrays (int64 or Python ints), exactly.
+
+    inner dim * max|a| * max|b|, on Python ints, caps the sum of the absolute
+    values of the terms of every entry, so every partial sum in any order.
+    Below FLOAT64_LIMIT every product and every partial sum, fused or not, is
+    an integer that float64 holds exactly, so the product runs on float64 BLAS;
+    below INT64_LIMIT it runs on int64; at or above, on Python ints.  The
+    result is int64 below INT64_LIMIT.  Float operands, the float backend's,
+    multiply as they are.
     """
-    return np.int64 if bound < 1 << 62 else object
-
-
-def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """``a @ b`` of integer arrays, exactly, in their dtype (int64 or Python ints).
-
-    ``bound`` caps the sum of the absolute values of the terms of every entry,
-    as for ``kernel_dtype``.  Below 2**53 every product and every partial sum,
-    in any order and fused or not, is an integer that float64 holds exactly, so
-    the product runs on float64 BLAS and converts back; at or above, it is the
-    integer product.  Float operands, the float backend's, multiply as they are.
-    """
-    dtype = np.result_type(a, b)
-    if dtype.kind == "f" or bound >= 1 << 53:
+    if np.result_type(a, b).kind == "f":
         return a @ b
-    out = a.astype(np.float64) @ b.astype(np.float64)
-    return out.astype(np.int64).astype(dtype, copy=False)
+    bound = a.shape[-1] * _abs_max(a) * _abs_max(b)
+    if bound < FLOAT64_LIMIT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = _kernel_dtype(bound)
+    return a.astype(dtype) @ b.astype(dtype)
 
 
 def field_matrix(x: np.ndarray) -> np.ndarray:
     """Matrices (..., 4, 4) of multiplication by numerator rows x (..., 4).
 
     ``y @ field_matrix(x)`` holds the numerators of x*y, over the product of
-    the two denominators.
+    the two denominators.  M[q, r] = sum over p of x_p T[p, q, r], one
+    ``exact_matmul`` with the structure tensor.
     """
-    return np.einsum("...p,pqr->...qr", x, FIELD_TENSOR)
+    return exact_matmul(x, FIELD_TENSOR.reshape(4, 16)).reshape(x.shape[:-1] + (4, 4))
 
 
 #: numerator signs of the other Galois conjugates: sqrt2, sqrt5, both negated
@@ -391,28 +404,41 @@ def field_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def row_keys(rows: np.ndarray) -> list:
     """Hashable keys of the rows of a 2D array.
 
-    Integer rows are equal exactly when their keys are; float rows are keyed
-    by their values rounded to ``KEY_DECIMALS`` decimals, read at each call
-    (``+ 0.0`` folds -0.0 into 0.0).
+    Integer rows are keyed by value, whatever their dtype: a row that fits
+    int64 by its int64 bytes, one that does not by the tuple of its Python
+    ints, so equal rows have equal keys.  Float rows are keyed by their values
+    rounded to ``KEY_DECIMALS`` decimals, read at each call (``+ 0.0`` folds
+    -0.0 into 0.0).
     """
-    if rows.dtype == object:
-        return [tuple(r) for r in rows.tolist()]
     if rows.dtype.kind == "f":
         rows = np.round(rows, KEY_DECIMALS) + 0.0
+    elif rows.dtype == object:
+        try:
+            rows = rows.astype(np.int64)
+        except OverflowError:
+            return [_int_row_key(row) for row in rows.tolist()]
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
+def _int_row_key(row: list):
+    try:
+        return np.array(row, dtype=np.int64).tobytes()
+    except OverflowError:
+        return tuple(row)
+
+
+def int_rows(rows: np.ndarray) -> np.ndarray:
+    """Integer rows held as ``exact_matmul`` returns them: int64 below
+    INT64_LIMIT, else Python ints; float rows as they are.  Rows that many
+    products share are converted once here, not in each product."""
+    if rows.dtype.kind == "f":
+        return rows
+    return rows.astype(_kernel_dtype(_abs_max(rows)), copy=False)
+
+
 def reduce_rows(rows: np.ndarray) -> np.ndarray:
     """Exact rows, field numerators followed by one positive denominator,
-    divided through by their gcd, so rows of equal values are equal."""
-    return rows // np.gcd.reduce(rows, axis=1, keepdims=True)
-
-
-def closure_row_keys(rows: np.ndarray) -> list:
-    """``row_keys`` of closure rows whose integer dtype may change between levels.
-
-    Integer rows are keyed as Python ints, so a row held as int64 and the same
-    row held as Python ints (past ``kernel_dtype``'s bound) have equal keys.
-    """
-    return row_keys(rows.astype(object) if rows.dtype.kind == "i" else rows)
+    divided through by their gcd, so rows of equal values are equal; held by
+    ``int_rows``."""
+    return int_rows(rows // np.gcd.reduce(rows, axis=1, keepdims=True))

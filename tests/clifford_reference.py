@@ -32,8 +32,8 @@ from spinroot.scalars import (
     BackendMismatchError,
     QuadTower,
     Scalar,
-    closure_row_keys,
     quad_numerators,
+    row_keys,
     scalar_to_json,
 )
 
@@ -162,7 +162,7 @@ def group_elements(G: VersorGroup) -> tuple[Multivector, ...]:
 
 def index_of(G: VersorGroup, mv: Multivector) -> int:
     """Index of an element of G, keyed by ``row_keys`` as the Cayley table keys products."""
-    return G._index[closure_row_keys(element_rows([mv]))[0]]
+    return G._index[row_keys(element_rows([mv]))[0]]
 
 
 def blade_sign(a: int, b: int) -> int:
@@ -170,6 +170,27 @@ def blade_sign(a: int, b: int) -> int:
     left past every vector of a with a larger index."""
     swaps = sum(1 for i in range(4) if b >> i & 1 for j in range(i + 1, 4) if a >> j & 1)
     return -1 if swaps & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def product_tensor(dim: int) -> np.ndarray:
+    """T[(a, p), (b, q), (a ^ b, r)], the structure tensor of Cl(dim) over
+    Q(sqrt2, sqrt5): the coefficient of blade a ^ b and field basis r in
+    (basis p e_a)(basis q e_b), by ``blade_sign`` and QuadTower products of
+    the basis {1, sqrt2, sqrt5, sqrt10}, as Python ints.  Multivectors with
+    numerator rows x, y over D have the product ``einsum("i,j,ijk->k", x, y, T)``
+    over D**2."""
+    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)]
+    size = 1 << dim
+    T = np.zeros((size, 4, size, 4, size, 4), dtype=object)
+    for p, x in enumerate(basis):
+        for q, y in enumerate(basis):
+            z = x * y
+            for r, c in enumerate((z.a, z.b, z.c, z.d)):
+                for a in range(size):
+                    for b in range(size):
+                        T[a, p, b, q, a ^ b, r] = blade_sign(a, b) * int(c)
+    return T.reshape(4 * size, 4 * size, 4 * size)
 
 
 # sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k

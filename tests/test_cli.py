@@ -247,6 +247,18 @@ def test_unknown_system_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["induce", "H3"], ["coxplane", "A3"], ["project", "A4"],
+                                  ["mckay", "B3"], ["export", "roots", "A13"]])
+def test_family_parameter_of_a_fixed_system_is_usage_error(argv, tmp_path, capsys):
+    # only the I2 families take --n: any other system rejects it, not ignores it
+    out = ["--out", str(tmp_path)] if argv[0] == "export" else []
+    assert main([*argv, "--n", "5", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    key = "A1^3" if argv[-1] == "A13" else argv[-1]
+    assert captured.err == f"error: {key} takes no family parameter, got n=5\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -13,6 +13,7 @@ from clifford_reference import (
     mv_scalar,
     mv_zero,
     norm,
+    product_tensor,
     pseudoscalar,
     reflect,
     reverse,
@@ -21,7 +22,7 @@ from clifford_reference import (
     to_blade_dict,
     versor_action,
 )
-from spinroot.clifford import Multivector, blade_name, product_tensor
+from spinroot.clifford import Multivector, blade_name, left_matrices
 from spinroot.scalars import (
     BackendMismatchError,
     QT_HALF,
@@ -111,7 +112,10 @@ def test_product_tensor_matches_geometric_product(pair):
     a, b = pair
     num, den = quad_numerators([a.coeffs, b.coeffs])
     x, y = num.reshape(2, -1).astype(np.int64)
-    out = np.einsum("i,j,ijk->k", x, y, product_tensor(a.dim)).reshape(-1, 4)
+    out = np.einsum("i,j,ijk->k", x, y, product_tensor(a.dim))
+    # the library's matrix of left multiplication by a gives the same product
+    assert (y @ left_matrices(x[None], a.dim)[0] == out).all()
+    out = out.reshape(-1, 4)
     got = Multivector(a.dim, [
         QuadTower(*(Fraction(int(c), den * den) for c in row)) for row in out
     ])

@@ -1,13 +1,12 @@
+import dataclasses
 import math
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clifford_reference import (
     approx_eq,
-    blade_sign,
     dot,
     element_rows,
     grades,
@@ -18,11 +17,12 @@ from clifford_reference import (
     mv_scalar,
     mv_sort_key,
     mv_zero,
+    product_tensor,
     reverse,
     spinor_inner,
     vector_coords,
 )
-from spinroot import clifford, induction, scalars
+from spinroot import induction, scalars
 from spinroot.clifford import Multivector
 from spinroot.induction import (
     Induced4DSet,
@@ -42,6 +42,7 @@ from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
     catalog,
+    generate_roots,
     root_system,
     validate_root_system,
 )
@@ -177,24 +178,6 @@ def test_full_cayley_closure_2T():
             assert sorted(row[i] for row in cay) == list(range(n))
 
 
-@lru_cache(maxsize=None)
-def _structure_tensor(dim: int) -> np.ndarray:
-    """T[(a, p), (b, q), (a ^ b, r)]: the coefficient of blade a ^ b and field
-    basis r in (basis p e_a)(basis q e_b), by ``blade_sign`` and QuadTower
-    products of the basis {1, sqrt2, sqrt5, sqrt10}, as Python ints."""
-    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)]
-    size = 1 << dim
-    T = np.zeros((size, 4, size, 4, size, 4), dtype=object)
-    for p, x in enumerate(basis):
-        for q, y in enumerate(basis):
-            z = x * y
-            for r, c in enumerate((z.a, z.b, z.c, z.d)):
-                for a in range(size):
-                    for b in range(size):
-                        T[a, p, b, q, a ^ b, r] = blade_sign(a, b) * int(c)
-    return T.reshape(4 * size, 4 * size, 4 * size)
-
-
 def _reference_products(num: np.ndarray, T: np.ndarray) -> np.ndarray:
     """P[x, y] = sum over i, j of num[x, i] num[y, j] T[i, j], in num's dtype.
 
@@ -236,35 +219,54 @@ def test_exact_cayley_tables_match_products():
         # reference: products of the element rows over den**2 (Python ints on
         # the exact groups), looked up among the rows of den * E
         index = {key: i for i, key in enumerate(_reference_keys(den * num))}
-        products = _reference_products(num, _structure_tensor(G.dim))
+        products = _reference_products(num, product_tensor(G.dim))
         expected = [[index[key] for key in _reference_keys(row)] for row in products]
         assert G.cayley == expected, G.name
         by_mv = {mv_key(e): i for i, e in enumerate(elements)}
         assert G.inverse_indices == tuple(by_mv[mv_key(reverse(e))] for e in elements)
 
 
-def test_exact_cayley_with_python_ints(monkeypatch):
-    # the same kernel on unbounded ints, as taken when int64 could overflow
-    expected = pin_group("A3").cayley
-    monkeypatch.setattr(induction, "kernel_dtype", lambda bound: object)
-    assert generate_pin_group(catalog("A3")).cayley == expected
+#: limits of scalars that force every exact product onto one tier
+TIER_LIMITS = {"int64": {"FLOAT64_LIMIT": 0},
+               "python-ints": {"FLOAT64_LIMIT": 0, "INT64_LIMIT": 0}}
 
 
-@pytest.mark.parametrize("lift", [2 ** 53, 2 ** 62])
-def test_pin_rows_and_cayley_tables_on_every_integer_tier(monkeypatch, lift):
-    # the bounds lifted past 2**53 (int64 products) and past 2**62 (Python
-    # ints) give the rows and tables of the float64 products
-    names = ("A3", "B3", "H3")
-    expected = [(pin_group(name).rows, pin_group(name).cayley) for name in names]
-    exact_matmul, kernel_dtype = scalars.exact_matmul, scalars.kernel_dtype
-    for module in (clifford, induction):
-        monkeypatch.setattr(module, "exact_matmul",
-                            lambda a, b, bound: exact_matmul(a, b, bound + lift))
-        monkeypatch.setattr(module, "kernel_dtype", lambda bound: kernel_dtype(bound + lift))
-    for name, (rows, table) in zip(names, expected):
-        G = generate_pin_group(catalog(name))
-        assert G.rows.dtype == rows.dtype and np.array_equal(G.rows, rows), name
-        assert G.cayley == table, name
+def _exact_results() -> dict:
+    """Every result of the integer kernels, from fresh catalog sets (no Gram,
+    closure or table cached): root rows, Grams, unit checks, validation
+    reports, and for rank 3 the pin rows, their unit check and Cayley table."""
+    out = {}
+    for name in ("A3", "B3", "H3", "D4", "F4", "H4"):
+        simple = dataclasses.replace(catalog(name))
+        R = generate_roots(simple)
+        out[name] = [R.num, R.den, *simple.gram, simple.unit,
+                     validate_root_system(R.num), validate_root_system(R.num[1:], 10_000)]
+        if simple.rank == 3:
+            G = generate_pin_group(simple)
+            out[name] += [G.rows, induction._unit_rows(G.rows, G.dim), G.cayley]
+    return out
+
+
+@pytest.mark.parametrize("tier", sorted(TIER_LIMITS))
+def test_exact_results_on_every_integer_tier(monkeypatch, tier):
+    # every product forced onto int64, or onto Python ints, gives the results
+    # of the tiers picked from the operands (float64 BLAS for these systems)
+    expected = _exact_results()
+    for limit, value in TIER_LIMITS[tier].items():
+        monkeypatch.setattr(scalars, limit, value)
+    got = _exact_results()
+    for name, want in expected.items():
+        assert len(got[name]) == len(want), name
+        for a, b in zip(got[name], want):
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape and (a == b).all(), name
+            else:
+                assert a == b, name
+    # the rows are held as the tier holds them
+    for name in ("A3", "B3", "H3"):
+        rows, cayley = got[name][-3], got[name][-1]
+        assert rows.dtype == (object if tier == "python-ints" else np.int64), name
+        assert cayley == pin_group(name).cayley, name
 
 
 def test_cayley_product_escaping_the_group():

@@ -271,8 +271,7 @@ def test_character_columns_are_adjacency_eigenvectors():
 def test_seed_independence():
     G = spin_group("A1xI2", 5)
     classes = conjugacy_classes(G)
-    mats = class_matrices(G, classes)
-    tables = [character_table(G, classes, seed=s, mats=mats) for s in range(12)]
+    tables = [character_table(G, classes, seed=s) for s in range(12)]
     for t in tables[1:]:
         assert t.dims == tables[0].dims
         assert np.allclose(t.chars, tables[0].chars, atol=1e-8)
@@ -284,11 +283,10 @@ def test_character_tables_equal_single_seed_tables():
     for name, n in [("A3", None), ("B3", None), ("H3", None), ("I2", 12), ("A1xI2", 12)]:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
-        mats = class_matrices(G, classes)
-        tables = list(character_tables(G, classes, range(32), mats=mats))
+        tables = list(character_tables(G, classes, range(32)))
         assert len(tables) == 32
         for seed, table in enumerate(tables):
-            single = character_table(G, classes, seed=seed, mats=mats)
+            single = character_table(G, classes, seed=seed)
             assert table.chars.dtype == single.chars.dtype
             assert table.chars.tobytes() == single.chars.tobytes()
             assert (table.dims, table.sizes, table.order) == \

@@ -33,7 +33,7 @@ from spinroot.rootsys import (
     validate_root_system,
 )
 from spinroot.scalars import (
-    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, kernel_dtype, quad_numerators,
+    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, quad_numerators,
     row_floats,
 )
 
@@ -55,6 +55,9 @@ def test_name_parsing():
         parse_name("G2")
     with pytest.raises(UnknownSystemError):
         parse_name("I2(3)xI2(4)")
+    for name in ("H3", "h4", "A13", "A1^4"):
+        with pytest.raises(UnknownSystemError, match="takes no family parameter"):
+            parse_name(name, 5)
     with pytest.raises(UnknownSystemError):
         catalog("I2")  # family parameter missing
     assert display_name("I2xI2", 6) == "I2(6)xI2(6)"
@@ -497,20 +500,24 @@ def test_validate_exact_matches_reference():
 
 
 def test_validate_large_denominators_stay_exact(monkeypatch):
-    chosen = []
+    # the tier each integer product off float64 takes, as scalars picks it
+    tiers, kernel_dtype = [], scalars._kernel_dtype
 
     def recording(bound):
-        chosen.append(kernel_dtype(bound))
-        return chosen[-1]
+        tiers.append(kernel_dtype(bound))
+        return tiers[-1]
 
-    monkeypatch.setattr(rootsys, "kernel_dtype", recording)
+    monkeypatch.setattr(scalars, "_kernel_dtype", recording)
     # numerators and the common denominator near 4e7: int64 could overflow
     scale = QuadTower(Fraction(10 ** 7 + 19, 10 ** 7 + 20))
     roots = tuple(scale * r for r in root_system("H3").roots)
     broken = roots[1:] + (scale * Multivector.from_vector([QT_HALF, TAU, QT_ZERO]),)
+    chosen = []
     for s in (roots, broken):
+        tiers.clear()
         rep = validate_root_system(numerators(s), max_samples=10_000)
         assert rep.reflection_violations == reference_reflection_violations(s, 10_000)
+        chosen.append(tiers[-1])    # the reflections of the last root
     assert chosen == [object, object]
     assert rep.reflection_violations
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clifford_reference import EQ_TOL, approx_eq, reflect
+from spinroot import scalars
 from spinroot.clifford import Multivector
 from spinroot.scalars import (
     BackendMismatchError,
@@ -24,9 +25,9 @@ from spinroot.scalars import (
     exact_matmul,
     field_matrix,
     is_exact,
-    kernel_dtype,
     quad_numerators,
     row_floats,
+    row_keys,
     scalar_str,
 )
 
@@ -171,8 +172,8 @@ def test_field_tensor_product_matches_quadtower(x, y):
 
 
 def test_kernel_dtype_bound():
-    assert kernel_dtype(2 ** 62 - 1) is np.int64
-    assert kernel_dtype(2 ** 62) is object
+    assert scalars._kernel_dtype(2 ** 62 - 1) is np.int64
+    assert scalars._kernel_dtype(2 ** 62) is object
     with pytest.raises(TypeError):
         quad_numerators([QT_ONE, 1.0])
 
@@ -180,6 +181,38 @@ def test_kernel_dtype_bound():
 def _term_bound(a: np.ndarray, b: np.ndarray) -> int:
     """The largest sum of |terms| of an entry of a @ b, on Python ints."""
     return int((np.abs(a.astype(object)) @ np.abs(b.astype(object))).max())
+
+
+def _tier(a, b) -> tuple[np.dtype, np.ndarray]:
+    """The dtype ``exact_matmul`` converts ``a`` to, the tier of the product,
+    and the product."""
+    asked = []
+
+    class Recording(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            asked.append(np.dtype(dtype))
+            return np.asarray(self).astype(dtype, *args, **kwargs)
+
+    out = exact_matmul(np.asarray(a).view(Recording), np.asarray(b))
+    return asked[0], out
+
+
+def test_exact_matmul_picks_its_tier_at_the_edges():
+    # the tier is read off inner dim * max|a| * max|b|, at 2**53 and 2**62
+    cases = [([[2 ** 53 - 1]], [[1]], np.float64),
+             ([[2 ** 53]], [[1]], np.int64),
+             ([[2 ** 26, 2 ** 26]], [[2 ** 26], [2 ** 26]], np.int64),
+             ([[2 ** 62 - 1]], [[1]], np.int64),
+             ([[2 ** 62]], [[1]], object),
+             ([[2 ** 61, 2 ** 61]], [[1], [-1]], object)]
+    for a, b, tier in cases:
+        want = (np.array(a, dtype=object) @ np.array(b, dtype=object))[0, 0]
+        for dtype in (np.int64, object):
+            got_tier, out = _tier(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+            assert got_tier == np.dtype(tier), (a, b, dtype)
+            # int64 below 2**62, Python ints from there
+            assert out.dtype == (object if tier is object else np.int64)
+            assert out[0, 0] == want and isinstance(out.tolist()[0][0], int)
 
 
 def test_exact_matmul_on_float64_just_below_2_53():
@@ -193,11 +226,14 @@ def test_exact_matmul_on_float64_just_below_2_53():
         bound = _term_bound(a, b)
         assert 2 ** 52 < bound < 2 ** 53
         want = a.astype(object) @ b.astype(object)
-        got = exact_matmul(a, b, bound)
+        tier, got = _tier(a, b)
+        assert tier == np.float64
         assert got.dtype == np.int64 and (got.astype(object) == want).all()
-        got = exact_matmul(a.astype(object), b.astype(object), bound)
-        assert got.dtype == object and (got == want).all()
-        assert {type(x) for x in got.ravel()} == {int}
+        # Python-int operands take the same tier and give int64 too
+        tier, got = _tier(a.astype(object), b.astype(object))
+        assert tier == np.float64
+        assert got.dtype == np.int64 and (got.astype(object) == want).all()
+        assert {type(x) for x in got.tolist()[0]} == {int}
 
 
 def test_exact_matmul_is_integer_from_2_53():
@@ -209,14 +245,29 @@ def test_exact_matmul_is_integer_from_2_53():
     bound = _term_bound(a, b)
     assert bound >= 2 ** 53
     for dtype in (np.int64, object):
-        got = exact_matmul(a.astype(dtype), b.astype(dtype), bound)
-        assert got.dtype == dtype and got[0, 0] == want
+        tier, got = _tier(a.astype(dtype), b.astype(dtype))
+        assert tier == np.int64
+        assert got.dtype == np.int64 and got[0, 0] == want
 
 
 def test_exact_matmul_leaves_floats_alone():
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 3))
-    assert np.array_equal(exact_matmul(a, b, 0), a @ b)
+    assert np.array_equal(exact_matmul(a, b), a @ b)
+
+
+def test_row_keys_are_values_whatever_the_dtype():
+    row, huge = [3, -2 ** 40, 0, 7, 1], [2 ** 70, 1, 0, 0, 3]
+    held = row_keys(np.array([row], dtype=np.int64))[0]
+    assert row_keys(np.array([row], dtype=object)) == [held]
+    # in an object array where another row exceeds int64
+    keys = row_keys(np.array([huge, row], dtype=object))
+    assert keys[1] == held
+    assert keys[0] == row_keys(np.array([huge], dtype=object))[0] != held
+    # at the int64 edge: -2**63 fits, 2**63 does not and keeps its value
+    edge = row_keys(np.array([[-2 ** 63], [2 ** 63]], dtype=object))
+    assert edge[0] == row_keys(np.array([[-2 ** 63]], dtype=np.int64))[0]
+    assert len(set(edge)) == 2
 
 
 def test_representation_is_canonical():

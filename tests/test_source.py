@@ -114,3 +114,24 @@ def test_multivector_stays_at_the_boundary():
                 named.add(path.name)
     assert "clifford.py" in named
     assert named <= allowed, sorted(named - allowed)
+
+
+def test_integer_tiers_are_decided_in_scalars():
+    # the tier limits and the dtype choice are named only in scalars.py, and
+    # every exact_matmul bounds itself from its two operands
+    tier_names = {"kernel_dtype", "_kernel_dtype", "FIELD_TENSOR_MAX",
+                  "FLOAT64_LIMIT", "INT64_LIMIT"}
+    named, calls = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in tier_names:
+                named.add(path.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "exact_matmul"):
+                calls.append((f"{path.name}:{node.lineno}", len(node.args), len(node.keywords)))
+    assert named == {"scalars.py"}
+    assert len(calls) > 5
+    assert [c for c in calls if c[1:] != (2, 0)] == []

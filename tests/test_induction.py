@@ -226,9 +226,17 @@ def test_exact_cayley_tables_match_products():
         assert G.inverse_indices == tuple(by_mv[mv_key(reverse(e))] for e in elements)
 
 
-#: limits of scalars that force every exact product onto one tier
-TIER_LIMITS = {"int64": {"FLOAT64_LIMIT": 0},
-               "python-ints": {"FLOAT64_LIMIT": 0, "INT64_LIMIT": 0}}
+#: the tier limits of scalars; dropping one to 0 forces every product past it
+TIER_LIMITS = {"FLOAT64_LIMIT": 1 << 53, "INT64_LIMIT": 1 << 62}
+
+
+def _force_tiers_past(monkeypatch, limit: int) -> None:
+    """Drop every tier limit of scalars at or below ``limit`` to 0."""
+    assert limit in TIER_LIMITS.values()
+    for name, value in TIER_LIMITS.items():
+        assert getattr(scalars, name) == value, name
+        if value <= limit:
+            monkeypatch.setattr(scalars, name, 0)
 
 
 def _exact_results() -> dict:
@@ -247,13 +255,28 @@ def _exact_results() -> dict:
     return out
 
 
-@pytest.mark.parametrize("tier", sorted(TIER_LIMITS))
-def test_exact_results_on_every_integer_tier(monkeypatch, tier):
-    # every product forced onto int64, or onto Python ints, gives the results
-    # of the tiers picked from the operands (float64 BLAS for these systems)
+def test_exact_cayley_with_python_ints(monkeypatch):
+    # the same kernel on unbounded ints, as taken when int64 could overflow,
+    # from rows held as int64 and from rows held as Python ints
+    A3 = pin_group("A3")
+    expected = A3.cayley
+    _force_tiers_past(monkeypatch, TIER_LIMITS["INT64_LIMIT"])
+    G = generate_pin_group(catalog("A3"))
+    assert G.rows.dtype == object
+    assert G.cayley == expected
+    G = VersorGroup(name="A3 on Python ints", dim=3, rows=A3.rows.astype(object),
+                    parities=A3.parities, parity="pin")
+    assert G.cayley == expected
+
+
+@pytest.mark.parametrize("limit", [1 << 53, 1 << 62])
+def test_pin_rows_and_cayley_tables_on_every_integer_tier(monkeypatch, limit):
+    # every product forced past 2**53 (onto int64) or past 2**62 (onto Python
+    # ints) gives the results of the tiers picked from the operands (float64
+    # BLAS for these systems)
     expected = _exact_results()
-    for limit, value in TIER_LIMITS[tier].items():
-        monkeypatch.setattr(scalars, limit, value)
+    _force_tiers_past(monkeypatch, limit)
+    python_ints = limit == TIER_LIMITS["INT64_LIMIT"]
     got = _exact_results()
     for name, want in expected.items():
         assert len(got[name]) == len(want), name
@@ -265,7 +288,7 @@ def test_exact_results_on_every_integer_tier(monkeypatch, tier):
     # the rows are held as the tier holds them
     for name in ("A3", "B3", "H3"):
         rows, cayley = got[name][-3], got[name][-1]
-        assert rows.dtype == (object if tier == "python-ints" else np.int64), name
+        assert rows.dtype == (object if python_ints else np.int64), name
         assert cayley == pin_group(name).cayley, name
 
 

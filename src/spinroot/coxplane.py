@@ -11,7 +11,9 @@ Multivectors here are rows: the Coxeter versor W is a row in the layout of
 a float coefficient row.  Products, wedges and exponentials go through
 ``clifford.right_products`` and ``clifford.float_products``, and every float
 sum runs from 0.0 in blade order, so each printed float is the one the
-per-element Multivector computation gives.
+per-element Multivector computation gives.  The weight basis is numerator
+rows too, inverted fraction-free through ``scalars.field_quotients``; every
+float of an exact row comes from ``scalars.row_floats``.
 
 Many words of one system go through each stage at once:
 ``coxeter_versors``, ``exponents_via_matrices``, ``planes_from_matrices`` and
@@ -39,7 +41,7 @@ from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_name, spin_group
 from .mckay import components
 from .rootsys import SimpleRootSet, catalog, ordered_dot, parse_name
-from .scalars import QuadTower, Scalar, quad_numerators, row_floats
+from .scalars import exact_matmul, field_matrix, field_quotients, quad_numerators, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -338,39 +340,28 @@ def pf_eigenvector(cartan) -> np.ndarray:
     return x / x[0]
 
 
-def weight_basis(simple: SimpleRootSet) -> tuple[tuple[Scalar, ...], ...]:
-    """Coordinate rows w_i with (w_i | a_j) = delta_ij, exact where the roots are exact."""
-    rows = [list(v) for v in simple.vectors]
-    if simple.backend == "exact":
-        cols = _invert_exact(rows)
-    else:
-        cols = np.linalg.inv(np.array(rows, dtype=float)).T.tolist()
-    return tuple(tuple(c) for c in cols)
-
-
-def _invert_exact(rows):
-    """Gauss-Jordan inverse over the exact field; returns the inverse's columns."""
-    k = len(rows)
-    aug = [
-        [rows[i][j] for j in range(k)]
-        + [QuadTower(1 if j == i else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        pivot_row = next(
-            (r for r in range(col, k) if not aug[r][col].is_zero()), None
-        )
-        if pivot_row is None:
+def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
+    """Numerator rows (rank, rank, 4) of the w_i with (w_i | a_j) = delta_ij, and
+    their denominator, as ``SimpleRootSet.cartan``: w_j is column j of A^-1, A
+    the simple roots N / D.  Fraction-free Gauss-Jordan turns the rows [N | D I]
+    into [P | R], P diagonal, and A^-1 = D N^-1 has the entries R_ij / P_ii."""
+    num, den = simple.rows
+    if num.dtype.kind == "f":
+        return quad_numerators(np.linalg.inv(num[..., 0]).T.tolist())
+    k, diag = simple.rank, np.arange(simple.rank)
+    aug = np.concatenate([num, np.zeros_like(num)], axis=1)
+    aug[diag, k + diag, 0] = den
+    for c in range(k):
+        nonzero = [r for r in range(c, k) if aug[r, c].any()]
+        if not nonzero:
             raise ValueError("simple roots are linearly dependent")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(k):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    # inverse matrix element (i, j) = aug[i][k + j]; column j is weight w_j
-    return [[aug[i][k + j] for i in range(k)] for j in range(k)]
+        aug[[c, nonzero[0]]] = aug[[nonzero[0], c]]
+        # every other row r becomes P row_r - row_r[c] row_c, P the pivot
+        row = aug[c].copy()
+        aug = exact_matmul(aug, field_matrix(row[c])) - exact_matmul(row, field_matrix(aug[:, c]))
+        aug[c] = row
+    w, w_den = field_quotients(aug[:, k:], aug[diag, diag][:, None])
+    return w.transpose(1, 0, 2), w_den
 
 
 def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
@@ -378,7 +369,7 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     """Unit bivector of the plane spanned by the two PF-weighted coloured vectors."""
     white, black = bicolor(simple)
     pf = pf_eigenvector(row_floats(*simple.cartan))
-    weights = np.array([[float(c) for c in w] for w in weight_basis(simple)])
+    weights = row_floats(*weight_basis(simple))
 
     def combo(idxs):
         v = np.zeros(simple.rank)

@@ -54,9 +54,17 @@ CLASS_SCALAR_TOL = 1e-9
 #: in the character-table CSV a real part below this prints as 0 and an
 #: imaginary part below it not at all, so no draw's last bits show
 CSV_ZERO_TOL = 1e-10
+#: largest group the McKay layer takes: its classes loop over |G|**2 products
+#: and its class matrices hold k**3 integers, k = |G| for the cyclic spin
+#: groups of I2(n); I2(120), |G| = 240, peaks at about 353 MB
+MCKAY_CAP = 240
 
 
 class CharacterError(RuntimeError):
+    pass
+
+
+class McKayCapError(RuntimeError):
     pass
 
 
@@ -92,6 +100,9 @@ class McKayGraph:
 
 
 def conjugacy_classes(G: VersorGroup) -> ClassData:
+    if G.order > MCKAY_CAP:
+        raise McKayCapError(f"{G.name} has {G.order} elements; the McKay layer "
+                            f"takes groups of at most {MCKAY_CAP}")
     cay = G.cayley
     inv = G.inverse_indices
     n = G.order

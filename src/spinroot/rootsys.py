@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,13 +54,15 @@ from .scalars import (
     Scalar,
     TAU,
     exact_matmul,
-    field_inverse,
     field_matrix,
+    field_quotients,
     quad_numerators,
     read_only,
     reduce_rows,
     row_floats,
     row_keys,
+    scalar_str,
+    scalar_to_json,
     scalar_values,
 )
 
@@ -172,14 +174,8 @@ class SimpleRootSet:
         g, diag = self.gram[0], np.arange(self.rank)
         if g.dtype.kind == "f":
             return read_only(g * 2 / g[diag, diag, 0][:, None]), 1
-        # 2 G_ij / G_jj = 2 G_ij inv_j / norm_j, over the lcm of the norms
-        g = g.astype(object)
-        inv, norm = field_inverse(g[diag, diag])
-        den = lcm(*norm.tolist())
-        num = (g[:, :, None] @ field_matrix(inv))[:, :, 0]
-        num *= (2 * den // norm)[:, None]
-        common = gcd(*num.ravel().tolist(), den)
-        return read_only(num // common), den // common
+        num, den = field_quotients(2 * g, g[diag, diag])
+        return read_only(num), den
 
     @property
     def unit(self) -> bool:
@@ -572,10 +568,8 @@ def _direction_keys(num: np.ndarray) -> list:
     if floats:
         return [tuple(round(c / p, KEY_DECIMALS) + 0.0 for c in row)
                 for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
-    # x / p = x inv / norm = (x inv norm) / norm**2, over a positive denominator
-    inv, norm = field_inverse(pivots.astype(object))
-    scaled = exact_matmul(num, field_matrix(inv)).reshape(len(num), -1) * norm[:, None]
-    return row_keys(reduce_rows(np.hstack([scaled, (norm * norm)[:, None]])))
+    # the rows x / p share one denominator, so their numerators are the keys
+    return row_keys(field_quotients(num, pivots[:, None])[0].reshape(len(num), -1))
 
 
 def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationReport:
@@ -633,8 +627,6 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
 
 
 def roots_to_json(system: RootSystem) -> dict:
-    from .scalars import scalar_to_json
-
     return {
         "name": system.name,
         "count": system.count,
@@ -643,7 +635,5 @@ def roots_to_json(system: RootSystem) -> dict:
 
 
 def cartan_to_csv(simple: SimpleRootSet) -> str:
-    from .scalars import scalar_str
-
     rows = [",".join(scalar_str(v) for v in row) for row in cartan_matrix(simple)]
     return "\n".join(rows) + "\n"

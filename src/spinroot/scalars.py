@@ -15,8 +15,9 @@ literals, exact printing and JSON.
 The data of every set is numerator rows instead, on both backends: a set is
 its numerators over the same basis with one common denominator
 (``quad_numerators``; ``scalar_values`` is the inverse, for printing), and
-products are matrix products through the structure tensor ``FIELD_TENSOR``
-(``field_matrix``; ``field_inverse`` divides).  Exact rows are integers, and
+products are matrix products through a structure tensor, ``FIELD_TENSOR`` by
+default (``field_matrix``; ``adjoin_sqrt`` adjoins a square root to a tensor's
+ring, ``field_quotients`` divides).  Exact rows are integers, and
 this module alone picks how they are held and multiplied: ``exact_matmul``
 bounds each product by its own operands and runs it on float64 BLAS below
 ``FLOAT64_LIMIT``, on int64 below ``INT64_LIMIT`` and on Python ints above, so
@@ -190,8 +191,9 @@ class QuadTower:
     def inverse(self) -> "QuadTower":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(sqrt2, sqrt5)")
-        num, norm = field_inverse(np.array([self._na, self._nb, self._nc, self._nd], dtype=object))
-        return QuadTower._raw(*(num * self._q).tolist(), int(norm))
+        num, den = field_quotients(np.array([self._q, 0, 0, 0], dtype=object),
+                                   np.array([self._na, self._nb, self._nc, self._nd], dtype=object))
+        return QuadTower._raw(*num.tolist(), den)
 
     def __truediv__(self, other):
         o = QuadTower._coerce(other)
@@ -273,22 +275,6 @@ def scalar_to_json(x: Scalar):
 
 
 # -- array kernel for pairwise work over whole sets ------------------------------
-
-
-def _field_tensor() -> np.ndarray:
-    # bit 0 of a basis index marks sqrt2 and bit 1 marks sqrt5, so basis p times
-    # basis q is basis p^q times the squares they share (sqrt2*sqrt10 = 2 sqrt5)
-    t = np.zeros((4, 4, 4), dtype=np.int64)
-    for p in range(4):
-        for q in range(4):
-            shared = p & q
-            t[p, q, p ^ q] = (2 if shared & 1 else 1) * (5 if shared & 2 else 1)
-    t.flags.writeable = False
-    return t
-
-
-#: T[p, q, r]: coefficient of basis r in (basis p)(basis q), basis {1, sqrt2, sqrt5, sqrt10}
-FIELD_TENSOR = _field_tensor()
 
 
 def quad_numerators(values) -> tuple[np.ndarray, int]:
@@ -378,27 +364,56 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(dtype) @ b.astype(dtype)
 
 
-def field_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrices (..., 4, 4) of multiplication by numerator rows x (..., 4).
+def adjoin_sqrt(t: np.ndarray, r) -> np.ndarray:
+    """Structure tensor (2d, 2d, 2d) of F(sqrt r), from the tensor t (d, d, d) of
+    F and the coordinates r (d) of the radicand on F's basis b: the new basis
+    is b, then b sqrt r, and (b_p sqrt r)(b_q sqrt r) = (b_p b_q) r."""
+    d = len(t)
+    times_r = exact_matmul(np.array(r), t.reshape(d, d * d)).reshape(d, d)
+    out = np.zeros((2, d, 2, d, 2, d), dtype=np.int64)
+    out[0, :, 0, :, 0] = out[0, :, 1, :, 1] = out[1, :, 0, :, 1] = t
+    out[1, :, 1, :, 0] = exact_matmul(t, times_r)
+    return read_only(out.reshape(2 * d, 2 * d, 2 * d))
+
+
+#: the structure tensor of Q itself, on the basis {1}
+RATIONAL_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
+#: T[p, q, r]: coefficient of basis r in (basis p)(basis q), basis {1, sqrt2, sqrt5, sqrt10}
+FIELD_TENSOR = adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [2]), [5, 0])
+
+
+def field_matrix(x: np.ndarray, tensor: np.ndarray = FIELD_TENSOR) -> np.ndarray:
+    """Matrices (..., d, d) of multiplication by numerator rows x (..., d) in
+    the ring of the structure tensor (d, d, d), by default Q(sqrt2, sqrt5).
 
     ``y @ field_matrix(x)`` holds the numerators of x*y, over the product of
     the two denominators.  M[q, r] = sum over p of x_p T[p, q, r], one
     ``exact_matmul`` with the structure tensor.
     """
-    return exact_matmul(x, FIELD_TENSOR.reshape(4, 16)).reshape(x.shape[:-1] + (4, 4))
+    d = len(tensor)
+    return exact_matmul(x, tensor.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d))
 
 
 #: numerator signs of the other Galois conjugates: sqrt2, sqrt5, both negated
 _CONJUGATES = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 
 
-def field_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators (..., 4) and norms (...) with 1/x = num / norm, for nonzero
-    numerator rows x (..., 4): num is the product of the other three Galois
-    conjugates of x, so the norm x num is rational.  Exact in the dtype of x."""
-    c2, c5, c10 = (x * signs for signs in _CONJUGATES)
-    num = (c2[..., None, :] @ field_matrix(c5) @ field_matrix(c10))[..., 0, :]
-    return num, (x[..., None, :] @ field_matrix(num))[..., 0, 0]
+def field_quotients(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+    """Numerators, held by ``int_rows``, of x / d over one reduced least positive
+    denominator, for numerator rows x (..., 4) and nonzero rows d that
+    broadcast with them: a denominator that x and d share cancels unread.
+
+    1/d = inv / norm with inv the product of the other three Galois conjugates
+    of d, so the norm d inv is rational; both are formed on Python ints.
+    """
+    d = d.astype(object)
+    c2, c5, c10 = (d * signs for signs in _CONJUGATES)
+    inv = (c2[..., None, :] @ field_matrix(c5) @ field_matrix(c10))[..., 0, :]
+    norm = (d[..., None, :] @ field_matrix(inv))[..., 0, :1]
+    den = lcm(*norm.ravel().tolist())
+    num = exact_matmul(x[..., None, :], field_matrix(inv))[..., 0, :] * (den // norm)
+    common = gcd(*num.ravel().tolist(), den)
+    return int_rows(num // common), den // common
 
 
 def row_keys(rows: np.ndarray) -> list:

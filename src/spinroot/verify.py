@@ -27,7 +27,8 @@ import numpy as np
 from . import ade, coxplane, mckay, output
 from .induction import induced_set, pin_group, spin_group
 from .rootsys import catalog, root_system, rotation_orders, validate_root_system
-from .scalars import INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, TAU, QuadTower
+from .scalars import (INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, RATIONAL_TENSOR, TAU, adjoin_sqrt,
+                      exact_matmul, field_matrix, row_floats)
 
 PI = math.pi
 
@@ -274,97 +275,74 @@ def check_pf() -> list[CheckResult]:
 # -- 7: H4 appendix fixtures -----------------------------------------------------------
 
 
-def _z5_str(x: QuadTower) -> str:
-    """An element p + q*sqrt5 of Q(sqrt5), printed as (p+q*r5)."""
-    return f"({x.a}{'+' if x.c >= 0 else ''}{x.c}*r5)"
+#: the ring Z[sqrt5][R] of the appendix, R^2 = 30 + 6 sqrt5, on the basis
+#: {1, sqrt5, R, sqrt5 R}: (p + q sqrt5) + (r + s sqrt5) R is the row [p, q, r, s]
+Z5R = adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [5]), [30, 6])
 
 
-class _Z5R:
-    """a + b*R with a, b in Q(sqrt5) and R^2 = 30 + 6*sqrt5."""
-
-    __slots__ = ("a", "b")
-    R_SQ = QuadTower(30, 0, 6)
-
-    def __init__(self, a: QuadTower, b: QuadTower):
-        self.a, self.b = a, b
-
-    def __add__(self, o):
-        return _Z5R(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return _Z5R(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o):
-        return _Z5R(self.a * o.a + self.b * o.b * self.R_SQ,
-                    self.a * o.b + self.b * o.a)
-
-    def __eq__(self, o):
-        return self.a == o.a and self.b == o.b
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(30.0 + 6.0 * math.sqrt(5.0))
-
-    def __repr__(self):
-        return f"{_z5_str(self.b)}*R + {_z5_str(self.a)}"
+def _z5r_float(x: np.ndarray) -> float:
+    """A row [p, q, r, s] of Z[sqrt5][R] as the float (p + q sqrt5) + (r + s sqrt5) R."""
+    p, q, r, s = x.tolist()
+    root5 = math.sqrt(5.0)
+    return (p + q * root5) + (r + s * root5) * math.sqrt(30.0 + 6.0 * root5)
 
 
-def _z5r(p: int, q: int, r: int, s: int) -> _Z5R:
-    """(p + q*sqrt5) + (r + s*sqrt5)*R"""
-    return _Z5R(QuadTower(p, 0, q), QuadTower(r, 0, s))
+def _z5r_str(x: np.ndarray) -> str:
+    """A row [p, q, r, s] of Z[sqrt5][R], printed as (r+s*r5)*R + (p+q*r5)."""
+    p, q, r, s = x.tolist()
+    return f"({r}{'+' if s >= 0 else ''}{s}*r5)*R + ({p}{'+' if q >= 0 else ''}{q}*r5)"
 
 
 def check_h4_appendix() -> list[CheckResult]:
     out = []
     # weight basis (inverse basis of the simple roots)
-    tau = TAU
-    weights = coxplane.weight_basis(catalog("H4"))
-    z, one = QT_ZERO, QT_ONE
+    tau, z, one = TAU, QT_ZERO, QT_ONE
+    weights = row_floats(*coxplane.weight_basis(catalog("H4")))
     expected = [
         (z, z, z, 2 * tau),
         (-tau, one, z, 3 * tau + 1),
         (-2 * tau, z, z, 4 * tau + 2),
         (-(1 + tau), z, one, 3 * tau + 2),
     ]
-    diffs = []
-    for w, want in zip(weights, expected):
-        diffs.extend(abs(float(g) - float(e)) for g, e in zip(w, want))
+    diffs = [abs(g - float(e)) for w, want in zip(weights.tolist(), expected)
+             for g, e in zip(w, want)]
     out.append(_res(7, "H4 weight basis", max(diffs) < 1e-9,
                     f"max coordinate error {max(diffs):.2e}",
                     "2tau*e4, -tau*e1+e2+(3tau+1)*e4, ... within 1e-9"))
 
-    # printed coloured vectors, taken verbatim, in Z[sqrt5][R]
-    a1 = _z5r(-28, -12, -6, -2)
-    a4 = _z5r(96, 40, 14, 6)
-    b1 = _z5r(14, 6, 3, 1)
-    b2 = _z5r(-4, -4, 0, 0)
-    b3 = _z5r(2, -2, -2, 0)
-    b4 = _z5r(-48, -20, -7, -3)
-    c14 = a1 * b4 - a4 * b1
-    rel = abs(float(c14)) / abs(float(a1 * b4))
-    zero = c14 == _z5r(0, 0, 0, 0)
+    # printed coloured vectors, taken verbatim, as rows of Z[sqrt5][R]
+    a1, a4, b1, b2, b3, b4 = np.array([[-28, -12, -6, -2], [96, 40, 14, 6], [14, 6, 3, 1],
+                                       [-4, -4, 0, 0], [2, -2, -2, 0], [-48, -20, -7, -3]])
+
+    def times(x, y):
+        return exact_matmul(x, field_matrix(y, Z5R))
+
+    c14 = times(a1, b4) - times(a4, b1)
+    rel = abs(_z5r_float(c14)) / abs(_z5r_float(times(a1, b4)))
+    zero = not c14.any()
     out.append(_res(7, "wedge e1e4 component cancels", zero and rel < 1e-6,
                     f"exact zero: {zero}, relative {rel:.1e}", "0 (|coef| < 1e-6 rel)"))
 
     # B^2 = (a.b)^2 - a^2 b^2 for the wedge of those two vectors
-    adotb = a1 * b1 + a4 * b4
-    asq = a1 * a1 + a4 * a4
-    bsq = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
-    bsq_bivector = adotb * adotb - asq * bsq
-    want = _z5r(-15421440, -6893568, -2334720, -1044480)
-    float_rel = abs(float(bsq_bivector) - float(want)) / abs(float(want))
-    out.append(_res(7, "plane bivector norm squared",
-                    bsq_bivector == want and float_rel < 1e-9,
-                    f"exact equal: {bsq_bivector == want}, rel err {float_rel:.1e}",
+    adotb = times(a1, b1) + times(a4, b4)
+    asq = times(a1, a1) + times(a4, a4)
+    bsq = times(b1, b1) + times(b2, b2) + times(b3, b3) + times(b4, b4)
+    bsq_bivector = times(adotb, adotb) - times(asq, bsq)
+    want = np.array([-15421440, -6893568, -2334720, -1044480])
+    equal = np.array_equal(bsq_bivector, want)
+    float_rel = abs(_z5r_float(bsq_bivector) - _z5r_float(want)) / abs(_z5r_float(want))
+    out.append(_res(7, "plane bivector norm squared", equal and float_rel < 1e-9,
+                    f"exact equal: {equal}, rel err {float_rel:.1e}",
                     "(-1044480*r5-2334720)*R - 6893568*r5 - 15421440"))
-    reduced = _Z5R(bsq_bivector.a / 12288, bsq_bivector.b / 12288)
+    reduced, rest = np.divmod(bsq_bivector, 12288)
     out.append(_res(7, "coefficients divide by 12288",
-                    reduced == _z5r(-1255, -561, -190, -85),
-                    repr(reduced), "(-85*r5-190)*R - 561*r5 - 1255"))
+                    not rest.any() and np.array_equal(reduced, [-1255, -561, -190, -85]),
+                    _z5r_str(reduced), "(-85*r5-190)*R - 561*r5 - 1255"))
     # the appendix also simplifies two of the products
     out.append(_res(7, "a1*b3 and a4*b3 products",
-                    a1 * b3 == _z5r(544, 224, 64, 32)
-                    and a4 * b3 == _z5r(-1408, -640, -224, -96),
-                    (repr(a1 * b3), repr(a4 * b3)),
+                    np.array_equal(times(a1, b3), [544, 224, 64, 32])
+                    and np.array_equal(times(a4, b3), [-1408, -640, -224, -96]),
+                    (_z5r_str(times(a1, b3)), _z5r_str(times(a4, b3))),
                     "(32r5+64)R+224r5+544 and (-96r5-224)R-640r5-1408"))
     return out
 

@@ -33,6 +33,7 @@ from spinroot.scalars import (
     QuadTower,
     Scalar,
     quad_numerators,
+    row_floats,
     row_keys,
     scalar_to_json,
 )
@@ -331,7 +332,8 @@ def reference_plane(simple: SimpleRootSet) -> Multivector:
     Multivector sums and products (not validated)."""
     white, black = coxplane.bicolor(simple)
     pf = coxplane.pf_eigenvector(cartan_matrix(simple))
-    wf = [to_float(Multivector.from_vector(w)) for w in coxplane.weight_basis(simple)]
+    weights = row_floats(*coxplane.weight_basis(simple)).tolist()
+    wf = [Multivector.from_vector(w) for w in weights]
 
     def combo(idxs):
         v = mv_zero(simple.rank, "float")

@@ -492,7 +492,7 @@ def test_quaternion_units_from_a1_cubed():
 def test_rows_create_no_quadtower(monkeypatch):
     # exact work runs on numerator rows from closure to verdict: once the
     # catalog literals exist, no step below builds a QuadTower
-    from spinroot import mckay, rootsys
+    from spinroot import coxplane, mckay, rootsys
 
     exact = [catalog(key) for key in ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4", "D4",
                                       "F4", "H4")]
@@ -510,6 +510,12 @@ def test_rows_create_no_quadtower(monkeypatch):
         identify_root_system(S)
         validate_root_system(S.num)
         mckay.spinor_character(G)
+    for simple in exact:
+        coxplane.weight_basis(simple)
+        try:
+            coxplane.coxeter_plane(simple)
+        except coxplane.DegeneratePlaneError:
+            assert simple.key in ("A1^3", "A1^4")
     assert made == []
     assert QuadTower(1, 2) and len(made) == 1   # the patch counts
 

@@ -8,7 +8,8 @@ import pytest
 
 from clifford_reference import group_elements, scalar_part
 from spinroot import mckay, verify
-from spinroot.induction import spin_group
+from spinroot.cli import main
+from spinroot.induction import even_subgroup, generate_pin_group, spin_group
 from spinroot.mckay import (
     CharacterError,
     CharacterTable,
@@ -31,6 +32,7 @@ from spinroot.mckay import (
     mckay_graphs,
     spinor_character,
 )
+from spinroot.rootsys import catalog
 
 # -- affine templates: the reference diagrams the matcher must name --------------
 
@@ -532,3 +534,24 @@ def test_csv_prints_noise_as_zero():
     G = spin_group("A3")
     for seed in range(8):
         assert "e-" not in character_table_csv(character_table(G, seed=seed))
+
+
+def test_mckay_cap_stops_before_the_cayley_table(monkeypatch, capsys):
+    # past MCKAY_CAP elements the McKay layer raises before it builds anything
+    # of |G|**2 size; the CLI exits 1, as for a closure past its cap
+    monkeypatch.setattr(mckay, "MCKAY_CAP", 24)
+    assert main(["mckay", "A3"]) == 0
+    assert '"order": 24' in capsys.readouterr().out
+    G = even_subgroup(generate_pin_group(catalog("H3")))
+    with pytest.raises(mckay.McKayCapError, match="120 elements.*at most 24"):
+        conjugacy_classes(G)
+    assert G._cayley is None
+    assert main(["mckay", "H3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at most 24" in err
+    assert issubclass(mckay.McKayCapError, RuntimeError)
+
+
+def test_mckay_cap_admits_i2_120():
+    # I2(120), whose cyclic spin group has 240 elements, is the largest I2 allowed
+    assert mckay.MCKAY_CAP == 240 == spin_group("I2", 120).order

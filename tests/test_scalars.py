@@ -22,13 +22,16 @@ from spinroot.scalars import (
     SQRT10,
     TAU,
     Scalar,
+    adjoin_sqrt,
     exact_matmul,
     field_matrix,
+    field_quotients,
     is_exact,
     quad_numerators,
     row_floats,
     row_keys,
     scalar_str,
+    scalar_values,
 )
 
 
@@ -169,6 +172,66 @@ def test_field_tensor_product_matches_quadtower(x, y):
     for dtype in (object, np.int64):
         nx, ny = num.astype(dtype)
         assert from_numerators(ny @ field_matrix(nx), den * den) == x * y
+
+
+def _bit_rule_tensor() -> np.ndarray:
+    """The structure tensor of Q(sqrt2, sqrt5) by the rule of basis bits: bit 0
+    of a basis index marks sqrt2 and bit 1 marks sqrt5, so basis p times basis q
+    is basis p^q times the squares they share (sqrt2*sqrt10 = 2 sqrt5)."""
+    t = np.zeros((4, 4, 4), dtype=np.int64)
+    for p in range(4):
+        for q in range(4):
+            shared = p & q
+            t[p, q, p ^ q] = (2 if shared & 1 else 1) * (5 if shared & 2 else 1)
+    return t
+
+
+def test_field_tensor_is_the_bit_rule_tensor():
+    t = scalars.FIELD_TENSOR
+    assert t.dtype == np.int64 and t.shape == (4, 4, 4) and not t.flags.writeable
+    assert np.array_equal(t, _bit_rule_tensor())
+    assert np.array_equal(adjoin_sqrt(scalars.RATIONAL_TENSOR, [2]),
+                          [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+
+
+def test_z5r_tensor_is_the_hand_expansion():
+    # Z[sqrt5][R], R^2 = 30 + 6 sqrt5: (p + q sqrt5) + (r + s sqrt5) R is the
+    # row [p, q, r, s], and (a + bR)(c + dR) = ac + bd R^2 + (ad + bc) R
+    from spinroot.verify import Z5R
+
+    R = np.array([0, 0, 1, 0])
+    assert (R @ field_matrix(R, Z5R)).tolist() == [30, 6, 0, 0]
+    r_sq = QuadTower(30, 0, 6)
+    rng = random.Random(21)
+    for _ in range(200):
+        xs, ys = ([rng.randint(-50, 50) for _ in range(4)] for _ in range(2))
+        a, b, c, d = (QuadTower(p, 0, q) for p, q in (xs[:2], xs[2:], ys[:2], ys[2:]))
+        x, y = np.array(xs), np.array(ys)
+        ab, cd = a * c + b * d * r_sq, a * d + b * c
+        want = [ab.a, ab.c, cd.a, cd.c]
+        assert ab.b == ab.d == cd.b == cd.d == 0
+        assert (y @ field_matrix(x, Z5R)).tolist() == want
+        assert exact_matmul(x, field_matrix(y, Z5R)).tolist() == want
+
+
+def test_field_quotients_match_quadtower_division():
+    # rows over one denominator, which cancels; d broadcasts along the rows of x
+    rng = random.Random(5)
+
+    def scalar():
+        return QuadTower(*(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)))
+
+    for _ in range(20):
+        xs = [[scalar() for _ in range(5)] for _ in range(3)]
+        ds = [scalar() or QT_ONE for _ in range(5)]
+        num, _ = quad_numerators(xs + [ds])
+        q, den = field_quotients(num[:3], num[3])
+        assert q.dtype == (np.int64 if np.abs(q).max() < 2 ** 62 else object) and den > 0
+        assert math.gcd(*q.ravel().tolist(), den) == 1
+        assert scalar_values(q, den) == tuple(tuple(x / d for x, d in zip(row, ds)) for row in xs)
+    # one row by one row: 1 / (2 sqrt5) = sqrt5 / 10
+    q, den = field_quotients(np.array([1, 0, 0, 0]), np.array([0, 0, 2, 0]))
+    assert q.tolist() == [0, 0, 1, 0] and den == 10
 
 
 def test_kernel_dtype_bound():

@@ -100,19 +100,34 @@ def test_every_definition_is_used_in_src():
     assert unused == []
 
 
+def _files_naming(name: str) -> set:
+    """The package files whose code names ``name``: as a name, an attribute or an import."""
+    named = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if found == name:
+                named.add(path.name)
+    return named
+
+
 def test_multivector_stays_at_the_boundary():
     # rows are the data: Multivector is named only where it is defined and
     # exported, and by the roots views of rootsys
     allowed = {"clifford.py", "__init__.py", "rootsys.py"}
-    named = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name == "Multivector":
-                named.add(path.name)
+    named = _files_naming("Multivector")
     assert "clifford.py" in named
+    assert named <= allowed, sorted(named - allowed)
+
+
+def test_quadtower_stays_at_the_boundary():
+    # exact products and quotients run on rows: QuadTower is named only where
+    # it is defined and exported, by Multivector, and by the catalog literals
+    allowed = {"scalars.py", "clifford.py", "rootsys.py", "__init__.py"}
+    named = _files_naming("QuadTower")
+    assert "scalars.py" in named
     assert named <= allowed, sorted(named - allowed)
 
 

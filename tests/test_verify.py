@@ -199,3 +199,19 @@ def test_exponent_oracles_reject_negative_seeds():
     # random.Random(-s) would draw as s
     with pytest.raises(ValueError, match="nonnegative"):
         verify.check_exponent_oracles(5, -1)
+
+
+def test_h4_appendix_checks_are_pinned():
+    # criterion 7 runs on rows of Z[sqrt5][R]: its five records, the printed
+    # ring elements and float residuals included, are pinned byte for byte
+    got = [(r.passed, r.measured, r.expected) for r in verify.check_h4_appendix()]
+    assert got == [
+        (True, "max coordinate error 0.00e+00",
+         "2tau*e4, -tau*e1+e2+(3tau+1)*e4, ... within 1e-9"),
+        (True, "exact zero: True, relative 0.0e+00", "0 (|coef| < 1e-6 rel)"),
+        (True, "exact equal: True, rel err 0.0e+00",
+         "(-1044480*r5-2334720)*R - 6893568*r5 - 15421440"),
+        (True, "(-190-85*r5)*R + (-1255-561*r5)", "(-85*r5-190)*R - 561*r5 - 1255"),
+        (True, "('(64+32*r5)*R + (544+224*r5)', '(-224-96*r5)*R + (-1408-640*r5)')",
+         "(32r5+64)R+224r5+544 and (-96r5-224)R-640r5-1408"),
+    ]

@@ -18,6 +18,7 @@ from . import __version__, ade, coxplane, mckay, output, verify
 from .clifford import blade_name
 from .induction import binary_group_name, induced_name, pin_group, spin_group
 from .rootsys import (
+    RankError,
     UnknownSystemError,
     catalog,
     catalog_entries,
@@ -306,7 +307,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownSystemError, OSError) as exc:  # OSError: an --out path that cannot be written
+    except (UnknownSystemError, RankError, OSError) as exc:
+        # RankError: a system of a rank the command does not take; OSError:
+        # an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -21,6 +21,12 @@ Many words of one system go through each stage at once:
 eigvals call per stack.  ``coxeter_versor``, ``exponents_via_matrix``,
 ``plane_from_matrix`` and ``factorize`` are each the stack of one.
 
+A root set holds what is formed from it, in ``SimpleRootSet.held``: the
+``CoxeterData`` of each word asked for, its arrays read-only, and the default
+plane.  ``coxeter_versors`` forms only the words not held yet, and a word's
+result is the same bits whichever words share its pass.  ``coxeter_data`` and
+``coxeter_plane_for`` read the catalog set's held results.
+
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
 [0, pi/2], quotienting the three orientations the construction leaves free
 (versor sign, plane orientation, pseudoscalar orientation).  The signs are
@@ -32,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +46,14 @@ from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_name, spin_group
 from .mckay import components
 from .rootsys import SimpleRootSet, catalog, ordered_dot, parse_name
-from .scalars import exact_matmul, field_matrix, field_quotients, quad_numerators, row_floats
+from .scalars import (
+    exact_matmul,
+    field_matrix,
+    field_quotients,
+    quad_numerators,
+    read_only,
+    row_floats,
+)
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -191,23 +203,33 @@ def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]
 
 def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
                     ) -> list[CoxeterData]:
-    """``coxeter_versor`` of each word (None: the default word) in one stacked pass.
+    """``coxeter_versor`` of each word (None: the default word), each formed
+    once per root set and held in ``simple.held``, its arrays read-only.
 
-    The generator rows and their right products are built once; each step
-    multiplies every word's versor row by its next root in one product, and
-    the orders of all the matrices come from one power loop.
+    The words not held yet go through one stacked pass: the generator rows
+    and their right products are built once; each step multiplies every
+    word's versor row by its next root in one product, and the orders of all
+    the matrices come from one power loop.  A word's result does not depend
+    on the words that share its pass.  Nothing of a pass that raises is held.
     """
-    words, Ms = _word_matrices(simple, words)
-    idx = np.array(words) - 1
-    gens = _vector_rows(*simple.rows)
-    times = right_products(gens, simple.rank)
-    W, each = gens[idx[:, 0]], np.arange(len(idx))
-    for step in idx.T[1:]:
-        W = times(W).reshape(len(idx), simple.rank, -1)[each, step]
-    if np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(simple.rank)).max() > MATRIX_TOL:
-        raise ValueError("Coxeter matrix is not orthogonal")
-    return [CoxeterData(simple=simple, word=word, versor=v, matrix=M, h=h)
-            for word, v, M, h in zip(words, W, Ms, _matrix_orders(Ms))]
+    held = simple.held
+    words = [tuple(w) if w is not None else default_word(simple) for w in words]
+    new = [w for w in dict.fromkeys(words) if w not in held]
+    if new:
+        new, Ms = _word_matrices(simple, new)
+        idx = np.array(new) - 1
+        gens = _vector_rows(*simple.rows)
+        times = right_products(gens, simple.rank)
+        W, each = gens[idx[:, 0]], np.arange(len(idx))
+        for step in idx.T[1:]:
+            W = times(W).reshape(len(idx), simple.rank, -1)[each, step]
+        if np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(simple.rank)).max() > MATRIX_TOL:
+            raise ValueError("Coxeter matrix is not orthogonal")
+        hs = _matrix_orders(Ms)
+        W, Ms = read_only(W), read_only(Ms)
+        held.update((word, CoxeterData(simple=simple, word=word, versor=v, matrix=M, h=h))
+                    for word, v, M, h in zip(new, W, Ms, hs))
+    return [held[w] for w in words]
 
 
 def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
@@ -240,7 +262,6 @@ def matrix_order(M: np.ndarray) -> int:
     return _matrix_orders(M[None])[0]
 
 
-@lru_cache(maxsize=None)
 def coxeter_data(name: str, n: Optional[int] = None,
                  word: Optional[tuple[int, ...]] = None) -> CoxeterData:
     return coxeter_versor(catalog(name, n), word)
@@ -366,7 +387,20 @@ def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
 
 def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
                   validate: bool = True) -> CoxeterPlane:
-    """Unit bivector of the plane spanned by the two PF-weighted coloured vectors."""
+    """Unit bivector of the plane spanned by the two PF-weighted coloured
+    vectors, formed once per root set and held in ``simple.held``, its
+    bivector read-only; with ``validate``, every call checks that the word's
+    Coxeter matrix fixes it."""
+    if "plane" not in simple.held:
+        simple.held["plane"] = _pf_plane(simple)
+    plane = simple.held["plane"]
+    if validate and not _stabilizes(_word_matrices(simple, [word])[1][0], plane.bivector):
+        raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
+    return plane
+
+
+def _pf_plane(simple: SimpleRootSet) -> CoxeterPlane:
+    """The plane ``coxeter_plane`` holds, formed without reading a word."""
     white, black = bicolor(simple)
     pf = pf_eigenvector(row_floats(*simple.cartan))
     weights = row_floats(*weight_basis(simple))
@@ -388,15 +422,12 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     sq = float_products(B, B)
     if abs(sq[0] + 1.0) > DEGENERATE_TOL or np.abs(sq[1:]).max() > DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
-    if validate and not _stabilizes(_word_matrices(simple, [word])[1][0], B):
-        raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return CoxeterPlane(
-        bivector=B, white=white, black=black,
+        bivector=read_only(B), white=white, black=black,
         pf=tuple(float(v) for v in pf),
     )
 
 
-@lru_cache(maxsize=None)
 def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:
     return coxeter_plane(catalog(name, n))
 

@@ -25,6 +25,7 @@ import numpy as np
 from .clifford import left_matrices, right_products
 from .rootsys import (
     ClosureCapError,
+    RankError,
     SimpleRootSet,
     canonical_order,
     catalog,
@@ -97,7 +98,8 @@ def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 @dataclass(eq=False)
 class VersorGroup:
     """Finite set of unit versors closed under the geometric product, held as
-    its ``rows`` in the layout of ``_numerator_rows``."""
+    its ``rows`` in the layout of ``_numerator_rows``.  The Cayley table, the
+    inverses and ``mckay``'s conjugacy classes are formed once and held."""
 
     name: str
     dim: int
@@ -106,6 +108,7 @@ class VersorGroup:
     parity: str                      # "pin" | "spin"
     _index: dict = field(init=False, repr=False)
     _cayley: Optional[list] = field(default=None, repr=False)
+    classes: Optional[object] = field(default=None, init=False, repr=False)  # held by mckay
 
     def __post_init__(self):
         read_only(self.rows)
@@ -155,9 +158,10 @@ class VersorGroup:
             self._cayley = table
         return self._cayley
 
-    @property
+    @cached_property
     def inverse_indices(self) -> tuple:
-        """Per element, the column of its Cayley row that holds the identity."""
+        """Per element, the column of its Cayley row that holds the identity,
+        found once."""
         e = self.identity_index
         return tuple(row.index(e) for row in self.cayley)
 
@@ -193,7 +197,8 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     ``canonical_order`` on the rows' coefficient values.
     """
     if simple.rank not in (2, 3):
-        raise ValueError("pin groups are generated from rank-2/3 root systems")
+        raise RankError(f"pin groups are generated from rank-2/3 root systems, "
+                        f"not {simple.name} (rank {simple.rank})")
     dim = simple.rank
     gens = _vector_rows(*simple.rows)
     negated = -gens if gens.dtype.kind == "f" else np.hstack([-gens[:, :-1], gens[:, -1:]])

@@ -14,6 +14,10 @@ graphs from one stacked product; each table equals the one its seed gives
 alone.  Each seed's draws are consecutive slices of one stream, drawn once per
 seed and kept for the groups that follow.
 
+A group's classes are formed once and held by the group, as its Cayley
+table is.  The class matrices are one ``np.bincount`` and are formed anew on
+each call: they hold k**3 integers.
+
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
 graph.  A connected graph whose labels are a positive null vector of 2I - A
@@ -100,9 +104,16 @@ class McKayGraph:
 
 
 def conjugacy_classes(G: VersorGroup) -> ClassData:
+    """The classes of G, formed once and held by the group, as its Cayley table is."""
     if G.order > MCKAY_CAP:
         raise McKayCapError(f"{G.name} has {G.order} elements; the McKay layer "
                             f"takes groups of at most {MCKAY_CAP}")
+    if G.classes is None:
+        G.classes = _conjugacy_classes(G)
+    return G.classes
+
+
+def _conjugacy_classes(G: VersorGroup) -> ClassData:
     cay = G.cayley
     inv = G.inverse_indices
     n = G.order
@@ -134,19 +145,20 @@ def conjugacy_classes(G: VersorGroup) -> ClassData:
 
 
 def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
-    """Structure constants c[r, s, t] = #{(x, y) in C_r x C_s : x*y = rep_t}."""
-    cay = G.cayley
-    inv = G.inverse_indices
+    """Structure constants c[r, s, t] = #{(x, y) in C_r x C_s : x*y = rep_t}, int64.
+
+    Each x and rep_t fix y = x^-1 rep_t, so the tensor is one bincount of
+    the flat indices (r k + s) k + t over every element x and class t.  It
+    holds k**3 integers and is not kept.
+    """
     k = classes.count
-    cls_of = classes.element_class
-    mats = np.zeros((k, k, k), dtype=np.int64)
-    for r, members in enumerate(classes.classes):
-        for x in members:
-            xi = inv[x]
-            row = cay[xi]
-            for t, z in enumerate(classes.representatives):
-                mats[r, cls_of[row[z]], t] += 1
-    return mats
+    cls_of = np.array(classes.element_class)
+    reps, cay = classes.representatives, G.cayley
+    # y[x, t] = x^-1 rep_t, read from the Cayley rows of the inverses
+    y = np.array([[row[z] for z in reps] for row in map(cay.__getitem__, G.inverse_indices)])
+    flat = (cls_of[:, None] * k + cls_of[y]) * k + np.arange(k)
+    counts = np.bincount(flat.ravel(), minlength=k ** 3)
+    return counts.astype(np.int64, copy=False).reshape(k, k, k)
 
 
 def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,

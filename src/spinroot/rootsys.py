@@ -69,6 +69,7 @@ from .scalars import (
 CLOSURE_CAP = 10_000       # most roots generate_roots closes before giving up
 ROTATION_CAP = 1000        # largest rotation order rotation_orders looks for
 SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
+TIE_ULPS = 2               # ulps of x 10**SORT_DECIMALS from a half-integer sorted by Python round
 UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float simple root
 ROTATION_TOL = 1e-6        # |k phi / pi - round(k phi / pi)| of a rotation order k
 
@@ -79,6 +80,10 @@ class UnknownSystemError(ValueError):
 
 class ClosureCapError(RuntimeError):
     pass
+
+
+class RankError(ValueError):
+    """A known system of a rank the operation is not defined for."""
 
 
 def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.ndarray:
@@ -111,9 +116,23 @@ def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.nda
 
 def canonical_order(floats) -> list[int]:
     """Indices that sort float rows, as ``row_floats`` gives them, by their
-    values rounded with Python ``round`` (``np.round`` differs at ties)."""
-    keys = [tuple(round(c, SORT_DECIMALS) for c in row) for row in np.asarray(floats).tolist()]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    values rounded to SORT_DECIMALS decimals as Python ``round`` rounds them,
+    in one stable ``np.lexsort``.
+
+    The keys are rint(x 10**12) / 10**12, the float nearest the 12-decimal
+    value, as Python ``round`` gives it, wherever the rounded product
+    x 10**12 keeps the nearest integer of the exact one.  Within TIE_ULPS
+    ulps of a half-integer it may not (``np.round`` sends the tie
+    0.2500000000055 up where Python rounds it down); from 2**51 on, where an
+    ulp is half a unit, that covers every coordinate.  Those coordinates
+    alone are rounded by Python ``round``.
+    """
+    x = np.asarray(floats, dtype=float)
+    scaled = x * 10.0 ** SORT_DECIMALS
+    keys = np.rint(scaled) / 10.0 ** SORT_DECIMALS
+    doubt = np.abs(scaled - np.floor(scaled) - 0.5) <= TIE_ULPS * np.spacing(np.abs(scaled))
+    keys[doubt] = [round(c, SORT_DECIMALS) for c in x[doubt].tolist()]
+    return np.lexsort(keys.T[::-1]).tolist()
 
 
 def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,6 +195,13 @@ class SimpleRootSet:
             return read_only(g * 2 / g[diag, diag, 0][:, None]), 1
         num, den = field_quotients(2 * g, g[diag, diag])
         return read_only(num), den
+
+    @cached_property
+    def held(self) -> dict:
+        """Results formed from these roots and kept with them, each formed
+        once: ``coxplane`` keeps each word's CoxeterData, under the word, and
+        the default Coxeter plane."""
+        return {}
 
     @property
     def unit(self) -> bool:
@@ -510,7 +536,8 @@ def rotation_orders(simple: SimpleRootSet):
     rank 2, the sorted triple at rank 3.
     """
     if simple.rank not in (2, 3):
-        raise ValueError("rotation orders are defined for rank 2 and 3")
+        raise RankError(f"rotation orders are defined for rank 2 and 3, "
+                        f"not {simple.name} (rank {simple.rank})")
     orders = []
     dots = row_floats(*simple.gram).tolist()
     for i in range(simple.rank):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinroot import mckay, output
+from spinroot import ade, mckay, output
 from spinroot.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -245,6 +246,37 @@ def test_n_max_precondition(capsys):
 def test_unknown_system_is_usage_error(capsys):
     code = main(["induce", "Z9"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["H4", "I2(3)xI2(3)"])
+@pytest.mark.parametrize("argv", [["induce"], ["mckay"], ["export", "diagram"],
+                                  ["export", "mckay-graph"]])
+def test_rank_4_system_where_rank_2_or_3_is_needed_is_usage_error(argv, name, tmp_path, capsys):
+    # pin groups and rotation orders come from rank-2/3 sources: a 4D system is
+    # outside the command's domain, not a failed verification
+    out = ["--out", str(tmp_path)] if argv[0] == "export" else []
+    assert main([*argv, name, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rank 2" in captured.err or "rank-2/3" in captured.err
+    assert "(rank 4)" in captured.err
+
+
+def test_ade_map_row_that_fails_exits_1_without_traceback(monkeypatch, capsys):
+    row = ade.correspondence_row
+
+    def failing(name, n=None, seed=mckay.DEFAULT_SEED):
+        out = row(name, n, seed=seed)
+        return dataclasses.replace(out, equalities_ok=False) if (name, n) == ("I2", 3) else out
+
+    monkeypatch.setattr(ade, "correspondence_row", failing)
+    with pytest.raises(ade.CorrespondenceError):
+        ade.correspondence_report(n_max=3)
+    assert main(["ade-map", "--n-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |roots| = sum(dims) = h fails for ['I2(3)']\n"
 
 
 @pytest.mark.parametrize("argv", [["induce", "H3"], ["coxplane", "A3"], ["project", "A4"],

@@ -245,7 +245,9 @@ def test_batches_equal_one_word_results():
         batches.setdefault(simple.name, (simple, [None]))[1].append(word)
     words_seen = 0
     for simple, words in batches.values():
-        cds = coxeter_versors(simple, words)
+        # fresh root sets hold nothing yet: the batch forms every word in one
+        # pass, and the reference forms each word alone
+        cds = coxeter_versors(dataclasses.replace(simple), words)
         Ms, hs = np.stack([cd.matrix for cd in cds]), [cd.h for cd in cds]
         planes = planes_from_matrices(Ms, hs)
         exps = exponents_via_matrices(Ms, hs)
@@ -254,7 +256,7 @@ def test_batches_equal_one_word_results():
             Ws = np.stack([cd.versor for cd in cds])
             factors = [repr(f) for f in factorizations(Ws, planes, hs)]
         for word, cd, B, e, f in zip(words, cds, planes, exps, factors):
-            one = coxeter_versor(simple, word)
+            one = coxeter_versor(dataclasses.replace(simple), word)
             assert (cd.word, cd.h) == (one.word, one.h), (simple.name, word)
             assert repr(cd.versor.tolist()) == repr(one.versor.tolist()), (simple.name, word)
             assert cd.matrix.tobytes() == one.matrix.tobytes(), (simple.name, word)
@@ -265,6 +267,52 @@ def test_batches_equal_one_word_results():
                 assert f == repr(factorize(one.versor, B1, one.h)), (simple.name, word)
             words_seen += 1
     assert words_seen == 648 + len(CATALOG_SYSTEMS)
+
+
+def test_held_coxeter_data_is_what_the_word_alone_forms():
+    # every word of the exact catalog systems and of I2xI2(n), held after one
+    # batch of all of them, is bit for bit what a fresh root set with the
+    # same vectors forms for that word alone
+    names = [(name, None) for name in ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4",
+                                        "D4", "F4", "H4")]
+    names += [("I2xI2", n) for n in range(2, 17)]
+    checked = 0
+    for name, n in names:
+        simple = dataclasses.replace(catalog(name, n))     # holds nothing yet
+        words = [None] + list(itertools.permutations(range(1, simple.rank + 1)))
+        coxeter_versors(simple, words)
+        for word in words:
+            held = coxeter_versor(simple, word)
+            alone = coxeter_versor(dataclasses.replace(simple), word)
+            assert held is coxeter_versor(simple, word)
+            assert (held.word, held.h) == (alone.word, alone.h), (simple.name, word)
+            assert held.versor.dtype == alone.versor.dtype
+            assert repr(held.versor.tolist()) == repr(alone.versor.tolist()), (simple.name, word)
+            assert held.matrix.tobytes() == alone.matrix.tobytes(), (simple.name, word)
+            checked += 1
+    assert checked == 4 * 7 + 6 * 25 + 15 * 25   # rank 3, rank 4, I2xI2: words + 1
+
+
+def test_held_arrays_are_read_only():
+    for name, n in [("H4", None), ("I2", 7), ("A1xI2", 4)]:
+        cd = coxeter_data(name, n)
+        assert cd is coxeter_data(name, n) is coxeter_versor(catalog(name, n))
+        plane = coxeter_plane_for(name, n)
+        assert plane is coxeter_plane(catalog(name, n))
+        for rows in (cd.versor, cd.matrix, plane.bivector):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[(0,) * rows.ndim] = 0
+
+
+def test_an_invalid_word_raises_and_nothing_of_its_pass_is_held():
+    simple = dataclasses.replace(catalog("F4"))
+    with pytest.raises(ValueError, match="not a permutation"):
+        coxeter_versors(simple, [(1, 2, 3, 4), (1, 1, 2, 3)])
+    with pytest.raises(ValueError, match="not a permutation"):
+        coxeter_versor(simple, (1, 1, 2, 3))
+    assert simple.held == {}
+    assert coxeter_versor(simple, (1, 2, 3, 4)).h == 12
+    assert list(simple.held) == [(1, 2, 3, 4)]
 
 
 def test_reflection_product_matches_versor_action():

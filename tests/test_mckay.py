@@ -555,3 +555,41 @@ def test_mckay_cap_stops_before_the_cayley_table(monkeypatch, capsys):
 def test_mckay_cap_admits_i2_120():
     # I2(120), whose cyclic spin group has 240 elements, is the largest I2 allowed
     assert mckay.MCKAY_CAP == 240 == spin_group("I2", 120).order
+
+
+#: every 2D/3D source's spin group: criterion 9's 25 and I2, A1xI2 for n = 13..16
+ALL_GROUPS = [("A1^3", None)] + MCKAY_GROUPS + [
+    (key, n) for key in ("I2", "A1xI2") for n in range(13, 17)]
+
+
+def reference_class_matrices(G, classes) -> np.ndarray:
+    """c[r, s, t] = #{(x, y) in C_r x C_s : x*y = rep_t}, one count at a time."""
+    cay = G.cayley
+    inv = G.inverse_indices
+    k = classes.count
+    mats = np.zeros((k, k, k), dtype=np.int64)
+    for r, members in enumerate(classes.classes):
+        for x in members:
+            row = cay[inv[x]]
+            for t, z in enumerate(classes.representatives):
+                mats[r, classes.element_class[row[z]], t] += 1
+    return mats
+
+
+def test_class_matrices_equal_the_triple_loop():
+    assert len(ALL_GROUPS) == 34
+    for name, n in ALL_GROUPS:
+        G = spin_group(name, n)
+        classes = conjugacy_classes(G)
+        mats = class_matrices(G, classes)
+        assert mats.dtype == np.int64, (name, n)
+        assert np.array_equal(mats, reference_class_matrices(G, classes)), (name, n)
+
+
+def test_classes_are_held_by_the_group():
+    G = even_subgroup(generate_pin_group(catalog("B3")))
+    assert G.classes is None
+    classes = conjugacy_classes(G)
+    assert conjugacy_classes(G) is classes is G.classes
+    # the tensor is formed anew on every call: it holds k**3 integers
+    assert class_matrices(G, classes) is not class_matrices(G, classes)

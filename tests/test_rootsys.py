@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ from clifford_reference import (
 )
 from spinroot import ade, rootsys, scalars
 from spinroot.clifford import Multivector
-from spinroot.induction import induced_set
+from spinroot.induction import _coefficient_floats, induced_set, pin_group
 from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -130,6 +131,59 @@ def test_canonical_order_sorts_like_mv_sort_key_at_a_tie():
     mvs = [Multivector.from_vector(r) for r in exact]
     floats = row_floats(*quad_numerators(exact))
     assert canonical_order(floats) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
+
+
+def round_key_order(rows) -> list[int]:
+    """The reference sort: Python ``round`` per coordinate, one tuple per row."""
+    keys = [tuple(round(c, rootsys.SORT_DECIMALS) for c in row)
+            for row in np.asarray(rows, dtype=float).tolist()]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _tie_values() -> list[float]:
+    """12-decimal ties as stored and one ulp either side, of both signs, with
+    the zeros and magnitudes where x 10**12 passes 2**52."""
+    ties = [0.2500000000055, 0.0000000000005, 1.0000000000015, 3.1415926535895,
+            4503.5999999999995, 4504.0000000000005, 12345.6789012345675, 2.0 ** 40 + 0.5]
+    values = [0.0, -0.0, 4504.0, -4504.0, 1e6 + 1e-12]
+    for t in ties:
+        for x in (t, -t):
+            values += [x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))]
+    return values
+
+
+def test_canonical_order_rounds_ties_like_python_round():
+    values = _tie_values()
+    # the set holds coordinates that np.round and Python round key apart
+    assert any(np.round(x, 12) != round(x, 12) for x in values)
+    rng = random.Random(5)
+    for dim in (1, 2, 3):
+        # two coordinates are often equal after rounding alone: the next
+        # coordinate then decides, so any wrong key moves a row
+        rows = [[rng.choice(values) for _ in range(dim)] for _ in range(400)]
+        rows += [[x] + [rng.choice((-1.0, 0.0, 1.0))] * (dim - 1) for x in values]
+        rng.shuffle(rows)
+        assert canonical_order(rows) == round_key_order(rows), dim
+
+
+def test_canonical_order_sorts_every_closure_like_python_round():
+    # every catalog and family closure, n = 2..16, root sets and pin groups,
+    # shuffled before sorting
+    rng = random.Random(7)
+    closures = [row_floats(root_system(key, None).num, root_system(key, None).den)
+                for key, _ in EXPECTED_COUNTS]
+    for key in ("I2", "A1xI2", "I2xI2"):
+        closures += [row_floats(root_system(key, n).num, root_system(key, n).den)
+                     for n in range(2, 17)]
+    sources = [(key, None) for key in ("A1^3", "A3", "B3", "H3")]
+    sources += [(key, n) for key in ("I2", "A1xI2") for n in range(2, 17)]
+    for key, n in sources:
+        G = pin_group(key, n)
+        closures.append(_coefficient_floats(G.rows, G.dim))
+    assert len(closures) == 10 + 45 + 34
+    for floats in closures:
+        rows = floats[rng.sample(range(len(floats)), len(floats))]
+        assert canonical_order(rows) == round_key_order(rows)
 
 
 def test_simple_root_order_does_not_change_roots():

@@ -71,18 +71,13 @@ def _blade_sums(x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_a x[..., a] right[..., a, :] over the blades a, for one row x or a
     stack of rows, broadcast against right.
 
-    Sums run from +0.0 one blade at a time in blade order, as
-    Multivector.__mul__ sums: BLAS may fuse multiply-adds, which would move
-    float products by an ulp.  A blade that is zero in every row of x adds
-    only zeros to sums that are never -0.0, so it is skipped, as Multivector
-    skips it.
+    The terms are summed one blade at a time in blade order by
+    ``np.add.accumulate``, and the + 0.0 at the end turns the -0.0 of a sum of
+    zeros into 0.0: bit for bit Multivector.__mul__'s loop from +0.0, which
+    skips zero blades.  BLAS may fuse multiply-adds, which would move float
+    products by an ulp.
     """
-    xs = x.T[..., None]                 # xs[a] = x[..., a, None]
-    rs = right.swapaxes(0, -2)          # rs[a] = right[..., a, :]
-    out = np.zeros(np.broadcast(xs[0], rs[0]).shape)
-    for a in np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)):
-        out += xs[a] * rs[a]
-    return out
+    return np.add.accumulate(x[..., None] * right, axis=-2)[..., -1, :] + 0.0
 
 
 def float_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:

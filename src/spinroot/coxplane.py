@@ -4,7 +4,8 @@ Two independent exponent routes are implemented: the spectrum of the Coxeter
 element's orthogonal matrix (eigenvalue arguments as multiples of 2*pi/h), and
 the Clifford factorization of the Coxeter versor into commuting bivector
 exponentials exp(t1*B) exp(t2*I*B) built on the Perron-Frobenius / bicoloured
-plane bivector B.
+plane bivector B (the Coxeter plane of Humphreys, *Reflection Groups and
+Coxeter Groups*, ch. 3).
 
 Multivectors here are rows: the Coxeter versor W is a row in the layout of
 ``induction._numerator_rows`` (exact where the roots are), the plane bivector B
@@ -18,13 +19,18 @@ float of an exact row comes from ``scalars.row_floats``.
 Many words of one system go through each stage at once:
 ``coxeter_versors``, ``exponents_via_matrices``, ``planes_from_matrices`` and
 ``factorizations`` work on stacks of rows and matrices, with one eig or
-eigvals call per stack.  ``coxeter_versor``, ``exponents_via_matrix``,
-``plane_from_matrix`` and ``factorize`` are each the stack of one.
+eigvals call per stack, and return empty results for empty stacks.
+``coxeter_versor``, ``exponents_via_matrix``, ``plane_from_matrix`` and
+``factorize`` are each the stack of one.  The orders of a stack come from
+one doubling loop: M^(m+1), ..., M^(2m) are one stacked product of M^m with
+M^1, ..., M^m, so an order h takes about log2(h) products.
 
 A root set holds what is formed from it, in ``SimpleRootSet.held``: the
-``CoxeterData`` of each word asked for, its arrays read-only, and the default
-plane.  ``coxeter_versors`` forms only the words not held yet, and a word's
-result is the same bits whichever words share its pass.  ``coxeter_data`` and
+``CoxeterData`` of each word asked for, its arrays read-only, the bicolouring
+and the default plane.  ``coxeter_versors`` forms only the words not held
+yet, and a word's result is the same bits whichever words share its pass.
+``coxeter_plane`` validates on the word's held ``CoxeterData``, so a word's
+Coxeter matrix is formed once per root set.  ``coxeter_data`` and
 ``coxeter_plane_for`` read the catalog set's held results.
 
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
@@ -50,7 +56,6 @@ from .scalars import (
     exact_matmul,
     field_matrix,
     field_quotients,
-    quad_numerators,
     read_only,
     row_floats,
 )
@@ -130,7 +135,14 @@ class SpringerReport:
 
 def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal,
-    read from the Gram: exactly on exact roots, beyond EDGE_TOL on float roots)."""
+    read from the Gram: exactly on exact roots, beyond EDGE_TOL on float roots),
+    formed once per root set and held in ``simple.held``."""
+    if "bicolor" not in simple.held:
+        simple.held["bicolor"] = _bicolor(simple)
+    return simple.held["bicolor"]
+
+
+def _bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     k = simple.rank
     gram = simple.gram[0]
     edges = np.abs(gram[..., 0]) > EDGE_TOL if gram.dtype.kind == "f" else (gram != 0).any(axis=2)
@@ -198,7 +210,7 @@ def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]
             raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
     if not simple.unit:
         raise ValueError("versor must have unit norm")
-    return words, _coxeter_matrices(row_floats(*simple.rows), np.array(words) - 1)
+    return words, _coxeter_matrices(simple.floats, np.array(words) - 1)
 
 
 def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
@@ -239,22 +251,26 @@ def coxeter_versor(simple: SimpleRootSet, word: Optional[Sequence[int]] = None
 
 
 def _matrix_orders(Ms: np.ndarray) -> list[int]:
-    """``matrix_order`` of each matrix of the stack Ms, in one power loop.
-
-    The loop runs until every matrix has met the identity; a matrix that met
-    it keeps being multiplied, which is cheaper than taking it out.
+    """``matrix_order`` of each matrix of the stack Ms, by doubling: the
+    powers M^(m+1), ..., M^(2m) are M^m times M^1, ..., M^m, one stacked
+    product, so an order h takes about log2(h) products, not h.
     """
     one = np.eye(Ms.shape[-1])
+    powers = Ms[:, None]                       # (S, m, k, k): M^1, ..., M^m
     orders = [0] * len(Ms)
-    P = Ms
-    for step in range(1, ORDER_CAP + 1):
-        for i, gap in enumerate(np.abs(P - one).max(axis=(1, 2)).tolist()):
-            if gap <= MATRIX_TOL and not orders[i]:
-                orders[i] = step
+    checked = 0                                # the powers compared with 1 so far
+    while True:
+        gaps = np.abs(powers[:, checked:ORDER_CAP] - one).max(axis=(2, 3)).tolist()
+        for i, row in enumerate(gaps):
+            if not orders[i]:
+                orders[i] = next((checked + j + 1 for j, gap in enumerate(row)
+                                  if gap <= MATRIX_TOL), 0)
         if all(orders):
             return orders
-        P = P @ Ms
-    raise ValueError(f"matrix order exceeds {ORDER_CAP}")
+        checked = powers.shape[1]
+        if checked >= ORDER_CAP:
+            raise ValueError(f"matrix order exceeds {ORDER_CAP}")
+        powers = np.concatenate([powers, powers[:, -1:] @ powers], axis=1)
 
 
 def matrix_order(M: np.ndarray) -> int:
@@ -300,9 +316,13 @@ def exponents_via_matrix(M: np.ndarray, h: int) -> tuple[int, ...]:
 # row or, pairwise, on stacks of rows.
 
 
+#: the grade of each blade mask of Cl(4), and so of Cl(1..3) as its prefixes
+_BLADE_GRADES = np.array([m.bit_count() for m in range(16)])
+
+
 def _grade(x: np.ndarray, k: int) -> np.ndarray:
     """The grade-k part of float coefficient rows."""
-    return np.where([m.bit_count() == k for m in range(x.shape[-1])], x, 0.0)
+    return np.where(_BLADE_GRADES[:x.shape[-1]] == k, x, 0.0)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -319,9 +339,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bivector rows u ^ v of float coordinate vectors: the grade-2 part of
     their geometric product."""
-    uv = np.stack([u, v]).astype(float)
-    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))
-    rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
+    dim = u.shape[-1]
+    rows = np.zeros((2,) + u.shape[:-1] + (1 << dim,))
+    rows[..., [1 << i for i in range(dim)]] = np.stack([u, v])
     return _grade(float_products(rows[0], rows[1]), 2)
 
 
@@ -336,26 +356,29 @@ def pf_eigenvector(cartan) -> np.ndarray:
     entries of every other block are set to exactly zero, not left at the
     rounding noise where the iteration stopped.
     """
-    M = np.array([[float(v) for v in row] for row in cartan], dtype=float)
+    M = np.array(cartan, dtype=float)
     k = M.shape[0]
     x = np.ones(k) / math.sqrt(k)
     for _ in range(PF_MAX_STEPS):
         y = np.linalg.solve(M, x)
-        x = y / np.linalg.norm(y)
+        x = y / math.sqrt(y @ y)          # np.linalg.norm of a vector, as it computes it
         lam = float(x @ M @ x)
-        if np.linalg.norm(M @ x - lam * x) <= PF_RESIDUAL:
+        r = M @ x - lam * x
+        if math.sqrt(r @ r) <= PF_RESIDUAL:
             break
     else:
         raise RuntimeError("inverse power iteration did not converge")
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
     blocks = components(np.abs(M) > EDGE_TOL)
-    if len(blocks) == 1 and not np.all(x > 0):
-        raise RuntimeError("Perron-Frobenius eigenvector not positive")
-    lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
-    for b, low in zip(blocks, lows):
-        if low > min(lows) + EIGEN_MATCH_TOL:
-            x[b] = 0.0
+    if len(blocks) == 1:
+        if not np.all(x > 0):
+            raise RuntimeError("Perron-Frobenius eigenvector not positive")
+    else:
+        lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
+        for b, low in zip(blocks, lows):
+            if low > min(lows) + EIGEN_MATCH_TOL:
+                x[b] = 0.0
     if abs(x[0]) < PF_LEAD_TOL:
         raise RuntimeError("cannot normalize: leading entry vanishes")
     return x / x[0]
@@ -368,7 +391,9 @@ def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     into [P | R], P diagonal, and A^-1 = D N^-1 has the entries R_ij / P_ii."""
     num, den = simple.rows
     if num.dtype.kind == "f":
-        return quad_numerators(np.linalg.inv(num[..., 0]).T.tolist())
+        w = np.zeros(num.shape)
+        w[..., 0] = np.linalg.inv(num[..., 0]).T
+        return w, 1
     k, diag = simple.rank, np.arange(simple.rank)
     aug = np.concatenate([num, np.zeros_like(num)], axis=1)
     aug[diag, k + diag, 0] = den
@@ -390,11 +415,11 @@ def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
     """Unit bivector of the plane spanned by the two PF-weighted coloured
     vectors, formed once per root set and held in ``simple.held``, its
     bivector read-only; with ``validate``, every call checks that the word's
-    Coxeter matrix fixes it."""
+    Coxeter matrix, read from its held ``CoxeterData``, fixes it."""
     if "plane" not in simple.held:
         simple.held["plane"] = _pf_plane(simple)
     plane = simple.held["plane"]
-    if validate and not _stabilizes(_word_matrices(simple, [word])[1][0], plane.bivector):
+    if validate and not _stabilizes(coxeter_versors(simple, [word])[0].matrix, plane.bivector):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return plane
 
@@ -475,9 +500,10 @@ def planes_from_matrices(Ms: np.ndarray, hs: Sequence[int]) -> np.ndarray:
                      + [(V[:, i].real, V[:, j].real) for i in cands for j in cands if j > i])
     planes = np.zeros((len(Ms), 1 << k))
     pending = list(range(len(Ms)))
-    for t in range(max(map(len, pairs))):
+    t = 0
+    while pending:
         if any(t == len(pairs[i]) for i in pending):
-            break
+            raise FactorizationError("could not build an invariant plane from the spectrum")
         B = _wedge(np.array([pairs[i][t][0] for i in pending]),
                    np.array([pairs[i][t][1] for i in pending]))
         B = np.where(np.abs(B) <= GRADE_TOL, 0.0, B)
@@ -487,9 +513,8 @@ def planes_from_matrices(Ms: np.ndarray, hs: Sequence[int]) -> np.ndarray:
         ok &= _stabilizes(Ms[pending], B)
         planes[np.array(pending)[ok]] = B[ok]
         pending = [i for i, found in zip(pending, ok) if not found]
-        if not pending:
-            return planes
-    raise FactorizationError("could not build an invariant plane from the spectrum")
+        t += 1
+    return planes
 
 
 def plane_from_matrix(W: np.ndarray, M: np.ndarray, h: int) -> np.ndarray:
@@ -565,7 +590,7 @@ def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
         raise ValueError("exponent must be a pure bivector")
     sq = float_products(B, B)
     sq[:, 0] += 1.0
-    if np.abs(sq).max() > DEGENERATE_TOL:
+    if np.abs(sq).max(initial=0.0) > DEGENERATE_TOL:
         raise ValueError("bivector must square to -1")
     E = np.zeros(B.shape)
     E[:, 0] = [math.cos(t) for t in theta]

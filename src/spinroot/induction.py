@@ -107,7 +107,7 @@ class VersorGroup:
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
     _index: dict = field(init=False, repr=False)
-    _cayley: Optional[list] = field(default=None, repr=False)
+    _cayley: Optional[np.ndarray] = field(default=None, repr=False)
     classes: Optional[object] = field(default=None, init=False, repr=False)  # held by mckay
 
     def __post_init__(self):
@@ -132,8 +132,9 @@ class VersorGroup:
         return self._index[row_keys(one)[0]]
 
     @property
-    def cayley(self) -> list:
-        """cayley[i][j] = index of elements[i] * elements[j] (built lazily).
+    def cayley(self) -> np.ndarray:
+        """cayley[i, j] = index of elements[i] * elements[j], a read-only int
+        array (built lazily).
 
         A block of rows at a time, on either backend: with elements E as
         numerator rows over D, the products E_i E_j are the rows of E @ L_i
@@ -147,23 +148,22 @@ class VersorGroup:
             index = {key: i for i, key in enumerate(row_keys(den * num))}
             num = int_rows(num)
             step = max(1, CAYLEY_BLOCK // self.order)
-            table = []
+            table = np.empty((self.order, self.order), dtype=np.intp)
             for start in range(0, self.order, step):
                 products = exact_matmul(num, left_matrices(num[start:start + step], self.dim))
                 try:
                     found = [index[key] for key in row_keys(products.reshape(-1, num.shape[1]))]
                 except KeyError as exc:
                     raise ClosureCapError(f"{self.name}: product escapes the group") from exc
-                table += [found[j:j + self.order] for j in range(0, len(found), self.order)]
-            self._cayley = table
+                table[start:start + step] = np.reshape(found, (-1, self.order))
+            self._cayley = read_only(table)
         return self._cayley
 
     @cached_property
     def inverse_indices(self) -> tuple:
         """Per element, the column of its Cayley row that holds the identity,
         found once."""
-        e = self.identity_index
-        return tuple(row.index(e) for row in self.cayley)
+        return tuple((self.cayley == self.identity_index).argmax(axis=1).tolist())
 
 
 def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +276,7 @@ def fingerprint(num: np.ndarray, den: int):
     X = row_floats(num, den)
     n = len(X)
     gram = X @ X.T
-    dots = np.sort(np.round(gram[np.triu_indices(n, 1)], KEY_DECIMALS) + 0.0)
+    dots = np.sort(np.round(gram[~np.tri(n, dtype=bool)], KEY_DECIMALS) + 0.0)   # i < j
     return (n, tuple(dots.tolist()))
 
 

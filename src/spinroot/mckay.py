@@ -15,8 +15,9 @@ alone.  Each seed's draws are consecutive slices of one stream, drawn once per
 seed and kept for the groups that follow.
 
 A group's classes are formed once and held by the group, as its Cayley
-table is.  The class matrices are one ``np.bincount`` and are formed anew on
-each call: they hold k**3 integers.
+table (a read-only int array) is, and read off that table in one gather: the
+least conjugate of each element names its class.  The class matrices are one
+``np.bincount`` and are formed anew on each call: they hold k**3 integers.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -44,7 +45,10 @@ DEFAULT_SEED = 1729
 DRAW_BITS = 20
 
 INT_TOL = 1e-6
+#: orthogonality holds where |x - y| <= ORTHO_TOL (times |G| for the column
+#: relation) + ORTHO_RTOL |y|, the comparison of ``np.isclose``'s defaults
 ORTHO_TOL = 1e-6
+ORTHO_RTOL = 1e-5
 #: smallest gap between the eigenvalues of a draw that separates the eigenspaces
 EIG_SEP_TOL = 1e-8
 #: an eigenvector smaller than this at the identity class cannot be normalized
@@ -117,15 +121,13 @@ def _conjugacy_classes(G: VersorGroup) -> ClassData:
     cay = G.cayley
     inv = G.inverse_indices
     n = G.order
-    seen = [False] * n
-    classes = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        orbit = sorted({cay[cay[h][g]][inv[h]] for h in range(n)})
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(orbit))
+    # the least conjugate h g h^-1 of each g names its class; a stable sort
+    # by it lists the classes by their least element, each in index order
+    least = cay[cay, np.array(inv)[:, None]].min(axis=0)
+    members = np.argsort(least, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(least[members])) + 1).tolist(), n]
+    members = members.tolist()
+    classes = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
     e = G.identity_index
     ident = next(c for c in classes if c == (e,))
     rest = sorted((c for c in classes if c != ident), key=lambda c: (len(c), c))
@@ -153,9 +155,8 @@ def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
     """
     k = classes.count
     cls_of = np.array(classes.element_class)
-    reps, cay = classes.representatives, G.cayley
     # y[x, t] = x^-1 rep_t, read from the Cayley rows of the inverses
-    y = np.array([[row[z] for z in reps] for row in map(cay.__getitem__, G.inverse_indices)])
+    y = G.cayley[np.ix_(G.inverse_indices, classes.representatives)]
     flat = (cls_of[:, None] * k + cls_of[y]) * k + np.arange(k)
     counts = np.bincount(flat.ravel(), minlength=k ** 3)
     return counts.astype(np.int64, copy=False).reshape(k, k, k)
@@ -175,6 +176,8 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
         raise ValueError(f"seed must be nonnegative, got {min(seeds)}")
     if classes is None:
         classes = conjugacy_classes(G)
+    if not len(seeds):
+        return []
     tables = _tables_from_eigenvectors(
         _eigenvectors(class_matrices(G, classes), seeds), classes, G.order)
     _validate_tables(tables)
@@ -197,7 +200,7 @@ def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
     eigenvectors.
     """
     k = mats.shape[0]
-    i, j = np.triu_indices(k, 1)
+    i, j = np.nonzero(~np.tri(k, dtype=bool))      # the pairs i < j, as np.triu_indices lists them
     flat = mats.reshape(k, -1).astype(float)
     streams = [_draw_stream(seed) for seed in seeds]
     vecs = [None] * len(seeds)
@@ -290,10 +293,12 @@ def _validate_tables(tables: list[CharacterTable]):
     adjoint = chars.conj().transpose(0, 2, 1)
     gram = (chars * sizes) @ adjoint
     gram /= order
-    rows_ok = np.isclose(gram, np.eye(k), atol=ORTHO_TOL).all(axis=(1, 2))
+    one = np.eye(k)
+    rows_ok = (np.abs(gram - one) <= ORTHO_TOL + ORTHO_RTOL * one).all(axis=(1, 2))
     del gram
     col = adjoint @ chars  # |G|/|C_s| on the diagonal
-    cols_ok = np.isclose(col, np.diag(order / sizes), atol=ORTHO_TOL * order).all(axis=(1, 2))
+    diag = np.diag(order / sizes)
+    cols_ok = (np.abs(col - diag) <= ORTHO_TOL * order + ORTHO_RTOL * diag).all(axis=(1, 2))
     for table, row_ok, col_ok in zip(tables, rows_ok, cols_ok):
         if not row_ok:
             raise CharacterError("row orthogonality fails")
@@ -326,6 +331,8 @@ def mckay_graphs(tables: Sequence[CharacterTable], chi_R: np.ndarray) -> list[Mc
     Every multiplicity matrix must be integral, symmetric and nonnegative; the
     first bad table in the list raises, its checks in that order.
     """
+    if not tables:
+        return []
     chars = np.stack([t.chars for t in tables])
     sizes = np.array(tables[0].sizes, dtype=float)
     A = (chars * (sizes * chi_R)) @ chars.conj().transpose(0, 2, 1) / tables[0].order
@@ -376,19 +383,30 @@ _TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
 
 def components(adj: np.ndarray) -> list[np.ndarray]:
-    """Node masks of the connected components of the graph with an edge wherever
-    adj != 0, each found by a frontier walk from its first node."""
-    left = np.ones(len(adj), dtype=bool)
+    """Node masks of the connected components of the graph with an edge from
+    u to v wherever adj[u, v] != 0: from the first node in no mask yet, the
+    nodes its walk reaches, walked on adjacency lists."""
+    n = len(adj)
+    heads, tails = np.nonzero(adj)
+    nbrs = [[] for _ in range(n)]
+    for u, v in zip(heads.tolist(), tails.tolist()):
+        nbrs[u].append(v)
+    left = [True] * n
     out = []
-    while left.any():
-        seen = np.zeros(len(adj), dtype=bool)
-        seen[np.argmax(left)] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        out.append(seen)
-        left &= ~seen
+    for start in range(n):
+        if not left[start]:
+            continue
+        members, seen = [start], {start}
+        for u in members:          # grows as the walk reaches new nodes
+            for v in nbrs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+        mask = np.zeros(n, dtype=bool)
+        mask[members] = True
+        for v in members:
+            left[v] = False
+        out.append(mask)
     return out
 
 

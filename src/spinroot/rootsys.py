@@ -181,6 +181,11 @@ class SimpleRootSet:
         return read_only(num), den
 
     @cached_property
+    def floats(self) -> np.ndarray:
+        """The coordinates as floats (rank, dim), ``row_floats`` of ``rows``."""
+        return read_only(row_floats(*self.rows))
+
+    @cached_property
     def gram(self) -> tuple[np.ndarray, int]:
         """Gram numerators (rank, rank, 4) and their denominator: the one source
         of the Cartan matrix, the unit check, the Coxeter graph and the rotation orders."""
@@ -199,11 +204,11 @@ class SimpleRootSet:
     @cached_property
     def held(self) -> dict:
         """Results formed from these roots and kept with them, each formed
-        once: ``coxplane`` keeps each word's CoxeterData, under the word, and
-        the default Coxeter plane."""
+        once: ``coxplane`` keeps each word's CoxeterData, under the word, the
+        bicolouring and the default Coxeter plane."""
         return {}
 
-    @property
+    @cached_property
     def unit(self) -> bool:
         """(a|a) = 1 for every simple root: exactly, or within UNIT_ROOT_TOL on floats."""
         g, den = self.gram
@@ -356,6 +361,8 @@ _ALIASES = {
 }
 #: the keys other than the aliased ones and the families, matched in any case
 _NAMED_KEYS = ("A3", "B3", "H3", "A4", "B4", "D4", "F4", "H4")
+_PRODUCT_NAME = re.compile(r"^I2\((\d+)\)xI2\((\d+)\)$", re.I)
+_FAMILY_NAME = re.compile(r"^(I2xI2|A1xI2|I2)(?:\((\d+)\))?$", re.I)
 
 
 def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
@@ -370,13 +377,13 @@ def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
         if n is not None:
             raise UnknownSystemError(f"{key} takes no family parameter, got n={n}")
         return key, None
-    m = re.match(r"^I2\((\d+)\)xI2\((\d+)\)$", s, re.I)
+    m = _PRODUCT_NAME.match(s)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         if a != b:
             raise UnknownSystemError(f"mismatched family parameters in {name!r}")
         return "I2xI2", a
-    m = re.match(r"^(I2xI2|A1xI2|I2)(?:\((\d+)\))?$", s, re.I)
+    m = _FAMILY_NAME.match(s)
     if m:
         key = {"i2xi2": "I2xI2", "a1xi2": "A1xI2", "i2": "I2"}[m.group(1).lower()]
         inline = int(m.group(2)) if m.group(2) else None
@@ -513,12 +520,13 @@ def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed by
     ``ordered_dot`` and (a|a) read from the Gram.
     """
-    gens, norms = row_floats(*simple.rows), np.diagonal(simple.gram[0][..., 0])
+    gens, norms = simple.floats, np.diagonal(simple.gram[0][..., 0])
 
     def step(rows: np.ndarray) -> np.ndarray:
-        images = [rows - ((ordered_dot(rows, a) * 2) / aa)[:, None] * a
-                  for a, aa in zip(gens, norms)]
-        return np.stack(images, axis=1).reshape(-1, gens.shape[1])
+        # images[x, a] = s_a(x), every row under every generator in one broadcast
+        rows = rows[:, None]
+        images = rows - ((ordered_dot(rows, gens) * 2) / norms)[..., None] * gens
+        return images.reshape(-1, gens.shape[1])
 
     return quad_numerators(orbit(gens, step, row_keys, CLOSURE_CAP))
 

@@ -280,18 +280,19 @@ def scalar_to_json(x: Scalar):
 def quad_numerators(values) -> tuple[np.ndarray, int]:
     """Numerator rows (..., 4) of an array of scalars, and their common denominator.
 
-    ``values`` is a (nested) sequence of QuadTower or of floats, not a mix;
-    element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.  Exact
-    numerators are Python ints in an object array.  Floats fill the basis-1
-    column of a float array over ``den = 1``, so the same products apply to
-    both backends.
+    ``values`` is a (nested) sequence of QuadTower or of floats, not a mix,
+    or a float array; element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.
+    Exact numerators are Python ints in an object array.  Floats fill the
+    basis-1 column of a float array over ``den = 1``, so the same products
+    apply to both backends.
     """
-    arr = np.asarray(values, dtype=object)
+    floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
+    arr = values if floats else np.asarray(values, dtype=object)
     flat = arr.ravel()
-    if all(isinstance(x, float) for x in flat):
-        rows = np.zeros((len(flat), 4))
-        rows[:, 0] = flat
-        return rows.reshape(arr.shape + (4,)), 1
+    if floats or all(isinstance(x, float) for x in flat):
+        rows = np.zeros(arr.shape + (4,))
+        rows[..., 0] = arr
+        return rows, 1
     if not all(isinstance(x, QuadTower) for x in flat):
         raise BackendMismatchError("numerator rows need all-exact or all-float scalars")
     den = lcm(*(x._q for x in flat))
@@ -426,7 +427,7 @@ def row_keys(rows: np.ndarray) -> list:
     -0.0 into 0.0).
     """
     if rows.dtype.kind == "f":
-        rows = np.round(rows, KEY_DECIMALS) + 0.0
+        rows = rows.round(KEY_DECIMALS) + 0.0
     elif rows.dtype == object:
         try:
             rows = rows.astype(np.int64)

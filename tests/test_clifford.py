@@ -22,7 +22,14 @@ from clifford_reference import (
     to_blade_dict,
     versor_action,
 )
-from spinroot.clifford import Multivector, blade_name, left_matrices
+from spinroot.clifford import (
+    _RIGHT_SIGN,
+    _XOR,
+    Multivector,
+    _blade_sums,
+    blade_name,
+    left_matrices,
+)
 from spinroot.scalars import (
     BackendMismatchError,
     QT_HALF,
@@ -299,3 +306,46 @@ def test_spinor_inner_is_coefficient_dot(a, b):
 def test_blade_dict_serialization():
     mv = mv_scalar(3, QuadTower(3)) + 2 * blade(3, 3)
     assert to_blade_dict(mv) == {"": "3", "e12": "2"}
+
+
+# -- the float blade sums ----------------------------------------------------------------
+
+
+def blade_loop_sums(x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The former ``clifford._blade_sums``: from +0.0, one blade at a time in
+    blade order, skipping the blades that are zero in every row of x."""
+    xs = x.T[..., None]
+    rs = right.swapaxes(0, -2)
+    out = np.zeros(np.broadcast(xs[0], rs[0]).shape)
+    for a in np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)):
+        out += xs[a] * rs[a]
+    return out
+
+
+def _signed_rows(rng, shape) -> np.ndarray:
+    """Random rows with +0.0, -0.0, tiny values and a zero blade in every row."""
+    rows = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    rows[rng.random(shape) < 0.3] = 0.0
+    rows[rng.random(shape) < 0.2] = -0.0
+    rows[rng.random(shape) < 0.05] = 1e-300
+    rows[..., rng.integers(shape[-1])] = 0.0
+    return rows
+
+
+def test_blade_sums_equal_the_blade_loop():
+    # the layouts of float_products (one row, or two stacks pairwise) and of
+    # right_products (rows times every generator), bit for bit
+    rng = np.random.default_rng(23)
+    for trial in range(3000):
+        dim = int(rng.integers(1, 5))
+        size = 1 << dim
+        if trial % 3 == 2:
+            gens = _signed_rows(rng, (int(rng.integers(1, 4)), size))
+            right = (gens[:, _XOR[dim]] * _RIGHT_SIGN[dim]).transpose(1, 0, 2).reshape(size, -1)
+            x = _signed_rows(rng, (int(rng.integers(1, 9)), size))
+        else:
+            shape = (size,) if trial % 3 else (int(rng.integers(1, 6)), size)
+            x, y = _signed_rows(rng, shape), _signed_rows(rng, shape)
+            right = y[..., _XOR[dim]] * _RIGHT_SIGN[dim]
+        want, got = blade_loop_sums(x, right), _blade_sums(x, right)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial

@@ -62,8 +62,18 @@ from spinroot.coxplane import (
     springer_identities,
     weight_basis,
 )
+from spinroot.induction import _vector_rows
 from spinroot.rootsys import cartan_matrix, catalog, root_system
-from spinroot.scalars import QT_ONE, QT_ZERO, SIGMA, TAU, QuadTower, scalar_values
+from spinroot.scalars import (
+    QT_ONE,
+    QT_ZERO,
+    SIGMA,
+    TAU,
+    QuadTower,
+    quad_numerators,
+    row_floats,
+    scalar_values,
+)
 
 PI = math.pi
 
@@ -351,6 +361,114 @@ def test_matrix_order_matches_allclose_loop():
         assert matrix_order(M) == allclose_order(M)
 
 
+def step_loop_orders(Ms: np.ndarray) -> list[int]:
+    """The former ``coxplane._matrix_orders``: one power and one comparison per step."""
+    one = np.eye(Ms.shape[-1])
+    orders = [0] * len(Ms)
+    P = Ms
+    for step in range(1, coxplane.ORDER_CAP + 1):
+        for i, gap in enumerate(np.abs(P - one).max(axis=(1, 2)).tolist()):
+            if gap <= coxplane.MATRIX_TOL and not orders[i]:
+                orders[i] = step
+        if all(orders):
+            return orders
+        P = P @ Ms
+    raise ValueError(f"matrix order exceeds {coxplane.ORDER_CAP}")
+
+
+def test_matrix_orders_equal_the_step_loop(monkeypatch):
+    # every catalog word's matrix, one at a time and stacked per system, and
+    # the cap error with the cap patched below and at each order
+    stacks = []
+    for name, n in CATALOG_SYSTEMS:
+        simple = catalog(name, n)
+        words = [None, *itertools.permutations(range(1, simple.rank + 1))]
+        stacks.append(np.stack([cd.matrix for cd in coxeter_versors(simple, words)]))
+    for Ms in stacks:
+        assert coxplane._matrix_orders(Ms) == step_loop_orders(Ms)
+        for M in Ms:
+            assert matrix_order(M) == step_loop_orders(M[None])[0]
+    for Ms in stacks[::7]:
+        h = max(step_loop_orders(Ms))
+        for cap in (1, h - 1, h):
+            monkeypatch.setattr(coxplane, "ORDER_CAP", cap)
+            try:
+                want = step_loop_orders(Ms)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    coxplane._matrix_orders(Ms)
+            else:
+                assert cap == h and coxplane._matrix_orders(Ms) == want
+        monkeypatch.undo()
+
+
+def former_wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The former ``coxplane._wedge``: vector rows through ``quad_numerators``."""
+    uv = np.stack([u, v]).astype(float)
+    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))
+    rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
+    return coxplane._grade(coxplane.float_products(rows[0], rows[1]), 2)
+
+
+def test_wedge_equals_the_former_wedge():
+    # random rows with +-0.0 coordinates, so zero blades, one row or a stack
+    rng = np.random.default_rng(5)
+    for trial in range(1500):
+        dim = int(rng.integers(2, 5))
+        shape = (dim,) if trial % 2 else (int(rng.integers(1, 5)), dim)
+        u, v = rng.normal(size=shape), rng.normal(size=shape)
+        for x in (u, v):
+            x[rng.random(shape) < 0.3] = 0.0
+            x[rng.random(shape) < 0.2] = -0.0
+        got, want = coxplane._wedge(u, v), former_wedge(u, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+
+
+def former_pf_eigenvector(cartan) -> np.ndarray:
+    """The former ``pf_eigenvector``: norms by ``np.linalg.norm``, every
+    block's smallest eigenvalue taken."""
+    M = np.array([[float(v) for v in row] for row in cartan], dtype=float)
+    x = np.ones(len(M)) / math.sqrt(len(M))
+    for _ in range(coxplane.PF_MAX_STEPS):
+        y = np.linalg.solve(M, x)
+        x = y / np.linalg.norm(y)
+        lam = float(x @ M @ x)
+        if np.linalg.norm(M @ x - lam * x) <= coxplane.PF_RESIDUAL:
+            break
+    if x[int(np.argmax(np.abs(x)))] < 0:
+        x = -x
+    blocks = coxplane.components(np.abs(M) > coxplane.EDGE_TOL)
+    lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
+    for b, low in zip(blocks, lows):
+        if low > min(lows) + coxplane.EIGEN_MATCH_TOL:
+            x[b] = 0.0
+    return x / x[0]
+
+
+def test_pf_eigenvector_equals_the_former_iteration():
+    for name, n in CATALOG_SYSTEMS:
+        cartan = cartan_matrix(catalog(name, n))
+        assert pf_eigenvector(cartan).tobytes() == former_pf_eigenvector(cartan).tobytes()
+        rows = row_floats(*catalog(name, n).cartan)
+        assert pf_eigenvector(rows).tobytes() == former_pf_eigenvector(rows).tobytes()
+
+
+def test_empty_stacks_give_empty_results():
+    for name in ("I2", "A1xI2", "I2xI2"):
+        simple = catalog(name, 5)
+        k = simple.rank
+        Ms, Ws = np.zeros((0, k, k)), np.zeros((0, 1 << k))
+        assert coxeter_versors(simple, []) == []
+        assert coxplane._matrix_orders(Ms) == []
+        assert exponents_via_matrices(Ms, []) == []
+        planes = planes_from_matrices(Ms, [])
+        assert planes.shape == (0, 1 << k)
+        if k in (2, 4):
+            assert factorizations(Ws, planes, []) == []
+    exact = coxeter_versor(catalog("H4")).versor
+    assert factorizations(exact[None][:0], np.zeros((0, 16)), []) == []
+
+
 def test_plane_action_is_m_a_mt():
     # M A M^T is the versor's action on a bivector, A its antisymmetric matrix:
     # on the six (or one, or three) basis bivectors and on one dense bivector
@@ -366,15 +484,66 @@ def test_plane_action_is_m_a_mt():
             assert np.abs(M @ A @ M.T - want).max() <= 1e-12, (name, n, word)
 
 
-def test_coxeter_plane_does_not_build_the_versor(monkeypatch):
-    def no_versor(*args, **kwargs):
-        raise AssertionError("coxeter_versor called")
+def _count_matrix_rows(monkeypatch) -> list:
+    """Patch ``coxplane._coxeter_matrices`` to record how many matrices each call forms."""
+    counts = []
+    form = coxplane._coxeter_matrices
 
-    monkeypatch.setattr(coxplane, "coxeter_versor", no_versor)
+    def counted(rows, idx):
+        counts.append(len(idx))
+        return form(rows, idx)
+
+    monkeypatch.setattr(coxplane, "_coxeter_matrices", counted)
+    return counts
+
+
+def test_coxeter_plane_validates_on_the_held_coxeter_data(monkeypatch):
+    # the validation reads the word's held CoxeterData: the first call forms
+    # the word's matrix once, later calls form none
+    counts = _count_matrix_rows(monkeypatch)
     for name in ("A3", "B3", "H3", "A4", "D4", "F4", "H4"):
-        coxeter_plane(catalog(name))
+        simple = dataclasses.replace(catalog(name))          # holds nothing yet
+        plane = coxeter_plane(simple)
+        assert default_word(simple) in simple.held, name
+        assert coxeter_plane(simple) is plane, name
+    assert counts == [1] * 7
+    simple = dataclasses.replace(catalog("F4"))
     with pytest.raises(ValueError, match="not a permutation"):
-        coxeter_plane(catalog("F4"), word=(1, 1, 2, 3))
+        coxeter_plane(simple, word=(1, 1, 2, 3))
+    assert (1, 1, 2, 3) not in simple.held
+
+
+def sweep_coxplane_operation(simple, word) -> list:
+    """The library calls of one ``coxplane`` operation of bench/sweep.py; the
+    words whose Coxeter data it reads."""
+    cd = coxeter_versor(simple, word)
+    exponents_via_matrix(cd.matrix, cd.h)
+    if simple.rank in (2, 4):
+        factorize(cd.versor, plane_from_matrix(cd.versor, cd.matrix, cd.h), cd.h)
+    try:
+        plane = coxeter_plane(simple)
+    except DegeneratePlaneError:
+        return [word]
+    if simple.rank in (2, 4):
+        base = coxeter_versor(simple)
+        factorize(base.versor, plane.bivector, base.h)
+    return [word, default_word(simple)]
+
+
+def test_one_coxplane_operation_forms_each_words_matrix_once(monkeypatch):
+    # on a fresh root set, the word's and the default word's Coxeter matrices
+    # are formed once each, and the float rows they are formed from are held
+    counts = _count_matrix_rows(monkeypatch)
+    for name, n in CATALOG_SYSTEMS:
+        rank = catalog(name, n).rank
+        for word in (tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))):
+            simple = dataclasses.replace(catalog(name, n))
+            counts.clear()
+            words = sweep_coxplane_operation(simple, word)
+            assert sum(counts) == len(set(words)), (name, n, word)
+            assert simple.floats is simple.floats
+            with pytest.raises(ValueError, match="read-only"):
+                simple.floats[0, 0] = 0.0
 
 
 def test_word_planes_carry_no_noise_blades():

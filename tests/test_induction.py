@@ -118,7 +118,8 @@ def test_index_of_keys_like_the_cayley_table():
     one, v = mv_scalar(2, 1.0), Multivector.from_vector([x, y])
     G = VersorGroup(name="tilted A1", dim=2, rows=element_rows((one, -one, v, -v)),
                     parities=("even", "even", "odd", "odd"), parity="pin")
-    assert G.cayley == [[index_of(G, a * b) for b in group_elements(G)] for a in group_elements(G)]
+    assert G.cayley.tolist() == [[index_of(G, a * b) for b in group_elements(G)]
+                                 for a in group_elements(G)]
     assert index_of(G, Multivector.from_vector([above, y])) == index_of(G, v) == 2
     assert G.inverse_indices == (0, 1, 2, 3)
 
@@ -221,7 +222,8 @@ def test_exact_cayley_tables_match_products():
         index = {key: i for i, key in enumerate(_reference_keys(den * num))}
         products = _reference_products(num, product_tensor(G.dim))
         expected = [[index[key] for key in _reference_keys(row)] for row in products]
-        assert G.cayley == expected, G.name
+        assert G.cayley.tolist() == expected, G.name
+        assert G.cayley.dtype.kind == "i" and not G.cayley.flags.writeable, G.name
         by_mv = {mv_key(e): i for i, e in enumerate(elements)}
         assert G.inverse_indices == tuple(by_mv[mv_key(reverse(e))] for e in elements)
 
@@ -259,14 +261,14 @@ def test_exact_cayley_with_python_ints(monkeypatch):
     # the same kernel on unbounded ints, as taken when int64 could overflow,
     # from rows held as int64 and from rows held as Python ints
     A3 = pin_group("A3")
-    expected = A3.cayley
+    expected = A3.cayley.tolist()
     _force_tiers_past(monkeypatch, TIER_LIMITS["INT64_LIMIT"])
     G = generate_pin_group(catalog("A3"))
     assert G.rows.dtype == object
-    assert G.cayley == expected
+    assert G.cayley.tolist() == expected
     G = VersorGroup(name="A3 on Python ints", dim=3, rows=A3.rows.astype(object),
                     parities=A3.parities, parity="pin")
-    assert G.cayley == expected
+    assert G.cayley.tolist() == expected
 
 
 @pytest.mark.parametrize("limit", [1 << 53, 1 << 62])
@@ -289,7 +291,7 @@ def test_pin_rows_and_cayley_tables_on_every_integer_tier(monkeypatch, limit):
     for name in ("A3", "B3", "H3"):
         rows, cayley = got[name][-3], got[name][-1]
         assert rows.dtype == (object if python_ints else np.int64), name
-        assert cayley == pin_group(name).cayley, name
+        assert cayley.tolist() == pin_group(name).cayley.tolist(), name
 
 
 def test_cayley_product_escaping_the_group():
@@ -393,6 +395,24 @@ def test_fingerprint_matches_exact_pairwise_dots():
     for vectors in sets:
         num, den = quad_numerators([vector_coords(v) for v in vectors])
         assert fingerprint(num, den) == reference(vectors)
+
+
+def test_fingerprint_equals_the_triu_indices_form():
+    # the former pair selection, np.triu_indices, on every induced set and 4D system
+    def former(num, den):
+        X = row_floats(num, den)
+        gram = X @ X.T
+        dots = np.sort(np.round(gram[np.triu_indices(len(X), 1)], KEY_DECIMALS) + 0.0)
+        return (len(X), tuple(dots.tolist()))
+
+    sets = [root_system(key, m) for key, m in [("A1^4", None), ("A4", None), ("B4", None),
+                                               ("D4", None), ("F4", None), ("H4", None)]]
+    sets += [root_system("I2xI2", m) for m in range(2, 17)]
+    sets += [induced_set(name, n) for name in ("I2", "A1xI2") for n in range(2, 17)]
+    sets += [induced_set(name) for name in ("A1^3", "A3", "B3", "H3")]
+    for S in sets:
+        got, want = fingerprint(S.num, S.den), former(S.num, S.den)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_identification_rotation_invariant():

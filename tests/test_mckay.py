@@ -593,3 +593,112 @@ def test_classes_are_held_by_the_group():
     assert conjugacy_classes(G) is classes is G.classes
     # the tensor is formed anew on every call: it holds k**3 integers
     assert class_matrices(G, classes) is not class_matrices(G, classes)
+
+
+def orbit_loop_classes(G) -> list:
+    """The classes as the former ``_conjugacy_classes`` found them, before
+    ordering: the conjugates of each element not yet seen, on the Cayley table
+    as lists."""
+    cay, inv = G.cayley.tolist(), G.inverse_indices
+    seen = [False] * G.order
+    classes = []
+    for g in range(G.order):
+        if not seen[g]:
+            orbit = sorted({cay[cay[h][g]][inv[h]] for h in range(G.order)})
+            for x in orbit:
+                seen[x] = True
+            classes.append(tuple(orbit))
+    return classes
+
+
+def test_classes_equal_the_orbit_loop():
+    for name, n in ALL_GROUPS:
+        G = spin_group(name, n)
+        classes = orbit_loop_classes(G)
+        ident = (G.identity_index,)
+        want = [ident] + sorted((c for c in classes if c != ident), key=lambda c: (len(c), c))
+        assert list(mckay._conjugacy_classes(G).classes) == want, (name, n)
+
+
+def frontier_walk_components(adj: np.ndarray) -> list:
+    """The former ``mckay.components``: one numpy frontier per step."""
+    left = np.ones(len(adj), dtype=bool)
+    out = []
+    while left.any():
+        seen = np.zeros(len(adj), dtype=bool)
+        seen[np.argmax(left)] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        out.append(seen)
+        left &= ~seen
+    return out
+
+
+def test_components_equal_the_frontier_walk():
+    # random 0/1 matrices, symmetric or not, and every McKay graph of the sources
+    rng = np.random.default_rng(17)
+    graphs = []
+    for trial in range(2000):
+        n = int(rng.integers(0, 15))
+        adj = (rng.random((n, n)) < rng.random() * 0.4).astype(int)
+        graphs.append(adj | adj.T if trial % 2 else adj)
+    for name, n in ALL_GROUPS:
+        G = spin_group(name, n)
+        graphs.append(mckay_graph(character_table(G), spinor_character(G)).adjacency)
+    for adj in graphs:
+        got, want = mckay.components(adj), frontier_walk_components(adj)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == bool and (a == b).all()
+
+
+def isclose_verdicts(tables) -> list:
+    """The orthogonality verdicts of the former ``_validate_tables``, by ``np.isclose``."""
+    chars = np.stack([t.chars for t in tables])
+    order, k = tables[0].order, chars.shape[1]
+    sizes = np.array(tables[0].sizes, dtype=float)
+    adjoint = chars.conj().transpose(0, 2, 1)
+    gram = (chars * sizes) @ adjoint / order
+    rows_ok = np.isclose(gram, np.eye(k), atol=mckay.ORTHO_TOL).all(axis=(1, 2))
+    cols_ok = np.isclose(adjoint @ chars, np.diag(order / sizes),
+                         atol=mckay.ORTHO_TOL * order).all(axis=(1, 2))
+    return [None if r and c else "row" if not r else "column"
+            for r, c in zip(rows_ok, cols_ok)]
+
+
+def test_validation_verdicts_equal_isclose():
+    # tables perturbed around the tolerances, with one row scaled near the
+    # relative tolerance, and by nan and inf, one at a time
+    rng = np.random.default_rng(29)
+    seen = set()
+    for name, n in [("A3", None), ("H3", None), ("I2", 7), ("A1xI2", 6)]:
+        G = spin_group(name, n)
+        table = character_table(G)
+        for trial in range(300):
+            chars = table.chars.astype(complex)
+            scale = 10.0 ** rng.uniform(-9, -3)
+            chars = chars + scale * (rng.normal(size=chars.shape)
+                                     + 1j * rng.normal(size=chars.shape))
+            if trial % 3 == 0:
+                chars[rng.integers(len(chars))] *= 1 + 10.0 ** rng.uniform(-7, -4)
+            if trial % 50 == 0:
+                chars[rng.integers(len(chars)), rng.integers(len(chars))] = (
+                    np.nan if trial % 100 else np.inf)
+            bad = replace(table, chars=chars)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = isclose_verdicts([bad])[0]
+                seen.add(want)
+                if want is None:
+                    _validate_tables([bad])
+                else:
+                    with pytest.raises(CharacterError, match=f"{want} orthogonality fails"):
+                        _validate_tables([bad])
+    assert seen == {None, "row", "column"}
+
+
+def test_empty_stacks_give_empty_results():
+    G = spin_group("I2", 5)
+    assert character_tables(G, seeds=[]) == []
+    assert mckay_graphs([], spinor_character(G)) == []

@@ -211,6 +211,42 @@ def test_orbit_kernel():
         orbit(np.array([0]), step, keys, cap=6)
 
 
+def per_generator_step(simple: SimpleRootSet):
+    """The former step of ``rootsys._float_closure``: the images under one
+    generator at a time, stacked generator-minor."""
+    gens = row_floats(*simple.rows)
+    norms = np.diagonal(simple.gram[0][..., 0])
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        images = [rows - ((rootsys.ordered_dot(rows, a) * 2) / aa)[:, None] * a
+                  for a, aa in zip(gens, norms)]
+        return np.stack(images, axis=1).reshape(-1, gens.shape[1])
+
+    return step
+
+
+def test_float_closure_step_equals_the_per_generator_step(monkeypatch):
+    # every family closure with n = 2..16, bit for bit: the closure the former
+    # step gives, and both steps on the whole root set
+    steps = []
+
+    def recording_orbit(seeds, step, keys, cap):
+        steps.append(step)
+        return orbit(seeds, step, keys, cap)
+
+    monkeypatch.setattr(rootsys, "orbit", recording_orbit)
+    for key in ("I2", "A1xI2", "I2xI2"):
+        for n in range(2, 17):
+            simple = catalog(key, n)
+            former = per_generator_step(simple)
+            closed = orbit(row_floats(*simple.rows), former, scalars.row_keys,
+                           rootsys.CLOSURE_CAP)
+            num, den = rootsys._float_closure(simple)
+            assert den == 1 and num[..., 0].tobytes() == closed.tobytes(), (key, n)
+            roots = root_system(key, n).num[..., 0]
+            assert steps[-1](roots).tobytes() == former(roots).tobytes(), (key, n)
+
+
 def _reflect_general(alpha: Multivector, x: Multivector) -> Multivector:
     # s_a(x) = x - 2 (x|a)/(a|a) a: exact-friendly (no square roots) and valid
     # for mirrors of any length, unlike the unit-normal Clifford form

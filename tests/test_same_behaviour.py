@@ -8,8 +8,11 @@ means to move one of them re-pins it and says why in CHANGES.md.
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,32 @@ def word_digest() -> str:
     return _digest(items)
 
 
+SWEEP_PATH = Path(__file__).resolve().parent.parent / "bench" / "sweep.py"
+#: two rounds of the family-sweep plan
+SWEEP_SEEDS = (3, 11)
+
+
+def _load_sweep():
+    """``bench/sweep.py``, loaded from its file and not changed."""
+    spec = importlib.util.spec_from_file_location("bench_sweep", SWEEP_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_digest() -> str:
+    """The results of every operation of the family-sweep plan at SWEEP_SEEDS:
+    integers and names only, serialized as JSON."""
+    sweep = _load_sweep()
+    items = []
+    for seed in SWEEP_SEEDS:
+        for record in sweep.run(seed)["ops"]:
+            items.append(json.dumps({key: record[key] for key in
+                                     ("op", "family", "n", "arg", "error", "result")},
+                                    sort_keys=True))
+    return _digest(items)
+
+
 def verify_json() -> tuple[str, int]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -83,12 +112,14 @@ PINNED = {
     "closures": "f4a50d6a4b2a9e04f4aec91909f3234f42f35d64a241729c67b26bdb08a36bdf",
     "classes": "97553601e36a4614952c927ece319c585ee8e9e4cdf8f9df7dd745ca9681a626",
     "words": "36ab22c9ad79d94c0cfa6d859e786a78843db1db967f1153f89bd51cdae48739",
+    "sweep": "e356d0a92c8a11ce6511bd142fc77443bf51d20340cd0f07ac7c86f1ca6363e0",
     "verify-all": "7ffb9172f341df41db3e194c9641e9067fbe9001ee37086e89dddf78d14817c7",
 }
 
 
 @pytest.mark.parametrize("what, digest", [
-    ("closures", closure_digest), ("classes", class_digest), ("words", word_digest)])
+    ("closures", closure_digest), ("classes", class_digest), ("words", word_digest),
+    ("sweep", sweep_digest)])
 def test_outputs_keep_their_digest(what, digest):
     assert digest() == PINNED[what]
 
@@ -101,4 +132,5 @@ def test_verify_all_json_keeps_its_digest():
 
 if __name__ == "__main__":
     print({"closures": closure_digest(), "classes": class_digest(), "words": word_digest(),
+           "sweep": sweep_digest(),
            "verify-all": hashlib.sha256(verify_json()[0].encode()).hexdigest()})

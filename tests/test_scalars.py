@@ -422,3 +422,15 @@ def test_row_floats_at_the_2_53_numerator_bound():
         assert int(np.abs(num).max()) == top
         want = np.array([float(x) for x in values])
         assert row_floats(num, den).tobytes() == want.tobytes(), top
+
+
+def test_quad_numerators_of_a_float_array_are_those_of_its_floats():
+    rng = np.random.default_rng(8)
+    for shape in [(0,), (3,), (4, 2), (2, 3, 4)]:
+        values = rng.normal(size=shape)
+        values[rng.random(shape) < 0.3] = -0.0
+        num, den = quad_numerators(values)
+        want, want_den = quad_numerators(values.tolist())
+        assert den == want_den == 1
+        assert num.shape == want.shape == shape + (4,) and num.tobytes() == want.tobytes()
+        assert num[..., 0].tobytes() == values.tobytes() and not num[..., 1:].any()

@@ -3,15 +3,15 @@
 A multivector is a row of 2^dim coefficients indexed by blade bitmask: bit i
 of the mask marks basis vector e_{i+1}, and the blade is the ascending product
 of its constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients
-are either all exact (QuadTower, held in rows as field numerators over one
-denominator) or all float; the two never mix.
+are either all exact (QuadTower) or all float; the two never mix.  In a
+versor row each coefficient is its field numerators (d of them: 4 exact, 1
+float), blade-major, and one denominator closes the row, 1.0 on floats.
 
-``right_products`` is the library's one geometric product: the pin closure
-and the Coxeter versor multiply rows through it.  Its float sums are those of
-``float_products``, which multiplies stacks of float rows pairwise for the
-factorization and the Coxeter plane.  ``Multivector`` is the same algebra one
-element at a time, for the public API and the tests; ``SimpleRootSet.roots``
-and ``RootSystem.roots`` build it from rows.
+``right_products`` is the library's one geometric product on versor rows: the
+pin closure and the Coxeter versor multiply rows through it.  Its float sums
+are those of ``float_products``, which multiplies stacks of float coefficient
+rows pairwise for the factorization and the Coxeter plane.  ``Multivector``
+is the same algebra one element at a time, for the public API and the tests.
 
 An even unit versor R acts on vectors by the sandwich x -> reverse(R) x R, so
 products act left to right: R1*R2 acts as R1 first, then R2.
@@ -19,7 +19,7 @@ products act left to right: R1*R2 acts as R1 first, then R2.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -89,50 +89,47 @@ def float_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def right_products(gens: np.ndarray, dim: int) -> Callable:
-    """The geometric product on coefficient rows: a function taking rows to
-    their products with each generator row on the right, element-major and
+    """The geometric product on versor rows: a function taking rows to their
+    products with each generator row on the right, element-major and
     generator-minor.
 
-    Rows are float coefficient rows, or exact field numerators, blade-major,
-    followed by one positive denominator.  Right multiplication by g sends
-    blade a to blade c through g's blade a ^ c only: its matrix is
-    R_g[a, c] = sign(a, a ^ c) g_(a ^ c) on float rows, times the field's
-    multiplication matrix of g_(a ^ c) on exact ones.
-    The products of a batch are one product with [R_g1 | R_g2 | ...]; on exact
-    rows [num | den] it is one ``exact_matmul`` with the blocks
-    [[R_g, 0], [0, den_g]], built once, so the products carry the product of
-    the two denominators, and ``reduce_rows`` divides them through by their gcd.
+    Rows are field numerators, blade-major, followed by one positive
+    denominator, on either backend.  Right multiplication by g sends blade a
+    to blade c through g's blade a ^ c only: its matrix R_g[a, c] is
+    sign(a, a ^ c) times the field's multiplication matrix of g_(a ^ c).
+    The products of a batch are one product of the rows [num | den] with the
+    blocks [[R_g, 0], [0, den_g]] of every generator, built once, so the
+    products carry the product of the two denominators: on exact rows one
+    ``exact_matmul``, and ``reduce_rows`` divides them through by their gcd;
+    on float rows the sums of ``float_products``, and the denominator stays 1.0.
     """
-    xor, sign = _XOR[dim], _RIGHT_SIGN[dim]
-    size = len(xor)
-    if gens.dtype.kind == "f":
-        right = (gens[:, xor] * sign).transpose(1, 0, 2).reshape(size, -1)
-        return lambda rows: _blade_sums(rows, right).reshape(-1, size)
-
-    n = 4 * size
-    right = _product_matrices(gens[:, :-1], dim, sign)
+    n = gens.shape[1] - 1
+    right = _product_matrices(gens[:, :-1], dim, _RIGHT_SIGN[dim])
     step = np.zeros((n + 1, len(gens), n + 1), dtype=np.result_type(right, gens))
     step[:n, :, :n] = right.transpose(1, 0, 2)
     step[n, :, n] = gens[:, -1]
     step = step.reshape(n + 1, -1)
+    if gens.dtype.kind == "f":
+        return lambda rows: _blade_sums(rows, step).reshape(-1, n + 1)
     return lambda rows: reduce_rows(exact_matmul(rows, step).reshape(-1, n + 1))
 
 
 def _product_matrices(num: np.ndarray, dim: int, sign: np.ndarray) -> np.ndarray:
-    """Matrices (n, 4 * 2**dim, 4 * 2**dim) of multiplication by the
-    multivectors with field numerators num (n, 4 * 2**dim), blade-major, on
+    """Matrices (n, d * 2**dim, d * 2**dim) of multiplication by the
+    multivectors with field numerators num (n, d * 2**dim), blade-major, on
     either backend: blade a goes to blade c through the multivector's blade
     a ^ c only, so the block (a, c) is sign[a, c] times that blade's field
     matrix."""
     n, size = len(num), 1 << dim
-    field = field_matrix(num.reshape(n, size, 4))                # (i, blade, q, r)
+    d = num.shape[1] // size
+    field = field_matrix(num.reshape(n, size, d))                # (i, blade, q, r)
     blocks = field[:, _XOR[dim]] * sign[:, :, None, None]         # (i, a, c, q, r)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(n, 4 * size, 4 * size)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(n, d * size, d * size)
 
 
 def left_matrices(num: np.ndarray, dim: int) -> np.ndarray:
     """Matrices of left multiplication by the multivectors with field
-    numerators num (n, 4 * 2**dim): ``y @ left_matrices(x, dim)[i]`` holds
+    numerators num (n, d * 2**dim): ``y @ left_matrices(x, dim)[i]`` holds
     x_i y, over the product of the two denominators."""
     return _product_matrices(num, dim, _LEFT_SIGN[dim])
 
@@ -165,17 +162,6 @@ class Multivector:
         self.dim = dim
         self.coeffs = coeffs
         self._nz = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_vector(cls, coords: Sequence[Scalar]) -> "Multivector":
-        dim = len(coords)
-        exact = any(isinstance(c, QuadTower) for c in coords)
-        coeffs = [QT_ZERO if exact else 0.0] * (1 << dim)
-        for i, c in enumerate(coords):
-            coeffs[1 << i] = c
-        return cls(dim, coeffs)
 
     # -- basics --------------------------------------------------------------
 

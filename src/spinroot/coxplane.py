@@ -8,11 +8,12 @@ plane bivector B (the Coxeter plane of Humphreys, *Reflection Groups and
 Coxeter Groups*, ch. 3).
 
 Multivectors here are rows: the Coxeter versor W is a row in the layout of
-``induction._numerator_rows`` (exact where the roots are), the plane bivector B
-a float coefficient row.  Products, wedges and exponentials go through
-``clifford.right_products`` and ``clifford.float_products``, and every float
-sum runs from 0.0 in blade order, so each printed float is the one the
-per-element Multivector computation gives.  The weight basis is numerator
+``induction._numerator_rows`` (exact where the roots are, and ending in the
+denominator 1.0 on floats), the plane bivector B a float coefficient row.
+Products, wedges and exponentials go through ``clifford.right_products`` and
+``clifford.float_products``, and every float sum runs from 0.0 in blade
+order, so each printed float is the one the per-element Multivector
+computation gives.  The weight basis is numerator
 rows too, inverted fraction-free through ``scalars.field_quotients``; every
 float of an exact row comes from ``scalars.row_floats``.
 
@@ -29,8 +30,8 @@ A root set holds what is formed from it, in ``SimpleRootSet.held``: the
 ``CoxeterData`` of each word asked for, its arrays read-only, the bicolouring
 and the default plane.  ``coxeter_versors`` forms only the words not held
 yet, and a word's result is the same bits whichever words share its pass.
-``coxeter_plane`` validates on the word's held ``CoxeterData``, so a word's
-Coxeter matrix is formed once per root set.  ``coxeter_data`` and
+``coxeter_plane`` validates on the default word's held ``CoxeterData``, so a
+word's Coxeter matrix is formed once per root set.  ``coxeter_data`` and
 ``coxeter_plane_for`` read the catalog set's held results.
 
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
@@ -197,39 +198,30 @@ def _coxeter_matrices(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return M
 
 
-def _word_matrices(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
-                   ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The validated words (default for None) and their ``coxeter_matrix``, stacked.
-
-    The roots must be unit (``SimpleRootSet.unit``), as the versor of a word
-    is then: the matrix alone would not notice a rescaled root.
-    """
-    words = [tuple(w) if w is not None else default_word(simple) for w in words]
-    for word in words:
-        if sorted(word) != list(range(1, simple.rank + 1)):
-            raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
-    if not simple.unit:
-        raise ValueError("versor must have unit norm")
-    return words, _coxeter_matrices(simple.floats, np.array(words) - 1)
-
-
 def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int]]]
                     ) -> list[CoxeterData]:
     """``coxeter_versor`` of each word (None: the default word), each formed
     once per root set and held in ``simple.held``, its arrays read-only.
 
-    The words not held yet go through one stacked pass: the generator rows
-    and their right products are built once; each step multiplies every
-    word's versor row by its next root in one product, and the orders of all
-    the matrices come from one power loop.  A word's result does not depend
-    on the words that share its pass.  Nothing of a pass that raises is held.
+    The words not held yet are validated (permutations of 1..rank of unit
+    roots: the matrix alone would not notice a rescaled root) and go through
+    one stacked pass: the generator rows and their right products are built
+    once; each step multiplies every word's versor row by its next root in
+    one product, and the orders of all the matrices come from one power loop.
+    A word's result does not depend on the words that share its pass.
+    Nothing of a pass that raises is held.
     """
     held = simple.held
     words = [tuple(w) if w is not None else default_word(simple) for w in words]
     new = [w for w in dict.fromkeys(words) if w not in held]
     if new:
-        new, Ms = _word_matrices(simple, new)
+        for word in new:
+            if sorted(word) != list(range(1, simple.rank + 1)):
+                raise ValueError(f"word {word} is not a permutation of 1..{simple.rank}")
+        if not simple.unit:
+            raise ValueError("versor must have unit norm")
         idx = np.array(new) - 1
+        Ms = _coxeter_matrices(simple.floats, idx)
         gens = _vector_rows(*simple.rows)
         times = right_products(gens, simple.rank)
         W, each = gens[idx[:, 0]], np.arange(len(idx))
@@ -385,15 +377,13 @@ def pf_eigenvector(cartan) -> np.ndarray:
 
 
 def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
-    """Numerator rows (rank, rank, 4) of the w_i with (w_i | a_j) = delta_ij, and
+    """Numerator rows (rank, rank, d) of the w_i with (w_i | a_j) = delta_ij, and
     their denominator, as ``SimpleRootSet.cartan``: w_j is column j of A^-1, A
     the simple roots N / D.  Fraction-free Gauss-Jordan turns the rows [N | D I]
     into [P | R], P diagonal, and A^-1 = D N^-1 has the entries R_ij / P_ii."""
     num, den = simple.rows
     if num.dtype.kind == "f":
-        w = np.zeros(num.shape)
-        w[..., 0] = np.linalg.inv(num[..., 0]).T
-        return w, 1
+        return np.linalg.inv(num[..., 0]).T[..., None], 1
     k, diag = simple.rank, np.arange(simple.rank)
     aug = np.concatenate([num, np.zeros_like(num)], axis=1)
     aug[diag, k + diag, 0] = den
@@ -410,16 +400,15 @@ def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     return w.transpose(1, 0, 2), w_den
 
 
-def coxeter_plane(simple: SimpleRootSet, word: Optional[Sequence[int]] = None,
-                  validate: bool = True) -> CoxeterPlane:
+def coxeter_plane(simple: SimpleRootSet, validate: bool = True) -> CoxeterPlane:
     """Unit bivector of the plane spanned by the two PF-weighted coloured
     vectors, formed once per root set and held in ``simple.held``, its
-    bivector read-only; with ``validate``, every call checks that the word's
-    Coxeter matrix, read from its held ``CoxeterData``, fixes it."""
+    bivector read-only; with ``validate``, every call checks that the default
+    word's Coxeter matrix, read from its held ``CoxeterData``, fixes it."""
     if "plane" not in simple.held:
         simple.held["plane"] = _pf_plane(simple)
     plane = simple.held["plane"]
-    if validate and not _stabilizes(coxeter_versors(simple, [word])[0].matrix, plane.bivector):
+    if validate and not _stabilizes(coxeter_versor(simple).matrix, plane.bivector):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return plane
 
@@ -571,15 +560,6 @@ def canonical_angle_pair(t1: float, t2: float) -> tuple[float, float, int, int, 
     raise FactorizationError(f"cannot canonicalize angles ({t1}, {t2})")
 
 
-def canonical_angle(t: float) -> tuple[float, int, int]:
-    for sg in (1, -1):
-        for a in (0, 1):
-            u = _wrap(sg * t + a * math.pi)
-            if _EPS < u <= math.pi / 2 + _EPS:
-                return u, sg, (1 if a == 0 else -1)
-    raise FactorizationError(f"cannot canonicalize angle {t}")
-
-
 def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
     """cos(theta) + sin(theta) B for unit bivector rows B (S, 2**dim) and their angles.
 
@@ -609,7 +589,7 @@ def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Fa
     b1 = _dot(Ws, Bs).tolist()
     if dim == 2:
         t1 = [math.atan2(b, c) for b, c in zip(b1, s)]
-        t2 = [None] * len(t1)
+        t2 = [0.0] * len(t1)              # a rank-2 versor has one angle
         residuals = _norm(Ws - _exp(Bs, t1)).tolist()
     else:
         I = np.zeros(16)
@@ -630,15 +610,12 @@ def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Fa
             raise FactorizationError(f"residual {residual}" + (
                 " (not a plane rotation)" if dim == 2
                 else ": versor is not of two-plane form on this bivector"))
-        if dim == 2:
-            t1c, b_sign, w_sign = canonical_angle(a1)
-            t2c, i_sign, angles = None, 1, (t1c,)
-        else:
-            t1c, t2c, b_sign, i_sign, w_sign = canonical_angle_pair(a1, a2)
-            angles = (t1c, t2c)
+        t1c, t2c, b_sign, i_sign, w_sign = canonical_angle_pair(a1, a2)
+        angles = (t1c, t2c)[:dim // 2]
         ms = [_as_exponent(t * h / math.pi, h) for t in angles]
         out.append(Factorization(
-            h=h, theta1=t1c, theta2=t2c, w_sign=w_sign, b_sign=b_sign, i_sign=i_sign,
+            h=h, theta1=t1c, theta2=t2c if dim == 4 else None,
+            w_sign=w_sign, b_sign=b_sign, i_sign=i_sign,
             exponents=tuple(sorted(ms + [h - m for m in ms])), residual=residual,
         ))
     return out

@@ -53,43 +53,43 @@ UNIT_TOL = 1e-9        # | <V reverse(V)>_0 - 1 | allowed for a float pin elemen
 
 def _vector_rows(num: np.ndarray, den: int) -> np.ndarray:
     """Rows, in the layout of ``_numerator_rows``, of the vectors with the
-    coordinate numerators (n, dim, 4) over ``den``."""
-    n, dim = num.shape[:2]
-    blades = np.zeros((n, 1 << dim, 4), dtype=num.dtype)
+    coordinate numerators (n, dim, d) over ``den``."""
+    n, dim, d = num.shape
+    blades = np.zeros((n, 1 << dim, d), dtype=num.dtype)
     blades[:, [1 << i for i in range(dim)]] = num
     return _numerator_rows(blades, den)
 
 
 def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
-    """Canonical coefficient rows of multivectors given as numerators
-    (n, 2**dim, 4) over ``den``: the representation of the pin closure and of
-    the Coxeter versor.
+    """Canonical versor rows of multivectors given as numerators
+    (n, 2**dim, d) over ``den``: the representation of the pin closure and of
+    the Coxeter versor, on both backends.
 
-    Float multivectors are their coefficient rows.  Exact ones are their field
-    numerators, blade-major, followed by one positive denominator, the whole
-    row divided by its gcd, so equal multivectors have equal rows.
+    A row is its field numerators, blade-major, followed by one positive
+    denominator, the whole row divided by its gcd (``reduce_rows``), so equal
+    exact multivectors have equal rows; a float row ends in 1.0.
     """
-    if num.dtype != object:
-        return num[..., 0]
-    rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=object)])
+    rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=num.dtype)])
     return reduce_rows(rows)
+
+
+def _blade_numerators(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The numerators (n, 2**dim, d) of rows in the layout of ``_numerator_rows``."""
+    return rows[:, :-1].reshape(len(rows), 1 << dim, (rows.shape[1] - 1) >> dim)
 
 
 def _coefficient_floats(rows: np.ndarray, dim: int) -> np.ndarray:
     """Float coefficient rows (n, 2**dim) of rows in the layout of
-    ``_numerator_rows``, exact ones through ``row_floats``."""
-    if rows.dtype.kind == "f":
-        return rows
-    return row_floats(rows[:, :-1].reshape(len(rows), 1 << dim, 4), rows[:, -1:])
+    ``_numerator_rows``, through ``row_floats``."""
+    return row_floats(_blade_numerators(rows, dim), rows[:, -1:])
 
 
 def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """Rows as numerators (n, 4 * 2**dim) over one denominator, laid out as by
-    ``quad_numerators``; exact rows are scaled as Python ints, never int64."""
+    """Rows as numerators (n, d * 2**dim) over one denominator, laid out as by
+    ``quad_numerators``; exact rows are scaled as Python ints, never int64,
+    and float rows are over 1 already."""
     if rows.dtype.kind == "f":
-        num = np.zeros((len(rows), 1 << dim, 4))
-        num[:, :, 0] = rows
-        return num.reshape(len(rows), -1), 1
+        return rows[:, :-1], 1
     rows = rows.astype(object)
     den = lcm(*rows[:, -1].tolist())
     return rows[:, :-1] * (den // rows[:, -1:]), den
@@ -123,12 +123,9 @@ class VersorGroup:
 
     @property
     def identity_index(self) -> int:
-        """Index of the identity row: [1, 0, ...] on floats; on exact rows,
-        numerator 1 on blade 0 over the denominator 1."""
+        """Index of the identity row: numerator 1 on blade 0 over the denominator 1."""
         one = np.zeros((1, self.rows.shape[1]), dtype=self.rows.dtype)
-        one[0, 0] = 1
-        if one.dtype.kind != "f":
-            one[0, -1] = 1
+        one[0, 0] = one[0, -1] = 1
         return self._index[row_keys(one)[0]]
 
     @property
@@ -168,10 +165,7 @@ class VersorGroup:
 
 def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row: has it a nonzero odd-grade coefficient, has it an even-grade one?"""
-    if rows.dtype.kind == "f":
-        support = rows != 0.0
-    else:
-        support = (rows[:, :-1].reshape(len(rows), 1 << dim, 4) != 0).any(axis=2)
+    support = (_blade_numerators(rows, dim) != 0).any(axis=2)
     odd_blade = np.array([m.bit_count() % 2 == 1 for m in range(1 << dim)])
     return (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
 
@@ -179,13 +173,13 @@ def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]
 def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     """Per row: is <V reverse(V)>_0, the sum of the squared coefficients, one?"""
     if rows.dtype.kind == "f":
-        return np.abs((rows * rows).sum(axis=1) - 1.0) < UNIT_TOL
+        return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < UNIT_TOL
     n, size = len(rows), 1 << dim
     # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
     # blades of num_b * num_b in the field less den**2, zero on a unit row
     last = np.zeros((n, 1, 4), dtype=rows.dtype)
     last[:, 0, 0] = -rows[:, -1]
-    mult = field_matrix(rows[:, :-1].reshape(n, size, 4)).reshape(n, 4 * size, 4)
+    mult = field_matrix(_blade_numerators(rows, dim)).reshape(n, 4 * size, 4)
     excess = exact_matmul(rows[:, None, :], np.concatenate([mult, last], axis=1))
     return (excess == 0).all(axis=(1, 2))
 
@@ -201,7 +195,7 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
                         f"not {simple.name} (rank {simple.rank})")
     dim = simple.rank
     gens = _vector_rows(*simple.rows)
-    negated = -gens if gens.dtype.kind == "f" else np.hstack([-gens[:, :-1], gens[:, -1:]])
+    negated = np.hstack([-gens[:, :-1], gens[:, -1:]])
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
@@ -231,8 +225,7 @@ def even_subgroup(G: VersorGroup) -> VersorGroup:
 @dataclass(frozen=True, eq=False)
 class Induced4DSet:
     """Spinor coordinates of a spin group, read as points one dimension up:
-    numerator rows (count, dim, 4) over ``den``, float rows over 1 on the
-    float backend."""
+    numerator rows (count, dim, d) over ``den``, float rows (d = 1) over 1."""
 
     num: np.ndarray
     den: int
@@ -257,7 +250,7 @@ def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
     if _grade_parities(G.rows, G.dim)[0].any():
         raise ValueError("odd-grade contamination in spin group")
     num, den = _common_numerators(G.rows, G.dim)
-    num = num.reshape(G.order, 1 << G.dim, 4)
+    num = num.reshape(G.order, 1 << G.dim, -1)
     if G.dim == 3:
         # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign
         num = num[:, [0b000, 0b110, 0b101, 0b011]] * np.array([1, 1, -1, 1])[:, None]
@@ -271,7 +264,7 @@ def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
 
 
 def fingerprint(num: np.ndarray, den: int):
-    """Rotation-invariant signature of numerator rows (n, dim, 4) over ``den``:
+    """Rotation-invariant signature of numerator rows (n, dim, d) over ``den``:
     count + multiset of pairwise dots."""
     X = row_floats(num, den)
     n = len(X)

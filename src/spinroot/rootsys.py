@@ -23,11 +23,12 @@ decimals.  Both closures, and the pin closure of ``induction``, are sorted
 once by ``canonical_order`` on the floats of their rows.
 
 The data is numerator rows (``scalars.quad_numerators``): a ``RootSystem``
-holds its roots as numerators (count, dim, 4) over one denominator (float
-rows over 1 on the float backend); its ``vectors`` and ``roots`` are views
-built on first read.  A ``SimpleRootSet`` is given by its ``vectors``, the
-catalog literals, and forms one Gram matrix on its rows, the only source of
-the Cartan matrix, the unit check, the Coxeter graph and the rotation orders.
+holds its roots as numerators (count, dim, d) over one denominator, d = 4 on
+the exact backend and d = 1, over 1, on the float backend; its ``vectors``
+are a view built on first read.  A ``SimpleRootSet`` is given by its
+``vectors``, the catalog literals, and forms one Gram matrix on its rows, the
+only source of the Cartan matrix, the unit check, the Coxeter graph and the
+rotation orders.
 Every float of an exact row comes from ``scalars.row_floats``.
 """
 
@@ -43,7 +44,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clifford import Multivector
 from .scalars import (
     INV_SQRT2,
     KEY_DECIMALS,
@@ -143,17 +143,15 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gram(num: np.ndarray) -> np.ndarray:
-    """Numerators (n, n, 4) of the Gram matrix (x_i|x_j) of numerator rows
-    (n, dim, 4), over their denominator squared: exact rows by one
+    """Numerators (n, n, d) of the Gram matrix (x_i|x_j) of numerator rows
+    (n, dim, d), over their denominator squared: exact rows by one
     ``exact_matmul``, float rows by ``ordered_dot``."""
-    n, dim = num.shape[:2]
+    n, dim, d = num.shape
     if num.dtype.kind == "f":
-        gram = np.zeros((n, n, 4))
-        gram[..., 0] = ordered_dot(num[:, None, :, 0], num[None, :, :, 0])
-        return gram
-    # G[i, j] = sum over d of N[i, d] @ field_matrix(N[j, d])
-    mult = field_matrix(num).transpose(1, 2, 0, 3).reshape(dim * 4, n * 4)
-    return exact_matmul(num.reshape(n, dim * 4), mult).reshape(n, n, 4)
+        return ordered_dot(num[:, None, :, 0], num[None, :, :, 0])[..., None]
+    # G[i, j] = sum over k of N[i, k] @ field_matrix(N[j, k])
+    mult = field_matrix(num).transpose(1, 2, 0, 3).reshape(dim * d, n * d)
+    return exact_matmul(num.reshape(n, dim * d), mult).reshape(n, n, d)
 
 
 @dataclass(frozen=True)
@@ -170,13 +168,8 @@ class SimpleRootSet:
     default_word: tuple[int, ...] = ()   # 1-based; empty means bicoloured order
 
     @cached_property
-    def roots(self) -> tuple[Multivector, ...]:
-        """The simple roots as Multivectors, built from ``vectors`` on first use."""
-        return tuple(Multivector.from_vector(v) for v in self.vectors)
-
-    @cached_property
     def rows(self) -> tuple[np.ndarray, int]:
-        """``quad_numerators`` of ``vectors``: (rank, dim, 4) over one denominator."""
+        """``quad_numerators`` of ``vectors``: (rank, dim, d) over one denominator."""
         num, den = quad_numerators(self.vectors)
         return read_only(num), den
 
@@ -187,17 +180,17 @@ class SimpleRootSet:
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, int]:
-        """Gram numerators (rank, rank, 4) and their denominator: the one source
+        """Gram numerators (rank, rank, d) and their denominator: the one source
         of the Cartan matrix, the unit check, the Coxeter graph and the rotation orders."""
         num, den = self.rows
         return read_only(_gram(num)), den * den
 
     @cached_property
     def cartan(self) -> tuple[np.ndarray, int]:
-        """Numerators (rank, rank, 4) of 2 (a_i|a_j) / (a_j|a_j) over their least denominator."""
+        """Numerators (rank, rank, d) of 2 (a_i|a_j) / (a_j|a_j) over their least denominator."""
         g, diag = self.gram[0], np.arange(self.rank)
         if g.dtype.kind == "f":
-            return read_only(g * 2 / g[diag, diag, 0][:, None]), 1
+            return read_only(g * 2 / g[diag, diag]), 1
         num, den = field_quotients(2 * g, g[diag, diag])
         return read_only(num), den
 
@@ -220,8 +213,8 @@ class SimpleRootSet:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Roots as numerator rows (count, dim, 4) over ``den`` (float rows over 1),
-    sorted by ``canonical_order``."""
+    """Roots as numerator rows (count, dim, d) over ``den`` (float rows, d = 1,
+    over 1), sorted by ``canonical_order``."""
 
     name: str
     simple: SimpleRootSet
@@ -236,11 +229,6 @@ class RootSystem:
     def vectors(self) -> tuple[tuple[Scalar, ...], ...]:
         """The coordinates, QuadTowers or floats, built from the rows on first read."""
         return scalar_values(self.num, self.den)
-
-    @cached_property
-    def roots(self) -> tuple[Multivector, ...]:
-        """The roots as Multivectors, built from ``vectors`` on first use."""
-        return tuple(Multivector.from_vector(v) for v in self.vectors)
 
 
 def _exact_vec(*coords) -> tuple[QuadTower, ...]:
@@ -474,7 +462,7 @@ def generate_roots(simple: SimpleRootSet) -> RootSystem:
 
 
 def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
-    """Numerator rows (count, dim, 4) of the exact roots over one denominator,
+    """Numerator rows (count, dim, d) of the exact roots over one denominator,
     closed in simple-root coordinates.
 
     A root sum_j c_j a_j is the row of its coefficients c as field numerators,
@@ -486,14 +474,15 @@ def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     once, then ``reduce_rows``.
     """
     rank = simple.rank
-    a_num, a_den = simple.cartan                                 # (rank, rank, 4)
-    k = rank * 4
+    a_num, a_den = simple.cartan                                 # (rank, rank, d)
+    d = a_num.shape[-1]
+    k = rank * d
     # (N . A)[i] = sum over j of N[j] @ field_matrix(A[j, i])
     mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(k, k)
     # block i: A_den on [N | q], less (N . A)_i in the columns of e_i
     reflect = np.repeat(a_den * np.eye(k + 1, dtype=mult.dtype)[:, None], rank, axis=1)
     for i in range(rank):
-        reflect[:k, i, 4 * i:4 * i + 4] -= mult[:, 4 * i:4 * i + 4]
+        reflect[:k, i, d * i:d * i + d] -= mult[:, d * i:d * i + d]
     reflect = reflect.reshape(k + 1, rank * (k + 1))
 
     def step(rows: np.ndarray) -> np.ndarray:
@@ -501,21 +490,22 @@ def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
 
     diag = np.arange(rank)
     seeds = np.zeros((rank, k + 1), dtype=np.int64)
-    seeds[diag, diag * 4] = seeds[:, -1] = 1
+    seeds[diag, diag * d] = seeds[:, -1] = 1
     rows = orbit(seeds, step, row_keys, CLOSURE_CAP)
     num, den = rows[:, :-1], rows[:, -1].tolist()
-    s_num, s_den = simple.rows                    # (rank, dim, 4)
+    s_num, s_den = simple.rows                    # (rank, dim, d)
     dim = s_num.shape[1]
     # root = sum_j c_j a_j: numerators over den * s_den
-    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(k, dim * 4)
+    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(k, dim * d)
     cart = exact_matmul(num, to_cartesian).astype(object)
     common = lcm(*den)
     cart *= np.array([common // q for q in den], dtype=object)[:, None]
-    return cart.reshape(len(rows), dim, 4), common * s_den
+    return cart.reshape(len(rows), dim, d), common * s_den
 
 
 def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
-    """Float rows of the roots, closed on Cartesian rows keyed by ``row_keys``.
+    """Float rows (count, dim, 1) of the roots over 1, closed on Cartesian rows
+    keyed by ``row_keys``.
 
     s_a(x) = x - (2 (x|a) / (a|a)) a, the dot products summed by
     ``ordered_dot`` and (a|a) read from the Gram.
@@ -528,7 +518,7 @@ def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
         images = rows - ((ordered_dot(rows, gens) * 2) / norms)[..., None] * gens
         return images.reshape(-1, gens.shape[1])
 
-    return quad_numerators(orbit(gens, step, row_keys, CLOSURE_CAP))
+    return orbit(gens, step, row_keys, CLOSURE_CAP)[..., None], 1
 
 
 @lru_cache(maxsize=None)
@@ -599,7 +589,7 @@ def _direction_keys(num: np.ndarray) -> list:
     zero = np.flatnonzero(~nonzero.any(axis=1))
     if len(zero):
         raise ValueError(f"vector {zero[0]} is zero; a root system has no zero vector")
-    pivots = num[np.arange(len(num)), nonzero.argmax(axis=1)]     # (n, 4)
+    pivots = num[np.arange(len(num)), nonzero.argmax(axis=1)]     # (n, d)
     if floats:
         return [tuple(round(c / p, KEY_DECIMALS) + 0.0 for c in row)
                 for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
@@ -608,7 +598,7 @@ def _direction_keys(num: np.ndarray) -> list:
 
 
 def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationReport:
-    """Check the two root-system axioms on numerator rows (n, dim, 4), a root
+    """Check the two root-system axioms on numerator rows (n, dim, d), a root
     set's ``num`` or ``quad_numerators`` of coordinates, comparing rows by
     ``row_keys``; violations are data, not errors.  The axioms do not see the
     rows' common denominator."""
@@ -630,7 +620,7 @@ def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationRe
 def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
 
-    On numerator rows N (n, dim, 4) over D with Gram numerators G = (N|N) over
+    On numerator rows N (n, dim, d) over D with Gram numerators G = (N|N) over
     D**2 (``_gram``), (a|a) s_a(x) = (a|a) x - 2 (x|a) a has numerators
     G_aa N_x - 2 G_xa N_a over D**3, the denominator of (a|a) y as G_aa N_y, so
     membership in (a|a) Phi compares rows, with no division: integer rows
@@ -638,13 +628,13 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     every x are one ``exact_matmul`` of the rows [G_aa N_x | G_xa] with the
     identity stacked on -2 N_a as field multiplication (which commutes).
     """
-    n, dim = num.shape[:2]
-    k = dim * 4
+    n, dim, d = num.shape
+    k = dim * d
     gram = _gram(num)
     length_keys = row_keys(gram[np.arange(n), np.arange(n)])
-    mult = field_matrix(num).transpose(0, 2, 1, 3).reshape(n, 4, k)
+    mult = field_matrix(num).transpose(0, 2, 1, 3).reshape(n, d, k)
     reflect = np.concatenate([np.broadcast_to(np.eye(k, dtype=mult.dtype), (n, k, k)),
-                              -2 * mult], axis=1)                       # (n, k + 4, k)
+                              -2 * mult], axis=1)                       # (n, k + d, k)
     scaled_roots: dict = {}   # (a|a) Phi per squared length: its rows and their keys
     out = []
     for i in range(n):

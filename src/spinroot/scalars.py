@@ -13,21 +13,23 @@ NotImplemented for float operands).  QuadTower itself serves the catalog
 literals, exact printing and JSON.
 
 The data of every set is numerator rows instead, on both backends: a set is
-its numerators over the same basis with one common denominator
-(``quad_numerators``; ``scalar_values`` is the inverse, for printing), and
-products are matrix products through a structure tensor, ``FIELD_TENSOR`` by
-default (``field_matrix``; ``adjoin_sqrt`` adjoins a square root to a tensor's
-ring, ``field_quotients`` divides).  Exact rows are integers, and
+its numerators over its field's basis, on the last axis, with one common
+denominator (``quad_numerators``; ``scalar_values`` is the inverse, for
+printing), and products are matrix products through the structure tensor of
+the basis size d (``field_matrix``; ``adjoin_sqrt`` adjoins a square root to a
+tensor's ring, ``field_quotients`` divides): d = 4 for Q(sqrt2, sqrt5), whose
+tensor is ``FIELD_TENSOR``, and d = 1 for floats, the field of
+``RATIONAL_TENSOR`` over the denominator 1.  Exact rows are integers, and
 this module alone picks how they are held and multiplied: ``exact_matmul``
 bounds each product by its own operands and runs it on float64 BLAS below
 ``FLOAT64_LIMIT``, on int64 below ``INT64_LIMIT`` and on Python ints above, so
 the result is exact.  The integer rows that ``exact_matmul``, ``field_matrix``,
 ``int_rows`` and ``reduce_rows`` return are int64 below ``INT64_LIMIT``, so
-they may be negated or doubled in their dtype, and Python ints otherwise.
-Float rows use only the basis-1 column over the denominator 1.
-``row_floats`` is the one bridge from rows to floats, bit for bit ``float()``
-of each QuadTower.  ``row_keys`` hashes rows, integer rows by value whatever
-their dtype, float rows rounded to ``KEY_DECIMALS`` decimals.
+they may be negated or doubled in their dtype, and Python ints otherwise;
+float rows pass through them unchanged.  ``row_floats`` is the one bridge from
+rows to floats, bit for bit ``float()`` of each QuadTower.  ``row_keys``
+hashes rows, integer rows by value whatever their dtype, float rows rounded
+to ``KEY_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -278,21 +280,18 @@ def scalar_to_json(x: Scalar):
 
 
 def quad_numerators(values) -> tuple[np.ndarray, int]:
-    """Numerator rows (..., 4) of an array of scalars, and their common denominator.
+    """Numerator rows (..., d) of an array of scalars, and their common denominator.
 
-    ``values`` is a (nested) sequence of QuadTower or of floats, not a mix,
-    or a float array; element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.
-    Exact numerators are Python ints in an object array.  Floats fill the
-    basis-1 column of a float array over ``den = 1``, so the same products
-    apply to both backends.
+    ``values`` is a (nested) sequence, or an array, of QuadTower or of floats,
+    not a mix.  Exact values have d = 4, Python int numerators in an object
+    array: element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.
+    Floats have d = 1: each is its own row (x,) over ``den = 1``, so the same
+    products apply to both backends.
     """
-    floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
-    arr = values if floats else np.asarray(values, dtype=object)
+    arr = np.asarray(values, dtype=object)
     flat = arr.ravel()
-    if floats or all(isinstance(x, float) for x in flat):
-        rows = np.zeros(arr.shape + (4,))
-        rows[..., 0] = arr
-        return rows, 1
+    if all(isinstance(x, float) for x in flat):
+        return arr.astype(np.float64)[..., None], 1
     if not all(isinstance(x, QuadTower) for x in flat):
         raise BackendMismatchError("numerator rows need all-exact or all-float scalars")
     den = lcm(*(x._q for x in flat))
@@ -308,7 +307,7 @@ def read_only(rows: np.ndarray) -> np.ndarray:
 
 
 def scalar_values(num: np.ndarray, den: int) -> tuple:
-    """Rows of scalars, QuadTowers or floats, of numerator rows (n, k, 4) over
+    """Rows of scalars, QuadTowers or floats, of numerator rows (n, k, d) over
     ``den``: the inverse of ``quad_numerators``, for printing and JSON."""
     if num.dtype.kind == "f":
         return tuple(map(tuple, num[..., 0].tolist()))
@@ -316,8 +315,9 @@ def scalar_values(num: np.ndarray, den: int) -> tuple:
 
 
 def row_floats(num: np.ndarray, den) -> np.ndarray:
-    """Floats (...) of numerator rows (..., 4) over ``den`` (one denominator, or
-    one per row): the one bridge from exact rows to floats.
+    """Floats (...) of numerator rows (..., d) over ``den`` (one denominator, or
+    one per row): the one bridge from exact rows to floats; float rows (d = 1)
+    are their own floats.
 
     Bit for bit ``float(QuadTower)``: each scalar is divided by the gcd of its
     numerators and denominator, then evaluated as
@@ -383,15 +383,21 @@ RATIONAL_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
 FIELD_TENSOR = adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [2]), [5, 0])
 
 
-def field_matrix(x: np.ndarray, tensor: np.ndarray = FIELD_TENSOR) -> np.ndarray:
+#: the default structure tensor of each basis size: floats, and Q(sqrt2, sqrt5)
+_TENSORS = {1: RATIONAL_TENSOR, 4: FIELD_TENSOR}
+
+
+def field_matrix(x: np.ndarray, tensor: Optional[np.ndarray] = None) -> np.ndarray:
     """Matrices (..., d, d) of multiplication by numerator rows x (..., d) in
-    the ring of the structure tensor (d, d, d), by default Q(sqrt2, sqrt5).
+    the ring of the structure tensor (d, d, d), by default the one of x's
+    basis size: Q(sqrt2, sqrt5) for d = 4, floats for d = 1.
 
     ``y @ field_matrix(x)`` holds the numerators of x*y, over the product of
     the two denominators.  M[q, r] = sum over p of x_p T[p, q, r], one
     ``exact_matmul`` with the structure tensor.
     """
-    d = len(tensor)
+    d = x.shape[-1]
+    tensor = _TENSORS[d] if tensor is None else tensor
     return exact_matmul(x, tensor.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d))
 
 
@@ -454,7 +460,9 @@ def int_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Exact rows, field numerators followed by one positive denominator,
-    divided through by their gcd, so rows of equal values are equal; held by
-    ``int_rows``."""
+    """Rows of field numerators followed by one positive denominator, divided
+    through by their gcd, so rows of equal values are equal, and held by
+    ``int_rows``; float rows, over 1 already, pass through as they do there."""
+    if rows.dtype.kind == "f":
+        return rows
     return int_rows(rows // np.gcd.reduce(rows, axis=1, keepdims=True))

@@ -10,20 +10,21 @@ reads left to right: sandwich(R1*R2, x) == sandwich(R2, sandwich(R1, x)).
 The Multivector accessors the library itself no longer calls (``norm``,
 ``vector_coords``, ``grade_project`` and the like) live here as functions,
 as do the Multivector forms of the group rows (``group_elements``,
-``element_rows``, ``index_of``).
+``element_rows``, ``index_of``) and of the roots (``mv_vector``,
+``root_multivectors``).
 Float comparisons default to ``EQ_TOL``.
 """
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from spinroot import coxplane
 from spinroot.clifford import GRADE_TOL, Multivector, blade_name
 from spinroot.induction import VersorGroup, _numerator_rows
-from spinroot.rootsys import SimpleRootSet, cartan_matrix
+from spinroot.rootsys import RootSystem, SimpleRootSet, cartan_matrix
 from spinroot.scalars import (
     KEY_DECIMALS,
     QT_HALF,
@@ -60,6 +61,21 @@ def mv_blade(dim: int, mask: int, value: Scalar) -> Multivector:
     coeffs = list(mv.coeffs)
     coeffs[mask] = value
     return Multivector(dim, coeffs)
+
+
+def mv_vector(coords: Sequence[Scalar]) -> Multivector:
+    """The grade-1 multivector of a coordinate tuple."""
+    exact = any(isinstance(c, QuadTower) for c in coords)
+    coeffs = [QT_ZERO if exact else 0.0] * (1 << len(coords))
+    for i, c in enumerate(coords):
+        coeffs[1 << i] = c
+    return Multivector(len(coords), coeffs)
+
+
+def root_multivectors(roots: Union[SimpleRootSet, RootSystem]) -> tuple[Multivector, ...]:
+    """The roots of a simple set or of a root system as Multivectors, from
+    their ``vectors``."""
+    return tuple(mv_vector(v) for v in roots.vectors)
 
 
 def mv_scalar(dim: int, value: Scalar) -> Multivector:
@@ -130,11 +146,13 @@ def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
 
 
 def _row_values(rows: np.ndarray, dim: int) -> list:
-    """Coefficient lists, floats or QuadTowers, of rows in the layout of
-    ``induction._numerator_rows``: blade-major field numerators and one
-    denominator per row."""
-    if rows.dtype.kind == "f":
+    """Coefficient lists, floats or QuadTowers, of float coefficient rows or
+    of rows in the layout of ``induction._numerator_rows``: blade-major field
+    numerators (4 exact, 1 float) and one denominator per row, 1.0 on floats."""
+    if rows.shape[1] == 1 << dim:
         return rows.tolist()
+    if rows.dtype.kind == "f":
+        return rows[:, :-1].tolist()
     return [[QuadTower._raw(*row[4 * b:4 * b + 4], row[-1]) for b in range(1 << dim)]
             for row in rows.tolist()]
 
@@ -174,24 +192,24 @@ def blade_sign(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def product_tensor(dim: int) -> np.ndarray:
+def product_tensor(dim: int, d: int = 4) -> np.ndarray:
     """T[(a, p), (b, q), (a ^ b, r)], the structure tensor of Cl(dim) over
-    Q(sqrt2, sqrt5): the coefficient of blade a ^ b and field basis r in
-    (basis p e_a)(basis q e_b), by ``blade_sign`` and QuadTower products of
-    the basis {1, sqrt2, sqrt5, sqrt10}, as Python ints.  Multivectors with
-    numerator rows x, y over D have the product ``einsum("i,j,ijk->k", x, y, T)``
-    over D**2."""
-    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)]
+    Q(sqrt2, sqrt5) (d = 4) or over the floats (d = 1): the coefficient of
+    blade a ^ b and field basis r in (basis p e_a)(basis q e_b), by
+    ``blade_sign`` and QuadTower products of the first d of the basis
+    {1, sqrt2, sqrt5, sqrt10}, as Python ints.  Multivectors with numerator
+    rows x, y over D have the product ``einsum("i,j,ijk->k", x, y, T)`` over D**2."""
+    basis = [QuadTower(1), QuadTower(0, 1), QuadTower(0, 0, 1), QuadTower(0, 0, 0, 1)][:d]
     size = 1 << dim
-    T = np.zeros((size, 4, size, 4, size, 4), dtype=object)
+    T = np.zeros((size, d, size, d, size, d), dtype=object)
     for p, x in enumerate(basis):
         for q, y in enumerate(basis):
             z = x * y
-            for r, c in enumerate((z.a, z.b, z.c, z.d)):
+            for r, c in enumerate((z.a, z.b, z.c, z.d)[:d]):
                 for a in range(size):
                     for b in range(size):
                         T[a, p, b, q, a ^ b, r] = blade_sign(a, b) * int(c)
-    return T.reshape(4 * size, 4 * size, 4 * size)
+    return T.reshape(d * size, d * size, d * size)
 
 
 # sign of the reversion on each blade: (-1)^(k(k-1)/2) for grade k
@@ -321,9 +339,10 @@ def exp_bivector(B: Multivector, theta: float, tol: Optional[float] = None) -> M
 
 def chain_versor(simple: SimpleRootSet, word: Sequence[int]) -> Multivector:
     """The Coxeter versor as the chain of Multivector products of the word's roots."""
-    W = simple.roots[word[0] - 1]
+    roots = root_multivectors(simple)
+    W = roots[word[0] - 1]
     for idx in word[1:]:
-        W = W * simple.roots[idx - 1]
+        W = W * roots[idx - 1]
     return W
 
 
@@ -333,7 +352,7 @@ def reference_plane(simple: SimpleRootSet) -> Multivector:
     white, black = coxplane.bicolor(simple)
     pf = coxplane.pf_eigenvector(cartan_matrix(simple))
     weights = row_floats(*coxplane.weight_basis(simple)).tolist()
-    wf = [Multivector.from_vector(w) for w in weights]
+    wf = [mv_vector(w) for w in weights]
 
     def combo(idxs):
         v = mv_zero(simple.rank, "float")
@@ -356,8 +375,8 @@ def reference_plane_from_matrix(M: np.ndarray, h: int) -> Multivector:
     cands = [i for i in range(k) if abs(vals[i] - target) < coxplane.EIGEN_MATCH_TOL]
 
     def try_plane(u, w):
-        vu = Multivector.from_vector([float(t) for t in u])
-        vw = Multivector.from_vector([float(t) for t in w])
+        vu = mv_vector([float(t) for t in u])
+        vw = mv_vector([float(t) for t in w])
         B = grade_project(vu * vw, 2)
         B = Multivector(k, [0.0 if abs(c) <= GRADE_TOL else c for c in B.coeffs])
         nb = norm(B)
@@ -389,7 +408,7 @@ def reference_factorize(W: Multivector, B: Multivector, h: int) -> coxplane.Fact
     if Wf.dim == 2:
         t1 = math.atan2(b1, s)
         residual = norm(Wf - exp_bivector(B, t1))
-        t1c, b_sign, w_sign = coxplane.canonical_angle(t1)
+        t1c, _, b_sign, _, w_sign = coxplane.canonical_angle_pair(t1, 0.0)
         m1 = coxplane._as_exponent(t1c * h / math.pi, h)
         return coxplane.Factorization(
             h=h, theta1=t1c, theta2=None, w_sign=w_sign, b_sign=b_sign,

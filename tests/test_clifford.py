@@ -11,6 +11,7 @@ from clifford_reference import (
     grade_project,
     mv_blade,
     mv_scalar,
+    mv_vector,
     mv_zero,
     norm,
     product_tensor,
@@ -29,6 +30,7 @@ from spinroot.clifford import (
     _blade_sums,
     blade_name,
     left_matrices,
+    right_products,
 )
 from spinroot.scalars import (
     BackendMismatchError,
@@ -203,8 +205,8 @@ def test_reflect_preserves_norm(a, x):
     na = math.sqrt(sum(v * v for v in a))
     if na < 1e-3:
         return
-    alpha = Multivector.from_vector([v / na for v in a])
-    vec = Multivector.from_vector([float(v) for v in x])
+    alpha = mv_vector([v / na for v in a])
+    vec = mv_vector([float(v) for v in x])
     image = reflect(alpha, vec)
     assert abs(norm(image) - norm(vec)) < 1e-9
 
@@ -226,7 +228,7 @@ def test_sandwich_identity_and_rotation():
 
 def test_sandwich_double_cover():
     R = rotor(3, 3, 0.7)
-    x = Multivector.from_vector([0.3, -1.2, 0.5])
+    x = mv_vector([0.3, -1.2, 0.5])
     assert approx_eq(sandwich(R, x), sandwich(-R, x), 1e-12)
 
 
@@ -236,7 +238,7 @@ def test_sandwich_double_cover():
 def test_sandwich_composition_convention(t1, t2, coords):
     R1 = rotor(3, 3, t1)
     R2 = rotor(3, 6, t2)
-    x = Multivector.from_vector([float(c) for c in coords])
+    x = mv_vector([float(c) for c in coords])
     lhs = sandwich(R1 * R2, x)
     rhs = sandwich(R2, sandwich(R1, x))
     assert approx_eq(lhs, rhs, 1e-10)
@@ -244,7 +246,7 @@ def test_sandwich_composition_convention(t1, t2, coords):
 
 def test_versor_action_odd_versor_is_pointwise_reflection():
     e1 = blade(3, 1, "float")
-    x = Multivector.from_vector([0.6, 0.8, 0.0])
+    x = mv_vector([0.6, 0.8, 0.0])
     assert approx_eq(versor_action(e1, x), reflect(e1, x), 1e-12)
 
 
@@ -348,4 +350,23 @@ def test_blade_sums_equal_the_blade_loop():
             x, y = _signed_rows(rng, shape), _signed_rows(rng, shape)
             right = y[..., _XOR[dim]] * _RIGHT_SIGN[dim]
         want, got = blade_loop_sums(x, right), _blade_sums(x, right)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+
+
+def test_float_right_products_are_the_blade_loop_then_one():
+    # float versor rows are their coefficients followed by the denominator
+    # 1.0: right_products sums the coefficients as the blade loop does, bit
+    # for bit, and the products end in 1.0
+    def with_one(rows):
+        return np.hstack([rows, np.ones((len(rows), 1))])
+
+    rng = np.random.default_rng(31)
+    for trial in range(1000):
+        dim = int(rng.integers(1, 5))
+        size = 1 << dim
+        gens = _signed_rows(rng, (int(rng.integers(1, 4)), size))
+        x = _signed_rows(rng, (int(rng.integers(1, 9)), size))
+        right = (gens[:, _XOR[dim]] * _RIGHT_SIGN[dim]).transpose(1, 0, 2).reshape(size, -1)
+        want = with_one(blade_loop_sums(x, right).reshape(-1, size))
+        got = right_products(with_one(gens), dim)(with_one(x))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial

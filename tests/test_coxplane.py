@@ -19,6 +19,7 @@ from clifford_reference import (
     multivector_row,
     mv_blade,
     mv_scalar,
+    mv_vector,
     mv_zero,
     norm,
     pseudoscalar,
@@ -26,6 +27,7 @@ from clifford_reference import (
     reference_plane,
     reference_plane_basis,
     reference_plane_from_matrix,
+    root_multivectors,
     row_multivector,
     scalar_part,
     to_float,
@@ -403,9 +405,10 @@ def test_matrix_orders_equal_the_step_loop(monkeypatch):
 
 
 def former_wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The former ``coxplane._wedge``: vector rows through ``quad_numerators``."""
+    """The former ``coxplane._wedge``: vector rows through ``quad_numerators``,
+    their denominator 1.0 dropped."""
     uv = np.stack([u, v]).astype(float)
-    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))
+    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))[:, :-1]
     rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
     return coxplane._grade(coxplane.float_products(rows[0], rows[1]), 2)
 
@@ -457,7 +460,7 @@ def test_empty_stacks_give_empty_results():
     for name in ("I2", "A1xI2", "I2xI2"):
         simple = catalog(name, 5)
         k = simple.rank
-        Ms, Ws = np.zeros((0, k, k)), np.zeros((0, 1 << k))
+        Ms, Ws = np.zeros((0, k, k)), np.zeros((0, (1 << k) + 1))   # versor rows end in 1.0
         assert coxeter_versors(simple, []) == []
         assert coxplane._matrix_orders(Ms) == []
         assert exponents_via_matrices(Ms, []) == []
@@ -507,10 +510,6 @@ def test_coxeter_plane_validates_on_the_held_coxeter_data(monkeypatch):
         assert default_word(simple) in simple.held, name
         assert coxeter_plane(simple) is plane, name
     assert counts == [1] * 7
-    simple = dataclasses.replace(catalog("F4"))
-    with pytest.raises(ValueError, match="not a permutation"):
-        coxeter_plane(simple, word=(1, 1, 2, 3))
-    assert (1, 1, 2, 3) not in simple.held
 
 
 def sweep_coxplane_operation(simple, word) -> list:
@@ -646,15 +645,15 @@ def test_weight_basis_duality():
         simple = catalog(name, n)
         weights = scalar_values(*weight_basis(simple))
         for i, w in enumerate(weights):
-            for j, a in enumerate(simple.roots):
-                val = float(dot(to_float(Multivector.from_vector(w)), to_float(a)))
+            for j, a in enumerate(root_multivectors(simple)):
+                val = float(dot(to_float(mv_vector(w)), to_float(a)))
                 assert abs(val - (1.0 if i == j else 0.0)) < 1e-9
 
 
 def test_weight_basis_fixtures():
     # orthonormal simple roots are their own weights
     for w, i in zip(scalar_values(*weight_basis(catalog("A1^4"))), range(4)):
-        assert Multivector.from_vector(w) == basis_vector(4, i)
+        assert mv_vector(w) == basis_vector(4, i)
     # the H4 inverse basis, exactly
     w = scalar_values(*weight_basis(catalog("H4")))
     t = TAU
@@ -780,6 +779,44 @@ def test_factorize_2d():
         assert f.residual < 1e-12
 
 
+def former_canonical_angle(t: float) -> tuple[float, int, int]:
+    """The former ``coxplane.canonical_angle`` of a rank-2 angle: (u, b_sign, w_sign)."""
+    for sg in (1, -1):
+        for a in (0, 1):
+            u = coxplane._wrap(sg * t + a * math.pi)
+            if coxplane._EPS < u <= math.pi / 2 + coxplane._EPS:
+                return u, sg, (1 if a == 0 else -1)
+    raise FactorizationError(f"cannot canonicalize angle {t}")
+
+
+def test_rank2_angles_canonicalize_as_the_former_single_angle(monkeypatch):
+    # the rank-2 angle of every I2(n) word, on its own plane and on the PF
+    # plane: the pair form at t2 = 0 is the former single-angle form, bit for bit
+    seen = []
+
+    def recorded(t1, t2):
+        seen.append((t1, t2))
+        return canonical_angle_pair(t1, t2)
+
+    monkeypatch.setattr(coxplane, "canonical_angle_pair", recorded)
+    for n in range(2, 121):
+        simple = catalog("I2", n)
+        for word in ((1, 2), (2, 1)):
+            cd = coxeter_versor(simple, word)
+            planes = [plane_from_matrix(cd.versor, cd.matrix, cd.h)]
+            if n > 2:
+                planes.append(coxeter_plane(simple).bivector)
+            for B in planes:
+                seen.clear()
+                f = factorize(cd.versor, B, cd.h)
+                [(t, t2)] = seen
+                u, b_sign, w_sign = former_canonical_angle(t)
+                assert t2 == 0.0 and f.theta2 is None and f.i_sign == 1
+                assert (f.theta1.hex(), f.b_sign, f.w_sign) == (u.hex(), b_sign, w_sign), (n, word)
+                pair = canonical_angle_pair(t, 0.0)
+                assert (pair[0].hex(), pair[2], pair[4]) == (u.hex(), b_sign, w_sign), (n, word)
+
+
 def test_factorize_rejects_wrong_plane():
     cd = coxeter_data("H4")
     wrong = multivector_row(mv_blade(4, 0b0011, 1.0))  # e1e2 is not invariant
@@ -790,8 +827,10 @@ def test_factorize_rejects_wrong_plane():
 def test_plane_rejects_non_bicoloured_word():
     # the PF plane belongs to the bicoloured conjugacy representative; a mixed
     # word has a conjugated invariant plane instead
-    with pytest.raises(FactorizationError):
-        coxeter_plane(catalog("A4"), word=(1, 2, 3, 4))
+    simple = catalog("A4")
+    plane = coxeter_plane(simple).bivector
+    assert coxplane._stabilizes(coxeter_versor(simple).matrix, plane)
+    assert not coxplane._stabilizes(coxeter_versor(simple, (1, 2, 3, 4)).matrix, plane)
 
 
 def test_exponents_reject_non_coxeter_rotation():
@@ -837,7 +876,7 @@ def test_conjugate_words_share_h():
 def test_plane_basis_orthonormal():
     for name, n in [("A4", None), ("H4", None), ("H3", None)]:
         B = coxeter_plane_for(name, n).bivector
-        u1, u2 = (Multivector.from_vector(u.tolist()) for u in plane_basis(B))
+        u1, u2 = (mv_vector(u.tolist()) for u in plane_basis(B))
         assert abs(norm(u1) - 1) < 1e-12
         assert abs(norm(u2) - 1) < 1e-12
         assert abs(float(dot(u1, u2))) < 1e-12

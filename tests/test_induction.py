@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -16,14 +17,16 @@ from clifford_reference import (
     mv_key,
     mv_scalar,
     mv_sort_key,
+    mv_vector,
     mv_zero,
     product_tensor,
     reverse,
+    root_multivectors,
     spinor_inner,
     vector_coords,
 )
 from spinroot import induction, scalars
-from spinroot.clifford import Multivector
+from spinroot.coxplane import coxeter_versors, weight_basis
 from spinroot.induction import (
     Induced4DSet,
     VersorGroup,
@@ -78,8 +81,8 @@ def test_spin_group_orders_match_3d_coxeter_groups():
 def product_closure(simple):
     """Reference pin closure: one Multivector product per element and generator,
     breadth first, deduplicated by mv_key and sorted by mv_sort_key."""
-    seen, elements = set(), []
-    frontier = [s for g in simple.roots for s in (g, -g)]
+    seen, elements, gens = set(), [], root_multivectors(simple)
+    frontier = [s for g in gens for s in (g, -g)]
     while frontier:
         fresh = []
         for e in frontier:
@@ -87,7 +90,7 @@ def product_closure(simple):
                 seen.add(mv_key(e))
                 fresh.append(e)
         elements += fresh
-        frontier = [e * g for e in fresh for g in simple.roots]
+        frontier = [e * g for e in fresh for g in gens]
     return sorted(elements, key=mv_sort_key)
 
 
@@ -115,12 +118,12 @@ def test_index_of_keys_like_the_cayley_table():
     assert round(x, 6) != round(above, 6)
     assert row_keys(np.array([[x]])) == row_keys(np.array([[above]]))
     y = math.sqrt(1.0 - x * x)
-    one, v = mv_scalar(2, 1.0), Multivector.from_vector([x, y])
+    one, v = mv_scalar(2, 1.0), mv_vector([x, y])
     G = VersorGroup(name="tilted A1", dim=2, rows=element_rows((one, -one, v, -v)),
                     parities=("even", "even", "odd", "odd"), parity="pin")
     assert G.cayley.tolist() == [[index_of(G, a * b) for b in group_elements(G)]
                                  for a in group_elements(G)]
-    assert index_of(G, Multivector.from_vector([above, y])) == index_of(G, v) == 2
+    assert index_of(G, mv_vector([above, y])) == index_of(G, v) == 2
     assert G.inverse_indices == (0, 1, 2, 3)
 
 
@@ -215,12 +218,12 @@ def test_exact_cayley_tables_match_products():
         elements = group_elements(G)
         # the lookup index of the table holds one key per element
         num, den = quad_numerators([e.coeffs for e in elements])
-        num = num.reshape(G.order, -1)
+        num, d = num.reshape(G.order, -1), num.shape[-1]
         assert len(set(row_keys(den * num))) == G.order, G.name
         # reference: products of the element rows over den**2 (Python ints on
         # the exact groups), looked up among the rows of den * E
         index = {key: i for i, key in enumerate(_reference_keys(den * num))}
-        products = _reference_products(num, product_tensor(G.dim))
+        products = _reference_products(num, product_tensor(G.dim, d))
         expected = [[index[key] for key in _reference_keys(row)] for row in products]
         assert G.cayley.tolist() == expected, G.name
         assert G.cayley.dtype.kind == "i" and not G.cayley.flags.writeable, G.name
@@ -376,7 +379,7 @@ def test_catalog_systems_identify_as_themselves():
     systems += [("I2", m) for m in range(2, 31)]
     for name, n in systems:
         system = root_system(name, n)
-        num, den = quad_numerators([vector_coords(r) for r in system.roots])
+        num, den = quad_numerators([vector_coords(r) for r in root_multivectors(system)])
         S = Induced4DSet(num=num, den=den, dim=system.simple.rank, source_name=system.name)
         assert identify_root_system(S) == system.name
 
@@ -388,9 +391,9 @@ def test_fingerprint_matches_exact_pairwise_dots():
                       for i in range(n) for j in range(i + 1, n))
         return (n, tuple(dots))
 
-    sets = [root_system(key).roots for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
-    sets += [root_system("I2xI2", m).roots for m in range(3, 31)]
-    sets += [tuple(Multivector.from_vector(v) for v in induced_set(name, n).vectors)
+    sets = [root_multivectors(root_system(key)) for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")]
+    sets += [root_multivectors(root_system("I2xI2", m)) for m in range(3, 31)]
+    sets += [tuple(mv_vector(v) for v in induced_set(name, n).vectors)
              for name in ("I2", "A1xI2") for n in range(2, 17)]
     for vectors in sets:
         num, den = quad_numerators([vector_coords(v) for v in vectors])
@@ -550,3 +553,40 @@ def test_rows_the_caches_share_are_read_only():
     for rows in shared:
         with pytest.raises(ValueError, match="read-only"):
             rows[(0,) * rows.ndim] = 0
+
+
+FAMILY_SYSTEMS = [(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 17)]
+EXACT_SYSTEMS = ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4", "D4", "F4", "H4")
+
+
+def test_float_rows_are_the_d1_field():
+    # one row format for both backends: float coordinate rows have the basis
+    # size d = 1 over the denominator 1, and float versor rows are their
+    # coefficients followed by the denominator 1.0, in the groups and in every
+    # word's Coxeter versor; exact rows keep d = 4 and a positive denominator
+    simples = [catalog(key, n) for key, n in FAMILY_SYSTEMS]
+    simples += [catalog(key, backend="float") for key in EXACT_SYSTEMS]
+    for simple in simples:
+        size = 1 << simple.rank
+        num, den = quad_numerators(simple.vectors)
+        assert num.shape == (simple.rank, simple.rank, 1) and den == 1, simple.name
+        assert simple.rows[0].shape[-1] == simple.gram[0].shape[-1] == 1, simple.name
+        assert simple.cartan[0].shape[-1] == weight_basis(simple)[0].shape[-1] == 1
+        roots = generate_roots(simple)
+        assert roots.num.shape[-1] == 1 and roots.den == 1, simple.name
+        words = [None, *itertools.permutations(range(1, simple.rank + 1))]
+        for cd in coxeter_versors(simple, words):
+            assert cd.versor.shape == (size + 1,) and cd.versor[-1] == 1.0, simple.name
+    groups = [G for key, n in [(key, None) for key in ("A1^3", "A3", "B3", "H3")]
+              + [(key, n) for key in ("I2", "A1xI2") for n in range(2, 17)]
+              for G in (pin_group(key, n), spin_group(key, n))]
+    assert len(groups) == 68
+    for G in groups:
+        size = 1 << G.dim
+        if G.rows.dtype.kind == "f":
+            assert G.rows.shape[1] == size + 1 and (G.rows[:, -1] == 1.0).all(), G.name
+        else:
+            assert G.rows.shape[1] == 4 * size + 1 and (G.rows[:, -1] > 0).all(), G.name
+        if G.parity == "spin":
+            d = 1 if G.rows.dtype.kind == "f" else 4
+            assert spinors_to_4d(G).num.shape[-1] == d, G.name

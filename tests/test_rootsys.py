@@ -11,7 +11,9 @@ from clifford_reference import (
     dot,
     mv_key,
     mv_sort_key,
+    mv_vector,
     norm_sq,
+    root_multivectors,
     to_float,
     vector_coords,
 )
@@ -66,25 +68,25 @@ def test_name_parsing():
 
 def test_catalog_fixtures():
     h3 = catalog("H3")
-    want = Multivector.from_vector(
+    want = mv_vector(
         [-(TAU * QT_HALF), -QT_HALF, -((TAU - 1) * QT_HALF)]
     )
-    assert h3.roots[1] == want
+    assert root_multivectors(h3)[1] == want
 
     i2 = catalog("I2", 5)
-    got = vector_coords(i2.roots[1])
+    got = vector_coords(root_multivectors(i2)[1])
     assert abs(got[0] + math.cos(math.pi / 5)) < 1e-15
     assert abs(got[1] - math.sin(math.pi / 5)) < 1e-15
 
     d4 = catalog("D4")
-    want = Multivector.from_vector([-QT_HALF, -QT_HALF, -QT_HALF, QT_HALF])
-    assert d4.roots[3] == want
+    want = mv_vector([-QT_HALF, -QT_HALF, -QT_HALF, QT_HALF])
+    assert root_multivectors(d4)[3] == want
 
 
 def test_all_catalog_roots_unit():
     names = list(EXPECTED_COUNTS) + [("I2", 7), ("A1xI2", 3), ("I2xI2", 4)]
     for key, n in names:
-        for r in catalog(key, n).roots:
+        for r in root_multivectors(catalog(key, n)):
             assert abs(float(norm_sq(r)) - 1.0) < 1e-12
 
 
@@ -111,7 +113,7 @@ def test_float_key_stability(monkeypatch):
 
 def test_roots_in_canonical_order():
     for key, n in list(EXPECTED_COUNTS) + [("I2", 9), ("A1xI2", 5), ("I2xI2", 6)]:
-        roots = root_system(key, n).roots
+        roots = root_multivectors(root_system(key, n))
         assert list(roots) == sorted(roots, key=mv_sort_key), (key, n)
 
 
@@ -124,11 +126,11 @@ def test_canonical_order_sorts_like_mv_sort_key_at_a_tie():
     assert round(x, 12) != round(above, 12)
     assert np.round(x, 12) == np.round(above, 12)
     rows = [[above, 0.0], [x, 1.0]]
-    mvs = [Multivector.from_vector(r) for r in rows]
+    mvs = [mv_vector(r) for r in rows]
     assert canonical_order(rows) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [1, 0]
     # exact values sort by the same rounded floats
     exact = [[QuadTower(Fraction(1, 3)), QT_ZERO], [QuadTower(0, Fraction(1, 4)), QT_ZERO]]
-    mvs = [Multivector.from_vector(r) for r in exact]
+    mvs = [mv_vector(r) for r in exact]
     floats = row_floats(*quad_numerators(exact))
     assert canonical_order(floats) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
 
@@ -189,14 +191,14 @@ def test_canonical_order_sorts_every_closure_like_python_round():
 def test_simple_root_order_does_not_change_roots():
     for key in ("B3", "F4", "H4"):
         base = catalog(key)
-        want = generate_roots(base).roots
+        want = root_multivectors(generate_roots(base))
         rank = base.rank
         for perm in (tuple(reversed(range(rank))), (1, 0) + tuple(range(2, rank))):
             shuffled = SimpleRootSet(
                 name=f"{key}*", key=key, rank=rank,
                 vectors=tuple(base.vectors[i] for i in perm), backend=base.backend,
             )
-            assert generate_roots(shuffled).roots == want, (key, perm)
+            assert root_multivectors(generate_roots(shuffled)) == want, (key, perm)
 
 
 def test_orbit_kernel():
@@ -276,8 +278,8 @@ def reference_orbit(seeds, generators, act, key):
 
 def reference_roots(simple):
     """Per-element closure of a simple set by Cartesian reflections, sorted."""
-    roots = reference_orbit(simple.roots, simple.roots, lambda x, a: _reflect_general(a, x),
-                            mv_key)
+    gens = root_multivectors(simple)
+    roots = reference_orbit(gens, gens, lambda x, a: _reflect_general(a, x), mv_key)
     return tuple(sorted(roots, key=mv_sort_key))
 
 
@@ -313,13 +315,13 @@ def test_closure_matches_per_element_reference():
         name="B2 non-unit", key="B2", rank=2, backend="exact",
         vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3)))))
     for simple in exact:
-        assert generate_roots(simple).roots == reference_roots(simple), simple.name
+        assert root_multivectors(generate_roots(simple)) == reference_roots(simple), simple.name
     assert generate_roots(exact[-1]).count == 8
     # float: the families and float copies of exact systems, bitwise
     floats = [catalog(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 31)]
     floats += [catalog(k, backend="float") for k in ("A3", "B3", "H3", "B4", "H4")]
     for simple in floats:
-        got = np.array([r.coeffs for r in generate_roots(simple).roots])
+        got = np.array([r.coeffs for r in root_multivectors(generate_roots(simple))])
         want = np.array([r.coeffs for r in reference_roots(simple)])
         assert got.tobytes() == want.tobytes(), simple.name
 
@@ -540,16 +542,15 @@ def reference_reflection_violations(roots, max_samples=16):
 def validation_test_sets():
     """Valid root sets of both backends, and broken ones (a root dropped, a
     non-root added, a negative missing, a parallel pair)."""
-    valid = {key: root_system(key).roots for key, _ in EXPECTED_COUNTS
+    valid = {key: root_multivectors(root_system(key)) for key, _ in EXPECTED_COUNTS
              if catalog(key).backend == "exact"}
     for name in ("A1^3", "A3", "B3", "H3"):
-        valid[f"induced {name}"] = tuple(Multivector.from_vector(v)
-                                         for v in induced_set(name).vectors)
+        valid[f"induced {name}"] = tuple(mv_vector(v) for v in induced_set(name).vectors)
     h3, d4, f4, h4 = (valid[k] for k in ("H3", "D4", "F4", "H4"))
     e1 = basis_vector(3, 0)
     broken = {
         "H3 minus a root": h3[1:],
-        "D4 plus a non-root": d4 + (Multivector.from_vector([QT_HALF, QT_ZERO, TAU, QT_ZERO]),),
+        "D4 plus a non-root": d4 + (mv_vector([QT_HALF, QT_ZERO, TAU, QT_ZERO]),),
         "F4 minus a root": f4[:20] + f4[21:],
         "H4 minus a root": h4[:-1],
         "e1 without its negative": (e1,),
@@ -560,7 +561,7 @@ def validation_test_sets():
               for label, roots in valid.items()}
     for key in ("I2", "A1xI2", "I2xI2"):
         for n in range(2, 17):
-            floats[display_name(key, n)] = root_system(key, n).roots
+            floats[display_name(key, n)] = root_multivectors(root_system(key, n))
     for label, roots in floats.items():
         valid[label] = roots
         k = len(roots) // 2
@@ -600,8 +601,8 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
     monkeypatch.setattr(scalars, "_kernel_dtype", recording)
     # numerators and the common denominator near 4e7: int64 could overflow
     scale = QuadTower(Fraction(10 ** 7 + 19, 10 ** 7 + 20))
-    roots = tuple(scale * r for r in root_system("H3").roots)
-    broken = roots[1:] + (scale * Multivector.from_vector([QT_HALF, TAU, QT_ZERO]),)
+    roots = tuple(scale * r for r in root_multivectors(root_system("H3")))
+    broken = roots[1:] + (scale * mv_vector([QT_HALF, TAU, QT_ZERO]),)
     chosen = []
     for s in (roots, broken):
         tiers.clear()
@@ -621,7 +622,7 @@ def test_validate_missing_negative():
 
 def test_validate_reflection_violation():
     e1 = basis_vector(2, 0)
-    diag = Multivector.from_vector([INV_SQRT2, INV_SQRT2])
+    diag = mv_vector([INV_SQRT2, INV_SQRT2])
     rep = validate_root_system(numerators([e1, -e1, diag, -diag]))
     assert not rep.ok
     assert rep.reflection_violations  # reflecting the diagonal in e1 escapes
@@ -629,8 +630,8 @@ def test_validate_reflection_violation():
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_validate_rejects_zero_vector(backend):
-    e1 = Multivector.from_vector([QuadTower(1), QT_ZERO])
-    zero = Multivector.from_vector([QT_ZERO, QT_ZERO])
+    e1 = mv_vector([QuadTower(1), QT_ZERO])
+    zero = mv_vector([QT_ZERO, QT_ZERO])
     vectors = [e1, -e1, zero]
     if backend == "float":
         vectors = [to_float(v) for v in vectors]
@@ -665,7 +666,6 @@ def test_float_backend_override():
 
 
 def test_dot_is_symmetric_bilinear():
-    a = catalog("H3").roots[0]
-    b = catalog("H3").roots[1]
+    a, b = root_multivectors(catalog("H3"))[:2]
     assert dot(a, b) == dot(b, a)
     assert dot(a + a, b) == dot(a, b) * 2

@@ -51,6 +51,37 @@ def closure_digest() -> str:
     return _digest(items)
 
 
+def closure_value_digest() -> str:
+    """Every root closure and pin closure as ``closure_digest`` reads it, with
+    the float rows' denominator column 1.0 dropped and their coordinates read
+    off their one field column: the values, in a form that does not depend
+    on the float row layout."""
+    items = []
+    for name, n in SYSTEMS:
+        system = root_system(name, n)
+        num = system.num[..., 0] if system.num.dtype.kind == "f" else system.num
+        items.append((system.name, num.dtype.str, num.tolist(), system.den))
+    for name, n in SOURCES:
+        G = pin_group(name, n)
+        rows = G.rows[:, :-1] if G.rows.dtype.kind == "f" else G.rows
+        items.append((G.name, rows.dtype.str, rows.tolist()))
+    return _digest(items)
+
+
+#: float spin groups past the n <= 16 of SOURCES, up to the largest that
+#: mckay.MCKAY_CAP admits
+LARGE_SOURCES = [("I2", n) for n in (17, 31, 60, 120)] + [("A1xI2", n) for n in (17, 31, 60)]
+
+
+def large_cayley_digest() -> str:
+    """The Cayley tables of the spin groups of LARGE_SOURCES."""
+    items = []
+    for name, n in LARGE_SOURCES:
+        G = spin_group(name, n)
+        items.append((G.name, G.order, G.cayley.tolist()))
+    return _digest(items)
+
+
 def class_digest() -> str:
     """The classes and the class tensor of each of the 34 spin groups."""
     items = []
@@ -109,7 +140,9 @@ def verify_json() -> tuple[str, int]:
 
 
 PINNED = {
-    "closures": "f4a50d6a4b2a9e04f4aec91909f3234f42f35d64a241729c67b26bdb08a36bdf",
+    "closures": "e5809ea09c51ee2b9fda33d4483df8b8d216ab51fbb92ecce61b6606f62e4ecc",
+    "closure values": "cc79f4901138d78b0e9205a3cbb832fc0df26e28b350cd7cc21e3bf49608102b",
+    "large cayley": "68bf765966afa8546db07837811bed5d265d0ee9edfaad4340c1ee944bcba7d9",
     "classes": "97553601e36a4614952c927ece319c585ee8e9e4cdf8f9df7dd745ca9681a626",
     "words": "36ab22c9ad79d94c0cfa6d859e786a78843db1db967f1153f89bd51cdae48739",
     "sweep": "e356d0a92c8a11ce6511bd142fc77443bf51d20340cd0f07ac7c86f1ca6363e0",
@@ -118,8 +151,9 @@ PINNED = {
 
 
 @pytest.mark.parametrize("what, digest", [
-    ("closures", closure_digest), ("classes", class_digest), ("words", word_digest),
-    ("sweep", sweep_digest)])
+    ("closures", closure_digest), ("closure values", closure_value_digest),
+    ("large cayley", large_cayley_digest), ("classes", class_digest),
+    ("words", word_digest), ("sweep", sweep_digest)])
 def test_outputs_keep_their_digest(what, digest):
     assert digest() == PINNED[what]
 
@@ -131,6 +165,7 @@ def test_verify_all_json_keeps_its_digest():
 
 
 if __name__ == "__main__":
-    print({"closures": closure_digest(), "classes": class_digest(), "words": word_digest(),
-           "sweep": sweep_digest(),
+    print({"closures": closure_digest(), "closure values": closure_value_digest(),
+           "large cayley": large_cayley_digest(), "classes": class_digest(),
+           "words": word_digest(), "sweep": sweep_digest(),
            "verify-all": hashlib.sha256(verify_json()[0].encode()).hexdigest()})

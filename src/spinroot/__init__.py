@@ -17,7 +17,6 @@ from .scalars import QuadTower, SIGMA, TAU  # noqa: F401
 from .clifford import Multivector  # noqa: F401
 from .rootsys import RootSystem, SimpleRootSet, catalog, root_system  # noqa: F401
 from .induction import (  # noqa: F401
-    Induced4DSet,
     VersorGroup,
     even_subgroup,
     generate_pin_group,

@@ -21,11 +21,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .coxplane import coxeter_matrix, matrix_order, springer_identities
-from .induction import binary_group_name, induced_name, spin_group
+from .induction import induced_name, spin_group
 from .mckay import (
     DEFAULT_SEED,
-    _leg_edges,
-    affine_core,
     character_table,
     conjugacy_classes,
     match_affine_ade,
@@ -34,6 +32,7 @@ from .mckay import (
 )
 from .rootsys import (
     ClosureCapError,
+    binary_group_name,
     catalog,
     orbit,
     parse_name,
@@ -164,6 +163,24 @@ def _path_diagram(n: int) -> DynkinDiagram:
     )
 
 
+def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
+    """Star of paths sharing the central node 0; leg length counts the center.
+
+    Legs are laid out in the given order, each walked outward from the center;
+    DOT exports list the edges in this order.  The star is a tree, so it has
+    one node more than it has edges.
+    """
+    edges = []
+    node = 1
+    for leg in legs:
+        prev = 0
+        for _ in range(leg - 1):
+            edges.append((prev, node))
+            prev = node
+            node += 1
+    return edges
+
+
 def _leg_diagram(name: str, legs: Sequence[int]) -> DynkinDiagram:
     legs = tuple(sorted(legs))
     edges = tuple(_leg_edges(legs))
@@ -214,6 +231,11 @@ class CorrespondenceRow:
     direct_diagram: str
     equalities_ok: bool
     note: str = ""
+
+
+def affine_core(name: str) -> str:
+    """Non-affine diagram underlying an affine name: A~7 -> A7."""
+    return name.replace("~", "", 1)
 
 
 def _ade_h_of(core: str) -> int:

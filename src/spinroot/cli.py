@@ -16,10 +16,11 @@ import numpy as np
 
 from . import __version__, ade, coxplane, mckay, output, verify
 from .clifford import blade_name
-from .induction import binary_group_name, induced_name, pin_group, spin_group
+from .induction import induced_name, pin_group, spin_group
 from .rootsys import (
     RankError,
     UnknownSystemError,
+    binary_group_name,
     catalog,
     catalog_entries,
     display_name,
@@ -116,7 +117,7 @@ def cmd_coxplane(args) -> int:
     try:
         # the bicoloured PF plane also detects the degenerate A1-power systems;
         # any other word stabilizes a conjugate plane, read from its spectrum
-        B = coxplane.coxeter_plane(simple, validate=word is None).bivector
+        B = coxplane.coxeter_plane(simple).bivector
         if word is not None:
             B = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
         payload["plane"] = _bivector_json(B)

@@ -270,9 +270,8 @@ def matrix_order(M: np.ndarray) -> int:
     return _matrix_orders(M[None])[0]
 
 
-def coxeter_data(name: str, n: Optional[int] = None,
-                 word: Optional[tuple[int, ...]] = None) -> CoxeterData:
-    return coxeter_versor(catalog(name, n), word)
+def coxeter_data(name: str, n: Optional[int] = None) -> CoxeterData:
+    return coxeter_versor(catalog(name, n))
 
 
 def exponents_via_matrices(Ms: np.ndarray, hs: Sequence[int]) -> list[tuple[int, ...]]:
@@ -400,15 +399,15 @@ def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     return w.transpose(1, 0, 2), w_den
 
 
-def coxeter_plane(simple: SimpleRootSet, validate: bool = True) -> CoxeterPlane:
+def coxeter_plane(simple: SimpleRootSet) -> CoxeterPlane:
     """Unit bivector of the plane spanned by the two PF-weighted coloured
     vectors, formed once per root set and held in ``simple.held``, its
-    bivector read-only; with ``validate``, every call checks that the default
-    word's Coxeter matrix, read from its held ``CoxeterData``, fixes it."""
+    bivector read-only; every call checks that the default word's Coxeter
+    matrix, read from its held ``CoxeterData``, fixes it."""
     if "plane" not in simple.held:
         simple.held["plane"] = _pf_plane(simple)
     plane = simple.held["plane"]
-    if validate and not _stabilizes(coxeter_versor(simple).matrix, plane.bivector):
+    if not _stabilizes(coxeter_versor(simple).matrix, plane.bivector):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return plane
 

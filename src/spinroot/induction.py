@@ -8,9 +8,10 @@ dimension up (rank 2 maps to rank 2 via a + b e1e2 -> (a, b)).
 
 A group is its closure rows, sorted once by ``rootsys.canonical_order`` on
 their floats (``scalars.row_floats``), so indices, Cayley tables and
-everything downstream are deterministic.  An induced set is numerator rows
-over one denominator, as a ``RootSystem`` is: validation, identification and
-the spinor character read them, and ``vectors`` is a view built on first read.
+everything downstream are deterministic.  An induced set is a ``RootSystem``
+named after its spin group, its rows in the group's order: validation,
+identification and the spinor character read its numerator rows over one
+denominator, and ``vectors`` is a view built on first read.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .clifford import left_matrices, right_products
 from .rootsys import (
     ClosureCapError,
     RankError,
+    RootSystem,
     SimpleRootSet,
     canonical_order,
     catalog,
+    catalog_entries,
     expected_root_count,
     orbit,
-    parse_name,
     root_system,
 )
 from .scalars import (
@@ -43,7 +45,6 @@ from .scalars import (
     reduce_rows,
     row_floats,
     row_keys,
-    scalar_values,
 )
 
 GROUP_CAP = 10_000     # most elements generate_pin_group closes before giving up
@@ -222,27 +223,9 @@ def even_subgroup(G: VersorGroup) -> VersorGroup:
                        parities=("even",) * len(picked), parity="spin")
 
 
-@dataclass(frozen=True, eq=False)
-class Induced4DSet:
-    """Spinor coordinates of a spin group, read as points one dimension up:
-    numerator rows (count, dim, d) over ``den``, float rows (d = 1) over 1."""
-
-    num: np.ndarray
-    den: int
-    dim: int
-    source_name: str
-
-    @property
-    def count(self) -> int:
-        return len(self.num)
-
-    @cached_property
-    def vectors(self) -> tuple:
-        """The coordinates, QuadTowers or floats, built from the rows on first read."""
-        return scalar_values(self.num, self.den)
-
-
-def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
+def spinors_to_4d(G: VersorGroup) -> RootSystem:
+    """The spinor coordinates of a spin group, read as points one dimension up,
+    in the group's order: a rank-2 group's in 2D, a rank-3 group's in 4D."""
     if G.parity != "spin":
         raise ValueError("induced sets come from spin groups")
     if G.dim not in (2, 3):
@@ -256,8 +239,7 @@ def spinors_to_4d(G: VersorGroup) -> Induced4DSet:
         num = num[:, [0b000, 0b110, 0b101, 0b011]] * np.array([1, 1, -1, 1])[:, None]
     else:
         num = num[:, [0b00, 0b11]]
-    return Induced4DSet(num=read_only(num), den=den, dim=4 if G.dim == 3 else 2,
-                        source_name=G.name)
+    return RootSystem(name=G.name, num=read_only(num), den=den)
 
 
 # -- identification ------------------------------------------------------------
@@ -281,8 +263,8 @@ def _reference_fingerprints(dim: int, count: int):
     never match; the I2 families therefore need no upper bound on n.
     """
     if dim == 4:
-        names = [(key, None) for key in ("A1^4", "A4", "B4", "D4", "F4", "H4")
-                 if expected_root_count(key) == count]
+        names = [(e["key"], None) for e in catalog_entries()
+                 if e["rank"] == 4 and not e["family"] and expected_root_count(e["key"]) == count]
         # I2(2)xI2(2) IS the A1^4 root system; skip the alias
         if count % 4 == 0 and count // 4 >= 3:
             names.append(("I2xI2", count // 4))
@@ -297,12 +279,12 @@ def _reference_fingerprints(dim: int, count: int):
     return refs
 
 
-def identify_root_system(S: Induced4DSet) -> str:
+def identify_root_system(S: RootSystem) -> str:
     fp = fingerprint(S.num, S.den)
-    refs = _reference_fingerprints(S.dim, fp[0])
+    refs = _reference_fingerprints(S.num.shape[1], fp[0])
     matches = [name for name, ref in refs.items() if ref == fp]
     if not matches:
-        raise ValueError(f"no catalog root system matches {S.source_name}")
+        raise ValueError(f"no catalog root system matches {S.name}")
     if len(matches) > 1:
         raise ValueError(f"ambiguous identification: {matches}")
     return matches[0]
@@ -322,27 +304,10 @@ def spin_group(name: str, n: Optional[int] = None) -> VersorGroup:
 
 
 @lru_cache(maxsize=None)
-def induced_set(name: str, n: Optional[int] = None) -> Induced4DSet:
+def induced_set(name: str, n: Optional[int] = None) -> RootSystem:
     return spinors_to_4d(spin_group(name, n))
 
 
 @lru_cache(maxsize=None)
 def induced_name(name: str, n: Optional[int] = None) -> str:
     return identify_root_system(induced_set(name, n))
-
-
-def binary_group_name(name: str, n: Optional[int] = None) -> str:
-    key, n = parse_name(name, n)
-    if key == "A3":
-        return "2T"
-    if key == "B3":
-        return "2O"
-    if key == "H3":
-        return "2I"
-    if key == "I2":
-        return f"C{2 * n}"
-    if key == "A1^3":
-        return "Q8"
-    if key == "A1xI2":
-        return f"Dic{n}" if n != 2 else "Dic2 (= Q8)"
-    raise ValueError(f"{key} is not a 2D/3D catalog system")

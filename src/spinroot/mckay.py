@@ -360,24 +360,6 @@ def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
 # -- affine matching -------------------------------------------------------------
 
 
-def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
-    """Star of paths sharing the central node 0; leg length counts the center.
-
-    Legs are laid out in the given order, each walked outward from the center;
-    DOT exports list the edges in this order.  The star is a tree, so it has
-    one node more than it has edges.
-    """
-    edges = []
-    node = 1
-    for leg in legs:
-        prev = 0
-        for _ in range(leg - 1):
-            edges.append((prev, node))
-            prev = node
-            node += 1
-    return edges
-
-
 #: largest mark -> affine type; A~ and D~ take their rank from the node count
 _TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
@@ -428,11 +410,6 @@ def match_affine_ade(graph: McKayGraph) -> str:
     if len(components(adj)) != 1 or labels.min() != 1 or (adj @ labels != 2 * labels).any():
         raise MatchError("no affine ADE template matches")
     return _TYPE_BY_MAX_MARK[int(labels.max())].format(n - 1)
-
-
-def affine_core(name: str) -> str:
-    """Non-affine diagram underlying an affine name: A~7 -> A7."""
-    return name.replace("~", "", 1)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -1,35 +1,34 @@
 """Root-system catalog, reflection closure, Cartan matrices and validation.
 
-Catalog keys and backends:
+The catalog has one record per key, ``_System``, holding the system's facts
+once: its root count a n + b, its unit-normalized simple roots, its
+display-name form, the binary group of a 2D/3D source and its default word; a
+family's (I2(n), A1xI2(n), I2(n)xI2(n)) roots and group are functions of n.
+The name parser's tables are built from the records at import.
 
-    A1^3, A3, B3, H3          rank 3, exact
-    A1^4, A4, B4, D4, F4, H4  rank 4, exact
-    I2(n)                     rank 2, float
-    A1xI2(n)                  rank 3, float
-    I2(n)xI2(n)               rank 4, float
-
-Simple roots are stored unit-normalized.  A root system is the orbit of its
-simple roots under the simple reflections (Humphreys, *Reflection Groups and
-Coxeter Groups*, 1.5), closed by ``orbit`` one breadth-first level at a time,
-so the closure applies rank * |roots| reflections in whole-array steps.  Exact
-systems close in simple-root coordinates, s_i(c) = c - (sum_j c_j A_ji) e_i
-with A the Cartan matrix (5.4), on integer field numerators, and become
-Cartesian by one product with the simple roots.  Every exact product here (the
-closure step, the Gram, the reflections of validation) is one
-``scalars.exact_matmul``, which bounds itself and picks its integer tier; no
-bound is derived in this module.  Float systems close on
-Cartesian rows keyed by their coordinates rounded to ``KEY_DECIMALS``
-decimals.  Both closures, and the pin closure of ``induction``, are sorted
-once by ``canonical_order`` on the floats of their rows.
+A root system is the orbit of its simple roots under the simple reflections
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1.5), closed by ``orbit``
+one breadth-first level at a time, so the closure applies rank * |roots|
+reflections in whole-array steps.  Exact systems close in simple-root
+coordinates, s_i(c) = c - (sum_j c_j A_ji) e_i with A the Cartan matrix (5.4),
+on integer field numerators, and become Cartesian by one product with the
+simple roots.  Every exact product here (the closure step, the Gram, the
+reflections of validation) is one ``scalars.exact_matmul``, which bounds
+itself and picks its integer tier; no bound is derived in this module.  Float
+systems close on Cartesian rows keyed by their coordinates rounded to
+``KEY_DECIMALS`` decimals.  Both closures, and the pin closure of
+``induction``, are sorted once by ``canonical_order`` on the floats of their
+rows.
 
 The data is numerator rows (``scalars.quad_numerators``): a ``RootSystem``
 holds its roots as numerators (count, dim, d) over one denominator, d = 4 on
 the exact backend and d = 1, over 1, on the float backend; its ``vectors``
-are a view built on first read.  A ``SimpleRootSet`` is given by its
-``vectors``, the catalog literals, and forms one Gram matrix on its rows, the
-only source of the Cartan matrix, the unit check, the Coxeter graph and the
-rotation orders.
-Every float of an exact row comes from ``scalars.row_floats``.
+are a view built on first read; an induced set of ``induction`` is one too.
+A ``SimpleRootSet`` is given by its ``vectors``, the catalog literals, whose
+count is its rank and whose scalars its backend, and forms one Gram matrix on
+its rows, the only source of the Cartan matrix, the unit check, the Coxeter
+graph and the rotation orders.  Every float of an exact row comes from
+``scalars.row_floats``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -48,8 +47,6 @@ from .scalars import (
     INV_SQRT2,
     KEY_DECIMALS,
     QT_HALF,
-    QT_ONE,
-    QT_ZERO,
     QuadTower,
     Scalar,
     TAU,
@@ -157,15 +154,22 @@ def _gram(num: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SimpleRootSet:
     """Simple roots given by their coordinates, the catalog literals; their
-    numerator rows, Gram and Cartan matrix are formed once, on first read."""
+    rank and backend are read off them, and their numerator rows, Gram and
+    Cartan matrix are formed once, on first read."""
 
     name: str                      # display name, e.g. "I2(5)"
     key: str                       # catalog key, e.g. "I2"
-    rank: int
     vectors: tuple[tuple[Scalar, ...], ...]   # unit simple-root coordinates
-    backend: str
     n: Optional[int] = None
     default_word: tuple[int, ...] = ()   # 1-based; empty means bicoloured order
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def backend(self) -> str:
+        return "exact" if isinstance(self.vectors[0][0], QuadTower) else "float"
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, int]:
@@ -214,10 +218,10 @@ class SimpleRootSet:
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Roots as numerator rows (count, dim, d) over ``den`` (float rows, d = 1,
-    over 1), sorted by ``canonical_order``."""
+    over 1): a closure's sorted by ``canonical_order``, an induced set's in
+    its spin group's order."""
 
     name: str
-    simple: SimpleRootSet
     num: np.ndarray
     den: int
 
@@ -231,180 +235,174 @@ class RootSystem:
         return scalar_values(self.num, self.den)
 
 
-def _exact_vec(*coords) -> tuple[QuadTower, ...]:
-    return tuple(c if isinstance(c, QuadTower) else QuadTower.from_rational(c) for c in coords)
+def _exact(*roots) -> tuple[tuple[QuadTower, ...], ...]:
+    """Roots with int, Fraction or QuadTower coordinates, as QuadTowers."""
+    return tuple(tuple(c if isinstance(c, QuadTower) else QuadTower.from_rational(c) for c in r)
+                 for r in roots)
 
 
-def _float_vec(*coords) -> tuple[float, ...]:
-    return tuple(float(c) for c in coords)
+def _i2(n: int) -> tuple[float, float]:
+    """The second simple root of I2(n), at the angle pi - pi/n from (1, 0)."""
+    a = math.pi / n
+    return -math.cos(a), math.sin(a)
 
 
 _H = Fraction(1, 2)
 _RH = INV_SQRT2  # 1/sqrt2
 _TAU_H = TAU * QT_HALF
 _TM1_H = (TAU - 1) * QT_HALF  # (tau-1)/2
+_S = _RH * QT_HALF  # 1/(2*sqrt2): unit-normalizes A4's tau-leg root
 
 
-def _i2_pair(n: int):
-    a = math.pi / n
-    return [_float_vec(1.0, 0.0), _float_vec(-math.cos(a), math.sin(a))]
+@dataclass(frozen=True)
+class _System:
+    """The facts of one catalog system, each written once.  A family's roots
+    and binary group are functions of its n; a fixed system's are values."""
 
+    count: tuple[int, int]    # the root count a n + b, as (a, b); a = 0 off the families
+    roots: Any                # unit simple-root coordinates, one root per simple reflection
+    name: str = ""            # a family's display name, formatted with n; else the key
+    group: Any = None         # a 2D/3D source's binary group, its spin group
+    word: tuple[int, ...] = ()    # the default word, 1-based; () is the bicoloured order
 
-def _build_roots(key: str, n: Optional[int]):
-    z = QT_ZERO
-    if key == "A1^3":
-        return [_exact_vec(1, 0, 0), _exact_vec(0, 1, 0), _exact_vec(0, 0, 1)]
-    if key == "A1^4":
-        return [
-            _exact_vec(1, 0, 0, 0), _exact_vec(0, 1, 0, 0),
-            _exact_vec(0, 0, 1, 0), _exact_vec(0, 0, 0, 1),
-        ]
-    if key == "I2":
-        return _i2_pair(n)
-    if key == "A1xI2":
-        p = _i2_pair(n)
-        return [
-            _float_vec(*p[0], 0.0),
-            _float_vec(*p[1], 0.0),
-            _float_vec(0.0, 0.0, 1.0),
-        ]
-    if key == "I2xI2":
-        a = math.pi / n
-        return [
-            _float_vec(1, 0, 0, 0),
-            _float_vec(-math.cos(a), math.sin(a), 0, 0),
-            _float_vec(0, 0, 1, 0),
-            _float_vec(0, 0, -math.cos(a), math.sin(a)),
-        ]
-    if key == "A3":
-        return [
-            _exact_vec(-_RH, _RH, z), _exact_vec(z, -_RH, _RH),
-            _exact_vec(_RH, _RH, z),
-        ]
-    if key == "B3":
-        return [
-            _exact_vec(z, z, QT_ONE), _exact_vec(z, _RH, -_RH),
-            _exact_vec(_RH, -_RH, z),
-        ]
-    if key == "H3":
-        return [
-            _exact_vec(0, 1, 0),
-            _exact_vec(-_TAU_H, -QT_HALF, -_TM1_H),
-            _exact_vec(1, 0, 0),
-        ]
-    if key == "A4":
-        s = _RH * QT_HALF  # 1/(2*sqrt2): unit-normalizes the tau-leg root
-        return [
-            _exact_vec(-_RH, _RH, z, z),
-            _exact_vec(z, -_RH, _RH, z),
-            _exact_vec(z, z, -_RH, _RH),
-            _exact_vec(TAU * s, TAU * s, TAU * s, (TAU - 2) * s),
-        ]
-    if key == "B4":
-        return [
-            _exact_vec(0, 0, 0, 1), _exact_vec(z, z, _RH, -_RH),
-            _exact_vec(z, _RH, -_RH, z), _exact_vec(_RH, -_RH, z, z),
-        ]
-    if key == "D4":
-        return [
-            _exact_vec(1, 0, 0, 0), _exact_vec(0, 1, 0, 0), _exact_vec(0, 0, 1, 0),
-            _exact_vec(-_H, -_H, -_H, _H),
-        ]
-    if key == "F4":
-        return [
-            _exact_vec(-_H, -_H, -_H, _H),
-            _exact_vec(z, z, QT_ONE, z),
-            _exact_vec(z, _RH, -_RH, z),
-            _exact_vec(_RH, -_RH, z, z),
-        ]
-    if key == "H4":
-        return [
-            _exact_vec(_TAU_H, -QT_HALF, z, _TM1_H),
-            _exact_vec(0, 1, 0, 0),
-            _exact_vec(-_TM1_H, -QT_HALF, -_TAU_H, z),
-            _exact_vec(0, 0, 1, 0),
-        ]
-    raise UnknownSystemError(key)
+    @property
+    def family(self) -> bool:
+        return self.count[0] != 0
+
+    def vectors(self, n: Optional[int]) -> tuple:
+        return self.roots(n) if self.family else self.roots
 
 
 _CATALOG = {
-    # key: (rank, backend, family, default word, known root count fn)
-    "A1^3":  (3, "exact", False, (1, 2, 3), lambda n: 6),
-    "I2":    (2, "float", True,  (1, 2),    lambda n: 2 * n),
-    "A1xI2": (3, "float", True,  (),        lambda n: 2 * n + 2),
-    "A3":    (3, "exact", False, (),        lambda n: 12),
-    "B3":    (3, "exact", False, (),        lambda n: 18),
-    "H3":    (3, "exact", False, (),        lambda n: 30),
-    "A1^4":  (4, "exact", False, (1, 2, 3, 4), lambda n: 8),
-    "I2xI2": (4, "float", True,  (),        lambda n: 4 * n),
-    "A4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 20),
-    "B4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 32),
-    "D4":    (4, "exact", False, (1, 2, 3, 4), lambda n: 24),
-    "F4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 48),
-    "H4":    (4, "exact", False, (3, 1, 2, 4), lambda n: 120),
+    "A1^3": _System(count=(0, 6), group="Q8", word=(1, 2, 3), roots=_exact(
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1))),
+    "I2": _System(count=(2, 0), name="I2({n})", group=lambda n: f"C{2 * n}", word=(1, 2),
+                  roots=lambda n: ((1.0, 0.0), _i2(n))),
+    "A1xI2": _System(count=(2, 2), name="A1xI2({n})",
+                     group=lambda n: f"Dic{n}" if n != 2 else "Dic2 (= Q8)",
+                     roots=lambda n: ((1.0, 0.0, 0.0), (*_i2(n), 0.0), (0.0, 0.0, 1.0))),
+    "A3": _System(count=(0, 12), group="2T", roots=_exact(
+        (-_RH, _RH, 0),
+        (0, -_RH, _RH),
+        (_RH, _RH, 0))),
+    "B3": _System(count=(0, 18), group="2O", roots=_exact(
+        (0, 0, 1),
+        (0, _RH, -_RH),
+        (_RH, -_RH, 0))),
+    "H3": _System(count=(0, 30), group="2I", roots=_exact(
+        (0, 1, 0),
+        (-_TAU_H, -QT_HALF, -_TM1_H),
+        (1, 0, 0))),
+    "A1^4": _System(count=(0, 8), word=(1, 2, 3, 4), roots=_exact(
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1))),
+    "I2xI2": _System(count=(4, 0), name="I2({n})xI2({n})", roots=lambda n: (
+        (1.0, 0.0, 0.0, 0.0),
+        (*_i2(n), 0.0, 0.0),
+        (0.0, 0.0, 1.0, 0.0),
+        (0.0, 0.0, *_i2(n)))),
+    "A4": _System(count=(0, 20), word=(3, 1, 2, 4), roots=_exact(
+        (-_RH, _RH, 0, 0),
+        (0, -_RH, _RH, 0),
+        (0, 0, -_RH, _RH),
+        (TAU * _S, TAU * _S, TAU * _S, (TAU - 2) * _S))),
+    "B4": _System(count=(0, 32), word=(3, 1, 2, 4), roots=_exact(
+        (0, 0, 0, 1),
+        (0, 0, _RH, -_RH),
+        (0, _RH, -_RH, 0),
+        (_RH, -_RH, 0, 0))),
+    "D4": _System(count=(0, 24), word=(1, 2, 3, 4), roots=_exact(
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (-_H, -_H, -_H, _H))),
+    "F4": _System(count=(0, 48), word=(3, 1, 2, 4), roots=_exact(
+        (-_H, -_H, -_H, _H),
+        (0, 0, 1, 0),
+        (0, _RH, -_RH, 0),
+        (_RH, -_RH, 0, 0))),
+    "H4": _System(count=(0, 120), word=(3, 1, 2, 4), roots=_exact(
+        (_TAU_H, -QT_HALF, 0, _TM1_H),
+        (0, 1, 0, 0),
+        (-_TM1_H, -QT_HALF, -_TAU_H, 0),
+        (0, 0, 1, 0))),
 }
 
-_ALIASES = {
-    "A13": "A1^3", "A1^3": "A1^3", "A14": "A1^4", "A1^4": "A1^4",
-}
-#: the keys other than the aliased ones and the families, matched in any case
-_NAMED_KEYS = ("A3", "B3", "H3", "A4", "B4", "D4", "F4", "H4")
-_PRODUCT_NAME = re.compile(r"^I2\((\d+)\)xI2\((\d+)\)$", re.I)
-_FAMILY_NAME = re.compile(r"^(I2xI2|A1xI2|I2)(?:\((\d+)\))?$", re.I)
+#: the fixed systems by name: an A1 power as written or without its caret,
+#: any other in any case; the families by key, in any case
+_POWERS = {name: key for key in _CATALOG if "^" in key for name in (key, key.replace("^", ""))}
+_NAMED = {key.upper(): key for key, s in _CATALOG.items() if not (s.family or "^" in key)}
+_FAMILIES = {key.lower(): key for key, s in _CATALOG.items() if s.family}
+
+
+def _family_pattern(key: str, form: str) -> re.Pattern:
+    """A family's names with n inline, in any case: key(n) or its display name."""
+    shown = re.escape(form).replace(re.escape("{n}"), r"(\d+)")
+    return re.compile(rf"{re.escape(key)}\((\d+)\)|{shown}", re.I)
+
+
+_FAMILY_NAMES = [(key, _family_pattern(key, _CATALOG[key].name)) for key in _FAMILIES.values()]
 
 
 def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
     """Normalize user-facing names like 'I2(7)', 'A1xI2(3)', 'I2(3)xI2(3)'.
 
     Only the families take a parameter: an n given for any other system is
-    an error, not ignored.
+    an error, not ignored, and one given inline must agree with ``n``.
     """
     s = name.strip()
-    key = _ALIASES.get(s) or (s.upper() if s.upper() in _NAMED_KEYS else None)
+    key = _POWERS.get(s) or _NAMED.get(s.upper())
     if key is not None:
         if n is not None:
             raise UnknownSystemError(f"{key} takes no family parameter, got n={n}")
         return key, None
-    m = _PRODUCT_NAME.match(s)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-        if a != b:
-            raise UnknownSystemError(f"mismatched family parameters in {name!r}")
-        return "I2xI2", a
-    m = _FAMILY_NAME.match(s)
-    if m:
-        key = {"i2xi2": "I2xI2", "a1xi2": "A1xI2", "i2": "I2"}[m.group(1).lower()]
-        inline = int(m.group(2)) if m.group(2) else None
-        if inline is not None and n is not None and inline != n:
-            raise UnknownSystemError(f"conflicting n for {name!r}")
-        return key, inline if inline is not None else n
+    key = _FAMILIES.get(s.lower())
+    if key is not None:
+        return key, n
+    for key, pattern in _FAMILY_NAMES:
+        m = pattern.fullmatch(s)
+        if m:
+            inline = {int(v) for v in m.groups() if v is not None}
+            if len(inline) > 1:
+                raise UnknownSystemError(f"mismatched family parameters in {name!r}")
+            if n is not None and inline != {n}:
+                raise UnknownSystemError(f"conflicting n for {name!r}")
+            return key, inline.pop()
     raise UnknownSystemError(f"unknown root system {name!r}")
 
 
 def catalog_entries() -> list[dict]:
     """Listing metadata for every catalog key (family counts symbolic)."""
-    symbolic = {"I2": "2n", "A1xI2": "2n+2", "I2xI2": "4n"}
     rows = []
-    for key, (rank, backend, family, _, countf) in _CATALOG.items():
-        rows.append({
-            "key": key, "rank": rank, "backend": backend, "family": family,
-            "count": symbolic[key] if family else str(countf(None)),
-        })
+    for key, system in _CATALOG.items():
+        a, b = system.count
+        simple = SimpleRootSet(key, key, system.vectors(2))   # a family's rank at any n
+        count = f"{a}n+{b}" if a and b else f"{a}n" if a else str(b)
+        rows.append({"key": key, "rank": simple.rank, "backend": simple.backend,
+                     "family": system.family, "count": count})
     return rows
 
 
 def display_name(key: str, n: Optional[int]) -> str:
-    if key == "I2":
-        return f"I2({n})"
-    if key == "A1xI2":
-        return f"A1xI2({n})"
-    if key == "I2xI2":
-        return f"I2({n})xI2({n})"
-    return key
+    return _CATALOG[key].name.format(n=n) or key
+
+
+def binary_group_name(name: str, n: Optional[int] = None) -> str:
+    """The binary group of a 2D/3D source: C2n, Dic n, Q8, 2T, 2O or 2I."""
+    key, n = parse_name(name, n)
+    group = _CATALOG[key].group
+    if group is None:
+        raise ValueError(f"{key} is not a 2D/3D catalog system")
+    return group(n) if callable(group) else group
 
 
 def expected_root_count(key: str, n: Optional[int] = None) -> int:
-    return _CATALOG[key][4](n)
+    a, b = _CATALOG[key].count
+    return a * n + b if a else b
 
 
 def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -> SimpleRootSet:
@@ -413,7 +411,7 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
     One object per system and backend, so each Gram is formed once.
     """
     key, n = parse_name(name, n)
-    if _CATALOG[key][2]:
+    if _CATALOG[key].family:
         if n is None:
             raise UnknownSystemError(f"{key} needs a family parameter n >= 2")
         if n < 2:
@@ -423,24 +421,16 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
 
 @lru_cache(maxsize=None)
 def _catalog_set(key: str, n: Optional[int], backend: Optional[str]) -> SimpleRootSet:
-    rank, native_backend, _, word, _ = _CATALOG[key]
-    vectors = _build_roots(key, n)
-    use_backend = native_backend
-    if backend is not None:
-        if backend == "float":
-            vectors = [_float_vec(*v) for v in vectors]
-            use_backend = "float"
-        elif backend == "exact":
-            if native_backend != "exact":
-                raise UnknownSystemError(
-                    f"{display_name(key, n)} has no exact representation"
-                )
-        else:
-            raise UnknownSystemError(f"unknown backend {backend!r}")
-    simple = SimpleRootSet(
-        name=display_name(key, n), key=key, rank=rank,
-        vectors=tuple(vectors), backend=use_backend, n=n, default_word=word,
-    )
+    system = _CATALOG[key]
+    vectors = system.vectors(n)
+    if backend == "float":
+        vectors = tuple(tuple(float(c) for c in v) for v in vectors)
+    elif backend not in (None, "exact"):
+        raise UnknownSystemError(f"unknown backend {backend!r}")
+    simple = SimpleRootSet(name=display_name(key, n), key=key, vectors=vectors, n=n,
+                           default_word=system.word)
+    if backend == "exact" and simple.backend != "exact":
+        raise UnknownSystemError(f"{simple.name} has no exact representation")
     if not simple.unit:
         raise ValueError(f"catalog root of {key} not unit")
     return simple
@@ -458,7 +448,7 @@ def generate_roots(simple: SimpleRootSet) -> RootSystem:
     except ClosureCapError as exc:
         raise ClosureCapError(f"closure of {simple.name} exceeded {CLOSURE_CAP} roots") from exc
     order = canonical_order(row_floats(num, den))
-    return RootSystem(name=simple.name, simple=simple, num=read_only(num[order]), den=den)
+    return RootSystem(name=simple.name, num=read_only(num[order]), den=den)
 
 
 def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:

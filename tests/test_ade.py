@@ -4,12 +4,17 @@ from spinroot import ade
 from spinroot.ade import (
     _closure,
     ade_root_data,
+    affine_core,
     correspondence_report,
     correspondence_row,
     diagram_dot,
     springer_suite,
     triple_to_diagram,
 )
+
+
+def test_affine_core():
+    assert affine_core("E~8") == "E8"
 
 
 def test_coxeter_numbers_computed():

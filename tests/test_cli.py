@@ -291,6 +291,16 @@ def test_family_parameter_of_a_fixed_system_is_usage_error(argv, tmp_path, capsy
     assert captured.err == f"error: {key} takes no family parameter, got n=5\n"
 
 
+@pytest.mark.parametrize("name", ["I2(3)", "A1xI2(3)", "I2(3)xI2(3)"])
+def test_family_parameter_conflicting_with_the_name_is_usage_error(name, capsys):
+    # an n inline and a different --n: every family form rejects the pair
+    assert main(["coxplane", name, "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: conflicting n for {name!r}\n"
+    assert main(["coxplane", name, "--n", "3"]) == 0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

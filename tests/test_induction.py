@@ -28,9 +28,7 @@ from clifford_reference import (
 from spinroot import induction, scalars
 from spinroot.coxplane import coxeter_versors, weight_basis
 from spinroot.induction import (
-    Induced4DSet,
     VersorGroup,
-    binary_group_name,
     even_subgroup,
     fingerprint,
     generate_pin_group,
@@ -43,7 +41,9 @@ from spinroot.induction import (
 )
 from spinroot.rootsys import (
     ClosureCapError,
+    RootSystem,
     SimpleRootSet,
+    binary_group_name,
     catalog,
     generate_roots,
     root_system,
@@ -136,9 +136,8 @@ def test_pin_rejects_non_unit_generators(monkeypatch):
     base = catalog("I2", 3)
 
     def scaled(s):
-        return SimpleRootSet(name=f"{s}*I2(3)", key="I2", rank=2,
-                             vectors=tuple(tuple(s * c for c in v) for v in base.vectors),
-                             backend="float")
+        return SimpleRootSet(name=f"{s}*I2(3)", key="I2",
+                             vectors=tuple(tuple(s * c for c in v) for v in base.vectors))
 
     # slightly off: the closure stays finite, the unit check rejects it
     with pytest.raises(ValueError, match="non-unit"):
@@ -339,7 +338,7 @@ def test_induced_counts_and_validity():
         assert validate_root_system(S.num).ok
     for n in (2, 5, 12):
         S = induced_set("I2", n)
-        assert S.count == 2 * n and S.dim == 2
+        assert S.count == 2 * n and S.num.shape[1] == 2
         assert validate_root_system(S.num).ok
 
 
@@ -380,7 +379,7 @@ def test_catalog_systems_identify_as_themselves():
     for name, n in systems:
         system = root_system(name, n)
         num, den = quad_numerators([vector_coords(r) for r in root_multivectors(system)])
-        S = Induced4DSet(num=num, den=den, dim=system.simple.rank, source_name=system.name)
+        S = RootSystem(name=system.name, num=num, den=den)
         assert identify_root_system(S) == system.name
 
 
@@ -429,8 +428,7 @@ def test_identification_rotation_invariant():
         assert fp == fingerprint(S.num, S.den)
 
     class Fake:
-        dim = 4
-        source_name = "fake"
+        name = "fake"
         num, den = quad_numerators(((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)))
 
     with pytest.raises(ValueError):

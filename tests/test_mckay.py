@@ -8,6 +8,7 @@ import pytest
 
 from clifford_reference import group_elements, scalar_part
 from spinroot import mckay, verify
+from spinroot.ade import _leg_edges
 from spinroot.cli import main
 from spinroot.induction import even_subgroup, generate_pin_group, spin_group
 from spinroot.mckay import (
@@ -18,8 +19,6 @@ from spinroot.mckay import (
     MAX_REDRAWS,
     MatchError,
     McKayGraph,
-    _leg_edges,
-    affine_core,
     character_table,
     character_table_csv,
     character_tables,
@@ -457,7 +456,6 @@ def test_affine_templates_and_marks():
     adj, marks = affine_template("A~5")
     assert marks == (1,) * 6
     assert affine_marks(adj) == marks
-    assert affine_core("E~8") == "E8"
     with pytest.raises(MatchError):
         affine_template("A~1")
 

@@ -61,6 +61,15 @@ def test_name_parsing():
     for name in ("H3", "h4", "A13", "A1^4"):
         with pytest.raises(UnknownSystemError, match="takes no family parameter"):
             parse_name(name, 5)
+    # an inline n must agree with a given one, on the product form too
+    for name, key in (("I2(3)", "I2"), ("A1xI2(3)", "A1xI2"), ("I2(3)xI2(3)", "I2xI2")):
+        assert parse_name(name, 3) == (key, 3)
+        with pytest.raises(UnknownSystemError, match="conflicting n"):
+            parse_name(name, 4)
+    # every family's display name reads back as its key and n
+    for key in ("I2", "A1xI2", "I2xI2"):
+        for n in (2, 7, 30):
+            assert parse_name(display_name(key, n)) == (key, n)
     with pytest.raises(UnknownSystemError):
         catalog("I2")  # family parameter missing
     assert display_name("I2xI2", 6) == "I2(6)xI2(6)"
@@ -195,8 +204,8 @@ def test_simple_root_order_does_not_change_roots():
         rank = base.rank
         for perm in (tuple(reversed(range(rank))), (1, 0) + tuple(range(2, rank))):
             shuffled = SimpleRootSet(
-                name=f"{key}*", key=key, rank=rank,
-                vectors=tuple(base.vectors[i] for i in perm), backend=base.backend,
+                name=f"{key}*", key=key,
+                vectors=tuple(base.vectors[i] for i in perm),
             )
             assert root_multivectors(generate_roots(shuffled)) == want, (key, perm)
 
@@ -297,8 +306,8 @@ def reference_ade_roots(simple):
 
 
 def _permuted(simple, perm):
-    return SimpleRootSet(name=f"{simple.name}*", key=simple.key, rank=simple.rank,
-                         vectors=tuple(simple.vectors[i] for i in perm), backend=simple.backend)
+    return SimpleRootSet(name=f"{simple.name}*", key=simple.key,
+                         vectors=tuple(simple.vectors[i] for i in perm))
 
 
 def test_closure_matches_per_element_reference():
@@ -312,7 +321,7 @@ def test_closure_matches_per_element_reference():
     exact = [catalog(key) for key, _ in EXPECTED_COUNTS if catalog(key).backend == "exact"]
     exact += [_permuted(s, tuple(reversed(range(s.rank)))) for s in exact]
     exact.append(SimpleRootSet(
-        name="B2 non-unit", key="B2", rank=2, backend="exact",
+        name="B2 non-unit", key="B2",
         vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3)))))
     for simple in exact:
         assert root_multivectors(generate_roots(simple)) == reference_roots(simple), simple.name
@@ -328,10 +337,10 @@ def test_closure_matches_per_element_reference():
 
 def test_catalog_rejects_non_unit_root(monkeypatch):
     # catalog keeps one set per system: the cache is cleared around the patch
-    build = rootsys._build_roots
+    build = rootsys._System.vectors
     rootsys._catalog_set.cache_clear()
-    monkeypatch.setattr(rootsys, "_build_roots",
-                        lambda key, n: [tuple(2 * c for c in r) for r in build(key, n)])
+    monkeypatch.setattr(rootsys._System, "vectors",
+                        lambda system, n: [tuple(2 * c for c in r) for r in build(system, n)])
     try:
         with pytest.raises(ValueError, match="not unit"):
             catalog("H3")
@@ -342,9 +351,7 @@ def test_catalog_rejects_non_unit_root(monkeypatch):
 
 
 def _one_root(vector) -> SimpleRootSet:
-    exact = isinstance(vector[0], QuadTower)
-    return SimpleRootSet(name="one", key="one", rank=1, vectors=(tuple(vector),),
-                         backend="exact" if exact else "float")
+    return SimpleRootSet(name="one", key="one", vectors=(tuple(vector),))
 
 
 def test_is_unit_is_exact_on_exact_coordinates():
@@ -403,18 +410,16 @@ def test_rotation_orders_permutation_invariant():
     base = catalog("B3")
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         shuffled = SimpleRootSet(
-            name="B3*", key="B3", rank=3,
+            name="B3*", key="B3",
             vectors=tuple(base.vectors[i] for i in perm),
-            backend=base.backend,
         )
         assert rotation_orders(shuffled) == rotation_orders(base)
 
 
 def test_rotation_orders_rejects_non_coxeter_pair(monkeypatch):
     bad = SimpleRootSet(
-        name="bad", key="bad", rank=2,
+        name="bad", key="bad",
         vectors=((1.0, 0.0), (-math.cos(1.0), math.sin(1.0))),
-        backend="float",
     )
     monkeypatch.setattr(rootsys, "ROTATION_CAP", 100)
     with pytest.raises(ValueError):
@@ -648,9 +653,8 @@ def test_validate_parallel_duplicate():
 
 def test_generation_cap(monkeypatch):
     bad = SimpleRootSet(
-        name="bad", key="bad", rank=2,
+        name="bad", key="bad",
         vectors=((1.0, 0.0), (-math.cos(1.0), math.sin(1.0))),
-        backend="float",
     )
     monkeypatch.setattr(rootsys, "CLOSURE_CAP", 50)
     with pytest.raises(ClosureCapError):

@@ -20,7 +20,15 @@ from spinroot import coxplane
 from spinroot.cli import main
 from spinroot.induction import pin_group, spin_group
 from spinroot.mckay import class_matrices, conjugacy_classes
-from spinroot.rootsys import catalog, root_system
+from spinroot.rootsys import (
+    binary_group_name,
+    catalog,
+    catalog_entries,
+    display_name,
+    expected_root_count,
+    root_system,
+)
+from spinroot.scalars import scalar_str
 
 EXACT = ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4", "D4", "F4", "H4")
 FAMILY_N = range(2, 17)
@@ -132,11 +140,43 @@ def sweep_digest() -> str:
     return _digest(items)
 
 
-def verify_json() -> tuple[str, int]:
+#: every catalog key, the families at n = 2..30
+FACT_SYSTEMS = [(name, None) for name in EXACT] + [
+    (key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 31)]
+
+
+def _stdout(argv) -> tuple[str, int]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify-all", "--n-max", "12", "--format", "json"])
+        code = main(argv)
     return out.getvalue(), code
+
+
+def catalog_fact_digest() -> str:
+    """The catalog's facts: per system its name, root count, rank, backend,
+    default word and simple roots, printed to the last bit; the listing; the
+    binary group of each 2D/3D source; ``spinroot catalog`` and ``spinroot
+    induce`` as printed."""
+    items = []
+    for key, n in FACT_SYSTEMS:
+        simple = catalog(key, n)
+        items.append((display_name(key, n), expected_root_count(key, n), simple.name,
+                      simple.rank, simple.backend, simple.default_word,
+                      [[scalar_str(c) for c in v] for v in simple.vectors]))
+        if simple.rank < 4:
+            items.append(binary_group_name(key, n))
+    items.append(catalog_entries())
+    for fmt in ("text", "json"):
+        for family_n in (None, *FAMILY_N):
+            extra = [] if family_n is None else ["--family-n", str(family_n)]
+            items.append(_stdout(["catalog", "--format", fmt, *extra]))
+    for name, n in SOURCES:
+        items.append(_stdout(["induce", name, *([] if n is None else ["--n", str(n)])]))
+    return _digest(items)
+
+
+def verify_json() -> tuple[str, int]:
+    return _stdout(["verify-all", "--n-max", "12", "--format", "json"])
 
 
 PINNED = {
@@ -146,6 +186,7 @@ PINNED = {
     "classes": "97553601e36a4614952c927ece319c585ee8e9e4cdf8f9df7dd745ca9681a626",
     "words": "36ab22c9ad79d94c0cfa6d859e786a78843db1db967f1153f89bd51cdae48739",
     "sweep": "e356d0a92c8a11ce6511bd142fc77443bf51d20340cd0f07ac7c86f1ca6363e0",
+    "catalog facts": "53e8c624ab92c35dd605769b33a1be5497d7cf653742bc0bf9e8ec6fc0ea8981",
     "verify-all": "7ffb9172f341df41db3e194c9641e9067fbe9001ee37086e89dddf78d14817c7",
 }
 
@@ -153,7 +194,8 @@ PINNED = {
 @pytest.mark.parametrize("what, digest", [
     ("closures", closure_digest), ("closure values", closure_value_digest),
     ("large cayley", large_cayley_digest), ("classes", class_digest),
-    ("words", word_digest), ("sweep", sweep_digest)])
+    ("words", word_digest), ("sweep", sweep_digest),
+    ("catalog facts", catalog_fact_digest)])
 def test_outputs_keep_their_digest(what, digest):
     assert digest() == PINNED[what]
 
@@ -168,4 +210,5 @@ if __name__ == "__main__":
     print({"closures": closure_digest(), "closure values": closure_value_digest(),
            "large cayley": large_cayley_digest(), "classes": class_digest(),
            "words": word_digest(), "sweep": sweep_digest(),
+           "catalog facts": catalog_fact_digest(),
            "verify-all": hashlib.sha256(verify_json()[0].encode()).hexdigest()})

@@ -401,7 +401,7 @@ def test_row_floats_are_quadtower_floats_bit_for_bit():
     # the non-unit B2 set: roots and Cartan matrix over a denominator scaled by 3
     from spinroot.rootsys import SimpleRootSet, cartan_matrix, generate_roots
 
-    b2 = SimpleRootSet(name="B2 non-unit", key="B2", rank=2, backend="exact",
+    b2 = SimpleRootSet(name="B2 non-unit", key="B2",
                        vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3))))
     roots = generate_roots(b2)
     want = np.array([[float(c) for c in v] for v in roots.vectors])

@@ -122,7 +122,7 @@ def cmd_coxplane(args) -> int:
             B = coxplane.plane_from_matrix(cd.versor, cd.matrix, cd.h)
         payload["plane"] = _bivector_json(B)
         if simple.rank in (2, 4):
-            f = coxplane.factorize(cd.versor, B, cd.h)
+            f = coxplane.factorize(cd.versor, B, cd.h, simple.field)
             payload.update({
                 "theta1": f.theta1, "theta2": f.theta2,
                 "residual": f.residual,
@@ -139,7 +139,7 @@ def cmd_project(args) -> int:
     key, n = parse_name(args.name, args.n)
     plane = coxplane.coxeter_plane_for(key, n)
     system = root_system(key, n)
-    points = coxplane.project_to_plane(system.num, system.den, plane.bivector)
+    points = coxplane.project_to_plane(system.num, system.den, system.field, plane.bivector)
     if args.out:
         paths = output.export_files("projection", key, n, args.out, seed=args.seed)
         for p in paths:

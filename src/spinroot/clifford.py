@@ -25,6 +25,7 @@ import numpy as np
 
 from .scalars import (
     BackendMismatchError,
+    Field,
     QT_ZERO,
     QuadTower,
     Scalar,
@@ -88,12 +89,12 @@ def float_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _blade_sums(x, y[..., _XOR[dim]] * _RIGHT_SIGN[dim])
 
 
-def right_products(gens: np.ndarray, dim: int) -> Callable:
+def right_products(gens: np.ndarray, dim: int, field: Field) -> Callable:
     """The geometric product on versor rows: a function taking rows to their
     products with each generator row on the right, element-major and
     generator-minor.
 
-    Rows are field numerators, blade-major, followed by one positive
+    Rows are numerators in ``field``, blade-major, followed by one positive
     denominator, on either backend.  Right multiplication by g sends blade a
     to blade c through g's blade a ^ c only: its matrix R_g[a, c] is
     sign(a, a ^ c) times the field's multiplication matrix of g_(a ^ c).
@@ -104,7 +105,7 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
     on float rows the sums of ``float_products``, and the denominator stays 1.0.
     """
     n = gens.shape[1] - 1
-    right = _product_matrices(gens[:, :-1], dim, _RIGHT_SIGN[dim])
+    right = _product_matrices(gens[:, :-1], dim, _RIGHT_SIGN[dim], field)
     step = np.zeros((n + 1, len(gens), n + 1), dtype=np.result_type(right, gens))
     step[:n, :, :n] = right.transpose(1, 0, 2)
     step[n, :, n] = gens[:, -1]
@@ -114,24 +115,24 @@ def right_products(gens: np.ndarray, dim: int) -> Callable:
     return lambda rows: reduce_rows(exact_matmul(rows, step).reshape(-1, n + 1))
 
 
-def _product_matrices(num: np.ndarray, dim: int, sign: np.ndarray) -> np.ndarray:
+def _product_matrices(num: np.ndarray, dim: int, sign: np.ndarray, field: Field
+                      ) -> np.ndarray:
     """Matrices (n, d * 2**dim, d * 2**dim) of multiplication by the
-    multivectors with field numerators num (n, d * 2**dim), blade-major, on
-    either backend: blade a goes to blade c through the multivector's blade
-    a ^ c only, so the block (a, c) is sign[a, c] times that blade's field
-    matrix."""
-    n, size = len(num), 1 << dim
-    d = num.shape[1] // size
-    field = field_matrix(num.reshape(n, size, d))                # (i, blade, q, r)
-    blocks = field[:, _XOR[dim]] * sign[:, :, None, None]         # (i, a, c, q, r)
+    multivectors with numerators num (n, d * 2**dim) in ``field``,
+    blade-major, on either backend: blade a goes to blade c through the
+    multivector's blade a ^ c only, so the block (a, c) is sign[a, c] times
+    that blade's field matrix."""
+    n, size, d = len(num), 1 << dim, field.d
+    mult = field_matrix(num.reshape(n, size, d), field)          # (i, blade, q, r)
+    blocks = mult[:, _XOR[dim]] * sign[:, :, None, None]          # (i, a, c, q, r)
     return blocks.transpose(0, 1, 3, 2, 4).reshape(n, d * size, d * size)
 
 
-def left_matrices(num: np.ndarray, dim: int) -> np.ndarray:
-    """Matrices of left multiplication by the multivectors with field
-    numerators num (n, d * 2**dim): ``y @ left_matrices(x, dim)[i]`` holds
-    x_i y, over the product of the two denominators."""
-    return _product_matrices(num, dim, _LEFT_SIGN[dim])
+def left_matrices(num: np.ndarray, dim: int, field: Field) -> np.ndarray:
+    """Matrices of left multiplication by the multivectors with numerators
+    num (n, d * 2**dim) in ``field``: ``y @ left_matrices(x, dim, field)[i]``
+    holds x_i y, over the product of the two denominators."""
+    return _product_matrices(num, dim, _LEFT_SIGN[dim], field)
 
 
 def blade_name(mask: int) -> str:

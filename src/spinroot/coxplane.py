@@ -13,9 +13,9 @@ denominator 1.0 on floats), the plane bivector B a float coefficient row.
 Products, wedges and exponentials go through ``clifford.right_products`` and
 ``clifford.float_products``, and every float sum runs from 0.0 in blade
 order, so each printed float is the one the per-element Multivector
-computation gives.  The weight basis is numerator
-rows too, inverted fraction-free through ``scalars.field_quotients``; every
-float of an exact row comes from ``scalars.row_floats``.
+computation gives.  The weight basis is numerator rows too: the simple
+roots inverted over Q by ``scalars.exact_solve``, the one exact inverse of
+every field; every float of an exact row comes from ``scalars.row_floats``.
 
 Many words of one system go through each stage at once:
 ``coxeter_versors``, ``exponents_via_matrices``, ``planes_from_matrices`` and
@@ -50,16 +50,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clifford import GRADE_TOL, float_products, right_products
-from .induction import _coefficient_floats, _vector_rows, induced_name, spin_group
+from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
 from .mckay import components
-from .rootsys import SimpleRootSet, catalog, ordered_dot, parse_name
-from .scalars import (
-    exact_matmul,
-    field_matrix,
-    field_quotients,
-    read_only,
-    row_floats,
-)
+from .rootsys import SimpleRootSet, catalog, display_name, ordered_dot, parse_name
+from .scalars import QUAD, Field, exact_solve, field_matrix, read_only, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
@@ -223,7 +217,7 @@ def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int
         idx = np.array(new) - 1
         Ms = _coxeter_matrices(simple.floats, idx)
         gens = _vector_rows(*simple.rows)
-        times = right_products(gens, simple.rank)
+        times = right_products(gens, simple.rank, simple.field)
         W, each = gens[idx[:, 0]], np.arange(len(idx))
         for step in idx.T[1:]:
             W = times(W).reshape(len(idx), simple.rank, -1)[each, step]
@@ -378,25 +372,16 @@ def pf_eigenvector(cartan) -> np.ndarray:
 def weight_basis(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     """Numerator rows (rank, rank, d) of the w_i with (w_i | a_j) = delta_ij, and
     their denominator, as ``SimpleRootSet.cartan``: w_j is column j of A^-1, A
-    the simple roots N / D.  Fraction-free Gauss-Jordan turns the rows [N | D I]
-    into [P | R], P diagonal, and A^-1 = D N^-1 has the entries R_ij / P_ii."""
+    the simple roots N / D.  The rows of A^-1 solve Y N = D 1 over Q, a field
+    element being its d numerators: one ``exact_solve``."""
     num, den = simple.rows
     if num.dtype.kind == "f":
         return np.linalg.inv(num[..., 0]).T[..., None], 1
-    k, diag = simple.rank, np.arange(simple.rank)
-    aug = np.concatenate([num, np.zeros_like(num)], axis=1)
-    aug[diag, k + diag, 0] = den
-    for c in range(k):
-        nonzero = [r for r in range(c, k) if aug[r, c].any()]
-        if not nonzero:
-            raise ValueError("simple roots are linearly dependent")
-        aug[[c, nonzero[0]]] = aug[[nonzero[0], c]]
-        # every other row r becomes P row_r - row_r[c] row_c, P the pivot
-        row = aug[c].copy()
-        aug = exact_matmul(aug, field_matrix(row[c])) - exact_matmul(row, field_matrix(aug[:, c]))
-        aug[c] = row
-    w, w_den = field_quotients(aug[:, k:], aug[diag, diag][:, None])
-    return w.transpose(1, 0, 2), w_den
+    k, d = num.shape[1:]
+    # (Y N)[j] = sum over i of Y[i] @ field_matrix(N[i, j])
+    mult = field_matrix(num, simple.field).transpose(0, 2, 1, 3).reshape(k * d, k * d)
+    w, w_den = exact_solve(mult, den * np.kron(np.eye(k, dtype=object), simple.field.one))
+    return w.reshape(k, k, d).transpose(1, 0, 2), w_den
 
 
 def coxeter_plane(simple: SimpleRootSet) -> CoxeterPlane:
@@ -415,8 +400,8 @@ def coxeter_plane(simple: SimpleRootSet) -> CoxeterPlane:
 def _pf_plane(simple: SimpleRootSet) -> CoxeterPlane:
     """The plane ``coxeter_plane`` holds, formed without reading a word."""
     white, black = bicolor(simple)
-    pf = pf_eigenvector(row_floats(*simple.cartan))
-    weights = row_floats(*weight_basis(simple))
+    pf = pf_eigenvector(row_floats(*simple.cartan, simple.field))
+    weights = row_floats(*weight_basis(simple), simple.field)
 
     def combo(idxs):
         v = np.zeros(simple.rank)
@@ -576,12 +561,13 @@ def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
     return E + np.array([math.sin(t) for t in theta])[:, None] * B
 
 
-def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Factorization]:
+def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int], field: Field = QUAD
+                   ) -> list[Factorization]:
     """``factorize`` of each versor row of Ws on its plane row of Bs with its
     order: the components, exponentials and reconstructions of all rows in
     stacked passes, the angles one row at a time."""
     dim = Bs.shape[1].bit_length() - 1
-    Ws = _coefficient_floats(Ws, dim)
+    Ws = _coefficient_floats(Ws, dim, field)
     if dim not in (2, 4):
         raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
     s = Ws[:, 0].tolist()
@@ -620,10 +606,11 @@ def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int]) -> list[Fa
     return out
 
 
-def factorize(W: np.ndarray, B: np.ndarray, h: int) -> Factorization:
-    """Decompose a Coxeter versor row W (as ``CoxeterData.versor``) into bivector
-    exponentials on the plane bivector row B and on I*B."""
-    return factorizations(W[None], B[None], [h])[0]
+def factorize(W: np.ndarray, B: np.ndarray, h: int, field: Field = QUAD) -> Factorization:
+    """Decompose a Coxeter versor row W (as ``CoxeterData.versor``, its exact
+    rows in ``field``, float rows as they are) into bivector exponentials on
+    the plane bivector row B and on I*B."""
+    return factorizations(W[None], B[None], [h], field)[0]
 
 
 def _as_exponent(t: float, h: int) -> int:
@@ -658,11 +645,11 @@ def plane_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u1[coords], u2[coords]
 
 
-def project_to_plane(num: np.ndarray, den: int, B: np.ndarray
+def project_to_plane(num: np.ndarray, den: int, field: Field, B: np.ndarray
                      ) -> list[tuple[float, float]]:
-    """Orthogonal projection of each numerator row (n, dim, 4) over ``den``
-    onto the plane of the bivector row B, as (x, y) pairs."""
-    X = row_floats(num, den)
+    """Orthogonal projection of each numerator row (n, dim, d) of ``field``
+    over ``den`` onto the plane of the bivector row B, as (x, y) pairs."""
+    X = row_floats(num, den, field)
     u1, u2 = plane_basis(B)
     return list(zip(ordered_dot(X, u1).tolist(), ordered_dot(X, u2).tolist()))
 
@@ -682,8 +669,7 @@ def springer_identities(name: str, n: Optional[int] = None) -> SpringerReport:
     key, n = parse_name(name, n)
     spin = spin_group(key, n)
     order = spin.order
-    ind = induced_name(key, n)
-    k4, n4 = parse_name(ind)
+    k4, n4 = induced_system(key, n)
     cox = coxeter_data(k4, n4)
     exps = exponents_via_matrix(cox.matrix, cox.h)
     sum_ok = order == 2 * sum(exps)
@@ -704,7 +690,7 @@ def springer_identities(name: str, n: Optional[int] = None) -> SpringerReport:
         family_ok = True
         formula = f"{order} = 2({'+'.join(str(m) for m in exps)})"
     return SpringerReport(
-        name=catalog(key, n).name, group_order=order, induced=ind,
+        name=catalog(key, n).name, group_order=order, induced=display_name(k4, n4),
         exponents=exps, sum_ok=sum_ok, degrees=degrees, degrees_ok=degrees_ok,
         family_ok=family_ok, formula=formula,
     )

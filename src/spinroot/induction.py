@@ -32,12 +32,14 @@ from .rootsys import (
     canonical_order,
     catalog,
     catalog_entries,
+    display_name,
     expected_root_count,
     orbit,
     root_system,
 )
 from .scalars import (
     KEY_DECIMALS,
+    Field,
     exact_matmul,
     field_matrix,
     int_rows,
@@ -79,10 +81,10 @@ def _blade_numerators(rows: np.ndarray, dim: int) -> np.ndarray:
     return rows[:, :-1].reshape(len(rows), 1 << dim, (rows.shape[1] - 1) >> dim)
 
 
-def _coefficient_floats(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Float coefficient rows (n, 2**dim) of rows in the layout of
+def _coefficient_floats(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
+    """Float coefficient rows (n, 2**dim) of rows of ``field`` in the layout of
     ``_numerator_rows``, through ``row_floats``."""
-    return row_floats(_blade_numerators(rows, dim), rows[:, -1:])
+    return row_floats(_blade_numerators(rows, dim), rows[:, -1:], field)
 
 
 def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
@@ -99,14 +101,15 @@ def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 @dataclass(eq=False)
 class VersorGroup:
     """Finite set of unit versors closed under the geometric product, held as
-    its ``rows`` in the layout of ``_numerator_rows``.  The Cayley table, the
-    inverses and ``mckay``'s conjugacy classes are formed once and held."""
+    its ``rows`` of ``field`` in the layout of ``_numerator_rows``.  The Cayley
+    table, the inverses and ``mckay``'s conjugacy classes are formed once and held."""
 
     name: str
     dim: int
     rows: np.ndarray
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
+    field: Field
     _index: dict = field(init=False, repr=False)
     _cayley: Optional[np.ndarray] = field(default=None, repr=False)
     classes: Optional[object] = field(default=None, init=False, repr=False)  # held by mckay
@@ -148,7 +151,8 @@ class VersorGroup:
             step = max(1, CAYLEY_BLOCK // self.order)
             table = np.empty((self.order, self.order), dtype=np.intp)
             for start in range(0, self.order, step):
-                products = exact_matmul(num, left_matrices(num[start:start + step], self.dim))
+                products = exact_matmul(num, left_matrices(num[start:start + step], self.dim,
+                                                           self.field))
                 try:
                     found = [index[key] for key in row_keys(products.reshape(-1, num.shape[1]))]
                 except KeyError as exc:
@@ -171,16 +175,15 @@ def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]
     return (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
 
 
-def _unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Per row: is <V reverse(V)>_0, the sum of the squared coefficients, one?"""
+def _unit_rows(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
+    """Per row of ``field``: is <V reverse(V)>_0, the sum of squared coefficients, one?"""
     if rows.dtype.kind == "f":
         return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < UNIT_TOL
-    n, size = len(rows), 1 << dim
+    n, size, d = len(rows), 1 << dim, field.d
     # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
     # blades of num_b * num_b in the field less den**2, zero on a unit row
-    last = np.zeros((n, 1, 4), dtype=rows.dtype)
-    last[:, 0, 0] = -rows[:, -1]
-    mult = field_matrix(_blade_numerators(rows, dim)).reshape(n, 4 * size, 4)
+    last = -rows[:, -1:, None] * field.one
+    mult = field_matrix(_blade_numerators(rows, dim), field).reshape(n, d * size, d)
     excess = exact_matmul(rows[:, None, :], np.concatenate([mult, last], axis=1))
     return (excess == 0).all(axis=(1, 2))
 
@@ -194,33 +197,33 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     if simple.rank not in (2, 3):
         raise RankError(f"pin groups are generated from rank-2/3 root systems, "
                         f"not {simple.name} (rank {simple.rank})")
-    dim = simple.rank
+    dim, field = simple.rank, simple.field
     gens = _vector_rows(*simple.rows)
     negated = np.hstack([-gens[:, :-1], gens[:, -1:]])
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
     try:
-        rows = orbit(seeds, right_products(gens, dim), row_keys, GROUP_CAP)
+        rows = orbit(seeds, right_products(gens, dim, field), row_keys, GROUP_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
-    rows = rows[canonical_order(_coefficient_floats(rows, dim))]
+    rows = rows[canonical_order(_coefficient_floats(rows, dim, field))]
     odd, even = _grade_parities(rows, dim)
     if (odd & even).any():
         raise ValueError("group element without homogeneous parity")
     parities = tuple("odd" if o else "even" for o in odd)
     # unit-versor sanity: V reverse(V) = 1
-    if not _unit_rows(rows, dim).all():
+    if not _unit_rows(rows, dim, field).all():
         raise ValueError(f"pin closure of {simple.name} has a non-unit element")
     return VersorGroup(name=f"Pin({simple.name})", dim=dim, rows=rows,
-                       parities=parities, parity="pin")
+                       parities=parities, parity="pin", field=field)
 
 
 def even_subgroup(G: VersorGroup) -> VersorGroup:
     """Even-parity elements: the spin (binary polyhedral/cyclic/dicyclic) group."""
     picked = [i for i, p in enumerate(G.parities) if p == "even"]
     return VersorGroup(name=G.name.replace("Pin", "Spin", 1), dim=G.dim, rows=G.rows[picked],
-                       parities=("even",) * len(picked), parity="spin")
+                       parities=("even",) * len(picked), parity="spin", field=G.field)
 
 
 def spinors_to_4d(G: VersorGroup) -> RootSystem:
@@ -239,16 +242,16 @@ def spinors_to_4d(G: VersorGroup) -> RootSystem:
         num = num[:, [0b000, 0b110, 0b101, 0b011]] * np.array([1, 1, -1, 1])[:, None]
     else:
         num = num[:, [0b00, 0b11]]
-    return RootSystem(name=G.name, num=read_only(num), den=den)
+    return RootSystem(name=G.name, num=read_only(num), den=den, field=G.field)
 
 
 # -- identification ------------------------------------------------------------
 
 
-def fingerprint(num: np.ndarray, den: int):
-    """Rotation-invariant signature of numerator rows (n, dim, d) over ``den``:
-    count + multiset of pairwise dots."""
-    X = row_floats(num, den)
+def fingerprint(num: np.ndarray, den: int, field: Field):
+    """Rotation-invariant signature of numerator rows (n, dim, d) of ``field``
+    over ``den``: count + multiset of pairwise dots."""
+    X = row_floats(num, den, field)
     n = len(X)
     gram = X @ X.T
     dots = np.sort(np.round(gram[~np.tri(n, dtype=bool)], KEY_DECIMALS) + 0.0)   # i < j
@@ -257,7 +260,8 @@ def fingerprint(num: np.ndarray, den: int):
 
 @lru_cache(maxsize=None)
 def _reference_fingerprints(dim: int, count: int):
-    """Fingerprints of the catalog systems in `dim` dimensions with `count` roots.
+    """Fingerprints of the catalog systems in `dim` dimensions with `count`
+    roots, by catalog key and n.
 
     A fingerprint starts with its root count, so systems of another size can
     never match; the I2 families therefore need no upper bound on n.
@@ -275,18 +279,19 @@ def _reference_fingerprints(dim: int, count: int):
     refs = {}
     for key, m in names:
         system = root_system(key, m)
-        refs[system.name] = fingerprint(system.num, system.den)
+        refs[key, m] = fingerprint(system.num, system.den, system.field)
     return refs
 
 
-def identify_root_system(S: RootSystem) -> str:
-    fp = fingerprint(S.num, S.den)
+def identify_root_system(S: RootSystem) -> tuple[str, Optional[int]]:
+    """The catalog key and n of the one catalog system that S is."""
+    fp = fingerprint(S.num, S.den, S.field)
     refs = _reference_fingerprints(S.num.shape[1], fp[0])
-    matches = [name for name, ref in refs.items() if ref == fp]
+    matches = [ref for ref, ref_fp in refs.items() if ref_fp == fp]
     if not matches:
         raise ValueError(f"no catalog root system matches {S.name}")
     if len(matches) > 1:
-        raise ValueError(f"ambiguous identification: {matches}")
+        raise ValueError(f"ambiguous identification: {[display_name(*m) for m in matches]}")
     return matches[0]
 
 
@@ -309,5 +314,10 @@ def induced_set(name: str, n: Optional[int] = None) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def induced_name(name: str, n: Optional[int] = None) -> str:
+def induced_system(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
+    """The catalog key and n of the system the induced set is."""
     return identify_root_system(induced_set(name, n))
+
+
+def induced_name(name: str, n: Optional[int] = None) -> str:
+    return display_name(*induced_system(name, n))

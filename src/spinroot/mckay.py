@@ -314,7 +314,7 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
         raise ValueError("spinor character needs a spin group")
     if classes is None:
         classes = conjugacy_classes(G)
-    scalars = _coefficient_floats(G.rows, G.dim)[:, 0].tolist()
+    scalars = _coefficient_floats(G.rows, G.dim, G.field)[:, 0].tolist()
     out = []
     for members in classes.classes:
         vals = [2.0 * scalars[m] for m in members]

@@ -95,7 +95,7 @@ def export_files(kind: str, name: str, n: Optional[int] = None,
     elif kind == "projection":
         plane = coxeter_plane_for(name, n)
         system = root_system(name, n)
-        points = project_to_plane(system.num, system.den, plane.bivector)
+        points = project_to_plane(system.num, system.den, system.field, plane.bivector)
         emit("projection.csv", projection_csv(points, meta))
         emit("projection.svg", projection_svg(points, meta))
     elif kind == "mckay-graph":

@@ -21,9 +21,10 @@ systems close on Cartesian rows keyed by their coordinates rounded to
 rows.
 
 The data is numerator rows (``scalars.quad_numerators``): a ``RootSystem``
-holds its roots as numerators (count, dim, d) over one denominator, d = 4 on
-the exact backend and d = 1, over 1, on the float backend; its ``vectors``
-are a view built on first read; an induced set of ``induction`` is one too.
+holds its roots as numerators (count, dim, d) over one denominator, with
+their ``scalars.Field``, Q(sqrt2, sqrt5) (d = 4) on the exact backend and
+the float rows (d = 1, over 1) on the float backend; its ``vectors`` are a
+view built on first read; an induced set of ``induction`` is one too.
 A ``SimpleRootSet`` is given by its ``vectors``, the catalog literals, whose
 count is its rank and whose scalars its backend, and forms one Gram matrix on
 its rows, the only source of the Cartan matrix, the unit check, the Coxeter
@@ -44,9 +45,12 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .scalars import (
+    FLOATS,
     INV_SQRT2,
     KEY_DECIMALS,
+    QUAD,
     QT_HALF,
+    Field,
     QuadTower,
     Scalar,
     TAU,
@@ -139,15 +143,15 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x * y, axis=-1)[..., -1]
 
 
-def _gram(num: np.ndarray) -> np.ndarray:
+def _gram(num: np.ndarray, field: Field) -> np.ndarray:
     """Numerators (n, n, d) of the Gram matrix (x_i|x_j) of numerator rows
-    (n, dim, d), over their denominator squared: exact rows by one
-    ``exact_matmul``, float rows by ``ordered_dot``."""
+    (n, dim, d) of ``field``, over their denominator squared: exact rows by
+    one ``exact_matmul``, float rows by ``ordered_dot``."""
     n, dim, d = num.shape
     if num.dtype.kind == "f":
         return ordered_dot(num[:, None, :, 0], num[None, :, :, 0])[..., None]
     # G[i, j] = sum over k of N[i, k] @ field_matrix(N[j, k])
-    mult = field_matrix(num).transpose(1, 2, 0, 3).reshape(dim * d, n * d)
+    mult = field_matrix(num, field).transpose(1, 2, 0, 3).reshape(dim * d, n * d)
     return exact_matmul(num.reshape(n, dim * d), mult).reshape(n, n, d)
 
 
@@ -171,6 +175,11 @@ class SimpleRootSet:
     def backend(self) -> str:
         return "exact" if isinstance(self.vectors[0][0], QuadTower) else "float"
 
+    @property
+    def field(self) -> Field:
+        """The field of the coordinates: Q(sqrt2, sqrt5) for QuadTowers, else the float rows."""
+        return QUAD if self.backend == "exact" else FLOATS
+
     @cached_property
     def rows(self) -> tuple[np.ndarray, int]:
         """``quad_numerators`` of ``vectors``: (rank, dim, d) over one denominator."""
@@ -180,14 +189,14 @@ class SimpleRootSet:
     @cached_property
     def floats(self) -> np.ndarray:
         """The coordinates as floats (rank, dim), ``row_floats`` of ``rows``."""
-        return read_only(row_floats(*self.rows))
+        return read_only(row_floats(*self.rows, self.field))
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, int]:
         """Gram numerators (rank, rank, d) and their denominator: the one source
         of the Cartan matrix, the unit check, the Coxeter graph and the rotation orders."""
         num, den = self.rows
-        return read_only(_gram(num)), den * den
+        return read_only(_gram(num, self.field)), den * den
 
     @cached_property
     def cartan(self) -> tuple[np.ndarray, int]:
@@ -195,7 +204,7 @@ class SimpleRootSet:
         g, diag = self.gram[0], np.arange(self.rank)
         if g.dtype.kind == "f":
             return read_only(g * 2 / g[diag, diag]), 1
-        num, den = field_quotients(2 * g, g[diag, diag])
+        num, den = field_quotients(2 * g, g[diag, diag], self.field)
         return read_only(num), den
 
     @cached_property
@@ -212,18 +221,19 @@ class SimpleRootSet:
         diag = g[np.arange(self.rank), np.arange(self.rank)]
         if g.dtype.kind == "f":
             return bool((np.abs(diag[:, 0] - 1.0) < UNIT_ROOT_TOL).all())
-        return bool((diag == [den, 0, 0, 0]).all())
+        return bool((diag[:, 0] == den).all() and not diag[:, 1:].any())
 
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Roots as numerator rows (count, dim, d) over ``den`` (float rows, d = 1,
-    over 1): a closure's sorted by ``canonical_order``, an induced set's in
-    its spin group's order."""
+    """Roots as numerator rows (count, dim, d) of ``field`` over ``den`` (float
+    rows, d = 1, over 1): a closure's sorted by ``canonical_order``, an
+    induced set's in its spin group's order."""
 
     name: str
     num: np.ndarray
     den: int
+    field: Field
 
     @property
     def count(self) -> int:
@@ -332,11 +342,9 @@ _CATALOG = {
         (0, 0, 1, 0))),
 }
 
-#: the fixed systems by name: an A1 power as written or without its caret,
-#: any other in any case; the families by key, in any case
-_POWERS = {name: key for key in _CATALOG if "^" in key for name in (key, key.replace("^", ""))}
-_NAMED = {key.upper(): key for key, s in _CATALOG.items() if not (s.family or "^" in key)}
-_FAMILIES = {key.lower(): key for key, s in _CATALOG.items() if s.family}
+#: every key, and an A1 power without its caret, by its name in upper case:
+#: names match in any case
+_NAMES = {name.upper(): key for key in _CATALOG for name in (key, key.replace("^", ""))}
 
 
 def _family_pattern(key: str, form: str) -> re.Pattern:
@@ -345,7 +353,7 @@ def _family_pattern(key: str, form: str) -> re.Pattern:
     return re.compile(rf"{re.escape(key)}\((\d+)\)|{shown}", re.I)
 
 
-_FAMILY_NAMES = [(key, _family_pattern(key, _CATALOG[key].name)) for key in _FAMILIES.values()]
+_FAMILY_NAMES = [(key, _family_pattern(key, s.name)) for key, s in _CATALOG.items() if s.family]
 
 
 def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
@@ -355,14 +363,13 @@ def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
     an error, not ignored, and one given inline must agree with ``n``.
     """
     s = name.strip()
-    key = _POWERS.get(s) or _NAMED.get(s.upper())
+    key = _NAMES.get(s.upper())
     if key is not None:
+        if _CATALOG[key].family:
+            return key, n
         if n is not None:
             raise UnknownSystemError(f"{key} takes no family parameter, got n={n}")
         return key, None
-    key = _FAMILIES.get(s.lower())
-    if key is not None:
-        return key, n
     for key, pattern in _FAMILY_NAMES:
         m = pattern.fullmatch(s)
         if m:
@@ -408,7 +415,8 @@ def expected_root_count(key: str, n: Optional[int] = None) -> int:
 def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -> SimpleRootSet:
     """Return the catalog simple-root set, optionally forced to the float backend.
 
-    One object per system and backend, so each Gram is formed once.
+    One object per system and backend, the backend it has, so each Gram is
+    formed once: naming a set's own backend returns the set itself.
     """
     key, n = parse_name(name, n)
     if _CATALOG[key].family:
@@ -416,21 +424,24 @@ def catalog(name: str, n: Optional[int] = None, backend: Optional[str] = None) -
             raise UnknownSystemError(f"{key} needs a family parameter n >= 2")
         if n < 2:
             raise UnknownSystemError(f"family parameter n={n} must be >= 2")
-    return _catalog_set(key, n, backend)
+    simple = _catalog_set(key, n, False)
+    if backend in (None, simple.backend):
+        return simple
+    if backend == "float":
+        return _catalog_set(key, n, True)
+    if backend == "exact":
+        raise UnknownSystemError(f"{simple.name} has no exact representation")
+    raise UnknownSystemError(f"unknown backend {backend!r}")
 
 
 @lru_cache(maxsize=None)
-def _catalog_set(key: str, n: Optional[int], backend: Optional[str]) -> SimpleRootSet:
+def _catalog_set(key: str, n: Optional[int], to_float: bool) -> SimpleRootSet:
     system = _CATALOG[key]
     vectors = system.vectors(n)
-    if backend == "float":
+    if to_float:
         vectors = tuple(tuple(float(c) for c in v) for v in vectors)
-    elif backend not in (None, "exact"):
-        raise UnknownSystemError(f"unknown backend {backend!r}")
     simple = SimpleRootSet(name=display_name(key, n), key=key, vectors=vectors, n=n,
                            default_word=system.word)
-    if backend == "exact" and simple.backend != "exact":
-        raise UnknownSystemError(f"{simple.name} has no exact representation")
     if not simple.unit:
         raise ValueError(f"catalog root of {key} not unit")
     return simple
@@ -447,8 +458,8 @@ def generate_roots(simple: SimpleRootSet) -> RootSystem:
         num, den = (_exact_closure if simple.backend == "exact" else _float_closure)(simple)
     except ClosureCapError as exc:
         raise ClosureCapError(f"closure of {simple.name} exceeded {CLOSURE_CAP} roots") from exc
-    order = canonical_order(row_floats(num, den))
-    return RootSystem(name=simple.name, num=read_only(num[order]), den=den)
+    order = canonical_order(row_floats(num, den, simple.field))
+    return RootSystem(name=simple.name, num=read_only(num[order]), den=den, field=simple.field)
 
 
 def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
@@ -468,7 +479,7 @@ def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     d = a_num.shape[-1]
     k = rank * d
     # (N . A)[i] = sum over j of N[j] @ field_matrix(A[j, i])
-    mult = field_matrix(a_num).transpose(0, 2, 1, 3).reshape(k, k)
+    mult = field_matrix(a_num, simple.field).transpose(0, 2, 1, 3).reshape(k, k)
     # block i: A_den on [N | q], less (N . A)_i in the columns of e_i
     reflect = np.repeat(a_den * np.eye(k + 1, dtype=mult.dtype)[:, None], rank, axis=1)
     for i in range(rank):
@@ -486,7 +497,7 @@ def _exact_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     s_num, s_den = simple.rows                    # (rank, dim, d)
     dim = s_num.shape[1]
     # root = sum_j c_j a_j: numerators over den * s_den
-    to_cartesian = field_matrix(s_num).transpose(0, 2, 1, 3).reshape(k, dim * d)
+    to_cartesian = field_matrix(s_num, simple.field).transpose(0, 2, 1, 3).reshape(k, dim * d)
     cart = exact_matmul(num, to_cartesian).astype(object)
     common = lcm(*den)
     cart *= np.array([common // q for q in den], dtype=object)[:, None]
@@ -527,7 +538,7 @@ def rotation_orders(simple: SimpleRootSet):
         raise RankError(f"rotation orders are defined for rank 2 and 3, "
                         f"not {simple.name} (rank {simple.rank})")
     orders = []
-    dots = row_floats(*simple.gram).tolist()
+    dots = row_floats(*simple.gram, simple.field).tolist()
     for i in range(simple.rank):
         for j in range(i + 1, simple.rank):
             c = max(-1.0, min(1.0, dots[i][j]))
@@ -569,10 +580,10 @@ class ValidationReport:
         )
 
 
-def _direction_keys(num: np.ndarray) -> list:
-    """Per row, a key that parallel rows share: the row divided by its first
-    nonzero coordinate, exactly on exact rows, rounded to ``KEY_DECIMALS``
-    decimals on float rows."""
+def _direction_keys(num: np.ndarray, field: Field) -> list:
+    """Per row of ``field``, a key that parallel rows share: the row divided by
+    its first nonzero coordinate, exactly on exact rows, rounded to
+    ``KEY_DECIMALS`` decimals on float rows."""
     floats = num.dtype.kind == "f"
     nonzero = (np.abs(num[..., 0]) > 10.0 ** -KEY_DECIMALS if floats
                else (num != 0).any(axis=2))
@@ -584,14 +595,15 @@ def _direction_keys(num: np.ndarray) -> list:
         return [tuple(round(c / p, KEY_DECIMALS) + 0.0 for c in row)
                 for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
     # the rows x / p share one denominator, so their numerators are the keys
-    return row_keys(field_quotients(num, pivots[:, None])[0].reshape(len(num), -1))
+    return row_keys(field_quotients(num, pivots[:, None], field)[0].reshape(len(num), -1))
 
 
-def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationReport:
-    """Check the two root-system axioms on numerator rows (n, dim, d), a root
-    set's ``num`` or ``quad_numerators`` of coordinates, comparing rows by
-    ``row_keys``; violations are data, not errors.  The axioms do not see the
-    rows' common denominator."""
+def validate_root_system(num: np.ndarray, field: Field, max_samples: int = 16
+                         ) -> ValidationReport:
+    """Check the two root-system axioms on numerator rows (n, dim, d) of
+    ``field``, a root set's ``num`` or ``quad_numerators`` of coordinates,
+    comparing rows by ``row_keys``; violations are data, not errors.  The
+    axioms do not see the rows' common denominator."""
     if not len(num):
         return ValidationReport((), (), (), 0)
     flat = num.reshape(len(num), -1)
@@ -599,15 +611,15 @@ def validate_root_system(num: np.ndarray, max_samples: int = 16) -> ValidationRe
     present = set(keys)
     missing = tuple(i for i, k in enumerate(neg_keys) if k not in present)
     by_direction: dict = {}
-    for i, key in enumerate(_direction_keys(num)):
+    for i, key in enumerate(_direction_keys(num, field)):
         by_direction.setdefault(key, []).append(i)
     parallel = tuple(tuple(ids) for ids in by_direction.values()
                      if len(ids) > 2 or (len(ids) == 2 and neg_keys[ids[0]] != keys[ids[1]]))
-    refl = _reflection_violations(num, max_samples)
+    refl = _reflection_violations(num, field, max_samples)
     return ValidationReport(missing, parallel, tuple(refl), len(num))
 
 
-def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
+def _reflection_violations(num: np.ndarray, field: Field, max_samples: int) -> list:
     """Pairs (i, j), row-major and at most ``max_samples``, with s_i(x_j) not a root.
 
     On numerator rows N (n, dim, d) over D with Gram numerators G = (N|N) over
@@ -620,16 +632,16 @@ def _reflection_violations(num: np.ndarray, max_samples: int) -> list:
     """
     n, dim, d = num.shape
     k = dim * d
-    gram = _gram(num)
+    gram = _gram(num, field)
     length_keys = row_keys(gram[np.arange(n), np.arange(n)])
-    mult = field_matrix(num).transpose(0, 2, 1, 3).reshape(n, d, k)
+    mult = field_matrix(num, field).transpose(0, 2, 1, 3).reshape(n, d, k)
     reflect = np.concatenate([np.broadcast_to(np.eye(k, dtype=mult.dtype), (n, k, k)),
                               -2 * mult], axis=1)                       # (n, k + d, k)
     scaled_roots: dict = {}   # (a|a) Phi per squared length: its rows and their keys
     out = []
     for i in range(n):
         if length_keys[i] not in scaled_roots:
-            scaled = exact_matmul(num, field_matrix(gram[i, i])).reshape(n, k)
+            scaled = exact_matmul(num, field_matrix(gram[i, i], field)).reshape(n, k)
             scaled_roots[length_keys[i]] = scaled, set(row_keys(scaled))
         scaled, targets = scaled_roots[length_keys[i]]
         images = exact_matmul(np.hstack([scaled, gram[:, i]]), reflect[i])

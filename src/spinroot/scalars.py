@@ -1,43 +1,44 @@
-"""Exact arithmetic in the real quadratic tower Q(sqrt2, sqrt5).
+"""Exact arithmetic over number fields, first of all Q(sqrt2, sqrt5).
 
-Every exact coordinate appearing in the root-system catalog (halves, the
-golden ratio tau = (1+sqrt5)/2, 1/sqrt2 factors and their products) lies in
-this field, viewed as a 4-dimensional vector space over Q with basis
-{1, sqrt2, sqrt5, sqrt10}.  Elements are stored as four integer numerators
-over one positive common denominator, fully reduced, so equality and hashing
-are structural.
+Every exact coordinate of the root-system catalog (halves, the golden ratio
+tau = (1+sqrt5)/2, 1/sqrt2 factors and their products) lies in the quadratic
+tower Q(sqrt2, sqrt5), of basis {1, sqrt2, sqrt5, sqrt10} over Q.  A
+``QuadTower`` is one element: four integer numerators over one positive
+denominator, fully reduced, so equality and hashing are structural.  It
+serves the catalog literals, exact printing and JSON.  The float backend is
+plain Python ``float``; mixing the two backends in arithmetic is an error,
+never a silent coercion (QuadTower returns NotImplemented for float operands).
 
-The float backend is plain Python ``float``; mixing the two backends in
-arithmetic is an error, never a silent coercion (QuadTower returns
-NotImplemented for float operands).  QuadTower itself serves the catalog
-literals, exact printing and JSON.
-
-The data of every set is numerator rows instead, on both backends: a set is
-its numerators over its field's basis, on the last axis, with one common
+The data of every set is numerator rows instead, on both backends: its
+numerators over its field's basis, on the last axis, over one common
 denominator (``quad_numerators``; ``scalar_values`` is the inverse, for
-printing), and products are matrix products through the structure tensor of
-the basis size d (``field_matrix``; ``adjoin_sqrt`` adjoins a square root to a
-tensor's ring, ``field_quotients`` divides): d = 4 for Q(sqrt2, sqrt5), whose
-tensor is ``FIELD_TENSOR``, and d = 1 for floats, the field of
-``RATIONAL_TENSOR`` over the denominator 1.  Exact rows are integers, and
-this module alone picks how they are held and multiplied: ``exact_matmul``
-bounds each product by its own operands and runs it on float64 BLAS below
-``FLOAT64_LIMIT``, on int64 below ``INT64_LIMIT`` and on Python ints above, so
-the result is exact.  The integer rows that ``exact_matmul``, ``field_matrix``,
-``int_rows`` and ``reduce_rows`` return are int64 below ``INT64_LIMIT``, so
-they may be negated or doubled in their dtype, and Python ints otherwise;
-float rows pass through them unchanged.  ``row_floats`` is the one bridge from
-rows to floats, bit for bit ``float()`` of each QuadTower.  ``row_keys``
-hashes rows, integer rows by value whatever their dtype, float rows rounded
-to ``KEY_DECIMALS`` decimals.
+printing).  Every kernel takes the field as a ``Field`` record: its structure
+tensor (``adjoin_sqrt`` adjoins a square root to a ring's), the float values
+of its basis and its printer.  ``QUAD`` is Q(sqrt2, sqrt5), ``FLOATS`` the
+float rows, each float its own row (x,) over 1, and ``verify`` defines the
+ring Z[sqrt5][R] of the appendix.  Products go through the tensor
+(``field_matrix``); ``row_floats`` is the one bridge from rows to floats,
+bit for bit ``float(QuadTower)`` on QUAD; ``exact_solve``, a fraction-free
+Gauss-Jordan elimination, is the one inverse, of ``field_quotients`` and of
+``coxplane.weight_basis``.
+
+Exact rows are integers, and this module alone picks how they are held and
+multiplied: ``exact_matmul`` bounds each product by its own operands and runs
+it on float64 BLAS below ``FLOAT64_LIMIT``, on int64 below ``INT64_LIMIT`` and
+on Python ints above, so the result is exact.  The integer rows that
+``exact_matmul``, ``field_matrix``, ``int_rows`` and ``reduce_rows`` return
+are int64 below ``INT64_LIMIT``, and Python ints otherwise; float rows pass
+through them unchanged.  ``row_keys`` hashes rows, integer rows by value
+whatever their dtype, float rows rounded to ``KEY_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -48,10 +49,6 @@ KEY_DECIMALS = 6
 #: negate or double it; at or above INT64_LIMIT the products run on Python ints.
 FLOAT64_LIMIT = 1 << 53
 INT64_LIMIT = 1 << 62
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT5 = math.sqrt(5.0)
-_SQRT10 = math.sqrt(10.0)
 
 
 class BackendMismatchError(TypeError):
@@ -67,40 +64,25 @@ def _ratio(x) -> tuple[int, int]:
 
 
 class QuadTower:
-    """Element a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d."""
+    """Element a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d: the
+    numerators ``_n`` of a, b, c, d over one positive denominator ``_q``, reduced."""
 
-    __slots__ = ("_na", "_nb", "_nc", "_nd", "_q")
+    __slots__ = ("_n", "_q")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        na, qa = _ratio(a)
-        nb, qb = _ratio(b)
-        nc, qc = _ratio(c)
-        nd, qd = _ratio(d)
-        q = qa * qb * qc * qd
-        obj = QuadTower._raw(
-            na * (q // qa), nb * (q // qb), nc * (q // qc), nd * (q // qd), q
-        )
-        self._na, self._nb, self._nc, self._nd, self._q = (
-            obj._na, obj._nb, obj._nc, obj._nd, obj._q,
-        )
+        ratios = [_ratio(x) for x in (a, b, c, d)]
+        q = math.prod(r for _, r in ratios)
+        obj = QuadTower._raw(*(n * (q // r) for n, r in ratios), q)
+        self._n, self._q = obj._n, obj._q
 
     @classmethod
-    def _raw(cls, na: int, nb: int, nc: int, nd: int, q: int) -> "QuadTower":
-        if q < 0:
-            na, nb, nc, nd, q = -na, -nb, -nc, -nd, -q
-        g = gcd(na, nb, nc, nd, q)
-        if g > 1:
-            na //= g
-            nb //= g
-            nc //= g
-            nd //= g
-            q //= g
+    def _raw(cls, *parts: int) -> "QuadTower":
+        """The element with the numerators na, nb, nc, nd over q, the five ``parts``."""
+        g = gcd(*parts) if parts[4] > 0 else -gcd(*parts)
+        if g != 1:
+            parts = tuple(x // g for x in parts)
         self = object.__new__(cls)
-        self._na = na
-        self._nb = nb
-        self._nc = nc
-        self._nd = nd
-        self._q = q
+        self._n, self._q = parts[:4], parts[4]
         return self
 
     @classmethod
@@ -109,27 +91,16 @@ class QuadTower:
         return cls._raw(n, 0, 0, 0, q)
 
     # rational coordinates on the basis {1, sqrt2, sqrt5, sqrt10}
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._na, self._q)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._nb, self._q)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self._nc, self._q)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self._nd, self._q)
+    a = property(lambda self: Fraction(self._n[0], self._q))
+    b = property(lambda self: Fraction(self._n[1], self._q))
+    c = property(lambda self: Fraction(self._n[2], self._q))
+    d = property(lambda self: Fraction(self._n[3], self._q))
 
     def is_zero(self) -> bool:
-        return self._na == 0 and self._nb == 0 and self._nc == 0 and self._nd == 0
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return self._nb == 0 and self._nc == 0 and self._nd == 0
+        return not any(self._n[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -138,48 +109,36 @@ class QuadTower:
     def _coerce(x):
         if isinstance(x, QuadTower):
             return x
-        if isinstance(x, int):
-            return QuadTower._raw(x, 0, 0, 0, 1)
-        if isinstance(x, Fraction):
-            return QuadTower._raw(x.numerator, 0, 0, 0, x.denominator)
+        if isinstance(x, (int, Fraction)):
+            return QuadTower.from_rational(x)
         return None
 
     def __add__(self, other):
         o = QuadTower._coerce(other)
         if o is None:
             return NotImplemented
-        q1, q2 = self._q, o._q
-        return QuadTower._raw(
-            self._na * q2 + o._na * q1,
-            self._nb * q2 + o._nb * q1,
-            self._nc * q2 + o._nc * q1,
-            self._nd * q2 + o._nd * q1,
-            q1 * q2,
-        )
+        (a1, b1, c1, d1), (a2, b2, c2, d2), q1, q2 = self._n, o._n, self._q, o._q
+        return QuadTower._raw(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
+                              d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadTower._raw(-self._na, -self._nb, -self._nc, -self._nd, self._q)
+        return QuadTower._raw(*(-x for x in self._n), self._q)
 
     def __sub__(self, other):
         o = QuadTower._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = QuadTower._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = QuadTower._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self._na, self._nb, self._nc, self._nd
-        a2, b2, c2, d2 = o._na, o._nb, o._nc, o._nd
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._n, o._n
         return QuadTower._raw(
             a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
@@ -191,56 +150,31 @@ class QuadTower:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadTower":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(sqrt2, sqrt5)")
-        num, den = field_quotients(np.array([self._q, 0, 0, 0], dtype=object),
-                                   np.array([self._na, self._nb, self._nc, self._nd], dtype=object))
+        num, den = field_quotients(np.array([self._q], dtype=object) * QUAD.one,
+                                   np.array(self._n, dtype=object), QUAD)
         return QuadTower._raw(*num.tolist(), den)
 
     def __truediv__(self, other):
         o = QuadTower._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __eq__(self, other):
         o = QuadTower._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (
-            self._na == o._na
-            and self._nb == o._nb
-            and self._nc == o._nc
-            and self._nd == o._nd
-            and self._q == o._q
-        )
+        return NotImplemented if o is None else self._n == o._n and self._q == o._q
 
     def __hash__(self):
         if self.is_rational():
-            return hash(Fraction(self._na, self._q))
-        return hash((self._na, self._nb, self._nc, self._nd, self._q))
+            return hash(Fraction(self._n[0], self._q))
+        return hash((*self._n, self._q))
 
     def __float__(self) -> float:
-        return (
-            self._na + self._nb * _SQRT2 + self._nc * _SQRT5 + self._nd * _SQRT10
-        ) / self._q
+        return QUAD.evaluate(self._n, self._q)
 
     def __repr__(self) -> str:
         return f"QuadTower({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self) -> str:
-        parts = []
-        for frac, unit in ((self.a, ""), (self.b, "r2"), (self.c, "r5"), (self.d, "r10")):
-            if frac == 0:
-                continue
-            s = str(frac)
-            if unit:
-                s = f"{s}*{unit}"
-            if parts and not s.startswith("-"):
-                parts.append("+" + s)
-            else:
-                parts.append(s)
-        return "".join(parts) if parts else "0"
+        return QUAD.show(self.a, self.b, self.c, self.d)
 
 
 QT_ZERO = QuadTower(0)
@@ -264,16 +198,12 @@ def is_exact(x: Scalar) -> bool:
 
 def scalar_str(x: Scalar) -> str:
     """Serialization form: exact as 'p/q+p/q*r2+...', float as 17-digit decimal."""
-    if is_exact(x):
-        return str(x)
-    return format(float(x), ".17g")
+    return str(x) if is_exact(x) else FLOATS.show(float(x))
 
 
 def scalar_to_json(x: Scalar):
     """JSON value for a scalar: exact values as strings, floats as numbers."""
-    if is_exact(x):
-        return str(x)
-    return float(x)
+    return str(x) if is_exact(x) else float(x)
 
 
 # -- array kernel for pairwise work over whole sets ------------------------------
@@ -283,10 +213,10 @@ def quad_numerators(values) -> tuple[np.ndarray, int]:
     """Numerator rows (..., d) of an array of scalars, and their common denominator.
 
     ``values`` is a (nested) sequence, or an array, of QuadTower or of floats,
-    not a mix.  Exact values have d = 4, Python int numerators in an object
-    array: element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.
-    Floats have d = 1: each is its own row (x,) over ``den = 1``, so the same
-    products apply to both backends.
+    not a mix.  Exact values are rows of ``QUAD``, Python int numerators in
+    an object array: element x equals ``num[x] @ (1, sqrt2, sqrt5, sqrt10) / den``.
+    Floats are rows of ``FLOATS``: each is its own row (x,) over ``den = 1``,
+    so the same products apply to both backends.
     """
     arr = np.asarray(values, dtype=object)
     flat = arr.ravel()
@@ -295,8 +225,8 @@ def quad_numerators(values) -> tuple[np.ndarray, int]:
     if not all(isinstance(x, QuadTower) for x in flat):
         raise BackendMismatchError("numerator rows need all-exact or all-float scalars")
     den = lcm(*(x._q for x in flat))
-    rows = [(x._na * (s := den // x._q), x._nb * s, x._nc * s, x._nd * s) for x in flat]
-    return np.array(rows, dtype=object).reshape(arr.shape + (4,)), den
+    rows = [[n * (den // x._q) for n in x._n] for x in flat]
+    return np.array(rows, dtype=object).reshape(arr.shape + (QUAD.d,)), den
 
 
 def read_only(rows: np.ndarray) -> np.ndarray:
@@ -314,15 +244,15 @@ def scalar_values(num: np.ndarray, den: int) -> tuple:
     return tuple(tuple(QuadTower._raw(*x, den) for x in row) for row in num.tolist())
 
 
-def row_floats(num: np.ndarray, den) -> np.ndarray:
-    """Floats (...) of numerator rows (..., d) over ``den`` (one denominator, or
-    one per row): the one bridge from exact rows to floats; float rows (d = 1)
-    are their own floats.
+def row_floats(num: np.ndarray, den, field: Field) -> np.ndarray:
+    """Floats (...) of numerator rows (..., d) of ``field`` over ``den`` (one
+    denominator, or one per row): the one bridge from exact rows to floats;
+    float rows (d = 1) are their own floats.
 
-    Bit for bit ``float(QuadTower)``: each scalar is divided by the gcd of its
-    numerators and denominator, then evaluated as
-    (((a + b sqrt2) + c sqrt5) + d sqrt10) / q, on float64 when every integer
-    is below FLOAT64_LIMIT (so converts exactly), else on the Python ints.
+    Each scalar is divided by the gcd of its numerators and denominator, then
+    evaluated by ``Field.evaluate``, on float64 when every integer is below
+    FLOAT64_LIMIT (so converts exactly), else on the Python ints: bit for bit
+    ``float(QuadTower)`` on Q(sqrt2, sqrt5).
     """
     if num.dtype.kind == "f":
         return num[..., 0]
@@ -330,8 +260,8 @@ def row_floats(num: np.ndarray, den) -> np.ndarray:
     parts = np.concatenate([num.astype(object), q], axis=-1)
     if _abs_max(parts) < FLOAT64_LIMIT:
         parts = parts.astype(np.int64)
-    a, b, c, d, q = np.moveaxis(parts // np.gcd.reduce(parts, axis=-1, keepdims=True), -1, 0)
-    return ((a + b * _SQRT2 + c * _SQRT5 + d * _SQRT10) / q).astype(np.float64)
+    *coords, q = np.moveaxis(parts // np.gcd.reduce(parts, axis=-1, keepdims=True), -1, 0)
+    return np.asarray(field.evaluate(coords, q), dtype=np.float64)
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -377,48 +307,106 @@ def adjoin_sqrt(t: np.ndarray, r) -> np.ndarray:
     return read_only(out.reshape(2 * d, 2 * d, 2 * d))
 
 
+@dataclass(frozen=True, eq=False)
+class Field:
+    """A number field of degree d over Q on a basis whose first element is 1,
+    the ring its numerator rows (..., d) live in: its structure tensor, the
+    float value of each basis element and its exact printer."""
+
+    tensor: np.ndarray           # T[p, q, r]: coefficient of basis r in (basis p)(basis q)
+    basis: tuple[float, ...]     # the float value of each basis element, basis[0] = 1.0
+    show: Callable[..., str]     # the printed form of one element, from its d coordinates
+
+    @property
+    def d(self) -> int:
+        return len(self.basis)
+
+    @property
+    def one(self) -> np.ndarray:
+        """The numerator row of 1."""
+        return np.eye(1, self.d, dtype=np.int64)[0]
+
+    def evaluate(self, coords, q):
+        """sum_p coords[p] basis[p] / q, summed in basis order: the one float
+        formula of the field, for Python ints or integer arrays alike."""
+        return sum(c * b for c, b in zip(coords, self.basis)) / q
+
+
+def _show_quad(*coords, units=("", "*r2", "*r5", "*r10")) -> str:
+    """Q(sqrt2, sqrt5)'s printer, of sum_p c_p u_p: the nonzero terms only, a +
+    before each that is not negative, 0 for zero."""
+    terms = [f"{c}{u}" for c, u in zip(coords, units) if c]
+    return "".join(t if i == 0 or t[0] == "-" else "+" + t for i, t in enumerate(terms)) or "0"
+
+
 #: the structure tensor of Q itself, on the basis {1}
 RATIONAL_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
-#: T[p, q, r]: coefficient of basis r in (basis p)(basis q), basis {1, sqrt2, sqrt5, sqrt10}
-FIELD_TENSOR = adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [2]), [5, 0])
+#: the float rows: Q on the basis {1}, each float its own row (x,) over 1
+FLOATS = Field(RATIONAL_TENSOR, (1.0,), lambda x: format(x, ".17g"))
+#: Q(sqrt2, sqrt5) on the basis {1, sqrt2, sqrt5, sqrt10}, QuadTower's field
+QUAD = Field(adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [2]), [5, 0]),
+             (1.0, math.sqrt(2.0), math.sqrt(5.0), math.sqrt(10.0)),
+             _show_quad)
 
 
-#: the default structure tensor of each basis size: floats, and Q(sqrt2, sqrt5)
-_TENSORS = {1: RATIONAL_TENSOR, 4: FIELD_TENSOR}
-
-
-def field_matrix(x: np.ndarray, tensor: Optional[np.ndarray] = None) -> np.ndarray:
+def field_matrix(x: np.ndarray, field: Field) -> np.ndarray:
     """Matrices (..., d, d) of multiplication by numerator rows x (..., d) in
-    the ring of the structure tensor (d, d, d), by default the one of x's
-    basis size: Q(sqrt2, sqrt5) for d = 4, floats for d = 1.
+    ``field``.
 
-    ``y @ field_matrix(x)`` holds the numerators of x*y, over the product of
-    the two denominators.  M[q, r] = sum over p of x_p T[p, q, r], one
-    ``exact_matmul`` with the structure tensor.
+    ``y @ field_matrix(x, field)`` holds the numerators of x*y, over the
+    product of the two denominators.  M[q, r] = sum over p of x_p T[p, q, r],
+    one ``exact_matmul`` with the structure tensor.
     """
-    d = x.shape[-1]
-    tensor = _TENSORS[d] if tensor is None else tensor
-    return exact_matmul(x, tensor.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d))
+    d = field.d
+    return exact_matmul(x, field.tensor.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d))
 
 
-#: numerator signs of the other Galois conjugates: sqrt2, sqrt5, both negated
-_CONJUGATES = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+def exact_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Numerators, held by ``int_rows``, of the rows y (..., n, k) with
+    y @ m = b over one reduced least positive denominator, for integer
+    matrices m (..., k, k) and integer rows b (..., n, k) that broadcast.
+
+    Fraction-free Gauss-Jordan (Bareiss): the equations [m^T | b^T] become
+    [p 1 | r], p the last pivot, every division exact, so y = r^T / p.  Each
+    step runs on int64 while its products stay below INT64_LIMIT, else on
+    Python ints.  A singular m raises ZeroDivisionError.
+    """
+    k = m.shape[-1]
+    lead = np.broadcast_shapes(m.shape[:-2], b.shape[:-2])
+    aug = np.concatenate([np.broadcast_to(np.swapaxes(m, -1, -2), lead + (k, k)),
+                          np.broadcast_to(np.swapaxes(b, -1, -2), lead + b.shape[-1:-3:-1])],
+                         axis=-1)
+    pivot = 1
+    for c in range(k):
+        aug = aug.astype(_kernel_dtype(2 * _abs_max(aug) ** 2), copy=False)   # fits this step
+        first = c + (aug[..., c:, c] != 0).argmax(axis=-1)[..., None, None]    # the first pivot
+        if (first != c).any():                                   # swapped into row c
+            row = np.take_along_axis(aug, first, axis=-2)
+            np.put_along_axis(aug, first, aug[..., c:c + 1, :].copy(), axis=-2)
+            aug[..., c:c + 1, :] = row
+        row = aug[..., c:c + 1, :]
+        if not row[..., c].all():                                # no pivot in column c
+            raise ZeroDivisionError("division by zero: the matrix is singular")
+        # every other row r becomes (P row_r - row_r[c] row_c) / the last pivot
+        aug, pivot = (row[..., c:c + 1] * aug - aug[..., c:c + 1] * row) // pivot, row[..., c:c + 1]
+        aug[..., c:c + 1, :] = row
+    pivot = pivot.astype(object)
+    den = lcm(*np.abs(pivot).ravel().tolist())
+    num = np.swapaxes(aug[..., k:] * (den // pivot), -1, -2)
+    common = gcd(*num.ravel().tolist(), den)
+    return int_rows(num // common), den // common
 
 
-def field_quotients(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+def field_quotients(x: np.ndarray, d: np.ndarray, field: Field) -> tuple[np.ndarray, int]:
     """Numerators, held by ``int_rows``, of x / d over one reduced least positive
-    denominator, for numerator rows x (..., 4) and nonzero rows d that
-    broadcast with them: a denominator that x and d share cancels unread.
+    denominator, for numerator rows x (..., d) of ``field`` and nonzero rows d
+    that broadcast with them: a denominator that x and d share cancels unread.
 
-    1/d = inv / norm with inv the product of the other three Galois conjugates
-    of d, so the norm d inv is rational; both are formed on Python ints.
+    1/d is the solution y of y field_matrix(d) = 1, by ``exact_solve`` for
+    every row of d at once.
     """
-    d = d.astype(object)
-    c2, c5, c10 = (d * signs for signs in _CONJUGATES)
-    inv = (c2[..., None, :] @ field_matrix(c5) @ field_matrix(c10))[..., 0, :]
-    norm = (d[..., None, :] @ field_matrix(inv))[..., 0, :1]
-    den = lcm(*norm.ravel().tolist())
-    num = exact_matmul(x[..., None, :], field_matrix(inv))[..., 0, :] * (den // norm)
+    inv, den = exact_solve(field_matrix(d, field), field.one[None])
+    num = exact_matmul(x[..., None, :], field_matrix(inv[..., 0, :], field))[..., 0, :]
     common = gcd(*num.ravel().tolist(), den)
     return int_rows(num // common), den // common
 

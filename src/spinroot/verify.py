@@ -27,8 +27,8 @@ import numpy as np
 from . import ade, coxplane, mckay, output
 from .induction import induced_set, pin_group, spin_group
 from .rootsys import catalog, root_system, rotation_orders, validate_root_system
-from .scalars import (INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, RATIONAL_TENSOR, TAU, adjoin_sqrt,
-                      exact_matmul, field_matrix, row_floats)
+from .scalars import (INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, RATIONAL_TENSOR, TAU, Field,
+                      adjoin_sqrt, exact_matmul, field_matrix, row_floats)
 
 PI = math.pi
 
@@ -58,12 +58,12 @@ def check_group_orders(n_max: int = ade.N_MAX) -> list[CheckResult]:
         out.append(_res(1, f"{name} pin/spin/induced",
                         (P.order, S.order, I.count) == (pin_n, spin_n, count),
                         (P.order, S.order, I.count), (pin_n, spin_n, count)))
-        rep = validate_root_system(I.num)
+        rep = validate_root_system(I.num, I.field)
         out.append(_res(1, f"{name} induced set axioms", rep.ok,
                         f"{rep.violation_count} violations", "0 violations"))
     for n in range(2, n_max + 1):
         I = induced_set("A1xI2", n)
-        rep = validate_root_system(I.num)
+        rep = validate_root_system(I.num, I.field)
         out.append(_res(1, f"A1xI2({n}) induced count+axioms",
                         I.count == 4 * n and rep.ok,
                         (I.count, rep.violation_count), (4 * n, 0)))
@@ -147,7 +147,7 @@ def check_factorizations() -> list[CheckResult]:
     for name, (angles, exps) in FACTORIZATION_TABLE.items():
         cd = coxplane.coxeter_data(name)
         plane = coxplane.coxeter_plane_for(name)
-        f = coxplane.factorize(cd.versor, plane.bivector, cd.h)
+        f = coxplane.factorize(cd.versor, plane.bivector, cd.h, cd.simple.field)
         e1, e2, *_ = coxplane.canonical_angle_pair(*angles)
         ok = (abs(f.theta1 - e1) < 1e-9 and abs(f.theta2 - e2) < 1e-9
               and f.residual < 1e-8 and f.exponents == exps)
@@ -186,7 +186,8 @@ def check_exponent_oracles(n_max: int = ade.N_MAX,
         cds = coxplane.coxeter_versors(simple, distinct)
         Ms, hs = np.stack([cd.matrix for cd in cds]), [cd.h for cd in cds]
         planes = coxplane.planes_from_matrices(Ms, hs)
-        factors = coxplane.factorizations(np.stack([cd.versor for cd in cds]), planes, hs)
+        factors = coxplane.factorizations(np.stack([cd.versor for cd in cds]), planes, hs,
+                                          simple.field)
         exponents = dict(zip(distinct, zip(coxplane.exponents_via_matrices(Ms, hs),
                                            (f.exponents for f in factors))))
         for word in words:
@@ -276,28 +277,20 @@ def check_pf() -> list[CheckResult]:
 
 
 #: the ring Z[sqrt5][R] of the appendix, R^2 = 30 + 6 sqrt5, on the basis
-#: {1, sqrt5, R, sqrt5 R}: (p + q sqrt5) + (r + s sqrt5) R is the row [p, q, r, s]
-Z5R = adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [5]), [30, 6])
-
-
-def _z5r_float(x: np.ndarray) -> float:
-    """A row [p, q, r, s] of Z[sqrt5][R] as the float (p + q sqrt5) + (r + s sqrt5) R."""
-    p, q, r, s = x.tolist()
-    root5 = math.sqrt(5.0)
-    return (p + q * root5) + (r + s * root5) * math.sqrt(30.0 + 6.0 * root5)
-
-
-def _z5r_str(x: np.ndarray) -> str:
-    """A row [p, q, r, s] of Z[sqrt5][R], printed as (r+s*r5)*R + (p+q*r5)."""
-    p, q, r, s = x.tolist()
-    return f"({r}{'+' if s >= 0 else ''}{s}*r5)*R + ({p}{'+' if q >= 0 else ''}{q}*r5)"
+#: {1, sqrt5, R, sqrt5 R}: (p + q sqrt5) + (r + s sqrt5) R is the row [p, q, r, s],
+#: printed as (r+s*r5)*R + (p+q*r5)
+Z5R = Field(adjoin_sqrt(adjoin_sqrt(RATIONAL_TENSOR, [5]), [30, 6]),
+            tuple(np.kron([1.0, math.sqrt(30.0 + 6.0 * math.sqrt(5.0))],
+                          [1.0, math.sqrt(5.0)]).tolist()),
+            lambda p, q, r, s: f"({r}{s:+}*r5)*R + ({p}{q:+}*r5)")
 
 
 def check_h4_appendix() -> list[CheckResult]:
     out = []
     # weight basis (inverse basis of the simple roots)
     tau, z, one = TAU, QT_ZERO, QT_ONE
-    weights = row_floats(*coxplane.weight_basis(catalog("H4")))
+    h4 = catalog("H4")
+    weights = row_floats(*coxplane.weight_basis(h4), h4.field)
     expected = [
         (z, z, z, 2 * tau),
         (-tau, one, z, 3 * tau + 1),
@@ -318,7 +311,8 @@ def check_h4_appendix() -> list[CheckResult]:
         return exact_matmul(x, field_matrix(y, Z5R))
 
     c14 = times(a1, b4) - times(a4, b1)
-    rel = abs(_z5r_float(c14)) / abs(_z5r_float(times(a1, b4)))
+    c14_f, a1b4_f = row_floats(np.stack([c14, times(a1, b4)]), 1, Z5R).tolist()
+    rel = abs(c14_f) / abs(a1b4_f)
     zero = not c14.any()
     out.append(_res(7, "wedge e1e4 component cancels", zero and rel < 1e-6,
                     f"exact zero: {zero}, relative {rel:.1e}", "0 (|coef| < 1e-6 rel)"))
@@ -330,19 +324,20 @@ def check_h4_appendix() -> list[CheckResult]:
     bsq_bivector = times(adotb, adotb) - times(asq, bsq)
     want = np.array([-15421440, -6893568, -2334720, -1044480])
     equal = np.array_equal(bsq_bivector, want)
-    float_rel = abs(_z5r_float(bsq_bivector) - _z5r_float(want)) / abs(_z5r_float(want))
+    got_f, want_f = row_floats(np.stack([bsq_bivector, want]), 1, Z5R).tolist()
+    float_rel = abs(got_f - want_f) / abs(want_f)
     out.append(_res(7, "plane bivector norm squared", equal and float_rel < 1e-9,
                     f"exact equal: {equal}, rel err {float_rel:.1e}",
                     "(-1044480*r5-2334720)*R - 6893568*r5 - 15421440"))
     reduced, rest = np.divmod(bsq_bivector, 12288)
     out.append(_res(7, "coefficients divide by 12288",
                     not rest.any() and np.array_equal(reduced, [-1255, -561, -190, -85]),
-                    _z5r_str(reduced), "(-85*r5-190)*R - 561*r5 - 1255"))
+                    Z5R.show(*reduced.tolist()), "(-85*r5-190)*R - 561*r5 - 1255"))
     # the appendix also simplifies two of the products
     out.append(_res(7, "a1*b3 and a4*b3 products",
                     np.array_equal(times(a1, b3), [544, 224, 64, 32])
                     and np.array_equal(times(a4, b3), [-1408, -640, -224, -96]),
-                    (_z5r_str(times(a1, b3)), _z5r_str(times(a4, b3))),
+                    (Z5R.show(*times(a1, b3).tolist()), Z5R.show(*times(a4, b3).tolist())),
                     "(32r5+64)R+224r5+544 and (-96r5-224)R-640r5-1408"))
     return out
 
@@ -449,7 +444,7 @@ def check_projection_and_exports(seed: int = mckay.DEFAULT_SEED) -> list[CheckRe
     out = []
     plane = coxplane.coxeter_plane_for("A4")
     a4 = root_system("A4")
-    points = coxplane.project_to_plane(a4.num, a4.den, plane.bivector)
+    points = coxplane.project_to_plane(a4.num, a4.den, a4.field, plane.bivector)
     radii = sorted(math.hypot(x, y) for x, y in points)
     classes: list[list[float]] = []
     for r in radii:

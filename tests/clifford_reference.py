@@ -30,6 +30,8 @@ from spinroot.scalars import (
     QT_HALF,
     QT_ONE,
     QT_ZERO,
+    FLOATS,
+    QUAD,
     BackendMismatchError,
     QuadTower,
     Scalar,
@@ -40,6 +42,11 @@ from spinroot.scalars import (
 )
 
 EQ_TOL = 1e-9      # absolute float tolerance of the reference checks
+
+
+def quad_field(num: np.ndarray):
+    """The field of ``quad_numerators`` rows: the float rows, or Q(sqrt2, sqrt5)."""
+    return FLOATS if num.dtype.kind == "f" else QUAD
 
 # -- Multivector accessors ------------------------------------------------------
 
@@ -351,7 +358,7 @@ def reference_plane(simple: SimpleRootSet) -> Multivector:
     Multivector sums and products (not validated)."""
     white, black = coxplane.bicolor(simple)
     pf = coxplane.pf_eigenvector(cartan_matrix(simple))
-    weights = row_floats(*coxplane.weight_basis(simple)).tolist()
+    weights = row_floats(*coxplane.weight_basis(simple), simple.field).tolist()
     wf = [mv_vector(w) for w in weights]
 
     def combo(idxs):

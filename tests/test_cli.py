@@ -291,6 +291,16 @@ def test_family_parameter_of_a_fixed_system_is_usage_error(argv, tmp_path, capsy
     assert captured.err == f"error: {key} takes no family parameter, got n=5\n"
 
 
+@pytest.mark.parametrize("name", ["a1^3", "a13", "A1^3", "A13"])
+def test_a1_powers_match_in_any_case(name, capsys):
+    # one case rule for every name: lower-case A1 powers are accepted as h3 is
+    code, out = run(capsys, "induce", name)
+    assert code == 0
+    assert json.loads(out)["source"] == "A1^3" and json.loads(out)["induced"] == "A1^4"
+    code, out = run(capsys, "coxplane", name.replace("3", "4"))
+    assert code == 0 and json.loads(out)["system"] == "A1^4"
+
+
 @pytest.mark.parametrize("name", ["I2(3)", "A1xI2(3)", "I2(3)xI2(3)"])
 def test_family_parameter_conflicting_with_the_name_is_usage_error(name, capsys):
     # an n inline and a different --n: every family form rejects the pair

@@ -33,6 +33,8 @@ from spinroot.clifford import (
     right_products,
 )
 from spinroot.scalars import (
+    FLOATS,
+    QUAD,
     BackendMismatchError,
     QT_HALF,
     QT_ONE,
@@ -123,7 +125,7 @@ def test_product_tensor_matches_geometric_product(pair):
     x, y = num.reshape(2, -1).astype(np.int64)
     out = np.einsum("i,j,ijk->k", x, y, product_tensor(a.dim))
     # the library's matrix of left multiplication by a gives the same product
-    assert (y @ left_matrices(x[None], a.dim)[0] == out).all()
+    assert (y @ left_matrices(x[None], a.dim, QUAD)[0] == out).all()
     out = out.reshape(-1, 4)
     got = Multivector(a.dim, [
         QuadTower(*(Fraction(int(c), den * den) for c in row)) for row in out
@@ -368,5 +370,5 @@ def test_float_right_products_are_the_blade_loop_then_one():
         x = _signed_rows(rng, (int(rng.integers(1, 9)), size))
         right = (gens[:, _XOR[dim]] * _RIGHT_SIGN[dim]).transpose(1, 0, 2).reshape(size, -1)
         want = with_one(blade_loop_sums(x, right).reshape(-1, size))
-        got = right_products(with_one(gens), dim)(with_one(x))
+        got = right_products(with_one(gens), dim, FLOATS)(with_one(x))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial

@@ -452,7 +452,7 @@ def test_pf_eigenvector_equals_the_former_iteration():
     for name, n in CATALOG_SYSTEMS:
         cartan = cartan_matrix(catalog(name, n))
         assert pf_eigenvector(cartan).tobytes() == former_pf_eigenvector(cartan).tobytes()
-        rows = row_floats(*catalog(name, n).cartan)
+        rows = row_floats(*catalog(name, n).cartan, catalog(name, n).field)
         assert pf_eigenvector(rows).tobytes() == former_pf_eigenvector(rows).tobytes()
 
 
@@ -883,8 +883,8 @@ def test_plane_basis_orthonormal():
 
 
 def _rows(system):
-    """A root system's numerator rows and their denominator, as projected."""
-    return system.num, system.den
+    """A root system's numerator rows, their denominator and their field, as projected."""
+    return system.num, system.den, system.field
 
 
 def projection_radii(points: Sequence[tuple[float, float]], decimals: int = 9) -> dict:
@@ -954,3 +954,19 @@ def test_springer_families():
         assert springer_identities("I2", n).ok
         assert springer_identities("A1xI2", n).ok
     assert springer_identities("A1^3").ok
+
+
+def test_springer_identities_read_the_induced_key(monkeypatch):
+    # identification hands back the reference's catalog key and n, so the
+    # induced system's display name is printed, never parsed back
+    from spinroot.induction import induced_name, induced_system
+
+    parsed = []
+    parse = coxplane.parse_name
+    monkeypatch.setattr(coxplane, "parse_name", lambda *a: parsed.append(a) or parse(*a))
+    cases = [("H3", None, ("H4", None)), ("A1^3", None, ("A1^4", None)),
+             ("A1xI2", 2, ("A1^4", None)), ("A1xI2", 5, ("I2xI2", 5)), ("I2", 7, ("I2", 7))]
+    for name, n, induced in cases:
+        assert induced_system(name, n) == induced
+        assert springer_identities(name, n).induced == induced_name(name, n)
+    assert parsed == [(name, n) for name, n, _ in cases]

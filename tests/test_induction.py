@@ -20,6 +20,7 @@ from clifford_reference import (
     mv_vector,
     mv_zero,
     product_tensor,
+    quad_field,
     reverse,
     root_multivectors,
     spinor_inner,
@@ -50,7 +51,7 @@ from spinroot.rootsys import (
     validate_root_system,
 )
 from spinroot.scalars import (
-    KEY_DECIMALS, QT_ONE, QuadTower, quad_numerators, row_floats, row_keys,
+    FLOATS, KEY_DECIMALS, QT_ONE, QuadTower, quad_numerators, row_floats, row_keys,
 )
 
 ORDERS = {
@@ -120,7 +121,7 @@ def test_index_of_keys_like_the_cayley_table():
     y = math.sqrt(1.0 - x * x)
     one, v = mv_scalar(2, 1.0), mv_vector([x, y])
     G = VersorGroup(name="tilted A1", dim=2, rows=element_rows((one, -one, v, -v)),
-                    parities=("even", "even", "odd", "odd"), parity="pin")
+                    parities=("even", "even", "odd", "odd"), parity="pin", field=FLOATS)
     assert G.cayley.tolist() == [[index_of(G, a * b) for b in group_elements(G)]
                                  for a in group_elements(G)]
     assert index_of(G, mv_vector([above, y])) == index_of(G, v) == 2
@@ -252,10 +253,11 @@ def _exact_results() -> dict:
         simple = dataclasses.replace(catalog(name))
         R = generate_roots(simple)
         out[name] = [R.num, R.den, *simple.gram, simple.unit,
-                     validate_root_system(R.num), validate_root_system(R.num[1:], 10_000)]
+                     validate_root_system(R.num, R.field),
+                     validate_root_system(R.num[1:], R.field, 10_000)]
         if simple.rank == 3:
             G = generate_pin_group(simple)
-            out[name] += [G.rows, induction._unit_rows(G.rows, G.dim), G.cayley]
+            out[name] += [G.rows, induction._unit_rows(G.rows, G.dim, G.field), G.cayley]
     return out
 
 
@@ -269,7 +271,7 @@ def test_exact_cayley_with_python_ints(monkeypatch):
     assert G.rows.dtype == object
     assert G.cayley.tolist() == expected
     G = VersorGroup(name="A3 on Python ints", dim=3, rows=A3.rows.astype(object),
-                    parities=A3.parities, parity="pin")
+                    parities=A3.parities, parity="pin", field=A3.field)
     assert G.cayley.tolist() == expected
 
 
@@ -299,12 +301,12 @@ def test_pin_rows_and_cayley_tables_on_every_integer_tier(monkeypatch, limit):
 def test_cayley_product_escaping_the_group():
     G = spin_group("A3")
     part = VersorGroup(name="part", dim=3, rows=element_rows(group_elements(G)[1:]),
-                       parities=G.parities[1:], parity="spin")
+                       parities=G.parities[1:], parity="spin", field=G.field)
     with pytest.raises(ClosureCapError, match="escapes the group"):
         part.cayley
     G = spin_group("A1xI2", 5)
     part = VersorGroup(name="part", dim=3, rows=element_rows(group_elements(G)[:-1]),
-                       parities=G.parities[:-1], parity="spin")
+                       parities=G.parities[:-1], parity="spin", field=G.field)
     with pytest.raises(ClosureCapError, match="escapes the group"):
         part.cayley
 
@@ -314,7 +316,7 @@ def test_identity_index_is_the_identity_row():
     groups = [pin_group("A3"), spin_group("H3"), pin_group("I2", 5), spin_group("A1xI2", 7)]
     B3 = pin_group("B3")
     groups.append(VersorGroup(name="B3 on Python ints", dim=3, rows=B3.rows.astype(object),
-                              parities=B3.parities, parity="pin"))
+                              parities=B3.parities, parity="pin", field=B3.field))
     for G in groups:
         one = QT_ONE if G.rows.dtype.kind != "f" else 1.0
         assert G.identity_index == index_of(G, mv_scalar(G.dim, one)), G.name
@@ -335,11 +337,11 @@ def test_induced_counts_and_validity():
     for (name, n), (_, spin_n) in ORDERS.items():
         S = induced_set(name, n)
         assert S.count == spin_n
-        assert validate_root_system(S.num).ok
+        assert validate_root_system(S.num, S.field).ok
     for n in (2, 5, 12):
         S = induced_set("I2", n)
         assert S.count == 2 * n and S.num.shape[1] == 2
-        assert validate_root_system(S.num).ok
+        assert validate_root_system(S.num, S.field).ok
 
 
 def test_spinor_coordinate_map():
@@ -379,8 +381,8 @@ def test_catalog_systems_identify_as_themselves():
     for name, n in systems:
         system = root_system(name, n)
         num, den = quad_numerators([vector_coords(r) for r in root_multivectors(system)])
-        S = RootSystem(name=system.name, num=num, den=den)
-        assert identify_root_system(S) == system.name
+        S = RootSystem(name=system.name, num=num, den=den, field=quad_field(num))
+        assert identify_root_system(S) == (name, n)
 
 
 def test_fingerprint_matches_exact_pairwise_dots():
@@ -396,13 +398,13 @@ def test_fingerprint_matches_exact_pairwise_dots():
              for name in ("I2", "A1xI2") for n in range(2, 17)]
     for vectors in sets:
         num, den = quad_numerators([vector_coords(v) for v in vectors])
-        assert fingerprint(num, den) == reference(vectors)
+        assert fingerprint(num, den, quad_field(num)) == reference(vectors)
 
 
 def test_fingerprint_equals_the_triu_indices_form():
     # the former pair selection, np.triu_indices, on every induced set and 4D system
-    def former(num, den):
-        X = row_floats(num, den)
+    def former(num, den, field):
+        X = row_floats(num, den, field)
         gram = X @ X.T
         dots = np.sort(np.round(gram[np.triu_indices(len(X), 1)], KEY_DECIMALS) + 0.0)
         return (len(X), tuple(dots.tolist()))
@@ -413,23 +415,24 @@ def test_fingerprint_equals_the_triu_indices_form():
     sets += [induced_set(name, n) for name in ("I2", "A1xI2") for n in range(2, 17)]
     sets += [induced_set(name) for name in ("A1^3", "A3", "B3", "H3")]
     for S in sets:
-        got, want = fingerprint(S.num, S.den), former(S.num, S.den)
+        got, want = fingerprint(S.num, S.den, S.field), former(S.num, S.den, S.field)
         assert got == want and repr(got) == repr(want)
 
 
 def test_identification_rotation_invariant():
     rng = np.random.default_rng(3)
     S = induced_set("A3")
-    coords = row_floats(S.num, S.den)
+    coords = row_floats(S.num, S.den, S.field)
     for _ in range(3):
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = coords @ Q.T
-        fp = fingerprint(*quad_numerators(rotated))
-        assert fp == fingerprint(S.num, S.den)
+        fp = fingerprint(*quad_numerators(rotated), FLOATS)
+        assert fp == fingerprint(S.num, S.den, S.field)
 
     class Fake:
         name = "fake"
         num, den = quad_numerators(((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)))
+        field = FLOATS
 
     with pytest.raises(ValueError):
         identify_root_system(Fake())
@@ -529,7 +532,7 @@ def test_rows_create_no_quadtower(monkeypatch):
         G = even_subgroup(generate_pin_group(catalog(name)))
         S = spinors_to_4d(G)
         identify_root_system(S)
-        validate_root_system(S.num)
+        validate_root_system(S.num, S.field)
         mckay.spinor_character(G)
     for simple in exact:
         coxplane.weight_basis(simple)

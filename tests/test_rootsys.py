@@ -13,6 +13,7 @@ from clifford_reference import (
     mv_sort_key,
     mv_vector,
     norm_sq,
+    quad_field,
     root_multivectors,
     to_float,
     vector_coords,
@@ -36,7 +37,7 @@ from spinroot.rootsys import (
     validate_root_system,
 )
 from spinroot.scalars import (
-    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QuadTower, TAU, quad_numerators,
+    INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QUAD, QuadTower, TAU, quad_numerators,
     row_floats,
 )
 
@@ -73,6 +74,34 @@ def test_name_parsing():
     with pytest.raises(UnknownSystemError):
         catalog("I2")  # family parameter missing
     assert display_name("I2xI2", 6) == "I2(6)xI2(6)"
+
+
+def test_every_name_matches_in_any_case():
+    # one case rule: every key, an A1 power with or without its caret, and
+    # every family form, in upper, lower or mixed case
+    for name, want in [("a1^3", "A1^3"), ("A1^3", "A1^3"), ("a13", "A1^3"), ("A13", "A1^3"),
+                       ("a1^4", "A1^4"), ("a14", "A1^4"), ("h3", "H3"), ("f4", "F4"),
+                       ("A1Xi2", "A1xI2"), ("i2xi2", "I2xI2")]:
+        assert parse_name(name)[0] == want, name
+    assert parse_name("a1xi2(4)") == ("A1xI2", 4) and parse_name("i2(5)XI2(5)") == ("I2xI2", 5)
+    for name in ("a1^5", "a1", "A1^"):
+        with pytest.raises(UnknownSystemError, match="unknown root system"):
+            parse_name(name)
+
+
+def test_one_catalog_object_per_system_and_backend():
+    # naming a set's own backend returns the set itself, so its Gram, Coxeter
+    # data and plane are formed once
+    for name, n in [("H3", None), ("A1^3", None), ("H4", None)]:
+        simple = catalog(name, n)
+        assert catalog(name, n, backend="exact") is simple
+        assert catalog(name.lower(), n, backend="exact") is simple
+        assert catalog(name, n, backend="float") is catalog(name, n, backend="float")
+        assert catalog(name, n, backend="float") is not simple
+    for name, n in [("I2", 5), ("A1xI2", 3), ("I2xI2", 4)]:
+        assert catalog(name, n, backend="float") is catalog(name, n)
+    with pytest.raises(UnknownSystemError, match="unknown backend"):
+        catalog("H3", backend="double")
 
 
 def test_catalog_fixtures():
@@ -140,7 +169,7 @@ def test_canonical_order_sorts_like_mv_sort_key_at_a_tie():
     # exact values sort by the same rounded floats
     exact = [[QuadTower(Fraction(1, 3)), QT_ZERO], [QuadTower(0, Fraction(1, 4)), QT_ZERO]]
     mvs = [mv_vector(r) for r in exact]
-    floats = row_floats(*quad_numerators(exact))
+    floats = row_floats(*quad_numerators(exact), QUAD)
     assert canonical_order(floats) == sorted(range(2), key=lambda i: mv_sort_key(mvs[i])) == [0, 1]
 
 
@@ -181,16 +210,14 @@ def test_canonical_order_sorts_every_closure_like_python_round():
     # every catalog and family closure, n = 2..16, root sets and pin groups,
     # shuffled before sorting
     rng = random.Random(7)
-    closures = [row_floats(root_system(key, None).num, root_system(key, None).den)
-                for key, _ in EXPECTED_COUNTS]
-    for key in ("I2", "A1xI2", "I2xI2"):
-        closures += [row_floats(root_system(key, n).num, root_system(key, n).den)
-                     for n in range(2, 17)]
+    systems = [root_system(key, None) for key, _ in EXPECTED_COUNTS]
+    systems += [root_system(key, n) for key in ("I2", "A1xI2", "I2xI2") for n in range(2, 17)]
+    closures = [row_floats(s.num, s.den, s.field) for s in systems]
     sources = [(key, None) for key in ("A1^3", "A3", "B3", "H3")]
     sources += [(key, n) for key in ("I2", "A1xI2") for n in range(2, 17)]
     for key, n in sources:
         G = pin_group(key, n)
-        closures.append(_coefficient_floats(G.rows, G.dim))
+        closures.append(_coefficient_floats(G.rows, G.dim, G.field))
     assert len(closures) == 10 + 45 + 34
     for floats in closures:
         rows = floats[rng.sample(range(len(floats)), len(floats))]
@@ -225,7 +252,7 @@ def test_orbit_kernel():
 def per_generator_step(simple: SimpleRootSet):
     """The former step of ``rootsys._float_closure``: the images under one
     generator at a time, stacked generator-minor."""
-    gens = row_floats(*simple.rows)
+    gens = row_floats(*simple.rows, simple.field)
     norms = np.diagonal(simple.gram[0][..., 0])
 
     def step(rows: np.ndarray) -> np.ndarray:
@@ -250,7 +277,7 @@ def test_float_closure_step_equals_the_per_generator_step(monkeypatch):
         for n in range(2, 17):
             simple = catalog(key, n)
             former = per_generator_step(simple)
-            closed = orbit(row_floats(*simple.rows), former, scalars.row_keys,
+            closed = orbit(row_floats(*simple.rows, simple.field), former, scalars.row_keys,
                            rootsys.CLOSURE_CAP)
             num, den = rootsys._float_closure(simple)
             assert den == 1 and num[..., 0].tobytes() == closed.tobytes(), (key, n)
@@ -430,7 +457,7 @@ def test_validate_catalog_systems():
     # every catalog entry closes to a valid root system
     names = list(EXPECTED_COUNTS) + [("I2", 6), ("A1xI2", 4), ("I2xI2", 7)]
     for key, n in names:
-        rep = validate_root_system(root_system(key, n).num)
+        rep = validate_root_system(root_system(key, n).num, root_system(key, n).field)
         assert rep.ok, (key, n)
 
 
@@ -464,7 +491,9 @@ def reference_pair_violations(roots):
 
 
 def numerators(roots):
-    return quad_numerators([vector_coords(r) for r in roots])[0]
+    """The numerator rows of the roots and their field."""
+    num = quad_numerators([vector_coords(r) for r in roots])[0]
+    return num, quad_field(num)
 
 
 @lru_cache(maxsize=None)
@@ -579,7 +608,7 @@ def validation_test_sets():
 def test_validate_exact_matches_reference():
     valid, broken = validation_test_sets()
     for label, roots in {**valid, **broken}.items():
-        rep = validate_root_system(numerators(roots))
+        rep = validate_root_system(*numerators(roots))
         assert rep.checked == len(roots)
         assert rep.reflection_violations == reference_reflection_violations(roots), label
         missing, parallel = reference_pair_violations(roots)
@@ -589,10 +618,11 @@ def test_validate_exact_matches_reference():
     # every violation in row-major order, and truncation at max_samples
     for label in ("F4 minus a root", "float F4 minus a root", "I2(9)xI2(9) minus a root"):
         roots = broken[label]
-        full = validate_root_system(numerators(roots), max_samples=10_000).reflection_violations
+        full = validate_root_system(*numerators(roots), max_samples=10_000).reflection_violations
         assert len(full) > 16, label
         assert full == reference_reflection_violations(roots, 10_000), label
-        assert validate_root_system(numerators(roots), max_samples=5).reflection_violations == full[:5]
+        five = validate_root_system(*numerators(roots), max_samples=5).reflection_violations
+        assert five == full[:5]
 
 
 def test_validate_large_denominators_stay_exact(monkeypatch):
@@ -611,7 +641,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
     chosen = []
     for s in (roots, broken):
         tiers.clear()
-        rep = validate_root_system(numerators(s), max_samples=10_000)
+        rep = validate_root_system(*numerators(s), max_samples=10_000)
         assert rep.reflection_violations == reference_reflection_violations(s, 10_000)
         chosen.append(tiers[-1])    # the reflections of the last root
     assert chosen == [object, object]
@@ -620,7 +650,7 @@ def test_validate_large_denominators_stay_exact(monkeypatch):
 
 def test_validate_missing_negative():
     e1 = basis_vector(3, 0)
-    rep = validate_root_system(numerators([e1]))
+    rep = validate_root_system(*numerators([e1]))
     assert not rep.ok
     assert rep.missing_negatives
 
@@ -628,7 +658,7 @@ def test_validate_missing_negative():
 def test_validate_reflection_violation():
     e1 = basis_vector(2, 0)
     diag = mv_vector([INV_SQRT2, INV_SQRT2])
-    rep = validate_root_system(numerators([e1, -e1, diag, -diag]))
+    rep = validate_root_system(*numerators([e1, -e1, diag, -diag]))
     assert not rep.ok
     assert rep.reflection_violations  # reflecting the diagonal in e1 escapes
 
@@ -641,13 +671,13 @@ def test_validate_rejects_zero_vector(backend):
     if backend == "float":
         vectors = [to_float(v) for v in vectors]
     with pytest.raises(ValueError, match="vector 2 is zero"):
-        validate_root_system(numerators(vectors))
+        validate_root_system(*numerators(vectors))
 
 
 def test_validate_parallel_duplicate():
     e1 = basis_vector(3, 0)
     two_e1 = 2 * e1
-    rep = validate_root_system(numerators([e1, -e1, two_e1, -two_e1]))
+    rep = validate_root_system(*numerators([e1, -e1, two_e1, -two_e1]))
     assert rep.parallel_violations
 
 

@@ -20,9 +20,11 @@ from spinroot.scalars import (
     SQRT5,
     SQRT10,
     TAU,
+    QUAD,
     Scalar,
     adjoin_sqrt,
     exact_matmul,
+    exact_solve,
     field_matrix,
     field_quotients,
     is_exact,
@@ -170,7 +172,7 @@ def test_field_tensor_product_matches_quadtower(x, y):
     assert from_numerators(num[0], den) == x and from_numerators(num[1], den) == y
     for dtype in (object, np.int64):
         nx, ny = num.astype(dtype)
-        assert from_numerators(ny @ field_matrix(nx), den * den) == x * y
+        assert from_numerators(ny @ field_matrix(nx, QUAD), den * den) == x * y
 
 
 def _bit_rule_tensor() -> np.ndarray:
@@ -186,7 +188,7 @@ def _bit_rule_tensor() -> np.ndarray:
 
 
 def test_field_tensor_is_the_bit_rule_tensor():
-    t = scalars.FIELD_TENSOR
+    t = QUAD.tensor
     assert t.dtype == np.int64 and t.shape == (4, 4, 4) and not t.flags.writeable
     assert np.array_equal(t, _bit_rule_tensor())
     assert np.array_equal(adjoin_sqrt(scalars.RATIONAL_TENSOR, [2]),
@@ -224,13 +226,141 @@ def test_field_quotients_match_quadtower_division():
         xs = [[scalar() for _ in range(5)] for _ in range(3)]
         ds = [scalar() or QT_ONE for _ in range(5)]
         num, _ = quad_numerators(xs + [ds])
-        q, den = field_quotients(num[:3], num[3])
+        q, den = field_quotients(num[:3], num[3], QUAD)
         assert q.dtype == (np.int64 if np.abs(q).max() < 2 ** 62 else object) and den > 0
         assert math.gcd(*q.ravel().tolist(), den) == 1
         assert scalar_values(q, den) == tuple(tuple(x / d for x, d in zip(row, ds)) for row in xs)
     # one row by one row: 1 / (2 sqrt5) = sqrt5 / 10
-    q, den = field_quotients(np.array([1, 0, 0, 0]), np.array([0, 0, 2, 0]))
+    q, den = field_quotients(np.array([1, 0, 0, 0]), np.array([0, 0, 2, 0]), QUAD)
     assert q.tolist() == [0, 0, 1, 0] and den == 10
+
+
+#: numerator signs of the other Galois conjugates of Q(sqrt2, sqrt5): sqrt2, sqrt5, both negated
+CONJUGATES = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def conjugate_quotients(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+    """The former ``field_quotients`` of Q(sqrt2, sqrt5): 1/d = inv / norm with
+    inv the product of the other three Galois conjugates of d, so the norm
+    d inv is rational, all on Python ints."""
+    d = d.astype(object)
+    c2, c5, c10 = (d * signs for signs in CONJUGATES)
+    inv = (c2[..., None, :] @ field_matrix(c5, QUAD) @ field_matrix(c10, QUAD))[..., 0, :]
+    norm = (d[..., None, :] @ field_matrix(inv, QUAD))[..., 0, :1]
+    den = math.lcm(*norm.ravel().tolist())
+    num = (x[..., None, :] @ field_matrix(inv, QUAD))[..., 0, :] * (den // norm)
+    common = math.gcd(*num.ravel().tolist(), den)
+    return num // common, den // common
+
+
+def test_inverse_is_the_conjugate_product():
+    # one elimination for every field gives the numerators and the denominator
+    # of the Galois-conjugate product it replaced, one row and many at once
+    rng = random.Random(17)
+    rows = np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(300)])
+    rows = rows[rows.any(axis=1)]
+    one = np.array([1, 0, 0, 0])
+    for d in rows:
+        q, den = field_quotients(one, d, QUAD)
+        want, want_den = conjugate_quotients(one, d)
+        assert q.tolist() == want.tolist() and den == want_den, d
+    x = np.array([[rng.randint(-30, 30) for _ in range(4)] for _ in range(len(rows))])
+    q, den = field_quotients(x, rows, QUAD)
+    want, want_den = conjugate_quotients(x, rows)
+    assert q.tolist() == want.tolist() and den == want_den
+
+
+def fraction_solve(m, b):
+    """y with y m = b, by Gauss-Jordan on Fractions: the reference of ``exact_solve``."""
+    k = len(m)
+    aug = [[Fraction(m[j][i]) for j in range(k)] + [Fraction(r[i]) for r in b] for i in range(k)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(k):
+            if r != c:
+                aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
+    return [[aug[i][k + j] for i in range(k)] for j in range(len(b))]
+
+
+def exact_det(m) -> Fraction:
+    """The determinant of an integer matrix, by elimination on Fractions."""
+    m, det = [[Fraction(v) for v in row] for row in m], Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            m[r] = [v - m[r][c] / m[c][c] * w for v, w in zip(m[r], m[c])]
+    return det
+
+
+def test_exact_solve_matches_fractions():
+    # random integer systems with zero pivots to swap, several right-hand
+    # sides, a batch of two, and entries past int64 mid-elimination
+    rng = random.Random(23)
+    for trial in range(200):
+        k, n, top = rng.randint(1, 6), rng.randint(1, 3), rng.choice((3, 10 ** 6, 10 ** 30))
+        ms = []
+        while len(ms) < 2:
+            m = [[rng.choice((0, rng.randint(-top, top))) for _ in range(k)] for _ in range(k)]
+            if exact_det(m):
+                ms.append(m)
+        b = [[rng.randint(-top, top) for _ in range(k)] for _ in range(n)]
+        y, den = exact_solve(np.array(ms, dtype=object), np.array(b, dtype=object))
+        assert den > 0 and math.gcd(*np.ravel(y).tolist(), den) == 1
+        for m, got in zip(ms, y.tolist()):
+            assert [[Fraction(v, den) for v in row] for row in got] == fraction_solve(m, b), trial
+    with pytest.raises(ZeroDivisionError):
+        exact_solve(np.array([[1, 2], [2, 4]]), np.array([[1, 0]]))
+
+
+@pytest.mark.parametrize("field", ["FLOATS", "QUAD", "Z5R"])
+def test_every_field_record_inverts(field):
+    # x * x^-1 = 1 for random nonzero elements of each record, one at a time
+    # and all at once, on small and on large numerators
+    from spinroot.verify import Z5R
+
+    field = {"FLOATS": scalars.FLOATS, "QUAD": QUAD, "Z5R": Z5R}[field]
+    rng = random.Random(19)
+    one = field.one.astype(object)
+    for top in (9, 10 ** 12, 10 ** 40):
+        xs = np.array([[rng.randint(-top, top) for _ in range(field.d)] for _ in range(40)],
+                      dtype=object)
+        xs = xs[xs.any(axis=1)]
+        inv, den = field_quotients(field.one, xs, field)
+        products = (xs[:, None, :] @ field_matrix(inv, field).astype(object))[:, 0]
+        assert (products == den * one).all()
+        for x in xs[:5]:
+            inv, den = field_quotients(field.one, x, field)
+            assert (x @ field_matrix(inv, field).astype(object) == den * one).all()
+    with pytest.raises(ZeroDivisionError):
+        field_quotients(field.one, 0 * field.one, field)
+
+
+def test_z5r_prints_criterion_7():
+    # the appendix's ring prints the measured strings of criterion 7 byte for
+    # byte, and its float bridge reads exact equalities as relative error 0
+    from spinroot.verify import Z5R, check_h4_appendix
+
+    assert Z5R.show(-1255, -561, -190, -85) == "(-190-85*r5)*R + (-1255-561*r5)"
+    assert Z5R.show(544, 224, 64, 32) == "(64+32*r5)*R + (544+224*r5)"
+    assert Z5R.show(-1408, -640, -224, -96) == "(-224-96*r5)*R + (-1408-640*r5)"
+    assert [r.measured for r in check_h4_appendix()] == [
+        "max coordinate error 0.00e+00",
+        "exact zero: True, relative 0.0e+00",
+        "exact equal: True, rel err 0.0e+00",
+        "(-190-85*r5)*R + (-1255-561*r5)",
+        "('(64+32*r5)*R + (544+224*r5)', '(-224-96*r5)*R + (-1408-640*r5)')",
+    ]
+    r = math.sqrt(30 + 6 * math.sqrt(5))
+    assert Z5R.basis == (1.0, math.sqrt(5), r, r * math.sqrt(5))
+    want = (1 + 2 * math.sqrt(5)) + (3 + 4 * math.sqrt(5)) * r
+    assert abs(row_floats(np.array([1, 2, 3, 4]), 1, Z5R) - want) < 1e-12 * want
 
 
 def test_kernel_dtype_bound():
@@ -391,10 +521,10 @@ def test_row_floats_are_quadtower_floats_bit_for_bit():
     num, den = quad_numerators(values)
     assert den == 30
     want = np.array([float(x) for x in values])
-    assert row_floats(num, den).tobytes() == want.tobytes()
+    assert row_floats(num, den, QUAD).tobytes() == want.tobytes()
     # over a denominator 7 times as large the bridge reduces first; the
     # unreduced evaluation differs, so the reduction is what the test pins
-    assert row_floats(7 * num, 7 * den).tobytes() == want.tobytes()
+    assert row_floats(7 * num, 7 * den, QUAD).tobytes() == want.tobytes()
     a, b, c, d = (7 * num).astype(float).T
     unreduced = (a + b * math.sqrt(2) + c * math.sqrt(5) + d * math.sqrt(10)) / (7 * den)
     assert (unreduced != want).any()
@@ -405,9 +535,9 @@ def test_row_floats_are_quadtower_floats_bit_for_bit():
                        vectors=((QuadTower(1), QT_ZERO), (QuadTower(-3), QuadTower(3))))
     roots = generate_roots(b2)
     want = np.array([[float(c) for c in v] for v in roots.vectors])
-    assert row_floats(3 * roots.num, 3 * roots.den).tobytes() == want.tobytes()
+    assert row_floats(3 * roots.num, 3 * roots.den, QUAD).tobytes() == want.tobytes()
     cartan = np.array([[float(c) for c in row] for row in cartan_matrix(b2)])
-    assert row_floats(*b2.cartan).tobytes() == cartan.tobytes()
+    assert row_floats(*b2.cartan, QUAD).tobytes() == cartan.tobytes()
 
 
 def test_row_floats_at_the_2_53_numerator_bound():
@@ -420,7 +550,7 @@ def test_row_floats_at_the_2_53_numerator_bound():
         num, den = quad_numerators(values)
         assert int(np.abs(num).max()) == top
         want = np.array([float(x) for x in values])
-        assert row_floats(num, den).tobytes() == want.tobytes(), top
+        assert row_floats(num, den, QUAD).tobytes() == want.tobytes(), top
 
 
 def test_quad_numerators_of_a_float_array_are_those_of_its_floats():

@@ -51,8 +51,7 @@ import numpy as np
 
 from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
-from .mckay import components
-from .rootsys import SimpleRootSet, catalog, display_name, ordered_dot, parse_name
+from .rootsys import SimpleRootSet, catalog, components, display_name, ordered_dot, parse_name
 from .scalars import QUAD, Field, exact_solve, field_matrix, read_only, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
@@ -138,31 +137,14 @@ def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = simple.rank
     gram = simple.gram[0]
     edges = np.abs(gram[..., 0]) > EDGE_TOL if gram.dtype.kind == "f" else (gram != 0).any(axis=2)
-    adj = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if edges[i, j]:
-                adj[i].append(j)
-                adj[j].append(i)
-    color = [None] * k
-    for start in range(k):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if color[v] is None:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise ValueError(f"Coxeter graph of {simple.name} is not bipartite")
-    white = tuple(i for i in range(k) if color[i] == 0)
-    black = tuple(i for i in range(k) if color[i] == 1)
+    _, color = components(edges)
+    heads, tails = np.nonzero(edges)
+    if any(color[u] == color[v] for u, v in zip(heads.tolist(), tails.tolist()) if u != v):
+        raise ValueError(f"Coxeter graph of {simple.name} is not bipartite")
+    white = tuple(i for i, c in enumerate(color) if c == 0)
+    black = tuple(i for i, c in enumerate(color) if c == 1)
     return white, black
 
 
@@ -355,7 +337,7 @@ def pf_eigenvector(cartan) -> np.ndarray:
         raise RuntimeError("inverse power iteration did not converge")
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    blocks = components(np.abs(M) > EDGE_TOL)
+    blocks, _ = components(np.abs(M) > EDGE_TOL)
     if len(blocks) == 1:
         if not np.all(x > 0):
             raise RuntimeError("Perron-Frobenius eigenvector not positive")

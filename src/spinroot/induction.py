@@ -298,22 +298,23 @@ def identify_root_system(S: RootSystem) -> tuple[str, Optional[int]]:
 # -- cached pipeline entry points ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# typed caches: a float n misses its integer's entry, so ``parse_name`` rejects it
+@lru_cache(maxsize=None, typed=True)
 def pin_group(name: str, n: Optional[int] = None) -> VersorGroup:
     return generate_pin_group(catalog(name, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def spin_group(name: str, n: Optional[int] = None) -> VersorGroup:
     return even_subgroup(pin_group(name, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def induced_set(name: str, n: Optional[int] = None) -> RootSystem:
     return spinors_to_4d(spin_group(name, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def induced_system(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
     """The catalog key and n of the system the induced set is."""
     return identify_root_system(induced_set(name, n))

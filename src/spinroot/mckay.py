@@ -8,7 +8,7 @@ the eigenspaces (Dixon 1967); every integer quantity downstream (dimensions,
 tensor multiplicities, affine marks) is validated by its rounding residual.
 The combination's coefficients are dyadic draws of the stdlib ``random.Random``
 of the seed, so every combination is an exact float64 sum and the combinations
-of all the seeds come from one stacked product.  The tables of many seeds come
+of all the seeds come from one weighted bincount.  The tables of many seeds come
 from one stacked eigenproblem, their rows ordered by one sort, and their McKay
 graphs from one stacked product; each table equals the one its seed gives
 alone.  Each seed's draws are consecutive slices of one stream, drawn once per
@@ -16,8 +16,9 @@ seed and kept for the groups that follow.
 
 A group's classes are formed once and held by the group, as its Cayley
 table (a read-only int array) is, and read off that table in one gather: the
-least conjugate of each element names its class.  The class matrices are one
-``np.bincount`` and are formed anew on each call: they hold k**3 integers.
+least conjugate of each element names its class.  The class matrices
+themselves are never formed: each draw's combination is read straight off
+the Cayley table, |G| k cells per draw, and formed anew on each call.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -36,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .induction import VersorGroup, _coefficient_floats
+from .rootsys import components
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
@@ -62,9 +64,9 @@ CLASS_SCALAR_TOL = 1e-9
 #: in the character-table CSV a real part below this prints as 0 and an
 #: imaginary part below it not at all, so no draw's last bits show
 CSV_ZERO_TOL = 1e-10
-#: largest group the McKay layer takes: its classes loop over |G|**2 products
-#: and its class matrices hold k**3 integers, k = |G| for the cyclic spin
-#: groups of I2(n); I2(120), |G| = 240, peaks at about 353 MB
+#: largest group the McKay layer takes, a bound on time: its classes gather
+#: |G|**2 conjugates and its table solves one eig of size k, k = |G| for the
+#: cyclic spin groups of I2(n); I2(120), |G| = 240, is the largest allowed
 MCKAY_CAP = 240
 
 
@@ -146,20 +148,23 @@ def _conjugacy_classes(G: VersorGroup) -> ClassData:
     )
 
 
-def class_matrices(G: VersorGroup, classes: ClassData) -> np.ndarray:
-    """Structure constants c[r, s, t] = #{(x, y) in C_r x C_s : x*y = rep_t}, int64.
+def class_matrices(G: VersorGroup, classes: ClassData, draws: np.ndarray) -> np.ndarray:
+    """sum_r t_r C_r, (S, k, k) floats, for each row t of the draws (S, k), with
+    C_r[s, t] = #{(x, y) in C_r x C_s : x*y = rep_t} the class matrices.
 
-    Each x and rep_t fix y = x^-1 rep_t, so the tensor is one bincount of
-    the flat indices (r k + s) k + t over every element x and class t.  It
-    holds k**3 integers and is not kept.
+    Each x and rep_t fix y = x^-1 rep_t, so each x adds its class's draw to
+    cell (class(y), t): one weighted bincount over the whole stack.  Every
+    partial sum is a multiple of 2**-DRAW_BITS below |G|, exact in any order.
     """
     k = classes.count
     cls_of = np.array(classes.element_class)
     # y[x, t] = x^-1 rep_t, read from the Cayley rows of the inverses
     y = G.cayley[np.ix_(G.inverse_indices, classes.representatives)]
-    flat = (cls_of[:, None] * k + cls_of[y]) * k + np.arange(k)
-    counts = np.bincount(flat.ravel(), minlength=k ** 3)
-    return counts.astype(np.int64, copy=False).reshape(k, k, k)
+    cells = cls_of[y] * k + np.arange(k)
+    stack = np.arange(len(draws))[:, None, None] * k * k + cells
+    weights = np.broadcast_to(draws[:, cls_of, None], stack.shape)
+    sums = np.bincount(stack.ravel(), weights.ravel(), minlength=len(draws) * k * k)
+    return sums.reshape(-1, k, k)
 
 
 def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
@@ -179,7 +184,7 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
     if not len(seeds):
         return []
     tables = _tables_from_eigenvectors(
-        _eigenvectors(class_matrices(G, classes), seeds), classes, G.order)
+        _eigenvectors(G, classes, seeds), classes, G.order)
     _validate_tables(tables)
     return tables
 
@@ -189,25 +194,24 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
     return character_tables(G, classes, (seed,))[0]
 
 
-def _eigenvectors(mats: np.ndarray, seeds: Sequence[int]) -> list:
-    """Eigenvectors (as columns) of sum_r t_r mats[r] for each seed's draw t.
+def _eigenvectors(G: VersorGroup, classes: ClassData, seeds: Sequence[int]) -> list:
+    """Eigenvectors (as columns) of sum_r t_r C_r for each seed's draw t.
 
     Draw d of a seed is the slice [d k, (d + 1) k) of its stream of dyadic
     draws.  Each combination is an exact sum of integers times 2**-DRAW_BITS,
-    so the one stacked product of all pending seeds gives each seed's
-    combination bit for bit, in any summation order.  As in a single
-    `np.linalg.eig` call, a seed whose eigenvalues are all real gets real
-    eigenvectors.
+    so one ``class_matrices`` call over the draws of all pending seeds gives
+    each seed's combination bit for bit, in any summation order.  As in a
+    single `np.linalg.eig` call, a seed whose eigenvalues are all real gets
+    real eigenvectors.
     """
-    k = mats.shape[0]
+    k = classes.count
     i, j = np.nonzero(~np.tri(k, dtype=bool))      # the pairs i < j, as np.triu_indices lists them
-    flat = mats.reshape(k, -1).astype(float)
     streams = [_draw_stream(seed) for seed in seeds]
     vecs = [None] * len(seeds)
     pending = list(range(len(seeds)))
     for draw in range(MAX_REDRAWS):
         t = np.stack([streams[s].take(draw * k, (draw + 1) * k) for s in pending])
-        vals, V = np.linalg.eig((t @ flat).reshape(-1, k, k))
+        vals, V = np.linalg.eig(class_matrices(G, classes, t))
         sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
         for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
             if ok:
@@ -364,34 +368,6 @@ def mckay_graph(table: CharacterTable, chi_R: np.ndarray) -> McKayGraph:
 _TYPE_BY_MAX_MARK = {1: "A~{}", 2: "D~{}", 3: "E~6", 4: "E~7", 6: "E~8"}
 
 
-def components(adj: np.ndarray) -> list[np.ndarray]:
-    """Node masks of the connected components of the graph with an edge from
-    u to v wherever adj[u, v] != 0: from the first node in no mask yet, the
-    nodes its walk reaches, walked on adjacency lists."""
-    n = len(adj)
-    heads, tails = np.nonzero(adj)
-    nbrs = [[] for _ in range(n)]
-    for u, v in zip(heads.tolist(), tails.tolist()):
-        nbrs[u].append(v)
-    left = [True] * n
-    out = []
-    for start in range(n):
-        if not left[start]:
-            continue
-        members, seen = [start], {start}
-        for u in members:          # grows as the walk reaches new nodes
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    members.append(v)
-        mask = np.zeros(n, dtype=bool)
-        mask[members] = True
-        for v in members:
-            left[v] = False
-        out.append(mask)
-    return out
-
-
 def match_affine_ade(graph: McKayGraph) -> str:
     """Name of the affine ADE diagram of the McKay graph, with its labels as marks.
 
@@ -407,7 +383,7 @@ def match_affine_ade(graph: McKayGraph) -> str:
     if np.diag(adj).any():
         raise MatchError("self-loops not covered by the template catalog")
     labels = np.array(graph.labels)
-    if len(components(adj)) != 1 or labels.min() != 1 or (adj @ labels != 2 * labels).any():
+    if len(components(adj)[0]) != 1 or labels.min() != 1 or (adj @ labels != 2 * labels).any():
         raise MatchError("no affine ADE template matches")
     return _TYPE_BY_MAX_MARK[int(labels.max())].format(n - 1)
 

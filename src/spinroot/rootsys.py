@@ -18,7 +18,8 @@ itself and picks its integer tier; no bound is derived in this module.  Float
 systems close on Cartesian rows keyed by their coordinates rounded to
 ``KEY_DECIMALS`` decimals.  Both closures, and the pin closure of
 ``induction``, are sorted once by ``canonical_order`` on the floats of their
-rows.
+rows.  ``components`` is the one graph walk: Coxeter graphs, Cartan blocks
+and McKay graphs are all walked by it.
 
 The data is numerator rows (``scalars.quad_numerators``): a ``RootSystem``
 holds its roots as numerators (count, dim, d) over one denominator, with
@@ -35,6 +36,7 @@ graph and the rotation orders.  Every float of an exact row comes from
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +115,34 @@ def orbit(seeds: np.ndarray, step: Callable, keys: Callable, cap: int) -> np.nda
     while len(levels[-1]):
         levels.append(fresh(step(levels[-1])))
     return np.concatenate(levels)
+
+
+def components(adj: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Node masks of the connected components of the graph with an edge from
+    u to v wherever adj[u, v] != 0, and each node's depth parity: from the
+    first node in no mask yet, the nodes its breadth-first walk reaches."""
+    n = len(adj)
+    heads, tails = np.nonzero(adj)
+    nbrs = [[] for _ in range(n)]
+    for u, v in zip(heads.tolist(), tails.tolist()):
+        nbrs[u].append(v)
+    parity = [None] * n            # None: in no mask yet
+    out = []
+    for start in range(n):
+        if parity[start] is not None:
+            continue
+        members, depth = [start], {start: 0}
+        for u in members:          # grows as the walk reaches new nodes
+            for v in nbrs[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    members.append(v)
+        mask = np.zeros(n, dtype=bool)
+        mask[members] = True
+        for v in members:
+            parity[v] = depth[v] % 2
+        out.append(mask)
+    return out, parity
 
 
 def canonical_order(floats) -> list[int]:
@@ -360,8 +390,13 @@ def parse_name(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
     """Normalize user-facing names like 'I2(7)', 'A1xI2(3)', 'I2(3)xI2(3)'.
 
     Only the families take a parameter: an n given for any other system is
-    an error, not ignored, and one given inline must agree with ``n``.
+    an error, not ignored, and one given inline must agree with ``n``.  A
+    given n passes ``operator.index``, so 3.0 never names I2(3).
     """
+    try:
+        n = None if n is None else operator.index(n)
+    except TypeError:
+        raise UnknownSystemError(f"family parameter n={n!r} is not an integer") from None
     s = name.strip()
     key = _NAMES.get(s.upper())
     if key is not None:
@@ -522,7 +557,8 @@ def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     return orbit(gens, step, row_keys, CLOSURE_CAP)[..., None], 1
 
 
-@lru_cache(maxsize=None)
+# typed: a float n misses its integer's entry, so ``parse_name`` rejects it
+@lru_cache(maxsize=None, typed=True)
 def root_system(name: str, n: Optional[int] = None) -> RootSystem:
     return generate_roots(catalog(name, n))
 

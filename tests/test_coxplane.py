@@ -65,7 +65,7 @@ from spinroot.coxplane import (
     weight_basis,
 )
 from spinroot.induction import _vector_rows
-from spinroot.rootsys import cartan_matrix, catalog, root_system
+from spinroot.rootsys import SimpleRootSet, cartan_matrix, catalog, components, root_system
 from spinroot.scalars import (
     QT_ONE,
     QT_ZERO,
@@ -440,7 +440,7 @@ def former_pf_eigenvector(cartan) -> np.ndarray:
             break
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    blocks = coxplane.components(np.abs(M) > coxplane.EDGE_TOL)
+    blocks, _ = components(np.abs(M) > coxplane.EDGE_TOL)
     lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
     for b, low in zip(blocks, lows):
         if low > min(lows) + coxplane.EIGEN_MATCH_TOL:
@@ -605,6 +605,14 @@ def test_bicolor_fixtures():
     assert bicolor(catalog("A4")) == ((0, 2), (1, 3))
     assert bicolor(catalog("A1^4")) == ((0, 1, 2, 3), ())
     assert bicolor(catalog("I2xI2", 5)) == ((0, 2), (1, 3))
+
+
+def test_bicolor_rejects_an_odd_cycle():
+    # three pairwise non-orthogonal roots close a triangle in the Coxeter graph
+    triangle = SimpleRootSet(name="triangle", key="triangle",
+                             vectors=((1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.6, 0.0, 0.8)))
+    with pytest.raises(ValueError, match="Coxeter graph of triangle is not bipartite"):
+        bicolor(triangle)
 
 
 def test_default_words():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
@@ -319,21 +320,22 @@ MCKAY_GROUPS = [("A3", None), ("B3", None), ("H3", None)] + [
 def test_stacked_combinations_are_each_seeds_own_product(monkeypatch):
     # every coefficient is a multiple of 2**-DRAW_BITS of size at most 1, and
     # the class matrices are integers at most |G|: every partial sum of a
-    # combination is exact, so the one stacked product of all the seeds gives
-    # each seed's own draw @ flat bit for bit
+    # combination is exact, so the one stacked combination of all the seeds
+    # gives each seed's own draw @ flat bit for bit
     stacks = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda A: stacks.append(A.copy()) or eig(A))
     for name, n in MCKAY_GROUPS:
         G = spin_group(name, n)
-        mats = class_matrices(G, conjugacy_classes(G))
+        classes = conjugacy_classes(G)
+        mats = reference_class_matrices(G, classes)
         k = len(mats)
         assert k * 2 ** mckay.DRAW_BITS * int(mats.max()) < 2 ** 53, (name, n)
         flat = mats.reshape(k, -1).astype(float)
         want = [_reference_draws(random.Random(seed), k) @ flat
                 for seed in range(verify.MCKAY_SEEDS)]
         stacks.clear()
-        mckay._eigenvectors(mats, range(verify.MCKAY_SEEDS))
+        mckay._eigenvectors(G, classes, range(verify.MCKAY_SEEDS))
         assert stacks[0].shape == (verify.MCKAY_SEEDS, k, k)
         assert [A.tobytes() for A in stacks[0]] == [w.tobytes() for w in want], (name, n)
 
@@ -362,17 +364,21 @@ def test_redraws_continue_each_seeds_generator(monkeypatch):
     # a separation demand above the median gap makes seeds draw again, some
     # several times
     G = spin_group("A3")
-    mats = class_matrices(G, conjugacy_classes(G))
+    classes = conjugacy_classes(G)
     monkeypatch.setattr(mckay, "EIG_SEP_TOL", 0.7)
-    want, redraws = _reference_eigenvectors(mats, range(32))
+    want, redraws = _reference_eigenvectors(reference_class_matrices(G, classes), range(32))
     assert redraws > 32
-    got = mckay._eigenvectors(mats, range(32))
+    got = mckay._eigenvectors(G, classes, range(32))
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
-def test_colliding_draws_raise_after_max_redraws():
+def test_colliding_draws_raise_after_max_redraws(monkeypatch):
+    monkeypatch.setattr(mckay, "class_matrices",
+                        lambda G, classes, draws: np.zeros((len(draws), classes.count,
+                                                            classes.count)))
+    G = spin_group("A1^3")
     with pytest.raises(CharacterError, match="kept colliding"):
-        mckay._eigenvectors(np.zeros((5, 5, 5), dtype=np.int64), range(3))
+        mckay._eigenvectors(G, conjugacy_classes(G), range(3))
 
 
 def test_draw_streams_are_bounded():
@@ -575,13 +581,23 @@ def reference_class_matrices(G, classes) -> np.ndarray:
 
 
 def test_class_matrices_equal_the_triple_loop():
+    # the combination of the unit draws is each class matrix, and the
+    # combination of the draws of seeds 0..31, first draw and redraws, is
+    # draw @ flat of the triple loop's tensor bit for bit
     assert len(ALL_GROUPS) == 34
     for name, n in ALL_GROUPS:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
-        mats = class_matrices(G, classes)
-        assert mats.dtype == np.int64, (name, n)
-        assert np.array_equal(mats, reference_class_matrices(G, classes)), (name, n)
+        mats = reference_class_matrices(G, classes)
+        k = len(mats)
+        flat = mats.reshape(k, -1).astype(float)
+        assert class_matrices(G, classes, np.eye(k)).tobytes() == flat.tobytes(), (name, n)
+        for draw in (0, 1, MAX_REDRAWS - 1):
+            t = np.stack([mckay._draw_stream(seed).take(draw * k, (draw + 1) * k)
+                          for seed in range(32)])
+            got = class_matrices(G, classes, t)
+            assert got.shape == (32, k, k) and got.dtype == float, (name, n)
+            assert got.tobytes() == (t @ flat).tobytes(), (name, n, draw)
 
 
 def test_classes_are_held_by_the_group():
@@ -589,8 +605,24 @@ def test_classes_are_held_by_the_group():
     assert G.classes is None
     classes = conjugacy_classes(G)
     assert conjugacy_classes(G) is classes is G.classes
-    # the tensor is formed anew on every call: it holds k**3 integers
-    assert class_matrices(G, classes) is not class_matrices(G, classes)
+    # the combination is formed anew on every call, for the draws of that call
+    t = np.ones((1, classes.count))
+    assert class_matrices(G, classes, t) is not class_matrices(G, classes, t)
+
+
+def test_character_table_of_i2_120_stays_small():
+    # the combinations hold S |G| k cells, not the k**3 class tensor: one
+    # table of the 240-element cyclic group peaks far below the 213.6 MiB
+    # of its tensor and that tensor's float copy
+    G = spin_group("I2", 120)
+    classes = conjugacy_classes(G)
+    tracemalloc.start()
+    try:
+        character_table(G, classes, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def orbit_loop_classes(G) -> list:
@@ -616,40 +648,6 @@ def test_classes_equal_the_orbit_loop():
         ident = (G.identity_index,)
         want = [ident] + sorted((c for c in classes if c != ident), key=lambda c: (len(c), c))
         assert list(mckay._conjugacy_classes(G).classes) == want, (name, n)
-
-
-def frontier_walk_components(adj: np.ndarray) -> list:
-    """The former ``mckay.components``: one numpy frontier per step."""
-    left = np.ones(len(adj), dtype=bool)
-    out = []
-    while left.any():
-        seen = np.zeros(len(adj), dtype=bool)
-        seen[np.argmax(left)] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        out.append(seen)
-        left &= ~seen
-    return out
-
-
-def test_components_equal_the_frontier_walk():
-    # random 0/1 matrices, symmetric or not, and every McKay graph of the sources
-    rng = np.random.default_rng(17)
-    graphs = []
-    for trial in range(2000):
-        n = int(rng.integers(0, 15))
-        adj = (rng.random((n, n)) < rng.random() * 0.4).astype(int)
-        graphs.append(adj | adj.T if trial % 2 else adj)
-    for name, n in ALL_GROUPS:
-        G = spin_group(name, n)
-        graphs.append(mckay_graph(character_table(G), spinor_character(G)).adjacency)
-    for adj in graphs:
-        got, want = mckay.components(adj), frontier_walk_components(adj)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == bool and (a == b).all()
 
 
 def isclose_verdicts(tables) -> list:

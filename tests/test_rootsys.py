@@ -20,7 +20,10 @@ from clifford_reference import (
 )
 from spinroot import ade, rootsys, scalars
 from spinroot.clifford import Multivector
-from spinroot.induction import _coefficient_floats, induced_set, pin_group
+from spinroot.induction import (
+    _coefficient_floats, induced_set, induced_system, pin_group, spin_group,
+)
+from spinroot.mckay import character_table, mckay_graph, spinor_character
 from spinroot.rootsys import (
     ClosureCapError,
     SimpleRootSet,
@@ -28,6 +31,7 @@ from spinroot.rootsys import (
     canonical_order,
     cartan_matrix,
     catalog,
+    components,
     display_name,
     generate_roots,
     orbit,
@@ -40,6 +44,7 @@ from spinroot.scalars import (
     INV_SQRT2, KEY_DECIMALS, QT_HALF, QT_ZERO, QUAD, QuadTower, TAU, quad_numerators,
     row_floats,
 )
+from test_mckay import ALL_GROUPS
 
 EXPECTED_COUNTS = {
     ("A1^3", None): 6, ("A3", None): 12, ("B3", None): 18, ("H3", None): 30,
@@ -74,6 +79,28 @@ def test_name_parsing():
     with pytest.raises(UnknownSystemError):
         catalog("I2")  # family parameter missing
     assert display_name("I2xI2", 6) == "I2(6)xI2(6)"
+
+
+def test_family_parameter_must_be_an_integer():
+    # 3.0 == 3 and hash(3.0) == hash(3): a cache keyed on the caller's n would
+    # answer a float with its integer's entry, so a float n raises in every
+    # call order, before and after the integral call
+    cached = (catalog, root_system, pin_group, spin_group, induced_set, induced_system)
+    for f in cached:
+        for n in (3.0, 2.5):
+            with pytest.raises(UnknownSystemError, match="not an integer"):
+                f("I2", n)
+        f("I2", 3)
+        with pytest.raises(UnknownSystemError, match="not an integer"):
+            f("I2", 3.0)
+    assert catalog("I2", 3).name == "I2(3)"
+    for n in (3.0, "3", Fraction(3)):
+        with pytest.raises(UnknownSystemError, match="not an integer"):
+            parse_name("A1xI2(3)", n)
+    # numpy integers are integers: they name the same set
+    assert parse_name("I2", np.int64(5)) == ("I2", 5)
+    assert type(parse_name("I2", np.int64(5))[1]) is int
+    assert catalog("I2", np.int64(5)) is catalog("I2", 5)
 
 
 def test_every_name_matches_in_any_case():
@@ -247,6 +274,46 @@ def test_orbit_kernel():
     assert orbit(np.array([0]), step, keys, cap=7).tolist() == [0, 3, 6, 2, 5, 1, 4]
     with pytest.raises(ClosureCapError):
         orbit(np.array([0]), step, keys, cap=6)
+
+
+def frontier_walk_components(adj: np.ndarray) -> tuple[list, np.ndarray]:
+    """The former ``mckay.components``, one numpy frontier per step, and the
+    parity of the step that reaches each node."""
+    left = np.ones(len(adj), dtype=bool)
+    parity = np.zeros(len(adj), dtype=int)
+    out = []
+    while left.any():
+        seen = np.zeros(len(adj), dtype=bool)
+        seen[np.argmax(left)] = True
+        frontier = seen.copy()
+        depth = 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            depth += 1
+            parity[frontier] = depth % 2
+            seen |= frontier
+        out.append(seen)
+        left &= ~seen
+    return out, parity
+
+
+def test_components_equal_the_frontier_walk():
+    # random 0/1 matrices, symmetric or not, and every McKay graph of the sources
+    rng = np.random.default_rng(17)
+    graphs = []
+    for trial in range(2000):
+        n = int(rng.integers(0, 15))
+        adj = (rng.random((n, n)) < rng.random() * 0.4).astype(int)
+        graphs.append(adj | adj.T if trial % 2 else adj)
+    for name, n in ALL_GROUPS:
+        G = spin_group(name, n)
+        graphs.append(mckay_graph(character_table(G), spinor_character(G)).adjacency)
+    for adj in graphs:
+        (got, got_parity), (want, want_parity) = components(adj), frontier_walk_components(adj)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == bool and (a == b).all()
+        assert got_parity == want_parity.tolist()
 
 
 def per_generator_step(simple: SimpleRootSet):

@@ -19,7 +19,7 @@ import pytest
 from spinroot import coxplane
 from spinroot.cli import main
 from spinroot.induction import pin_group, spin_group
-from spinroot.mckay import class_matrices, conjugacy_classes
+from spinroot.mckay import conjugacy_classes
 from spinroot.rootsys import (
     binary_group_name,
     catalog,
@@ -29,6 +29,7 @@ from spinroot.rootsys import (
     root_system,
 )
 from spinroot.scalars import scalar_str
+from test_mckay import reference_class_matrices
 
 EXACT = ("A1^3", "A3", "B3", "H3", "A1^4", "A4", "B4", "D4", "F4", "H4")
 FAMILY_N = range(2, 17)
@@ -91,12 +92,14 @@ def large_cayley_digest() -> str:
 
 
 def class_digest() -> str:
-    """The classes and the class tensor of each of the 34 spin groups."""
+    """The classes and the class tensor of each of the 34 spin groups; the
+    tensor is the reference triple loop's, the library forms only its
+    combinations."""
     items = []
     for name, n in SOURCES:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
-        mats = class_matrices(G, classes)
+        mats = reference_class_matrices(G, classes)
         items.append((G.name, dataclasses.astuple(classes), mats.dtype.str, mats.tolist()))
     return _digest(items)
 

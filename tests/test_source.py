@@ -155,3 +155,55 @@ def test_integer_tiers_are_decided_in_scalars():
     assert named == {"scalars.py"}
     assert len(calls) > 5
     assert [c for c in calls if c[1:] != (2, 0)] == []
+
+
+#: the package's layers, lowest first; the modules of one layer are siblings
+LAYERS = [{"scalars"}, {"clifford"}, {"rootsys"}, {"induction"}, {"coxplane", "mckay"},
+          {"ade"}, {"output"}, {"verify"}, {"cli"}]
+
+
+def _package_imports(tree) -> set:
+    """The spinroot modules a module's code imports, relative or absolute, by
+    module or by name; a name that is no module stands for the package's
+    ``__init__``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "") if not node.level else \
+                "spinroot" + (f".{node.module}" if node.module else "")
+            names += [f"{module}.{a.name}" for a in node.names]
+    found = set()
+    for parts in (name.split(".") for name in names):
+        if parts[0] == "spinroot":
+            module = parts[1] if len(parts) > 1 else "__init__"
+            found.add(module if (PACKAGE / f"{module}.py").exists() else "__init__")
+    return found
+
+
+def test_layers_import_downward():
+    # each module imports only modules of lower layers, never a sibling or a
+    # higher layer; any module may read __version__ from the package __init__
+    rank = {m: i for i, layer in enumerate(LAYERS) for m in layer}
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert {p.stem for p in files} == set(rank)
+    upward = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for target in sorted(_package_imports(tree) - {"__init__"}):
+            if rank[target] >= rank[path.stem]:
+                upward.append(f"{path.stem} -> {target}")
+    assert upward == []
+
+
+def test_upward_imports_are_found():
+    def imports(src):
+        return _package_imports(ast.parse(src))
+    assert imports("from .mckay import components") == {"mckay"}
+    assert imports("from . import ade, coxplane") == {"ade", "coxplane"}
+    assert imports("from . import __version__") == {"__init__"}
+    assert imports("import spinroot.verify") == {"verify"}
+    assert imports("from spinroot.cli import main") == {"cli"}
+    assert imports("from spinroot import mckay") == {"mckay"}
+    assert imports("import numpy as np\nfrom math import lcm") == set()

@@ -56,8 +56,6 @@ class DynkinDiagram:
     name: str
     nodes: int
     edges: tuple[tuple[int, int], ...]
-    kind: str                          # "path" | "legs"
-    legs: Optional[tuple[int, ...]] = None
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.nodes, self.nodes), dtype=int)
@@ -157,10 +155,7 @@ def ade_root_data(kind: str, n: Optional[int] = None) -> ADERootData:
 
 
 def _path_diagram(n: int) -> DynkinDiagram:
-    return DynkinDiagram(
-        name=f"A{n}", nodes=n, edges=tuple((i, i + 1) for i in range(n - 1)),
-        kind="path", legs=(n,),
-    )
+    return DynkinDiagram(name=f"A{n}", nodes=n, edges=tuple((i, i + 1) for i in range(n - 1)))
 
 
 def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
@@ -182,10 +177,8 @@ def _leg_edges(legs: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _leg_diagram(name: str, legs: Sequence[int]) -> DynkinDiagram:
-    legs = tuple(sorted(legs))
-    edges = tuple(_leg_edges(legs))
-    return DynkinDiagram(name=name, nodes=len(edges) + 1, edges=edges,
-                         kind="legs", legs=legs)
+    edges = tuple(_leg_edges(sorted(legs)))
+    return DynkinDiagram(name=name, nodes=len(edges) + 1, edges=edges)
 
 
 def triple_to_diagram(orders: Union[int, Sequence[int]]) -> DynkinDiagram:

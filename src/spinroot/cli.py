@@ -137,15 +137,15 @@ def cmd_coxplane(args) -> int:
 
 def cmd_project(args) -> int:
     key, n = parse_name(args.name, args.n)
+    # held by the root set; a degenerate plane fails before --out is made
     plane = coxplane.coxeter_plane_for(key, n)
+    if args.out:
+        for p in output.export_files("projection", key, n, args.out, seed=args.seed):
+            print(p)
+        return 0
     system = root_system(key, n)
     points = coxplane.project_to_plane(system.num, system.den, system.field, plane.bivector)
-    if args.out:
-        paths = output.export_files("projection", key, n, args.out, seed=args.seed)
-        for p in paths:
-            print(p)
-    else:
-        print(output.projection_csv(points, _meta(args)), end="")
+    print(output.projection_csv(points, _meta(args)), end="")
     return 0
 
 

@@ -52,11 +52,10 @@ import numpy as np
 from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
 from .rootsys import SimpleRootSet, catalog, components, display_name, ordered_dot, parse_name
-from .scalars import QUAD, Field, exact_solve, field_matrix, read_only, row_floats
+from .scalars import INT_TOL, QUAD, Field, exact_solve, field_matrix, read_only, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
 RESIDUAL_TOL = 1e-8
-INT_TOL = 1e-6
 ORDER_CAP = 1000
 MATRIX_TOL = 1e-9          # entrywise, for M^T M = 1 and M^k = 1
 UNIMODULAR_TOL = 1e-8      # | |lambda| - 1 | for a Coxeter-matrix eigenvalue
@@ -90,8 +89,6 @@ class CoxeterData:
 @dataclass(frozen=True)
 class CoxeterPlane:
     bivector: np.ndarray           # unit bivector, a float coefficient row
-    white: tuple[int, ...]
-    black: tuple[int, ...]
     pf: tuple[float, ...]
 
 
@@ -238,7 +235,10 @@ def _matrix_orders(Ms: np.ndarray) -> list[int]:
         checked = powers.shape[1]
         if checked >= ORDER_CAP:
             raise ValueError(f"matrix order exceeds {ORDER_CAP}")
-        powers = np.concatenate([powers, powers[:, -1:] @ powers], axis=1)
+        # the powers of a matrix of no finite order may overflow: inf and nan
+        # are never within MATRIX_TOL of 1, so the cap still raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.concatenate([powers, powers[:, -1:] @ powers], axis=1)
 
 
 def matrix_order(M: np.ndarray) -> int:
@@ -402,10 +402,7 @@ def _pf_plane(simple: SimpleRootSet) -> CoxeterPlane:
     sq = float_products(B, B)
     if abs(sq[0] + 1.0) > DEGENERATE_TOL or np.abs(sq[1:]).max() > DEGENERATE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
-    return CoxeterPlane(
-        bivector=read_only(B), white=white, black=black,
-        pf=tuple(float(v) for v in pf),
-    )
+    return CoxeterPlane(bivector=read_only(B), pf=tuple(float(v) for v in pf))
 
 
 def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:

@@ -9,10 +9,11 @@ tensor multiplicities, affine marks) is validated by its rounding residual.
 The combination's coefficients are dyadic draws of the stdlib ``random.Random``
 of the seed, so every combination is an exact float64 sum and the combinations
 of all the seeds come from one weighted bincount.  The tables of many seeds come
-from one stacked eigenproblem, their rows ordered by one sort, and their McKay
-graphs from one stacked product; each table equals the one its seed gives
-alone.  Each seed's draws are consecutive slices of one stream, drawn once per
-seed and kept for the groups that follow.
+from one stacked eigenproblem, held as one complex stack whatever each seed's
+spectrum, their rows ordered by one sort, and their McKay graphs from one
+stacked product; each table equals the one its seed gives alone, and its
+characters are complex.  Each seed's draws are consecutive slices of one
+stream, drawn once per seed and kept for the groups that follow.
 
 A group's classes are formed once and held by the group, as its Cayley
 table (a read-only int array) is, and read off that table in one gather: the
@@ -38,6 +39,7 @@ import numpy as np
 
 from .induction import VersorGroup, _coefficient_floats
 from .rootsys import components
+from .scalars import INT_TOL, KEY_DECIMALS
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
@@ -46,7 +48,6 @@ DEFAULT_SEED = 1729
 #: in float64 while k * 2**DRAW_BITS * |G| < 2**53
 DRAW_BITS = 20
 
-INT_TOL = 1e-6
 #: orthogonality holds where |x - y| <= ORTHO_TOL (times |G| for the column
 #: relation) + ORTHO_RTOL |y|, the comparison of ``np.isclose``'s defaults
 ORTHO_TOL = 1e-6
@@ -174,7 +175,8 @@ def character_tables(G: VersorGroup, classes: Optional[ClassData] = None,
 
     Each seed draws its combination from its own ``random.Random(seed)`` and
     only a seed whose eigenvalues collide draws again, so every table equals
-    the one that seed gives alone.  Seeds are nonnegative: ``random.Random``
+    the one that seed gives alone.  Every table's ``chars`` are complex128,
+    real spectra included.  Seeds are nonnegative: ``random.Random``
     would take -s for s.
     """
     if min(seeds, default=0) < 0:
@@ -194,30 +196,28 @@ def character_table(G: VersorGroup, classes: Optional[ClassData] = None,
     return character_tables(G, classes, (seed,))[0]
 
 
-def _eigenvectors(G: VersorGroup, classes: ClassData, seeds: Sequence[int]) -> list:
-    """Eigenvectors (as columns) of sum_r t_r C_r for each seed's draw t.
+def _eigenvectors(G: VersorGroup, classes: ClassData, seeds: Sequence[int]) -> np.ndarray:
+    """Eigenvectors (as columns) of sum_r t_r C_r for each seed's draw t, one
+    complex (S, k, k) stack.
 
     Draw d of a seed is the slice [d k, (d + 1) k) of its stream of dyadic
     draws.  Each combination is an exact sum of integers times 2**-DRAW_BITS,
     so one ``class_matrices`` call over the draws of all pending seeds gives
-    each seed's combination bit for bit, in any summation order.  As in a
-    single `np.linalg.eig` call, a seed whose eigenvalues are all real gets
-    real eigenvectors.
+    each seed's combination bit for bit, in any summation order.  Each seed's
+    vectors are those `np.linalg.eig` gives for its combination, cast to complex.
     """
     k = classes.count
     i, j = np.nonzero(~np.tri(k, dtype=bool))      # the pairs i < j, as np.triu_indices lists them
     streams = [_draw_stream(seed) for seed in seeds]
-    vecs = [None] * len(seeds)
-    pending = list(range(len(seeds)))
+    vecs = np.empty((len(seeds), k, k), dtype=complex)
+    pending = np.arange(len(seeds))
     for draw in range(MAX_REDRAWS):
         t = np.stack([streams[s].take(draw * k, (draw + 1) * k) for s in pending])
         vals, V = np.linalg.eig(class_matrices(G, classes, t))
-        sep = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf)
-        for s, ok, w, v in zip(pending, sep > EIG_SEP_TOL, vals, V):
-            if ok:
-                vecs[s] = v if w.imag.any() else v.real
-        pending = [s for s in pending if vecs[s] is None]
-        if not pending:
+        ok = np.abs(vals[:, i] - vals[:, j]).min(axis=1, initial=np.inf) > EIG_SEP_TOL
+        vecs[pending[ok]] = V[ok]
+        pending = pending[~ok]
+        if not len(pending):
             return vecs
     raise CharacterError("eigenvalues kept colliding; group data suspect")
 
@@ -250,14 +250,11 @@ def _draw_stream(seed: int) -> _DrawStream:
     return _DrawStream(seed)
 
 
-def _tables_from_eigenvectors(vecs: list, classes: ClassData,
+def _tables_from_eigenvectors(vecs: np.ndarray, classes: ClassData,
                               order: int) -> list[CharacterTable]:
-    if len({v.dtype for v in vecs}) > 1:
-        # real and complex spectra in one stack: keep each seed's own dtype
-        return [t for v in vecs for t in _tables_from_eigenvectors([v], classes, order)]
     sizes = np.array(classes.sizes, dtype=float)
     # W[b, i, t] = |C_t| chi_i(t) / d_i, eigenvector i of seed b
-    W = np.stack(vecs).transpose(0, 2, 1)
+    W = vecs.transpose(0, 2, 1)
     pivot = W[:, :, :1].copy()
     if (np.abs(pivot) < PIVOT_TOL).any():
         raise CharacterError("eigenvector vanishes at the identity class")
@@ -272,8 +269,8 @@ def _tables_from_eigenvectors(vecs: list, classes: ClassData,
     W /= sizes
     chars = W
     # canonical row order: dimension, then the rounded row; + 0.0 turns -0.0 into 0.0
-    real = np.round(chars.real, 6) + 0.0
-    imag = np.round(chars.imag, 6) + 0.0
+    real = np.round(chars.real, KEY_DECIMALS) + 0.0
+    imag = np.round(chars.imag, KEY_DECIMALS) + 0.0
     keys = np.stack([real, imag], axis=-1).reshape(-1, 2 * chars.shape[2])
     dims = rd.astype(int)
     # one stable sort of every table's rows, the table first: ties keep the

@@ -48,6 +48,7 @@ import numpy as np
 
 from .scalars import (
     FLOATS,
+    INT_TOL,
     INV_SQRT2,
     KEY_DECIMALS,
     QUAD,
@@ -74,7 +75,6 @@ ROTATION_CAP = 1000        # largest rotation order rotation_orders looks for
 SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
 TIE_ULPS = 2               # ulps of x 10**SORT_DECIMALS from a half-integer sorted by Python round
 UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float simple root
-ROTATION_TOL = 1e-6        # |k phi / pi - round(k phi / pi)| of a rotation order k
 
 
 class UnknownSystemError(ValueError):
@@ -582,7 +582,7 @@ def rotation_orders(simple: SimpleRootSet):
             m = None
             for k in range(1, ROTATION_CAP + 1):
                 t = k * phi / math.pi
-                if abs(t - round(t)) < ROTATION_TOL and round(t) >= 1:
+                if abs(t - round(t)) < INT_TOL and round(t) >= 1:
                     m = k
                     break
             if m is None:
@@ -618,8 +618,8 @@ class ValidationReport:
 
 def _direction_keys(num: np.ndarray, field: Field) -> list:
     """Per row of ``field``, a key that parallel rows share: the row divided by
-    its first nonzero coordinate, exactly on exact rows, rounded to
-    ``KEY_DECIMALS`` decimals on float rows."""
+    its first nonzero coordinate, exactly on exact rows, by ``row_keys`` on
+    float rows."""
     floats = num.dtype.kind == "f"
     nonzero = (np.abs(num[..., 0]) > 10.0 ** -KEY_DECIMALS if floats
                else (num != 0).any(axis=2))
@@ -628,8 +628,7 @@ def _direction_keys(num: np.ndarray, field: Field) -> list:
         raise ValueError(f"vector {zero[0]} is zero; a root system has no zero vector")
     pivots = num[np.arange(len(num)), nonzero.argmax(axis=1)]     # (n, d)
     if floats:
-        return [tuple(round(c / p, KEY_DECIMALS) + 0.0 for c in row)
-                for row, p in zip(num[..., 0].tolist(), pivots[:, 0].tolist())]
+        return row_keys(num[..., 0] / pivots)
     # the rows x / p share one denominator, so their numerators are the keys
     return row_keys(field_quotients(num, pivots[:, None], field)[0].reshape(len(num), -1))
 

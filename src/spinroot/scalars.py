@@ -44,6 +44,8 @@ import numpy as np
 
 #: Decimals kept by the float-backend hash keys (``row_keys``).
 KEY_DECIMALS = 6
+#: Largest distance |x - round(x)| of a float that is read as an integer.
+INT_TOL = 1e-6
 #: The tiers of ``exact_matmul``: float64 holds every integer below
 #: FLOAT64_LIMIT exactly, and int64 every sum below INT64_LIMIT with room to
 #: negate or double it; at or above INT64_LIMIT the products run on Python ints.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinroot import ade, mckay, output
+from spinroot import ade, coxplane, mckay, output
 from spinroot.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -131,6 +131,22 @@ def test_project_csv_stdout(capsys):
     lines = [l for l in out.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "x,y"
     assert len(lines) == 21  # header + 20 roots
+
+
+def test_project_out_forms_the_projection_once(tmp_path, capsys, monkeypatch):
+    # with --out the export forms the projection, and the command none of its own
+    calls = []
+    project = coxplane.project_to_plane
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(coxplane, "project_to_plane", counting)
+    monkeypatch.setattr(output, "project_to_plane", counting)
+    code, out = run(capsys, "project", "A4", "--out", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines() == [str(tmp_path / f"A4_projection.{ext}") for ext in ("csv", "svg")]
 
 
 def test_mckay_json(capsys):

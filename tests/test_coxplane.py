@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -402,6 +403,14 @@ def test_matrix_orders_equal_the_step_loop(monkeypatch):
             else:
                 assert cap == h and coxplane._matrix_orders(Ms) == want
         monkeypatch.undo()
+
+
+def test_matrix_of_no_finite_order_raises_without_overflow_warning():
+    # the doubling reaches diag(2**1024, 1), past the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^matrix order exceeds {coxplane.ORDER_CAP}$"):
+            matrix_order(np.diag([2.0, 1.0]))
 
 
 def former_wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:

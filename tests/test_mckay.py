@@ -281,15 +281,17 @@ def test_seed_independence():
 
 def test_character_tables_equal_single_seed_tables():
     # one stacked eigenproblem of 32 seeds gives every seed the table it gives
-    # alone, bit for bit
-    for name, n in [("A3", None), ("B3", None), ("H3", None), ("I2", 12), ("A1xI2", 12)]:
+    # alone, bit for bit, and complex: Q8 (as Spin(A1^3) and Spin(A1xI2(2))),
+    # 2O, 2I and Dic n with n even have real spectra only
+    for name, n in [("A1^3", None), ("A3", None), ("B3", None), ("H3", None), ("I2", 12),
+                    *(("A1xI2", n) for n in range(2, 13, 2))]:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
         tables = list(character_tables(G, classes, range(32)))
         assert len(tables) == 32
         for seed, table in enumerate(tables):
             single = character_table(G, classes, seed=seed)
-            assert table.chars.dtype == single.chars.dtype
+            assert table.chars.dtype == single.chars.dtype == np.complex128, (name, n, seed)
             assert table.chars.tobytes() == single.chars.tobytes()
             assert (table.dims, table.sizes, table.order) == \
                 (single.dims, single.sizes, single.order)
@@ -342,7 +344,8 @@ def test_stacked_combinations_are_each_seeds_own_product(monkeypatch):
 
 def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
     """``_eigenvectors`` with one generator per seed drawing each combination
-    anew, and the number of redraws it made."""
+    anew and solving it alone, its vectors cast to complex, and the number of
+    redraws it made."""
     k = mats.shape[0]
     i, j = np.triu_indices(k, 1)
     flat = mats.reshape(k, -1).astype(float)
@@ -352,7 +355,7 @@ def _reference_eigenvectors(mats: np.ndarray, seeds) -> tuple[list, int]:
         for _ in range(MAX_REDRAWS):
             vals, V = np.linalg.eig((_reference_draws(rng, k) @ flat).reshape(1, k, k))
             if np.abs(vals[0, i] - vals[0, j]).min(initial=np.inf) > mckay.EIG_SEP_TOL:
-                out.append(V[0] if vals.imag.any() else V[0].real)
+                out.append(V[0].astype(complex))
                 break
             redraws += 1
         else:
@@ -369,6 +372,7 @@ def test_redraws_continue_each_seeds_generator(monkeypatch):
     want, redraws = _reference_eigenvectors(reference_class_matrices(G, classes), range(32))
     assert redraws > 32
     got = mckay._eigenvectors(G, classes, range(32))
+    assert got.shape == (32, classes.count, classes.count) and got.dtype == complex
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
@@ -673,7 +677,7 @@ def test_validation_verdicts_equal_isclose():
         G = spin_group(name, n)
         table = character_table(G)
         for trial in range(300):
-            chars = table.chars.astype(complex)
+            chars = table.chars
             scale = 10.0 ** rng.uniform(-9, -3)
             chars = chars + scale * (rng.normal(size=chars.shape)
                                      + 1j * rng.normal(size=chars.shape))

@@ -57,12 +57,6 @@ class DynkinDiagram:
     nodes: int
     edges: tuple[tuple[int, int], ...]
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.nodes, self.nodes), dtype=int)
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = 1
-        return adj
-
 
 @dataclass
 class ADERootData:
@@ -76,10 +70,6 @@ class ADERootData:
         if self._roots is None:
             self._roots = _closure(self.simple)
         return self._roots
-
-    @property
-    def root_count(self) -> int:
-        return len(self.roots())
 
 
 def _simple_roots(kind: str, n: Optional[int]) -> np.ndarray:

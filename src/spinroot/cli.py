@@ -137,12 +137,11 @@ def cmd_coxplane(args) -> int:
 
 def cmd_project(args) -> int:
     key, n = parse_name(args.name, args.n)
-    # held by the root set; a degenerate plane fails before --out is made
-    plane = coxplane.coxeter_plane_for(key, n)
     if args.out:
         for p in output.export_files("projection", key, n, args.out, seed=args.seed):
             print(p)
         return 0
+    plane = coxplane.coxeter_plane_for(key, n)
     system = root_system(key, n)
     points = coxplane.project_to_plane(system.num, system.den, system.field, plane.bivector)
     print(output.projection_csv(points, _meta(args)), end="")

@@ -27,12 +27,13 @@ one doubling loop: M^(m+1), ..., M^(2m) are one stacked product of M^m with
 M^1, ..., M^m, so an order h takes about log2(h) products.
 
 A root set holds what is formed from it, in ``SimpleRootSet.held``: the
-``CoxeterData`` of each word asked for, its arrays read-only, the bicolouring
-and the default plane.  ``coxeter_versors`` forms only the words not held
-yet, and a word's result is the same bits whichever words share its pass.
-``coxeter_plane`` validates on the default word's held ``CoxeterData``, so a
-word's Coxeter matrix is formed once per root set.  ``coxeter_data`` and
-``coxeter_plane_for`` read the catalog set's held results.
+``CoxeterData`` of each word asked for, its arrays read-only, and, through
+``rootsys.hold``, the bicolouring and the default plane.  ``coxeter_versors``
+forms only the words not held yet and writes them together once their whole
+pass has succeeded; a word's result is the same bits whichever words share
+its pass.  ``coxeter_plane`` validates on the default word's held
+``CoxeterData``, so a word's Coxeter matrix is formed once per root set.
+``coxeter_data`` and ``coxeter_plane_for`` read the catalog set's held results.
 
 Angle pairs are reported canonically with t1 in (0, pi/2] and t2 in
 [0, pi/2], quotienting the three orientations the construction leaves free
@@ -51,7 +52,8 @@ import numpy as np
 
 from .clifford import GRADE_TOL, float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
-from .rootsys import SimpleRootSet, catalog, components, display_name, ordered_dot, parse_name
+from .rootsys import (SimpleRootSet, catalog, components, display_name, hold, ordered_dot,
+                      parse_name)
 from .scalars import INT_TOL, QUAD, Field, exact_solve, field_matrix, read_only, row_floats
 
 PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
@@ -128,9 +130,7 @@ def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal,
     read from the Gram: exactly on exact roots, beyond EDGE_TOL on float roots),
     formed once per root set and held in ``simple.held``."""
-    if "bicolor" not in simple.held:
-        simple.held["bicolor"] = _bicolor(simple)
-    return simple.held["bicolor"]
+    return hold(simple, "bicolor", _bicolor)
 
 
 def _bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -371,9 +371,7 @@ def coxeter_plane(simple: SimpleRootSet) -> CoxeterPlane:
     vectors, formed once per root set and held in ``simple.held``, its
     bivector read-only; every call checks that the default word's Coxeter
     matrix, read from its held ``CoxeterData``, fixes it."""
-    if "plane" not in simple.held:
-        simple.held["plane"] = _pf_plane(simple)
-    plane = simple.held["plane"]
+    plane = hold(simple, "plane", _pf_plane)
     if not _stabilizes(coxeter_versor(simple).matrix, plane.bivector):
         raise FactorizationError(f"{simple.name}: Coxeter element does not stabilize the plane")
     return plane

@@ -12,6 +12,10 @@ everything downstream are deterministic.  An induced set is a ``RootSystem``
 named after its spin group, its rows in the group's order: validation,
 identification and the spinor character read its numerator rows over one
 denominator, and ``vectors`` is a view built on first read.
+
+The pipeline entry points hold their results on the catalog set by
+``rootsys.hold``, so every name of one system reads one group, with one
+Cayley table.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .rootsys import (
     catalog_entries,
     display_name,
     expected_root_count,
+    hold,
     orbit,
     root_system,
 )
@@ -87,7 +92,7 @@ def _coefficient_floats(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
     return row_floats(_blade_numerators(rows, dim), rows[:, -1:], field)
 
 
-def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+def _common_numerators(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows as numerators (n, d * 2**dim) over one denominator, laid out as by
     ``quad_numerators``; exact rows are scaled as Python ints, never int64,
     and float rows are over 1 already."""
@@ -102,7 +107,7 @@ def _common_numerators(rows: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 class VersorGroup:
     """Finite set of unit versors closed under the geometric product, held as
     its ``rows`` of ``field`` in the layout of ``_numerator_rows``.  The Cayley
-    table, the inverses and ``mckay``'s conjugacy classes are formed once and held."""
+    table, the inverses and, in ``held``, ``mckay``'s classes are formed once."""
 
     name: str
     dim: int
@@ -112,7 +117,7 @@ class VersorGroup:
     field: Field
     _index: dict = field(init=False, repr=False)
     _cayley: Optional[np.ndarray] = field(default=None, repr=False)
-    classes: Optional[object] = field(default=None, init=False, repr=False)  # held by mckay
+    held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         read_only(self.rows)
@@ -145,7 +150,7 @@ class VersorGroup:
         CAYLEY_BLOCK products.
         """
         if self._cayley is None:
-            num, den = _common_numerators(self.rows, self.dim)
+            num, den = _common_numerators(self.rows)
             index = {key: i for i, key in enumerate(row_keys(den * num))}
             num = int_rows(num)
             step = max(1, CAYLEY_BLOCK // self.order)
@@ -235,7 +240,7 @@ def spinors_to_4d(G: VersorGroup) -> RootSystem:
         raise ValueError("spinor reinterpretation needs Cl(2) or Cl(3)")
     if _grade_parities(G.rows, G.dim)[0].any():
         raise ValueError("odd-grade contamination in spin group")
-    num, den = _common_numerators(G.rows, G.dim)
+    num, den = _common_numerators(G.rows)
     num = num.reshape(G.order, 1 << G.dim, -1)
     if G.dim == 3:
         # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign
@@ -295,29 +300,27 @@ def identify_root_system(S: RootSystem) -> tuple[str, Optional[int]]:
     return matches[0]
 
 
-# -- cached pipeline entry points ----------------------------------------------
+# -- pipeline entry points, held by the catalog set -------------------------------
 
 
-# typed caches: a float n misses its integer's entry, so ``parse_name`` rejects it
-@lru_cache(maxsize=None, typed=True)
 def pin_group(name: str, n: Optional[int] = None) -> VersorGroup:
-    return generate_pin_group(catalog(name, n))
+    return hold(catalog(name, n), "pin group", generate_pin_group)
 
 
-@lru_cache(maxsize=None, typed=True)
 def spin_group(name: str, n: Optional[int] = None) -> VersorGroup:
-    return even_subgroup(pin_group(name, n))
+    return hold(catalog(name, n), "spin group",
+                lambda simple: even_subgroup(pin_group(simple.key, simple.n)))
 
 
-@lru_cache(maxsize=None, typed=True)
 def induced_set(name: str, n: Optional[int] = None) -> RootSystem:
-    return spinors_to_4d(spin_group(name, n))
+    return hold(catalog(name, n), "induced set",
+                lambda simple: spinors_to_4d(spin_group(simple.key, simple.n)))
 
 
-@lru_cache(maxsize=None, typed=True)
 def induced_system(name: str, n: Optional[int] = None) -> tuple[str, Optional[int]]:
     """The catalog key and n of the system the induced set is."""
-    return identify_root_system(induced_set(name, n))
+    return hold(catalog(name, n), "induced system",
+                lambda simple: identify_root_system(induced_set(simple.key, simple.n)))
 
 
 def induced_name(name: str, n: Optional[int] = None) -> str:

@@ -15,11 +15,12 @@ stacked product; each table equals the one its seed gives alone, and its
 characters are complex.  Each seed's draws are consecutive slices of one
 stream, drawn once per seed and kept for the groups that follow.
 
-A group's classes are formed once and held by the group, as its Cayley
-table (a read-only int array) is, and read off that table in one gather: the
-least conjugate of each element names its class.  The class matrices
-themselves are never formed: each draw's combination is read straight off
-the Cayley table, |G| k cells per draw, and formed anew on each call.
+A group's classes are formed once and held by the group, in its ``held`` by
+``rootsys.hold``, and read off its Cayley table (a read-only int array) in one
+gather: the least conjugate of each element names its class.  The class
+matrices themselves are never formed: each draw's combination is read
+straight off the Cayley table, |G| k cells per draw, and formed anew on each
+call.
 
 Tensoring each irreducible with the 2-dimensional spinor representation
 (character: twice the scalar part of a class representative) yields the McKay
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .induction import VersorGroup, _coefficient_floats
-from .rootsys import components
+from .rootsys import components, hold
 from .scalars import INT_TOL, KEY_DECIMALS
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
@@ -111,13 +112,11 @@ class McKayGraph:
 
 
 def conjugacy_classes(G: VersorGroup) -> ClassData:
-    """The classes of G, formed once and held by the group, as its Cayley table is."""
+    """The classes of G, formed once and held by the group."""
     if G.order > MCKAY_CAP:
         raise McKayCapError(f"{G.name} has {G.order} elements; the McKay layer "
                             f"takes groups of at most {MCKAY_CAP}")
-    if G.classes is None:
-        G.classes = _conjugacy_classes(G)
-    return G.classes
+    return hold(G, "classes", _conjugacy_classes)
 
 
 def _conjugacy_classes(G: VersorGroup) -> ClassData:

@@ -74,49 +74,46 @@ def projection_svg(points: Sequence[tuple[float, float]], meta: dict) -> str:
 
 def export_files(kind: str, name: str, n: Optional[int] = None,
                  out_dir: str | Path = ".", seed: int = DEFAULT_SEED) -> list[Path]:
-    """Write the artifacts for one export kind; returns the created paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the artifacts for one export kind, every text formed before the
+    directory is made, so a failed export leaves none; returns the created paths."""
     meta = metadata(seed=seed)
     simple = catalog(name, n)
     stem = simple.name.replace("(", "").replace(")", "")
-    written: list[Path] = []
-
-    def emit(suffix: str, text: str) -> None:
-        path = out / f"{stem}_{suffix}"
-        path.write_text(text)
-        written.append(path)
-
     if kind == "roots":
         payload = roots_to_json(root_system(name, n))
         payload["meta"] = meta
-        emit("roots.json", json_dumps(payload))
-        emit("cartan.csv", f"# {meta_comment(meta)}\n" + cartan_to_csv(simple))
+        files = {"roots.json": json_dumps(payload),
+                 "cartan.csv": f"# {meta_comment(meta)}\n" + cartan_to_csv(simple)}
     elif kind == "projection":
         plane = coxeter_plane_for(name, n)
         system = root_system(name, n)
         points = project_to_plane(system.num, system.den, system.field, plane.bivector)
-        emit("projection.csv", projection_csv(points, meta))
-        emit("projection.svg", projection_svg(points, meta))
+        files = {"projection.csv": projection_csv(points, meta),
+                 "projection.svg": projection_svg(points, meta)}
     elif kind == "mckay-graph":
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
         table = character_table(G, classes, seed=seed)
         graph = mckay_graph(table, spinor_character(G, classes))
-        emit("mckay.dot", f"// {meta_comment(meta)}\n"
-             + mckay_graph_dot(graph, name=f"mckay_{stem}"))
-        emit("mckay_chars.csv", f"# {meta_comment(meta)}\n"
-             + character_table_csv(table))
         summary = {
             "group_order": G.order, "classes": classes.count,
             "dims": list(table.dims), "affine": match_affine_ade(graph),
             "meta": meta,
         }
-        emit("mckay.json", json_dumps(summary))
+        files = {"mckay.dot": f"// {meta_comment(meta)}\n"
+                 + mckay_graph_dot(graph, name=f"mckay_{stem}"),
+                 "mckay_chars.csv": f"# {meta_comment(meta)}\n" + character_table_csv(table),
+                 "mckay.json": json_dumps(summary)}
     elif kind == "diagram":
         diagram = triple_to_diagram(rotation_orders(simple))
-        emit("diagram.dot", f"// {meta_comment(meta)}\n"
-             + diagram_dot(diagram))
+        files = {"diagram.dot": f"// {meta_comment(meta)}\n" + diagram_dot(diagram)}
     else:
         raise ValueError(f"unknown export kind {kind!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for suffix, text in files.items():
+        path = out / f"{stem}_{suffix}"
+        path.write_text(text)
+        written.append(path)
     return written

@@ -31,6 +31,11 @@ count is its rank and whose scalars its backend, and forms one Gram matrix on
 its rows, the only source of the Cartan matrix, the unit check, the Coxeter
 graph and the rotation orders.  Every float of an exact row comes from
 ``scalars.row_floats``.
+
+Every result formed from a catalog system is held by its one ``SimpleRootSet``
+in ``held``, through ``hold``, keyed only after ``catalog`` has normalized the
+name: every alias of a system reads one result, and ``_catalog_set`` is the
+one cache root.
 """
 
 from __future__ import annotations
@@ -239,9 +244,8 @@ class SimpleRootSet:
 
     @cached_property
     def held(self) -> dict:
-        """Results formed from these roots and kept with them, each formed
-        once: ``coxplane`` keeps each word's CoxeterData, under the word, the
-        bicolouring and the default Coxeter plane."""
+        """Results formed from these roots and kept with them by ``hold``, each
+        formed once; ``coxplane`` keeps each word's CoxeterData under the word."""
         return {}
 
     @cached_property
@@ -252,6 +256,14 @@ class SimpleRootSet:
         if g.dtype.kind == "f":
             return bool((np.abs(diag[:, 0] - 1.0) < UNIT_ROOT_TOL).all())
         return bool((diag[:, 0] == den).all() and not diag[:, 1:].any())
+
+
+def hold(owner, key, make: Callable):
+    """``owner.held[key]``, formed as ``make(owner)`` on the first call."""
+    held = owner.held
+    if key not in held:
+        held[key] = make(owner)
+    return held[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,10 +569,8 @@ def _float_closure(simple: SimpleRootSet) -> tuple[np.ndarray, int]:
     return orbit(gens, step, row_keys, CLOSURE_CAP)[..., None], 1
 
 
-# typed: a float n misses its integer's entry, so ``parse_name`` rejects it
-@lru_cache(maxsize=None, typed=True)
 def root_system(name: str, n: Optional[int] = None) -> RootSystem:
-    return generate_roots(catalog(name, n))
+    return hold(catalog(name, n), "roots", generate_roots)
 
 
 def rotation_orders(simple: SimpleRootSet):

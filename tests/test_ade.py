@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spinroot import ade
@@ -11,6 +12,18 @@ from spinroot.ade import (
     springer_suite,
     triple_to_diagram,
 )
+
+
+def _adjacency(diagram) -> np.ndarray:
+    """The 0/1 adjacency matrix of a Dynkin diagram's edges."""
+    adj = np.zeros((diagram.nodes, diagram.nodes), dtype=int)
+    for i, j in diagram.edges:
+        adj[i, j] = adj[j, i] = 1
+    return adj
+
+
+def _root_count(data) -> int:
+    return len(data.roots())
 
 
 def test_affine_core():
@@ -32,11 +45,11 @@ def test_root_counts_are_rank_times_h():
     systems += [("E6", None), ("E7", None), ("E8", None)]
     for kind, n in systems:
         d = ade_root_data(kind, n)
-        assert d.root_count == d.rank * d.h, d.name
+        assert _root_count(d) == d.rank * d.h, d.name
 
 
 def test_e8_has_240_roots():
-    assert ade_root_data("E8").root_count == 240
+    assert _root_count(ade_root_data("E8")) == 240
 
 
 def test_closure_cap_raises_value_error(monkeypatch):
@@ -82,7 +95,7 @@ def test_triple_map_rejects_non_ade():
 def test_diagram_edges_form_a_tree():
     d = triple_to_diagram((2, 3, 5))
     assert len(d.edges) == d.nodes - 1
-    adj = d.adjacency()
+    adj = _adjacency(d)
     degrees = adj.sum(axis=1)
     assert sorted(degrees)[-1] == 3  # one central node
 

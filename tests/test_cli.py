@@ -53,6 +53,17 @@ def test_out_path_that_is_a_file_is_usage_error(argv, under, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["export", "projection", "I2(2)"], 1), (["export", "projection", "A1^3"], 1),
+    (["export", "diagram", "H4"], 2), (["export", "mckay-graph", "H4"], 2),
+    (["project", "I2(2)"], 1)])
+def test_failed_export_leaves_no_directory(argv, code, tmp_path, capsys):
+    # every file's text is formed before the --out directory is made
+    out = tmp_path / "d"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 def test_catalog_json(capsys):
     code, out = run(capsys, "catalog", "--format", "json")
     payload = json.loads(out)

@@ -525,7 +525,7 @@ def test_rows_create_no_quadtower(monkeypatch):
     monkeypatch.setattr(QuadTower, "_raw",
                         classmethod(lambda cls, *args: made.append(args) or raw(cls, *args)))
     induction._reference_fingerprints.cache_clear()
-    rootsys.root_system.cache_clear()
+    rootsys._catalog_set.cache_clear()
     for simple in exact:
         rootsys.generate_roots(simple)
     for name in ("A3", "B3", "H3"):

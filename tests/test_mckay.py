@@ -606,9 +606,10 @@ def test_class_matrices_equal_the_triple_loop():
 
 def test_classes_are_held_by_the_group():
     G = even_subgroup(generate_pin_group(catalog("B3")))
-    assert G.classes is None
+    assert G.held == {}
     classes = conjugacy_classes(G)
-    assert conjugacy_classes(G) is classes is G.classes
+    assert conjugacy_classes(G) is classes
+    assert list(G.held.values()) == [classes] and G.held["classes"] is classes
     # the combination is formed anew on every call, for the draws of that call
     t = np.ones((1, classes.count))
     assert class_matrices(G, classes, t) is not class_matrices(G, classes, t)

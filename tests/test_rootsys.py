@@ -103,6 +103,29 @@ def test_family_parameter_must_be_an_integer():
     assert catalog("I2", np.int64(5)) is catalog("I2", 5)
 
 
+def test_aliases_read_one_result():
+    # the entry points key on the catalog set, after the name is normalized
+    assert pin_group("h3") is pin_group("H3")
+    assert root_system("A4") is root_system("A4", None)
+    assert spin_group("A1xI2(2)") is spin_group("A1xI2", 2)
+    assert induced_set("B3") is induced_set("B3", None)
+    assert pin_group("I2", np.int64(5)) is pin_group("I2", 5)
+
+
+def test_results_are_held_by_the_catalog_set():
+    # each result is held by the set catalog returns: once the catalog forgets
+    # its sets, every entry point forms its result from the new set
+    entry_points = (root_system, pin_group, spin_group, induced_set, induced_system)
+    old = [f("B3") for f in entry_points]
+    rootsys._catalog_set.cache_clear()
+    simple = catalog("B3")
+    for f, before in zip(entry_points, old):
+        after = f("B3")
+        assert any(after is held for held in simple.held.values()), f.__name__
+        assert after is not before or f is induced_system, f.__name__
+    assert induced_system("B3") == old[-1] == ("F4", None)
+
+
 def test_every_name_matches_in_any_case():
     # one case rule: every key, an A1 power with or without its caret, and
     # every family form, in upper, lower or mixed case

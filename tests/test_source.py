@@ -80,6 +80,48 @@ def test_small_float_literals_are_named_constants():
     assert found == []
 
 
+#: the module-level caches of the package, each with why it is process-wide;
+#: every result formed from a catalog system is held by its SimpleRootSet
+MODULE_CACHES = {
+    "rootsys._catalog_set": "the cache root: one SimpleRootSet per system and backend",
+    "induction._reference_fingerprints": "a query by dimension and root count, not by system",
+    "ade.ade_root_data": "ADE data are not catalog systems",
+    "mckay._draw_stream": "a seed's draws, shared by the tables of every group",
+}
+
+
+def _module_caches(tree, stem: str) -> list[str]:
+    """Each use of functools' lru_cache or cache in a module: as a decorator,
+    the function it caches; anywhere else, the line it is on."""
+    decorated = {id(d.func if isinstance(d, ast.Call) else d): f"{stem}.{node.name}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for d in node.decorator_list}
+    return [decorated.get(id(node), f"{stem}:{node.lineno}") for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+            or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"]
+
+
+def test_module_caches_are_listed():
+    # a process-wide cache is added to MODULE_CACHES on purpose, with its reason
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _module_caches(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert sorted(found) == sorted(MODULE_CACHES)
+
+
+def test_module_caches_are_found():
+    src = ("import functools\nfrom functools import lru_cache, cache\n"
+           "@lru_cache(maxsize=None)\ndef a(): pass\n"
+           "@functools.lru_cache\ndef b(): pass\n"
+           "@cache\ndef c(): pass\n"
+           "@functools.cache\ndef d(): pass\n"
+           "e = lru_cache(maxsize=None)(len)\n"
+           "@cached_property\ndef f(self): pass\n")
+    assert sorted(_module_caches(ast.parse(src), "m")) == ["m.a", "m.b", "m.c", "m.d", "m:11"]
+
+
 #: definitions kept without a caller in the package: Multivector stays in
 #: clifford.py, exported, while bench/tracer.py counts its products
 KEPT_WITHOUT_CALLER = {"clifford.py Multivector"}

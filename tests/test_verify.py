@@ -6,11 +6,12 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from spinroot import coxplane, mckay, verify
+from spinroot import coxplane, induction, mckay, rootsys, verify
 from spinroot.rootsys import catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -215,3 +216,28 @@ def test_h4_appendix_checks_are_pinned():
         (True, "('(64+32*r5)*R + (544+224*r5)', '(-224-96*r5)*R + (-1408-640*r5)')",
          "(32r5+64)R+224r5+544 and (-96r5-224)R-640r5-1408"),
     ]
+
+
+def test_run_all_forms_each_result_once(monkeypatch):
+    # every name of a system reads the one result its catalog set holds: in
+    # one process each system's roots are closed once, each induced set formed once
+    closed, induced = Counter(), Counter()
+    generate, to_4d = rootsys.generate_roots, induction.spinors_to_4d
+
+    def counting_roots(simple):
+        closed[simple.name, simple.backend] += 1
+        return generate(simple)
+
+    def counting_induced(G):
+        induced[G.name] += 1
+        return to_4d(G)
+
+    monkeypatch.setattr(rootsys, "generate_roots", counting_roots)
+    monkeypatch.setattr(induction, "spinors_to_4d", counting_induced)
+    _cpus(monkeypatch, 1)
+    rootsys._catalog_set.cache_clear()
+    induction._reference_fingerprints.cache_clear()
+    assert all(r.passed for r in verify.run_all(12))
+    assert {("A4", "exact"), ("B3", "exact"), ("H3", "exact")} <= set(closed)
+    assert {"Spin(B3)", "Spin(H3)"} <= set(induced)
+    assert [key for key, count in (closed + induced).items() if count > 1] == []

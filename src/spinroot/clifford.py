@@ -34,8 +34,6 @@ from .scalars import (
     reduce_rows,
 )
 
-GRADE_TOL = 1e-9    # largest coefficient a grade projection may treat as noise
-
 
 class DimensionMismatchError(ValueError):
     """Raised when multivectors of different algebras meet in one operation."""

@@ -50,25 +50,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import GRADE_TOL, float_products, right_products
+from .clifford import float_products, right_products
 from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
-from .rootsys import (SimpleRootSet, catalog, components, display_name, hold, ordered_dot,
-                      parse_name)
-from .scalars import INT_TOL, QUAD, Field, exact_solve, field_matrix, read_only, row_floats
+from .rootsys import (ORDER_CAP, SimpleRootSet, catalog, components, display_name, hold,
+                      ordered_dot, parse_name)
+from .scalars import (ANGLE_TOL, BASIS_FLOOR, EIGEN_MATCH_TOL, INT_TOL, NOISE_TOL, PF_RESIDUAL,
+                      PLANE_TOL, QUAD, RESIDUAL_TOL, WEDGE_FLOOR, Field, exact_solve,
+                      field_matrix, read_only, row_floats)
 
-PLANE_TOL = 1e-6           # entrywise |M A M^T - A| for an invariant plane bivector
-RESIDUAL_TOL = 1e-8
-ORDER_CAP = 1000
-MATRIX_TOL = 1e-9          # entrywise, for M^T M = 1 and M^k = 1
-UNIMODULAR_TOL = 1e-8      # | |lambda| - 1 | for a Coxeter-matrix eigenvalue
-EDGE_TOL = 1e-9            # |(a_i|a_j)| above which float roots share an edge
-PF_RESIDUAL = 1e-12        # |M x - lambda x| that stops the inverse iteration
 PF_MAX_STEPS = 100_000
-PF_LEAD_TOL = 1e-9         # smallest PF leading entry that may be divided by
-DEGENERATE_TOL = 1e-9      # vanishing coloured vectors, non-simple plane bivectors
-EIGEN_MATCH_TOL = 1e-6     # |lambda - target| of the plane's eigenvalue; Im above it: non-real
-WEDGE_FLOOR = 1e-8         # smallest norm of an eigenvector wedge taken for a plane
-BASIS_FLOOR = 1e-6         # smallest projection of a basis vector kept by plane_basis
 
 
 class DegeneratePlaneError(ValueError):
@@ -128,14 +118,14 @@ class SpringerReport:
 
 def bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Proper 2-colouring of the Coxeter graph (edges where roots are non-orthogonal,
-    read from the Gram: exactly on exact roots, beyond EDGE_TOL on float roots),
+    read from the Gram: exactly on exact roots, beyond NOISE_TOL on float roots),
     formed once per root set and held in ``simple.held``."""
     return hold(simple, "bicolor", _bicolor)
 
 
 def _bicolor(simple: SimpleRootSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     gram = simple.gram[0]
-    edges = np.abs(gram[..., 0]) > EDGE_TOL if gram.dtype.kind == "f" else (gram != 0).any(axis=2)
+    edges = np.abs(gram[..., 0]) > NOISE_TOL if gram.dtype.kind == "f" else (gram != 0).any(axis=2)
     _, color = components(edges)
     heads, tails = np.nonzero(edges)
     if any(color[u] == color[v] for u, v in zip(heads.tolist(), tails.tolist()) if u != v):
@@ -200,7 +190,7 @@ def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int
         W, each = gens[idx[:, 0]], np.arange(len(idx))
         for step in idx.T[1:]:
             W = times(W).reshape(len(idx), simple.rank, -1)[each, step]
-        if np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(simple.rank)).max() > MATRIX_TOL:
+        if np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(simple.rank)).max() > NOISE_TOL:
             raise ValueError("Coxeter matrix is not orthogonal")
         hs = _matrix_orders(Ms)
         W, Ms = read_only(W), read_only(Ms)
@@ -229,20 +219,20 @@ def _matrix_orders(Ms: np.ndarray) -> list[int]:
         for i, row in enumerate(gaps):
             if not orders[i]:
                 orders[i] = next((checked + j + 1 for j, gap in enumerate(row)
-                                  if gap <= MATRIX_TOL), 0)
+                                  if gap <= NOISE_TOL), 0)
         if all(orders):
             return orders
         checked = powers.shape[1]
         if checked >= ORDER_CAP:
             raise ValueError(f"matrix order exceeds {ORDER_CAP}")
         # the powers of a matrix of no finite order may overflow: inf and nan
-        # are never within MATRIX_TOL of 1, so the cap still raises
+        # are never within NOISE_TOL of 1, so the cap still raises
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.concatenate([powers, powers[:, -1:] @ powers], axis=1)
 
 
 def matrix_order(M: np.ndarray) -> int:
-    """Least k >= 1 with M^k = 1 (within MATRIX_TOL), or ValueError past ORDER_CAP."""
+    """Least k >= 1 with M^k = 1 (within NOISE_TOL), or ValueError past ORDER_CAP."""
     return _matrix_orders(M[None])[0]
 
 
@@ -257,7 +247,7 @@ def exponents_via_matrices(Ms: np.ndarray, hs: Sequence[int]) -> list[tuple[int,
     for vals, h in zip(np.linalg.eigvals(Ms), hs):
         exps = []
         for lam in vals:
-            if abs(abs(lam) - 1.0) > UNIMODULAR_TOL:
+            if abs(abs(lam) - 1.0) > RESIDUAL_TOL:
                 raise FactorizationError(f"non-unimodular eigenvalue {lam}")
             m = math.atan2(lam.imag, lam.real) * h / (2.0 * math.pi)
             if m < -INT_TOL:
@@ -337,7 +327,7 @@ def pf_eigenvector(cartan) -> np.ndarray:
         raise RuntimeError("inverse power iteration did not converge")
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    blocks, _ = components(np.abs(M) > EDGE_TOL)
+    blocks, _ = components(np.abs(M) > NOISE_TOL)
     if len(blocks) == 1:
         if not np.all(x > 0):
             raise RuntimeError("Perron-Frobenius eigenvector not positive")
@@ -346,7 +336,7 @@ def pf_eigenvector(cartan) -> np.ndarray:
         for b, low in zip(blocks, lows):
             if low > min(lows) + EIGEN_MATCH_TOL:
                 x[b] = 0.0
-    if abs(x[0]) < PF_LEAD_TOL:
+    if abs(x[0]) < NOISE_TOL:
         raise RuntimeError("cannot normalize: leading entry vanishes")
     return x / x[0]
 
@@ -390,15 +380,15 @@ def _pf_plane(simple: SimpleRootSet) -> CoxeterPlane:
         return v
 
     v_white, v_black = combo(white), combo(black)
-    if _norm(v_white) < DEGENERATE_TOL or _norm(v_black) < DEGENERATE_TOL:
+    if _norm(v_white) < NOISE_TOL or _norm(v_black) < NOISE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: a coloured vector vanishes")
     B = _wedge(v_white, v_black)
     nb = _norm(B)
-    if nb < DEGENERATE_TOL:
+    if nb < NOISE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: coloured vectors are colinear")
     B = B * (1.0 / nb)
     sq = float_products(B, B)
-    if abs(sq[0] + 1.0) > DEGENERATE_TOL or np.abs(sq[1:]).max() > DEGENERATE_TOL:
+    if abs(sq[0] + 1.0) > NOISE_TOL or np.abs(sq[1:]).max() > NOISE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
     return CoxeterPlane(bivector=read_only(B), pf=tuple(float(v) for v in pf))
 
@@ -456,7 +446,7 @@ def planes_from_matrices(Ms: np.ndarray, hs: Sequence[int]) -> np.ndarray:
             raise FactorizationError("could not build an invariant plane from the spectrum")
         B = _wedge(np.array([pairs[i][t][0] for i in pending]),
                    np.array([pairs[i][t][1] for i in pending]))
-        B = np.where(np.abs(B) <= GRADE_TOL, 0.0, B)
+        B = np.where(np.abs(B) <= NOISE_TOL, 0.0, B)
         nb = _norm(B)
         ok = nb >= WEDGE_FLOOR
         B = B * (1.0 / np.where(ok, nb, 1.0))[:, None]
@@ -475,7 +465,7 @@ def plane_from_matrix(W: np.ndarray, M: np.ndarray, h: int) -> np.ndarray:
     to -1 when every eigenvalue is real (h = 2).  Needed for factorizing
     Coxeter versors whose word is not bicoloured: their invariant plane is a
     conjugate of the PF-built one.  Invariance is tested on M, the matrix of
-    the versor W, so W itself is not read.  Coefficients within GRADE_TOL of
+    the versor W, so W itself is not read.  Coefficients within NOISE_TOL of
     zero are eigenvector noise and are zeroed before the bivector is
     normalized.
     """
@@ -494,9 +484,6 @@ def _wrap(t: float) -> float:
     return t
 
 
-_EPS = 1e-12
-
-
 def canonical_angle_pair(t1: float, t2: float) -> tuple[float, float, int, int, int]:
     """Representative with t1 in (0, pi/2] and t2 in [0, pi/2].
 
@@ -510,12 +497,12 @@ def canonical_angle_pair(t1: float, t2: float) -> tuple[float, float, int, int, 
     for sg in (1, -1):
         for a in (0, 1):
             u1 = _wrap(sg * t1 + a * math.pi)
-            if not (_EPS < u1 <= math.pi / 2 + _EPS):
+            if not (ANGLE_TOL < u1 <= math.pi / 2 + ANGLE_TOL):
                 continue
             for io in (1, -1):
                 for b in (0, 1):
                     u2 = _wrap(io * sg * t2 + b * math.pi)
-                    if -_EPS <= u2 <= math.pi / 2 + _EPS:
+                    if -ANGLE_TOL <= u2 <= math.pi / 2 + ANGLE_TOL:
                         w_sign = 1 if (a + b) % 2 == 0 else -1
                         return u1, max(u2, 0.0), sg, io, w_sign
     raise FactorizationError(f"cannot canonicalize angles ({t1}, {t2})")
@@ -524,14 +511,14 @@ def canonical_angle_pair(t1: float, t2: float) -> tuple[float, float, int, int, 
 def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
     """cos(theta) + sin(theta) B for unit bivector rows B (S, 2**dim) and their angles.
 
-    B must square to -1 within DEGENERATE_TOL, the tolerance the Coxeter
+    B must square to -1 within NOISE_TOL, the tolerance the Coxeter
     plane is built to.
     """
     if (~B.any(axis=1) | (B != _grade(B, 2)).any(axis=1)).any():
         raise ValueError("exponent must be a pure bivector")
     sq = float_products(B, B)
     sq[:, 0] += 1.0
-    if np.abs(sq).max(initial=0.0) > DEGENERATE_TOL:
+    if np.abs(sq).max(initial=0.0) > NOISE_TOL:
         raise ValueError("bivector must square to -1")
     E = np.zeros(B.shape)
     E[:, 0] = [math.cos(t) for t in theta]
@@ -654,11 +641,10 @@ def springer_identities(name: str, n: Optional[int] = None) -> SpringerReport:
     expected_deg = _DEGREES.get(key)
     degrees_ok = expected_deg is None or degrees == expected_deg
     if key == "I2":
-        family_ok = exps == tuple(sorted((1, n - 1))) and 2 * n == 2 * (1 + (n - 1))
+        family_ok = exps == tuple(sorted((1, n - 1)))
         formula = f"2n = 2(1+(n-1)) at n={n}"
     elif key == "A1xI2":
         family_ok = exps == tuple(sorted((1, 1, n - 1, n - 1)))
-        family_ok = family_ok and 4 * n == 2 * (1 + 1 + (n - 1) + (n - 1))
         formula = f"4n = 2(1+1+(n-1)+(n-1)) at n={n}"
     elif key == "A1^3":
         family_ok = exps == (1, 1, 1, 1)

@@ -44,6 +44,7 @@ from .rootsys import (
 )
 from .scalars import (
     KEY_DECIMALS,
+    NOISE_TOL,
     Field,
     exact_matmul,
     field_matrix,
@@ -56,7 +57,6 @@ from .scalars import (
 
 GROUP_CAP = 10_000     # most elements generate_pin_group closes before giving up
 CAYLEY_BLOCK = 512     # most products held at once while a Cayley table is built
-UNIT_TOL = 1e-9        # | <V reverse(V)>_0 - 1 | allowed for a float pin element
 
 
 def _vector_rows(num: np.ndarray, den: int) -> np.ndarray:
@@ -183,7 +183,7 @@ def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]
 def _unit_rows(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
     """Per row of ``field``: is <V reverse(V)>_0, the sum of squared coefficients, one?"""
     if rows.dtype.kind == "f":
-        return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < UNIT_TOL
+        return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < NOISE_TOL
     n, size, d = len(rows), 1 << dim, field.d
     # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
     # blades of num_b * num_b in the field less den**2, zero on a unit row

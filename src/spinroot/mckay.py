@@ -40,7 +40,8 @@ import numpy as np
 
 from .induction import VersorGroup, _coefficient_floats
 from .rootsys import components, hold
-from .scalars import INT_TOL, KEY_DECIMALS
+from .scalars import (CSV_ZERO_TOL, EIG_SEP_TOL, INT_TOL, KEY_DECIMALS, NOISE_TOL, ORTHO_RTOL,
+                      ORTHO_TOL, PIVOT_TOL)
 
 #: default RNG seed for the class-matrix combination (any seed must agree)
 DEFAULT_SEED = 1729
@@ -49,23 +50,10 @@ DEFAULT_SEED = 1729
 #: in float64 while k * 2**DRAW_BITS * |G| < 2**53
 DRAW_BITS = 20
 
-#: orthogonality holds where |x - y| <= ORTHO_TOL (times |G| for the column
-#: relation) + ORTHO_RTOL |y|, the comparison of ``np.isclose``'s defaults
-ORTHO_TOL = 1e-6
-ORTHO_RTOL = 1e-5
-#: smallest gap between the eigenvalues of a draw that separates the eigenspaces
-EIG_SEP_TOL = 1e-8
-#: an eigenvector smaller than this at the identity class cannot be normalized
-PIVOT_TOL = 1e-12
 #: draws per seed before colliding eigenvalues count as bad group data
 MAX_REDRAWS = 16
 #: seeds whose draw streams stay cached (seeds come from users and sweeps)
 DRAW_STREAMS = 64
-#: spread of twice the scalar part allowed within one conjugacy class
-CLASS_SCALAR_TOL = 1e-9
-#: in the character-table CSV a real part below this prints as 0 and an
-#: imaginary part below it not at all, so no draw's last bits show
-CSV_ZERO_TOL = 1e-10
 #: largest group the McKay layer takes, a bound on time: its classes gather
 #: |G|**2 conjugates and its table solves one eig of size k, k = |G| for the
 #: cyclic spin groups of I2(n); I2(120), |G| = 240, is the largest allowed
@@ -318,7 +306,7 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
     out = []
     for members in classes.classes:
         vals = [2.0 * scalars[m] for m in members]
-        if max(vals) - min(vals) > CLASS_SCALAR_TOL:
+        if max(vals) - min(vals) > NOISE_TOL:
             raise CharacterError("scalar part is not constant on a class")
         out.append(vals[0])
     return np.array(out)

@@ -62,6 +62,7 @@ from .scalars import (
     QuadTower,
     Scalar,
     TAU,
+    UNIT_ROOT_TOL,
     exact_matmul,
     field_matrix,
     field_quotients,
@@ -76,10 +77,9 @@ from .scalars import (
 )
 
 CLOSURE_CAP = 10_000       # most roots generate_roots closes before giving up
-ROTATION_CAP = 1000        # largest rotation order rotation_orders looks for
+ORDER_CAP = 1000           # largest finite order rotation_orders and coxplane look for
 SORT_DECIMALS = 12         # decimals of the canonical sort of closure output
 TIE_ULPS = 2               # ulps of x 10**SORT_DECIMALS from a half-integer sorted by Python round
-UNIT_ROOT_TOL = 1e-12      # |(a|a) - 1| allowed for a float simple root
 
 
 class UnknownSystemError(ValueError):
@@ -590,7 +590,7 @@ def rotation_orders(simple: SimpleRootSet):
             c = max(-1.0, min(1.0, dots[i][j]))
             phi = math.acos(c)
             m = None
-            for k in range(1, ROTATION_CAP + 1):
+            for k in range(1, ORDER_CAP + 1):
                 t = k * phi / math.pi
                 if abs(t - round(t)) < INT_TOL and round(t) >= 1:
                     m = k
@@ -598,7 +598,7 @@ def rotation_orders(simple: SimpleRootSet):
             if m is None:
                 raise ValueError(
                     f"pair ({i + 1},{j + 1}) of {simple.name} generates no finite "
-                    f"rotation order <= {ROTATION_CAP}"
+                    f"rotation order <= {ORDER_CAP}"
                 )
             orders.append(m)
     if simple.rank == 2:

@@ -44,13 +44,36 @@ import numpy as np
 
 #: Decimals kept by the float-backend hash keys (``row_keys``).
 KEY_DECIMALS = 6
-#: Largest distance |x - round(x)| of a float that is read as an integer.
-INT_TOL = 1e-6
 #: The tiers of ``exact_matmul``: float64 holds every integer below
 #: FLOAT64_LIMIT exactly, and int64 every sum below INT64_LIMIT with room to
 #: negate or double it; at or above INT64_LIMIT the products run on Python ints.
 FLOAT64_LIMIT = 1 << 53
 INT64_LIMIT = 1 << 62
+
+# The tolerance ledger: every float comparison of the package reads one row,
+# noted with what it compares, absolute or relative, at what scale and which
+# side passes.  The FIXTURE_ rows are verify's acceptance criteria and share
+# no row with the library, so loosening a library row never loosens a criterion.
+INT_TOL = 1e-6           # abs: x reads as an integer when |x - round(x)| is within it
+NOISE_TOL = 1e-9         # abs, unit scale: a coefficient, norm, gap or spread within it is noise
+RESIDUAL_TOL = 1e-8      # abs, unit scale: factorization residual, | |lambda| - 1 |; above fails
+PLANE_TOL = 1e-6         # abs, entrywise on unit bivectors: |M A M^T - A| at most it is invariant
+EIGEN_MATCH_TOL = 1e-6   # abs: |lambda - target| below it matches; Im lambda above it is non-real
+WEDGE_FLOOR = 1e-8       # abs: a wedge of unit eigenvectors of norm at least it spans a plane
+BASIS_FLOOR = 1e-6       # abs: a unit basis vector projecting longer than it onto a plane is kept
+PF_RESIDUAL = 1e-12      # abs: |M x - lambda x| of a unit x at most it ends the inverse iteration
+ANGLE_TOL = 1e-12        # abs, radians: slack of the canonical angle intervals; within passes
+UNIT_ROOT_TOL = 1e-12    # abs: |(a|a) - 1| below it makes a float simple root unit
+ORTHO_TOL = 1e-6         # abs, unit scale (|G| for columns): orthogonality, with ORTHO_RTOL
+ORTHO_RTOL = 1e-5        # rel: |x - y| <= ORTHO_TOL + ORTHO_RTOL |y| passes, as np.isclose
+EIG_SEP_TOL = 1e-8       # abs: a draw whose eigenvalue gaps all exceed it separates eigenspaces
+PIVOT_TOL = 1e-12        # abs: an eigenvector below it at the identity class cannot be normalized
+CSV_ZERO_TOL = 1e-10     # abs: a character part below it prints as 0 (real) or not at all (imag)
+FIXTURE_TOL = 1e-9       # abs, unit scale: a float within it equals the paper's closed form
+FIXTURE_RTOL = 1e-9      # rel: |x - y| / |y| below it equals an exact value of the appendix
+FIXTURE_RESIDUAL_TOL = 1e-8  # abs, unit scale: a factorization residual below it is accepted
+FIXTURE_CANCEL_RTOL = 1e-6   # rel: a coefficient below it of the product it cancels is zero
+FIXTURE_PRINTED_TOL = 1e-3   # abs: within it matches a figure the paper prints to 3 decimals
 
 
 class BackendMismatchError(TypeError):

@@ -4,10 +4,11 @@ Each criterion is a function returning CheckResult records with the measured
 and expected values side by side; `run_all` executes every criterion (a
 failure never short-circuits the rest).  When two CPUs are usable it runs the
 CHILD_CRITERIA in one forked child process beside the others, with the
-same output and no flag to set.  Tolerances are pinned here, not
-configurable per check: exact fixtures compare exactly, angle/plane fixtures
-at 1e-9, the numerically printed plane at 1e-3, residuals at 1e-8, spectral
-integrality at 1e-6.
+same output and no flag to set.  Tolerances are the FIXTURE_ rows of the
+``scalars`` ledger, not configurable per check: exact fixtures compare
+exactly, angle/plane fixtures at FIXTURE_TOL, the figures the paper prints to
+three decimals at FIXTURE_PRINTED_TOL, residuals at FIXTURE_RESIDUAL_TOL;
+spectral integrality reads the library's INT_TOL.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import numpy as np
 from . import ade, coxplane, mckay, output
 from .induction import induced_set, pin_group, spin_group
 from .rootsys import catalog, root_system, rotation_orders, validate_root_system
-from .scalars import (INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO, RATIONAL_TENSOR, TAU, Field,
-                      adjoin_sqrt, exact_matmul, field_matrix, row_floats)
+from .scalars import (FIXTURE_CANCEL_RTOL, FIXTURE_PRINTED_TOL, FIXTURE_RESIDUAL_TOL,
+                      FIXTURE_RTOL, FIXTURE_TOL, INV_SQRT2, QT_HALF, QT_ONE, QT_ZERO,
+                      RATIONAL_TENSOR, TAU, Field, adjoin_sqrt, exact_matmul, field_matrix,
+                      row_floats)
 
 PI = math.pi
 
@@ -149,8 +152,8 @@ def check_factorizations() -> list[CheckResult]:
         plane = coxplane.coxeter_plane_for(name)
         f = coxplane.factorize(cd.versor, plane.bivector, cd.h, cd.simple.field)
         e1, e2, *_ = coxplane.canonical_angle_pair(*angles)
-        ok = (abs(f.theta1 - e1) < 1e-9 and abs(f.theta2 - e2) < 1e-9
-              and f.residual < 1e-8 and f.exponents == exps)
+        ok = (abs(f.theta1 - e1) < FIXTURE_TOL and abs(f.theta2 - e2) < FIXTURE_TOL
+              and f.residual < FIXTURE_RESIDUAL_TOL and f.exponents == exps)
         out.append(_res(3, f"{name} factorization", ok,
                         f"angles=({f.theta1:.9f},{f.theta2:.9f}) "
                         f"res={f.residual:.2e} m={f.exponents}",
@@ -209,16 +212,16 @@ def check_planes(n_max: int = ade.N_MAX) -> list[CheckResult]:
     B = coxplane.coxeter_plane_for("D4").bivector
     want = np.zeros(16)
     want[[0b1001, 0b1010, 0b1100]] = 1.0 / math.sqrt(3.0)
-    d4_ok = np.abs(B - want).max() <= 1e-9 or np.abs(B + want).max() <= 1e-9
+    d4_ok = np.abs(B - want).max() <= FIXTURE_TOL or np.abs(B + want).max() <= FIXTURE_TOL
     out.append(_res(5, "D4 plane bivector", d4_ok,
-                    {m: round(c, 9) for m, c in enumerate(B.tolist()) if abs(c) > 1e-9},
+                    {m: round(c, 9) for m, c in enumerate(B.tolist()) if abs(c) > FIXTURE_TOL},
                     "(e14+e24+e34)/sqrt3 up to sign"))
     # H4 plane, printed numerically to 3 decimals
     B = coxplane.coxeter_plane_for("H4").bivector
     got = B[[0b0011, 0b0101, 0b1010, 0b1100]].tolist()
     want_vals = [-0.204, -0.247, -0.604, -0.73]
-    h4_ok = (all(abs(g - w) < 1e-3 for g, w in zip(got, want_vals))
-             or all(abs(g + w) < 1e-3 for g, w in zip(got, want_vals)))
+    h4_ok = (all(abs(g - w) < FIXTURE_PRINTED_TOL for g, w in zip(got, want_vals))
+             or all(abs(g + w) < FIXTURE_PRINTED_TOL for g, w in zip(got, want_vals)))
     out.append(_res(5, "H4 plane bivector", h4_ok,
                     [round(g, 4) for g in got], f"{want_vals} up to overall sign"))
     # invariance across the catalog
@@ -231,7 +234,7 @@ def check_planes(n_max: int = ade.N_MAX) -> list[CheckResult]:
     for name, n in systems:
         simple = catalog(name, n)
         try:
-            coxplane.coxeter_plane(simple)  # validates invariance at 1e-6
+            coxplane.coxeter_plane(simple)  # validates invariance at scalars.PLANE_TOL
         except coxplane.DegeneratePlaneError as exc:
             # edgeless Coxeter graphs (the A1-power points, incl. n = 2 family
             # members) have an empty colour class and no coloured plane
@@ -261,9 +264,9 @@ def check_pf() -> list[CheckResult]:
     out = []
     tau = float(TAU)
     fixtures = [
-        ("A4", (1.0, tau, tau, 1.0), 1e-9),
-        ("D4", (1.0, 1.0, 1.0, math.sqrt(3.0)), 1e-9),
-        ("H4", (1.0, 1.989, 2.956, 2.405), 1e-3),
+        ("A4", (1.0, tau, tau, 1.0), FIXTURE_TOL),
+        ("D4", (1.0, 1.0, 1.0, math.sqrt(3.0)), FIXTURE_TOL),
+        ("H4", (1.0, 1.989, 2.956, 2.405), FIXTURE_PRINTED_TOL),
     ]
     for name, want, tol in fixtures:
         pf = coxplane.coxeter_plane_for(name).pf
@@ -299,7 +302,7 @@ def check_h4_appendix() -> list[CheckResult]:
     ]
     diffs = [abs(g - float(e)) for w, want in zip(weights.tolist(), expected)
              for g, e in zip(w, want)]
-    out.append(_res(7, "H4 weight basis", max(diffs) < 1e-9,
+    out.append(_res(7, "H4 weight basis", max(diffs) < FIXTURE_TOL,
                     f"max coordinate error {max(diffs):.2e}",
                     "2tau*e4, -tau*e1+e2+(3tau+1)*e4, ... within 1e-9"))
 
@@ -314,7 +317,7 @@ def check_h4_appendix() -> list[CheckResult]:
     c14_f, a1b4_f = row_floats(np.stack([c14, times(a1, b4)]), 1, Z5R).tolist()
     rel = abs(c14_f) / abs(a1b4_f)
     zero = not c14.any()
-    out.append(_res(7, "wedge e1e4 component cancels", zero and rel < 1e-6,
+    out.append(_res(7, "wedge e1e4 component cancels", zero and rel < FIXTURE_CANCEL_RTOL,
                     f"exact zero: {zero}, relative {rel:.1e}", "0 (|coef| < 1e-6 rel)"))
 
     # B^2 = (a.b)^2 - a^2 b^2 for the wedge of those two vectors
@@ -326,7 +329,7 @@ def check_h4_appendix() -> list[CheckResult]:
     equal = np.array_equal(bsq_bivector, want)
     got_f, want_f = row_floats(np.stack([bsq_bivector, want]), 1, Z5R).tolist()
     float_rel = abs(got_f - want_f) / abs(want_f)
-    out.append(_res(7, "plane bivector norm squared", equal and float_rel < 1e-9,
+    out.append(_res(7, "plane bivector norm squared", equal and float_rel < FIXTURE_RTOL,
                     f"exact equal: {equal}, rel err {float_rel:.1e}",
                     "(-1044480*r5-2334720)*R - 6893568*r5 - 15421440"))
     reduced, rest = np.divmod(bsq_bivector, 12288)
@@ -448,13 +451,13 @@ def check_projection_and_exports(seed: int = mckay.DEFAULT_SEED) -> list[CheckRe
     radii = sorted(math.hypot(x, y) for x, y in points)
     classes: list[list[float]] = []
     for r in radii:
-        if classes and abs(classes[-1][0] - r) < 1e-9:
+        if classes and abs(classes[-1][0] - r) < FIXTURE_TOL:
             classes[-1].append(r)
         else:
             classes.append([r])
     ratio = classes[-1][0] / classes[0][0] if len(classes) == 2 else float("nan")
     ok = (len(classes) == 2 and all(len(c) == 10 for c in classes)
-          and abs(ratio - float(TAU)) < 1e-9)
+          and abs(ratio - float(TAU)) < FIXTURE_TOL)
     out.append(_res(11, "A4 projection: two decagons at ratio tau", ok,
                     f"{len(classes)} radii, sizes {[len(c) for c in classes]}, "
                     f"ratio {ratio:.12f}",

@@ -22,16 +22,20 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from spinroot import coxplane
-from spinroot.clifford import GRADE_TOL, Multivector, blade_name
+from spinroot.clifford import Multivector, blade_name
 from spinroot.induction import VersorGroup, _numerator_rows
 from spinroot.rootsys import RootSystem, SimpleRootSet, cartan_matrix
 from spinroot.scalars import (
+    BASIS_FLOOR,
+    EIGEN_MATCH_TOL,
     KEY_DECIMALS,
+    NOISE_TOL,
     QT_HALF,
     QT_ONE,
     QT_ZERO,
     FLOATS,
     QUAD,
+    WEDGE_FLOOR,
     BackendMismatchError,
     QuadTower,
     Scalar,
@@ -280,7 +284,7 @@ def reflect(alpha: Multivector, x: Multivector, tol: Optional[float] = None) -> 
         raise ValueError("reflect expects grade-1 arguments")
     if not _is_unit(alpha, tol):
         raise ValueError("mirror vector must have unit norm")
-    return _project_grades(-(alpha * x * alpha), {1}, GRADE_TOL)
+    return _project_grades(-(alpha * x * alpha), {1}, NOISE_TOL)
 
 
 def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -293,7 +297,7 @@ def sandwich(R: Multivector, x: Multivector, tol: Optional[float] = None) -> Mul
     if not _is_unit(R, tol):
         raise ValueError("versor must have unit norm")
     kept = set(grades(x)) or {0}
-    return _project_grades(reverse(R) * x * R, kept, GRADE_TOL)
+    return _project_grades(reverse(R) * x * R, kept, NOISE_TOL)
 
 
 def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -> Multivector:
@@ -312,7 +316,7 @@ def versor_action(W: Multivector, x: Multivector, tol: Optional[float] = None) -
     gx = grades(x)
     if len(gx) != 1:
         raise ValueError("versor_action expects a homogeneous-grade argument")
-    out = _project_grades(reverse(W) * x * W, set(gx), GRADE_TOL)
+    out = _project_grades(reverse(W) * x * W, set(gx), NOISE_TOL)
     if odd_versor and gx[0] % 2 == 1:
         return -out
     return out
@@ -377,17 +381,17 @@ def reference_plane_from_matrix(M: np.ndarray, h: int) -> Multivector:
     k = M.shape[0]
     vals, vecs = np.linalg.eig(M)
     m = min((round(math.atan2(lam.imag, lam.real) * h / (2 * math.pi))
-             for lam in vals if lam.imag > coxplane.EIGEN_MATCH_TOL), default=h // 2)
+             for lam in vals if lam.imag > EIGEN_MATCH_TOL), default=h // 2)
     target = complex(math.cos(2 * math.pi * m / h), math.sin(2 * math.pi * m / h))
-    cands = [i for i in range(k) if abs(vals[i] - target) < coxplane.EIGEN_MATCH_TOL]
+    cands = [i for i in range(k) if abs(vals[i] - target) < EIGEN_MATCH_TOL]
 
     def try_plane(u, w):
         vu = mv_vector([float(t) for t in u])
         vw = mv_vector([float(t) for t in w])
         B = grade_project(vu * vw, 2)
-        B = Multivector(k, [0.0 if abs(c) <= GRADE_TOL else c for c in B.coeffs])
+        B = Multivector(k, [0.0 if abs(c) <= NOISE_TOL else c for c in B.coeffs])
         nb = norm(B)
-        if nb < coxplane.WEDGE_FLOOR:
+        if nb < WEDGE_FLOOR:
             return None
         B = B / nb
         return B if coxplane._stabilizes(M, multivector_row(B)) else None
@@ -447,7 +451,7 @@ def reference_plane_basis(B: Multivector) -> tuple[Multivector, Multivector]:
     for i in range(dim):
         t = grade_project(basis_vector(dim, i, "float") * B, 1)
         proj = -grade_project(t * B, 1)
-        if norm(proj) > coxplane.BASIS_FLOOR:
+        if norm(proj) > BASIS_FLOOR:
             u1 = proj / norm(proj)
             break
     else:

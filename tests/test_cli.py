@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from spinroot import ade, coxplane, mckay, output
 from spinroot.cli import main
+from spinroot.rootsys import catalog_entries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -413,3 +417,87 @@ print(codes, "numpy.random" in sys.modules)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[0] == "[0, 0, 0, 0, 0] False"
+
+
+#: the family parameters the sweep draws: invalid, small, and past the caps
+SWEEP_N = (-1, 0, 1, 2, 13, 40, 60)
+#: the formats of each subcommand that prints one, the default first
+SWEEP_FORMATS = {"catalog": ("text", "json"), "induce": ("json", "text"),
+                 "coxplane": ("json",), "mckay": ("json", "csv", "dot"),
+                 "ade-map": ("text", "json"), "verify-all": ("text", "json")}
+SWEEP_BAD_NAMES = ("", "Z9", "E8", "I2(", "I2(2.5)", "A1^5", "h3x", "A1xI2(n)")
+SWEEP_WORDS = ("1,2", "2,1", "1,2,3", "3,1,2", "1,2,3,4", "4,2,3,1",
+               "", "1,,2", "a,b", "1,1", "0,1,2", "1 2", "-1,2", "1,2,3,4,5")
+
+
+def _sweep_argv(rng: random.Random, command: str, out: Path) -> tuple[list[str], str]:
+    """One random argument vector of ``command``, and the format it asks for."""
+    argv = [command]
+    if command in ("ade-map", "verify-all"):
+        # drawn once each, as they run whole suites; test_n_max_precondition
+        # covers a bad --n-max
+        argv += ["--n-max", str(rng.choice((2, 3)))]
+    elif command == "catalog":
+        if rng.random() < 0.5:
+            argv += ["--family-n", str(rng.choice(SWEEP_N))]
+    else:
+        if command == "export":
+            argv.append(rng.choice(("roots", "projection", "mckay-graph", "diagram", "svg")))
+        entry = rng.choice(catalog_entries())
+        name = entry["key"]
+        if rng.random() < 0.1:
+            name = rng.choice(SWEEP_BAD_NAMES)
+        elif entry["family"] and rng.random() < 0.5:
+            name += f"({rng.choice(SWEEP_N)})"
+        argv.append("".join(rng.choice((c.lower(), c.upper())) for c in name))
+        if entry["family"] and "(" not in name or rng.random() < 0.1:
+            argv += ["--n", str(rng.choice(SWEEP_N))]
+        if command == "coxplane":
+            if rng.random() < 0.5:
+                rank = entry["rank"]
+                argv += ["--word", rng.choice(SWEEP_WORDS) if rng.random() < 0.4
+                         else ",".join(str(i) for i in rng.sample(range(1, rank + 1), rank))]
+            if rng.random() < 0.7:
+                argv += ["--backend", rng.choice(("exact", "float"))]
+        if command == "export" or command == "project" and rng.random() < 0.5:
+            argv += ["--out", str(out / "sub" if rng.random() < 0.3 else out)]
+    formats = SWEEP_FORMATS.get(command, ())
+    fmt = formats[0] if formats else None
+    if formats and rng.random() < 0.7:
+        fmt = rng.choice(formats * 3 + ("xml",))
+        argv += ["--format", fmt]
+    if command != "catalog" and rng.random() < 0.3:
+        argv += ["--seed", rng.choice(("0", "7", "1729", "-1", "x"))]
+    return argv, fmt
+
+
+def test_cli_contract_sweep(tmp_path, capsys):
+    # random argument vectors over every subcommand: exit 0, 1 or 2 (argparse's
+    # SystemExit(2) included), no escaping exception and no warning, JSON that
+    # parses, an error line on every nonzero exit, no directory left by a
+    # failed export
+    rng = random.Random(31)
+    commands = ["catalog", "induce", "coxplane", "project", "mckay", "export"]
+    draws = [rng.choice(commands) for _ in range(220)] + ["ade-map", "verify-all"]
+    rng.shuffle(draws)
+    seen = set()
+    for i, command in enumerate(draws):
+        out = tmp_path / f"out{i}"
+        argv, fmt = _sweep_argv(rng, command, out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        stdout, stderr = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        if fmt == "json" and (stdout or not code):
+            json.loads(stdout)
+        if code:
+            assert re.search(r"^(spinroot[\w -]*: )?error: ", stderr, re.M), (argv, stderr)
+            assert not out.exists(), argv
+        seen.add((command, code))
+    assert {c for c, _ in seen} == set(commands) | {"ade-map", "verify-all"}
+    assert {(c, code) for c in commands for code in (0, 2)} <= seen

@@ -38,7 +38,7 @@ from clifford_reference import (
 from spinroot import coxplane
 from spinroot.ade import ade_root_data
 from spinroot.cli import main
-from spinroot.clifford import GRADE_TOL, Multivector
+from spinroot.clifford import Multivector
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
@@ -68,6 +68,10 @@ from spinroot.coxplane import (
 from spinroot.induction import _vector_rows
 from spinroot.rootsys import SimpleRootSet, cartan_matrix, catalog, components, root_system
 from spinroot.scalars import (
+    ANGLE_TOL,
+    EIGEN_MATCH_TOL,
+    NOISE_TOL,
+    PF_RESIDUAL,
     QT_ONE,
     QT_ZERO,
     SIGMA,
@@ -371,7 +375,7 @@ def step_loop_orders(Ms: np.ndarray) -> list[int]:
     P = Ms
     for step in range(1, coxplane.ORDER_CAP + 1):
         for i, gap in enumerate(np.abs(P - one).max(axis=(1, 2)).tolist()):
-            if gap <= coxplane.MATRIX_TOL and not orders[i]:
+            if gap <= NOISE_TOL and not orders[i]:
                 orders[i] = step
         if all(orders):
             return orders
@@ -445,14 +449,14 @@ def former_pf_eigenvector(cartan) -> np.ndarray:
         y = np.linalg.solve(M, x)
         x = y / np.linalg.norm(y)
         lam = float(x @ M @ x)
-        if np.linalg.norm(M @ x - lam * x) <= coxplane.PF_RESIDUAL:
+        if np.linalg.norm(M @ x - lam * x) <= PF_RESIDUAL:
             break
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    blocks, _ = components(np.abs(M) > coxplane.EDGE_TOL)
+    blocks, _ = components(np.abs(M) > NOISE_TOL)
     lows = [np.linalg.eigvalsh(M[np.ix_(b, b)])[0] for b in blocks]
     for b, low in zip(blocks, lows):
-        if low > min(lows) + coxplane.EIGEN_MATCH_TOL:
+        if low > min(lows) + EIGEN_MATCH_TOL:
             x[b] = 0.0
     return x / x[0]
 
@@ -562,7 +566,7 @@ def test_word_planes_carry_no_noise_blades():
         for word in itertools.permutations(range(1, 5)):
             cd = coxeter_versor(simple, word)
             B = plane_from_matrix(cd.versor, cd.matrix, cd.h)
-            assert not [c for c in B.tolist() if 0 < abs(c) <= GRADE_TOL], (name, word)
+            assert not [c for c in B.tolist() if 0 < abs(c) <= NOISE_TOL], (name, word)
             assert abs(norm(row_multivector(B, 4)) - 1.0) < 1e-12
             assert (factorize(cd.versor, B, cd.h).exponents
                     == exponents_via_matrix(cd.matrix, cd.h)), (name, word)
@@ -801,7 +805,7 @@ def former_canonical_angle(t: float) -> tuple[float, int, int]:
     for sg in (1, -1):
         for a in (0, 1):
             u = coxplane._wrap(sg * t + a * math.pi)
-            if coxplane._EPS < u <= math.pi / 2 + coxplane._EPS:
+            if ANGLE_TOL < u <= math.pi / 2 + ANGLE_TOL:
                 return u, sg, (1 if a == 0 else -1)
     raise FactorizationError(f"cannot canonicalize angle {t}")
 

@@ -33,6 +33,7 @@ from spinroot.mckay import (
     spinor_character,
 )
 from spinroot.rootsys import catalog
+from spinroot.scalars import ORTHO_TOL
 
 # -- affine templates: the reference diagrams the matcher must name --------------
 
@@ -662,9 +663,9 @@ def isclose_verdicts(tables) -> list:
     sizes = np.array(tables[0].sizes, dtype=float)
     adjoint = chars.conj().transpose(0, 2, 1)
     gram = (chars * sizes) @ adjoint / order
-    rows_ok = np.isclose(gram, np.eye(k), atol=mckay.ORTHO_TOL).all(axis=(1, 2))
+    rows_ok = np.isclose(gram, np.eye(k), atol=ORTHO_TOL).all(axis=(1, 2))
     cols_ok = np.isclose(adjoint @ chars, np.diag(order / sizes),
-                         atol=mckay.ORTHO_TOL * order).all(axis=(1, 2))
+                         atol=ORTHO_TOL * order).all(axis=(1, 2))
     return [None if r and c else "row" if not r else "column"
             for r, c in zip(rows_ok, cols_ok)]
 

@@ -538,7 +538,7 @@ def test_rotation_orders_rejects_non_coxeter_pair(monkeypatch):
         name="bad", key="bad",
         vectors=((1.0, 0.0), (-math.cos(1.0), math.sin(1.0))),
     )
-    monkeypatch.setattr(rootsys, "ROTATION_CAP", 100)
+    monkeypatch.setattr(rootsys, "ORDER_CAP", 100)
     with pytest.raises(ValueError):
         rotation_orders(bad)
 

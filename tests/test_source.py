@@ -62,22 +62,53 @@ def test_shared_generator_uses_are_found():
     assert [src for src in good if flagged(src)] == []
 
 
+#: the tolerance ledger of scalars.py, by name: every float tolerance of the
+#: package; a row that moves is re-pinned here on purpose
+LEDGER = {
+    "INT_TOL": 1e-6, "NOISE_TOL": 1e-9, "RESIDUAL_TOL": 1e-8, "PLANE_TOL": 1e-6,
+    "EIGEN_MATCH_TOL": 1e-6, "WEDGE_FLOOR": 1e-8, "BASIS_FLOOR": 1e-6, "PF_RESIDUAL": 1e-12,
+    "ANGLE_TOL": 1e-12, "UNIT_ROOT_TOL": 1e-12, "ORTHO_TOL": 1e-6, "ORTHO_RTOL": 1e-5,
+    "EIG_SEP_TOL": 1e-8, "PIVOT_TOL": 1e-12, "CSV_ZERO_TOL": 1e-10,
+    "FIXTURE_TOL": 1e-9, "FIXTURE_RTOL": 1e-9, "FIXTURE_RESIDUAL_TOL": 1e-8,
+    "FIXTURE_CANCEL_RTOL": 1e-6, "FIXTURE_PRINTED_TOL": 1e-3,
+}
+
+
+def _small_floats(tree, stem: str) -> tuple[dict, list[str]]:
+    """The float literals below 1e-2 of a module: those a module-level UPPER_CASE
+    constant is set to, by its name, and every other one by its line."""
+    def small(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < abs(node.value) < 1e-2)
+    named = {f"{stem}.{stmt.targets[0].id}": stmt.value for stmt in tree.body
+             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+             and isinstance(stmt.targets[0], ast.Name)
+             and stmt.targets[0].id == stmt.targets[0].id.upper() and small(stmt.value)}
+    rows = {id(node) for node in named.values()}
+    loose = [f"{stem}:{node.lineno}" for node in ast.walk(tree)
+             if small(node) and id(node) not in rows]
+    return {name: node.value for name, node in named.items()}, loose
+
+
 def test_small_float_literals_are_named_constants():
-    # a tolerance below 1e-3 is a named module-level UPPER_CASE constant, never
-    # a literal inside a function; verify.py pins its fixtures where it checks them
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "verify.py":
-            continue
-        name = path.name
-        tree = ast.parse(path.read_text(), filename=name)
-        named = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
-                 and all(isinstance(t, ast.Name) and t.id == t.id.upper() for t in stmt.targets)
-                 for node in ast.walk(stmt.value)}
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
-                  and 0 < abs(node.value) < 1e-3 and id(node) not in named]
-    assert found == []
+    # every float tolerance below 1e-2 is a row of the scalars ledger: no other
+    # module names one, and no float literal below 1e-2 stands anywhere else
+    rows, loose = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        named, found = _small_floats(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        rows.update(named)
+        loose += found
+    assert loose == []
+    assert rows == {f"scalars.{name}": value for name, value in LEDGER.items()}
+
+
+def test_small_floats_are_found():
+    src = ("A_TOL = 1e-9\nb_tol = 1e-9\nC = 0.5\nD = (1e-3, 2)\nE = F = 2e-5\n"
+           "def f(x):\n    G_TOL = 1e-4\n    return x < 1e-12 or x > -5e-3\n"
+           "H = 1e-2\nI = 9.9e-3\n")
+    named, loose = _small_floats(ast.parse(src), "m")
+    assert named == {"m.A_TOL": 1e-9, "m.I": 9.9e-3}
+    assert sorted(loose) == ["m:2", "m:4", "m:5", "m:7", "m:8", "m:8"]
 
 
 #: the module-level caches of the package, each with why it is process-wide;

@@ -1,11 +1,24 @@
 """The Euclidean Clifford algebras Cl(2), Cl(3), Cl(4) on coefficient rows.
 
 A multivector is a row of 2^dim coefficients indexed by blade bitmask: bit i
-of the mask marks basis vector e_{i+1}, and the blade is the ascending product
-of its constituent vectors (e.g. mask 0b101 in Cl(3) is e1e3).  Coefficients
-are either all exact (QuadTower) or all float; the two never mix.  In a
-versor row each coefficient is its field numerators (d of them: 4 exact, 1
-float), blade-major, and one denominator closes the row, 1.0 on floats.
+of the mask marks basis vector e_{i+1} (blade ``VECTOR_BLADES[i]``), the
+blade is the ascending product of its vectors (mask 0b101 in Cl(3) is
+e1e3), and its grade is the mask's bit count.  Coefficients are either all
+exact (QuadTower) or all float; the two never mix.
+
+A versor row, the pin closure's and the Coxeter versor's representation on
+both backends, is the coefficients' field numerators (d of them: 4 exact, 1
+float), blade-major, then one positive denominator, the whole row divided by
+its gcd (``reduce_rows``): equal exact multivectors have equal rows, and a
+float row ends in 1.0.  This module alone builds (``numerator_rows``,
+``vector_rows``, ``negated_rows``, ``identity_row``), reads
+(``blade_numerators``, ``coefficient_floats``, ``common_numerators``) and
+checks (``grade_parities``, ``unit_rows``) them.  A float coefficient row is
+the 2^dim floats alone, as the plane bivector: ``grade``,
+``scalar_product``, ``norm``, ``wedge``, ``bivector_exp`` and
+``bivector_matrix`` take one row or, pairwise, stacks of rows, and sum from
+0.0 in blade order as Multivector does, so each float is the one a chain of
+Multivector operations gives.
 
 ``right_products`` is the library's one geometric product on versor rows: the
 pin closure and the Coxeter versor multiply rows through it.  Its float sums
@@ -19,11 +32,13 @@ products act left to right: R1*R2 acts as R1 first, then R2.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .scalars import (
+    NOISE_TOL,
     BackendMismatchError,
     Field,
     QT_ZERO,
@@ -31,8 +46,15 @@ from .scalars import (
     Scalar,
     exact_matmul,
     field_matrix,
+    ordered_dot,
     reduce_rows,
+    row_floats,
 )
+
+#: the grade of each blade mask of Cl(4), and so of Cl(1..3) as its prefixes
+_GRADES = np.array([m.bit_count() for m in range(16)])
+#: the blade mask of each basis vector: e_(i+1) is VECTOR_BLADES[i]
+VECTOR_BLADES = 1 << np.arange(4)
 
 
 class DimensionMismatchError(ValueError):
@@ -92,10 +114,10 @@ def right_products(gens: np.ndarray, dim: int, field: Field) -> Callable:
     products with each generator row on the right, element-major and
     generator-minor.
 
-    Rows are numerators in ``field``, blade-major, followed by one positive
-    denominator, on either backend.  Right multiplication by g sends blade a
-    to blade c through g's blade a ^ c only: its matrix R_g[a, c] is
-    sign(a, a ^ c) times the field's multiplication matrix of g_(a ^ c).
+    Rows are versor rows of ``field``, on either backend.  Right
+    multiplication by g sends blade a to blade c through g's blade a ^ c
+    only: its matrix R_g[a, c] is sign(a, a ^ c) times the field's
+    multiplication matrix of g_(a ^ c).
     The products of a batch are one product of the rows [num | den] with the
     blocks [[R_g, 0], [0, den_g]] of every generator, built once, so the
     products carry the product of the two denominators: on exact rows one
@@ -131,6 +153,127 @@ def left_matrices(num: np.ndarray, dim: int, field: Field) -> np.ndarray:
     num (n, d * 2**dim) in ``field``: ``y @ left_matrices(x, dim, field)[i]``
     holds x_i y, over the product of the two denominators."""
     return _product_matrices(num, dim, _LEFT_SIGN[dim], field)
+
+
+def numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
+    """Versor rows of multivectors given as numerators (n, 2**dim, d) over ``den``."""
+    rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=num.dtype)])
+    return reduce_rows(rows)
+
+
+def vector_rows(num: np.ndarray, den: int) -> np.ndarray:
+    """Versor rows of the vectors with the coordinate numerators (n, dim, d) over ``den``."""
+    n, dim, d = num.shape
+    blades = np.zeros((n, 1 << dim, d), dtype=num.dtype)
+    blades[:, VECTOR_BLADES[:dim]] = num
+    return numerator_rows(blades, den)
+
+
+def negated_rows(rows: np.ndarray) -> np.ndarray:
+    """Versor rows of -V for the versor rows V."""
+    return np.hstack([-rows[:, :-1], rows[:, -1:]])
+
+
+def identity_row(like: np.ndarray) -> np.ndarray:
+    """The versor row of 1, numerator 1 on blade 0 over the denominator 1, in
+    the width and dtype of the rows ``like``."""
+    one = np.zeros((1, like.shape[1]), dtype=like.dtype)
+    one[0, 0] = one[0, -1] = 1
+    return one
+
+
+def blade_numerators(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The numerators (n, 2**dim, d) of versor rows."""
+    return rows[:, :-1].reshape(len(rows), 1 << dim, (rows.shape[1] - 1) >> dim)
+
+
+def coefficient_floats(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
+    """Float coefficient rows (n, 2**dim) of versor rows of ``field``, by ``row_floats``."""
+    return row_floats(blade_numerators(rows, dim), rows[:, -1:], field)
+
+
+def common_numerators(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Versor rows as numerators (n, d * 2**dim) over one denominator, laid out
+    as by ``quad_numerators``; exact rows are scaled as Python ints, never
+    int64, and float rows are over 1 already."""
+    if rows.dtype.kind == "f":
+        return rows[:, :-1], 1
+    rows = rows.astype(object)
+    den = math.lcm(*rows[:, -1].tolist())
+    return rows[:, :-1] * (den // rows[:, -1:]), den
+
+
+def grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per versor row: has it a nonzero odd-grade coefficient, has it an even-grade one?"""
+    support = (blade_numerators(rows, dim) != 0).any(axis=2)
+    odd_blade = _GRADES[:1 << dim] % 2 == 1
+    return (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
+
+
+def unit_rows(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
+    """Per versor row of ``field``: is <V reverse(V)>_0, the coefficients' square sum, 1?"""
+    if rows.dtype.kind == "f":
+        return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < NOISE_TOL
+    n, size, d = len(rows), 1 << dim, field.d
+    # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
+    # blades of num_b * num_b in the field less den**2, zero on a unit row
+    last = -rows[:, -1:, None] * field.one
+    mult = field_matrix(blade_numerators(rows, dim), field).reshape(n, d * size, d)
+    excess = exact_matmul(rows[:, None, :], np.concatenate([mult, last], axis=1))
+    return (excess == 0).all(axis=(1, 2))
+
+
+def grade(x: np.ndarray, k: int) -> np.ndarray:
+    """The grade-k part of float coefficient rows."""
+    return np.where(_GRADES[:x.shape[-1]] == k, x, 0.0)
+
+
+def scalar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x reverse(y)>_0 of float coefficient rows, the coefficient dot: ``ordered_dot``,
+    with the -0.0 of an all -0.0 sum turned into a loop from 0.0's 0.0."""
+    return ordered_dot(x, y) + 0.0
+
+
+def norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(scalar_product(x, x))
+
+
+def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bivector rows u ^ v of float coordinate vectors: the grade-2 part of
+    their geometric product."""
+    dim = u.shape[-1]
+    rows = np.zeros((2,) + u.shape[:-1] + (1 << dim,))
+    rows[..., VECTOR_BLADES[:dim]] = np.stack([u, v])
+    return grade(float_products(rows[0], rows[1]), 2)
+
+
+def squares_to_minus_one(B: np.ndarray) -> np.ndarray:
+    """Per float bivector row: is B**2 = -1 within NOISE_TOL?"""
+    sq = float_products(B, B)
+    sq[..., 0] += 1.0
+    return ~(np.abs(sq) > NOISE_TOL).any(axis=-1)
+
+
+def bivector_exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
+    """cos(theta) + sin(theta) B for unit bivector rows B (S, 2**dim) and their angles."""
+    if (~B.any(axis=1) | (B != grade(B, 2)).any(axis=1)).any():
+        raise ValueError("exponent must be a pure bivector")
+    if not squares_to_minus_one(B).all():
+        raise ValueError("bivector must square to -1")
+    E = np.zeros(B.shape)
+    E[:, 0] = [math.cos(t) for t in theta]
+    return E + np.array([math.sin(t) for t in theta])[:, None] * B
+
+
+def bivector_matrix(B: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrices A of bivector rows, A[i, j] = the e_(i+1) e_(j+1) coefficient.
+
+    u ^ v has the matrix u v^T - v u^T, so an orthogonal M, acting on vectors
+    as a versor does, acts on the bivector as A -> M A M^T.
+    """
+    blades = VECTOR_BLADES[:B.shape[-1].bit_length() - 1]
+    A = np.triu(B[..., blades[:, None] | blades], 1)
+    return A - np.swapaxes(A, -1, -2)
 
 
 def blade_name(mask: int) -> str:

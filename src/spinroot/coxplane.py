@@ -7,15 +7,14 @@ exponentials exp(t1*B) exp(t2*I*B) built on the Perron-Frobenius / bicoloured
 plane bivector B (the Coxeter plane of Humphreys, *Reflection Groups and
 Coxeter Groups*, ch. 3).
 
-Multivectors here are rows: the Coxeter versor W is a row in the layout of
-``induction._numerator_rows`` (exact where the roots are, and ending in the
-denominator 1.0 on floats), the plane bivector B a float coefficient row.
-Products, wedges and exponentials go through ``clifford.right_products`` and
-``clifford.float_products``, and every float sum runs from 0.0 in blade
-order, so each printed float is the one the per-element Multivector
-computation gives.  The weight basis is numerator rows too: the simple
-roots inverted over Q by ``scalars.exact_solve``, the one exact inverse of
-every field; every float of an exact row comes from ``scalars.row_floats``.
+Multivectors here are ``clifford``'s rows: the Coxeter versor W a versor
+row (exact where the roots are), the plane bivector B a float coefficient
+row.  Products, wedges, exponentials and dots are ``clifford``'s, and every
+float sum runs from 0.0 in blade order, so each printed float is the one the
+per-element Multivector computation gives.  The weight basis is numerator
+rows too: the simple roots inverted over Q by ``scalars.exact_solve``, the
+one exact inverse of every field; every float of an exact row comes from
+``scalars.row_floats``.
 
 Many words of one system go through each stage at once:
 ``coxeter_versors``, ``exponents_via_matrices``, ``planes_from_matrices`` and
@@ -50,13 +49,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import float_products, right_products
-from .induction import _coefficient_floats, _vector_rows, induced_system, spin_group
+from .clifford import (VECTOR_BLADES, bivector_exp, bivector_matrix, coefficient_floats,
+                       float_products, grade, norm, right_products, scalar_product,
+                       squares_to_minus_one, vector_rows, wedge)
+from .induction import induced_system, spin_group
 from .rootsys import (ORDER_CAP, SimpleRootSet, catalog, components, display_name, hold,
-                      ordered_dot, parse_name)
+                      parse_name)
 from .scalars import (ANGLE_TOL, BASIS_FLOOR, EIGEN_MATCH_TOL, INT_TOL, NOISE_TOL, PF_RESIDUAL,
                       PLANE_TOL, QUAD, RESIDUAL_TOL, WEDGE_FLOOR, Field, exact_solve,
-                      field_matrix, read_only, row_floats)
+                      field_matrix, ordered_dot, read_only, row_floats)
 
 PF_MAX_STEPS = 100_000
 
@@ -73,7 +74,7 @@ class FactorizationError(ValueError):
 class CoxeterData:
     simple: SimpleRootSet
     word: tuple[int, ...]          # 1-based order of simple reflections
-    versor: np.ndarray             # product of the simple roots, a ``_numerator_rows`` row
+    versor: np.ndarray             # product of the simple roots, a versor row
     matrix: np.ndarray             # coxeter_matrix of the word's roots
     h: int                         # order of the matrix (the Coxeter number)
 
@@ -185,7 +186,7 @@ def coxeter_versors(simple: SimpleRootSet, words: Sequence[Optional[Sequence[int
             raise ValueError("versor must have unit norm")
         idx = np.array(new) - 1
         Ms = _coxeter_matrices(simple.floats, idx)
-        gens = _vector_rows(*simple.rows)
+        gens = vector_rows(*simple.rows)
         times = right_products(gens, simple.rank, simple.field)
         W, each = gens[idx[:, 0]], np.arange(len(idx))
         for step in idx.T[1:]:
@@ -267,41 +268,6 @@ def exponents_via_matrix(M: np.ndarray, h: int) -> tuple[int, ...]:
     return exponents_via_matrices(np.asarray(M, dtype=float)[None], [h])[0]
 
 
-# -- float coefficient rows -----------------------------------------------------
-# Sums run from 0.0 in blade order, as Multivector sums, so each float equals
-# the one a chain of Multivector operations gives.  Every helper works on one
-# row or, pairwise, on stacks of rows.
-
-
-#: the grade of each blade mask of Cl(4), and so of Cl(1..3) as its prefixes
-_BLADE_GRADES = np.array([m.bit_count() for m in range(16)])
-
-
-def _grade(x: np.ndarray, k: int) -> np.ndarray:
-    """The grade-k part of float coefficient rows."""
-    return np.where(_BLADE_GRADES[:x.shape[-1]] == k, x, 0.0)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient dots of rows, <x reverse(y)>_0, summed one blade at a time
-    as a Python loop from 0.0 sums: ``ordered_dot``, with the -0.0 of an all
-    -0.0 sum turned into that loop's 0.0."""
-    return ordered_dot(x, y) + 0.0
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(x, x))
-
-
-def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bivector rows u ^ v of float coordinate vectors: the grade-2 part of
-    their geometric product."""
-    dim = u.shape[-1]
-    rows = np.zeros((2,) + u.shape[:-1] + (1 << dim,))
-    rows[..., [1 << i for i in range(dim)]] = np.stack([u, v])
-    return _grade(float_products(rows[0], rows[1]), 2)
-
-
 # -- Perron-Frobenius / weights / plane ------------------------------------------
 
 
@@ -372,43 +338,23 @@ def _pf_plane(simple: SimpleRootSet) -> CoxeterPlane:
     white, black = bicolor(simple)
     pf = pf_eigenvector(row_floats(*simple.cartan, simple.field))
     weights = row_floats(*weight_basis(simple), simple.field)
-
-    def combo(idxs):
-        v = np.zeros(simple.rank)
-        for i in idxs:
-            v = v + pf[i] * weights[i]
-        return v
-
-    v_white, v_black = combo(white), combo(black)
-    if _norm(v_white) < NOISE_TOL or _norm(v_black) < NOISE_TOL:
+    # each coloured vector sums its weighted weights from 0.0 in index order
+    v_white, v_black = (sum((pf[i] * weights[i] for i in idxs), np.zeros(simple.rank))
+                        for idxs in (white, black))
+    if norm(v_white) < NOISE_TOL or norm(v_black) < NOISE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: a coloured vector vanishes")
-    B = _wedge(v_white, v_black)
-    nb = _norm(B)
+    B = wedge(v_white, v_black)
+    nb = norm(B)
     if nb < NOISE_TOL:
         raise DegeneratePlaneError(f"{simple.name}: coloured vectors are colinear")
     B = B * (1.0 / nb)
-    sq = float_products(B, B)
-    if abs(sq[0] + 1.0) > NOISE_TOL or np.abs(sq[1:]).max() > NOISE_TOL:
+    if not squares_to_minus_one(B):
         raise DegeneratePlaneError(f"{simple.name}: plane bivector is not simple")
     return CoxeterPlane(bivector=read_only(B), pf=tuple(float(v) for v in pf))
 
 
 def coxeter_plane_for(name: str, n: Optional[int] = None) -> CoxeterPlane:
     return coxeter_plane(catalog(name, n))
-
-
-def bivector_matrix(B: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrices A of bivector rows, A[i, j] = the e_(i+1) e_(j+1) coefficient.
-
-    u ^ v has the matrix u v^T - v u^T, so an orthogonal M, acting on vectors
-    as a versor does, acts on the bivector as A -> M A M^T.
-    """
-    k = B.shape[-1].bit_length() - 1
-    A = np.zeros(B.shape[:-1] + (k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            A[..., i, j] = B[..., (1 << i) | (1 << j)]
-    return A - np.swapaxes(A, -1, -2)
 
 
 def _stabilizes(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -444,10 +390,10 @@ def planes_from_matrices(Ms: np.ndarray, hs: Sequence[int]) -> np.ndarray:
     while pending:
         if any(t == len(pairs[i]) for i in pending):
             raise FactorizationError("could not build an invariant plane from the spectrum")
-        B = _wedge(np.array([pairs[i][t][0] for i in pending]),
-                   np.array([pairs[i][t][1] for i in pending]))
+        B = wedge(np.array([pairs[i][t][0] for i in pending]),
+                  np.array([pairs[i][t][1] for i in pending]))
         B = np.where(np.abs(B) <= NOISE_TOL, 0.0, B)
-        nb = _norm(B)
+        nb = norm(B)
         ok = nb >= WEDGE_FLOOR
         B = B * (1.0 / np.where(ok, nb, 1.0))[:, None]
         ok &= _stabilizes(Ms[pending], B)
@@ -508,51 +454,33 @@ def canonical_angle_pair(t1: float, t2: float) -> tuple[float, float, int, int, 
     raise FactorizationError(f"cannot canonicalize angles ({t1}, {t2})")
 
 
-def _exp(B: np.ndarray, theta: Sequence[float]) -> np.ndarray:
-    """cos(theta) + sin(theta) B for unit bivector rows B (S, 2**dim) and their angles.
-
-    B must square to -1 within NOISE_TOL, the tolerance the Coxeter
-    plane is built to.
-    """
-    if (~B.any(axis=1) | (B != _grade(B, 2)).any(axis=1)).any():
-        raise ValueError("exponent must be a pure bivector")
-    sq = float_products(B, B)
-    sq[:, 0] += 1.0
-    if np.abs(sq).max(initial=0.0) > NOISE_TOL:
-        raise ValueError("bivector must square to -1")
-    E = np.zeros(B.shape)
-    E[:, 0] = [math.cos(t) for t in theta]
-    return E + np.array([math.sin(t) for t in theta])[:, None] * B
-
-
 def factorizations(Ws: np.ndarray, Bs: np.ndarray, hs: Sequence[int], field: Field = QUAD
                    ) -> list[Factorization]:
     """``factorize`` of each versor row of Ws on its plane row of Bs with its
     order: the components, exponentials and reconstructions of all rows in
     stacked passes, the angles one row at a time."""
     dim = Bs.shape[1].bit_length() - 1
-    Ws = _coefficient_floats(Ws, dim, field)
+    Ws = coefficient_floats(Ws, dim, field)
     if dim not in (2, 4):
         raise FactorizationError("factorization applies to Cl(2)/Cl(4) versors")
     s = Ws[:, 0].tolist()
-    b1 = _dot(Ws, Bs).tolist()
+    b1 = scalar_product(Ws, Bs).tolist()
     if dim == 2:
         t1 = [math.atan2(b, c) for b, c in zip(b1, s)]
         t2 = [0.0] * len(t1)              # a rank-2 versor has one angle
-        residuals = _norm(Ws - _exp(Bs, t1)).tolist()
+        residuals = norm(Ws - bivector_exp(Bs, t1)).tolist()
     else:
-        I = np.zeros(16)
-        I[15] = 1.0
+        I = np.eye(16)[15]
         IB = float_products(I, Bs)
-        p = _dot(Ws, I).tolist()
-        b2 = _dot(Ws, IB).tolist()
+        p = scalar_product(Ws, I).tolist()
+        b2 = scalar_product(Ws, IB).tolist()
         t1, t2 = [], []
         for si, pi, bi, bj in zip(s, p, b1, b2):
             sum_a = math.atan2(bi + bj, si + pi)
             diff_a = math.atan2(bi - bj, si - pi)
             t1.append(0.5 * (sum_a + diff_a))
             t2.append(0.5 * (sum_a - diff_a))
-        residuals = _norm(Ws - float_products(_exp(Bs, t1), _exp(IB, t2))).tolist()
+        residuals = norm(Ws - float_products(bivector_exp(Bs, t1), bivector_exp(IB, t2))).tolist()
     out = []
     for h, a1, a2, residual in zip(hs, t1, t2, residuals):
         if residual > RESIDUAL_TOL:
@@ -593,20 +521,17 @@ def plane_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal coordinate vectors spanning the plane of a unit simple bivector row."""
     dim = len(B).bit_length() - 1
     u1 = None
-    for i in range(dim):
-        e = np.zeros(len(B))
-        e[1 << i] = 1.0
-        proj = -_grade(float_products(_grade(float_products(e, B), 1), B), 1)
-        n = _norm(proj)
+    for e in np.eye(len(B))[VECTOR_BLADES[:dim]]:
+        proj = -grade(float_products(grade(float_products(e, B), 1), B), 1)
+        n = norm(proj)
         if n > BASIS_FLOOR:
             u1 = proj * (1.0 / n)
             break
     if u1 is None:
         raise ValueError("degenerate plane bivector")
-    u2 = _grade(float_products(u1, B), 1)
-    u2 = u2 * (1.0 / _norm(u2))
-    coords = [1 << i for i in range(dim)]
-    return u1[coords], u2[coords]
+    u2 = grade(float_products(u1, B), 1)
+    u2 = u2 * (1.0 / norm(u2))
+    return u1[VECTOR_BLADES[:dim]], u2[VECTOR_BLADES[:dim]]
 
 
 def project_to_plane(num: np.ndarray, den: int, field: Field, B: np.ndarray

@@ -6,8 +6,9 @@ polyhedral group).  Reading each spinor a0 + a1 e2e3 + a2 e3e1 + a3 e1e2 as
 the point (a0, a1, a2, a3) turns the spin group into a root system one
 dimension up (rank 2 maps to rank 2 via a + b e1e2 -> (a, b)).
 
-A group is its closure rows, sorted once by ``rootsys.canonical_order`` on
-their floats (``scalars.row_floats``), so indices, Cayley tables and
+A group is its closure's versor rows, built, read and checked by
+``clifford`` (whose docstring gives the layout), sorted once by
+``rootsys.canonical_order`` on their floats, so indices, Cayley tables and
 everything downstream are deterministic.  An induced set is a ``RootSystem``
 named after its spin group, its rows in the group's order: validation,
 identification and the spinor character read its numerator rows over one
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Optional
 
 import numpy as np
 
-from .clifford import left_matrices, right_products
+from .clifford import (coefficient_floats, common_numerators, grade_parities, identity_row,
+                       left_matrices, negated_rows, right_products, unit_rows, vector_rows)
 from .rootsys import (
     ClosureCapError,
     RankError,
@@ -44,13 +45,10 @@ from .rootsys import (
 )
 from .scalars import (
     KEY_DECIMALS,
-    NOISE_TOL,
     Field,
     exact_matmul,
-    field_matrix,
     int_rows,
     read_only,
-    reduce_rows,
     row_floats,
     row_keys,
 )
@@ -59,54 +57,10 @@ GROUP_CAP = 10_000     # most elements generate_pin_group closes before giving u
 CAYLEY_BLOCK = 512     # most products held at once while a Cayley table is built
 
 
-def _vector_rows(num: np.ndarray, den: int) -> np.ndarray:
-    """Rows, in the layout of ``_numerator_rows``, of the vectors with the
-    coordinate numerators (n, dim, d) over ``den``."""
-    n, dim, d = num.shape
-    blades = np.zeros((n, 1 << dim, d), dtype=num.dtype)
-    blades[:, [1 << i for i in range(dim)]] = num
-    return _numerator_rows(blades, den)
-
-
-def _numerator_rows(num: np.ndarray, den: int) -> np.ndarray:
-    """Canonical versor rows of multivectors given as numerators
-    (n, 2**dim, d) over ``den``: the representation of the pin closure and of
-    the Coxeter versor, on both backends.
-
-    A row is its field numerators, blade-major, followed by one positive
-    denominator, the whole row divided by its gcd (``reduce_rows``), so equal
-    exact multivectors have equal rows; a float row ends in 1.0.
-    """
-    rows = np.hstack([num.reshape(len(num), -1), np.full((len(num), 1), den, dtype=num.dtype)])
-    return reduce_rows(rows)
-
-
-def _blade_numerators(rows: np.ndarray, dim: int) -> np.ndarray:
-    """The numerators (n, 2**dim, d) of rows in the layout of ``_numerator_rows``."""
-    return rows[:, :-1].reshape(len(rows), 1 << dim, (rows.shape[1] - 1) >> dim)
-
-
-def _coefficient_floats(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
-    """Float coefficient rows (n, 2**dim) of rows of ``field`` in the layout of
-    ``_numerator_rows``, through ``row_floats``."""
-    return row_floats(_blade_numerators(rows, dim), rows[:, -1:], field)
-
-
-def _common_numerators(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows as numerators (n, d * 2**dim) over one denominator, laid out as by
-    ``quad_numerators``; exact rows are scaled as Python ints, never int64,
-    and float rows are over 1 already."""
-    if rows.dtype.kind == "f":
-        return rows[:, :-1], 1
-    rows = rows.astype(object)
-    den = lcm(*rows[:, -1].tolist())
-    return rows[:, :-1] * (den // rows[:, -1:]), den
-
-
 @dataclass(eq=False)
 class VersorGroup:
     """Finite set of unit versors closed under the geometric product, held as
-    its ``rows`` of ``field`` in the layout of ``_numerator_rows``.  The Cayley
+    its versor ``rows`` of ``field`` (``clifford``'s layout).  The Cayley
     table, the inverses and, in ``held``, ``mckay``'s classes are formed once."""
 
     name: str
@@ -115,13 +69,11 @@ class VersorGroup:
     parities: tuple[str, ...]
     parity: str                      # "pin" | "spin"
     field: Field
-    _index: dict = field(init=False, repr=False)
     _cayley: Optional[np.ndarray] = field(default=None, repr=False)
     held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         read_only(self.rows)
-        self._index = {key: i for i, key in enumerate(row_keys(self.rows))}
 
     @property
     def order(self) -> int:
@@ -130,12 +82,10 @@ class VersorGroup:
     def __len__(self) -> int:
         return self.order
 
-    @property
+    @cached_property
     def identity_index(self) -> int:
-        """Index of the identity row: numerator 1 on blade 0 over the denominator 1."""
-        one = np.zeros((1, self.rows.shape[1]), dtype=self.rows.dtype)
-        one[0, 0] = one[0, -1] = 1
-        return self._index[row_keys(one)[0]]
+        """Index of the identity row, looked up by its ``row_keys`` key once."""
+        return row_keys(self.rows).index(row_keys(identity_row(self.rows))[0])
 
     @property
     def cayley(self) -> np.ndarray:
@@ -150,7 +100,7 @@ class VersorGroup:
         CAYLEY_BLOCK products.
         """
         if self._cayley is None:
-            num, den = _common_numerators(self.rows)
+            num, den = common_numerators(self.rows)
             index = {key: i for i, key in enumerate(row_keys(den * num))}
             num = int_rows(num)
             step = max(1, CAYLEY_BLOCK // self.order)
@@ -173,38 +123,18 @@ class VersorGroup:
         return tuple((self.cayley == self.identity_index).argmax(axis=1).tolist())
 
 
-def _grade_parities(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: has it a nonzero odd-grade coefficient, has it an even-grade one?"""
-    support = (_blade_numerators(rows, dim) != 0).any(axis=2)
-    odd_blade = np.array([m.bit_count() % 2 == 1 for m in range(1 << dim)])
-    return (support & odd_blade).any(axis=1), (support & ~odd_blade).any(axis=1)
-
-
-def _unit_rows(rows: np.ndarray, dim: int, field: Field) -> np.ndarray:
-    """Per row of ``field``: is <V reverse(V)>_0, the sum of squared coefficients, one?"""
-    if rows.dtype.kind == "f":
-        return np.abs((rows[:, :-1] ** 2).sum(axis=1) - 1.0) < NOISE_TOL
-    n, size, d = len(rows), 1 << dim, field.d
-    # [num | den] @ [field_matrix of each blade; -den on basis 1]: the sum over
-    # blades of num_b * num_b in the field less den**2, zero on a unit row
-    last = -rows[:, -1:, None] * field.one
-    mult = field_matrix(_blade_numerators(rows, dim), field).reshape(n, d * size, d)
-    excess = exact_matmul(rows[:, None, :], np.concatenate([mult, last], axis=1))
-    return (excess == 0).all(axis=(1, 2))
-
-
 def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
     """Multiplicative closure of the simple root vectors.
 
-    Closed on ``_numerator_rows`` by ``right_products`` and sorted once by
+    Closed on versor rows by ``right_products`` and sorted once by
     ``canonical_order`` on the rows' coefficient values.
     """
     if simple.rank not in (2, 3):
         raise RankError(f"pin groups are generated from rank-2/3 root systems, "
                         f"not {simple.name} (rank {simple.rank})")
     dim, field = simple.rank, simple.field
-    gens = _vector_rows(*simple.rows)
-    negated = np.hstack([-gens[:, :-1], gens[:, -1:]])
+    gens = vector_rows(*simple.rows)
+    negated = negated_rows(gens)
     # seed with +-a: a and -a encode the same reflection and the double cover
     # contains both (for odd n the word closure of I2(n) alone misses -1)
     seeds = np.stack([gens, negated], axis=1).reshape(2 * len(gens), -1)
@@ -212,13 +142,13 @@ def generate_pin_group(simple: SimpleRootSet) -> VersorGroup:
         rows = orbit(seeds, right_products(gens, dim, field), row_keys, GROUP_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"pin closure of {simple.name} exceeded {GROUP_CAP}") from exc
-    rows = rows[canonical_order(_coefficient_floats(rows, dim, field))]
-    odd, even = _grade_parities(rows, dim)
+    rows = rows[canonical_order(coefficient_floats(rows, dim, field))]
+    odd, even = grade_parities(rows, dim)
     if (odd & even).any():
         raise ValueError("group element without homogeneous parity")
     parities = tuple("odd" if o else "even" for o in odd)
     # unit-versor sanity: V reverse(V) = 1
-    if not _unit_rows(rows, dim, field).all():
+    if not unit_rows(rows, dim, field).all():
         raise ValueError(f"pin closure of {simple.name} has a non-unit element")
     return VersorGroup(name=f"Pin({simple.name})", dim=dim, rows=rows,
                        parities=parities, parity="pin", field=field)
@@ -238,9 +168,9 @@ def spinors_to_4d(G: VersorGroup) -> RootSystem:
         raise ValueError("induced sets come from spin groups")
     if G.dim not in (2, 3):
         raise ValueError("spinor reinterpretation needs Cl(2) or Cl(3)")
-    if _grade_parities(G.rows, G.dim)[0].any():
+    if grade_parities(G.rows, G.dim)[0].any():
         raise ValueError("odd-grade contamination in spin group")
-    num, den = _common_numerators(G.rows)
+    num, den = common_numerators(G.rows)
     num = num.reshape(G.order, 1 << G.dim, -1)
     if G.dim == 3:
         # basis (1, e2e3, e3e1, e1e2); e3e1 = -e1e3 flips the stored sign

@@ -38,7 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .induction import VersorGroup, _coefficient_floats
+from .clifford import coefficient_floats
+from .induction import VersorGroup
 from .rootsys import components, hold
 from .scalars import (CSV_ZERO_TOL, EIG_SEP_TOL, INT_TOL, KEY_DECIMALS, NOISE_TOL, ORTHO_RTOL,
                       ORTHO_TOL, PIVOT_TOL)
@@ -77,7 +78,6 @@ class ClassData:
     classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     representatives: tuple[int, ...]
-    inverse_class: tuple[int, ...]
     element_class: tuple[int, ...]
 
     @property
@@ -126,12 +126,10 @@ def _conjugacy_classes(G: VersorGroup) -> ClassData:
     for ci, c in enumerate(classes):
         for x in c:
             element_class[x] = ci
-    inverse_class = tuple(element_class[inv[c[0]]] for c in classes)
     return ClassData(
         classes=tuple(classes),
         sizes=tuple(len(c) for c in classes),
         representatives=tuple(c[0] for c in classes),
-        inverse_class=inverse_class,
         element_class=tuple(element_class),
     )
 
@@ -302,7 +300,7 @@ def spinor_character(G: VersorGroup, classes: Optional[ClassData] = None) -> np.
         raise ValueError("spinor character needs a spin group")
     if classes is None:
         classes = conjugacy_classes(G)
-    scalars = _coefficient_floats(G.rows, G.dim, G.field)[:, 0].tolist()
+    scalars = coefficient_floats(G.rows, G.dim, G.field)[:, 0].tolist()
     out = []
     for members in classes.classes:
         vals = [2.0 * scalars[m] for m in members]

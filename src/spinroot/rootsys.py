@@ -66,6 +66,7 @@ from .scalars import (
     exact_matmul,
     field_matrix,
     field_quotients,
+    ordered_dot,
     quad_numerators,
     read_only,
     reduce_rows,
@@ -169,13 +170,6 @@ def canonical_order(floats) -> list[int]:
     doubt = np.abs(scaled - np.floor(scaled) - 0.5) <= TIE_ULPS * np.spacing(np.abs(scaled))
     keys[doubt] = [round(c, SORT_DECIMALS) for c in x[doubt].tolist()]
     return np.lexsort(keys.T[::-1]).tolist()
-
-
-def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Float dots over the last axis, broadcast, summed left to right in
-    coordinate order: BLAS may reorder or fuse, which would move the float
-    Cartan matrix, the PF vectors and the printed planes by an ulp."""
-    return np.add.accumulate(x * y, axis=-1)[..., -1]
 
 
 def _gram(num: np.ndarray, field: Field) -> np.ndarray:

@@ -18,7 +18,8 @@ of its basis and its printer.  ``QUAD`` is Q(sqrt2, sqrt5), ``FLOATS`` the
 float rows, each float its own row (x,) over 1, and ``verify`` defines the
 ring Z[sqrt5][R] of the appendix.  Products go through the tensor
 (``field_matrix``); ``row_floats`` is the one bridge from rows to floats,
-bit for bit ``float(QuadTower)`` on QUAD; ``exact_solve``, a fraction-free
+bit for bit ``float(QuadTower)`` on QUAD, and ``ordered_dot`` the one float
+dot, summed in coordinate order; ``exact_solve``, a fraction-free
 Gauss-Jordan elimination, is the one inverse, of ``field_quotients`` and of
 ``coxplane.weight_basis``.
 
@@ -287,6 +288,13 @@ def row_floats(num: np.ndarray, den, field: Field) -> np.ndarray:
         parts = parts.astype(np.int64)
     *coords, q = np.moveaxis(parts // np.gcd.reduce(parts, axis=-1, keepdims=True), -1, 0)
     return np.asarray(field.evaluate(coords, q), dtype=np.float64)
+
+
+def ordered_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float dots over the last axis, broadcast, summed left to right in
+    coordinate order: BLAS may reorder or fuse, which would move the float
+    Cartan matrix, the PF vectors and the printed planes by an ulp."""
+    return np.add.accumulate(x * y, axis=-1)[..., -1]
 
 
 def _abs_max(x: np.ndarray) -> int:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from spinroot import coxplane
-from spinroot.clifford import Multivector, blade_name
-from spinroot.induction import VersorGroup, _numerator_rows
+from spinroot.clifford import Multivector, blade_name, numerator_rows
+from spinroot.induction import VersorGroup
 from spinroot.rootsys import RootSystem, SimpleRootSet, cartan_matrix
 from spinroot.scalars import (
     BASIS_FLOOR,
@@ -158,7 +158,7 @@ def coords_dot(uc: Sequence[Scalar], vc: Sequence[Scalar]) -> Scalar:
 
 def _row_values(rows: np.ndarray, dim: int) -> list:
     """Coefficient lists, floats or QuadTowers, of float coefficient rows or
-    of rows in the layout of ``induction._numerator_rows``: blade-major field
+    of rows in ``clifford``'s versor-row layout: blade-major field
     numerators (4 exact, 1 float) and one denominator per row, 1.0 on floats."""
     if rows.shape[1] == 1 << dim:
         return rows.tolist()
@@ -170,7 +170,7 @@ def _row_values(rows: np.ndarray, dim: int) -> list:
 
 def row_multivector(row: np.ndarray, dim: int) -> Multivector:
     """The Multivector of a row: a float coefficient row (a plane bivector) or
-    a row in the layout of ``induction._numerator_rows`` (a Coxeter versor)."""
+    a row in ``clifford``'s versor-row layout (a Coxeter versor)."""
     return Multivector(dim, _row_values(np.asarray(row)[None], dim)[0])
 
 
@@ -180,8 +180,8 @@ def multivector_row(mv: Multivector) -> np.ndarray:
 
 
 def element_rows(elements: Sequence[Multivector]) -> np.ndarray:
-    """The group rows of multivectors, in the layout of ``induction._numerator_rows``."""
-    return _numerator_rows(*quad_numerators([e.coeffs for e in elements]))
+    """The group rows of multivectors, in ``clifford``'s versor-row layout."""
+    return numerator_rows(*quad_numerators([e.coeffs for e in elements]))
 
 
 @lru_cache(maxsize=None)
@@ -190,9 +190,14 @@ def group_elements(G: VersorGroup) -> tuple[Multivector, ...]:
     return tuple(Multivector(G.dim, c) for c in _row_values(G.rows, G.dim))
 
 
+@lru_cache(maxsize=None)
+def _row_index(G: VersorGroup) -> dict:
+    return {key: i for i, key in enumerate(row_keys(G.rows))}
+
+
 def index_of(G: VersorGroup, mv: Multivector) -> int:
     """Index of an element of G, keyed by ``row_keys`` as the Cayley table keys products."""
-    return G._index[row_keys(element_rows([mv]))[0]]
+    return _row_index(G)[row_keys(element_rows([mv]))[0]]
 
 
 def blade_sign(a: int, b: int) -> int:

@@ -29,11 +29,15 @@ from spinroot.clifford import (
     Multivector,
     _blade_sums,
     blade_name,
+    bivector_matrix,
+    float_products,
     left_matrices,
     right_products,
+    squares_to_minus_one,
 )
 from spinroot.scalars import (
     FLOATS,
+    NOISE_TOL,
     QUAD,
     BackendMismatchError,
     QT_HALF,
@@ -372,3 +376,46 @@ def test_float_right_products_are_the_blade_loop_then_one():
         want = with_one(blade_loop_sums(x, right).reshape(-1, size))
         got = right_products(with_one(gens), dim, FLOATS)(with_one(x))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+
+
+def former_bivector_matrix(B: np.ndarray) -> np.ndarray:
+    """The former ``coxplane.bivector_matrix``: the pairs i < j one at a time."""
+    k = B.shape[-1].bit_length() - 1
+    A = np.zeros(B.shape[:-1] + (k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            A[..., i, j] = B[..., (1 << i) | (1 << j)]
+    return A - np.swapaxes(A, -1, -2)
+
+
+def test_bivector_matrix_equals_the_former_loop():
+    rng = np.random.default_rng(32)
+    for trial in range(1500):
+        size = 1 << int(rng.integers(2, 5))
+        shape = (size,) if trial % 2 else (int(rng.integers(1, 5)), size)
+        B = _signed_rows(rng, shape)
+        got, want = bivector_matrix(B), former_bivector_matrix(B)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+
+
+def test_squares_to_minus_one_is_both_former_checks():
+    # the Coxeter plane's check on one row and the exponential's on a stack:
+    # unit simple bivectors, nudged across NOISE_TOL, and non-simple ones
+    rng = np.random.default_rng(33)
+    for trial in range(1500):
+        dim = int(rng.integers(2, 5))
+        u, v = rng.normal(size=(2, 3, dim))
+        rows = np.zeros((2, 3, 1 << dim))
+        rows[..., [1 << i for i in range(dim)]] = np.stack([u, v])
+        B = float_products(rows[0], rows[1])
+        B[:, 0] = 0.0
+        B = B / np.sqrt((B * B).sum(axis=1))[:, None]
+        B += rng.choice([0.0, 0.3, 3.0], size=(3, 1)) * NOISE_TOL * rng.normal(size=B.shape)
+        if dim == 4 and trial % 3 == 0:
+            B[0, 0b1100] += 0.5
+        sq = float_products(B, B)
+        plane = [not (abs(row[0] + 1.0) > NOISE_TOL or np.abs(row[1:]).max() > NOISE_TOL)
+                 for row in sq]
+        assert [bool(squares_to_minus_one(b)) for b in B] == plane, trial
+        sq[:, 0] += 1.0
+        assert bool(squares_to_minus_one(B).all()) == (not np.abs(sq).max() > NOISE_TOL), trial

@@ -35,15 +35,14 @@ from clifford_reference import (
     vector_coords,
     versor_action,
 )
-from spinroot import coxplane
+from spinroot import clifford, coxplane
 from spinroot.ade import ade_root_data
 from spinroot.cli import main
-from spinroot.clifford import Multivector
+from spinroot.clifford import Multivector, bivector_matrix, vector_rows
 from spinroot.coxplane import (
     DegeneratePlaneError,
     FactorizationError,
     bicolor,
-    bivector_matrix,
     canonical_angle_pair,
     coxeter_data,
     coxeter_matrix,
@@ -65,7 +64,6 @@ from spinroot.coxplane import (
     springer_identities,
     weight_basis,
 )
-from spinroot.induction import _vector_rows
 from spinroot.rootsys import SimpleRootSet, cartan_matrix, catalog, components, root_system
 from spinroot.scalars import (
     ANGLE_TOL,
@@ -421,9 +419,9 @@ def former_wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The former ``coxplane._wedge``: vector rows through ``quad_numerators``,
     their denominator 1.0 dropped."""
     uv = np.stack([u, v]).astype(float)
-    rows = _vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))[:, :-1]
+    rows = vector_rows(*quad_numerators(uv.reshape(-1, uv.shape[-1])))[:, :-1]
     rows = rows.reshape(uv.shape[:-1] + rows.shape[-1:])
-    return coxplane._grade(coxplane.float_products(rows[0], rows[1]), 2)
+    return clifford.grade(clifford.float_products(rows[0], rows[1]), 2)
 
 
 def test_wedge_equals_the_former_wedge():
@@ -436,7 +434,7 @@ def test_wedge_equals_the_former_wedge():
         for x in (u, v):
             x[rng.random(shape) < 0.3] = 0.0
             x[rng.random(shape) < 0.2] = -0.0
-        got, want = coxplane._wedge(u, v), former_wedge(u, v)
+        got, want = clifford.wedge(u, v), former_wedge(u, v)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
 
 

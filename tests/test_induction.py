@@ -26,7 +26,7 @@ from clifford_reference import (
     spinor_inner,
     vector_coords,
 )
-from spinroot import induction, scalars
+from spinroot import clifford, induction, scalars
 from spinroot.coxplane import coxeter_versors, weight_basis
 from spinroot.induction import (
     VersorGroup,
@@ -257,7 +257,7 @@ def _exact_results() -> dict:
                      validate_root_system(R.num[1:], R.field, 10_000)]
         if simple.rank == 3:
             G = generate_pin_group(simple)
-            out[name] += [G.rows, induction._unit_rows(G.rows, G.dim, G.field), G.cayley]
+            out[name] += [G.rows, clifford.unit_rows(G.rows, G.dim, G.field), G.cayley]
     return out
 
 

@@ -135,9 +135,10 @@ def test_class_structure():
     classes = conjugacy_classes(G)
     assert sum(classes.sizes) == G.order
     assert classes.classes[0] == (G.identity_index,)
-    # inverse-class map is an involution
-    for ci, inv_ci in enumerate(classes.inverse_class):
-        assert classes.inverse_class[inv_ci] == ci
+    # inverse-class map, read off the element classes, is an involution
+    inverse_class = [classes.element_class[G.inverse_indices[c[0]]] for c in classes.classes]
+    for ci, inv_ci in enumerate(inverse_class):
+        assert inverse_class[inv_ci] == ci
 
 
 def test_character_dims_2T():

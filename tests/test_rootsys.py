@@ -19,10 +19,8 @@ from clifford_reference import (
     vector_coords,
 )
 from spinroot import ade, rootsys, scalars
-from spinroot.clifford import Multivector
-from spinroot.induction import (
-    _coefficient_floats, induced_set, induced_system, pin_group, spin_group,
-)
+from spinroot.clifford import Multivector, coefficient_floats
+from spinroot.induction import induced_set, induced_system, pin_group, spin_group
 from spinroot.mckay import character_table, mckay_graph, spinor_character
 from spinroot.rootsys import (
     ClosureCapError,
@@ -267,7 +265,7 @@ def test_canonical_order_sorts_every_closure_like_python_round():
     sources += [(key, n) for key in ("I2", "A1xI2") for n in range(2, 17)]
     for key, n in sources:
         G = pin_group(key, n)
-        closures.append(_coefficient_floats(G.rows, G.dim, G.field))
+        closures.append(coefficient_floats(G.rows, G.dim, G.field))
     assert len(closures) == 10 + 45 + 34
     for floats in closures:
         rows = floats[rng.sample(range(len(floats)), len(floats))]
@@ -346,7 +344,7 @@ def per_generator_step(simple: SimpleRootSet):
     norms = np.diagonal(simple.gram[0][..., 0])
 
     def step(rows: np.ndarray) -> np.ndarray:
-        images = [rows - ((rootsys.ordered_dot(rows, a) * 2) / aa)[:, None] * a
+        images = [rows - ((scalars.ordered_dot(rows, a) * 2) / aa)[:, None] * a
                   for a, aa in zip(gens, norms)]
         return np.stack(images, axis=1).reshape(-1, gens.shape[1])
 

@@ -6,7 +6,6 @@ means to move one of them re-pins it and says why in CHANGES.md.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -92,15 +91,19 @@ def large_cayley_digest() -> str:
 
 
 def class_digest() -> str:
-    """The classes and the class tensor of each of the 34 spin groups; the
-    tensor is the reference triple loop's, the library forms only its
-    combinations."""
+    """The classes, with the inverse class of each read off the element
+    classes, and the class tensor of each of the 34 spin groups; the tensor is
+    the reference triple loop's, the library forms only its combinations."""
     items = []
     for name, n in SOURCES:
         G = spin_group(name, n)
         classes = conjugacy_classes(G)
+        inverse_class = tuple(classes.element_class[G.inverse_indices[c[0]]]
+                              for c in classes.classes)
+        fields = (classes.classes, classes.sizes, classes.representatives, inverse_class,
+                  classes.element_class)
         mats = reference_class_matrices(G, classes)
-        items.append((G.name, dataclasses.astuple(classes), mats.dtype.str, mats.tolist()))
+        items.append((G.name, fields, mats.dtype.str, mats.tolist()))
     return _digest(items)
 
 

@@ -280,3 +280,63 @@ def test_upward_imports_are_found():
     assert imports("from spinroot.cli import main") == {"cli"}
     assert imports("from spinroot import mckay") == {"mckay"}
     assert imports("import numpy as np\nfrom math import lcm") == set()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node) -> str:
+    """The dotted name a chain of attributes on a name reads, else ''."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _private_crossings(tree, stem: str) -> list[str]:
+    """Each underscore name (not a dunder) a module takes from another spinroot
+    module, imported by name or read as ``module._name`` off a name bound to
+    that module, as 'line module._name'."""
+    bound, found = {}, []              # a dotted name bound to a module -> its stem
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: a.name.split(".")[-1] for a in node.names
+                          if a.name.startswith("spinroot.")})
+        elif isinstance(node, ast.ImportFrom):
+            module = ("spinroot" + (f".{node.module}" if node.module else "") if node.level
+                      else node.module or "")
+            if module == "spinroot":
+                bound.update({a.asname or a.name: a.name for a in node.names
+                              if (PACKAGE / f"{a.name}.py").exists()})
+            elif module.startswith("spinroot.") and module != f"spinroot.{stem}":
+                found += [f"{node.lineno} {module[9:]}.{a.name}" for a in node.names
+                          if _private(a.name)]
+    found += [f"{node.lineno} {bound[_dotted(node.value)]}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and _dotted(node.value) in bound and bound[_dotted(node.value)] != stem]
+    return found
+
+
+def test_no_private_name_crosses_a_module():
+    # a module's underscore names are its own: what another module needs is
+    # public where it lives
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.stem}:{entry}" for entry in _private_crossings(tree, path.stem)]
+    assert found == []
+
+
+def test_private_crossings_are_found():
+    src = ("from .induction import _a, b, __version__\n"
+           "from spinroot.coxplane import _c as c\n"
+           "from . import mckay, rootsys as rs, __version__\n"
+           "import spinroot.ade as sa\nimport spinroot.output\n"
+           "from numpy import _d\nfrom .verify import _own\nfrom . import verify\n"
+           "x = mckay._e + rs._f + sa._g + spinroot.output._h + verify._i\n"
+           "y = mckay.__doc__ + rs.public + np._j + obj._k + mckay.x._l\n"
+           "def f():\n    from .scalars import _m\n")
+    assert sorted(_private_crossings(ast.parse(src), "verify")) == [
+        "1 induction._a", "12 scalars._m", "2 coxplane._c", "9 ade._g", "9 mckay._e",
+        "9 output._h", "9 rootsys._f"]

@@ -1,8 +1,10 @@
 """The verify-all runner: the same checks whether or not a forked child runs
 some criteria, and no child outlives `run_all`."""
 
+import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spinroot import coxplane, induction, mckay, rootsys, verify
+from spinroot import coxplane, induction, mckay, rootsys, scalars, verify
 from spinroot.rootsys import catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,6 +218,34 @@ def test_h4_appendix_checks_are_pinned():
         (True, "('(64+32*r5)*R + (544+224*r5)', '(-224-96*r5)*R + (-1408-640*r5)')",
          "(32r5+64)R+224r5+544 and (-96r5-224)R-640r5-1408"),
     ]
+
+
+#: the printed criteria that restate a ledger row: the check, a name its
+#: records start with, the number in their expected text, the row, and the
+#: function whose comparison reads the row
+PRINTED_ROWS = [
+    (verify.check_factorizations, "", r"res<(\S+) ", "FIXTURE_RESIDUAL_TOL",
+     verify.check_factorizations),
+    (lambda: verify.check_planes(2), "plane invariance", r"within (\S+) ", "PLANE_TOL",
+     coxplane._stabilizes),
+    (verify.check_h4_appendix, "H4 weight basis", r"within (\S+)$", "FIXTURE_TOL",
+     verify.check_h4_appendix),
+    (verify.check_h4_appendix, "wedge e1e4", r"< (\S+) rel", "FIXTURE_CANCEL_RTOL",
+     verify.check_h4_appendix),
+    (verify.check_projection_and_exports, "A4 projection", r"within (\S+)$", "FIXTURE_TOL",
+     verify.check_projection_and_exports),
+]
+
+
+@pytest.mark.parametrize("check, name, printed, row, reader", PRINTED_ROWS,
+                         ids=[f"{row}:{reader.__name__}" for *_, row, reader in PRINTED_ROWS])
+def test_printed_criteria_read_the_ledger(check, name, printed, row, reader):
+    # the expected texts stay literal output, so a row that moves must fail here
+    # until its printed criterion moves with it
+    assert re.search(rf"\b{row}\b", inspect.getsource(reader))
+    numbers = [float(re.search(printed, r.expected).group(1))
+               for r in check() if r.name.startswith(name)]
+    assert numbers and all(number == getattr(scalars, row) for number in numbers)
 
 
 def test_run_all_forms_each_result_once(monkeypatch):

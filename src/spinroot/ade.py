@@ -39,7 +39,7 @@ from .rootsys import (
     root_system,
     rotation_orders,
 )
-from .scalars import row_keys
+from .scalars import read_only, row_keys
 
 RANK_CAP = 24
 ROOT_CAP = 2000             # most roots _closure closes before giving up
@@ -60,15 +60,20 @@ class DynkinDiagram:
 
 @dataclass
 class ADERootData:
+    """One ADE system's data, shared by every caller: its arrays are read-only."""
+
     name: str
     rank: int
     simple: np.ndarray                 # rank x ambient-dim simple roots
     h: int
     _roots: Optional[np.ndarray] = field(default=None, repr=False)
 
+    def __post_init__(self):
+        read_only(self.simple)
+
     def roots(self) -> np.ndarray:
         if self._roots is None:
-            self._roots = _closure(self.simple)
+            self._roots = read_only(_closure(self.simple))
         return self._roots
 
 
@@ -128,16 +133,25 @@ def _closure(simple: np.ndarray) -> np.ndarray:
     return coeffs @ simple
 
 
-@lru_cache(maxsize=None)
 def ade_root_data(kind: str, n: Optional[int] = None) -> ADERootData:
-    """Simple roots and computed Coxeter number for A_n / D_n / E6 / E7 / E8."""
+    """Simple roots and computed Coxeter number for A_n / D_n / E6 / E7 / E8.
+
+    Every spelling of one system ("E8", "e8", ("E", 8)) reads one object; an
+    n that contradicts the name raises."""
     kind = kind.upper()
     if kind in ("E6", "E7", "E8"):
+        if n is not None and n != int(kind[1]):
+            raise ValueError(f"conflicting n={n} for {kind}")
         kind, n = "E", int(kind[1])
     if n is None:
         raise ValueError("family rank n required")
+    return _ade_root_data(kind, n)
+
+
+@lru_cache(maxsize=None)
+def _ade_root_data(kind: str, n: int) -> ADERootData:
     simple = _simple_roots(kind, n)
-    name = f"{kind}{n}" if kind != "E" else f"E{n}"
+    name = f"{kind}{n}"
     # every reflection fixes the orthocomplement of the root span pointwise,
     # so the product has finite order as a matrix on the whole ambient space
     return ADERootData(name=name, rank=simple.shape[0], simple=simple,

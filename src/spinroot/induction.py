@@ -185,12 +185,16 @@ def spinors_to_4d(G: VersorGroup) -> RootSystem:
 
 def fingerprint(num: np.ndarray, den: int, field: Field):
     """Rotation-invariant signature of numerator rows (n, dim, d) of ``field``
-    over ``den``: count + multiset of pairwise dots."""
+    over ``den``: the count n, then the multiset of the n(n-1)/2 pairwise dots
+    rounded to KEY_DECIMALS, as its distinct values in ascending order and
+    how often each occurs.  It says what the sorted dots say, in a few dozen
+    numbers for a catalog system."""
     X = row_floats(num, den, field)
     n = len(X)
     gram = X @ X.T
-    dots = np.sort(np.round(gram[~np.tri(n, dtype=bool)], KEY_DECIMALS) + 0.0)   # i < j
-    return (n, tuple(dots.tolist()))
+    values, counts = np.unique(np.round(gram[~np.tri(n, dtype=bool)], KEY_DECIMALS) + 0.0,
+                               return_counts=True)   # i < j
+    return (n, tuple(values.tolist()), tuple(counts.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +203,8 @@ def _reference_fingerprints(dim: int, count: int):
     roots, by catalog key and n.
 
     A fingerprint starts with its root count, so systems of another size can
-    never match; the I2 families therefore need no upper bound on n.
+    never match; the I2 families therefore need no upper bound on n.  Held for
+    the whole process, each holds its distinct dots once, not every pair.
     """
     if dim == 4:
         names = [(e["key"], None) for e in catalog_entries()

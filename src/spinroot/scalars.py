@@ -337,18 +337,22 @@ def adjoin_sqrt(t: np.ndarray, r) -> np.ndarray:
     out = np.zeros((2, d, 2, d, 2, d), dtype=np.int64)
     out[0, :, 0, :, 0] = out[0, :, 1, :, 1] = out[1, :, 0, :, 1] = t
     out[1, :, 1, :, 0] = exact_matmul(t, times_r)
-    return read_only(out.reshape(2 * d, 2 * d, 2 * d))
+    return out.reshape(2 * d, 2 * d, 2 * d)
 
 
 @dataclass(frozen=True, eq=False)
 class Field:
     """A number field of degree d over Q on a basis whose first element is 1,
     the ring its numerator rows (..., d) live in: its structure tensor, the
-    float value of each basis element and its exact printer."""
+    float value of each basis element and its exact printer.  Every kernel
+    of the field reads its tensor, so the record makes it read-only."""
 
     tensor: np.ndarray           # T[p, q, r]: coefficient of basis r in (basis p)(basis q)
     basis: tuple[float, ...]     # the float value of each basis element, basis[0] = 1.0
     show: Callable[..., str]     # the printed form of one element, from its d coordinates
+
+    def __post_init__(self):
+        read_only(self.tensor)
 
     @property
     def d(self) -> int:

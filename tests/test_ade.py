@@ -52,6 +52,23 @@ def test_e8_has_240_roots():
     assert _root_count(ade_root_data("E8")) == 240
 
 
+def test_every_spelling_reads_one_record():
+    e8 = ade_root_data("E8")
+    assert ade_root_data("e8") is e8 and ade_root_data("E", 8) is e8
+    assert ade_root_data("E8", 8) is e8
+    with pytest.raises(ValueError, match="conflicting n=7 for E6"):
+        ade_root_data("E6", 7)
+
+
+def test_ade_arrays_are_read_only():
+    # the record is shared by every caller: no caller writes what a later one reads
+    data = ade_root_data("E8")
+    for rows in (data.simple, data.roots()):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 99.0
+    assert ade_root_data("E8").roots()[0, 0] != 99.0
+
+
 def test_closure_cap_raises_value_error(monkeypatch):
     monkeypatch.setattr(ade, "ROOT_CAP", 100)
     with pytest.raises(ValueError, match="exceeded cap"):

@@ -385,6 +385,15 @@ def test_catalog_systems_identify_as_themselves():
         assert identify_root_system(S) == (name, n)
 
 
+def _expanded(fp) -> tuple:
+    """A fingerprint as its root count and its sorted pairwise dots: each
+    distinct value, ascending, repeated as often as it occurs."""
+    n, values, counts = fp
+    assert list(values) == sorted(set(values)) and len(counts) == len(values)
+    assert all(type(c) is int and c > 0 for c in counts)
+    return (n, tuple(v for v, c in zip(values, counts) for _ in range(c)))
+
+
 def test_fingerprint_matches_exact_pairwise_dots():
     def reference(vectors):
         n = len(vectors)
@@ -398,11 +407,13 @@ def test_fingerprint_matches_exact_pairwise_dots():
              for name in ("I2", "A1xI2") for n in range(2, 17)]
     for vectors in sets:
         num, den = quad_numerators([vector_coords(v) for v in vectors])
-        assert fingerprint(num, den, quad_field(num)) == reference(vectors)
+        got, want = _expanded(fingerprint(num, den, quad_field(num))), reference(vectors)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_fingerprint_equals_the_triu_indices_form():
-    # the former pair selection, np.triu_indices, on every induced set and 4D system
+    # the sorted-tuple form with the pair selection np.triu_indices, on every
+    # induced set and 4D system
     def former(num, den, field):
         X = row_floats(num, den, field)
         gram = X @ X.T
@@ -415,8 +426,29 @@ def test_fingerprint_equals_the_triu_indices_form():
     sets += [induced_set(name, n) for name in ("I2", "A1xI2") for n in range(2, 17)]
     sets += [induced_set(name) for name in ("A1^3", "A3", "B3", "H3")]
     for S in sets:
-        got, want = fingerprint(S.num, S.den, S.field), former(S.num, S.den, S.field)
+        got, want = _expanded(fingerprint(S.num, S.den, S.field)), former(S.num, S.den, S.field)
         assert got == want and repr(got) == repr(want)
+
+
+def test_reference_fingerprints_hold_distinct_dots_only():
+    # the references live for the whole process: each holds its few distinct
+    # dots once, never one value per pair (7 140 for H4)
+    for count, names in ((120, {("H4", None), ("I2xI2", 30)}), (64, {("I2xI2", 16)})):
+        refs = induction._reference_fingerprints(4, count)
+        assert set(refs) == names
+        for n, values, counts in refs.values():
+            assert n == count and sum(counts) == n * (n - 1) // 2
+            assert len(values) <= 64
+
+
+def test_ambiguous_identification_names_every_match(monkeypatch):
+    S = induced_set("A3")
+    fp = fingerprint(S.num, S.den, S.field)
+    monkeypatch.setattr(induction, "_reference_fingerprints",
+                        lambda dim, count: {("D4", None): fp, ("F4", None): fp,
+                                            ("B4", None): (count, (), ())})
+    with pytest.raises(ValueError, match=r"ambiguous identification: \['D4', 'F4'\]$"):
+        identify_root_system(S)
 
 
 def test_identification_rotation_invariant():

@@ -116,7 +116,7 @@ def test_small_floats_are_found():
 MODULE_CACHES = {
     "rootsys._catalog_set": "the cache root: one SimpleRootSet per system and backend",
     "induction._reference_fingerprints": "a query by dimension and root count, not by system",
-    "ade.ade_root_data": "ADE data are not catalog systems",
+    "ade._ade_root_data": "ADE data are not catalog systems",
     "mckay._draw_stream": "a seed's draws, shared by the tables of every group",
 }
 

@@ -1,6 +1,7 @@
 """The verify-all runner: the same checks whether or not a forked child runs
 some criteria, and no child outlives `run_all`."""
 
+import gc
 import inspect
 import os
 import random
@@ -11,9 +12,10 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinroot import coxplane, induction, mckay, rootsys, scalars, verify
+from spinroot import ade, coxplane, induction, mckay, rootsys, scalars, verify
 from spinroot.rootsys import catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -271,3 +273,41 @@ def test_run_all_forms_each_result_once(monkeypatch):
     assert {("A4", "exact"), ("B3", "exact"), ("H3", "exact")} <= set(closed)
     assert {"Spin(B3)", "Spin(H3)"} <= set(induced)
     assert [key for key, count in (closed + induced).items() if count > 1] == []
+
+
+def _writable_arrays(obj, path: str, seen: set, found: list) -> None:
+    """Append to found the path of each writable ndarray reachable from obj
+    through dicts, tuples, lists and the attributes of spinroot objects."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.flags.writeable:
+            found.append(path)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _writable_arrays(value, f"{path}[{key!r}]", seen, found)
+    elif isinstance(obj, (tuple, list)):
+        for i, value in enumerate(obj):
+            _writable_arrays(value, f"{path}[{i}]", seen, found)
+    elif type(obj).__module__.startswith("spinroot.") and hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            _writable_arrays(value, f"{path}.{name}", seen, found)
+
+
+def test_shared_arrays_are_read_only():
+    # a cached result reaches every later caller, so none of its arrays can be
+    # written in place: every catalog set with all it holds, every ADE record
+    # with its roots, every field's tensor
+    assert all(r.passed for rs in verify._run(list(verify.CRITERIA), 4, 0).values() for r in rs)
+    ade.ade_root_data("E8").roots()
+    gc.collect()
+    shared = [obj for obj in gc.get_objects()
+              if isinstance(obj, (rootsys.SimpleRootSet, ade.ADERootData, scalars.Field))]
+    assert {type(obj) for obj in shared} == {rootsys.SimpleRootSet, ade.ADERootData, scalars.Field}
+    found, seen = [], set()
+    for obj in shared:
+        if isinstance(obj, ade.ADERootData):
+            obj.roots()
+        _writable_arrays(obj, f"{type(obj).__name__}({getattr(obj, 'name', '')})", seen, found)
+    assert found == []
